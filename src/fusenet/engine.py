@@ -1,8 +1,9 @@
-"""Deterministic discrete-event core: event queue, channels, seeded substreams.
+"""Deterministic discrete-event core: event queue, fiber delays, seeded substreams.
 
 All simulation time is kept as integer nanoseconds so schedules stay exact;
 ties are broken by the scheduling sequence number, which makes the dispatch
-order a pure function of (config, seed).
+order a pure function of (config, seed). Fibers carry no state of their
+own: a hop is just its one-way delay, from ``channel_delay_ns``.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class EventQueue:
         heapq.heappush(self._heap, (event.time_ns, event.seq, event))
         return event
 
-    def peek_time(self) -> int:
-        return self._heap[0][0]
-
     def pop(self) -> Event:
         time_ns, _seq, event = heapq.heappop(self._heap)
         self.now_ns = time_ns
@@ -89,7 +87,6 @@ Handler = Callable[[Event], Optional[str]]
 def run(
     queue: EventQueue,
     handlers: Mapping[EventKind, Handler],
-    until_ns: Optional[int] = None,
     collect_trace: bool = True,
 ) -> list[TraceRecord]:
     """Dispatch events in (time, seq) order until the queue drains.
@@ -100,8 +97,6 @@ def run(
     """
     trace: list[TraceRecord] = []
     while len(queue):
-        if until_ns is not None and queue.peek_time() > until_ns:
-            break
         event = queue.pop()
         try:
             detail = handlers[event.kind](event)
@@ -121,36 +116,13 @@ def run(
     return trace
 
 
-@dataclass(frozen=True)
-class Channel:
-    """A fiber span between two nodes.
+def channel_delay_ns(length_km: float, signal_speed_m_per_s: float) -> int:
+    """One-way fiber delay on the 1 ns clock grid (nearest integer).
 
     Classical pulses and quantum signals are multiplexed onto the same
     fiber, so a single delay covers both.
     """
-
-    from_node: int
-    to_node: int
-    length_km: float
-    signal_speed_m_per_s: float = 2.0e8
-
-    def __post_init__(self) -> None:
-        if self.signal_speed_m_per_s <= 0:
-            raise ConfigurationError(
-                f"signal speed must be > 0, got {self.signal_speed_m_per_s!r}"
-            )
-        if self.length_km < 0:
-            raise ConfigurationError(f"length_km must be >= 0, got {self.length_km!r}")
-
-
-def channel_delay(channel: Channel) -> float:
-    """One-way propagation delay in seconds."""
-    return channel.length_km * 1000.0 / channel.signal_speed_m_per_s
-
-
-def channel_delay_ns(channel: Channel) -> int:
-    """One-way delay on the 1 ns clock grid (nearest integer)."""
-    return round(channel.length_km * 1e12 / channel.signal_speed_m_per_s)
+    return round(length_km * 1e12 / signal_speed_m_per_s)
 
 
 @dataclass(frozen=True)

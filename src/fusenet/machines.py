@@ -1,4 +1,4 @@
-"""Fusillade, fusiland, and repeater-node state machines.
+"""Per-bank cycle state of a repeater node: herald, signals, returns, swaps.
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
@@ -6,6 +6,11 @@ One herald pulse per cycle fires the whole fusillade; signals interact with
 the fusilands one at a time, rerouting to the next fusiland after each
 success; a single return message per hop reports which fusiliers succeeded;
 swap eligibility requires confirmed links on both sides.
+
+Because the fusillade fires as one train and each hop gets one return, each
+bank moves through one phase per cycle: the fusillade goes idle -> fired ->
+confirmed and the fusilands idle -> ready -> reported. The only per-qubit
+fact is which fusilier filled each fusiland slot.
 
 NodeState is mutated only by the single event-loop thread of a simulation
 run; all operations are deterministic given their RNG stream.
@@ -25,45 +30,19 @@ from .pair_algebra import (
     PairRecord,
     PauliFrame,
     success_probability,
-    swap_apply,
 )
 
 
-class FusilierState(Enum):
+class FusilladePhase(Enum):
     IDLE = "idle"
-    PRIMED = "primed"
     FIRED = "fired"
-    ENTANGLED = "entangled"
-    RETIRED = "retired"
+    CONFIRMED = "confirmed"
 
 
-class FusilandState(Enum):
+class FusilandPhase(Enum):
     IDLE = "idle"
     READY = "ready"
-    ENTANGLED = "entangled"
-    EXHAUSTED = "exhausted"
-
-
-# Legal transitions; ENTANGLED/RETIRED/EXHAUSTED come back to IDLE only when
-# the cycle's resources are released. READY -> READY is re-preparation after
-# a failed signal interaction.
-_FUSILIER_EDGES = {
-    FusilierState.IDLE: {FusilierState.PRIMED},
-    FusilierState.PRIMED: {FusilierState.FIRED},
-    FusilierState.FIRED: {FusilierState.ENTANGLED, FusilierState.RETIRED},
-    FusilierState.ENTANGLED: {FusilierState.IDLE},
-    FusilierState.RETIRED: {FusilierState.IDLE},
-}
-_FUSILAND_EDGES = {
-    FusilandState.IDLE: {FusilandState.READY},
-    FusilandState.READY: {
-        FusilandState.READY,
-        FusilandState.ENTANGLED,
-        FusilandState.EXHAUSTED,
-    },
-    FusilandState.ENTANGLED: {FusilandState.IDLE},
-    FusilandState.EXHAUSTED: {FusilandState.IDLE},
-}
+    REPORTED = "reported"
 
 
 class FrameRecord(NamedTuple):
@@ -90,15 +69,14 @@ class HeraldMessage:
 class ReturnMessage:
     """Per-hop report of which fusiliers succeeded, sent after the train.
 
-    ``pairs`` carries the hop's link records (post-purification when that
-    strategy is active) for the transmitting node's bookkeeping;
-    ``relayed_frames`` piggybacks leftbound frame records under the
-    butterfly split.
+    ``usable_links`` counts the hop's links (post-purification when that
+    strategy is active) the transmitting node may swap; ``relayed_frames``
+    piggybacks leftbound frame records under the butterfly split.
     """
 
     cycle_id: int
     matches: list[tuple[int, int]] = field(default_factory=list)
-    pairs: list[PairRecord] = field(default_factory=list)
+    usable_links: int = 0
     relayed_frames: list[FrameRecord] = field(default_factory=list)
 
 
@@ -124,31 +102,30 @@ class SignalResult:
 
 @dataclass(slots=True)
 class SwapResult:
-    """One executed swap: pairing slot, outcome bits, and the spanning pair."""
+    """One executed swap: pairing slot and its two outcome bits."""
 
     slot: int
     parity_outcome: int
     x_outcome: int
-    pair: PairRecord
 
 
 @dataclass
 class NodeState:
-    """All per-node protocol state for one chain node."""
+    """All per-node protocol state for one chain node.
+
+    ``filled_by[k]`` is the fusilier whose signal filled fusiland slot k this
+    cycle, so the next signal targets slot ``len(filled_by)``.
+    """
 
     node_id: int
     n_fusiliers: int
     m_fusilands: int
-    fusiliers: list[FusilierState] = field(default_factory=list)
-    fusilands: list[FusilandState] = field(default_factory=list)
-    fusilier_targets: list[Optional[int]] = field(default_factory=list)
-    fusiland_sources: list[Optional[int]] = field(default_factory=list)
-    active_fusiland: int = 0
+    fusillade: FusilladePhase = FusilladePhase.IDLE
+    fusilands: FusilandPhase = FusilandPhase.IDLE
+    filled_by: list[int] = field(default_factory=list)
     expected_signals: int = 0
     last_signal_id: int = -1
     left_links: list[PairRecord] = field(default_factory=list)
-    right_links: list[PairRecord] = field(default_factory=list)
-    swap_done: bool = False
     pending_frame: list[FrameRecord] = field(default_factory=list)
     leftbound_frames: list[FrameRecord] = field(default_factory=list)
     current_cycle: int = -1
@@ -156,35 +133,12 @@ class NodeState:
 
     @classmethod
     def new(cls, node_id: int, n_fusiliers: int, m_fusilands: int) -> "NodeState":
-        return cls(
-            node_id=node_id,
-            n_fusiliers=n_fusiliers,
-            m_fusilands=m_fusilands,
-            fusiliers=[FusilierState.IDLE] * n_fusiliers,
-            fusilands=[FusilandState.IDLE] * m_fusilands,
-            fusilier_targets=[None] * n_fusiliers,
-            fusiland_sources=[None] * m_fusilands,
-        )
-
-    def set_fusilier(self, idx: int, state: FusilierState) -> None:
-        if state not in _FUSILIER_EDGES[self.fusiliers[idx]]:
-            raise ProtocolError(
-                f"node {self.node_id} fusilier {idx}: illegal transition "
-                f"{self.fusiliers[idx].value} -> {state.value}"
-            )
-        self.fusiliers[idx] = state
-
-    def set_fusiland(self, idx: int, state: FusilandState) -> None:
-        if state not in _FUSILAND_EDGES[self.fusilands[idx]]:
-            raise ProtocolError(
-                f"node {self.node_id} fusiland {idx}: illegal transition "
-                f"{self.fusilands[idx].value} -> {state.value}"
-            )
-        self.fusilands[idx] = state
+        return cls(node_id=node_id, n_fusiliers=n_fusiliers, m_fusilands=m_fusilands)
 
     def all_idle(self) -> bool:
-        return all(s is FusilierState.IDLE for s in self.fusiliers) and all(
-            s is FusilandState.IDLE for s in self.fusilands
+        return (
+            self.fusillade is FusilladePhase.IDLE
+            and self.fusilands is FusilandPhase.IDLE
         )
 
     def drain_leftbound(self) -> list[FrameRecord]:
@@ -228,25 +182,20 @@ def on_herald(
         )
     node.current_cycle = herald.cycle_id
     pickup_frames(node, herald)
-    node.swap_done = False
-    node.left_links.clear()
-    node.right_links.clear()
-    node.active_fusiland = 0
     node.last_signal_id = -1
     node.expected_signals = 0
     if not generate:
         return []
     node.expected_signals = incoming_train
-    for idx in range(node.m_fusilands):
-        node.set_fusiland(idx, FusilandState.READY)
-        node.fusiland_sources[idx] = None
-    emissions = []
-    for idx in range(node.n_fusiliers):
-        node.set_fusilier(idx, FusilierState.PRIMED)
-        node.set_fusilier(idx, FusilierState.FIRED)
-        node.fusilier_targets[idx] = None
-        emissions.append(SignalEmission(now_ns + idx * tau_slot_ns, idx))
-    return emissions
+    if node.m_fusilands:
+        node.fusilands = FusilandPhase.READY
+    if not node.n_fusiliers:
+        return []
+    node.fusillade = FusilladePhase.FIRED
+    return [
+        SignalEmission(now_ns + idx * tau_slot_ns, idx)
+        for idx in range(node.n_fusiliers)
+    ]
 
 
 def on_signal(
@@ -259,23 +208,28 @@ def on_signal(
 ) -> SignalResult:
     """Process one arriving fusilier signal at this node's active fusiland.
 
-    Signals must arrive in fusilier order. Once every fusiland is entangled,
-    further signals are discarded without interacting. A failed interaction
-    re-prepares the same fusiland for the next signal; a success records the
-    pair (error bit sampled from the link's raw fidelity), reroutes to the
-    next fusiland, and appends the new link to ``left_links``.
+    Signals must arrive in fusilier order at a readied bank. Once every
+    fusiland is filled, further signals are discarded without interacting.
+    A failed interaction leaves the same fusiland waiting for the next
+    signal; a success records the pair (error bit sampled from the link's
+    raw fidelity), reroutes to the next fusiland, and appends the new link
+    to ``left_links``.
     """
+    if node.fusilands is not FusilandPhase.READY:
+        raise ProtocolError(
+            f"node {node.node_id} got signal {fusilier_id} while its "
+            f"fusilands are {node.fusilands.value}"
+        )
     if fusilier_id != node.last_signal_id + 1:
         raise ProtocolError(
             f"node {node.node_id} got signal {fusilier_id} after "
             f"{node.last_signal_id}; signals must arrive in firing order"
         )
     node.last_signal_id = fusilier_id
-    if node.active_fusiland >= node.m_fusilands:
+    slot = len(node.filled_by)
+    if slot >= node.m_fusilands:
         return SignalResult(SignalOutcome.DISCARDED)
-    slot = node.active_fusiland
     if rng.random() >= success_probability(link):
-        node.set_fusiland(slot, FusilandState.READY)
         return SignalResult(SignalOutcome.FAILURE)
     x_error = 1 if rng.random() < 1.0 - link.raw_fidelity else 0
     pair = PairRecord(
@@ -286,77 +240,75 @@ def on_signal(
         created_at_ns=now_ns,
         model_fidelity=link.raw_fidelity,
     )
-    node.set_fusiland(slot, FusilandState.ENTANGLED)
-    node.fusiland_sources[slot] = fusilier_id
+    node.filled_by.append(fusilier_id)
     node.left_links.append(pair)
-    node.active_fusiland += 1
     return SignalResult(SignalOutcome.SUCCESS, slot=slot, pair=pair)
 
 
 def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
     """Assemble the hop's single return message after the whole train passed.
 
-    Lists every (fusilier, fusiland slot) success in firing order and
-    carries the hop's current link records. Fusilands still waiting are
-    exhausted for the cycle.
+    Lists every (fusilier, fusiland slot) success in firing order and counts
+    the hop's current link records. The bank is reported for the cycle:
+    fusilands still waiting stay empty.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
             f"node {node.node_id} asked to report cycle {cycle_id} "
             f"during cycle {node.current_cycle}"
         )
+    if node.fusilands is not FusilandPhase.READY:
+        raise ProtocolError(
+            f"node {node.node_id} cannot report cycle {cycle_id}: its "
+            f"fusilands are {node.fusilands.value}"
+        )
     if node.last_signal_id != node.expected_signals - 1:
         raise ProtocolError(
             f"node {node.node_id} saw {node.last_signal_id + 1} of "
             f"{node.expected_signals} signals; the train has not finished"
         )
-    for idx in range(node.m_fusilands):
-        if node.fusilands[idx] is FusilandState.READY:
-            node.set_fusiland(idx, FusilandState.EXHAUSTED)
-    matches = [
-        (node.fusiland_sources[slot], slot)
-        for slot in range(node.m_fusilands)
-        if node.fusiland_sources[slot] is not None
-    ]
+    node.fusilands = FusilandPhase.REPORTED
     return ReturnMessage(
-        cycle_id=cycle_id, matches=matches, pairs=list(node.left_links)
+        cycle_id=cycle_id,
+        matches=[(fusilier, slot) for slot, fusilier in enumerate(node.filled_by)],
+        usable_links=len(node.left_links),
     )
 
 
 def on_return(node: NodeState, msg: ReturnMessage, rng, now_ns: int) -> list[SwapResult]:
-    """Apply a return message: confirm fusiliers, then swap if eligible.
+    """Apply a return message: confirm the fusillade, then swap if eligible.
 
-    Listed fusiliers become entangled and the rest retire. When the node now
-    holds links on both sides, the k-th left link swaps with the k-th right
-    link; outcome bits are drawn from ``rng`` (parity bit then X bit per
-    swap) and accumulate into ``pending_frame``. Surplus links stay until
-    the cycle's resources are released.
+    When the node holds links on both sides, the k-th left link swaps with
+    the k-th right link; outcome bits are drawn from ``rng`` (parity bit
+    then X bit per swap) and accumulate into ``pending_frame``. Surplus
+    links stay until the cycle's resources are released.
     """
     if msg.cycle_id != node.current_cycle:
         raise ProtocolError(
             f"node {node.node_id} got return for cycle {msg.cycle_id} "
             f"during cycle {node.current_cycle}"
         )
+    if node.fusillade is not FusilladePhase.FIRED:
+        raise ProtocolError(
+            f"node {node.node_id} got return for cycle {msg.cycle_id} while "
+            f"its fusillade is {node.fusillade.value}"
+        )
     listed = set()
-    for fusilier_id, slot in msg.matches:
+    for fusilier_id, _slot in msg.matches:
         if not 0 <= fusilier_id < node.n_fusiliers:
             raise ProtocolError(
                 f"node {node.node_id} return names unknown fusilier {fusilier_id}"
             )
-        node.set_fusilier(fusilier_id, FusilierState.ENTANGLED)
-        node.fusilier_targets[fusilier_id] = slot
+        if fusilier_id in listed:
+            raise ProtocolError(
+                f"node {node.node_id} return names fusilier {fusilier_id} twice"
+            )
         listed.add(fusilier_id)
-    for idx in range(node.n_fusiliers):
-        if idx not in listed and node.fusiliers[idx] is FusilierState.FIRED:
-            node.set_fusilier(idx, FusilierState.RETIRED)
-    node.right_links = list(msg.pairs)
+    node.fusillade = FusilladePhase.CONFIRMED
     swaps: list[SwapResult] = []
-    for slot in range(min(len(node.left_links), len(node.right_links))):
+    for slot in range(min(len(node.left_links), msg.usable_links)):
         parity_outcome = int(rng.random() < 0.5)
         x_outcome = int(rng.random() < 0.5)
-        spanning = swap_apply(
-            node.left_links[slot], node.right_links[slot], parity_outcome, x_outcome
-        )
         node.pending_frame.append(
             FrameRecord(
                 node.node_id,
@@ -365,21 +317,21 @@ def on_return(node: NodeState, msg: ReturnMessage, rng, now_ns: int) -> list[Swa
                 PauliFrame(parity_outcome, x_outcome),
             )
         )
-        swaps.append(SwapResult(slot, parity_outcome, x_outcome, spanning))
-    if swaps:
-        node.swap_done = True
+        swaps.append(SwapResult(slot, parity_outcome, x_outcome))
     return swaps
 
 
 def release_cycle_resources(node: NodeState) -> None:
-    """Free the node's fusiliers, fusilands, and links at cycle end."""
-    for idx in range(node.n_fusiliers):
-        if node.fusiliers[idx] is not FusilierState.IDLE:
-            node.set_fusilier(idx, FusilierState.IDLE)
-        node.fusilier_targets[idx] = None
-    for idx in range(node.m_fusilands):
-        if node.fusilands[idx] is not FusilandState.IDLE:
-            node.set_fusiland(idx, FusilandState.IDLE)
-        node.fusiland_sources[idx] = None
+    """Free the node's fusillade, fusilands, and links at cycle end."""
+    if node.fusillade is FusilladePhase.FIRED:
+        raise ProtocolError(
+            f"node {node.node_id} cannot release: its fusillade is unconfirmed"
+        )
+    if node.fusilands is FusilandPhase.READY:
+        raise ProtocolError(
+            f"node {node.node_id} cannot release: its fusilands are unreported"
+        )
+    node.fusillade = FusilladePhase.IDLE
+    node.fusilands = FusilandPhase.IDLE
+    node.filled_by.clear()
     node.left_links.clear()
-    node.right_links.clear()

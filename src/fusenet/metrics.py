@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .engine import NS_PER_SECOND, channel_delay_ns
 from .errors import ConfigurationError
 from .network import EndToEndRecord, NetworkConfig, Strategy, validate_config
 from .pair_algebra import (
@@ -19,8 +20,6 @@ from .pair_algebra import (
     min_fusiliers,
     purify3_analytic,
 )
-
-NS_PER_SECOND = 1_000_000_000
 
 __all__ = ["SummaryStats", "PlanRow", "summarize", "plan_table", "rate_model"]
 
@@ -183,8 +182,11 @@ def rate_model(
         raise ConfigurationError("length_km must be > 0")
     if signal_speed_m_per_s <= 0:
         raise ConfigurationError("signal_speed_m_per_s must be > 0")
-    one_way_ns = round(length_km * 1e12 / signal_speed_m_per_s)
-    period_ns = 2 * one_way_ns + n * tau_slot_ns + proc_ns
+    period_ns = (
+        2 * channel_delay_ns(length_km, signal_speed_m_per_s)
+        + n * tau_slot_ns
+        + proc_ns
+    )
     # Slots beyond the fusillade size can never fill; they contribute 0.
     expected_slots = math.fsum(
         1.0 - failure_prob_multi(n, k, p) for k in range(1, min(m, n) + 1)

@@ -17,10 +17,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .engine import (
-    Channel,
     Event,
     EventKind,
     EventQueue,
@@ -42,9 +41,10 @@ from .machines import (
     on_herald,
     on_return,
     on_signal,
-    pickup_frames,
     release_cycle_resources,
 )
+# Not called here; perfbench/spans.py traces it under this module's name.
+from .machines import pickup_frames  # noqa: F401
 from .pair_algebra import (
     IDENTITY_FRAME,
     LinkModel,
@@ -66,7 +66,6 @@ __all__ = [
     "effective_slots",
     "validate_config",
     "butterfly_split",
-    "propagate_frames",
     "run_network",
 ]
 
@@ -129,9 +128,10 @@ class EndToEndRecord:
     instant at the right end node (the herald's arrival there for the
     cycle); the correction frame rides the next herald, so
     ``frame_available_at_ns`` is exactly one cycle period later.
-    ``correction`` is the full XOR-fold of the cycle's frame records for
-    this slot; ``herald_correction`` is the share actually delivered by the
-    herald (everything, unless the butterfly split routes part leftward).
+    ``correction`` is the pair's full pending frame, which is the XOR-fold
+    of the cycle's frame records for this slot; ``herald_correction`` is the
+    share actually delivered by the herald (everything, unless the
+    butterfly split routes part leftward).
     """
 
     cycle_id: int
@@ -165,6 +165,16 @@ def effective_slots(link: LinkSpec, strategy: Strategy) -> int:
     return link.m_fusilands
 
 
+def _link_delays_ns(config: NetworkConfig) -> tuple[int, ...]:
+    """One-way delay of every hop, left to right."""
+    if config.signal_speed_m_per_s <= 0:
+        raise ConfigurationError("signal_speed_m_per_s must be > 0")
+    return tuple(
+        channel_delay_ns(link.model.length_km, config.signal_speed_m_per_s)
+        for link in config.links
+    )
+
+
 def validate_config(config: NetworkConfig) -> CycleSchedule:
     """Check a configuration and derive its cycle schedule.
 
@@ -181,8 +191,7 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
             f"{len(config.nodes)} nodes need {len(config.nodes) - 1} links, "
             f"got {len(config.links)}"
         )
-    if config.signal_speed_m_per_s <= 0:
-        raise ConfigurationError("signal_speed_m_per_s must be > 0")
+    delays = _link_delays_ns(config)
     if config.tau_slot_ns < 0 or config.proc_ns < 0:
         raise ConfigurationError("tau_slot_ns and proc_ns must be >= 0")
     if config.cycles < 1:
@@ -202,12 +211,6 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
                 "multiple of 3 under the purify3 strategy"
             )
 
-    delays = tuple(
-        channel_delay_ns(
-            Channel(i, i + 1, link.model.length_km, config.signal_speed_m_per_s)
-        )
-        for i, link in enumerate(config.links)
-    )
     bound = max(
         2 * d + link.n_fusiliers * config.tau_slot_ns + config.proc_ns
         for d, link in zip(delays, config.links)
@@ -261,12 +264,7 @@ def butterfly_split(config: NetworkConfig) -> int:
     """
     if len(config.nodes) < 3:
         raise ConfigurationError("a butterfly split needs at least 3 nodes")
-    delays = [
-        channel_delay_ns(
-            Channel(i, i + 1, link.model.length_km, config.signal_speed_m_per_s)
-        )
-        for i, link in enumerate(config.links)
-    ]
+    delays = _link_delays_ns(config)
     total = sum(delays)
     best_index, best_imbalance = None, None
     left = 0
@@ -278,27 +276,12 @@ def butterfly_split(config: NetworkConfig) -> int:
     return best_index
 
 
-def propagate_frames(
-    nodes: Sequence[NodeState], herald: HeraldMessage
-) -> HeraldMessage:
-    """Sweep a herald across the chain, collecting pending frame records.
-
-    Each node's records are appended in chain order and cleared on pickup;
-    the XOR-fold of the payload per slot is the end-to-end correction the
-    right end node applies.
-    """
-    for node in nodes:
-        pickup_frames(node, herald)
-    return herald
-
-
 class _CycleLedger:
     """Per-cycle bookkeeping used to compose end-to-end pairs."""
 
     __slots__ = (
         "hop_pairs",
         "swap_outcomes",
-        "frame_contribs",
         "outstanding",
         "last_completion_ns",
     )
@@ -306,7 +289,6 @@ class _CycleLedger:
     def __init__(self, num_links: int, num_nodes: int) -> None:
         self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
         self.swap_outcomes: dict[tuple[int, int], tuple[int, int]] = {}
-        self.frame_contribs: dict[int, list[tuple[int, PauliFrame]]] = {}
         self.outstanding = set(range(num_nodes))
         self.last_completion_ns = 0
 
@@ -342,7 +324,8 @@ class _ChainSimulation:
         self.per_cycle_delivered = [0] * config.cycles
         self.hop_success_counts = [[0] * config.cycles for _ in config.links]
         self.link_rngs: dict[tuple[int, int], object] = {}
-        # Butterfly ledgers for leftbound frame records arriving at node 0.
+        # Butterfly ledgers per (cycle, slot): leftbound frame records sent
+        # toward node 0 (left_expected) and those that arrived there.
         self.left_folds: dict[tuple[int, int], PauliFrame] = {}
         self.left_arrivals: dict[tuple[int, int], int] = {}
         self.left_last_ns: dict[tuple[int, int], int] = {}
@@ -442,7 +425,7 @@ class _ChainSimulation:
             else:
                 node.leftbound_frames.extend(msg.relayed_frames)
         rng = None
-        if node.left_links and msg.pairs:
+        if node.left_links and msg.usable_links:
             rng = self.rng.substream(SWAP_DOMAIN, node_id, cycle)
         swaps = on_return(node, msg, rng, self.queue.now_ns)
         ledger = self.ledgers[cycle]
@@ -450,9 +433,6 @@ class _ChainSimulation:
             ledger.swap_outcomes[(node_id, swap.slot)] = (
                 swap.parity_outcome,
                 swap.x_outcome,
-            )
-            ledger.frame_contribs.setdefault(swap.slot, []).append(
-                (node_id, PauliFrame(swap.parity_outcome, swap.x_outcome))
             )
         self._route_pending(node)
         # The swap occupies the node for proc_ns; states are released here
@@ -551,7 +531,6 @@ class _ChainSimulation:
             node.left_links = []
             return
         rng = self.rng.substream(PURIFY_DOMAIN, link_idx, cycle)
-        ledger = self.ledgers[cycle]
         kept: list[PairRecord] = []
         for t in range(len(raws) // 3):
             trio = raws[3 * t : 3 * t + 3]
@@ -577,13 +556,15 @@ class _ChainSimulation:
             kept.append(purify3_apply(trio, meas))
             delta = purify3_frame_delta(meas)
             node.pending_frame.append(FrameRecord(node.node_id, cycle, t, delta))
-            ledger.frame_contribs.setdefault(t, []).append((node.node_id, delta))
         node.left_links = kept
 
     def _route_pending(self, node: NodeState) -> None:
         # Butterfly: records generated left of the split travel to the left
         # end on return messages instead of riding the herald.
         if self.split is not None and node.node_id < self.split and node.pending_frame:
+            for rec in node.pending_frame:
+                key = (rec.cycle, rec.slot)
+                self.left_expected[key] = self.left_expected.get(key, 0) + 1
             node.leftbound_frames.extend(node.pending_frame)
             node.pending_frame.clear()
 
@@ -618,21 +599,13 @@ class _ChainSimulation:
             for node_id in range(1, self.num_nodes - 1):
                 a, b = ledger.swap_outcomes[(node_id, slot)]
                 pair = swap_apply(pair, ledger.hop_pairs[node_id][slot], a, b)
-            correction = IDENTITY_FRAME
-            left_expected = 0
-            for origin, delta in ledger.frame_contribs.get(slot, []):
-                correction = correction.compose(delta)
-                if self.split is not None and origin < self.split:
-                    left_expected += 1
             record = EndToEndRecord(
                 cycle_id=cycle,
                 slot=slot,
                 pair=pair,
                 established_at_ns=established,
-                correction=correction,
+                correction=pair.frame,
             )
-            if self.split is not None:
-                self.left_expected[(cycle, slot)] = left_expected
             self.records.append(record)
             bucket.append(record)
             self.queue.schedule(

@@ -1,20 +1,23 @@
-"""Event queue ordering, channel delays, and RNG substream contracts."""
+"""Event queue ordering, fiber delays, and RNG substream contracts."""
 
 import pytest
 
 from fusenet.engine import (
-    Channel,
     Event,
     EventKind,
     EventQueue,
     LINK_DOMAIN,
     RngStream,
     SWAP_DOMAIN,
-    channel_delay,
     channel_delay_ns,
     run,
 )
 from fusenet.errors import ConfigurationError, ProtocolError, SchedulingError
+from fusenet.network import validate_config
+
+from conftest import chain_config
+
+SPEED = 2.0e8
 
 
 def make_event(t, detail=None):
@@ -80,14 +83,6 @@ class TestRun:
             run(q, {EventKind.PAIR_READY: boom})
         assert info.value.event.time_ns == 10
 
-    def test_until_stops_early(self):
-        q = EventQueue()
-        q.schedule(make_event(10))
-        q.schedule(make_event(1000))
-        trace = run(q, {EventKind.PAIR_READY: lambda e: None}, until_ns=100)
-        assert len(trace) == 1
-        assert len(q) == 1
-
     def test_trace_collection_can_be_disabled(self):
         q = EventQueue()
         q.schedule(make_event(10))
@@ -96,23 +91,22 @@ class TestRun:
 
 class TestChannelDelay:
     def test_forty_km_round_trip_is_0p4_ms(self):
-        ch = Channel(0, 1, length_km=40.0)
-        assert channel_delay(ch) == pytest.approx(0.2e-3, abs=1e-15)
-        assert 2 * channel_delay(ch) == pytest.approx(0.4e-3, abs=1e-15)
-        assert channel_delay_ns(ch) == 200_000
+        assert channel_delay_ns(40.0, SPEED) == 200_000
+        assert 2 * channel_delay_ns(40.0, SPEED) == 400_000
 
     def test_ten_km_round_trip_is_0p1_ms(self):
-        ch = Channel(0, 1, length_km=10.0)
-        assert 2 * channel_delay(ch) == pytest.approx(0.1e-3, abs=1e-15)
-        assert channel_delay_ns(ch) == 50_000
+        assert channel_delay_ns(10.0, SPEED) == 50_000
+        assert 2 * channel_delay_ns(10.0, SPEED) == 100_000
 
     def test_zero_length(self):
-        assert channel_delay(Channel(0, 1, length_km=0.0)) == 0.0
-        assert channel_delay_ns(Channel(0, 1, length_km=0.0)) == 0
+        assert channel_delay_ns(0.0, SPEED) == 0
 
     def test_nonpositive_speed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Channel(0, 1, length_km=1.0, signal_speed_m_per_s=0.0)
+        for speed in (0.0, -2.0e8):
+            cfg = chain_config([40.0])
+            cfg.signal_speed_m_per_s = speed
+            with pytest.raises(ConfigurationError, match="signal_speed_m_per_s"):
+                validate_config(cfg)
 
 
 class TestRngStream:

@@ -1,4 +1,4 @@
-"""Protocol state machines: herald firing, signal routing, returns, swaps."""
+"""Per-bank node state: herald firing, signal routing, returns, swaps."""
 
 import math
 
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fusenet.errors import DesynchronizationError, ProtocolError
 from fusenet.machines import (
     FrameRecord,
-    FusilandState,
-    FusilierState,
+    FusilandPhase,
+    FusilladePhase,
     HeraldMessage,
     NodeState,
     ReturnMessage,
@@ -58,7 +58,7 @@ class TestOnHerald:
         tx, _, emissions = start_cycle(3, 1, tau=10)
         assert [e.time_ns for e in emissions] == [0, 10, 20]
         assert [e.fusilier_id for e in emissions] == [0, 1, 2]
-        assert all(s is FusilierState.FIRED for s in tx.fusiliers)
+        assert tx.fusillade is FusilladePhase.FIRED
 
     def test_rightmost_node_fires_nothing(self):
         rx = NodeState.new(2, n_fusiliers=0, m_fusilands=2)
@@ -66,7 +66,8 @@ class TestOnHerald:
             rx, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=4
         )
         assert emissions == []
-        assert all(s is FusilandState.READY for s in rx.fusilands)
+        assert rx.fusillade is FusilladePhase.IDLE
+        assert rx.fusilands is FusilandPhase.READY
 
     def test_herald_while_busy_desynchronizes(self):
         tx, _, _ = start_cycle(2, 1)
@@ -105,7 +106,7 @@ class TestOnSignal:
         assert results[0].outcome is SignalOutcome.SUCCESS
         assert results[0].slot == 0
         assert [r.outcome for r in results[1:]] == [SignalOutcome.DISCARDED] * 2
-        assert rx.fusilands[0] is FusilandState.ENTANGLED
+        assert rx.filled_by == [0]
         assert len(rx.left_links) == 1
 
     def test_failure_reprepares_same_fusiland(self):
@@ -113,8 +114,8 @@ class TestOnSignal:
         rng = StubRng([0.9, 0.1, 0.5])
         first = on_signal(rx, 0, 0, LINK, rng, 100)
         assert first.outcome is SignalOutcome.FAILURE
-        assert rx.active_fusiland == 0
-        assert rx.fusilands[0] is FusilandState.READY
+        assert rx.filled_by == []
+        assert rx.fusilands is FusilandPhase.READY
         second = on_signal(rx, 0, 1, LINK, rng, 110)
         assert second.outcome is SignalOutcome.SUCCESS
         assert second.slot == 0
@@ -160,8 +161,8 @@ class TestBuildReturnMessage:
         _, rx, _ = start_cycle(3, 1)
         run_train(rx, draws=[0.9, 0.9, 0.9])
         msg = build_return_message(rx, 0)
-        assert msg.matches == [] and msg.pairs == []
-        assert rx.fusilands[0] is FusilandState.EXHAUSTED
+        assert msg.matches == [] and msg.usable_links == 0
+        assert rx.fusilands is FusilandPhase.REPORTED
 
     def test_matches_name_fusilier_and_slot(self):
         _, rx, _ = start_cycle(8, 2)
@@ -169,6 +170,7 @@ class TestBuildReturnMessage:
         run_train(rx, draws=draws)
         msg = build_return_message(rx, 0)
         assert msg.matches == [(2, 0), (7, 1)]
+        assert rx.filled_by == [2, 7]
 
     def test_capacity_bounds_matches(self):
         _, rx, _ = start_cycle(5, 2)
@@ -176,7 +178,7 @@ class TestBuildReturnMessage:
         run_train(rx, draws=draws)
         msg = build_return_message(rx, 0)
         assert msg.matches == [(0, 0), (1, 1)]
-        assert len(msg.matches) == 2
+        assert msg.usable_links == 2
 
     def test_incomplete_train_rejected(self):
         _, rx, _ = start_cycle(3, 1)
@@ -194,13 +196,10 @@ def mid_node_with_links(n_left, n_right):
         PairRecord(Endpoint(0, k), Endpoint(1, k), 0, IDENTITY_FRAME, 0, 1.0)
         for k in range(n_left)
     ]
-    for k in range(n_left):
-        node.set_fusiland(k, FusilandState.ENTANGLED)
-    pairs = [
-        PairRecord(Endpoint(1, k), Endpoint(2, k), 0, IDENTITY_FRAME, 0, 1.0)
-        for k in range(n_right)
-    ]
-    msg = ReturnMessage(0, matches=[(k, k) for k in range(n_right)], pairs=pairs)
+    node.filled_by = list(range(n_left))
+    msg = ReturnMessage(
+        0, matches=[(k, k) for k in range(n_right)], usable_links=n_right
+    )
     return node, msg
 
 
@@ -208,15 +207,15 @@ class TestOnReturn:
     def test_swaps_min_of_both_sides(self):
         node, msg = mid_node_with_links(2, 3)
         swaps = on_return(node, msg, StubRng([0.9, 0.1] * 3), 100)
-        assert len(swaps) == 2
-        assert len(node.right_links) == 3  # surplus retires at cycle end
-        assert node.swap_done
+        assert [s.slot for s in swaps] == [0, 1]
+        assert [rec.slot for rec in node.pending_frame] == [0, 1]
+        assert node.fusillade is FusilladePhase.CONFIRMED
 
     def test_no_left_links_means_no_swap(self):
         node, msg = mid_node_with_links(0, 2)
         swaps = on_return(node, msg, None, 100)
         assert swaps == []
-        assert not node.swap_done
+        assert node.pending_frame == []
 
     def test_swap_outcome_feeds_frame_record(self):
         node, msg = mid_node_with_links(1, 1)
@@ -227,28 +226,20 @@ class TestOnReturn:
         assert (rec.frame.x_bit, rec.frame.z_bit) == (1, 0)
         assert rec.slot == 0 and rec.node == 1
 
-    def test_swapped_errors_xor(self):
-        node, msg = mid_node_with_links(1, 1)
-        node.left_links[0].x_error = 1
-        msg.pairs[0].x_error = 1
-        swaps = on_return(node, msg, StubRng([0.9, 0.9]), 100)
-        assert swaps[0].pair.x_error == 0
-        assert swaps[0].pair.left == Endpoint(0, 0)
-        assert swaps[0].pair.right == Endpoint(2, 0)
-
     def test_unlisted_fusiliers_retire(self):
         node = NodeState.new(0, n_fusiliers=4, m_fusilands=0)
         on_herald(node, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=0)
-        pairs = [PairRecord(Endpoint(0, 1), Endpoint(1, 0), 0, IDENTITY_FRAME, 0, 1.0)]
-        on_return(node, ReturnMessage(0, matches=[(1, 0)], pairs=pairs), None, 100)
-        assert node.fusiliers[1] is FusilierState.ENTANGLED
-        assert [node.fusiliers[k] for k in (0, 2, 3)] == [FusilierState.RETIRED] * 3
+        swaps = on_return(node, ReturnMessage(0, matches=[(1, 0)], usable_links=1), None, 100)
+        assert swaps == []
+        assert node.fusillade is FusilladePhase.CONFIRMED
+        release_cycle_resources(node)
+        assert node.all_idle()
 
     def test_unknown_fusilier_rejected(self):
         node = NodeState.new(0, n_fusiliers=2, m_fusilands=0)
         on_herald(node, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=0)
         with pytest.raises(ProtocolError):
-            on_return(node, ReturnMessage(0, matches=[(7, 0)], pairs=[]), None, 100)
+            on_return(node, ReturnMessage(0, matches=[(7, 0)]), None, 100)
 
     def test_wrong_cycle_rejected(self):
         node, msg = mid_node_with_links(1, 1)
@@ -290,6 +281,61 @@ class TestCycleLifecycle:
         assert abs(short / cycles - expected) <= 4 * se
 
 
+def _release_unconfirmed_fusillade():
+    tx, _, _ = start_cycle(2, 1)
+    release_cycle_resources(tx)
+
+
+def _release_unreported_fusilands():
+    _, rx, _ = start_cycle(2, 1)
+    run_train(rx, draws=[0.9, 0.9])
+    release_cycle_resources(rx)
+
+
+def _return_names_fusilier_twice():
+    tx, _, _ = start_cycle(3, 2)
+    on_return(tx, ReturnMessage(0, matches=[(1, 0), (1, 1)], usable_links=2), None, 100)
+
+
+def _signal_at_unreadied_bank(draws):
+    def sequence():
+        rx = NodeState.new(1, n_fusiliers=0, m_fusilands=2)
+        on_signal(rx, 0, 0, LINK, StubRng(draws), 100)
+
+    return sequence
+
+
+def _report_twice():
+    _, rx, _ = start_cycle(2, 1)
+    run_train(rx, draws=[0.1, 0.5])
+    build_return_message(rx, 0)
+    build_return_message(rx, 0)
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        _release_unconfirmed_fusillade,
+        _release_unreported_fusilands,
+        _return_names_fusilier_twice,
+        _signal_at_unreadied_bank([0.1, 0.5]),
+        _signal_at_unreadied_bank([0.9]),
+        _report_twice,
+    ],
+    ids=[
+        "release_fusillade_unconfirmed",
+        "release_fusilands_unreported",
+        "duplicate_fusilier_in_return",
+        "signal_unreadied_bank_success_draw",
+        "signal_unreadied_bank_failure_draw",
+        "build_return_message_twice",
+    ],
+)
+def test_illegal_bank_sequence_raises(sequence):
+    with pytest.raises(ProtocolError):
+        sequence()
+
+
 @given(
     n=st.integers(min_value=1, max_value=8),
     m=st.integers(min_value=1, max_value=8),
@@ -298,7 +344,7 @@ class TestCycleLifecycle:
 )
 @settings(max_examples=120, deadline=None)
 def test_full_cycle_fuzz(n, m, p, seed):
-    """A whole hop cycle in any sampled regime never leaves the state graph."""
+    """A whole hop cycle in any sampled regime passes every bank check."""
     link = LinkModel(length_km=1.0, p_success=p)
     rng = np.random.default_rng(seed)
     tx = NodeState.new(0, n, 0)
@@ -320,13 +366,12 @@ def test_full_cycle_fuzz(n, m, p, seed):
 
     msg = build_return_message(rx, 0)
     assert [f for f, _ in msg.matches] == sorted(f for f, _ in msg.matches)
-    assert len(msg.matches) == successes
+    assert [slot for _, slot in msg.matches] == list(range(successes))
+    assert msg.usable_links == successes
 
     swaps = on_return(tx, msg, rng, 500)
     assert swaps == []  # tx has no left links: end node
-    entangled = sum(1 for s in tx.fusiliers if s is FusilierState.ENTANGLED)
-    retired = sum(1 for s in tx.fusiliers if s is FusilierState.RETIRED)
-    assert entangled == successes and entangled + retired == n
+    assert tx.fusillade is FusilladePhase.CONFIRMED
 
     release_cycle_resources(tx)
     release_cycle_resources(rx)

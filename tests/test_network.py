@@ -7,20 +7,17 @@ from collections import Counter
 import pytest
 
 from fusenet.errors import ConfigurationError, DesynchronizationError
-from fusenet.machines import FrameRecord, HeraldMessage, NodeState
 from fusenet.metrics import summarize
 from fusenet.network import (
     LinkSpec,
     Strategy,
     butterfly_split,
-    propagate_frames,
     run_network,
     validate_config,
 )
 from fusenet.pair_algebra import (
     IDENTITY_FRAME,
     LinkModel,
-    PauliFrame,
     chain_fidelity,
     failure_prob_single,
     purify3_analytic,
@@ -290,19 +287,6 @@ class TestButterfly:
 
 
 class TestFramePropagation:
-    def test_propagate_frames_collects_in_chain_order(self):
-        nodes = [NodeState.new(i, 0, 0) for i in range(3)]
-        nodes[1].pending_frame = [FrameRecord(1, 0, 0, PauliFrame(1, 0))]
-        nodes[2].pending_frame = [FrameRecord(2, 0, 0, PauliFrame(0, 1))]
-        herald = HeraldMessage(1)
-        propagate_frames(nodes, herald)
-        assert [rec.node for rec in herald.frame_payload] == [1, 2]
-        assert all(node.pending_frame == [] for node in nodes)
-        fold = IDENTITY_FRAME
-        for rec in herald.frame_payload:
-            fold = fold.compose(rec.frame)
-        assert fold == PauliFrame(1, 1)
-
     def test_herald_fold_equals_pair_frame(self):
         cfg = chain_config([15.0, 25.0, 35.0], n=4, m=2, p=0.6, fidelity=0.85, cycles=120, seed=77)
         result = run_network(cfg)
