@@ -2,9 +2,12 @@
 
 Each case runs ``fusenet simulate`` on a small config document and hashes
 the end-to-end records, the per-cycle and per-hop counts, the butterfly
-left-frame ledger and the trace JSONL exactly as the command writes it.
-The expected hex strings were recorded before the per-bank node-state
-refactor and must never be regenerated to make a change pass.
+left-frame ledger, the trace JSONL and the summary file (JSON and CSV)
+exactly as the command writes them; ``fusenet sweep`` CSVs are pinned for
+every sweep parameter. Runs happen inside the test's temporary directory
+with relative output paths, so the config echoed in the summary is the
+same on every machine. The expected hex strings were recorded before the
+refactors they guard and must never be regenerated to make a change pass.
 """
 
 import hashlib
@@ -98,15 +101,22 @@ def _sha(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-def _simulate(tmp_path, monkeypatch, network: dict):
+def _write_config(tmp_path, monkeypatch, network: dict, output: dict) -> str:
+    monkeypatch.chdir(tmp_path)
     links = network["links"]
     doc = {
         "schema_version": "1",
         "network": {"nodes": [f"n{i}" for i in range(len(links) + 1)], **network},
-        "output": {"path": str(tmp_path / "summary.json"), "trace": True},
+        "output": output,
     }
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(doc))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    return "config.json"
+
+
+def _simulate(tmp_path, monkeypatch, network: dict):
+    config_path = _write_config(
+        tmp_path, monkeypatch, network, {"path": "summary.json", "trace": True}
+    )
     captured = []
 
     def capture(*args, **kwargs):
@@ -116,7 +126,7 @@ def _simulate(tmp_path, monkeypatch, network: dict):
 
     run_network = cli.run_network
     monkeypatch.setattr(cli, "run_network", capture)
-    assert cli.main(["simulate", str(config_path)]) == 0
+    assert cli.main(["simulate", config_path]) == 0
     trace_bytes = (tmp_path / "summary.json.trace.jsonl").read_bytes()
     return captured[0], trace_bytes
 
@@ -139,3 +149,68 @@ def test_seeded_output_digests(case, tmp_path, monkeypatch):
     assert result.records, "the case delivers pairs"
     assert result.trace, "the case writes a trace"
     assert _digests(result, trace_bytes) == EXPECTED[case]
+
+
+SUMMARY_EXPECTED = {
+    "p0_L0_link_form": {
+        "json": "6e5d29b0ca6d04ca7ce2aad79a5559687a4c9e41a4b3925ba29b301b4ff36ed6",
+        "csv": "43dc5ca71f4b8aee1053e67854fec7a2eb0bc490ad95d267877287e96c4c6013",
+    },
+    "purify3": {
+        "json": "fe8c0213ebedfe7eff90cbcba3d59d31eef1b0dc75fde6c8163a65edc744e939",
+        "csv": "2405a2759de5061b7f5d0bac9a78f92ff7630703619d526bb116406fa267328a",
+    },
+    "purify3_butterfly_proc": {
+        "json": "6fdc0f9436dcdb41b9879470a92a838beaaf793b764533b0fb366983108f6fc1",
+        "csv": "e9ee4977ae6eecc722bb8aa75d27c364b134debaf3390f6f205ecd8e8c9ea3f8",
+    },
+    "raw": {
+        "json": "d325155b5172f200e3575bfacb4ab7b944f02f6f724f8f0d385108c8e0955bac",
+        "csv": "f63779f4b4416ef51430a29f3afa98857a64d82b8f0aa09e4e7c55dd8b278c40",
+    },
+    "raw_butterfly_tau_proc": {
+        "json": "a96bcf53769e37b2f228ecdf42e74b1bad502aa31f2901bb88665d81cad4150c",
+        "csv": "b7f0c91246a6411f6422f0e779bda88b300ed8fb2517038bf2472d5cdd8e3e28",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_summary_file_digests(case, tmp_path, monkeypatch):
+    digests = {}
+    for fmt in ("json", "csv"):
+        config_path = _write_config(
+            tmp_path, monkeypatch, CASES[case], {"format": fmt, "path": f"summary.{fmt}"}
+        )
+        assert cli.main(["simulate", config_path]) == 0
+        digests[fmt] = hashlib.sha256((tmp_path / f"summary.{fmt}").read_bytes()).hexdigest()
+    assert digests == SUMMARY_EXPECTED[case]
+
+
+# param -> (case, --values)
+SWEEPS = {
+    "length_km": ("raw", "10,20.5,40"),
+    "p": ("p0_L0_link_form", "0.3,0.6,0.9"),
+    "n": ("raw", "2,5,8"),
+    "m": ("raw", "1,2,3"),
+    "F": ("purify3", "0.8,0.9,0.99"),
+    "strategy": ("purify3", "raw,purify3"),
+}
+
+SWEEP_EXPECTED = {
+    "F": "822acd6f6a4a6734e0957a0488fe1f6b400202b8e0fe99dc2ef1d70251315513",
+    "length_km": "a60fe277d96a4e5210fe4df37de7731d57fb0417e6a6a86cbd9850b088d5d8cb",
+    "m": "f67dd332428fed7ca8159ff2045dce32a4a72ef7623e9eccd03e26e360173e5b",
+    "n": "d10ae47b0d9ed23ed4c2f5c71360431d7a58e3db969540056866b169b3c99ed7",
+    "p": "6be83c1ee863a0fb6ace830e116dac8390c2473cde8ef6e74bdd50858c940be6",
+    "strategy": "cfecfa0ba1c17035dc58ee95d9cdb80616474fe3845ad7956c8f99c3502f3830",
+}
+
+
+@pytest.mark.parametrize("param", sorted(SWEEPS))
+def test_sweep_csv_digests(param, tmp_path, monkeypatch):
+    case, values = SWEEPS[param]
+    config_path = _write_config(tmp_path, monkeypatch, CASES[case], {})
+    argv = ["sweep", config_path, "--param", param, "--values", values, "--out", "sweep.csv"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == SWEEP_EXPECTED[param]
