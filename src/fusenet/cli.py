@@ -1,49 +1,50 @@
 """Command-line entry point: plan, simulate, and sweep workflows.
 
-Exit codes: 0 success, 2 configuration error, 3 desynchronization abort.
-Every error path prints a single machine-readable line to stderr of the
-form ``error: <category>: <detail>``.
+Exit codes: 0 success, 2 configuration error, 3 desynchronization abort,
+4 an output file (summary, trace or sweep CSV) could not be written. Every
+error path prints a single machine-readable line to stderr of the form
+``error: <category>: <detail>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .config import (
     SCHEMA_VERSION,
     ConfigDocument,
     load_config,
+    parse_config,
     resolved_dict,
 )
 from .errors import ConfigurationError, DesynchronizationError, UnsatisfiableError
-from .metrics import PlanRow, plan_table, summarize
-from .network import NetworkConfig, Strategy, run_network
-from .pair_algebra import LinkModel
+from .metrics import PlanRow, SummaryStats, plan_table, summarize
+from .network import run_network
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DESYNC = 3
+EXIT_IO = 4
 
-SWEEP_PARAMETERS = ("length_km", "p", "n", "m", "F", "strategy")
+# sweep parameter -> the config-document field it sets (on every link, for
+# link fields)
+SWEEP_PARAMETERS = {
+    "length_km": "length_km",
+    "p": "p_success",
+    "n": "n_fusiliers",
+    "m": "m_fusilands",
+    "F": "raw_fidelity",
+    "strategy": "strategy",
+}
 
-_SUMMARY_FIELDS = (
-    "pairs_total",
-    "pairs_per_second",
-    "empirical_end_fidelity",
-    "empirical_end_fidelity_stderr",
-    "analytic_end_fidelity",
-    "cycle_period_s",
-    "failure_cycles",
-    "frame_latency_cycles",
-    "cycles",
-    "links_per_cycle",
-)
+_SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryStats))
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -129,6 +130,15 @@ def _summary_document(doc: ConfigDocument, stats_dict: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _emit(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _write_trace(path: str, trace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in trace:
@@ -168,63 +178,48 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = _summary_csv(stats.to_dict())
     else:
         text = _summary_document(doc, stats.to_dict())
-    if doc.output.path is None:
-        sys.stdout.write(text)
-    else:
-        with open(doc.output.path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if doc.output.trace:
-        _write_trace(doc.output.trace_path, result.trace)
+    try:
+        _emit(doc.output.path, text)
+        if doc.output.trace:
+            _write_trace(doc.output.trace_path, result.trace)
+    except OSError as exc:
+        return _fail("io", str(exc), EXIT_IO)
     return EXIT_OK
 
 
-def _apply_sweep_value(network: NetworkConfig, param: str, raw: str) -> NetworkConfig:
-    links = []
+def _swept_document(base: dict, param: str, raw: str, index: int) -> dict:
+    """The resolved document ``base`` with one sweep value set, seed + index.
+
+    The caller parses the result again, so a swept value passes every check
+    a config file does.
+    """
+    doc = copy.deepcopy(base)
+    network = doc["network"]
+    network["seed"] += index
+    name = SWEEP_PARAMETERS[param]
     if param == "strategy":
-        try:
-            strategy = Strategy(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"--values: unknown strategy {raw!r}; choose one of "
-                f"{[s.value for s in Strategy]}"
-            ) from None
-        return replace(network, strategy=strategy)
-    if param in ("n", "m"):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"--values: {param} expects integers, got {raw!r}") from None
-    else:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigurationError(f"--values: {param} expects numbers, got {raw!r}") from None
-    for link in network.links:
-        model = link.model
-        if param == "length_km":
-            model = replace(model, length_km=value)
-        elif param == "p":
-            model = LinkModel(
-                length_km=model.length_km,
-                p_success=value,
-                raw_fidelity=model.raw_fidelity,
-            )
-        elif param == "F":
-            model = replace(model, raw_fidelity=value)
-        if param == "n":
-            links.append(replace(link, model=model, n_fusiliers=value))
-        elif param == "m":
-            links.append(replace(link, model=model, m_fusilands=value))
-        else:
-            links.append(replace(link, model=model))
-    return replace(network, links=links)
+        network[name] = raw
+        return doc
+    convert, kind = (int, "integers") if param in ("n", "m") else (float, "numbers")
+    try:
+        value = convert(raw)
+    except ValueError:
+        raise ConfigurationError(f"--values: {param} expects {kind}, got {raw!r}") from None
+    for link in network["links"]:
+        if param == "p":
+            # an explicit probability replaces the attenuation form
+            link.pop("p0", None)
+            link.pop("L0_km", None)
+        link[name] = value
+    return doc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in SWEEP_PARAMETERS:
         return _fail(
             "config",
-            f"--param: unknown parameter {args.param!r}; choose one of {SWEEP_PARAMETERS}",
+            f"--param: unknown parameter {args.param!r}; "
+            f"choose one of {tuple(SWEEP_PARAMETERS)}",
             EXIT_CONFIG,
         )
     raw_values = [part for part in args.values.split(",") if part.strip() != ""]
@@ -232,10 +227,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail("config", "--values: expected at least one value", EXIT_CONFIG)
     try:
         doc = load_config(args.config)
+        base = resolved_dict(doc)
         rows = []
         for index, raw in enumerate(raw_values):
-            network = _apply_sweep_value(doc.network, args.param, raw)
-            network = replace(network, seed=doc.network.seed + index)
+            swept = _swept_document(base, args.param, raw, index)
+            network = parse_config(swept).network
             result = run_network(network)
             stats = summarize(result.records, network)
             rows.append((raw, network.seed, stats.to_dict()))
@@ -251,13 +247,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             [args.param, raw, seed]
             + [_csv_cell(stats_dict[name]) for name in _SUMMARY_FIELDS]
         )
-    text = buf.getvalue()
-    destination = args.out if args.out is not None else doc.output.path
-    if destination is None:
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        _emit(args.out if args.out is not None else doc.output.path, buf.getvalue())
+    except OSError as exc:
+        return _fail("io", str(exc), EXIT_IO)
     return EXIT_OK
 
 
@@ -284,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a config across parameter values")
     sweep.add_argument("config", help="path to a JSON config document")
-    sweep.add_argument("--param", required=True, help=f"one of {SWEEP_PARAMETERS}")
+    sweep.add_argument("--param", required=True, help=f"one of {tuple(SWEEP_PARAMETERS)}")
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sweep.set_defaults(func=cmd_sweep)

@@ -1,16 +1,26 @@
-"""Config-document parsing: strict schema, defaults, and serialization.
+"""Config-document parsing: one field table per document object.
 
 A config document is a JSON object with three top-level keys:
-``schema_version``, ``network``, and (optionally) ``output``. Unknown
-fields are rejected with the path of the offending field so typos do not
-silently fall back to defaults. ``resolved_dict`` fills in every default,
-which makes any run reproducible from its own output document.
+``schema_version``, ``network``, and (optionally) ``output``. Each object in
+it has one field table, ``name -> check``: a check turns the raw JSON value
+into the parsed one or raises a ConfigurationError that names the field's
+path. Parsing, unknown-field rejection, required-field checks and
+``resolved_dict`` all iterate these tables, in table order.
+
+Defaults live only on the dataclasses: a field the document leaves out
+takes its dataclass default, and a field whose dataclass gives no default
+is required. Unknown fields are rejected so typos do not silently fall back
+to defaults, numbers must be finite, and ``output.path`` and
+``output.trace_path`` must be strings or null. ``resolved_dict`` writes
+every field back with the defaults filled in, which makes any run
+reproducible from its own output document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Optional
 
 from .errors import ConfigurationError
@@ -18,29 +28,6 @@ from .network import LinkSpec, NetworkConfig, Strategy
 from .pair_algebra import LinkModel
 
 SCHEMA_VERSION = "1"
-
-_NETWORK_KEYS = {
-    "nodes",
-    "links",
-    "signal_speed_m_per_s",
-    "tau_slot_ns",
-    "proc_ns",
-    "strategy",
-    "seed",
-    "cycles",
-    "butterfly",
-    "cycle_period_ns",
-}
-_LINK_KEYS = {
-    "length_km",
-    "p_success",
-    "p0",
-    "L0_km",
-    "raw_fidelity",
-    "n_fusiliers",
-    "m_fusilands",
-}
-_OUTPUT_KEYS = {"format", "path", "trace", "trace_path"}
 
 
 @dataclass
@@ -60,22 +47,15 @@ class ConfigDocument:
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
-def _require(mapping: dict, key: str, path: str) -> Any:
-    if key not in mapping:
-        raise ConfigurationError(f"{path}.{key}: required field is missing")
-    return mapping[key]
-
-
-def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigurationError(f"{path}.{key}: unknown field")
-
-
 def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -90,126 +70,153 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
-def _parse_link(raw: Any, path: str) -> LinkSpec:
+def _as_text(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _nullable(check):
+    """``check`` that also accepts JSON null, as None."""
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _check_fields(raw: Any, table: dict, path: str, *classes: type) -> dict:
+    """Check the object ``raw`` against ``table``; return the fields it gives.
+
+    A table field is required when none of ``classes`` gives it a default.
+    """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected an object")
-    _reject_unknown(raw, _LINK_KEYS, path)
+    for key in raw:
+        if key not in table:
+            raise ConfigurationError(f"{path}.{key}: unknown field")
+    optional = {
+        f.name
+        for cls in classes
+        for f in fields(cls)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    }
+    values = {}
+    for name, check in table.items():
+        if name in raw:
+            values[name] = check(raw[name], f"{path}.{name}")
+        elif name not in optional:
+            raise ConfigurationError(f"{path}.{name}: required field is missing")
+    return values
+
+
+def _as_link(raw: Any, path: str) -> LinkSpec:
+    values = _check_fields(raw, _LINK_FIELDS, path, LinkModel, LinkSpec)
+    model_names = {f.name for f in fields(LinkModel)}
     try:
-        model = LinkModel(
-            length_km=_as_number(_require(raw, "length_km", path), f"{path}.length_km"),
-            p_success=(
-                _as_number(raw["p_success"], f"{path}.p_success")
-                if "p_success" in raw
-                else None
-            ),
-            raw_fidelity=(
-                _as_number(raw["raw_fidelity"], f"{path}.raw_fidelity")
-                if "raw_fidelity" in raw
-                else 1.0
-            ),
-            p0=_as_number(raw["p0"], f"{path}.p0") if "p0" in raw else None,
-            L0_km=_as_number(raw["L0_km"], f"{path}.L0_km") if "L0_km" in raw else None,
-        )
+        model = LinkModel(**{k: v for k, v in values.items() if k in model_names})
     except ConfigurationError as exc:
         # LinkModel reports its own invariant violations without the path.
         raise ConfigurationError(f"{path}: {exc}") from None
     return LinkSpec(
-        model=model,
-        n_fusiliers=_as_int(_require(raw, "n_fusiliers", path), f"{path}.n_fusiliers"),
-        m_fusilands=_as_int(_require(raw, "m_fusilands", path), f"{path}.m_fusilands"),
+        model=model, **{k: v for k, v in values.items() if k not in model_names}
     )
+
+
+def _as_links(value: Any, path: str) -> list[LinkSpec]:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{path}: expected a list")
+    return [_as_link(raw, f"{path}[{i}]") for i, raw in enumerate(value)]
+
+
+def _as_nodes(value: Any, path: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise ConfigurationError(f"{path}: expected a list of node names")
+    return list(value)
+
+
+def _as_strategy(value: Any, path: str) -> Strategy:
+    try:
+        return Strategy(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"{path}: unknown strategy {value!r}; "
+            f"choose one of {[s.value for s in Strategy]}"
+        ) from None
+
+
+def _as_format(value: Any, path: str) -> str:
+    if value not in ("json", "csv"):
+        raise ConfigurationError(f"{path}: expected 'json' or 'csv', got {value!r}")
+    return value
+
+
+def _as_network(raw: Any, path: str) -> NetworkConfig:
+    return NetworkConfig(**_check_fields(raw, _NETWORK_FIELDS, path, NetworkConfig))
+
+
+def _as_output(raw: Any, path: str) -> OutputSpec:
+    output = OutputSpec(**_check_fields(raw, _OUTPUT_FIELDS, path, OutputSpec))
+    if output.trace and output.trace_path is None:
+        if output.path is None:
+            raise ConfigurationError(
+                f"{path}.trace: tracing needs trace_path (or path to derive it)"
+            )
+        output.trace_path = output.path + ".trace.jsonl"
+    return output
+
+
+def _as_schema_version(value: Any, path: str) -> str:
+    if value != SCHEMA_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported version {value!r}, "
+            f"this build reads {SCHEMA_VERSION!r}"
+        )
+    return value
+
+
+# Field tables, name -> check(raw value, field path), in check order. A link
+# object's fields belong to its LinkModel and its LinkSpec.
+_LINK_FIELDS = {
+    "length_km": _as_number,
+    "p_success": _as_number,
+    "raw_fidelity": _as_number,
+    "p0": _as_number,
+    "L0_km": _as_number,
+    "n_fusiliers": _as_int,
+    "m_fusilands": _as_int,
+}
+_NETWORK_FIELDS = {
+    "nodes": _as_nodes,
+    "links": _as_links,
+    "strategy": _as_strategy,
+    "signal_speed_m_per_s": _as_number,
+    "tau_slot_ns": _as_int,
+    "proc_ns": _as_int,
+    "seed": _as_int,
+    "cycles": _as_int,
+    "butterfly": _as_bool,
+    "cycle_period_ns": _nullable(_as_int),
+}
+_OUTPUT_FIELDS = {
+    "format": _as_format,
+    "path": _nullable(_as_text),
+    "trace": _as_bool,
+    "trace_path": _nullable(_as_text),
+}
+_DOCUMENT_FIELDS = {
+    "schema_version": _as_schema_version,
+    "network": _as_network,
+    "output": _as_output,
+}
+_TABLES = {
+    ConfigDocument: _DOCUMENT_FIELDS,
+    NetworkConfig: _NETWORK_FIELDS,
+    OutputSpec: _OUTPUT_FIELDS,
+}
 
 
 def parse_config(doc: Any, source: str = "config") -> ConfigDocument:
     """Parse and validate a raw JSON object into a ConfigDocument."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{source}: expected a JSON object at the top level")
-    _reject_unknown(doc, {"schema_version", "network", "output"}, source)
-    version = _require(doc, "schema_version", source)
-    if version != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"{source}.schema_version: unsupported version {version!r}, "
-            f"this build reads {SCHEMA_VERSION!r}"
-        )
-
-    raw_net = _require(doc, "network", source)
-    if not isinstance(raw_net, dict):
-        raise ConfigurationError(f"{source}.network: expected an object")
-    net_path = f"{source}.network"
-    _reject_unknown(raw_net, _NETWORK_KEYS, net_path)
-
-    nodes = _require(raw_net, "nodes", net_path)
-    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
-        raise ConfigurationError(f"{net_path}.nodes: expected a list of node names")
-    raw_links = _require(raw_net, "links", net_path)
-    if not isinstance(raw_links, list):
-        raise ConfigurationError(f"{net_path}.links: expected a list")
-    links = [
-        _parse_link(raw, f"{net_path}.links[{i}]") for i, raw in enumerate(raw_links)
-    ]
-
-    strategy_name = raw_net.get("strategy", Strategy.RAW.value)
-    try:
-        strategy = Strategy(strategy_name)
-    except ValueError:
-        raise ConfigurationError(
-            f"{net_path}.strategy: unknown strategy {strategy_name!r}; "
-            f"choose one of {[s.value for s in Strategy]}"
-        ) from None
-
-    network = NetworkConfig(
-        nodes=list(nodes),
-        links=links,
-        signal_speed_m_per_s=(
-            _as_number(raw_net["signal_speed_m_per_s"], f"{net_path}.signal_speed_m_per_s")
-            if "signal_speed_m_per_s" in raw_net
-            else 2.0e8
-        ),
-        tau_slot_ns=(
-            _as_int(raw_net["tau_slot_ns"], f"{net_path}.tau_slot_ns")
-            if "tau_slot_ns" in raw_net
-            else 10
-        ),
-        proc_ns=(
-            _as_int(raw_net["proc_ns"], f"{net_path}.proc_ns")
-            if "proc_ns" in raw_net
-            else 0
-        ),
-        strategy=strategy,
-        seed=_as_int(raw_net.get("seed", 0), f"{net_path}.seed"),
-        cycles=_as_int(raw_net.get("cycles", 100), f"{net_path}.cycles"),
-        butterfly=_as_bool(raw_net.get("butterfly", False), f"{net_path}.butterfly"),
-        cycle_period_ns=(
-            _as_int(raw_net["cycle_period_ns"], f"{net_path}.cycle_period_ns")
-            if raw_net.get("cycle_period_ns") is not None
-            else None
-        ),
-    )
-
-    output = OutputSpec()
-    if "output" in doc:
-        raw_out = doc["output"]
-        if not isinstance(raw_out, dict):
-            raise ConfigurationError(f"{source}.output: expected an object")
-        out_path = f"{source}.output"
-        _reject_unknown(raw_out, _OUTPUT_KEYS, out_path)
-        output = OutputSpec(
-            format=raw_out.get("format", "json"),
-            path=raw_out.get("path"),
-            trace=_as_bool(raw_out.get("trace", False), f"{out_path}.trace"),
-            trace_path=raw_out.get("trace_path"),
-        )
-        if output.format not in ("json", "csv"):
-            raise ConfigurationError(
-                f"{out_path}.format: expected 'json' or 'csv', got {output.format!r}"
-            )
-        if output.trace and output.trace_path is None:
-            if output.path is None:
-                raise ConfigurationError(
-                    f"{out_path}.trace: tracing needs trace_path (or path to derive it)"
-                )
-            output.trace_path = output.path + ".trace.jsonl"
-    return ConfigDocument(schema_version=version, network=network, output=output)
+    return ConfigDocument(**_check_fields(doc, _DOCUMENT_FIELDS, source, ConfigDocument))
 
 
 def load_config(path: str) -> ConfigDocument:
@@ -219,45 +226,33 @@ def load_config(path: str) -> ConfigDocument:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no read permission
+        raise ConfigurationError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
     return parse_config(doc, source="config")
 
 
 def _link_dict(link: LinkSpec) -> dict:
-    out: dict[str, Any] = {"length_km": link.model.length_km}
-    if link.model.p_success is not None:
-        out["p_success"] = link.model.p_success
-    else:
-        out["p0"] = link.model.p0
-        out["L0_km"] = link.model.L0_km
-    out["raw_fidelity"] = link.model.raw_fidelity
-    out["n_fusiliers"] = link.n_fusiliers
-    out["m_fusilands"] = link.m_fusilands
-    return out
+    """A link's fields; the parameterization it does not use is left out."""
+    values = {**vars(link), **vars(link.model)}
+    return {name: values[name] for name in _LINK_FIELDS if values[name] is not None}
+
+
+def _plain(value: Any) -> Any:
+    """A parsed value written back as the JSON a document holds for it."""
+    table = _TABLES.get(type(value))
+    if table is not None:
+        return {name: _plain(getattr(value, name)) for name in table}
+    if isinstance(value, LinkSpec):
+        return _link_dict(value)
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, Strategy):
+        return value.value
+    return value
 
 
 def resolved_dict(doc: ConfigDocument) -> dict:
     """Serialize a parsed document with every default filled in."""
-    net = doc.network
-    return {
-        "schema_version": doc.schema_version,
-        "network": {
-            "nodes": list(net.nodes),
-            "links": [_link_dict(link) for link in net.links],
-            "signal_speed_m_per_s": net.signal_speed_m_per_s,
-            "tau_slot_ns": net.tau_slot_ns,
-            "proc_ns": net.proc_ns,
-            "strategy": net.strategy.value,
-            "seed": net.seed,
-            "cycles": net.cycles,
-            "butterfly": net.butterfly,
-            "cycle_period_ns": net.cycle_period_ns,
-        },
-        "output": {
-            "format": doc.output.format,
-            "path": doc.output.path,
-            "trace": doc.output.trace,
-            "trace_path": doc.output.trace_path,
-        },
-    }
+    return _plain(doc)

@@ -8,13 +8,20 @@ fidelity, and frame-latency numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .engine import NS_PER_SECOND, channel_delay_ns
+from .engine import NS_PER_SECOND
 from .errors import ConfigurationError
-from .network import EndToEndRecord, NetworkConfig, Strategy, validate_config
+from .network import (
+    EndToEndRecord,
+    LinkSpec,
+    NetworkConfig,
+    Strategy,
+    validate_config,
+)
 from .pair_algebra import (
+    LinkModel,
     chain_fidelity,
     failure_prob_multi,
     min_fusiliers,
@@ -40,18 +47,7 @@ class SummaryStats:
     links_per_cycle: int
 
     def to_dict(self) -> dict:
-        return {
-            "pairs_total": self.pairs_total,
-            "pairs_per_second": self.pairs_per_second,
-            "empirical_end_fidelity": self.empirical_end_fidelity,
-            "empirical_end_fidelity_stderr": self.empirical_end_fidelity_stderr,
-            "analytic_end_fidelity": self.analytic_end_fidelity,
-            "cycle_period_s": self.cycle_period_s,
-            "failure_cycles": self.failure_cycles,
-            "frame_latency_cycles": self.frame_latency_cycles,
-            "cycles": self.cycles,
-            "links_per_cycle": self.links_per_cycle,
-        }
+        return asdict(self)
 
 
 def analytic_end_to_end_fidelity(config: NetworkConfig) -> float:
@@ -172,21 +168,23 @@ def rate_model(
 ) -> float:
     """Expected pairs per second on one hop.
 
-    The cycle period is the round trip plus signal-train and processing
-    time; the expected pairs per cycle discount each slot k by the
-    probability that fewer than k successes occurred:
+    The cycle period is the one :func:`validate_config` derives for a
+    one-hop chain (round trip plus signal-train and processing time); the
+    expected pairs per cycle discount each slot k by the probability that
+    fewer than k successes occurred:
     sum_{k=1..m} (1 - failure_prob_multi(n, k, p)). At p = 1 this reduces
     to m / cycle_period.
     """
-    if length_km <= 0:
-        raise ConfigurationError("length_km must be > 0")
-    if signal_speed_m_per_s <= 0:
-        raise ConfigurationError("signal_speed_m_per_s must be > 0")
-    period_ns = (
-        2 * channel_delay_ns(length_km, signal_speed_m_per_s)
-        + n * tau_slot_ns
-        + proc_ns
-    )
+    hop = LinkSpec(LinkModel(length_km=length_km, p_success=p), n, m)
+    period_ns = validate_config(
+        NetworkConfig(
+            nodes=["left", "right"],
+            links=[hop],
+            signal_speed_m_per_s=signal_speed_m_per_s,
+            tau_slot_ns=tau_slot_ns,
+            proc_ns=proc_ns,
+        )
+    ).cycle_period_ns
     # Slots beyond the fusillade size can never fill; they contribute 0.
     expected_slots = math.fsum(
         1.0 - failure_prob_multi(n, k, p) for k in range(1, min(m, n) + 1)

@@ -14,6 +14,7 @@ last cycle so the last corrections are delivered too.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,14 +106,12 @@ class CycleSchedule:
     """Derived timing of one cycle.
 
     ``herald_offsets_ns[i]`` is when the herald passes node i, relative to
-    the cycle start; ``completion_deadlines_ns[i]`` bounds when node i's
-    work for the cycle (train, return, swap) is done.
+    the cycle start.
     """
 
     cycle_period_ns: int
     link_delays_ns: tuple[int, ...]
     herald_offsets_ns: tuple[int, ...]
-    completion_deadlines_ns: tuple[int, ...]
     links_per_cycle: int
 
     @property
@@ -167,11 +166,13 @@ def effective_slots(link: LinkSpec, strategy: Strategy) -> int:
 
 def _link_delays_ns(config: NetworkConfig) -> tuple[int, ...]:
     """One-way delay of every hop, left to right."""
-    if config.signal_speed_m_per_s <= 0:
-        raise ConfigurationError("signal_speed_m_per_s must be > 0")
+    speed = config.signal_speed_m_per_s
+    if not (math.isfinite(speed) and speed > 0):
+        raise ConfigurationError(
+            f"signal_speed_m_per_s must be finite and > 0, got {speed!r}"
+        )
     return tuple(
-        channel_delay_ns(link.model.length_km, config.signal_speed_m_per_s)
-        for link in config.links
+        channel_delay_ns(link.model.length_km, speed) for link in config.links
     )
 
 
@@ -180,9 +181,11 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
 
     The computed cycle period is the slowest hop's round trip plus its
     signal-train and processing time, which guarantees the next herald
-    arrives only after all swaps completed. An explicit ``cycle_period_ns``
-    override below that bound is accepted with a warning; the run will then
-    abort with a desynchronization error when the herald overtakes a node.
+    arrives only after all swaps completed. A computed period of 0 ns (every
+    hop rounds to a 0 ns delay and there is no train or processing time) is
+    rejected. An explicit ``cycle_period_ns`` override below that bound is
+    accepted with a warning; the run will then abort with a
+    desynchronization error when the herald overtakes a node.
     """
     if len(config.nodes) < 2:
         raise ConfigurationError("a chain needs at least 2 nodes")
@@ -191,6 +194,9 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
             f"{len(config.nodes)} nodes need {len(config.nodes) - 1} links, "
             f"got {len(config.links)}"
         )
+    for idx, name in enumerate(config.nodes):
+        if name in config.nodes[:idx]:
+            raise ConfigurationError(f"nodes[{idx}]: duplicate node name {name!r}")
     delays = _link_delays_ns(config)
     if config.tau_slot_ns < 0 or config.proc_ns < 0:
         raise ConfigurationError("tau_slot_ns and proc_ns must be >= 0")
@@ -217,6 +223,11 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     )
     if config.cycle_period_ns is None:
         period = bound
+        if period == 0:
+            raise ConfigurationError(
+                "the cycle period comes out 0 ns: every hop rounds to a 0 ns "
+                "delay and tau_slot_ns and proc_ns are 0"
+            )
     else:
         period = config.cycle_period_ns
         if period <= 0:
@@ -231,18 +242,6 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     offsets = [0]
     for d in delays:
         offsets.append(offsets[-1] + d)
-    num_nodes = len(config.nodes)
-    deadlines = []
-    for i in range(num_nodes):
-        if i < num_nodes - 1:
-            train = (config.links[i].n_fusiliers - 1) * config.tau_slot_ns
-            done = offsets[i] + 2 * delays[i] + train
-            if 0 < i:
-                done += config.proc_ns  # swap follows the return
-        else:
-            train = (config.links[-1].n_fusiliers - 1) * config.tau_slot_ns
-            done = offsets[i] + train
-        deadlines.append(done)
 
     links_per_cycle = min(
         effective_slots(link, config.strategy) for link in config.links
@@ -251,7 +250,6 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
         cycle_period_ns=period,
         link_delays_ns=delays,
         herald_offsets_ns=tuple(offsets),
-        completion_deadlines_ns=tuple(deadlines),
         links_per_cycle=links_per_cycle,
     )
 

@@ -127,15 +127,17 @@ class LinkModel:
     Exactly one of the two parameterizations must be present.
     """
 
-    length_km: float = 0.0
+    length_km: float
     p_success: Optional[float] = None
     raw_fidelity: float = 1.0
     p0: Optional[float] = None
     L0_km: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ConfigurationError(f"length_km must be >= 0, got {self.length_km!r}")
+        if not (math.isfinite(self.length_km) and self.length_km >= 0):
+            raise ConfigurationError(
+                f"length_km must be finite and >= 0, got {self.length_km!r}"
+            )
         explicit = self.p_success is not None
         attenuated = self.p0 is not None or self.L0_km is not None
         if explicit and attenuated:
@@ -148,8 +150,10 @@ class LinkModel:
                     "give either p_success or both of (p0, L0_km)"
                 )
             _check_probability(self.p0, name="p0")
-            if self.L0_km <= 0:
-                raise ConfigurationError(f"L0_km must be > 0, got {self.L0_km!r}")
+            if not (math.isfinite(self.L0_km) and self.L0_km > 0):
+                raise ConfigurationError(
+                    f"L0_km must be finite and > 0, got {self.L0_km!r}"
+                )
         else:
             _check_probability(self.p_success, name="p_success")
         check_fidelity(self.raw_fidelity, name="raw_fidelity")

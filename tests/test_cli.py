@@ -7,6 +7,8 @@ import json
 import warnings
 from pathlib import Path
 
+import pytest
+
 from fusenet.cli import main
 from fusenet.config import load_config, parse_config, resolved_dict
 
@@ -185,6 +187,108 @@ class TestSimulate:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert float(rows[0]["pairs_per_second"]) == 2500.0
+
+
+def _set(path, value):
+    """Return a doc mutation that sets the field at ``path`` (keys and indices)."""
+
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _attenuated_link(doc):
+    doc["network"]["links"][0] = {
+        "length_km": 40.0, "p0": 0.5, "L0_km": float("nan"),
+        "n_fusiliers": 1, "m_fusilands": 1,
+    }
+
+
+def _nearly_zero_hop(doc):
+    doc["network"]["links"][0]["length_km"] = 1e-5
+    doc["network"]["tau_slot_ns"] = 0
+
+
+class TestRejectedInput:
+    """Each input exits 2 with one ``error: config:`` line naming the field."""
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (_set(("network", "links", 0, "length_km"), float("nan")), "links[0].length_km"),
+            (_set(("network", "links", 0, "length_km"), float("inf")), "links[0].length_km"),
+            (_set(("network", "links", 0, "length_km"), float("-inf")), "links[0].length_km"),
+            (_attenuated_link, "links[0].L0_km"),
+            (_set(("network", "signal_speed_m_per_s"), float("nan")), "signal_speed_m_per_s"),
+            (_set(("network", "nodes"), ["a", "a"]), "nodes"),
+            # an integer path would be opened as a file descriptor
+            (_set(("output", "path"), 987654), "output.path"),
+            (_set(("output", "trace_path"), ["run.jsonl"]), "output.trace_path"),
+            (_nearly_zero_hop, "cycle period"),
+        ],
+    )
+    def test_simulate(self, tmp_path, capsys, mutate, field):
+        doc = copy.deepcopy(BASE_DOC)
+        mutate(doc)
+        code, out, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert field in err
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"schema_version": "\xff"}')
+        for path in (tmp_path, not_utf8):
+            code, out, err = run_cli(capsys, "simulate", str(path))
+            assert code == 2
+            assert err.startswith("error: config:") and err.count("\n") == 1
+            assert str(path) in err
+
+    def test_sweep_non_finite_value(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BASE_DOC)
+        code, out, err = run_cli(
+            capsys, "sweep", path, "--param", "length_km", "--values", "10,nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert "links[0].length_km" in err
+
+
+class TestWriteFailure:
+    """An unwritable output exits 4 with one ``error: io:`` line."""
+
+    def test_summary_path(self, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["output"]["path"] = str(tmp_path / "missing" / "summary.json")
+        code, _, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 4
+        assert err.startswith("error: io:") and err.count("\n") == 1
+
+    def test_trace_path(self, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["output"].update(
+            path=str(tmp_path / "summary.json"),
+            trace=True,
+            trace_path=str(tmp_path / "missing" / "run.jsonl"),
+        )
+        code, _, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 4
+        assert err.startswith("error: io:") and err.count("\n") == 1
+
+    def test_sweep_out(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BASE_DOC)
+        out_csv = tmp_path / "missing" / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", path, "--param", "m", "--values", "1", "--out", str(out_csv)
+        )
+        assert code == 4
+        assert err.startswith("error: io:") and err.count("\n") == 1
 
 
 class TestSweep:

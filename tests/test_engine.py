@@ -1,5 +1,7 @@
 """Event queue ordering, fiber delays, and RNG substream contracts."""
 
+import math
+
 import pytest
 
 from fusenet.engine import (
@@ -102,7 +104,7 @@ class TestChannelDelay:
         assert channel_delay_ns(0.0, SPEED) == 0
 
     def test_nonpositive_speed_rejected(self):
-        for speed in (0.0, -2.0e8):
+        for speed in (0.0, -2.0e8, math.nan, math.inf):
             cfg = chain_config([40.0])
             cfg.signal_speed_m_per_s = speed
             with pytest.raises(ConfigurationError, match="signal_speed_m_per_s"):

@@ -133,6 +133,10 @@ class TestRateModel:
         with pytest.raises(ConfigurationError):
             rate_model(0.0, 2.0e8, 1, 0, 0, 1)
 
+    def test_zero_cycle_period_rejected(self):
+        with pytest.raises(ConfigurationError, match="cycle period"):
+            rate_model(1e-5, 2.0e8, 1, 0, 0, 1)
+
 
 class TestFidelityAccounting:
     def test_empirical_tracks_analytic_purified(self):

@@ -70,6 +70,18 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError):
             validate_config(cfg)
 
+    def test_duplicate_node_names_rejected(self):
+        cfg = chain_config([40.0, 10.0])
+        cfg.nodes = ["a", "b", "a"]
+        with pytest.raises(ConfigurationError, match="nodes"):
+            validate_config(cfg)
+
+    def test_zero_cycle_period_rejected(self):
+        # a 1e-5 km hop rounds to a 0 ns delay; with no train or processing
+        # time the period would be 0 ns
+        with pytest.raises(ConfigurationError, match="cycle period"):
+            validate_config(chain_config([1e-5]))
+
     def test_small_override_warns(self):
         with pytest.warns(UserWarning, match="safe bound"):
             validate_config(chain_config([40.0], cycle_period_ns=100))

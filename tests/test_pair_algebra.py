@@ -82,6 +82,13 @@ class TestSuccessProbability:
         with pytest.raises(ConfigurationError):
             LinkModel(length_km=1)
 
+    def test_non_finite_lengths_rejected(self):
+        for length in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="length_km"):
+                LinkModel(length_km=length, p_success=0.5)
+        with pytest.raises(ConfigurationError, match="L0_km"):
+            LinkModel(length_km=1, p0=0.5, L0_km=math.nan)
+
     def test_low_fidelity_flagged(self):
         with pytest.warns(UserWarning, match="below 0.5"):
             LinkModel(length_km=1, p_success=0.5, raw_fidelity=0.3)
