@@ -56,9 +56,42 @@ CASES = {
         "seed": 15,
         "cycles": 40,
     },
+    # Hops of 10, 5 and 15 ns under a 54 ns signal train: each train
+    # overlaps heralds, returns and the neighbouring hops' trains.
+    "overlapping_trains": {
+        "links": [_link(km, 6, 3, p_success=0.6, raw_fidelity=0.9) for km in (0.002, 0.001, 0.003)],
+        "tau_slot_ns": 9,
+        "proc_ns": 4,
+        "butterfly": True,
+        "seed": 16,
+        "cycles": 30,
+    },
+    # The same chain with every signal of a train arriving at one instant.
+    "overlapping_trains_tau0": {
+        "links": [_link(km, 6, 3, p_success=0.6, raw_fidelity=0.9) for km in (0.002, 0.001, 0.003)],
+        "tau_slot_ns": 0,
+        "proc_ns": 4,
+        "butterfly": True,
+        "seed": 17,
+        "cycles": 30,
+    },
 }
 
 EXPECTED = {
+    "overlapping_trains": {
+        "records": "977f467be4dd1d65e63ac73dc35ffc0fb423b95404497fbf0dca7f771fd8b9a4",
+        "per_cycle_delivered": "2f33271b4d9a736eb56ef0365da9a7f3bab585a313dd52676358933dd92e90f4",
+        "hop_success_counts": "e41404828b07954db1e67cd07c9a80fdede8bc90b434996f2c55c0be4a6f8746",
+        "left_frame_folds": "0dc008c4946b1f4d828ce5998127b9aa87a5dc508cf4cd79c2ab6386e20b0734",
+        "trace": "9d0e46e1a0d2b1dd475b48cd2ad4188dabb9ce32a78e190989d94eafbd492bc3",
+    },
+    "overlapping_trains_tau0": {
+        "records": "0f692e5282a271d1dbd85e3df89cb8afe9f2e358a3f507193fcc096c11f59036",
+        "per_cycle_delivered": "98eaef7268d4033f18baf32ecc014dd1c62e5a0d641204317147b656e5bf7817",
+        "hop_success_counts": "8fefea01b1dc4d6ff2af58567636b7756d4498a8b00783f87b27e2fb6d5fb589",
+        "left_frame_folds": "961cc676f8d5c946e1a66f9964bf3e26024c752e83c35df7e87eb887d53e3a30",
+        "trace": "eaba6db17becdce69b6b6230de56a3797861cb384f20d4caa18d558c61637fa7",
+    },
     "p0_L0_link_form": {
         "records": "f6599a3d0c5ab3ed6e5d70d8b3702e2c93198e27fef2db3fa4c43d8af42fa2f3",
         "per_cycle_delivered": "597fbd5ee93e166b7461a87e39e6026dd61208ded0fa6cf1e09f7f1c275d5ddc",
@@ -152,6 +185,14 @@ def test_seeded_output_digests(case, tmp_path, monkeypatch):
 
 
 SUMMARY_EXPECTED = {
+    "overlapping_trains": {
+        "json": "ad768a70863082c9fd05bc696d9c9510701e6341157dfd4d9abec859a2adc33f",
+        "csv": "7cbd7c5fc0440d36ab09f5f5b456243f8055ec65e628f672c69ce3d83ea9f320",
+    },
+    "overlapping_trains_tau0": {
+        "json": "05b47fa4bc57f66b42e520ba93c86e4d71f926d96345f4472fe93ab281d2982b",
+        "csv": "934696c15dc3ab4ea5436b7cfbe1ba3477b340ab1cb5342a08b2ac2fdf9c22d3",
+    },
     "p0_L0_link_form": {
         "json": "6e5d29b0ca6d04ca7ce2aad79a5559687a4c9e41a4b3925ba29b301b4ff36ed6",
         "csv": "43dc5ca71f4b8aee1053e67854fec7a2eb0bc490ad95d267877287e96c4c6013",
