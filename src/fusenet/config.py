@@ -10,10 +10,11 @@ path. Parsing, unknown-field rejection, required-field checks and
 Defaults live only on the dataclasses: a field the document leaves out
 takes its dataclass default, and a field whose dataclass gives no default
 is required. Unknown fields are rejected so typos do not silently fall back
-to defaults, numbers must be finite, and ``output.path`` and
-``output.trace_path`` must be strings or null. ``resolved_dict`` writes
-every field back with the defaults filled in, which makes any run
-reproducible from its own output document.
+to defaults, and a key given twice in one object of a config file is
+rejected rather than keeping its last value. Numbers must be finite, and
+``output.path`` and ``output.trace_path`` must be strings or null.
+``resolved_dict`` writes every field back with the defaults filled in,
+which makes any run reproducible from its own output document.
 """
 
 from __future__ import annotations
@@ -219,11 +220,23 @@ def parse_config(doc: Any, source: str = "config") -> ConfigDocument:
     return ConfigDocument(**_check_fields(doc, _DOCUMENT_FIELDS, source, ConfigDocument))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> ConfigDocument:
     """Read and parse a config document from a JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, or no read permission

@@ -4,6 +4,17 @@ All simulation time is kept as integer nanoseconds so schedules stay exact;
 ties are broken by the scheduling sequence number, which makes the dispatch
 order a pure function of (config, seed). Fibers carry no state of their
 own: a hop is just its one-way delay, from ``channel_delay_ns``.
+
+A train of events (a hop's signal train) takes one queue entry. Scheduling
+it reserves a block of consecutive sequence numbers, the ones that many
+separate ``schedule`` calls would have taken, so member k keeps seq
+``first + k``. Its handler dispatches the members inline and, as soon as a
+queued event precedes the next member's (time, seq), puts the train back on
+the queue under that member's reserved key: the dispatch order is the same
+as with one queue entry per member.
+
+A substream's draws for a whole train can be taken in one vector call
+(``RngStream.draws``); PCG64 gives the same values as scalar draws.
 """
 
 from __future__ import annotations
@@ -64,14 +75,20 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, event: Event) -> Event:
-        """Insert an event; scheduling into the simulated past is an error."""
+    def schedule(self, event: Event, count: int = 1) -> Event:
+        """Insert an event; scheduling into the simulated past is an error.
+
+        With ``count`` > 1 the event heads a train of that many members and
+        reserves their consecutive seqs; member k has seq ``event.seq + k``.
+        The train's handler moves through it with ``advance_train``, at most
+        ``count - 1`` times.
+        """
         if event.time_ns < self.now_ns:
             raise SchedulingError(
                 f"event at t={event.time_ns} ns lies before now={self.now_ns} ns"
             )
         event.seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq += count
         heapq.heappush(self._heap, (event.time_ns, event.seq, event))
         return event
 
@@ -80,8 +97,35 @@ class EventQueue:
         self.now_ns = time_ns
         return event
 
+    def advance_train(self, event: Event, time_ns: int) -> bool:
+        """Move a train's event on to its next member, due at ``time_ns``.
 
-Handler = Callable[[Event], Optional[str]]
+        The event takes the member's time and reserved seq. When no queued
+        event precedes that (time, seq), the clock moves there and the
+        result is True: the handler dispatches the member inline. Otherwise
+        the train goes back on the queue under the member's key and the
+        result is False.
+        """
+        if time_ns < event.time_ns:
+            raise SchedulingError(
+                f"train member at t={time_ns} ns precedes its predecessor at "
+                f"t={event.time_ns} ns"
+            )
+        event.time_ns = time_ns
+        event.seq += 1
+        key = (time_ns, event.seq, event)
+        heap = self._heap
+        if heap and heap[0] < key:
+            heapq.heappush(heap, key)
+            return False
+        self.now_ns = time_ns
+        return True
+
+
+# A handler returns its event's trace detail, or, for a train dispatched
+# inline, the trace records of the members it dispatched; None when the
+# trace is off.
+Handler = Callable[[Event], Optional[str | list[TraceRecord]]]
 
 
 def run(
@@ -91,9 +135,10 @@ def run(
 ) -> list[TraceRecord]:
     """Dispatch events in (time, seq) order until the queue drains.
 
-    Returns one trace record per dispatched event (empty when tracing is
-    off). A handler raising a ProtocolError aborts the run; the offending
-    event is attached to the exception as ``exc.event``.
+    Returns one trace record per dispatched event, counting each member of
+    a train (empty when tracing is off). A handler raising a ProtocolError
+    aborts the run; the offending event is attached to the exception as
+    ``exc.event``.
     """
     trace: list[TraceRecord] = []
     while len(queue):
@@ -103,7 +148,11 @@ def run(
         except ProtocolError as exc:
             exc.event = event
             raise
-        if collect_trace:
+        if not collect_trace:
+            continue
+        if isinstance(detail, list):  # the records of a train's members
+            trace.extend(detail)
+        else:
             trace.append(
                 TraceRecord(
                     event.time_ns,
@@ -142,3 +191,20 @@ class RngStream:
     def substream(self, domain: int, index: int, cycle: int) -> np.random.Generator:
         seq = np.random.SeedSequence((self.master_seed, domain, index, cycle))
         return np.random.Generator(np.random.PCG64(seq))
+
+    def draws(self, domain: int, index: int, cycle: int, count: int) -> "Draws":
+        """The first ``count`` draws of a substream, drawn in one call."""
+        return Draws(self.substream(domain, index, cycle).random(count).tolist())
+
+
+class Draws:
+    """Precomputed uniform draws, served in order by ``random()``.
+
+    Stands in for the substream it was drawn from while at most as many
+    values are asked for as were drawn.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, values: list[float]) -> None:
+        self.random = iter(values).__next__

@@ -10,6 +10,15 @@ piggyback leftward on return messages), so every end-to-end pair's
 correction becomes available exactly one cycle period after the pair is
 established. One final frame-flush sweep (no generation) runs after the
 last cycle so the last corrections are delivered too.
+
+Each hop's signal train is one queue entry holding n reserved seqs (see
+``engine``): ``_handle_signal_arrive`` calls ``on_signal`` for consecutive
+members inline and yields to any queued event that precedes the next one,
+so the dispatch order and the trace are those of one event per signal. A
+train's link draws are taken from its (link, cycle) substream in one call
+when the train is scheduled, n + m values: a signal draws at most once,
+plus once more on a success. Handlers format a trace detail only when the
+trace is on.
 """
 
 from __future__ import annotations
@@ -321,7 +330,6 @@ class _ChainSimulation:
         self.records_by_cycle: dict[int, list[EndToEndRecord]] = {}
         self.per_cycle_delivered = [0] * config.cycles
         self.hop_success_counts = [[0] * config.cycles for _ in config.links]
-        self.link_rngs: dict[tuple[int, int], object] = {}
         # Butterfly ledgers per (cycle, slot): leftbound frame records sent
         # toward node 0 (left_expected) and those that arrived there.
         self.left_folds: dict[tuple[int, int], PauliFrame] = {}
@@ -332,7 +340,7 @@ class _ChainSimulation:
 
     # -- event handlers -------------------------------------------------
 
-    def _handle_cycle_start(self, event: Event) -> str:
+    def _handle_cycle_start(self, event: Event) -> Optional[str]:
         cycle = event.payload["cycle"]
         generate = cycle < self.config.cycles
         if generate:
@@ -356,9 +364,11 @@ class _ChainSimulation:
             )
         )
         self._schedule_signals(0, cycle, emissions)
+        if not self.collect_trace:
+            return None
         return f"cycle={cycle}" + ("" if generate else " flush")
 
-    def _handle_herald_arrive(self, event: Event) -> str:
+    def _handle_herald_arrive(self, event: Event) -> Optional[str]:
         node_id = event.payload["node"]
         cycle = event.payload["cycle"]
         herald: HeraldMessage = event.payload["herald"]
@@ -385,34 +395,44 @@ class _ChainSimulation:
         else:
             self._deliver_frames(herald)
         self._schedule_signals(node_id, cycle, emissions)
-        return f"cycle={cycle}"
+        return f"cycle={cycle}" if self.collect_trace else None
 
-    def _handle_signal_arrive(self, event: Event) -> str:
-        node_id = event.payload["node"]
-        link_idx = event.payload["link"]
-        fusilier = event.payload["fusilier"]
-        cycle = event.payload["cycle"]
+    def _handle_signal_arrive(self, event: Event) -> Optional[list[TraceRecord]]:
+        # Dispatches the train's members from payload["fusilier"] on, inline
+        # until the train ends or a queued event precedes the next member.
+        payload = event.payload
+        node_id = payload["node"]
+        link_idx = payload["link"]
+        cycle = payload["cycle"]
+        arrivals = payload["arrivals"]
+        draws = payload["draws"]
         node = self.nodes[node_id]
-        link = self.config.links[link_idx]
-        rng = self.link_rngs.get((link_idx, cycle))
-        if rng is None:
-            rng = self.rng.substream(LINK_DOMAIN, link_idx, cycle)
-            self.link_rngs[(link_idx, cycle)] = rng
-        result = on_signal(
-            node, link_idx, fusilier, link.model, rng, self.queue.now_ns
-        )
-        if result.outcome is SignalOutcome.SUCCESS:
-            self.hop_success_counts[link_idx][cycle] += 1
-        if fusilier == link.n_fusiliers - 1:
-            self._end_of_train(node_id, link_idx, cycle)
-        if result.slot is not None:
-            return (
-                f"cycle={cycle} fusilier={fusilier} "
-                f"{result.outcome.value} slot={result.slot}"
-            )
-        return f"cycle={cycle} fusilier={fusilier} {result.outcome.value}"
+        model = self.config.links[link_idx].model
+        successes = self.hop_success_counts[link_idx]
+        last = len(arrivals) - 1
+        queue = self.queue
+        trace = [] if self.collect_trace else None
+        fusilier = payload["fusilier"]
+        while True:
+            result = on_signal(node, link_idx, fusilier, model, draws, queue.now_ns)
+            if result.outcome is SignalOutcome.SUCCESS:
+                successes[cycle] += 1
+            if trace is not None:
+                detail = f"cycle={cycle} fusilier={fusilier} {result.outcome.value}"
+                if result.slot is not None:
+                    detail += f" slot={result.slot}"
+                trace.append(
+                    TraceRecord(event.time_ns, event.seq, event.kind.value, node_id, detail)
+                )
+            if fusilier == last:
+                self._end_of_train(node_id, link_idx, cycle)
+                return trace
+            fusilier += 1
+            payload["fusilier"] = fusilier
+            if not queue.advance_train(event, arrivals[fusilier]):
+                return trace
 
-    def _handle_return_arrive(self, event: Event) -> str:
+    def _handle_return_arrive(self, event: Event) -> Optional[str]:
         node_id = event.payload["node"]
         cycle = event.payload["cycle"]
         msg = event.payload["msg"]
@@ -450,6 +470,8 @@ class _ChainSimulation:
             self._mark_complete(cycle, node_id)
         if node_id == 0:
             self._schedule_next_cycle(cycle)
+        if not self.collect_trace:
+            return None
         return f"cycle={cycle} matches={len(msg.matches)} swaps={len(swaps)}"
 
     def _schedule_next_cycle(self, cycle: int) -> None:
@@ -468,11 +490,15 @@ class _ChainSimulation:
             Event(start_ns, EventKind.CYCLE_START, {"node": 0, "cycle": cycle + 1})
         )
 
-    def _handle_swap_complete(self, event: Event) -> str:
+    def _handle_swap_complete(self, event: Event) -> Optional[str]:
         self._mark_complete(event.payload["cycle"], event.payload["node"])
+        if not self.collect_trace:
+            return None
         return f"cycle={event.payload['cycle']} count={event.payload['count']}"
 
-    def _handle_pair_ready(self, event: Event) -> str:
+    def _handle_pair_ready(self, event: Event) -> Optional[str]:
+        if not self.collect_trace:
+            return None
         return (
             f"cycle={event.payload['cycle']} slot={event.payload['slot']} "
             f"x={event.payload['x']}"
@@ -481,22 +507,33 @@ class _ChainSimulation:
     # -- helpers ---------------------------------------------------------
 
     def _schedule_signals(self, node_id: int, cycle: int, emissions) -> None:
+        # One queue entry for the whole train, holding a seq per signal;
+        # member k is fusilier k.
         if not emissions:
             return
         delay = self.schedule.link_delays_ns[node_id]
-        for fire_time, fusilier in emissions:
-            self.queue.schedule(
-                Event(
-                    fire_time + delay,
-                    EventKind.SIGNAL_ARRIVE,
-                    {
-                        "node": node_id + 1,
-                        "cycle": cycle,
-                        "link": node_id,
-                        "fusilier": fusilier,
-                    },
-                )
-            )
+        arrivals = [fire_time + delay for fire_time, _fusilier in emissions]
+        draws = self.rng.draws(
+            LINK_DOMAIN,
+            node_id,
+            cycle,
+            len(emissions) + self.config.links[node_id].m_fusilands,
+        )
+        self.queue.schedule(
+            Event(
+                arrivals[0],
+                EventKind.SIGNAL_ARRIVE,
+                {
+                    "node": node_id + 1,
+                    "cycle": cycle,
+                    "link": node_id,
+                    "fusilier": 0,
+                    "arrivals": arrivals,
+                    "draws": draws,
+                },
+            ),
+            len(emissions),
+        )
 
     def _end_of_train(self, node_id: int, link_idx: int, cycle: int) -> None:
         node = self.nodes[node_id]
@@ -508,7 +545,6 @@ class _ChainSimulation:
         self._route_pending(node)
         if self.split is not None:
             msg.relayed_frames = node.drain_leftbound()
-        self.link_rngs.pop((link_idx, cycle), None)
         self.queue.schedule(
             Event(
                 self.queue.now_ns + self.schedule.link_delays_ns[link_idx],

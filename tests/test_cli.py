@@ -240,6 +240,19 @@ class TestRejectedInput:
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("key, first, second", [("seed", 7, 8), ("p_success", 1.0, 0.5)])
+    def test_duplicate_key(self, tmp_path, capsys, key, first, second):
+        member = f'"{key}": {first}'
+        text = json.dumps(BASE_DOC)
+        assert member in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(member, f'{member}, "{key}": {second}'))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert repr(key) in err
+
     def test_unreadable_config_file(self, tmp_path, capsys):
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes(b'{"schema_version": "\xff"}')

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusenet.engine import (
     Event,
@@ -11,6 +13,7 @@ from fusenet.engine import (
     LINK_DOMAIN,
     RngStream,
     SWAP_DOMAIN,
+    TraceRecord,
     channel_delay_ns,
     run,
 )
@@ -91,6 +94,192 @@ class TestRun:
         assert run(q, {EventKind.PAIR_READY: lambda e: None}, collect_trace=False) == []
 
 
+def schedule_train(q, start, count, spacing, node=0):
+    payload = {"node": node, "member": 0, "count": count, "spacing": spacing}
+    return q.schedule(Event(start, EventKind.SIGNAL_ARRIVE, payload), count)
+
+
+def train_handler(q, spawn=None):
+    """Dispatch a train's members inline; ``spawn(event, member)`` may schedule."""
+
+    def handle(event):
+        records = []
+        payload = event.payload
+        while True:
+            member = payload["member"]
+            records.append(
+                TraceRecord(
+                    event.time_ns, event.seq, event.kind.value, payload["node"],
+                    f"member={member}",
+                )
+            )
+            if spawn is not None:
+                spawn(event, member)
+            if member == payload["count"] - 1:
+                return records
+            payload["member"] = member + 1
+            if not q.advance_train(event, event.time_ns + payload["spacing"]):
+                return records
+
+    return handle
+
+
+def keys(trace):
+    return [(rec.t_ns, rec.seq, rec.kind, rec.detail) for rec in trace]
+
+
+class TestTrain:
+    def test_reserves_one_seq_per_member(self):
+        q = EventQueue()
+        before = q.schedule(make_event(0))
+        train = schedule_train(q, 0, 3, 5)
+        after = q.schedule(make_event(0))
+        assert (before.seq, train.seq, after.seq) == (0, 1, 4)
+        assert len(q) == 3
+
+    def test_ties_with_earlier_and_later_seqs(self):
+        q = EventQueue()
+        q.schedule(make_event(10, "early"))
+        schedule_train(q, 10, 3, 0)
+        q.schedule(make_event(10, "late"))
+        handlers = {
+            EventKind.PAIR_READY: lambda e: e.payload["detail"],
+            EventKind.SIGNAL_ARRIVE: train_handler(q),
+        }
+        assert keys(run(q, handlers)) == [
+            (10, 0, "PairReady", "early"),
+            (10, 1, "SignalArrive", "member=0"),
+            (10, 2, "SignalArrive", "member=1"),
+            (10, 3, "SignalArrive", "member=2"),
+            (10, 4, "PairReady", "late"),
+        ]
+
+    def test_zero_spacing_dispatches_whole_train_inline(self):
+        q = EventQueue()
+        schedule_train(q, 7, 4, 0)
+        calls = []
+        handler = train_handler(q)
+        trace = run(q, {EventKind.SIGNAL_ARRIVE: lambda e: calls.append(e) or handler(e)})
+        assert len(calls) == 1
+        assert [(r.t_ns, r.seq) for r in trace] == [(7, 0), (7, 1), (7, 2), (7, 3)]
+
+    def test_preempted_train_resumes_with_reserved_seqs(self):
+        q = EventQueue()
+        q.schedule(make_event(10, "tied, lower seq"))
+        schedule_train(q, 0, 3, 10)
+        q.schedule(make_event(15, "between members"))
+        calls = []
+        handler = train_handler(q)
+        handlers = {
+            EventKind.PAIR_READY: lambda e: e.payload["detail"],
+            EventKind.SIGNAL_ARRIVE: lambda e: calls.append(e.seq) or handler(e),
+        }
+        assert keys(run(q, handlers)) == [
+            (0, 1, "SignalArrive", "member=0"),
+            (10, 0, "PairReady", "tied, lower seq"),
+            (10, 2, "SignalArrive", "member=1"),
+            (15, 4, "PairReady", "between members"),
+            (20, 3, "SignalArrive", "member=2"),
+        ]
+        assert calls == [1, 2, 3]
+
+    def test_event_scheduled_inline_preempts_the_rest(self):
+        q = EventQueue()
+        schedule_train(q, 0, 3, 10)
+
+        def spawn(event, member):
+            if member == 0:
+                q.schedule(make_event(5, "spawned"))
+
+        handlers = {
+            EventKind.PAIR_READY: lambda e: e.payload["detail"],
+            EventKind.SIGNAL_ARRIVE: train_handler(q, spawn),
+        }
+        assert keys(run(q, handlers)) == [
+            (0, 0, "SignalArrive", "member=0"),
+            (5, 3, "PairReady", "spawned"),
+            (10, 1, "SignalArrive", "member=1"),
+            (20, 2, "SignalArrive", "member=2"),
+        ]
+
+    def test_train_starting_in_the_past_rejected(self):
+        q = EventQueue()
+        q.schedule(make_event(100))
+        q.pop()
+        with pytest.raises(SchedulingError):
+            schedule_train(q, 99, 3, 1)
+
+    def test_member_before_its_predecessor_rejected(self):
+        q = EventQueue()
+        train = schedule_train(q, 50, 2, 0)
+        q.pop()
+        with pytest.raises(SchedulingError):
+            q.advance_train(train, 49)
+
+    def test_trace_off_ignores_member_records(self):
+        q = EventQueue()
+        schedule_train(q, 0, 3, 1)
+        handler = train_handler(q)
+        assert run(q, {EventKind.SIGNAL_ARRIVE: handler}, collect_trace=False) == []
+        assert len(q) == 0
+
+
+# (start, count, spacing, spawn): spawn is None or (delay, count, spacing)
+# of a train (count 1: a single event) scheduled when each member dispatches.
+_spawns = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 12), st.integers(1, 3), st.integers(0, 6)),
+)
+_items = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 5), st.integers(0, 6), _spawns),
+    max_size=8,
+)
+
+
+def _dispatch(items, as_trains):
+    """Trace of ``items`` run as trains, or with every member its own event."""
+    q = EventQueue()
+
+    def add(start, count, spacing, node, spawn):
+        if as_trains and count > 1:
+            train = schedule_train(q, start, count, spacing, node)
+            train.payload["spawn"] = spawn
+            return
+        for k in range(count):
+            payload = {"node": node, "member": k, "count": 1, "spacing": 0, "spawn": spawn}
+            q.schedule(Event(start + k * spacing, EventKind.SIGNAL_ARRIVE, payload))
+
+    def spawn(event, member):
+        child = event.payload["spawn"]
+        if child is not None:
+            delay, count, spacing = child
+            node = 1000 * (event.payload["node"] + 1) + member
+            add(q.now_ns + delay, count, spacing, node, None)
+
+    handler = train_handler(q, spawn)
+
+    def single(event):
+        # A member scheduled as its own event traces as that member.
+        spawn(event, event.payload["member"])
+        return f"member={event.payload['member']}"
+
+    for node, (start, count, spacing, child) in enumerate(items):
+        add(start, count, spacing, node, child)
+    return run(
+        q,
+        {EventKind.SIGNAL_ARRIVE: lambda e: handler(e) if e.payload["count"] > 1 else single(e)},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_items)
+def test_trains_dispatch_like_one_event_per_member(items):
+    trains = _dispatch(items, as_trains=True)
+    reference = _dispatch(items, as_trains=False)
+    assert trains == reference
+    assert [(r.t_ns, r.seq) for r in trains] == sorted((r.t_ns, r.seq) for r in trains)
+
+
 class TestChannelDelay:
     def test_forty_km_round_trip_is_0p4_ms(self):
         assert channel_delay_ns(40.0, SPEED) == 200_000
@@ -128,6 +317,14 @@ class TestRngStream:
         a = RngStream(1).substream(LINK_DOMAIN, 0, 0).random(4)
         b = RngStream(2).substream(LINK_DOMAIN, 0, 0).random(4)
         assert list(a) != list(b)
+
+    def test_batched_draws_equal_scalar_draws(self):
+        stream = RngStream(12345)
+        scalar = stream.substream(LINK_DOMAIN, 3, 17)
+        batched = stream.draws(LINK_DOMAIN, 3, 17, 40)
+        assert [batched.random() for _ in range(40)] == [scalar.random() for _ in range(40)]
+        with pytest.raises(StopIteration):
+            batched.random()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -17,6 +17,7 @@ from dataclasses import asdict
 import pytest
 
 from fusenet import cli
+from fusenet.engine import EventQueue
 
 
 def _link(length_km, n, m, **model):
@@ -182,6 +183,24 @@ def test_seeded_output_digests(case, tmp_path, monkeypatch):
     assert result.records, "the case delivers pairs"
     assert result.trace, "the case writes a trace"
     assert _digests(result, trace_bytes) == EXPECTED[case]
+
+
+def test_overlapping_trains_yield_mid_train(tmp_path, monkeypatch):
+    """The overlapping cases pin trains put back on the queue mid-way, and at tau 0 never."""
+    advance = EventQueue.advance_train
+    yields = []
+
+    def counted(queue, event, time_ns):
+        inline = advance(queue, event, time_ns)
+        yields.append(not inline)
+        return inline
+
+    monkeypatch.setattr(EventQueue, "advance_train", counted)
+    _simulate(tmp_path, monkeypatch, CASES["overlapping_trains"])
+    assert sum(yields) > 100
+    yields.clear()
+    _simulate(tmp_path, monkeypatch, CASES["overlapping_trains_tau0"])
+    assert yields and not any(yields)
 
 
 SUMMARY_EXPECTED = {
