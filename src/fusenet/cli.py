@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 desynchronization abort,
 4 an output file (summary, trace or sweep CSV) could not be written. Every
 error path prints a single machine-readable line to stderr of the form
-``error: <category>: <detail>``.
+``error: <category>: <detail>``. Output files go to temp files beside their
+targets and are renamed into place only once every write has succeeded.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import copy
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from .config import (
     SCHEMA_VERSION,
@@ -130,31 +132,35 @@ def _summary_document(doc: ConfigDocument, stats_dict: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(path: Optional[str], text: str) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when it is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> None:
+    """Call each ``write`` on the file ``path``, or on stdout when it is None.
+
+    A file is written to a temp file beside ``path``; the temp files are
+    renamed into place only after every write succeeded, and removed if any
+    write or rename fails. Stdout is written last.
+    """
+    temps: list[tuple[str, str]] = []
+    try:
+        for path, write in outputs:
+            if path is not None:
+                temp = f"{path}.{os.getpid()}.tmp"
+                with open(temp, "x", encoding="utf-8") as fh:
+                    temps.append((temp, path))
+                    write(fh)
+        for temp, path in temps:
+            os.replace(temp, path)
+    finally:
+        for temp, _path in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+    for path, write in outputs:
+        if path is None:
+            write(sys.stdout)
 
 
-def _write_trace(path: str, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in trace:
-            fh.write(
-                json.dumps(
-                    {
-                        "t_ns": rec.t_ns,
-                        "seq": rec.seq,
-                        "kind": rec.kind,
-                        "node": rec.node,
-                        "detail": rec.detail,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+def _write_trace(fh: TextIO, trace) -> None:
+    for rec in trace:
+        fh.write(json.dumps(rec._asdict(), sort_keys=True) + "\n")
 
 
 def _summary_csv(stats_dict: dict) -> str:
@@ -178,10 +184,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = _summary_csv(stats.to_dict())
     else:
         text = _summary_document(doc, stats.to_dict())
+    outputs = [(doc.output.path, lambda fh: fh.write(text))]
+    if doc.output.trace:
+        outputs.append((doc.output.trace_path, lambda fh: _write_trace(fh, result.trace)))
     try:
-        _emit(doc.output.path, text)
-        if doc.output.trace:
-            _write_trace(doc.output.trace_path, result.trace)
+        _emit(outputs)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
     return EXIT_OK
@@ -248,7 +255,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             + [_csv_cell(stats_dict[name]) for name in _SUMMARY_FIELDS]
         )
     try:
-        _emit(args.out if args.out is not None else doc.output.path, buf.getvalue())
+        out = args.out if args.out is not None else doc.output.path
+        _emit([(out, lambda fh: fh.write(buf.getvalue()))])
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
     return EXIT_OK

@@ -7,6 +7,12 @@ the fusilands one at a time, rerouting to the next fusiland after each
 success; a single return message per hop reports which fusiliers succeeded;
 swap eligibility requires confirmed links on both sides.
 
+Frame records a node produces (its swaps, and the purifications of the hop
+it receives on) wait in the node's one outbox, ``pending_frame``. A node
+that sends left (``sends_left``, the nodes left of the butterfly split)
+hands them to the return message it sends at the end of its incoming
+train; every other node hands them to the next herald that passes it.
+
 Because the fusillade fires as one train and each hop gets one return, each
 bank moves through one phase per cycle: the fusillade goes idle -> fired ->
 confirmed and the fusilands idle -> ready -> reported. The only per-qubit
@@ -71,7 +77,7 @@ class ReturnMessage:
 
     ``usable_links`` counts the hop's links (post-purification when that
     strategy is active) the transmitting node may swap; ``relayed_frames``
-    piggybacks leftbound frame records under the butterfly split.
+    carries the sending node's outbox when that node sends left.
     """
 
     cycle_id: int
@@ -115,11 +121,14 @@ class NodeState:
 
     ``filled_by[k]`` is the fusilier whose signal filled fusiland slot k this
     cycle, so the next signal targets slot ``len(filled_by)``.
+    ``pending_frame`` is the node's frame outbox; ``sends_left`` says whether
+    it leaves on the node's return message instead of the next herald.
     """
 
     node_id: int
     n_fusiliers: int
     m_fusilands: int
+    sends_left: bool = False
     fusillade: FusilladePhase = FusilladePhase.IDLE
     fusilands: FusilandPhase = FusilandPhase.IDLE
     filled_by: list[int] = field(default_factory=list)
@@ -127,7 +136,6 @@ class NodeState:
     last_signal_id: int = -1
     left_links: list[PairRecord] = field(default_factory=list)
     pending_frame: list[FrameRecord] = field(default_factory=list)
-    leftbound_frames: list[FrameRecord] = field(default_factory=list)
     current_cycle: int = -1
     busy_until_ns: int = 0
 
@@ -140,11 +148,6 @@ class NodeState:
             self.fusillade is FusilladePhase.IDLE
             and self.fusilands is FusilandPhase.IDLE
         )
-
-    def drain_leftbound(self) -> list[FrameRecord]:
-        drained = self.leftbound_frames
-        self.leftbound_frames = []
-        return drained
 
 
 def pickup_frames(node: NodeState, herald: HeraldMessage) -> None:
@@ -164,7 +167,8 @@ def on_herald(
 ) -> list[SignalEmission]:
     """Start a cycle at this node as the herald pulse passes.
 
-    Picks up the node's pending frame records, readies the fusiland bank for
+    Picks up the node's pending frame records (unless the node sends them
+    left on its return message instead), readies the fusiland bank for
     the incoming signal train, and fires the whole fusillade, one signal per
     slot time. The rightmost node fires nothing (empty fusillade). With
     ``generate`` false (a frame-flush sweep) only the pickup and cycle
@@ -181,7 +185,8 @@ def on_herald(
             f"at node {node.node_id}"
         )
     node.current_cycle = herald.cycle_id
-    pickup_frames(node, herald)
+    if not node.sends_left:
+        pickup_frames(node, herald)
     node.last_signal_id = -1
     node.expected_signals = 0
     if not generate:
@@ -250,7 +255,8 @@ def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
 
     Lists every (fusilier, fusiland slot) success in firing order and counts
     the hop's current link records. The bank is reported for the cycle:
-    fusilands still waiting stay empty.
+    fusilands still waiting stay empty. A node that sends left empties its
+    frame outbox into the message's ``relayed_frames``.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -268,11 +274,14 @@ def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
             f"{node.expected_signals} signals; the train has not finished"
         )
     node.fusilands = FusilandPhase.REPORTED
-    return ReturnMessage(
+    msg = ReturnMessage(
         cycle_id=cycle_id,
         matches=[(fusilier, slot) for slot, fusilier in enumerate(node.filled_by)],
         usable_links=len(node.left_links),
     )
+    if node.sends_left:
+        msg.relayed_frames, node.pending_frame = node.pending_frame, []
+    return msg
 
 
 def on_return(node: NodeState, msg: ReturnMessage, rng, now_ns: int) -> list[SwapResult]:

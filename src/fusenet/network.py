@@ -5,11 +5,14 @@ herald pulse launched at the left end; the pulse initiates every fusillade
 as it sweeps right, signal trains follow it down each fiber, return messages
 confirm successes per hop, and intermediate nodes swap as soon as they hold
 links on both sides. Frame records produced by purification and swapping
-ride the *next* herald to the right end (or, under the butterfly split,
-piggyback leftward on return messages), so every end-to-end pair's
-correction becomes available exactly one cycle period after the pair is
-established. One final frame-flush sweep (no generation) runs after the
-last cycle so the last corrections are delivered too.
+wait in the producing node's outbox and leave on the *next* herald to the
+right end, so every end-to-end pair's correction becomes available exactly
+one cycle period after the pair is established. Under the butterfly split
+the outbox of a node left of the split leaves instead on the return message
+it sends when its incoming train ends, and relayed records join the
+receiving node's outbox, one hop per cycle, until they reach node 0. One
+final frame-flush sweep (no generation) delivers the last corrections;
+records still relaying then join the left-end fold with no arrival time.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``): ``_handle_signal_arrive`` calls ``on_signal`` for consecutive
@@ -46,7 +49,6 @@ from .machines import (
     FrameRecord,
     HeraldMessage,
     NodeState,
-    SignalOutcome,
     build_return_message,
     on_herald,
     on_return,
@@ -192,7 +194,9 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     signal-train and processing time, which guarantees the next herald
     arrives only after all swaps completed. A computed period of 0 ns (every
     hop rounds to a 0 ns delay and there is no train or processing time) is
-    rejected. An explicit ``cycle_period_ns`` override below that bound is
+    rejected, as is a chain in which an intermediate node would get the
+    return from its right hop before its incoming train has ended. An
+    explicit ``cycle_period_ns`` override below that bound is
     accepted with a warning; the run will then abort with a
     desynchronization error when the herald overtakes a node.
     """
@@ -224,6 +228,17 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
             raise ConfigurationError(
                 f"links[{idx}]: m_fusilands={link.m_fusilands} must be a "
                 "multiple of 3 under the purify3 strategy"
+            )
+    tau = config.tau_slot_ns
+    for i in range(1, len(config.links)):
+        # Node i swaps and releases its banks when the return from links[i]
+        # arrives: not before its incoming train ends (times from its herald).
+        return_ns = 2 * delays[i] + (config.links[i].n_fusiliers - 1) * tau
+        train_end_ns = (config.links[i - 1].n_fusiliers - 1) * tau
+        if return_ns < train_end_ns:
+            raise ConfigurationError(
+                f"nodes[{i}]: the return from links[{i}] arrives {return_ns} ns after "
+                f"the herald, before the incoming train ends at {train_end_ns} ns"
             )
 
     bound = max(
@@ -316,10 +331,11 @@ class _ChainSimulation:
         self.collect_trace = collect_trace
         self.num_nodes = len(config.nodes)
         self.nodes = [
-            NodeState.new(
+            NodeState(
                 i,
                 config.links[i].n_fusiliers if i < self.num_nodes - 1 else 0,
                 config.links[i - 1].m_fusilands if i > 0 else 0,
+                sends_left=split_index is not None and i < split_index,
             )
             for i in range(self.num_nodes)
         ]
@@ -330,13 +346,11 @@ class _ChainSimulation:
         self.records_by_cycle: dict[int, list[EndToEndRecord]] = {}
         self.per_cycle_delivered = [0] * config.cycles
         self.hop_success_counts = [[0] * config.cycles for _ in config.links]
-        # Butterfly ledgers per (cycle, slot): leftbound frame records sent
-        # toward node 0 (left_expected) and those that arrived there.
+        # Butterfly ledger per (cycle, slot) of the records sent left: their
+        # fold, and when the last one reached node 0 (None: still relaying
+        # when the run ended).
         self.left_folds: dict[tuple[int, int], PauliFrame] = {}
-        self.left_arrivals: dict[tuple[int, int], int] = {}
-        self.left_last_ns: dict[tuple[int, int], int] = {}
-        self.left_expected: dict[tuple[int, int], int] = {}
-        self.left_flushed: set[tuple[int, int]] = set()
+        self.left_last_ns: dict[tuple[int, int], Optional[int]] = {}
 
     # -- event handlers -------------------------------------------------
 
@@ -345,57 +359,14 @@ class _ChainSimulation:
         generate = cycle < self.config.cycles
         if generate:
             self.ledgers[cycle] = _CycleLedger(len(self.config.links), self.num_nodes)
-        herald = HeraldMessage(cycle)
-        emissions = on_herald(
-            self.nodes[0],
-            herald,
-            self.queue.now_ns,
-            tau_slot_ns=self.config.tau_slot_ns,
-            incoming_train=0,
-            generate=generate,
-        )
-        # The herald is multiplexed ahead of the signal train: schedule it
-        # first so it wins the (time, seq) tie at the next node.
-        self.queue.schedule(
-            Event(
-                self.queue.now_ns + self.schedule.link_delays_ns[0],
-                EventKind.HERALD_ARRIVE,
-                {"node": 1, "cycle": cycle, "herald": herald},
-            )
-        )
-        self._schedule_signals(0, cycle, emissions)
+        self._herald_at(0, HeraldMessage(cycle))
         if not self.collect_trace:
             return None
         return f"cycle={cycle}" + ("" if generate else " flush")
 
     def _handle_herald_arrive(self, event: Event) -> Optional[str]:
-        node_id = event.payload["node"]
-        cycle = event.payload["cycle"]
-        herald: HeraldMessage = event.payload["herald"]
-        generate = cycle < self.config.cycles
-        node = self.nodes[node_id]
-        incoming = self.config.links[node_id - 1].n_fusiliers if generate else 0
-        emissions = on_herald(
-            node,
-            herald,
-            self.queue.now_ns,
-            tau_slot_ns=self.config.tau_slot_ns,
-            incoming_train=incoming,
-            generate=generate,
-        )
-        if node_id + 1 < self.num_nodes:
-            # Herald first: it rides ahead of the signal train it announces.
-            self.queue.schedule(
-                Event(
-                    self.queue.now_ns + self.schedule.link_delays_ns[node_id],
-                    EventKind.HERALD_ARRIVE,
-                    {"node": node_id + 1, "cycle": cycle, "herald": herald},
-                )
-            )
-        else:
-            self._deliver_frames(herald)
-        self._schedule_signals(node_id, cycle, emissions)
-        return f"cycle={cycle}" if self.collect_trace else None
+        self._herald_at(event.payload["node"], event.payload["herald"])
+        return f"cycle={event.payload['cycle']}" if self.collect_trace else None
 
     def _handle_signal_arrive(self, event: Event) -> Optional[list[TraceRecord]]:
         # Dispatches the train's members from payload["fusilier"] on, inline
@@ -408,15 +379,12 @@ class _ChainSimulation:
         draws = payload["draws"]
         node = self.nodes[node_id]
         model = self.config.links[link_idx].model
-        successes = self.hop_success_counts[link_idx]
         last = len(arrivals) - 1
         queue = self.queue
         trace = [] if self.collect_trace else None
         fusilier = payload["fusilier"]
         while True:
             result = on_signal(node, link_idx, fusilier, model, draws, queue.now_ns)
-            if result.outcome is SignalOutcome.SUCCESS:
-                successes[cycle] += 1
             if trace is not None:
                 detail = f"cycle={cycle} fusilier={fusilier} {result.outcome.value}"
                 if result.slot is not None:
@@ -437,11 +405,10 @@ class _ChainSimulation:
         cycle = event.payload["cycle"]
         msg = event.payload["msg"]
         node = self.nodes[node_id]
-        if msg.relayed_frames:
-            if node_id == 0:
-                self._absorb_leftbound(msg.relayed_frames)
-            else:
-                node.leftbound_frames.extend(msg.relayed_frames)
+        if node_id == 0:
+            self._absorb_leftbound(msg.relayed_frames, self.queue.now_ns)
+        else:
+            node.pending_frame.extend(msg.relayed_frames)
         rng = None
         if node.left_links and msg.usable_links:
             rng = self.rng.substream(SWAP_DOMAIN, node_id, cycle)
@@ -452,7 +419,6 @@ class _ChainSimulation:
                 swap.parity_outcome,
                 swap.x_outcome,
             )
-        self._route_pending(node)
         # The swap occupies the node for proc_ns; states are released here
         # and busy_until_ns guards the occupancy window against early heralds.
         release_cycle_resources(node)
@@ -506,6 +472,33 @@ class _ChainSimulation:
 
     # -- helpers ---------------------------------------------------------
 
+    def _herald_at(self, node_id: int, herald: HeraldMessage) -> None:
+        # Node 0 is the node with no incoming train.
+        cycle = herald.cycle_id
+        generate = cycle < self.config.cycles
+        incoming = self.config.links[node_id - 1].n_fusiliers if generate and node_id else 0
+        emissions = on_herald(
+            self.nodes[node_id],
+            herald,
+            self.queue.now_ns,
+            tau_slot_ns=self.config.tau_slot_ns,
+            incoming_train=incoming,
+            generate=generate,
+        )
+        if node_id + 1 < self.num_nodes:
+            # The herald is multiplexed ahead of the signal train: schedule
+            # it first so it wins the (time, seq) tie at the next node.
+            self.queue.schedule(
+                Event(
+                    self.queue.now_ns + self.schedule.link_delays_ns[node_id],
+                    EventKind.HERALD_ARRIVE,
+                    {"node": node_id + 1, "cycle": cycle, "herald": herald},
+                )
+            )
+        else:
+            self._deliver_frames(herald)
+        self._schedule_signals(node_id, cycle, emissions)
+
     def _schedule_signals(self, node_id: int, cycle: int, emissions) -> None:
         # One queue entry for the whole train, holding a seq per signal;
         # member k is fusilier k.
@@ -537,14 +530,12 @@ class _ChainSimulation:
 
     def _end_of_train(self, node_id: int, link_idx: int, cycle: int) -> None:
         node = self.nodes[node_id]
+        self.hop_success_counts[link_idx][cycle] = len(node.filled_by)
         if self.config.strategy is Strategy.PURIFY3:
             self._purify_hop(node, link_idx, cycle)
         ledger = self.ledgers[cycle]
         ledger.hop_pairs[link_idx] = list(node.left_links)
         msg = build_return_message(node, cycle)
-        self._route_pending(node)
-        if self.split is not None:
-            msg.relayed_frames = node.drain_leftbound()
         self.queue.schedule(
             Event(
                 self.queue.now_ns + self.schedule.link_delays_ns[link_idx],
@@ -592,24 +583,11 @@ class _ChainSimulation:
             node.pending_frame.append(FrameRecord(node.node_id, cycle, t, delta))
         node.left_links = kept
 
-    def _route_pending(self, node: NodeState) -> None:
-        # Butterfly: records generated left of the split travel to the left
-        # end on return messages instead of riding the herald.
-        if self.split is not None and node.node_id < self.split and node.pending_frame:
-            for rec in node.pending_frame:
-                key = (rec.cycle, rec.slot)
-                self.left_expected[key] = self.left_expected.get(key, 0) + 1
-            node.leftbound_frames.extend(node.pending_frame)
-            node.pending_frame.clear()
-
-    def _absorb_leftbound(self, records: list[FrameRecord]) -> None:
+    def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:
             key = (rec.cycle, rec.slot)
-            self.left_folds[key] = self.left_folds.get(key, IDENTITY_FRAME).compose(
-                rec.frame
-            )
-            self.left_arrivals[key] = self.left_arrivals.get(key, 0) + 1
-            self.left_last_ns[key] = self.queue.now_ns
+            self.left_folds[key] = self.left_folds.get(key, IDENTITY_FRAME).compose(rec.frame)
+            self.left_last_ns[key] = at_ns
 
     def _mark_complete(self, cycle: int, node_id: int) -> None:
         ledger = self.ledgers[cycle]
@@ -702,23 +680,14 @@ class _ChainSimulation:
     def _flush_leftbound(self) -> None:
         # Records still relaying hop-by-hop when the run ends are folded
         # into the left-end ledger without an arrival timestamp.
-        for node in self.nodes[1:]:
-            for rec in node.drain_leftbound():
-                key = (rec.cycle, rec.slot)
-                self.left_folds[key] = self.left_folds.get(
-                    key, IDENTITY_FRAME
-                ).compose(rec.frame)
-                self.left_arrivals[key] = self.left_arrivals.get(key, 0) + 1
-                self.left_flushed.add(key)
+        for node in self.nodes[1 : self.split]:
+            self._absorb_leftbound(node.pending_frame, None)
 
     def _assign_left_availability(self) -> None:
         for record in self.records:
-            key = (record.cycle_id, record.slot)
-            expected = self.left_expected.get(key, 0)
-            if expected == 0:
-                record.left_frame_available_at_ns = record.frame_available_at_ns
-            elif key not in self.left_flushed and self.left_arrivals.get(key, 0) == expected:
-                record.left_frame_available_at_ns = self.left_last_ns[key]
+            record.left_frame_available_at_ns = self.left_last_ns.get(
+                (record.cycle_id, record.slot), record.frame_available_at_ns
+            )
 
 
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:

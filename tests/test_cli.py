@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -213,6 +214,18 @@ def _nearly_zero_hop(doc):
     doc["network"]["tau_slot_ns"] = 0
 
 
+def _return_before_train(doc):
+    # node 1's return from the 0.1 km hop comes back before its incoming
+    # 400-signal train from the 10 km hop has ended
+    net = doc["network"]
+    net["nodes"] = ["west", "mid", "east"]
+    net["links"] = [
+        {"length_km": km, "p_success": 1.0, "n_fusiliers": n, "m_fusilands": 3}
+        for km, n in ((10.0, 400), (0.1, 6))
+    ]
+    net["tau_slot_ns"] = 10
+
+
 class TestRejectedInput:
     """Each input exits 2 with one ``error: config:`` line naming the field."""
 
@@ -229,6 +242,7 @@ class TestRejectedInput:
             (_set(("output", "path"), 987654), "output.path"),
             (_set(("output", "trace_path"), ["run.jsonl"]), "output.trace_path"),
             (_nearly_zero_hop, "cycle period"),
+            (_return_before_train, "nodes[1]"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, mutate, field):
@@ -293,6 +307,8 @@ class TestWriteFailure:
         code, _, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
         assert code == 4
         assert err.startswith("error: io:") and err.count("\n") == 1
+        # the summary is renamed into place only once the trace is written too
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_sweep_out(self, tmp_path, capsys):
         path = write_doc(tmp_path, BASE_DOC)
@@ -302,6 +318,23 @@ class TestWriteFailure:
         )
         assert code == 4
         assert err.startswith("error: io:") and err.count("\n") == 1
+
+    def test_sweep_out_rename_failure_keeps_old_file(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, BASE_DOC)
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_text("old\n")
+
+        def fail(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code, _, err = run_cli(
+            capsys, "sweep", path, "--param", "m", "--values", "1", "--out", str(out_csv)
+        )
+        assert code == 4
+        assert err.startswith("error: io:") and err.count("\n") == 1
+        assert out_csv.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.csv"]
 
 
 class TestSweep:

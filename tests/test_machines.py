@@ -90,6 +90,22 @@ class TestOnHerald:
         assert len(herald.frame_payload) == 1
         assert rx.pending_frame == []
 
+    def test_node_that_sends_left_keeps_its_outbox_for_the_return(self):
+        _, rx, _ = start_cycle(1, 1)
+        rx.sends_left = True
+        run_train(rx, draws=[0.0, 0.5])
+        build_return_message(rx, 0)
+        release_cycle_resources(rx)
+        record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
+        rx.pending_frame.append(record)
+        herald = HeraldMessage(1)
+        on_herald(rx, herald, 10_000, tau_slot_ns=10, incoming_train=1)
+        assert herald.frame_payload == []
+        run_train(rx, draws=[0.0, 0.5])
+        msg = build_return_message(rx, 1)
+        assert msg.relayed_frames == [record]
+        assert rx.pending_frame == []
+
     def test_pickup_frames_helper(self):
         node = NodeState.new(2, 0, 1)
         node.pending_frame = [FrameRecord(2, 0, 0, IDENTITY_FRAME)]

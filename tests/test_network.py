@@ -3,13 +3,18 @@
 import math
 import re
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusenet.engine import channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError
 from fusenet.metrics import summarize
 from fusenet.network import (
     LinkSpec,
+    NetworkConfig,
     Strategy,
     butterfly_split,
     run_network,
@@ -81,6 +86,18 @@ class TestValidateConfig:
         # time the period would be 0 ns
         with pytest.raises(ConfigurationError, match="cycle period"):
             validate_config(chain_config([1e-5]))
+
+    def test_return_before_incoming_train_end_rejected(self):
+        # node 1 hears back from its 0.1 km hop 2 * 500 + 5 * 10 ns after the
+        # herald, while its incoming 400-signal train ends 399 * 10 ns after it
+        cfg = chain_config([10.0, 0.1], m=3, tau_slot_ns=10)
+        cfg.links[0] = LinkSpec(cfg.links[0].model, n_fusiliers=400, m_fusilands=3)
+        cfg.links[1] = LinkSpec(cfg.links[1].model, n_fusiliers=6, m_fusilands=3)
+        with pytest.raises(ConfigurationError, match=r"nodes\[1\].* 1050 ns.* 3990 ns"):
+            validate_config(cfg)
+        # a tie runs: the train's last signal precedes the return
+        cfg.links[0] = LinkSpec(cfg.links[0].model, n_fusiliers=106, m_fusilands=3)
+        assert len(run_network(cfg).records) == 3 * cfg.cycles
 
     def test_small_override_warns(self):
         with pytest.warns(UserWarning, match="safe bound"):
@@ -335,3 +352,87 @@ class TestDesynchronization:
         assert [r.pair.x_error for r in a.records] == [
             r.pair.x_error for r in b.records
         ]
+
+
+_HOP_KM = (0.001, 0.01, 0.1, 1.0, 10.0, 25.0)
+
+
+@st.composite
+def _short_chains(draw):
+    hops = draw(st.integers(min_value=1, max_value=5))
+    strategy = draw(st.sampled_from(Strategy))
+    bank = 3 if strategy is Strategy.PURIFY3 else 1
+    links = [
+        LinkSpec(
+            LinkModel(
+                length_km=draw(st.sampled_from(_HOP_KM)),
+                p_success=draw(st.floats(min_value=0.2, max_value=1.0)),
+                raw_fidelity=draw(st.floats(min_value=0.5, max_value=1.0)),
+            ),
+            n_fusiliers=draw(st.integers(min_value=1, max_value=12)),
+            m_fusilands=bank * draw(st.integers(min_value=1, max_value=3)),
+        )
+        for _ in range(hops)
+    ]
+    return NetworkConfig(
+        nodes=[f"n{i}" for i in range(hops + 1)],
+        links=links,
+        tau_slot_ns=draw(st.sampled_from((0, 1, 10))),
+        proc_ns=draw(st.sampled_from((0, 40))),
+        strategy=strategy,
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        cycles=draw(st.integers(min_value=1, max_value=15)),
+        butterfly=hops >= 2 and draw(st.booleans()),
+    )
+
+
+def _return_before_train(cfg):
+    """The first intermediate node whose return precedes its train's end."""
+    delays = [channel_delay_ns(link.model.length_km, cfg.signal_speed_m_per_s) for link in cfg.links]
+    tau = cfg.tau_slot_ns
+    for i in range(1, len(cfg.links)):
+        return_ns = 2 * delays[i] + (cfg.links[i].n_fusiliers - 1) * tau
+        if return_ns < (cfg.links[i - 1].n_fusiliers - 1) * tau:
+            return i
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_chains())
+def test_short_chain_properties(cfg):
+    rejected = _return_before_train(cfg)
+    if rejected is not None:
+        with pytest.raises(ConfigurationError, match=rf"nodes\[{rejected}\]"):
+            run_network(cfg)
+        return
+    result = run_network(cfg)
+    traced = run_network(cfg, collect_trace=True)
+    assert [asdict(r) for r in traced.records] == [asdict(r) for r in result.records]
+    assert traced.hop_success_counts == result.hop_success_counts
+    assert traced.left_frame_folds == result.left_frame_folds
+
+    per_pair = 3 if cfg.strategy is Strategy.PURIFY3 else 1
+    assert result.per_cycle_delivered == [
+        min(counts[cycle] // per_pair for counts in result.hop_success_counts)
+        for cycle in range(cfg.cycles)
+    ]
+    for rec in result.records:
+        left = result.left_frame_folds.get((rec.cycle_id, rec.slot), IDENTITY_FRAME)
+        assert rec.herald_correction.compose(left) == rec.pair.frame
+    if not cfg.butterfly:
+        assert not result.left_frame_folds
+        return
+    # Node split-1's cycle-c swap record is the last of a pair's records to
+    # reach node 0: it relays one hop per cycle and lands with cycle
+    # c+split-1's hop-0 return, unless the run ended before that cycle.
+    split, schedule = result.split_index, result.schedule
+    hop0_return_ns = 2 * schedule.link_delays_ns[0] + (cfg.links[0].n_fusiliers - 1) * cfg.tau_slot_ns
+    for rec in result.records:
+        arrival_cycle = rec.cycle_id + split - 1
+        if split == 1:
+            expected = rec.frame_available_at_ns
+        elif arrival_cycle >= cfg.cycles:
+            expected = None
+        else:
+            expected = arrival_cycle * schedule.cycle_period_ns + hop0_return_ns
+        assert rec.left_frame_available_at_ns == expected
