@@ -7,11 +7,13 @@ own: a hop is just its one-way delay, from ``channel_delay_ns``.
 
 A train of events (a hop's signal train) takes one queue entry. Scheduling
 it reserves a block of consecutive sequence numbers, the ones that many
-separate ``schedule`` calls would have taken, so member k keeps seq
-``first + k``. Its handler dispatches the members inline and, as soon as a
-queued event precedes the next member's (time, seq), puts the train back on
-the queue under that member's reserved key: the dispatch order is the same
-as with one queue entry per member.
+separate ``schedule`` calls would have taken, so member k keeps the key
+(its own time, ``first + k``). The entry is queued under the last member's
+key and its handler resolves every member in that one dispatch, returning
+a trace record per member at the member's own key; ``run`` sorts the trace
+by (time, seq) once, at the end. This is exact only while no event between
+a train's first and last member touches what the train's handler reads or
+writes, which the caller guarantees (see ``network.validate_config``).
 
 A substream's draws for a whole train can be taken in one vector call
 (``RngStream.draws``); PCG64 gives the same values as scalar draws.
@@ -78,17 +80,17 @@ class EventQueue:
     def schedule(self, event: Event, count: int = 1) -> Event:
         """Insert an event; scheduling into the simulated past is an error.
 
-        With ``count`` > 1 the event heads a train of that many members and
-        reserves their consecutive seqs; member k has seq ``event.seq + k``.
-        The train's handler moves through it with ``advance_train``, at most
-        ``count - 1`` times.
+        With ``count`` > 1 the event stands for a train of that many members,
+        due by ``event.time_ns``: it reserves their consecutive seqs and is
+        queued under the last one, so member k has seq
+        ``event.seq - count + 1 + k``.
         """
         if event.time_ns < self.now_ns:
             raise SchedulingError(
                 f"event at t={event.time_ns} ns lies before now={self.now_ns} ns"
             )
-        event.seq = self._next_seq
         self._next_seq += count
+        event.seq = self._next_seq - 1
         heapq.heappush(self._heap, (event.time_ns, event.seq, event))
         return event
 
@@ -97,34 +99,9 @@ class EventQueue:
         self.now_ns = time_ns
         return event
 
-    def advance_train(self, event: Event, time_ns: int) -> bool:
-        """Move a train's event on to its next member, due at ``time_ns``.
 
-        The event takes the member's time and reserved seq. When no queued
-        event precedes that (time, seq), the clock moves there and the
-        result is True: the handler dispatches the member inline. Otherwise
-        the train goes back on the queue under the member's key and the
-        result is False.
-        """
-        if time_ns < event.time_ns:
-            raise SchedulingError(
-                f"train member at t={time_ns} ns precedes its predecessor at "
-                f"t={event.time_ns} ns"
-            )
-        event.time_ns = time_ns
-        event.seq += 1
-        key = (time_ns, event.seq, event)
-        heap = self._heap
-        if heap and heap[0] < key:
-            heapq.heappush(heap, key)
-            return False
-        self.now_ns = time_ns
-        return True
-
-
-# A handler returns its event's trace detail, or, for a train dispatched
-# inline, the trace records of the members it dispatched; None when the
-# trace is off.
+# A handler returns its event's trace detail, or, for a train, one trace
+# record per member; None when the trace is off.
 Handler = Callable[[Event], Optional[str | list[TraceRecord]]]
 
 
@@ -136,9 +113,9 @@ def run(
     """Dispatch events in (time, seq) order until the queue drains.
 
     Returns one trace record per dispatched event, counting each member of
-    a train (empty when tracing is off). A handler raising a ProtocolError
-    aborts the run; the offending event is attached to the exception as
-    ``exc.event``.
+    a train, sorted by (time, seq), a key unique to each record (empty when
+    tracing is off). A handler raising a ProtocolError aborts the run; the
+    offending event is attached to the exception as ``exc.event``.
     """
     trace: list[TraceRecord] = []
     while len(queue):
@@ -150,7 +127,7 @@ def run(
             raise
         if not collect_trace:
             continue
-        if isinstance(detail, list):  # the records of a train's members
+        if isinstance(detail, list):
             trace.extend(detail)
         else:
             trace.append(
@@ -162,6 +139,8 @@ def run(
                     detail or "",
                 )
             )
+    # A train's members trace at keys before the train's own dispatch.
+    trace.sort()
     return trace
 
 

@@ -2,10 +2,12 @@
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
-One herald pulse per cycle fires the whole fusillade; signals interact with
-the fusilands one at a time, rerouting to the next fusiland after each
-success; a single return message per hop reports which fusiliers succeeded;
-swap eligibility requires confirmed links on both sides.
+One herald pulse per cycle fires the whole fusillade; the signal train
+arriving at a node is resolved in one call (``on_train``): its signals
+interact with the fusilands one at a time, rerouting to the next fusiland
+after each success; a single return message per hop reports which
+fusiliers succeeded; swap eligibility requires confirmed links on both
+sides.
 
 Frame records a node produces (its swaps, and the purifications of the hop
 it receives on) wait in the node's one outbox, ``pending_frame``. A node
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DesynchronizationError, ProtocolError
 from .pair_algebra import (
@@ -86,26 +88,6 @@ class ReturnMessage:
     relayed_frames: list[FrameRecord] = field(default_factory=list)
 
 
-class SignalEmission(NamedTuple):
-    """A fusilier firing: departure time at the node and the fusilier id."""
-
-    time_ns: int
-    fusilier_id: int
-
-
-class SignalOutcome(Enum):
-    SUCCESS = "success"
-    FAILURE = "failure"
-    DISCARDED = "discarded"
-
-
-@dataclass(slots=True)
-class SignalResult:
-    outcome: SignalOutcome
-    slot: Optional[int] = None
-    pair: Optional[PairRecord] = None
-
-
 @dataclass(slots=True)
 class SwapResult:
     """One executed swap: pairing slot and its two outcome bits."""
@@ -120,7 +102,8 @@ class NodeState:
     """All per-node protocol state for one chain node.
 
     ``filled_by[k]`` is the fusilier whose signal filled fusiland slot k this
-    cycle, so the next signal targets slot ``len(filled_by)``.
+    cycle, so the next signal targets slot ``len(filled_by)``;
+    ``signals_received`` counts the incoming train's signals resolved so far.
     ``pending_frame`` is the node's frame outbox; ``sends_left`` says whether
     it leaves on the node's return message instead of the next herald.
     """
@@ -133,15 +116,11 @@ class NodeState:
     fusilands: FusilandPhase = FusilandPhase.IDLE
     filled_by: list[int] = field(default_factory=list)
     expected_signals: int = 0
-    last_signal_id: int = -1
+    signals_received: int = 0
     left_links: list[PairRecord] = field(default_factory=list)
     pending_frame: list[FrameRecord] = field(default_factory=list)
     current_cycle: int = -1
     busy_until_ns: int = 0
-
-    @classmethod
-    def new(cls, node_id: int, n_fusiliers: int, m_fusilands: int) -> "NodeState":
-        return cls(node_id=node_id, n_fusiliers=n_fusiliers, m_fusilands=m_fusilands)
 
     def all_idle(self) -> bool:
         return (
@@ -161,16 +140,16 @@ def on_herald(
     herald: HeraldMessage,
     now_ns: int,
     *,
-    tau_slot_ns: int,
     incoming_train: int,
     generate: bool = True,
-) -> list[SignalEmission]:
+) -> int:
     """Start a cycle at this node as the herald pulse passes.
 
     Picks up the node's pending frame records (unless the node sends them
     left on its return message instead), readies the fusiland bank for
     the incoming signal train, and fires the whole fusillade, one signal per
-    slot time. The rightmost node fires nothing (empty fusillade). With
+    slot time from ``now_ns``. Returns the fusillade size: the number of
+    signals fired, fusilier k in slot k (none from the rightmost node). With
     ``generate`` false (a frame-flush sweep) only the pickup and cycle
     bookkeeping happen.
     """
@@ -187,67 +166,78 @@ def on_herald(
     node.current_cycle = herald.cycle_id
     if not node.sends_left:
         pickup_frames(node, herald)
-    node.last_signal_id = -1
+    node.signals_received = 0
     node.expected_signals = 0
     if not generate:
-        return []
+        return 0
     node.expected_signals = incoming_train
     if node.m_fusilands:
         node.fusilands = FusilandPhase.READY
     if not node.n_fusiliers:
-        return []
+        return 0
     node.fusillade = FusilladePhase.FIRED
-    return [
-        SignalEmission(now_ns + idx * tau_slot_ns, idx)
-        for idx in range(node.n_fusiliers)
-    ]
+    return node.n_fusiliers
 
 
-def on_signal(
+def on_train(
     node: NodeState,
     from_node: int,
-    fusilier_id: int,
     link: LinkModel,
     rng,
-    now_ns: int,
-) -> SignalResult:
-    """Process one arriving fusilier signal at this node's active fusiland.
+    arrivals: list[int],
+) -> None:
+    """Resolve a whole incoming signal train at this node's fusilands.
 
-    Signals must arrive in fusilier order at a readied bank. Once every
-    fusiland is filled, further signals are discarded without interacting.
-    A failed interaction leaves the same fusiland waiting for the next
-    signal; a success records the pair (error bit sampled from the link's
-    raw fidelity), reroutes to the next fusiland, and appends the new link
-    to ``left_links``.
+    ``arrivals[k]`` is when fusilier k's signal arrives; the train must
+    reach a readied bank that has not yet received one. Signals interact in
+    fusilier order: each draws once from ``rng`` and succeeds below the
+    link's success probability; a success draws once more for its error bit
+    (from the link's raw fidelity), records the pair, stamped with that
+    signal's arrival, in the next fusiland slot and in ``left_links``, and
+    reroutes to the next fusiland. A failure leaves the same fusiland
+    waiting. Once every fusiland is filled the remaining signals are
+    discarded without drawing.
     """
     if node.fusilands is not FusilandPhase.READY:
         raise ProtocolError(
-            f"node {node.node_id} got signal {fusilier_id} while its "
+            f"node {node.node_id} got a signal train while its "
             f"fusilands are {node.fusilands.value}"
         )
-    if fusilier_id != node.last_signal_id + 1:
+    if node.signals_received:
         raise ProtocolError(
-            f"node {node.node_id} got signal {fusilier_id} after "
-            f"{node.last_signal_id}; signals must arrive in firing order"
+            f"node {node.node_id} got a second signal train in cycle "
+            f"{node.current_cycle}"
         )
-    node.last_signal_id = fusilier_id
-    slot = len(node.filled_by)
-    if slot >= node.m_fusilands:
-        return SignalResult(SignalOutcome.DISCARDED)
-    if rng.random() >= success_probability(link):
-        return SignalResult(SignalOutcome.FAILURE)
-    x_error = 1 if rng.random() < 1.0 - link.raw_fidelity else 0
-    pair = PairRecord(
-        left=Endpoint(from_node, fusilier_id),
-        right=Endpoint(node.node_id, slot),
-        x_error=x_error,
-        frame=IDENTITY_FRAME,
-        created_at_ns=now_ns,
-        model_fidelity=link.raw_fidelity,
-    )
-    node.filled_by.append(fusilier_id)
-    node.left_links.append(pair)
-    return SignalResult(SignalOutcome.SUCCESS, slot=slot, pair=pair)
+    node.signals_received = len(arrivals)
+    filled_by = node.filled_by
+    slot = len(filled_by)
+    capacity = node.m_fusilands
+    if slot >= capacity:
+        return
+    draw = rng.random
+    p_success = success_probability(link)
+    p_error = 1.0 - link.raw_fidelity
+    fidelity = link.raw_fidelity
+    node_id = node.node_id
+    left_links = node.left_links
+    for fusilier, arrival_ns in enumerate(arrivals):
+        if draw() >= p_success:
+            continue
+        x_error = 1 if draw() < p_error else 0
+        left_links.append(
+            PairRecord(
+                Endpoint(from_node, fusilier),
+                Endpoint(node_id, slot),
+                x_error,
+                IDENTITY_FRAME,
+                arrival_ns,
+                fidelity,
+            )
+        )
+        filled_by.append(fusilier)
+        slot += 1
+        if slot == capacity:
+            return
 
 
 def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
@@ -268,9 +258,9 @@ def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
             f"node {node.node_id} cannot report cycle {cycle_id}: its "
             f"fusilands are {node.fusilands.value}"
         )
-    if node.last_signal_id != node.expected_signals - 1:
+    if node.signals_received != node.expected_signals:
         raise ProtocolError(
-            f"node {node.node_id} saw {node.last_signal_id + 1} of "
+            f"node {node.node_id} saw {node.signals_received} of "
             f"{node.expected_signals} signals; the train has not finished"
         )
     node.fusilands = FusilandPhase.REPORTED

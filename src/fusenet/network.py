@@ -15,13 +15,19 @@ final frame-flush sweep (no generation) delivers the last corrections;
 records still relaying then join the left-end fold with no arrival time.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
-``engine``): ``_handle_signal_arrive`` calls ``on_signal`` for consecutive
-members inline and yields to any queued event that precedes the next one,
-so the dispatch order and the trace are those of one event per signal. A
-train's link draws are taken from its (link, cycle) substream in one call
-when the train is scheduled, n + m values: a signal draws at most once,
-plus once more on a success. Handlers format a trace detail only when the
-trace is on.
+``engine``), dispatched once, at its last signal's arrival:
+``_handle_signal_arrive`` resolves the whole train with ``on_train``, then
+ends it (purification, the return message). That equals one event per
+signal because nothing touches the receiving node's fusilands between a
+train's first and last signal: ``validate_config`` rejects a chain whose
+return from the right-hand hop would come sooner, and a herald that comes
+sooner (a cycle period below the safe bound) finds the bank still readied
+and desynchronizes as it would mid-train. With the trace on, each signal
+is traced at its own arrival and reserved seq, its outcome read from which
+signals filled a fusiland. A train's link draws are taken from its
+(link, cycle) substream in one call when the train is scheduled, n + m
+values: a signal draws at most once, plus once more on a success.
+Handlers format a trace detail only when the trace is on.
 """
 
 from __future__ import annotations
@@ -52,11 +58,9 @@ from .machines import (
     build_return_message,
     on_herald,
     on_return,
-    on_signal,
+    on_train,
     release_cycle_resources,
 )
-# Not called here; perfbench/spans.py traces it under this module's name.
-from .machines import pickup_frames  # noqa: F401
 from .pair_algebra import (
     IDENTITY_FRAME,
     LinkModel,
@@ -369,36 +373,53 @@ class _ChainSimulation:
         return f"cycle={event.payload['cycle']}" if self.collect_trace else None
 
     def _handle_signal_arrive(self, event: Event) -> Optional[list[TraceRecord]]:
-        # Dispatches the train's members from payload["fusilier"] on, inline
-        # until the train ends or a queued event precedes the next member.
+        # Dispatched at the train's last signal: resolves every signal, then
+        # ends the train.
         payload = event.payload
         node_id = payload["node"]
         link_idx = payload["link"]
         cycle = payload["cycle"]
         arrivals = payload["arrivals"]
-        draws = payload["draws"]
         node = self.nodes[node_id]
         model = self.config.links[link_idx].model
-        last = len(arrivals) - 1
-        queue = self.queue
-        trace = [] if self.collect_trace else None
-        fusilier = payload["fusilier"]
-        while True:
-            result = on_signal(node, link_idx, fusilier, model, draws, queue.now_ns)
-            if trace is not None:
-                detail = f"cycle={cycle} fusilier={fusilier} {result.outcome.value}"
-                if result.slot is not None:
-                    detail += f" slot={result.slot}"
-                trace.append(
-                    TraceRecord(event.time_ns, event.seq, event.kind.value, node_id, detail)
+        on_train(node, link_idx, model, payload["draws"], arrivals)
+        trace = self._train_records(event, node, cycle) if self.collect_trace else None
+        self._end_of_train(node_id, link_idx, cycle)
+        return trace
+
+    def _train_records(
+        self, event: Event, node: NodeState, cycle: int
+    ) -> list[TraceRecord]:
+        # Signal k of the train has seq first + k. It succeeded if it filled
+        # a slot, was discarded if it came after the bank filled, and failed
+        # otherwise.
+        arrivals = event.payload["arrivals"]
+        first = event.seq - len(arrivals) + 1
+        filled_by = node.filled_by
+        slots = {fusilier: slot for slot, fusilier in enumerate(filled_by)}
+        full_after = (
+            filled_by[-1] if len(filled_by) == node.m_fusilands else len(arrivals)
+        )
+        kind = event.kind.value
+        records = []
+        for fusilier, arrival_ns in enumerate(arrivals):
+            slot = slots.get(fusilier)
+            if slot is not None:
+                outcome = f"success slot={slot}"
+            elif fusilier > full_after:
+                outcome = "discarded"
+            else:
+                outcome = "failure"
+            records.append(
+                TraceRecord(
+                    arrival_ns,
+                    first + fusilier,
+                    kind,
+                    node.node_id,
+                    f"cycle={cycle} fusilier={fusilier} {outcome}",
                 )
-            if fusilier == last:
-                self._end_of_train(node_id, link_idx, cycle)
-                return trace
-            fusilier += 1
-            payload["fusilier"] = fusilier
-            if not queue.advance_train(event, arrivals[fusilier]):
-                return trace
+            )
+        return records
 
     def _handle_return_arrive(self, event: Event) -> Optional[str]:
         node_id = event.payload["node"]
@@ -477,11 +498,10 @@ class _ChainSimulation:
         cycle = herald.cycle_id
         generate = cycle < self.config.cycles
         incoming = self.config.links[node_id - 1].n_fusiliers if generate and node_id else 0
-        emissions = on_herald(
+        fired = on_herald(
             self.nodes[node_id],
             herald,
             self.queue.now_ns,
-            tau_slot_ns=self.config.tau_slot_ns,
             incoming_train=incoming,
             generate=generate,
         )
@@ -497,35 +517,35 @@ class _ChainSimulation:
             )
         else:
             self._deliver_frames(herald)
-        self._schedule_signals(node_id, cycle, emissions)
+        self._schedule_signals(node_id, cycle, fired)
 
-    def _schedule_signals(self, node_id: int, cycle: int, emissions) -> None:
+    def _schedule_signals(self, node_id: int, cycle: int, fired: int) -> None:
         # One queue entry for the whole train, holding a seq per signal;
-        # member k is fusilier k.
-        if not emissions:
+        # fusilier k fires k slot times after the herald passes.
+        if not fired:
             return
-        delay = self.schedule.link_delays_ns[node_id]
-        arrivals = [fire_time + delay for fire_time, _fusilier in emissions]
+        start_ns = self.queue.now_ns + self.schedule.link_delays_ns[node_id]
+        tau = self.config.tau_slot_ns
+        arrivals = [start_ns + k * tau for k in range(fired)]
         draws = self.rng.draws(
             LINK_DOMAIN,
             node_id,
             cycle,
-            len(emissions) + self.config.links[node_id].m_fusilands,
+            fired + self.config.links[node_id].m_fusilands,
         )
         self.queue.schedule(
             Event(
-                arrivals[0],
+                arrivals[-1],
                 EventKind.SIGNAL_ARRIVE,
                 {
                     "node": node_id + 1,
                     "cycle": cycle,
                     "link": node_id,
-                    "fusilier": 0,
                     "arrivals": arrivals,
                     "draws": draws,
                 },
             ),
-            len(emissions),
+            fired,
         )
 
     def _end_of_train(self, node_id: int, link_idx: int, cycle: int) -> None:

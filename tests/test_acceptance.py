@@ -18,7 +18,7 @@ from fusenet.machines import (
     NodeState,
     build_return_message,
     on_herald,
-    on_signal,
+    on_train,
     release_cycle_resources,
 )
 from fusenet.metrics import summarize
@@ -98,12 +98,11 @@ def test_criterion_4a_hop_success_counts():
     n, m, p, cycles = 16, 1, 0.25, 100_000
     link = LinkModel(length_km=1.0, p_success=p)
     rng = np.random.default_rng(2024)
-    rx = NodeState.new(1, 0, m)
+    rx = NodeState(1, 0, m)
     short = 0
     for cycle in range(cycles):
-        on_herald(rx, HeraldMessage(cycle), 0, tau_slot_ns=0, incoming_train=n)
-        for k in range(n):
-            on_signal(rx, 0, k, link, rng, k)
+        on_herald(rx, HeraldMessage(cycle), 0, incoming_train=n)
+        on_train(rx, 0, link, rng, list(range(n)))
         if len(rx.left_links) < m:
             short += 1
         build_return_message(rx, cycle)

@@ -95,33 +95,19 @@ class TestRun:
 
 
 def schedule_train(q, start, count, spacing, node=0):
-    payload = {"node": node, "member": 0, "count": count, "spacing": spacing}
-    return q.schedule(Event(start, EventKind.SIGNAL_ARRIVE, payload), count)
+    arrivals = [start + k * spacing for k in range(count)]
+    payload = {"node": node, "arrivals": arrivals}
+    return q.schedule(Event(arrivals[-1], EventKind.SIGNAL_ARRIVE, payload), count)
 
 
-def train_handler(q, spawn=None):
-    """Dispatch a train's members inline; ``spawn(event, member)`` may schedule."""
-
-    def handle(event):
-        records = []
-        payload = event.payload
-        while True:
-            member = payload["member"]
-            records.append(
-                TraceRecord(
-                    event.time_ns, event.seq, event.kind.value, payload["node"],
-                    f"member={member}",
-                )
-            )
-            if spawn is not None:
-                spawn(event, member)
-            if member == payload["count"] - 1:
-                return records
-            payload["member"] = member + 1
-            if not q.advance_train(event, event.time_ns + payload["spacing"]):
-                return records
-
-    return handle
+def train_records(event):
+    """One trace record per train member, at the member's own key."""
+    arrivals = event.payload["arrivals"]
+    first = event.seq - len(arrivals) + 1
+    return [
+        TraceRecord(t, first + k, event.kind.value, event.payload["node"], f"member={k}")
+        for k, t in enumerate(arrivals)
+    ]
 
 
 def keys(trace):
@@ -134,8 +120,11 @@ class TestTrain:
         before = q.schedule(make_event(0))
         train = schedule_train(q, 0, 3, 5)
         after = q.schedule(make_event(0))
-        assert (before.seq, train.seq, after.seq) == (0, 1, 4)
+        # seqs 1, 2, 3 are the train's; it is queued under the last one.
+        assert (before.seq, train.seq, after.seq) == (0, 3, 4)
         assert len(q) == 3
+        assert [q.pop() for _ in range(3)] == [before, after, train]
+        assert q.now_ns == 10
 
     def test_ties_with_earlier_and_later_seqs(self):
         q = EventQueue()
@@ -144,7 +133,7 @@ class TestTrain:
         q.schedule(make_event(10, "late"))
         handlers = {
             EventKind.PAIR_READY: lambda e: e.payload["detail"],
-            EventKind.SIGNAL_ARRIVE: train_handler(q),
+            EventKind.SIGNAL_ARRIVE: train_records,
         }
         assert keys(run(q, handlers)) == [
             (10, 0, "PairReady", "early"),
@@ -158,21 +147,19 @@ class TestTrain:
         q = EventQueue()
         schedule_train(q, 7, 4, 0)
         calls = []
-        handler = train_handler(q)
-        trace = run(q, {EventKind.SIGNAL_ARRIVE: lambda e: calls.append(e) or handler(e)})
+        trace = run(q, {EventKind.SIGNAL_ARRIVE: lambda e: calls.append(e) or train_records(e)})
         assert len(calls) == 1
         assert [(r.t_ns, r.seq) for r in trace] == [(7, 0), (7, 1), (7, 2), (7, 3)]
 
-    def test_preempted_train_resumes_with_reserved_seqs(self):
+    def test_member_records_interleave_with_other_events(self):
         q = EventQueue()
         q.schedule(make_event(10, "tied, lower seq"))
         schedule_train(q, 0, 3, 10)
         q.schedule(make_event(15, "between members"))
-        calls = []
-        handler = train_handler(q)
+        dispatched = []
         handlers = {
             EventKind.PAIR_READY: lambda e: e.payload["detail"],
-            EventKind.SIGNAL_ARRIVE: lambda e: calls.append(e.seq) or handler(e),
+            EventKind.SIGNAL_ARRIVE: lambda e: dispatched.append(q.now_ns) or train_records(e),
         }
         assert keys(run(q, handlers)) == [
             (0, 1, "SignalArrive", "member=0"),
@@ -181,51 +168,25 @@ class TestTrain:
             (15, 4, "PairReady", "between members"),
             (20, 3, "SignalArrive", "member=2"),
         ]
-        assert calls == [1, 2, 3]
-
-    def test_event_scheduled_inline_preempts_the_rest(self):
-        q = EventQueue()
-        schedule_train(q, 0, 3, 10)
-
-        def spawn(event, member):
-            if member == 0:
-                q.schedule(make_event(5, "spawned"))
-
-        handlers = {
-            EventKind.PAIR_READY: lambda e: e.payload["detail"],
-            EventKind.SIGNAL_ARRIVE: train_handler(q, spawn),
-        }
-        assert keys(run(q, handlers)) == [
-            (0, 0, "SignalArrive", "member=0"),
-            (5, 3, "PairReady", "spawned"),
-            (10, 1, "SignalArrive", "member=1"),
-            (20, 2, "SignalArrive", "member=2"),
-        ]
+        assert dispatched == [20]  # once, at the last member
 
     def test_train_starting_in_the_past_rejected(self):
         q = EventQueue()
         q.schedule(make_event(100))
         q.pop()
         with pytest.raises(SchedulingError):
-            schedule_train(q, 99, 3, 1)
-
-    def test_member_before_its_predecessor_rejected(self):
-        q = EventQueue()
-        train = schedule_train(q, 50, 2, 0)
-        q.pop()
-        with pytest.raises(SchedulingError):
-            q.advance_train(train, 49)
+            schedule_train(q, 97, 3, 1)
 
     def test_trace_off_ignores_member_records(self):
         q = EventQueue()
         schedule_train(q, 0, 3, 1)
-        handler = train_handler(q)
-        assert run(q, {EventKind.SIGNAL_ARRIVE: handler}, collect_trace=False) == []
+        assert run(q, {EventKind.SIGNAL_ARRIVE: train_records}, collect_trace=False) == []
         assert len(q) == 0
 
 
 # (start, count, spacing, spawn): spawn is None or (delay, count, spacing)
-# of a train (count 1: a single event) scheduled when each member dispatches.
+# of a train (count 1: a single event) scheduled when the item's last
+# member dispatches.
 _spawns = st.one_of(
     st.none(),
     st.tuples(st.integers(0, 12), st.integers(1, 3), st.integers(0, 6)),
@@ -246,29 +207,27 @@ def _dispatch(items, as_trains):
             train.payload["spawn"] = spawn
             return
         for k in range(count):
-            payload = {"node": node, "member": k, "count": 1, "spacing": 0, "spawn": spawn}
+            payload = {"node": node, "member": k, "last": k == count - 1, "spawn": spawn}
             q.schedule(Event(start + k * spacing, EventKind.SIGNAL_ARRIVE, payload))
 
-    def spawn(event, member):
+    def spawn(event):
         child = event.payload["spawn"]
         if child is not None:
             delay, count, spacing = child
-            node = 1000 * (event.payload["node"] + 1) + member
-            add(q.now_ns + delay, count, spacing, node, None)
+            add(q.now_ns + delay, count, spacing, 1000 * (event.payload["node"] + 1), None)
 
-    handler = train_handler(q, spawn)
-
-    def single(event):
-        # A member scheduled as its own event traces as that member.
-        spawn(event, event.payload["member"])
+    def handle(event):
+        if "arrivals" in event.payload:
+            records = train_records(event)
+            spawn(event)
+            return records
+        if event.payload["last"]:
+            spawn(event)
         return f"member={event.payload['member']}"
 
     for node, (start, count, spacing, child) in enumerate(items):
         add(start, count, spacing, node, child)
-    return run(
-        q,
-        {EventKind.SIGNAL_ARRIVE: lambda e: handler(e) if e.payload["count"] > 1 else single(e)},
-    )
+    return run(q, {EventKind.SIGNAL_ARRIVE: handle})
 
 
 @settings(max_examples=200, deadline=None)

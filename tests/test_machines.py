@@ -1,6 +1,7 @@
 """Per-bank node state: herald firing, signal routing, returns, swaps."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from fusenet.machines import (
     HeraldMessage,
     NodeState,
     ReturnMessage,
-    SignalOutcome,
     build_return_message,
     on_herald,
     on_return,
-    on_signal,
+    on_train,
     pickup_frames,
     release_cycle_resources,
 )
@@ -29,6 +29,7 @@ from fusenet.pair_algebra import (
     LinkModel,
     PairRecord,
     failure_prob_multi,
+    success_probability,
 )
 
 from conftest import StubRng
@@ -37,47 +38,49 @@ LINK = LinkModel(length_km=1.0, p_success=0.25)
 PERFECT = LinkModel(length_km=1.0, p_success=1.0)
 
 
-def start_cycle(n, m, cycle=0, tau=10, incoming=None):
+def start_cycle(n, m, cycle=0, incoming=None):
     """A transmitting node and a receiving node, herald already passed."""
-    tx = NodeState.new(0, n_fusiliers=n, m_fusilands=0)
-    rx = NodeState.new(1, n_fusiliers=0, m_fusilands=m)
+    tx = NodeState(0, n_fusiliers=n, m_fusilands=0)
+    rx = NodeState(1, n_fusiliers=0, m_fusilands=m)
     herald = HeraldMessage(cycle)
-    emissions = on_herald(tx, herald, 0, tau_slot_ns=tau, incoming_train=0)
-    on_herald(rx, herald, 50, tau_slot_ns=tau, incoming_train=n if incoming is None else incoming)
-    return tx, rx, emissions
+    fired = on_herald(tx, herald, 0, incoming_train=0)
+    on_herald(rx, herald, 50, incoming_train=n if incoming is None else incoming)
+    return tx, rx, fired
 
 
-def run_train(rx, draws, n=None):
+def arrivals(n, start=100, tau=10):
+    return [start + tau * k for k in range(n)]
+
+
+def run_train(rx, draws, n=None, link=LINK):
+    """Resolve an n-signal train (default: the expected one); returns the stub."""
     rng = StubRng(draws)
-    n = rx.expected_signals if n is None else n
-    return [on_signal(rx, 0, k, LINK, rng, 100 + 10 * k) for k in range(n)]
+    on_train(rx, 0, link, rng, arrivals(rx.expected_signals if n is None else n))
+    return rng
 
 
 class TestOnHerald:
-    def test_emission_times_are_slot_spaced(self):
-        tx, _, emissions = start_cycle(3, 1, tau=10)
-        assert [e.time_ns for e in emissions] == [0, 10, 20]
-        assert [e.fusilier_id for e in emissions] == [0, 1, 2]
+    def test_fires_whole_fusillade(self):
+        tx, _, fired = start_cycle(3, 1)
+        assert fired == 3
         assert tx.fusillade is FusilladePhase.FIRED
 
     def test_rightmost_node_fires_nothing(self):
-        rx = NodeState.new(2, n_fusiliers=0, m_fusilands=2)
-        emissions = on_herald(
-            rx, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=4
-        )
-        assert emissions == []
+        rx = NodeState(2, n_fusiliers=0, m_fusilands=2)
+        fired = on_herald(rx, HeraldMessage(0), 0, incoming_train=4)
+        assert fired == 0
         assert rx.fusillade is FusilladePhase.IDLE
         assert rx.fusilands is FusilandPhase.READY
 
     def test_herald_while_busy_desynchronizes(self):
         tx, _, _ = start_cycle(2, 1)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, HeraldMessage(1), 500, tau_slot_ns=10, incoming_train=0)
+            on_herald(tx, HeraldMessage(1), 500, incoming_train=0)
 
     def test_wrong_cycle_id_desynchronizes(self):
-        tx = NodeState.new(0, 2, 0)
+        tx = NodeState(0, 2, 0)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, HeraldMessage(3), 0, tau_slot_ns=10, incoming_train=0)
+            on_herald(tx, HeraldMessage(3), 0, incoming_train=0)
 
     def test_pickup_drains_pending_frames(self):
         _, rx, _ = start_cycle(1, 1)
@@ -86,7 +89,7 @@ class TestOnHerald:
         release_cycle_resources(rx)
         rx.pending_frame.append(FrameRecord(1, 0, 0, IDENTITY_FRAME))
         herald = HeraldMessage(1)
-        on_herald(rx, herald, 10_000, tau_slot_ns=10, incoming_train=1)
+        on_herald(rx, herald, 10_000, incoming_train=1)
         assert len(herald.frame_payload) == 1
         assert rx.pending_frame == []
 
@@ -99,7 +102,7 @@ class TestOnHerald:
         record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
         rx.pending_frame.append(record)
         herald = HeraldMessage(1)
-        on_herald(rx, herald, 10_000, tau_slot_ns=10, incoming_train=1)
+        on_herald(rx, herald, 10_000, incoming_train=1)
         assert herald.frame_payload == []
         run_train(rx, draws=[0.0, 0.5])
         msg = build_return_message(rx, 1)
@@ -107,7 +110,7 @@ class TestOnHerald:
         assert rx.pending_frame == []
 
     def test_pickup_frames_helper(self):
-        node = NodeState.new(2, 0, 1)
+        node = NodeState(2, 0, 1)
         node.pending_frame = [FrameRecord(2, 0, 0, IDENTITY_FRAME)]
         herald = HeraldMessage(1)
         pickup_frames(node, herald)
@@ -116,60 +119,48 @@ class TestOnHerald:
 
 
 class TestOnSignal:
+    """The signals of one train, resolved by ``on_train``."""
+
     def test_first_success_takes_slot_zero_then_discards(self):
         _, rx, _ = start_cycle(3, 1)
-        results = run_train(rx, draws=[0.1, 0.5])
-        assert results[0].outcome is SignalOutcome.SUCCESS
-        assert results[0].slot == 0
-        assert [r.outcome for r in results[1:]] == [SignalOutcome.DISCARDED] * 2
+        rng = run_train(rx, draws=[0.1, 0.5])
         assert rx.filled_by == [0]
         assert len(rx.left_links) == 1
+        assert rng.values == []  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
         _, rx, _ = start_cycle(2, 1)
-        rng = StubRng([0.9, 0.1, 0.5])
-        first = on_signal(rx, 0, 0, LINK, rng, 100)
-        assert first.outcome is SignalOutcome.FAILURE
-        assert rx.filled_by == []
+        run_train(rx, draws=[0.9, 0.1, 0.5])
+        assert rx.filled_by == [1]
+        assert rx.left_links[0].right == Endpoint(1, 0)
         assert rx.fusilands is FusilandPhase.READY
-        second = on_signal(rx, 0, 1, LINK, rng, 110)
-        assert second.outcome is SignalOutcome.SUCCESS
-        assert second.slot == 0
 
     def test_exhausted_bank_discards_without_drawing(self):
         _, rx, _ = start_cycle(4, 2)
-        rng = StubRng([0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
-        outcomes = [on_signal(rx, 0, k, LINK, rng, k).outcome for k in range(4)]
-        assert outcomes == [
-            SignalOutcome.SUCCESS,
-            SignalOutcome.SUCCESS,
-            SignalOutcome.DISCARDED,
-            SignalOutcome.DISCARDED,
-        ]
+        rng = run_train(rx, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
+        assert rx.filled_by == [0, 1]
         assert rng.values == []  # discarded signals consumed no randomness
 
-    def test_out_of_order_signal_rejected(self):
+    def test_second_train_rejected(self):
         _, rx, _ = start_cycle(3, 1)
-        rng = StubRng([0.9])
-        on_signal(rx, 0, 0, LINK, rng, 100)
+        run_train(rx, draws=[0.9, 0.9, 0.9])
         with pytest.raises(ProtocolError):
-            on_signal(rx, 0, 2, LINK, rng, 120)
+            run_train(rx, draws=[0.1, 0.5])
 
     def test_error_bit_sampled_from_fidelity(self):
         _, rx, _ = start_cycle(1, 1)
         noisy = LinkModel(length_km=1.0, p_success=1.0, raw_fidelity=0.9)
-        rng = StubRng([0.0, 0.05])  # second draw < 1 - F: error
-        result = on_signal(rx, 0, 0, noisy, rng, 100)
-        assert result.pair.x_error == 1
-        assert result.pair.model_fidelity == 0.9
+        run_train(rx, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
+        assert rx.left_links[0].x_error == 1
+        assert rx.left_links[0].model_fidelity == 0.9
 
     def test_pair_endpoints_name_both_sides(self):
         _, rx, _ = start_cycle(2, 2)
-        rng = StubRng([0.9, 0.1, 0.5])
-        on_signal(rx, 0, 0, LINK, rng, 100)
-        result = on_signal(rx, 0, 1, LINK, rng, 110)
-        assert result.pair.left == Endpoint(0, 1)  # fusilier 1 on node 0
-        assert result.pair.right == Endpoint(1, 0)  # slot 0 on node 1
+        run_train(rx, draws=[0.9, 0.1, 0.5])
+        pair = rx.left_links[0]
+        assert pair.left == Endpoint(0, 1)  # fusilier 1 on node 0
+        assert pair.right == Endpoint(1, 0)  # slot 0 on node 1
+        assert pair.created_at_ns == 110  # fusilier 1's arrival
 
 
 class TestBuildReturnMessage:
@@ -198,16 +189,15 @@ class TestBuildReturnMessage:
 
     def test_incomplete_train_rejected(self):
         _, rx, _ = start_cycle(3, 1)
-        rng = StubRng([0.9])
-        on_signal(rx, 0, 0, LINK, rng, 100)
+        run_train(rx, draws=[0.9, 0.9], n=2)
         with pytest.raises(ProtocolError):
             build_return_message(rx, 0)
 
 
 def mid_node_with_links(n_left, n_right):
     """An intermediate node holding confirmed left links, awaiting a return."""
-    node = NodeState.new(1, n_fusiliers=max(n_right, 1), m_fusilands=max(n_left, 1))
-    on_herald(node, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=n_left)
+    node = NodeState(1, n_fusiliers=max(n_right, 1), m_fusilands=max(n_left, 1))
+    on_herald(node, HeraldMessage(0), 0, incoming_train=n_left)
     node.left_links = [
         PairRecord(Endpoint(0, k), Endpoint(1, k), 0, IDENTITY_FRAME, 0, 1.0)
         for k in range(n_left)
@@ -243,8 +233,8 @@ class TestOnReturn:
         assert rec.slot == 0 and rec.node == 1
 
     def test_unlisted_fusiliers_retire(self):
-        node = NodeState.new(0, n_fusiliers=4, m_fusilands=0)
-        on_herald(node, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=0)
+        node = NodeState(0, n_fusiliers=4, m_fusilands=0)
+        on_herald(node, HeraldMessage(0), 0, incoming_train=0)
         swaps = on_return(node, ReturnMessage(0, matches=[(1, 0)], usable_links=1), None, 100)
         assert swaps == []
         assert node.fusillade is FusilladePhase.CONFIRMED
@@ -252,8 +242,8 @@ class TestOnReturn:
         assert node.all_idle()
 
     def test_unknown_fusilier_rejected(self):
-        node = NodeState.new(0, n_fusiliers=2, m_fusilands=0)
-        on_herald(node, HeraldMessage(0), 0, tau_slot_ns=10, incoming_train=0)
+        node = NodeState(0, n_fusiliers=2, m_fusilands=0)
+        on_herald(node, HeraldMessage(0), 0, incoming_train=0)
         with pytest.raises(ProtocolError):
             on_return(node, ReturnMessage(0, matches=[(7, 0)]), None, 100)
 
@@ -275,8 +265,8 @@ class TestCycleLifecycle:
         assert tx.all_idle() and rx.all_idle()
         assert tx.left_links == [] and rx.left_links == []
         # next herald is accepted again
-        on_herald(tx, HeraldMessage(1), 1000, tau_slot_ns=10, incoming_train=0)
-        on_herald(rx, HeraldMessage(1), 1050, tau_slot_ns=10, incoming_train=3)
+        on_herald(tx, HeraldMessage(1), 1000, incoming_train=0)
+        on_herald(rx, HeraldMessage(1), 1050, incoming_train=3)
 
     def test_success_distribution_truncated_binomial(self):
         # frequency of under-filled cycles converges to the binomial tail;
@@ -286,10 +276,9 @@ class TestCycleLifecycle:
         rng = np.random.default_rng(77)
         short = 0
         for _ in range(cycles):
-            rx = NodeState.new(1, 0, m)
-            on_herald(rx, HeraldMessage(0), 0, tau_slot_ns=0, incoming_train=n)
-            for k in range(n):
-                on_signal(rx, 0, k, link, rng, k)
+            rx = NodeState(1, 0, m)
+            on_herald(rx, HeraldMessage(0), 0, incoming_train=n)
+            on_train(rx, 0, link, rng, [0] * n)
             if len(rx.left_links) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
@@ -315,8 +304,8 @@ def _return_names_fusilier_twice():
 
 def _signal_at_unreadied_bank(draws):
     def sequence():
-        rx = NodeState.new(1, n_fusiliers=0, m_fusilands=2)
-        on_signal(rx, 0, 0, LINK, StubRng(draws), 100)
+        rx = NodeState(1, n_fusiliers=0, m_fusilands=2)
+        on_train(rx, 0, LINK, StubRng(draws), [100])
 
     return sequence
 
@@ -352,6 +341,66 @@ def test_illegal_bank_sequence_raises(sequence):
         sequence()
 
 
+def reference_train(node, from_node, link, rng, arrivals):
+    """One signal at a time, as a per-signal handler would resolve a train."""
+    for fusilier, arrival_ns in enumerate(arrivals):
+        slot = len(node.filled_by)
+        if slot >= node.m_fusilands:
+            continue  # discarded without drawing
+        if rng.random() >= success_probability(link):
+            continue
+        x_error = 1 if rng.random() < 1.0 - link.raw_fidelity else 0
+        node.filled_by.append(fusilier)
+        node.left_links.append(
+            PairRecord(
+                Endpoint(from_node, fusilier),
+                Endpoint(node.node_id, slot),
+                x_error,
+                IDENTITY_FRAME,
+                arrival_ns,
+                link.raw_fidelity,
+            )
+        )
+
+
+class CountingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    m=st.integers(min_value=1, max_value=8),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    fidelity=st.floats(min_value=0.5, max_value=1.0),
+    tau=st.integers(min_value=0, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
+    link = LinkModel(length_km=1.0, p_success=p, raw_fidelity=fidelity)
+    times = arrivals(n, start=40, tau=tau)
+    nodes, rngs = [], []
+    for _ in range(2):
+        rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
+        on_herald(rx, HeraldMessage(0), 0, incoming_train=n)
+        nodes.append(rx)
+        rngs.append(CountingRng(seed))
+    on_train(nodes[0], 2, link, rngs[0], times)
+    reference_train(nodes[1], 2, link, rngs[1], times)
+    assert nodes[0].filled_by == nodes[1].filled_by
+    assert [asdict(pair) for pair in nodes[0].left_links] == [
+        asdict(pair) for pair in nodes[1].left_links
+    ]
+    assert rngs[0].draws == rngs[1].draws
+    build_return_message(nodes[0], 0)  # the whole train was received
+
+
 @given(
     n=st.integers(min_value=1, max_value=8),
     m=st.integers(min_value=1, max_value=8),
@@ -363,22 +412,17 @@ def test_full_cycle_fuzz(n, m, p, seed):
     """A whole hop cycle in any sampled regime passes every bank check."""
     link = LinkModel(length_km=1.0, p_success=p)
     rng = np.random.default_rng(seed)
-    tx = NodeState.new(0, n, 0)
-    rx = NodeState.new(1, 0, m)
+    tx = NodeState(0, n, 0)
+    rx = NodeState(1, 0, m)
     herald = HeraldMessage(0)
-    emissions = on_herald(tx, herald, 0, tau_slot_ns=7, incoming_train=0)
-    assert [e.time_ns for e in emissions] == [7 * k for k in range(n)]
-    on_herald(rx, herald, 11, tau_slot_ns=7, incoming_train=n)
+    assert on_herald(tx, herald, 0, incoming_train=0) == n
+    on_herald(rx, herald, 11, incoming_train=n)
 
-    results = [on_signal(rx, 0, k, link, rng, 100 + k) for k in range(n)]
-    outcomes = [r.outcome for r in results]
-    successes = outcomes.count(SignalOutcome.SUCCESS)
+    on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
+    successes = len(rx.filled_by)
     assert successes <= m
     assert successes == len(rx.left_links)
-    # discards happen only once the bank is full, and only after m successes
-    for idx, outcome in enumerate(outcomes):
-        if outcome is SignalOutcome.DISCARDED:
-            assert outcomes[:idx].count(SignalOutcome.SUCCESS) == m
+    assert rx.filled_by == sorted(set(rx.filled_by))
 
     msg = build_return_message(rx, 0)
     assert [f for f, _ in msg.matches] == sorted(f for f, _ in msg.matches)

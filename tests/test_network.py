@@ -4,12 +4,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusenet.engine import channel_delay_ns
+from fusenet.engine import EventKind, EventQueue, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError
 from fusenet.metrics import summarize
 from fusenet.network import (
@@ -436,3 +437,56 @@ def test_short_chain_properties(cfg):
         else:
             expected = arrival_cycle * schedule.cycle_period_ns + hop0_return_ns
         assert rec.left_frame_available_at_ns == expected
+
+
+def _check_train_trace(cfg):
+    """A traced run's keys strictly increase, and every signal train traces
+    each of its n signals once, at (its arrival, the train's first seq + k)."""
+    trains = []
+    schedule = EventQueue.schedule
+
+    def recording(queue, event, count=1):
+        if event.kind is EventKind.SIGNAL_ARRIVE:
+            trains.append((event, count))
+        return schedule(queue, event, count)
+
+    with mock.patch.object(EventQueue, "schedule", recording):
+        result = run_network(cfg, collect_trace=True)
+    keys = [(rec.t_ns, rec.seq) for rec in result.trace]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    signals = {(rec.t_ns, rec.seq): rec for rec in result.trace if rec.kind == "SignalArrive"}
+    sched = result.schedule
+    assert len(trains) == cfg.cycles * len(cfg.links)
+    for event, count in trains:
+        link, cycle = event.payload["link"], event.payload["cycle"]
+        assert count == cfg.links[link].n_fusiliers
+        start_ns = (
+            cycle * sched.cycle_period_ns
+            + sched.herald_offsets_ns[link]
+            + sched.link_delays_ns[link]
+        )
+        first = event.seq - count + 1
+        for k in range(count):
+            rec = signals.pop((start_ns + k * cfg.tau_slot_ns, first + k))
+            assert rec.node == link + 1
+            assert rec.detail.startswith(f"cycle={cycle} fusilier={k} ")
+    assert not signals
+
+
+@pytest.mark.parametrize("tau_slot_ns, seed", [(9, 16), (0, 17)], ids=["tau9", "tau0"])
+def test_overlapping_trains_trace_each_signal_at_its_key(tau_slot_ns, seed):
+    # The overlapping_trains golden cases: trains that overlap heralds,
+    # returns and the neighbouring hops' trains.
+    cfg = chain_config(
+        [0.002, 0.001, 0.003], n=6, m=3, p=0.6, fidelity=0.9, cycles=30, seed=seed,
+        tau_slot_ns=tau_slot_ns, proc_ns=4, butterfly=True,
+    )
+    _check_train_trace(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_short_chains())
+def test_short_chain_trace_each_signal_at_its_key(cfg):
+    if _return_before_train(cfg) is None:
+        _check_train_trace(cfg)
