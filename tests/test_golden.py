@@ -75,6 +75,16 @@ CASES = {
         "seed": 17,
         "cycles": 30,
     },
+    # Ten 40 km hops keep five cycles in flight at once, and 150 cycles
+    # cross several blocks of 64 cycles, the last one partial.
+    "ten_hops_150_cycles": {
+        "links": [_link(40.0, 6, 3, p_success=0.8, raw_fidelity=0.95) for _ in range(10)],
+        "strategy": "purify3",
+        "proc_ns": 200,
+        "butterfly": True,
+        "seed": 18,
+        "cycles": 150,
+    },
 }
 
 EXPECTED = {
@@ -126,6 +136,13 @@ EXPECTED = {
         "hop_success_counts": "b49e1bd4ab5b0e9a94f36767bacf0c0f8f55c2679e877ff09c7c0c89b7ab1a36",
         "left_frame_folds": "fe8a4a765f7f7cae5a9c2f3019fd90e00080e54fd27a4202a49b89d36b849bfa",
         "trace": "36b2110bf3ee726c790aa1890580f85a97689ebb764c4fa609c833e4208d3353",
+    },
+    "ten_hops_150_cycles": {
+        "records": "84772a6970d08943ca7ddd3d6589278621dd9548a378e8777a8fe5f394712205",
+        "per_cycle_delivered": "dc8ec5c36699c4157ad97e72a161574ace42cedf2ba4c1de3d6ba4064bf7271b",
+        "hop_success_counts": "197ff8ea8625bf2bfd43297df55f2376d69c8e98d5c7cce0c7c456c801f16743",
+        "left_frame_folds": "ef45bf5cefa391312765d46a5d831a70feb7aa83092695d8f5fba70b724d86e5",
+        "trace": "500561f36014c624699e5a1f2ecf501c53d65751afd93ba298113e48e8e24a70",
     },
 }
 
@@ -212,6 +229,10 @@ SUMMARY_EXPECTED = {
     "raw_butterfly_tau_proc": {
         "json": "a96bcf53769e37b2f228ecdf42e74b1bad502aa31f2901bb88665d81cad4150c",
         "csv": "b7f0c91246a6411f6422f0e779bda88b300ed8fb2517038bf2472d5cdd8e3e28",
+    },
+    "ten_hops_150_cycles": {
+        "json": "f3a6f1271f9b680b2078e3d19201c39fbd43c0b692ba2ee162076e3e3a75506a",
+        "csv": "5460eef561b587310fb4ffa50f071994dc8cac0bf9b7c0c0b8dcf696956fc3f5",
     },
 }
 
