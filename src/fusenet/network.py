@@ -24,10 +24,17 @@ return from the right-hand hop would come sooner, and a herald that comes
 sooner (a cycle period below the safe bound) finds the bank still readied
 and desynchronizes as it would mid-train. With the trace on, each signal
 is traced at its own arrival and reserved seq, its outcome read from which
-signals filled a fusiland. A train's link draws are taken from its
-(link, cycle) substream in one call when the train is scheduled, n + m
-values: a signal draws at most once, plus once more on a success.
-Handlers format a trace detail only when the trace is on.
+signals filled a fusiland.
+
+Keyed seeds are expanded a block of ``SEED_BLOCK`` cycles at a time, at the
+``CycleStart`` of the block's first cycle (see ``engine``), and each
+cycle's rows hang on its ``_CycleLedger``. Several cycles are in flight at
+once on a long chain, so every draw of cycle c reads ledger c, which lives
+exactly as long as the cycle. Each key is drawn once, in one vector call: a
+train's link draws when the train is scheduled, n + m values (a signal
+draws at most once, plus once more on a success); a node's swaps, two per
+swap; a hop's purification, six per trio. Handlers format a trace detail
+only when the trace is on.
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ from .engine import (
     Event,
     EventKind,
     EventQueue,
+    KEY_WORD_LIMIT,
     LINK_DOMAIN,
     PURIFY_DOMAIN,
     RngStream,
+    SEED_BLOCK,
     SWAP_DOMAIN,
     TraceRecord,
     channel_delay_ns,
@@ -199,7 +208,9 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     arrives only after all swaps completed. A computed period of 0 ns (every
     hop rounds to a 0 ns delay and there is no train or processing time) is
     rejected, as is a chain in which an intermediate node would get the
-    return from its right hop before its incoming train has ended. An
+    return from its right hop before its incoming train has ended, and a
+    cycle count of 2**32 or more (a cycle is one 32-bit word of its RNG
+    key). An
     explicit ``cycle_period_ns`` override below that bound is
     accepted with a warning; the run will then abort with a
     desynchronization error when the herald overtakes a node.
@@ -219,6 +230,10 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
         raise ConfigurationError("tau_slot_ns and proc_ns must be >= 0")
     if config.cycles < 1:
         raise ConfigurationError("cycles must be >= 1")
+    if config.cycles >= KEY_WORD_LIMIT:
+        raise ConfigurationError(
+            f"cycles must be < {KEY_WORD_LIMIT}: a cycle's RNG key holds it in one 32-bit word"
+        )
     if config.seed < 0:
         raise ConfigurationError("seed must be >= 0")
     for idx, link in enumerate(config.links):
@@ -306,13 +321,16 @@ class _CycleLedger:
     """Per-cycle bookkeeping used to compose end-to-end pairs."""
 
     __slots__ = (
+        "seeds",
         "hop_pairs",
         "swap_outcomes",
         "outstanding",
         "last_completion_ns",
     )
 
-    def __init__(self, num_links: int, num_nodes: int) -> None:
+    def __init__(self, seeds, num_links: int, num_nodes: int) -> None:
+        # seeds[domain, index]: the PCG64 seed row of the cycle's key.
+        self.seeds = seeds
         self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
         self.swap_outcomes: dict[tuple[int, int], tuple[int, int]] = {}
         self.outstanding = set(range(num_nodes))
@@ -345,6 +363,8 @@ class _ChainSimulation:
         ]
         self.queue = EventQueue()
         self.rng = RngStream(config.seed)
+        # Seed rows of the block holding the last cycle started.
+        self.seed_rows = None
         self.ledgers: dict[int, _CycleLedger] = {}
         self.records: list[EndToEndRecord] = []
         self.records_by_cycle: dict[int, list[EndToEndRecord]] = {}
@@ -360,9 +380,16 @@ class _ChainSimulation:
 
     def _handle_cycle_start(self, event: Event) -> Optional[str]:
         cycle = event.payload["cycle"]
-        generate = cycle < self.config.cycles
+        cycles = self.config.cycles
+        generate = cycle < cycles
         if generate:
-            self.ledgers[cycle] = _CycleLedger(len(self.config.links), self.num_nodes)
+            num_links = len(self.config.links)
+            if cycle % SEED_BLOCK == 0:
+                block = range(cycle, min(cycle + SEED_BLOCK, cycles))
+                self.seed_rows = self.rng.seed_block(block, num_links)
+            self.ledgers[cycle] = _CycleLedger(
+                self.seed_rows[cycle % SEED_BLOCK], num_links, self.num_nodes
+            )
         self._herald_at(0, HeraldMessage(cycle))
         if not self.collect_trace:
             return None
@@ -430,11 +457,13 @@ class _ChainSimulation:
             self._absorb_leftbound(msg.relayed_frames, self.queue.now_ns)
         else:
             node.pending_frame.extend(msg.relayed_frames)
-        rng = None
-        if node.left_links and msg.usable_links:
-            rng = self.rng.substream(SWAP_DOMAIN, node_id, cycle)
-        swaps = on_return(node, msg, rng, self.queue.now_ns)
         ledger = self.ledgers[cycle]
+        # Two draws per swap: a parity bit, then an X bit.
+        count = min(len(node.left_links), msg.usable_links)
+        rng = None
+        if count:
+            rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * count)
+        swaps = on_return(node, msg, rng, self.queue.now_ns)
         for swap in swaps:
             ledger.swap_outcomes[(node_id, swap.slot)] = (
                 swap.parity_outcome,
@@ -528,9 +557,7 @@ class _ChainSimulation:
         tau = self.config.tau_slot_ns
         arrivals = [start_ns + k * tau for k in range(fired)]
         draws = self.rng.draws(
-            LINK_DOMAIN,
-            node_id,
-            cycle,
+            self.ledgers[cycle].seeds[LINK_DOMAIN, node_id],
             fired + self.config.links[node_id].m_fusilands,
         )
         self.queue.schedule(
@@ -575,9 +602,10 @@ class _ChainSimulation:
         if len(raws) < 3:
             node.left_links = []
             return
-        rng = self.rng.substream(PURIFY_DOMAIN, link_idx, cycle)
+        trios = len(raws) // 3
+        rng = self.rng.draws(self.ledgers[cycle].seeds[PURIFY_DOMAIN, link_idx], 6 * trios)
         kept: list[PairRecord] = []
-        for t in range(len(raws) // 3):
+        for t in range(trios):
             trio = raws[3 * t : 3 * t + 3]
             # Transmit-side parities and the four X readouts are fair coins;
             # receive-side parities then reflect the true pairwise error

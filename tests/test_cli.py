@@ -243,6 +243,7 @@ class TestRejectedInput:
             (_set(("output", "trace_path"), ["run.jsonl"]), "output.trace_path"),
             (_nearly_zero_hop, "cycle period"),
             (_return_before_train, "nodes[1]"),
+            (_set(("network", "cycles"), 2**32), "cycles must be < 4294967296"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, mutate, field):

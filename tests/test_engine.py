@@ -1,7 +1,12 @@
 """Event queue ordering, fiber delays, and RNG substream contracts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +14,12 @@ from hypothesis import strategies as st
 from fusenet.engine import (
     Event,
     EventKind,
+    DOMAINS,
     EventQueue,
+    KEY_WORD_LIMIT,
     LINK_DOMAIN,
     RngStream,
+    SEED_BLOCK,
     SWAP_DOMAIN,
     TraceRecord,
     channel_delay_ns,
@@ -259,32 +267,113 @@ class TestChannelDelay:
                 validate_config(cfg)
 
 
+def reference_generator(key):
+    """Per-key numpy seeding, the layout the seed kernel must reproduce."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 class TestRngStream:
     def test_same_key_reproduces_draws(self):
         stream = RngStream(12345)
-        a = stream.substream(LINK_DOMAIN, 3, 17).random(5)
-        b = stream.substream(LINK_DOMAIN, 3, 17).random(5)
+        rows = stream.seed_block(range(17, 18), 4)
+        again = RngStream(12345).seed_block(range(17, 18), 4)
+        assert rows.tobytes() == again.tobytes()
+        a = stream.substream(rows[0, LINK_DOMAIN, 3]).random(5)
+        b = stream.substream(again[0, LINK_DOMAIN, 3]).random(5)
         assert list(a) == list(b)
 
     def test_distinct_keys_differ(self):
         stream = RngStream(12345)
-        base = list(stream.substream(LINK_DOMAIN, 0, 0).random(4))
-        for key in [(LINK_DOMAIN, 0, 1), (LINK_DOMAIN, 1, 0), (SWAP_DOMAIN, 0, 0)]:
-            assert list(stream.substream(*key).random(4)) != base
+        rows = stream.seed_block(range(0, 2), 2)
+        base = list(stream.substream(rows[0, LINK_DOMAIN, 0]).random(4))
+        for cycle, domain, index in [(1, LINK_DOMAIN, 0), (0, LINK_DOMAIN, 1), (0, SWAP_DOMAIN, 0)]:
+            assert list(stream.substream(rows[cycle, domain, index]).random(4)) != base
 
     def test_distinct_seeds_differ(self):
-        a = RngStream(1).substream(LINK_DOMAIN, 0, 0).random(4)
-        b = RngStream(2).substream(LINK_DOMAIN, 0, 0).random(4)
-        assert list(a) != list(b)
+        a = RngStream(1).seed_block(range(1), 1)
+        b = RngStream(2).seed_block(range(1), 1)
+        assert list(RngStream(1).substream(a[0, 0, 0]).random(4)) != list(
+            RngStream(2).substream(b[0, 0, 0]).random(4)
+        )
 
     def test_batched_draws_equal_scalar_draws(self):
         stream = RngStream(12345)
-        scalar = stream.substream(LINK_DOMAIN, 3, 17)
-        batched = stream.draws(LINK_DOMAIN, 3, 17, 40)
+        row = stream.seed_block(range(17, 18), 4)[0, LINK_DOMAIN, 3]
+        scalar = stream.substream(row)
+        batched = stream.draws(row, 40)
         assert [batched.random() for _ in range(40)] == [scalar.random() for _ in range(40)]
         with pytest.raises(StopIteration):
             batched.random()
 
+    def test_rows_do_not_depend_on_block_bounds(self):
+        stream = RngStream(99)
+        whole = stream.seed_block(range(0, 150), 3)
+        assert whole.shape == (150, DOMAINS, 3, 4)
+        parts = [stream.seed_block(range(a, min(a + SEED_BLOCK, 150)), 3) for a in range(0, 150, SEED_BLOCK)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert stream.seed_block(range(0, 150), 5)[:, :, :3].tobytes() == whole.tobytes()
+
+    def test_keys_beyond_one_word_rejected(self):
+        stream = RngStream(0)
+        last = KEY_WORD_LIMIT - 1
+        assert stream.seed_block(range(last, last + 1), 1).shape == (1, DOMAINS, 1, 4)
+        for cycles, width in [
+            (range(last, last + 2), 1),
+            (range(0, 1), KEY_WORD_LIMIT + 1),
+        ]:
+            with pytest.raises(ValueError, match="indices and cycles"):
+                stream.seed_block(cycles, width)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             RngStream(-1)
+
+
+@given(
+    seed=st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**64 - 1),
+        st.integers(2**64, 2**96),
+    ),
+    first_cycle=st.integers(0, KEY_WORD_LIMIT - 1),
+    span=st.integers(1, 4),
+    width=st.integers(1, 5),
+    count=st.integers(1, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_seed_rows_equal_numpy_seed_sequence(seed, first_cycle, span, width, count):
+    # Every row of a block must seed exactly the generator numpy builds
+    # from the key's SeedSequence, across one- to four-word master seeds
+    # and cycles up to the last one-word value.
+    cycles = range(first_cycle, min(first_cycle + span, KEY_WORD_LIMIT))
+    stream = RngStream(seed)
+    rows = stream.seed_block(cycles, width)
+    assert rows.shape == (len(cycles), DOMAINS, width, 4)
+    for k, cycle in enumerate(cycles):
+        for domain in range(DOMAINS):
+            for index in range(width):
+                key = (seed, domain, index, cycle)
+                row = rows[k, domain, index]
+                expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
+                assert row.tolist() == expected.tolist(), key
+                drawn = stream.substream(row).random(count)
+                assert drawn.tolist() == reference_generator(key).random(count).tolist(), key
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random costs about 5.5 MB of RSS; only a simulation needs it.
+    probe = (
+        "import sys, numpy; bare = 'numpy.random' in sys.modules; "
+        "import fusenet.cli, fusenet.metrics; "
+        "print(bare, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert out == ["False", "False"]

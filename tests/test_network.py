@@ -100,6 +100,13 @@ class TestValidateConfig:
         cfg.links[0] = LinkSpec(cfg.links[0].model, n_fusiliers=106, m_fusilands=3)
         assert len(run_network(cfg).records) == 3 * cfg.cycles
 
+    def test_cycle_count_beyond_one_key_word_rejected(self):
+        # a cycle's RNG key holds it in one 32-bit word
+        assert validate_config(chain_config([40.0], cycles=2**32 - 1))
+        for cycles in (2**32, 2**40):
+            with pytest.raises(ConfigurationError, match=r"cycles must be < 4294967296"):
+                validate_config(chain_config([40.0], cycles=cycles))
+
     def test_small_override_warns(self):
         with pytest.warns(UserWarning, match="safe bound"):
             validate_config(chain_config([40.0], cycle_period_ns=100))
