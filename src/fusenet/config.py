@@ -12,7 +12,8 @@ takes its dataclass default, and a field whose dataclass gives no default
 is required. Unknown fields are rejected so typos do not silently fall back
 to defaults, and a key given twice in one object of a config file is
 rejected rather than keeping its last value. Numbers must be finite, and
-``output.path`` and ``output.trace_path`` must be strings or null.
+``output.path`` and ``output.trace_path`` must be strings or null; a trace
+may not be written to the summary's file.
 ``resolved_dict`` writes every field back with the defaults filled in,
 which makes any run reproducible from its own output document.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Optional
 
@@ -160,6 +162,15 @@ def _as_output(raw: Any, path: str) -> OutputSpec:
                 f"{path}.trace: tracing needs trace_path (or path to derive it)"
             )
         output.trace_path = output.path + ".trace.jsonl"
+    if (
+        output.trace
+        and output.path is not None
+        and os.path.abspath(output.trace_path) == os.path.abspath(output.path)
+    ):
+        raise ConfigurationError(
+            f"{path}.trace_path: {output.trace_path!r} names the summary file "
+            f"{path}.path {output.path!r}"
+        )
     return output
 
 

@@ -9,11 +9,12 @@ A train of events (a hop's signal train) takes one queue entry. Scheduling
 it reserves a block of consecutive sequence numbers, the ones that many
 separate ``schedule`` calls would have taken, so member k keeps the key
 (its own time, ``first + k``). The entry is queued under the last member's
-key and its handler resolves every member in that one dispatch, returning
-a trace record per member at the member's own key; ``run`` sorts the trace
-by (time, seq) once, at the end. This is exact only while no event between
-a train's first and last member touches what the train's handler reads or
-writes, which the caller guarantees (see ``network.validate_config``).
+key and its handler resolves every member in that one dispatch. This is
+exact only while no event between a train's first and last member touches
+what the train's handler reads or writes, which the caller guarantees (see
+``network.validate_config``). ``EventQueue.reserve`` hands out seqs with
+nothing queued, for a caller that keys a record like an event without
+dispatching one. ``run`` only dispatches; handlers keep their own trace.
 
 Each (domain, index, cycle) key owns numpy's
 ``PCG64(SeedSequence((seed, domain, index, cycle)))`` generator. Building a
@@ -34,7 +35,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class EventKind(Enum):
     SIGNAL_ARRIVE = "SignalArrive"
     RETURN_ARRIVE = "ReturnArrive"
     SWAP_COMPLETE = "SwapComplete"
-    PAIR_READY = "PairReady"
 
 
 @dataclass(slots=True)
@@ -85,14 +85,6 @@ class Event:
     kind: EventKind
     payload: dict
     seq: int = -1
-
-
-class TraceRecord(NamedTuple):
-    t_ns: int
-    seq: int
-    kind: str
-    node: int
-    detail: str
 
 
 class EventQueue:
@@ -118,10 +110,14 @@ class EventQueue:
             raise SchedulingError(
                 f"event at t={event.time_ns} ns lies before now={self.now_ns} ns"
             )
-        self._next_seq += count
-        event.seq = self._next_seq - 1
+        event.seq = self.reserve(count)
         heapq.heappush(self._heap, (event.time_ns, event.seq, event))
         return event
+
+    def reserve(self, count: int = 1) -> int:
+        """Take the next ``count`` seqs, queueing nothing; returns the last."""
+        self._next_seq += count
+        return self._next_seq - 1
 
     def pop(self) -> Event:
         time_ns, _seq, event = heapq.heappop(self._heap)
@@ -129,48 +125,19 @@ class EventQueue:
         return event
 
 
-# A handler returns its event's trace detail, or, for a train, one trace
-# record per member; None when the trace is off.
-Handler = Callable[[Event], Optional[str | list[TraceRecord]]]
-
-
-def run(
-    queue: EventQueue,
-    handlers: Mapping[EventKind, Handler],
-    collect_trace: bool = True,
-) -> list[TraceRecord]:
+def run(queue: EventQueue, handlers: Mapping[EventKind, Callable[[Event], None]]) -> None:
     """Dispatch events in (time, seq) order until the queue drains.
 
-    Returns one trace record per dispatched event, counting each member of
-    a train, sorted by (time, seq), a key unique to each record (empty when
-    tracing is off). A handler raising a ProtocolError aborts the run; the
-    offending event is attached to the exception as ``exc.event``.
+    A handler raising a ProtocolError aborts the run; the offending event is
+    attached to the exception as ``exc.event``.
     """
-    trace: list[TraceRecord] = []
     while len(queue):
         event = queue.pop()
         try:
-            detail = handlers[event.kind](event)
+            handlers[event.kind](event)
         except ProtocolError as exc:
             exc.event = event
             raise
-        if not collect_trace:
-            continue
-        if isinstance(detail, list):
-            trace.extend(detail)
-        else:
-            trace.append(
-                TraceRecord(
-                    event.time_ns,
-                    event.seq,
-                    event.kind.value,
-                    event.payload.get("node", -1),
-                    detail or "",
-                )
-            )
-    # A train's members trace at keys before the train's own dispatch.
-    trace.sort()
-    return trace
 
 
 def channel_delay_ns(length_km: float, signal_speed_m_per_s: float) -> int:

@@ -22,9 +22,14 @@ signal because nothing touches the receiving node's fusilands between a
 train's first and last signal: ``validate_config`` rejects a chain whose
 return from the right-hand hop would come sooner, and a herald that comes
 sooner (a cycle period below the safe bound) finds the bank still readied
-and desynchronizes as it would mid-train. With the trace on, each signal
-is traced at its own arrival and reserved seq, its outcome read from which
-signals filled a fusiland.
+and desynchronizes as it would mid-train.
+
+The simulation keeps its own trace. With the trace on, each handler
+appends its event's record at the event's (time, seq); a train appends one
+record per signal, at its arrival and reserved seq, its outcome read from
+which signals filled a fusiland; a finalized cycle appends one
+``PairReady`` record per pair, now, under a seq reserved from the queue
+with no event queued. ``execute`` sorts the trace by (time, seq) once.
 
 Keyed seeds are expanded a block of ``SEED_BLOCK`` cycles at a time, at the
 ``CycleStart`` of the block's first cycle (see ``engine``), and each
@@ -33,8 +38,7 @@ once on a long chain, so every draw of cycle c reads ledger c, which lives
 exactly as long as the cycle. Each key is drawn once, in one vector call: a
 train's link draws when the train is scheduled, n + m values (a signal
 draws at most once, plus once more on a success); a node's swaps, two per
-swap; a hop's purification, six per trio. Handlers format a trace detail
-only when the trace is on.
+swap; a hop's purification, six per trio.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import (
     Event,
@@ -55,7 +59,6 @@ from .engine import (
     RngStream,
     SEED_BLOCK,
     SWAP_DOMAIN,
-    TraceRecord,
     channel_delay_ns,
     run,
 )
@@ -165,6 +168,14 @@ class EndToEndRecord:
     correction: PauliFrame = IDENTITY_FRAME
     herald_correction: Optional[PauliFrame] = None
     left_frame_available_at_ns: Optional[int] = None
+
+
+class TraceRecord(NamedTuple):
+    t_ns: int
+    seq: int
+    kind: str
+    node: int
+    detail: str
 
 
 @dataclass
@@ -325,7 +336,6 @@ class _CycleLedger:
         "hop_pairs",
         "swap_outcomes",
         "outstanding",
-        "last_completion_ns",
     )
 
     def __init__(self, seeds, num_links: int, num_nodes: int) -> None:
@@ -334,7 +344,6 @@ class _CycleLedger:
         self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
         self.swap_outcomes: dict[tuple[int, int], tuple[int, int]] = {}
         self.outstanding = set(range(num_nodes))
-        self.last_completion_ns = 0
 
 
 class _ChainSimulation:
@@ -351,6 +360,7 @@ class _ChainSimulation:
         self.schedule = schedule
         self.split = split_index
         self.collect_trace = collect_trace
+        self.trace: list[TraceRecord] = []
         self.num_nodes = len(config.nodes)
         self.nodes = [
             NodeState(
@@ -378,7 +388,7 @@ class _ChainSimulation:
 
     # -- event handlers -------------------------------------------------
 
-    def _handle_cycle_start(self, event: Event) -> Optional[str]:
+    def _handle_cycle_start(self, event: Event) -> None:
         cycle = event.payload["cycle"]
         cycles = self.config.cycles
         generate = cycle < cycles
@@ -391,15 +401,15 @@ class _ChainSimulation:
                 self.seed_rows[cycle % SEED_BLOCK], num_links, self.num_nodes
             )
         self._herald_at(0, HeraldMessage(cycle))
-        if not self.collect_trace:
-            return None
-        return f"cycle={cycle}" + ("" if generate else " flush")
+        if self.collect_trace:
+            self._trace(event, f"cycle={cycle}" + ("" if generate else " flush"))
 
-    def _handle_herald_arrive(self, event: Event) -> Optional[str]:
+    def _handle_herald_arrive(self, event: Event) -> None:
         self._herald_at(event.payload["node"], event.payload["herald"])
-        return f"cycle={event.payload['cycle']}" if self.collect_trace else None
+        if self.collect_trace:
+            self._trace(event, f"cycle={event.payload['cycle']}")
 
-    def _handle_signal_arrive(self, event: Event) -> Optional[list[TraceRecord]]:
+    def _handle_signal_arrive(self, event: Event) -> None:
         # Dispatched at the train's last signal: resolves every signal, then
         # ends the train.
         payload = event.payload
@@ -410,13 +420,11 @@ class _ChainSimulation:
         node = self.nodes[node_id]
         model = self.config.links[link_idx].model
         on_train(node, link_idx, model, payload["draws"], arrivals)
-        trace = self._train_records(event, node, cycle) if self.collect_trace else None
+        if self.collect_trace:
+            self._train_records(event, node, cycle)
         self._end_of_train(node_id, link_idx, cycle)
-        return trace
 
-    def _train_records(
-        self, event: Event, node: NodeState, cycle: int
-    ) -> list[TraceRecord]:
+    def _train_records(self, event: Event, node: NodeState, cycle: int) -> None:
         # Signal k of the train has seq first + k. It succeeded if it filled
         # a slot, was discarded if it came after the bank filled, and failed
         # otherwise.
@@ -428,7 +436,6 @@ class _ChainSimulation:
             filled_by[-1] if len(filled_by) == node.m_fusilands else len(arrivals)
         )
         kind = event.kind.value
-        records = []
         for fusilier, arrival_ns in enumerate(arrivals):
             slot = slots.get(fusilier)
             if slot is not None:
@@ -437,7 +444,7 @@ class _ChainSimulation:
                 outcome = "discarded"
             else:
                 outcome = "failure"
-            records.append(
+            self.trace.append(
                 TraceRecord(
                     arrival_ns,
                     first + fusilier,
@@ -446,9 +453,8 @@ class _ChainSimulation:
                     f"cycle={cycle} fusilier={fusilier} {outcome}",
                 )
             )
-        return records
 
-    def _handle_return_arrive(self, event: Event) -> Optional[str]:
+    def _handle_return_arrive(self, event: Event) -> None:
         node_id = event.payload["node"]
         cycle = event.payload["cycle"]
         msg = event.payload["msg"]
@@ -486,9 +492,8 @@ class _ChainSimulation:
             self._mark_complete(cycle, node_id)
         if node_id == 0:
             self._schedule_next_cycle(cycle)
-        if not self.collect_trace:
-            return None
-        return f"cycle={cycle} matches={len(msg.matches)} swaps={len(swaps)}"
+        if self.collect_trace:
+            self._trace(event, f"cycle={cycle} matches={len(msg.matches)} swaps={len(swaps)}")
 
     def _schedule_next_cycle(self, cycle: int) -> None:
         # Launched once the left end finished its cycle so that, at the exact
@@ -506,21 +511,21 @@ class _ChainSimulation:
             Event(start_ns, EventKind.CYCLE_START, {"node": 0, "cycle": cycle + 1})
         )
 
-    def _handle_swap_complete(self, event: Event) -> Optional[str]:
+    def _handle_swap_complete(self, event: Event) -> None:
         self._mark_complete(event.payload["cycle"], event.payload["node"])
-        if not self.collect_trace:
-            return None
-        return f"cycle={event.payload['cycle']} count={event.payload['count']}"
-
-    def _handle_pair_ready(self, event: Event) -> Optional[str]:
-        if not self.collect_trace:
-            return None
-        return (
-            f"cycle={event.payload['cycle']} slot={event.payload['slot']} "
-            f"x={event.payload['x']}"
-        )
+        if self.collect_trace:
+            self._trace(
+                event, f"cycle={event.payload['cycle']} count={event.payload['count']}"
+            )
 
     # -- helpers ---------------------------------------------------------
+
+    def _trace(self, event: Event, detail: str) -> None:
+        self.trace.append(
+            TraceRecord(
+                event.time_ns, event.seq, event.kind.value, event.payload["node"], detail
+            )
+        )
 
     def _herald_at(self, node_id: int, herald: HeraldMessage) -> None:
         # Node 0 is the node with no incoming train.
@@ -640,9 +645,6 @@ class _ChainSimulation:
     def _mark_complete(self, cycle: int, node_id: int) -> None:
         ledger = self.ledgers[cycle]
         ledger.outstanding.discard(node_id)
-        ledger.last_completion_ns = max(
-            ledger.last_completion_ns, self.queue.now_ns
-        )
         if not ledger.outstanding:
             self._finalize_cycle(cycle, ledger)
 
@@ -668,18 +670,17 @@ class _ChainSimulation:
             )
             self.records.append(record)
             bucket.append(record)
-            self.queue.schedule(
-                Event(
-                    ledger.last_completion_ns,
-                    EventKind.PAIR_READY,
-                    {
-                        "node": self.num_nodes - 1,
-                        "cycle": cycle,
-                        "slot": slot,
-                        "x": pair.x_error,
-                    },
+            if self.collect_trace:
+                # Keyed like an event scheduled now, but nothing is queued.
+                self.trace.append(
+                    TraceRecord(
+                        self.queue.now_ns,
+                        self.queue.reserve(),
+                        "PairReady",
+                        self.num_nodes - 1,
+                        f"cycle={cycle} slot={slot} x={pair.x_error}",
+                    )
                 )
-            )
         del self.ledgers[cycle]
 
     def _deliver_frames(self, herald: HeraldMessage) -> None:
@@ -708,9 +709,10 @@ class _ChainSimulation:
             EventKind.SIGNAL_ARRIVE: self._handle_signal_arrive,
             EventKind.RETURN_ARRIVE: self._handle_return_arrive,
             EventKind.SWAP_COMPLETE: self._handle_swap_complete,
-            EventKind.PAIR_READY: self._handle_pair_ready,
         }
-        trace = run(self.queue, handlers, collect_trace=self.collect_trace)
+        run(self.queue, handlers)
+        # A train's signals are traced at keys before the train's dispatch.
+        self.trace.sort()
         if self.split is not None:
             self._flush_leftbound()
             self._assign_left_availability()
@@ -722,7 +724,7 @@ class _ChainSimulation:
             hop_success_counts=self.hop_success_counts,
             split_index=self.split,
             left_frame_folds=dict(self.left_folds),
-            trace=trace,
+            trace=self.trace,
         )
 
     def _flush_leftbound(self) -> None:

@@ -226,6 +226,11 @@ def _return_before_train(doc):
     net["tau_slot_ns"] = 10
 
 
+def _trace_to_summary_file(doc):
+    # two spellings of one file: the trace would overwrite the summary
+    doc["output"].update(path="out.json", trace=True, trace_path="./out.json")
+
+
 class TestRejectedInput:
     """Each input exits 2 with one ``error: config:`` line naming the field."""
 
@@ -241,6 +246,7 @@ class TestRejectedInput:
             # an integer path would be opened as a file descriptor
             (_set(("output", "path"), 987654), "output.path"),
             (_set(("output", "trace_path"), ["run.jsonl"]), "output.trace_path"),
+            (_trace_to_summary_file, "output.trace_path"),
             (_nearly_zero_hop, "cycle period"),
             (_return_before_train, "nodes[1]"),
             (_set(("network", "cycles"), 2**32), "cycles must be < 4294967296"),

@@ -21,7 +21,6 @@ from fusenet.engine import (
     RngStream,
     SEED_BLOCK,
     SWAP_DOMAIN,
-    TraceRecord,
     channel_delay_ns,
     run,
 )
@@ -34,7 +33,7 @@ SPEED = 2.0e8
 
 
 def make_event(t, detail=None):
-    return Event(t, EventKind.PAIR_READY, {"node": 0, "detail": detail})
+    return Event(t, EventKind.CYCLE_START, {"node": 0, "detail": detail})
 
 
 class TestEventQueue:
@@ -70,20 +69,29 @@ class TestEventQueue:
             seen.append(q.now_ns)
         assert seen == sorted(seen)
 
+    def test_reserved_seqs_are_skipped_and_queue_nothing(self):
+        q = EventQueue()
+        first = q.schedule(make_event(5))
+        assert q.reserve() == 1
+        assert q.reserve(3) == 4
+        assert len(q) == 1
+        assert q.schedule(make_event(5)).seq == 5
+        assert [q.pop().seq for _ in range(2)] == [first.seq, 5]
+
 
 class TestRun:
     def test_empty_queue_empty_trace(self):
-        assert run(EventQueue(), {}) == []
+        hits = []
+        assert run(EventQueue(), {EventKind.CYCLE_START: hits.append}) is None
+        assert hits == []
 
     def test_single_event_single_dispatch(self):
         q = EventQueue()
-        q.schedule(make_event(10))
+        event = q.schedule(make_event(10))
         hits = []
-        trace = run(q, {EventKind.PAIR_READY: lambda e: hits.append(e.time_ns) or "ok"})
-        assert hits == [10]
-        assert len(trace) == 1
-        assert trace[0].t_ns == 10 and trace[0].kind == "PairReady"
-        assert trace[0].detail == "ok"
+        assert run(q, {EventKind.CYCLE_START: hits.append}) is None
+        assert hits == [event]
+        assert q.now_ns == 10 and len(q) == 0
 
     def test_protocol_error_attaches_event(self):
         q = EventQueue()
@@ -93,13 +101,8 @@ class TestRun:
             raise ProtocolError("bad transition")
 
         with pytest.raises(ProtocolError) as info:
-            run(q, {EventKind.PAIR_READY: boom})
+            run(q, {EventKind.CYCLE_START: boom})
         assert info.value.event.time_ns == 10
-
-    def test_trace_collection_can_be_disabled(self):
-        q = EventQueue()
-        q.schedule(make_event(10))
-        assert run(q, {EventKind.PAIR_READY: lambda e: None}, collect_trace=False) == []
 
 
 def schedule_train(q, start, count, spacing, node=0):
@@ -109,17 +112,24 @@ def schedule_train(q, start, count, spacing, node=0):
 
 
 def train_records(event):
-    """One trace record per train member, at the member's own key."""
+    """One (t, seq, kind, detail) record per train member, at its own key."""
     arrivals = event.payload["arrivals"]
     first = event.seq - len(arrivals) + 1
-    return [
-        TraceRecord(t, first + k, event.kind.value, event.payload["node"], f"member={k}")
-        for k, t in enumerate(arrivals)
-    ]
+    return [(t, first + k, event.kind.value, f"member={k}") for k, t in enumerate(arrivals)]
 
 
-def keys(trace):
-    return [(rec.t_ns, rec.seq, rec.kind, rec.detail) for rec in trace]
+def tracing(trace, on_train=None):
+    """Handlers that append their records to ``trace``, as a simulation does."""
+
+    def single(event):
+        trace.append((event.time_ns, event.seq, event.kind.value, event.payload["detail"]))
+
+    def train(event):
+        if on_train is not None:
+            on_train(event)
+        trace.extend(train_records(event))
+
+    return {EventKind.CYCLE_START: single, EventKind.SIGNAL_ARRIVE: train}
 
 
 class TestTrain:
@@ -139,41 +149,38 @@ class TestTrain:
         q.schedule(make_event(10, "early"))
         schedule_train(q, 10, 3, 0)
         q.schedule(make_event(10, "late"))
-        handlers = {
-            EventKind.PAIR_READY: lambda e: e.payload["detail"],
-            EventKind.SIGNAL_ARRIVE: train_records,
-        }
-        assert keys(run(q, handlers)) == [
-            (10, 0, "PairReady", "early"),
+        trace = []
+        run(q, tracing(trace))
+        assert sorted(trace) == [
+            (10, 0, "CycleStart", "early"),
             (10, 1, "SignalArrive", "member=0"),
             (10, 2, "SignalArrive", "member=1"),
             (10, 3, "SignalArrive", "member=2"),
-            (10, 4, "PairReady", "late"),
+            (10, 4, "CycleStart", "late"),
         ]
 
     def test_zero_spacing_dispatches_whole_train_inline(self):
         q = EventQueue()
         schedule_train(q, 7, 4, 0)
-        calls = []
-        trace = run(q, {EventKind.SIGNAL_ARRIVE: lambda e: calls.append(e) or train_records(e)})
+        calls, trace = [], []
+        run(q, tracing(trace, calls.append))
         assert len(calls) == 1
-        assert [(r.t_ns, r.seq) for r in trace] == [(7, 0), (7, 1), (7, 2), (7, 3)]
+        assert [(t, seq) for t, seq, _kind, _detail in sorted(trace)] == [
+            (7, 0), (7, 1), (7, 2), (7, 3)
+        ]
 
     def test_member_records_interleave_with_other_events(self):
         q = EventQueue()
         q.schedule(make_event(10, "tied, lower seq"))
         schedule_train(q, 0, 3, 10)
         q.schedule(make_event(15, "between members"))
-        dispatched = []
-        handlers = {
-            EventKind.PAIR_READY: lambda e: e.payload["detail"],
-            EventKind.SIGNAL_ARRIVE: lambda e: dispatched.append(q.now_ns) or train_records(e),
-        }
-        assert keys(run(q, handlers)) == [
+        dispatched, trace = [], []
+        run(q, tracing(trace, lambda e: dispatched.append(q.now_ns)))
+        assert sorted(trace) == [
             (0, 1, "SignalArrive", "member=0"),
-            (10, 0, "PairReady", "tied, lower seq"),
+            (10, 0, "CycleStart", "tied, lower seq"),
             (10, 2, "SignalArrive", "member=1"),
-            (15, 4, "PairReady", "between members"),
+            (15, 4, "CycleStart", "between members"),
             (20, 3, "SignalArrive", "member=2"),
         ]
         assert dispatched == [20]  # once, at the last member
@@ -184,12 +191,6 @@ class TestTrain:
         q.pop()
         with pytest.raises(SchedulingError):
             schedule_train(q, 97, 3, 1)
-
-    def test_trace_off_ignores_member_records(self):
-        q = EventQueue()
-        schedule_train(q, 0, 3, 1)
-        assert run(q, {EventKind.SIGNAL_ARRIVE: train_records}, collect_trace=False) == []
-        assert len(q) == 0
 
 
 # (start, count, spacing, spawn): spawn is None or (delay, count, spacing)
@@ -206,8 +207,9 @@ _items = st.lists(
 
 
 def _dispatch(items, as_trains):
-    """Trace of ``items`` run as trains, or with every member its own event."""
+    """Sorted trace of ``items`` run as trains, or with every member its own event."""
     q = EventQueue()
+    trace = []
 
     def add(start, count, spacing, node, spawn):
         if as_trains and count > 1:
@@ -226,16 +228,18 @@ def _dispatch(items, as_trains):
 
     def handle(event):
         if "arrivals" in event.payload:
-            records = train_records(event)
+            trace.extend(train_records(event))
             spawn(event)
-            return records
+            return
         if event.payload["last"]:
             spawn(event)
-        return f"member={event.payload['member']}"
+        trace.append((event.time_ns, event.seq, event.kind.value, f"member={event.payload['member']}"))
 
     for node, (start, count, spacing, child) in enumerate(items):
         add(start, count, spacing, node, child)
-    return run(q, {EventKind.SIGNAL_ARRIVE: handle})
+    run(q, {EventKind.SIGNAL_ARRIVE: handle})
+    trace.sort()
+    return trace
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,7 +248,8 @@ def test_trains_dispatch_like_one_event_per_member(items):
     trains = _dispatch(items, as_trains=True)
     reference = _dispatch(items, as_trains=False)
     assert trains == reference
-    assert [(r.t_ns, r.seq) for r in trains] == sorted((r.t_ns, r.seq) for r in trains)
+    keys = [(t, seq) for t, seq, _kind, _detail in trains]
+    assert len(set(keys)) == len(keys)
 
 
 class TestChannelDelay:
