@@ -1,8 +1,8 @@
 """Command-line entry point: plan, simulate, and sweep workflows.
 
-Exit codes: 0 success, 2 configuration error, 3 desynchronization abort,
-4 an output file (summary, trace or sweep CSV) could not be written. Every
-error path prints a single machine-readable line to stderr of the form
+Exit codes: 0 success, 2 configuration or usage error, 3 desynchronization
+abort, 4 an output file (summary, trace or sweep CSV) could not be written.
+Every error path prints a single machine-readable line to stderr of the form
 ``error: <category>: <detail>``. Output files go to temp files beside their
 targets and are renamed into place only once every write has succeeded.
 """
@@ -47,6 +47,7 @@ SWEEP_PARAMETERS = {
 }
 
 _SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryStats))
+_PLAN_FIELDS = tuple(f.name for f in fields(PlanRow))
 
 
 def _fail(category: str, message: str, code: int) -> int:
@@ -96,15 +97,9 @@ def _plan_rows_text(rows: list[PlanRow]) -> str:
 def _plan_rows_csv(rows: list[PlanRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["m", "p", "target_pf", "n_required", "exact_pf_at_n", "exact_pf_at_prev_n", "expected_successes"]
-    )
+    writer.writerow(_PLAN_FIELDS)
     for row in rows:
-        writer.writerow(
-            [row.m, repr(row.p), repr(row.target_pf), row.n_required,
-             repr(row.exact_pf_at_n), repr(row.exact_pf_at_prev_n),
-             repr(row.expected_successes)]
-        )
+        writer.writerow([_csv_cell(getattr(row, name)) for name in _PLAN_FIELDS])
     return buf.getvalue()
 
 
@@ -262,8 +257,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, its subparsers' too, as one ``error: config:`` line."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"error: config: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusenet",
         description=(
             "Simulate and plan linear entanglement-distribution chains built "

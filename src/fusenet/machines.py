@@ -5,8 +5,8 @@ a bank of fusilands (receivers serving the link from its left neighbor).
 One herald pulse per cycle fires the whole fusillade; the signal train
 arriving at a node is resolved in one call (``on_train``): its signals
 interact with the fusilands one at a time, rerouting to the next fusiland
-after each success; a single return message per hop reports which
-fusiliers succeeded; swap eligibility requires confirmed links on both
+after each success; a single return message per hop reports how many
+signals succeeded; swap eligibility requires confirmed links on both
 sides.
 
 Frame records a node produces (its swaps, and the purifications of the hop
@@ -75,7 +75,7 @@ class HeraldMessage:
 
 @dataclass
 class ReturnMessage:
-    """Per-hop report of which fusiliers succeeded, sent after the train.
+    """Per-hop report of how many signals succeeded, sent after the train.
 
     ``usable_links`` counts the hop's links (post-purification when that
     strategy is active) the transmitting node may swap; ``relayed_frames``
@@ -83,18 +83,9 @@ class ReturnMessage:
     """
 
     cycle_id: int
-    matches: list[tuple[int, int]] = field(default_factory=list)
+    successes: int = 0
     usable_links: int = 0
     relayed_frames: list[FrameRecord] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class SwapResult:
-    """One executed swap: pairing slot and its two outcome bits."""
-
-    slot: int
-    parity_outcome: int
-    x_outcome: int
 
 
 @dataclass
@@ -103,7 +94,8 @@ class NodeState:
 
     ``filled_by[k]`` is the fusilier whose signal filled fusiland slot k this
     cycle, so the next signal targets slot ``len(filled_by)``;
-    ``signals_received`` counts the incoming train's signals resolved so far.
+    ``signals_received`` is the size of the train resolved this cycle (0
+    until it arrives).
     ``pending_frame`` is the node's frame outbox; ``sends_left`` says whether
     it leaves on the node's return message instead of the next herald.
     """
@@ -115,7 +107,6 @@ class NodeState:
     fusillade: FusilladePhase = FusilladePhase.IDLE
     fusilands: FusilandPhase = FusilandPhase.IDLE
     filled_by: list[int] = field(default_factory=list)
-    expected_signals: int = 0
     signals_received: int = 0
     left_links: list[PairRecord] = field(default_factory=list)
     pending_frame: list[FrameRecord] = field(default_factory=list)
@@ -140,7 +131,6 @@ def on_herald(
     herald: HeraldMessage,
     now_ns: int,
     *,
-    incoming_train: int,
     generate: bool = True,
 ) -> int:
     """Start a cycle at this node as the herald pulse passes.
@@ -167,10 +157,8 @@ def on_herald(
     if not node.sends_left:
         pickup_frames(node, herald)
     node.signals_received = 0
-    node.expected_signals = 0
     if not generate:
         return 0
-    node.expected_signals = incoming_train
     if node.m_fusilands:
         node.fusilands = FusilandPhase.READY
     if not node.n_fusiliers:
@@ -243,8 +231,8 @@ def on_train(
 def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
     """Assemble the hop's single return message after the whole train passed.
 
-    Lists every (fusilier, fusiland slot) success in firing order and counts
-    the hop's current link records. The bank is reported for the cycle:
+    Counts the train's successes and the hop's current link records; it
+    must come after a train has arrived. The bank is reported for the cycle:
     fusilands still waiting stay empty. A node that sends left empties its
     frame outbox into the message's ``relayed_frames``.
     """
@@ -258,15 +246,15 @@ def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
             f"node {node.node_id} cannot report cycle {cycle_id}: its "
             f"fusilands are {node.fusilands.value}"
         )
-    if node.signals_received != node.expected_signals:
+    if not node.signals_received:
         raise ProtocolError(
-            f"node {node.node_id} saw {node.signals_received} of "
-            f"{node.expected_signals} signals; the train has not finished"
+            f"node {node.node_id} cannot report cycle {cycle_id}: no signal "
+            "train has arrived"
         )
     node.fusilands = FusilandPhase.REPORTED
     msg = ReturnMessage(
         cycle_id=cycle_id,
-        matches=[(fusilier, slot) for slot, fusilier in enumerate(node.filled_by)],
+        successes=len(node.filled_by),
         usable_links=len(node.left_links),
     )
     if node.sends_left:
@@ -274,13 +262,14 @@ def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
     return msg
 
 
-def on_return(node: NodeState, msg: ReturnMessage, rng, now_ns: int) -> list[SwapResult]:
+def on_return(node: NodeState, msg: ReturnMessage, rng) -> list[FrameRecord]:
     """Apply a return message: confirm the fusillade, then swap if eligible.
 
     When the node holds links on both sides, the k-th left link swaps with
     the k-th right link; outcome bits are drawn from ``rng`` (parity bit
-    then X bit per swap) and accumulate into ``pending_frame``. Surplus
-    links stay until the cycle's resources are released.
+    then X bit per swap) into one frame record per swap, appended to
+    ``pending_frame`` and returned, slot k at index k. Surplus links stay
+    until the cycle's resources are released.
     """
     if msg.cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -292,36 +281,22 @@ def on_return(node: NodeState, msg: ReturnMessage, rng, now_ns: int) -> list[Swa
             f"node {node.node_id} got return for cycle {msg.cycle_id} while "
             f"its fusillade is {node.fusillade.value}"
         )
-    listed = set()
-    for fusilier_id, _slot in msg.matches:
-        if not 0 <= fusilier_id < node.n_fusiliers:
-            raise ProtocolError(
-                f"node {node.node_id} return names unknown fusilier {fusilier_id}"
-            )
-        if fusilier_id in listed:
-            raise ProtocolError(
-                f"node {node.node_id} return names fusilier {fusilier_id} twice"
-            )
-        listed.add(fusilier_id)
     node.fusillade = FusilladePhase.CONFIRMED
-    swaps: list[SwapResult] = []
-    for slot in range(min(len(node.left_links), msg.usable_links)):
-        parity_outcome = int(rng.random() < 0.5)
-        x_outcome = int(rng.random() < 0.5)
-        node.pending_frame.append(
-            FrameRecord(
-                node.node_id,
-                msg.cycle_id,
-                slot,
-                PauliFrame(parity_outcome, x_outcome),
-            )
+    swaps = [
+        FrameRecord(
+            node.node_id,
+            msg.cycle_id,
+            slot,
+            PauliFrame(int(rng.random() < 0.5), int(rng.random() < 0.5)),
         )
-        swaps.append(SwapResult(slot, parity_outcome, x_outcome))
+        for slot in range(min(len(node.left_links), msg.usable_links))
+    ]
+    node.pending_frame.extend(swaps)
     return swaps
 
 
 def release_cycle_resources(node: NodeState) -> None:
-    """Free the node's fusillade, fusilands, and links at cycle end."""
+    """Free the node's banks at cycle end; ``left_links`` gets a new list."""
     if node.fusillade is FusilladePhase.FIRED:
         raise ProtocolError(
             f"node {node.node_id} cannot release: its fusillade is unconfirmed"
@@ -333,4 +308,4 @@ def release_cycle_resources(node: NodeState) -> None:
     node.fusillade = FusilladePhase.IDLE
     node.fusilands = FusilandPhase.IDLE
     node.filled_by.clear()
-    node.left_links.clear()
+    node.left_links = []

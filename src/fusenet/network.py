@@ -211,20 +211,27 @@ def _link_delays_ns(config: NetworkConfig) -> tuple[int, ...]:
     )
 
 
+def _safe_period_ns(config: NetworkConfig, delays: tuple[int, ...]) -> int:
+    """The slowest hop's round trip plus its signal-train and processing time."""
+    return max(
+        2 * d + link.n_fusiliers * config.tau_slot_ns + config.proc_ns
+        for d, link in zip(delays, config.links)
+    )
+
+
 def validate_config(config: NetworkConfig) -> CycleSchedule:
     """Check a configuration and derive its cycle schedule.
 
-    The computed cycle period is the slowest hop's round trip plus its
-    signal-train and processing time, which guarantees the next herald
-    arrives only after all swaps completed. A computed period of 0 ns (every
-    hop rounds to a 0 ns delay and there is no train or processing time) is
-    rejected, as is a chain in which an intermediate node would get the
-    return from its right hop before its incoming train has ended, and a
-    cycle count of 2**32 or more (a cycle is one 32-bit word of its RNG
-    key). An
-    explicit ``cycle_period_ns`` override below that bound is
-    accepted with a warning; the run will then abort with a
-    desynchronization error when the herald overtakes a node.
+    The computed cycle period is the safe bound (``_safe_period_ns``), which
+    guarantees the next herald arrives only after all swaps completed. A
+    computed period of 0 ns (every hop rounds to a 0 ns delay and there is
+    no train or processing time) is rejected, as is a chain in which an
+    intermediate node would get the return from its right hop before its
+    incoming train has ended, and a cycle count of 2**32 or more (a cycle
+    is one 32-bit word of its RNG key). An explicit ``cycle_period_ns``
+    override below the bound is accepted here; ``run_network`` warns about
+    it, and the run will then abort with a desynchronization error when the
+    herald overtakes a node.
     """
     if len(config.nodes) < 2:
         raise ConfigurationError("a chain needs at least 2 nodes")
@@ -271,12 +278,8 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
                 f"the herald, before the incoming train ends at {train_end_ns} ns"
             )
 
-    bound = max(
-        2 * d + link.n_fusiliers * config.tau_slot_ns + config.proc_ns
-        for d, link in zip(delays, config.links)
-    )
     if config.cycle_period_ns is None:
-        period = bound
+        period = _safe_period_ns(config, delays)
         if period == 0:
             raise ConfigurationError(
                 "the cycle period comes out 0 ns: every hop rounds to a 0 ns "
@@ -286,12 +289,6 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
         period = config.cycle_period_ns
         if period <= 0:
             raise ConfigurationError("cycle_period_ns override must be > 0")
-        if period < bound:
-            warnings.warn(
-                f"cycle_period_ns={period} is below the safe bound {bound}; "
-                "the run may abort with a desynchronization error",
-                stacklevel=2,
-            )
 
     offsets = [0]
     for d in delays:
@@ -331,18 +328,15 @@ def butterfly_split(config: NetworkConfig) -> int:
 class _CycleLedger:
     """Per-cycle bookkeeping used to compose end-to-end pairs."""
 
-    __slots__ = (
-        "seeds",
-        "hop_pairs",
-        "swap_outcomes",
-        "outstanding",
-    )
+    __slots__ = ("seeds", "hop_pairs", "swaps", "outstanding")
 
     def __init__(self, seeds, num_links: int, num_nodes: int) -> None:
         # seeds[domain, index]: the PCG64 seed row of the cycle's key.
         self.seeds = seeds
+        # hop_pairs[link]: the receiving node's link list at the end of its
+        # train; swaps[node]: its swap frame records, slot k at index k.
         self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
-        self.swap_outcomes: dict[tuple[int, int], tuple[int, int]] = {}
+        self.swaps: list[list[FrameRecord]] = [[] for _ in range(num_nodes)]
         self.outstanding = set(range(num_nodes))
 
 
@@ -469,12 +463,7 @@ class _ChainSimulation:
         rng = None
         if count:
             rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * count)
-        swaps = on_return(node, msg, rng, self.queue.now_ns)
-        for swap in swaps:
-            ledger.swap_outcomes[(node_id, swap.slot)] = (
-                swap.parity_outcome,
-                swap.x_outcome,
-            )
+        swaps = ledger.swaps[node_id] = on_return(node, msg, rng)
         # The swap occupies the node for proc_ns; states are released here
         # and busy_until_ns guards the occupancy window against early heralds.
         release_cycle_resources(node)
@@ -493,7 +482,7 @@ class _ChainSimulation:
         if node_id == 0:
             self._schedule_next_cycle(cycle)
         if self.collect_trace:
-            self._trace(event, f"cycle={cycle} matches={len(msg.matches)} swaps={len(swaps)}")
+            self._trace(event, f"cycle={cycle} matches={msg.successes} swaps={len(swaps)}")
 
     def _schedule_next_cycle(self, cycle: int) -> None:
         # Launched once the left end finished its cycle so that, at the exact
@@ -528,16 +517,12 @@ class _ChainSimulation:
         )
 
     def _herald_at(self, node_id: int, herald: HeraldMessage) -> None:
-        # Node 0 is the node with no incoming train.
         cycle = herald.cycle_id
-        generate = cycle < self.config.cycles
-        incoming = self.config.links[node_id - 1].n_fusiliers if generate and node_id else 0
         fired = on_herald(
             self.nodes[node_id],
             herald,
             self.queue.now_ns,
-            incoming_train=incoming,
-            generate=generate,
+            generate=cycle < self.config.cycles,
         )
         if node_id + 1 < self.num_nodes:
             # The herald is multiplexed ahead of the signal train: schedule
@@ -586,7 +571,8 @@ class _ChainSimulation:
         if self.config.strategy is Strategy.PURIFY3:
             self._purify_hop(node, link_idx, cycle)
         ledger = self.ledgers[cycle]
-        ledger.hop_pairs[link_idx] = list(node.left_links)
+        # Release rebinds node.left_links, so the ledger keeps this list.
+        ledger.hop_pairs[link_idx] = node.left_links
         msg = build_return_message(node, cycle)
         self.queue.schedule(
             Event(
@@ -659,8 +645,10 @@ class _ChainSimulation:
         for slot in range(delivered):
             pair = ledger.hop_pairs[0][slot]
             for node_id in range(1, self.num_nodes - 1):
-                a, b = ledger.swap_outcomes[(node_id, slot)]
-                pair = swap_apply(pair, ledger.hop_pairs[node_id][slot], a, b)
+                frame = ledger.swaps[node_id][slot].frame
+                pair = swap_apply(
+                    pair, ledger.hop_pairs[node_id][slot], frame.x_bit, frame.z_bit
+                )
             record = EndToEndRecord(
                 cycle_id=cycle,
                 slot=slot,
@@ -744,11 +732,19 @@ def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult
     """Validate a configuration and execute its herald sweep cycles.
 
     Returns every end-to-end pair record plus the per-cycle delivery and
-    per-hop success statistics that the summary layer consumes. Aborts with
-    a DesynchronizationError (naming the violating node) if a herald ever
+    per-hop success statistics that the summary layer consumes. Warns when
+    a ``cycle_period_ns`` override is below the safe bound, and aborts with
+    a DesynchronizationError (naming the violating node) if a herald then
     overtakes unfinished swap work.
     """
     schedule = validate_config(config)
+    bound = _safe_period_ns(config, schedule.link_delays_ns)
+    if schedule.cycle_period_ns < bound:
+        warnings.warn(
+            f"cycle_period_ns={schedule.cycle_period_ns} is below the safe bound "
+            f"{bound}; the run may abort with a desynchronization error",
+            stacklevel=2,
+        )
     split = butterfly_split(config) if config.butterfly else None
     sim = _ChainSimulation(config, schedule, split, collect_trace)
     return sim.execute()

@@ -101,7 +101,7 @@ def test_criterion_4a_hop_success_counts():
     rx = NodeState(1, 0, m)
     short = 0
     for cycle in range(cycles):
-        on_herald(rx, HeraldMessage(cycle), 0, incoming_train=n)
+        on_herald(rx, HeraldMessage(cycle), 0)
         on_train(rx, 0, link, rng, list(range(n)))
         if len(rx.left_links) < m:
             short += 1

@@ -89,6 +89,11 @@ class TestPlan:
         assert code == 2
         assert "--m" in err
 
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--help")
+        assert code == 0
+        assert out.startswith("usage: fusenet plan") and err == ""
+
 
 class TestSimulate:
     def test_bundled_example_rate(self, capsys):
@@ -179,6 +184,20 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
         assert code == 2
         assert "trace" in err
+
+    def test_below_bound_period_warns_once(self, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["network"]["links"][0]["n_fusiliers"] = 5
+        doc["network"]["tau_slot_ns"] = 10
+        doc["network"]["cycle_period_ns"] = 400_040  # the safe bound is 400_050
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 0
+        assert [str(w.message) for w in caught] == [
+            "cycle_period_ns=400040 is below the safe bound 400050; "
+            "the run may abort with a desynchronization error"
+        ]
 
     def test_csv_summary_format(self, tmp_path, capsys):
         doc = copy.deepcopy(BASE_DOC)
@@ -292,6 +311,28 @@ class TestRejectedInput:
         assert out == ""
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert "links[0].length_km" in err
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["plan", "--m", "1", "--p", "abc"], "argument --p: invalid float value: 'abc'"),
+        (["plan", "--m", "1"], "the following arguments are required: --p"),
+        (["plan", "--m", "1", "--p", "0.5", "--format", "xml"], "argument --format"),
+        (["plan", "--m", "1", "--p", "0.5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["simulate"], "the following arguments are required: config"),
+        (["warp"], "invalid choice: 'warp'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad_float", "missing_flag", "bad_choice", "unknown_flag",
+         "missing_positional", "unknown_subcommand", "no_subcommand"],
+)
+def test_usage_error_is_one_config_line(capsys, argv, detail):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert detail in err
 
 
 class TestWriteFailure:

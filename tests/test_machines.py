@@ -38,13 +38,13 @@ LINK = LinkModel(length_km=1.0, p_success=0.25)
 PERFECT = LinkModel(length_km=1.0, p_success=1.0)
 
 
-def start_cycle(n, m, cycle=0, incoming=None):
+def start_cycle(n, m, cycle=0):
     """A transmitting node and a receiving node, herald already passed."""
     tx = NodeState(0, n_fusiliers=n, m_fusilands=0)
     rx = NodeState(1, n_fusiliers=0, m_fusilands=m)
     herald = HeraldMessage(cycle)
-    fired = on_herald(tx, herald, 0, incoming_train=0)
-    on_herald(rx, herald, 50, incoming_train=n if incoming is None else incoming)
+    fired = on_herald(tx, herald, 0)
+    on_herald(rx, herald, 50)
     return tx, rx, fired
 
 
@@ -52,10 +52,10 @@ def arrivals(n, start=100, tau=10):
     return [start + tau * k for k in range(n)]
 
 
-def run_train(rx, draws, n=None, link=LINK):
-    """Resolve an n-signal train (default: the expected one); returns the stub."""
+def run_train(rx, n, draws, link=LINK):
+    """Resolve an n-signal train; returns the stub."""
     rng = StubRng(draws)
-    on_train(rx, 0, link, rng, arrivals(rx.expected_signals if n is None else n))
+    on_train(rx, 0, link, rng, arrivals(n))
     return rng
 
 
@@ -67,7 +67,7 @@ class TestOnHerald:
 
     def test_rightmost_node_fires_nothing(self):
         rx = NodeState(2, n_fusiliers=0, m_fusilands=2)
-        fired = on_herald(rx, HeraldMessage(0), 0, incoming_train=4)
+        fired = on_herald(rx, HeraldMessage(0), 0)
         assert fired == 0
         assert rx.fusillade is FusilladePhase.IDLE
         assert rx.fusilands is FusilandPhase.READY
@@ -75,36 +75,36 @@ class TestOnHerald:
     def test_herald_while_busy_desynchronizes(self):
         tx, _, _ = start_cycle(2, 1)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, HeraldMessage(1), 500, incoming_train=0)
+            on_herald(tx, HeraldMessage(1), 500)
 
     def test_wrong_cycle_id_desynchronizes(self):
         tx = NodeState(0, 2, 0)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, HeraldMessage(3), 0, incoming_train=0)
+            on_herald(tx, HeraldMessage(3), 0)
 
     def test_pickup_drains_pending_frames(self):
         _, rx, _ = start_cycle(1, 1)
-        run_train(rx, draws=[0.0, 0.5])
+        run_train(rx, 1, draws=[0.0, 0.5])
         build_return_message(rx, 0)
         release_cycle_resources(rx)
         rx.pending_frame.append(FrameRecord(1, 0, 0, IDENTITY_FRAME))
         herald = HeraldMessage(1)
-        on_herald(rx, herald, 10_000, incoming_train=1)
+        on_herald(rx, herald, 10_000)
         assert len(herald.frame_payload) == 1
         assert rx.pending_frame == []
 
     def test_node_that_sends_left_keeps_its_outbox_for_the_return(self):
         _, rx, _ = start_cycle(1, 1)
         rx.sends_left = True
-        run_train(rx, draws=[0.0, 0.5])
+        run_train(rx, 1, draws=[0.0, 0.5])
         build_return_message(rx, 0)
         release_cycle_resources(rx)
         record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
         rx.pending_frame.append(record)
         herald = HeraldMessage(1)
-        on_herald(rx, herald, 10_000, incoming_train=1)
+        on_herald(rx, herald, 10_000)
         assert herald.frame_payload == []
-        run_train(rx, draws=[0.0, 0.5])
+        run_train(rx, 1, draws=[0.0, 0.5])
         msg = build_return_message(rx, 1)
         assert msg.relayed_frames == [record]
         assert rx.pending_frame == []
@@ -123,40 +123,40 @@ class TestOnSignal:
 
     def test_first_success_takes_slot_zero_then_discards(self):
         _, rx, _ = start_cycle(3, 1)
-        rng = run_train(rx, draws=[0.1, 0.5])
+        rng = run_train(rx, 3, draws=[0.1, 0.5])
         assert rx.filled_by == [0]
         assert len(rx.left_links) == 1
         assert rng.values == []  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
         _, rx, _ = start_cycle(2, 1)
-        run_train(rx, draws=[0.9, 0.1, 0.5])
+        run_train(rx, 2, draws=[0.9, 0.1, 0.5])
         assert rx.filled_by == [1]
         assert rx.left_links[0].right == Endpoint(1, 0)
         assert rx.fusilands is FusilandPhase.READY
 
     def test_exhausted_bank_discards_without_drawing(self):
         _, rx, _ = start_cycle(4, 2)
-        rng = run_train(rx, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
+        rng = run_train(rx, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
         assert rx.filled_by == [0, 1]
         assert rng.values == []  # discarded signals consumed no randomness
 
     def test_second_train_rejected(self):
         _, rx, _ = start_cycle(3, 1)
-        run_train(rx, draws=[0.9, 0.9, 0.9])
+        run_train(rx, 3, draws=[0.9, 0.9, 0.9])
         with pytest.raises(ProtocolError):
-            run_train(rx, draws=[0.1, 0.5])
+            run_train(rx, 3, draws=[0.1, 0.5])
 
     def test_error_bit_sampled_from_fidelity(self):
         _, rx, _ = start_cycle(1, 1)
         noisy = LinkModel(length_km=1.0, p_success=1.0, raw_fidelity=0.9)
-        run_train(rx, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
+        run_train(rx, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
         assert rx.left_links[0].x_error == 1
         assert rx.left_links[0].model_fidelity == 0.9
 
     def test_pair_endpoints_name_both_sides(self):
         _, rx, _ = start_cycle(2, 2)
-        run_train(rx, draws=[0.9, 0.1, 0.5])
+        run_train(rx, 2, draws=[0.9, 0.1, 0.5])
         pair = rx.left_links[0]
         assert pair.left == Endpoint(0, 1)  # fusilier 1 on node 0
         assert pair.right == Endpoint(1, 0)  # slot 0 on node 1
@@ -166,107 +166,100 @@ class TestOnSignal:
 class TestBuildReturnMessage:
     def test_no_successes_gives_empty_matches(self):
         _, rx, _ = start_cycle(3, 1)
-        run_train(rx, draws=[0.9, 0.9, 0.9])
+        run_train(rx, 3, draws=[0.9, 0.9, 0.9])
         msg = build_return_message(rx, 0)
-        assert msg.matches == [] and msg.usable_links == 0
+        assert msg.successes == 0 and msg.usable_links == 0
         assert rx.fusilands is FusilandPhase.REPORTED
 
     def test_matches_name_fusilier_and_slot(self):
         _, rx, _ = start_cycle(8, 2)
         draws = [0.9, 0.9, 0.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.5]
-        run_train(rx, draws=draws)
+        run_train(rx, 8, draws=draws)
         msg = build_return_message(rx, 0)
-        assert msg.matches == [(2, 0), (7, 1)]
+        assert msg.successes == 2
         assert rx.filled_by == [2, 7]
 
     def test_capacity_bounds_matches(self):
         _, rx, _ = start_cycle(5, 2)
         draws = [0.0, 0.5, 0.0, 0.5]  # first two succeed, bank full
-        run_train(rx, draws=draws)
+        run_train(rx, 5, draws=draws)
         msg = build_return_message(rx, 0)
-        assert msg.matches == [(0, 0), (1, 1)]
+        assert msg.successes == 2 and rx.filled_by == [0, 1]
         assert msg.usable_links == 2
 
     def test_incomplete_train_rejected(self):
+        # a report before any train arrived; a train is resolved whole
         _, rx, _ = start_cycle(3, 1)
-        run_train(rx, draws=[0.9, 0.9], n=2)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="no signal train"):
             build_return_message(rx, 0)
+        assert rx.fusilands is FusilandPhase.READY
 
 
 def mid_node_with_links(n_left, n_right):
     """An intermediate node holding confirmed left links, awaiting a return."""
     node = NodeState(1, n_fusiliers=max(n_right, 1), m_fusilands=max(n_left, 1))
-    on_herald(node, HeraldMessage(0), 0, incoming_train=n_left)
+    on_herald(node, HeraldMessage(0), 0)
     node.left_links = [
         PairRecord(Endpoint(0, k), Endpoint(1, k), 0, IDENTITY_FRAME, 0, 1.0)
         for k in range(n_left)
     ]
     node.filled_by = list(range(n_left))
-    msg = ReturnMessage(
-        0, matches=[(k, k) for k in range(n_right)], usable_links=n_right
-    )
+    msg = ReturnMessage(0, successes=n_right, usable_links=n_right)
     return node, msg
 
 
 class TestOnReturn:
     def test_swaps_min_of_both_sides(self):
         node, msg = mid_node_with_links(2, 3)
-        swaps = on_return(node, msg, StubRng([0.9, 0.1] * 3), 100)
+        swaps = on_return(node, msg, StubRng([0.9, 0.1] * 3))
         assert [s.slot for s in swaps] == [0, 1]
-        assert [rec.slot for rec in node.pending_frame] == [0, 1]
+        assert node.pending_frame == swaps
         assert node.fusillade is FusilladePhase.CONFIRMED
 
     def test_no_left_links_means_no_swap(self):
         node, msg = mid_node_with_links(0, 2)
-        swaps = on_return(node, msg, None, 100)
+        swaps = on_return(node, msg, None)
         assert swaps == []
         assert node.pending_frame == []
 
     def test_swap_outcome_feeds_frame_record(self):
         node, msg = mid_node_with_links(1, 1)
-        swaps = on_return(node, msg, StubRng([0.1, 0.9]), 100)
-        assert swaps[0].parity_outcome == 1 and swaps[0].x_outcome == 0
-        assert len(node.pending_frame) == 1
-        rec = node.pending_frame[0]
+        swaps = on_return(node, msg, StubRng([0.1, 0.9]))
+        assert node.pending_frame == swaps
+        rec = swaps[0]
+        # the parity outcome is the frame's X bit, the X readout its Z bit
         assert (rec.frame.x_bit, rec.frame.z_bit) == (1, 0)
-        assert rec.slot == 0 and rec.node == 1
+        assert rec.slot == 0 and rec.node == 1 and rec.cycle == 0
 
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
-        on_herald(node, HeraldMessage(0), 0, incoming_train=0)
-        swaps = on_return(node, ReturnMessage(0, matches=[(1, 0)], usable_links=1), None, 100)
+        on_herald(node, HeraldMessage(0), 0)
+        swaps = on_return(node, ReturnMessage(0, successes=1, usable_links=1), None)
         assert swaps == []
         assert node.fusillade is FusilladePhase.CONFIRMED
         release_cycle_resources(node)
         assert node.all_idle()
 
-    def test_unknown_fusilier_rejected(self):
-        node = NodeState(0, n_fusiliers=2, m_fusilands=0)
-        on_herald(node, HeraldMessage(0), 0, incoming_train=0)
-        with pytest.raises(ProtocolError):
-            on_return(node, ReturnMessage(0, matches=[(7, 0)]), None, 100)
-
     def test_wrong_cycle_rejected(self):
         node, msg = mid_node_with_links(1, 1)
         msg.cycle_id = 5
         with pytest.raises(ProtocolError):
-            on_return(node, msg, None, 100)
+            on_return(node, msg, None)
 
 
 class TestCycleLifecycle:
     def test_release_resets_everything(self):
         tx, rx, _ = start_cycle(3, 2)
-        run_train(rx, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
+        run_train(rx, 3, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
         msg = build_return_message(rx, 0)
-        on_return(tx, msg, None, 300)
+        on_return(tx, msg, None)
         release_cycle_resources(tx)
         release_cycle_resources(rx)
         assert tx.all_idle() and rx.all_idle()
         assert tx.left_links == [] and rx.left_links == []
         # next herald is accepted again
-        on_herald(tx, HeraldMessage(1), 1000, incoming_train=0)
-        on_herald(rx, HeraldMessage(1), 1050, incoming_train=3)
+        on_herald(tx, HeraldMessage(1), 1000)
+        on_herald(rx, HeraldMessage(1), 1050)
 
     def test_success_distribution_truncated_binomial(self):
         # frequency of under-filled cycles converges to the binomial tail;
@@ -277,7 +270,7 @@ class TestCycleLifecycle:
         short = 0
         for _ in range(cycles):
             rx = NodeState(1, 0, m)
-            on_herald(rx, HeraldMessage(0), 0, incoming_train=n)
+            on_herald(rx, HeraldMessage(0), 0)
             on_train(rx, 0, link, rng, [0] * n)
             if len(rx.left_links) < m:
                 short += 1
@@ -293,13 +286,8 @@ def _release_unconfirmed_fusillade():
 
 def _release_unreported_fusilands():
     _, rx, _ = start_cycle(2, 1)
-    run_train(rx, draws=[0.9, 0.9])
+    run_train(rx, 2, draws=[0.9, 0.9])
     release_cycle_resources(rx)
-
-
-def _return_names_fusilier_twice():
-    tx, _, _ = start_cycle(3, 2)
-    on_return(tx, ReturnMessage(0, matches=[(1, 0), (1, 1)], usable_links=2), None, 100)
 
 
 def _signal_at_unreadied_bank(draws):
@@ -312,7 +300,7 @@ def _signal_at_unreadied_bank(draws):
 
 def _report_twice():
     _, rx, _ = start_cycle(2, 1)
-    run_train(rx, draws=[0.1, 0.5])
+    run_train(rx, 2, draws=[0.1, 0.5])
     build_return_message(rx, 0)
     build_return_message(rx, 0)
 
@@ -322,7 +310,6 @@ def _report_twice():
     [
         _release_unconfirmed_fusillade,
         _release_unreported_fusilands,
-        _return_names_fusilier_twice,
         _signal_at_unreadied_bank([0.1, 0.5]),
         _signal_at_unreadied_bank([0.9]),
         _report_twice,
@@ -330,7 +317,6 @@ def _report_twice():
     ids=[
         "release_fusillade_unconfirmed",
         "release_fusilands_unreported",
-        "duplicate_fusilier_in_return",
         "signal_unreadied_bank_success_draw",
         "signal_unreadied_bank_failure_draw",
         "build_return_message_twice",
@@ -388,7 +374,7 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     nodes, rngs = [], []
     for _ in range(2):
         rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
-        on_herald(rx, HeraldMessage(0), 0, incoming_train=n)
+        on_herald(rx, HeraldMessage(0), 0)
         nodes.append(rx)
         rngs.append(CountingRng(seed))
     on_train(nodes[0], 2, link, rngs[0], times)
@@ -415,8 +401,8 @@ def test_full_cycle_fuzz(n, m, p, seed):
     tx = NodeState(0, n, 0)
     rx = NodeState(1, 0, m)
     herald = HeraldMessage(0)
-    assert on_herald(tx, herald, 0, incoming_train=0) == n
-    on_herald(rx, herald, 11, incoming_train=n)
+    assert on_herald(tx, herald, 0) == n
+    on_herald(rx, herald, 11)
 
     on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
     successes = len(rx.filled_by)
@@ -425,11 +411,10 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert rx.filled_by == sorted(set(rx.filled_by))
 
     msg = build_return_message(rx, 0)
-    assert [f for f, _ in msg.matches] == sorted(f for f, _ in msg.matches)
-    assert [slot for _, slot in msg.matches] == list(range(successes))
+    assert msg.successes == successes
     assert msg.usable_links == successes
 
-    swaps = on_return(tx, msg, rng, 500)
+    swaps = on_return(tx, msg, rng)
     assert swaps == []  # tx has no left links: end node
     assert tx.fusillade is FusilladePhase.CONFIRMED
 

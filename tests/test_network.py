@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fusenet.engine import EventKind, EventQueue, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError
-from fusenet.metrics import summarize
+from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
     LinkSpec,
     NetworkConfig,
@@ -108,8 +109,13 @@ class TestValidateConfig:
                 validate_config(chain_config([40.0], cycles=cycles))
 
     def test_small_override_warns(self):
-        with pytest.warns(UserWarning, match="safe bound"):
-            validate_config(chain_config([40.0], cycle_period_ns=100))
+        # 10 ns below the bound 400_050: the run warns, then completes
+        cfg = chain_config([40.0], n=5, tau_slot_ns=10, cycle_period_ns=400_040)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_config(cfg).cycle_period_ns == 400_040
+        with pytest.warns(UserWarning, match="safe bound 400050"):
+            assert len(run_network(cfg).records) == cfg.cycles
 
     def test_links_per_cycle_accounts_for_purification(self):
         assert validate_config(chain_config([40.0], m=6)).links_per_cycle == 6
@@ -177,6 +183,21 @@ class TestPerfectChain:
             if rec.kind == "HeraldArrive" and rec.t_ns < result.schedule.cycle_period_ns
         ]
         assert arrivals == [(1, 50_000), (2, 250_000), (3, 350_000)]
+
+    def test_rate_is_set_by_the_longest_hop(self):
+        # the paper's claim: the creation rate is a function of the maximum
+        # distance between adjacent repeaters, whatever the other hops are
+        n, m, tau, proc = 3, 2, 10, 100
+        expected = rate_model(40.0, 2.0e8, n, tau, proc, m)
+
+        def rate(hops):
+            cfg = chain_config(hops, n=n, m=m, cycles=30, tau_slot_ns=tau, proc_ns=proc)
+            return summarize(run_network(cfg).records, cfg).pairs_per_second
+
+        for hops in ([10.0, 40.0, 20.0], [40.0, 10.0, 20.0], [20.0, 10.0, 40.0],
+                     [10.0, 40.0, 40.0], [40.0, 40.0, 40.0]):
+            assert rate(hops) == expected, hops
+        assert rate([10.0, 40.0, 50.0]) < expected
 
     def test_throughput_identity_at_p1(self):
         cfg = chain_config([25.0], n=3, m=3, cycles=200, seed=9)
