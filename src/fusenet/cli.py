@@ -5,6 +5,8 @@ abort, 4 an output file (summary, trace or sweep CSV) could not be written.
 Every error path prints a single machine-readable line to stderr of the form
 ``error: <category>: <detail>``. Output files go to temp files beside their
 targets and are renamed into place only once every write has succeeded.
+Trace lines are written from one line template, byte-equal to
+``json.dumps(record._asdict(), sort_keys=True)`` for each record.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import argparse
 import copy
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Optional, Sequence, TextIO
 
 from .config import (
@@ -127,6 +131,24 @@ def _summary_document(doc: ConfigDocument, stats_dict: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _create_temp(path: str) -> tuple[str, TextIO]:
+    """Create and open a new temp file beside ``path``.
+
+    The name is ``<path>.<pid>.tmp``, or ``<path>.<pid>.<k>.tmp`` with the
+    first free k when a file left by an earlier run holds it; that file is
+    left as it is. ``open(..., "x")`` gives the file, and so the output
+    renamed from it, mode 0666 masked by the umask (``tempfile.mkstemp``
+    would give 0600).
+    """
+    pid = os.getpid()
+    for k in itertools.count():
+        temp = f"{path}.{pid}.{k}.tmp" if k else f"{path}.{pid}.tmp"
+        try:
+            return temp, open(temp, "x", encoding="utf-8")
+        except FileExistsError:
+            continue
+
+
 def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> None:
     """Call each ``write`` on the file ``path``, or on stdout when it is None.
 
@@ -138,8 +160,8 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
     try:
         for path, write in outputs:
             if path is not None:
-                temp = f"{path}.{os.getpid()}.tmp"
-                with open(temp, "x", encoding="utf-8") as fh:
+                temp, fh = _create_temp(path)
+                with fh:
                     temps.append((temp, path))
                     write(fh)
         for temp, path in temps:
@@ -154,8 +176,18 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
 
 
 def _write_trace(fh: TextIO, trace) -> None:
-    for rec in trace:
-        fh.write(json.dumps(rec._asdict(), sort_keys=True) + "\n")
+    """Write ``trace`` as JSON lines, one ``TraceRecord`` per line.
+
+    Each line comes from one template and equals
+    ``json.dumps(record._asdict(), sort_keys=True)``: the keys in sorted
+    order, the strings escaped by the ASCII escaper ``json.dumps`` uses,
+    and the ints printed as ints.
+    """
+    fh.writelines(
+        f'{{"detail": {_escape(detail)}, "kind": {_escape(kind)}, '
+        f'"node": {node}, "seq": {seq}, "t_ns": {t_ns}}}\n'
+        for t_ns, seq, kind, node, detail in trace
+    )
 
 
 def _summary_csv(stats_dict: dict) -> str:

@@ -423,30 +423,20 @@ class _ChainSimulation:
         # a slot, was discarded if it came after the bank filled, and failed
         # otherwise.
         arrivals = event.payload["arrivals"]
-        first = event.seq - len(arrivals) + 1
+        count = len(arrivals)
+        first = event.seq - count + 1
         filled_by = node.filled_by
-        slots = {fusilier: slot for slot, fusilier in enumerate(filled_by)}
-        full_after = (
-            filled_by[-1] if len(filled_by) == node.m_fusilands else len(arrivals)
-        )
+        full = filled_by[-1] + 1 if len(filled_by) == node.m_fusilands else count
+        outcomes = ["failure"] * full + ["discarded"] * (count - full)
+        for slot, fusilier in enumerate(filled_by):
+            outcomes[fusilier] = f"success slot={slot}"
         kind = event.kind.value
-        for fusilier, arrival_ns in enumerate(arrivals):
-            slot = slots.get(fusilier)
-            if slot is not None:
-                outcome = f"success slot={slot}"
-            elif fusilier > full_after:
-                outcome = "discarded"
-            else:
-                outcome = "failure"
-            self.trace.append(
-                TraceRecord(
-                    arrival_ns,
-                    first + fusilier,
-                    kind,
-                    node.node_id,
-                    f"cycle={cycle} fusilier={fusilier} {outcome}",
-                )
-            )
+        node_id = node.node_id
+        prefix = f"cycle={cycle} fusilier="
+        self.trace += [
+            TraceRecord(arrival_ns, first + k, kind, node_id, f"{prefix}{k} {outcome}")
+            for k, (arrival_ns, outcome) in enumerate(zip(arrivals, outcomes))
+        ]
 
     def _handle_return_arrive(self, event: Event) -> None:
         node_id = event.payload["node"]

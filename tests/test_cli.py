@@ -5,13 +5,17 @@ import csv
 import io
 import json
 import os
+import stat
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusenet.cli import main
+from fusenet.cli import _write_trace, main
 from fusenet.config import load_config, parse_config, resolved_dict
+from fusenet.network import TraceRecord
 
 BASE_DOC = {
     "schema_version": "1",
@@ -135,6 +139,39 @@ class TestSimulate:
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
         assert outputs[0][1].count(b"\n") > 0
+
+    def test_stale_temp_file_is_left_alone(self, tmp_path, capsys, monkeypatch):
+        # A run killed mid-write leaves <path>.<pid>.tmp; a later run that
+        # gets the same pid must pick another name and leave that file be.
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        out_path = tmp_path / "summary.json"
+        trace_path = tmp_path / "run.trace.jsonl"
+        stale = [
+            tmp_path / "summary.json.4242.tmp",
+            tmp_path / "summary.json.4242.1.tmp",
+            tmp_path / "run.trace.jsonl.4242.tmp",
+        ]
+        for path in stale:
+            path.write_text("stale\n")
+        doc = copy.deepcopy(BASE_DOC)
+        doc["output"] = {
+            "format": "json",
+            "path": str(out_path),
+            "trace": True,
+            "trace_path": str(trace_path),
+        }
+        code, _, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 0, err
+        assert json.loads(out_path.read_text())["summary"]["pairs_total"] == 200
+        assert trace_path.read_text().count("\n") > 0
+        assert [path.read_text() for path in stale] == ["stale\n"] * 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json", "summary.json", "run.trace.jsonl"] + [p.name for p in stale]
+        )
+        umask = os.umask(0)
+        os.umask(umask)
+        for path in (out_path, trace_path):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_purify_divisibility_exit_2(self, tmp_path, capsys):
         doc = copy.deepcopy(BASE_DOC)
@@ -333,6 +370,32 @@ def test_usage_error_is_one_config_line(capsys, argv, detail):
     assert out == ""
     assert err.startswith("error: config: ") and err.count("\n") == 1
     assert detail in err
+
+
+# Any text: quotes, backslashes, control characters, non-ASCII and lone
+# surrogates; ints that are negative or wider than 64 bits.
+_ANY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff'),
+        st.characters(exclude_categories=()),
+    )
+)
+_WIDE_INTS = st.integers(min_value=-(2**100), max_value=2**100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(TraceRecord, _WIDE_INTS, _WIDE_INTS, _ANY_TEXT, _WIDE_INTS, _ANY_TEXT),
+        max_size=8,
+    )
+)
+def test_trace_lines_equal_json_dumps(trace):
+    buf = io.StringIO()
+    _write_trace(buf, trace)
+    assert buf.getvalue() == "".join(
+        json.dumps(rec._asdict(), sort_keys=True) + "\n" for rec in trace
+    )
 
 
 class TestWriteFailure:
