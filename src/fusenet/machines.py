@@ -5,9 +5,9 @@ a bank of fusilands (receivers serving the link from its left neighbor).
 One herald pulse per cycle fires the whole fusillade; the signal train
 arriving at a node is resolved in one call (``on_train``): its signals
 interact with the fusilands one at a time, rerouting to the next fusiland
-after each success; a single return message per hop reports how many
-signals succeeded; swap eligibility requires confirmed links on both
-sides.
+after each success, and the call returns the pairs the train made; a single
+return message per hop confirms the fusillade; a node swaps as many pairs
+as the caller counts on the shorter of its two hops.
 
 Frame records a node produces (its swaps, and the purifications of the hop
 it receives on) wait in the node's one outbox, ``pending_frame``. A node
@@ -17,8 +17,8 @@ train; every other node hands them to the next herald that passes it.
 
 Because the fusillade fires as one train and each hop gets one return, each
 bank moves through one phase per cycle: the fusillade goes idle -> fired ->
-confirmed and the fusilands idle -> ready -> reported. The only per-qubit
-fact is which fusilier filled each fusiland slot.
+confirmed and the fusilands idle -> ready -> received -> reported. A node
+keeps no pairs: a hop's pairs belong to whoever called ``on_train``.
 
 NodeState is mutated only by the single event-loop thread of a simulation
 run; all operations are deterministic given their RNG stream.
@@ -50,6 +50,7 @@ class FusilladePhase(Enum):
 class FusilandPhase(Enum):
     IDLE = "idle"
     READY = "ready"
+    RECEIVED = "received"
     REPORTED = "reported"
 
 
@@ -75,16 +76,13 @@ class HeraldMessage:
 
 @dataclass
 class ReturnMessage:
-    """Per-hop report of how many signals succeeded, sent after the train.
+    """Per-hop confirmation sent after the train.
 
-    ``usable_links`` counts the hop's links (post-purification when that
-    strategy is active) the transmitting node may swap; ``relayed_frames``
-    carries the sending node's outbox when that node sends left.
+    ``relayed_frames`` carries the sending node's outbox when that node
+    sends left.
     """
 
     cycle_id: int
-    successes: int = 0
-    usable_links: int = 0
     relayed_frames: list[FrameRecord] = field(default_factory=list)
 
 
@@ -92,10 +90,6 @@ class ReturnMessage:
 class NodeState:
     """All per-node protocol state for one chain node.
 
-    ``filled_by[k]`` is the fusilier whose signal filled fusiland slot k this
-    cycle, so the next signal targets slot ``len(filled_by)``;
-    ``signals_received`` is the size of the train resolved this cycle (0
-    until it arrives).
     ``pending_frame`` is the node's frame outbox; ``sends_left`` says whether
     it leaves on the node's return message instead of the next herald.
     """
@@ -106,9 +100,6 @@ class NodeState:
     sends_left: bool = False
     fusillade: FusilladePhase = FusilladePhase.IDLE
     fusilands: FusilandPhase = FusilandPhase.IDLE
-    filled_by: list[int] = field(default_factory=list)
-    signals_received: int = 0
-    left_links: list[PairRecord] = field(default_factory=list)
     pending_frame: list[FrameRecord] = field(default_factory=list)
     current_cycle: int = -1
     busy_until_ns: int = 0
@@ -156,7 +147,6 @@ def on_herald(
     node.current_cycle = herald.cycle_id
     if not node.sends_left:
         pickup_frames(node, herald)
-    node.signals_received = 0
     if not generate:
         return 0
     if node.m_fusilands:
@@ -173,46 +163,39 @@ def on_train(
     link: LinkModel,
     rng,
     arrivals: list[int],
-) -> None:
+) -> list[PairRecord]:
     """Resolve a whole incoming signal train at this node's fusilands.
 
     ``arrivals[k]`` is when fusilier k's signal arrives; the train must
-    reach a readied bank that has not yet received one. Signals interact in
+    reach a readied bank, which it leaves received. Signals interact in
     fusilier order: each draws once from ``rng`` and succeeds below the
     link's success probability; a success draws once more for its error bit
-    (from the link's raw fidelity), records the pair, stamped with that
-    signal's arrival, in the next fusiland slot and in ``left_links``, and
-    reroutes to the next fusiland. A failure leaves the same fusiland
-    waiting. Once every fusiland is filled the remaining signals are
-    discarded without drawing.
+    (from the link's raw fidelity), makes a pair, stamped with that
+    signal's arrival, in the next fusiland slot, and reroutes to the next
+    fusiland. A failure leaves the same fusiland waiting. Once every
+    fusiland is filled the remaining signals are discarded without drawing.
+    Returns the train's pairs, slot k at index k; pair k's ``left.slot`` is
+    the fusilier that filled slot k.
     """
     if node.fusilands is not FusilandPhase.READY:
         raise ProtocolError(
             f"node {node.node_id} got a signal train while its "
             f"fusilands are {node.fusilands.value}"
         )
-    if node.signals_received:
-        raise ProtocolError(
-            f"node {node.node_id} got a second signal train in cycle "
-            f"{node.current_cycle}"
-        )
-    node.signals_received = len(arrivals)
-    filled_by = node.filled_by
-    slot = len(filled_by)
+    node.fusilands = FusilandPhase.RECEIVED
+    pairs: list[PairRecord] = []
+    slot = 0
     capacity = node.m_fusilands
-    if slot >= capacity:
-        return
     draw = rng.random
     p_success = success_probability(link)
     p_error = 1.0 - link.raw_fidelity
     fidelity = link.raw_fidelity
     node_id = node.node_id
-    left_links = node.left_links
     for fusilier, arrival_ns in enumerate(arrivals):
         if draw() >= p_success:
             continue
         x_error = 1 if draw() < p_error else 0
-        left_links.append(
+        pairs.append(
             PairRecord(
                 Endpoint(from_node, fusilier),
                 Endpoint(node_id, slot),
@@ -222,54 +205,46 @@ def on_train(
                 fidelity,
             )
         )
-        filled_by.append(fusilier)
         slot += 1
         if slot == capacity:
-            return
+            break
+    return pairs
 
 
 def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
     """Assemble the hop's single return message after the whole train passed.
 
-    Counts the train's successes and the hop's current link records; it
-    must come after a train has arrived. The bank is reported for the cycle:
-    fusilands still waiting stay empty. A node that sends left empties its
-    frame outbox into the message's ``relayed_frames``.
+    It must come after a train has arrived. The bank is reported for the
+    cycle: fusilands still waiting stay empty. A node that sends left
+    empties its frame outbox into the message's ``relayed_frames``.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
             f"node {node.node_id} asked to report cycle {cycle_id} "
             f"during cycle {node.current_cycle}"
         )
-    if node.fusilands is not FusilandPhase.READY:
-        raise ProtocolError(
-            f"node {node.node_id} cannot report cycle {cycle_id}: its "
-            f"fusilands are {node.fusilands.value}"
+    if node.fusilands is not FusilandPhase.RECEIVED:
+        reason = (
+            "no signal train has arrived"
+            if node.fusilands is FusilandPhase.READY
+            else f"its fusilands are {node.fusilands.value}"
         )
-    if not node.signals_received:
-        raise ProtocolError(
-            f"node {node.node_id} cannot report cycle {cycle_id}: no signal "
-            "train has arrived"
-        )
+        raise ProtocolError(f"node {node.node_id} cannot report cycle {cycle_id}: {reason}")
     node.fusilands = FusilandPhase.REPORTED
-    msg = ReturnMessage(
-        cycle_id=cycle_id,
-        successes=len(node.filled_by),
-        usable_links=len(node.left_links),
-    )
+    msg = ReturnMessage(cycle_id)
     if node.sends_left:
         msg.relayed_frames, node.pending_frame = node.pending_frame, []
     return msg
 
 
-def on_return(node: NodeState, msg: ReturnMessage, rng) -> list[FrameRecord]:
-    """Apply a return message: confirm the fusillade, then swap if eligible.
+def on_return(node: NodeState, msg: ReturnMessage, swaps: int, rng) -> list[FrameRecord]:
+    """Apply a return message: confirm the fusillade, then make ``swaps`` swaps.
 
-    When the node holds links on both sides, the k-th left link swaps with
-    the k-th right link; outcome bits are drawn from ``rng`` (parity bit
-    then X bit per swap) into one frame record per swap, appended to
-    ``pending_frame`` and returned, slot k at index k. Surplus links stay
-    until the cycle's resources are released.
+    ``swaps`` is the number of slots holding a pair on both of the node's
+    hops (0 at an end node), so swap k joins slot k of the left hop to slot
+    k of the right hop. Outcome bits are drawn from ``rng`` (parity bit then
+    X bit per swap) into one frame record per swap, appended to
+    ``pending_frame`` and returned, slot k at index k.
     """
     if msg.cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -282,30 +257,28 @@ def on_return(node: NodeState, msg: ReturnMessage, rng) -> list[FrameRecord]:
             f"its fusillade is {node.fusillade.value}"
         )
     node.fusillade = FusilladePhase.CONFIRMED
-    swaps = [
+    records = [
         FrameRecord(
             node.node_id,
             msg.cycle_id,
             slot,
             PauliFrame(int(rng.random() < 0.5), int(rng.random() < 0.5)),
         )
-        for slot in range(min(len(node.left_links), msg.usable_links))
+        for slot in range(swaps)
     ]
-    node.pending_frame.extend(swaps)
-    return swaps
+    node.pending_frame.extend(records)
+    return records
 
 
 def release_cycle_resources(node: NodeState) -> None:
-    """Free the node's banks at cycle end; ``left_links`` gets a new list."""
+    """Return both banks to idle at cycle end, once each is settled."""
     if node.fusillade is FusilladePhase.FIRED:
         raise ProtocolError(
             f"node {node.node_id} cannot release: its fusillade is unconfirmed"
         )
-    if node.fusilands is FusilandPhase.READY:
+    if node.fusilands in (FusilandPhase.READY, FusilandPhase.RECEIVED):
         raise ProtocolError(
             f"node {node.node_id} cannot release: its fusilands are unreported"
         )
     node.fusillade = FusilladePhase.IDLE
     node.fusilands = FusilandPhase.IDLE
-    node.filled_by.clear()
-    node.left_links = []

@@ -3,8 +3,8 @@
 A run executes a fixed number of generation cycles. Each cycle starts with a
 herald pulse launched at the left end; the pulse initiates every fusillade
 as it sweeps right, signal trains follow it down each fiber, return messages
-confirm successes per hop, and intermediate nodes swap as soon as they hold
-links on both sides. Frame records produced by purification and swapping
+confirm each hop, and intermediate nodes swap as soon as they hold links on
+both sides. Frame records produced by purification and swapping
 wait in the producing node's outbox and leave on the *next* herald to the
 right end, so every end-to-end pair's correction becomes available exactly
 one cycle period after the pair is established. Under the butterfly split
@@ -27,7 +27,7 @@ and desynchronizes as it would mid-train.
 The simulation keeps its own trace. With the trace on, each handler
 appends its event's record at the event's (time, seq); a train appends one
 record per signal, at its arrival and reserved seq, its outcome read from
-which signals filled a fusiland; a finalized cycle appends one
+the fusiliers of the train's pairs; a finalized cycle appends one
 ``PairReady`` record per pair, now, under a seq reserved from the queue
 with no event queued. ``execute`` sorts the trace by (time, seq) once.
 
@@ -39,6 +39,11 @@ exactly as long as the cycle. Each key is drawn once, in one vector call: a
 train's link draws when the train is scheduled, n + m values (a signal
 draws at most once, plus once more on a success); a node's swaps, two per
 swap; a hop's purification, six per trio.
+
+The ledger is also the one owner of a cycle's hop pairs; a node keeps only
+its bank phases and frame outbox. A return's swap count is the shorter of
+the node's two hops in the ledger, and a hop's raw success count lives in
+``hop_success_counts``, which the trace reads too.
 """
 
 from __future__ import annotations
@@ -206,6 +211,12 @@ def _link_delays_ns(config: NetworkConfig) -> tuple[int, ...]:
         raise ConfigurationError(
             f"signal_speed_m_per_s must be finite and > 0, got {speed!r}"
         )
+    for idx, link in enumerate(config.links):
+        if not math.isfinite(link.model.length_km * 1e12 / speed):
+            raise ConfigurationError(
+                f"links[{idx}]: the delay of {link.model.length_km!r} km at "
+                f"{speed!r} m/s is not a finite number of ns"
+            )
     return tuple(
         channel_delay_ns(link.model.length_km, speed) for link in config.links
     )
@@ -333,8 +344,9 @@ class _CycleLedger:
     def __init__(self, seeds, num_links: int, num_nodes: int) -> None:
         # seeds[domain, index]: the PCG64 seed row of the cycle's key.
         self.seeds = seeds
-        # hop_pairs[link]: the receiving node's link list at the end of its
-        # train; swaps[node]: its swap frame records, slot k at index k.
+        # hop_pairs[link]: the pairs the hop keeps at the end of its train
+        # (after purification), slot k at index k; swaps[node]: the node's
+        # swap frame records, slot k at index k.
         self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
         self.swaps: list[list[FrameRecord]] = [[] for _ in range(num_nodes)]
         self.outstanding = set(range(num_nodes))
@@ -413,23 +425,24 @@ class _ChainSimulation:
         arrivals = payload["arrivals"]
         node = self.nodes[node_id]
         model = self.config.links[link_idx].model
-        on_train(node, link_idx, model, payload["draws"], arrivals)
+        pairs = on_train(node, link_idx, model, payload["draws"], arrivals)
         if self.collect_trace:
-            self._train_records(event, node, cycle)
-        self._end_of_train(node_id, link_idx, cycle)
+            self._train_records(event, node, cycle, pairs)
+        self._end_of_train(node_id, link_idx, cycle, pairs)
 
-    def _train_records(self, event: Event, node: NodeState, cycle: int) -> None:
+    def _train_records(
+        self, event: Event, node: NodeState, cycle: int, pairs: list[PairRecord]
+    ) -> None:
         # Signal k of the train has seq first + k. It succeeded if it filled
-        # a slot, was discarded if it came after the bank filled, and failed
-        # otherwise.
+        # a slot (its pair's left slot is k), was discarded if it came after
+        # the bank filled, and failed otherwise.
         arrivals = event.payload["arrivals"]
         count = len(arrivals)
         first = event.seq - count + 1
-        filled_by = node.filled_by
-        full = filled_by[-1] + 1 if len(filled_by) == node.m_fusilands else count
+        full = pairs[-1].left.slot + 1 if len(pairs) == node.m_fusilands else count
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
-        for slot, fusilier in enumerate(filled_by):
-            outcomes[fusilier] = f"success slot={slot}"
+        for slot, pair in enumerate(pairs):
+            outcomes[pair.left.slot] = f"success slot={slot}"
         kind = event.kind.value
         node_id = node.node_id
         prefix = f"cycle={cycle} fusilier="
@@ -448,12 +461,15 @@ class _ChainSimulation:
         else:
             node.pending_frame.extend(msg.relayed_frames)
         ledger = self.ledgers[cycle]
-        # Two draws per swap: a parity bit, then an X bit.
-        count = min(len(node.left_links), msg.usable_links)
+        # Slot k swaps when both of the node's hops kept a pair in it; node 0
+        # has no left hop. Two draws per swap: a parity bit, then an X bit.
+        swaps = 0
+        if node_id:
+            swaps = min(len(ledger.hop_pairs[node_id - 1]), len(ledger.hop_pairs[node_id]))
         rng = None
-        if count:
-            rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * count)
-        swaps = ledger.swaps[node_id] = on_return(node, msg, rng)
+        if swaps:
+            rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * swaps)
+        ledger.swaps[node_id] = on_return(node, msg, swaps, rng)
         # The swap occupies the node for proc_ns; states are released here
         # and busy_until_ns guards the occupancy window against early heralds.
         release_cycle_resources(node)
@@ -463,7 +479,7 @@ class _ChainSimulation:
                 Event(
                     node.busy_until_ns,
                     EventKind.SWAP_COMPLETE,
-                    {"node": node_id, "cycle": cycle, "count": len(swaps)},
+                    {"node": node_id, "cycle": cycle, "count": swaps},
                 )
             )
         else:
@@ -472,7 +488,8 @@ class _ChainSimulation:
         if node_id == 0:
             self._schedule_next_cycle(cycle)
         if self.collect_trace:
-            self._trace(event, f"cycle={cycle} matches={msg.successes} swaps={len(swaps)}")
+            matches = self.hop_success_counts[node_id][cycle]
+            self._trace(event, f"cycle={cycle} matches={matches} swaps={swaps}")
 
     def _schedule_next_cycle(self, cycle: int) -> None:
         # Launched once the left end finished its cycle so that, at the exact
@@ -555,14 +572,14 @@ class _ChainSimulation:
             fired,
         )
 
-    def _end_of_train(self, node_id: int, link_idx: int, cycle: int) -> None:
+    def _end_of_train(
+        self, node_id: int, link_idx: int, cycle: int, pairs: list[PairRecord]
+    ) -> None:
         node = self.nodes[node_id]
-        self.hop_success_counts[link_idx][cycle] = len(node.filled_by)
+        self.hop_success_counts[link_idx][cycle] = len(pairs)
         if self.config.strategy is Strategy.PURIFY3:
-            self._purify_hop(node, link_idx, cycle)
-        ledger = self.ledgers[cycle]
-        # Release rebinds node.left_links, so the ledger keeps this list.
-        ledger.hop_pairs[link_idx] = node.left_links
+            pairs = self._purify_hop(node, link_idx, cycle, pairs)
+        self.ledgers[cycle].hop_pairs[link_idx] = pairs
         msg = build_return_message(node, cycle)
         self.queue.schedule(
             Event(
@@ -578,12 +595,12 @@ class _ChainSimulation:
             node.busy_until_ns = self.queue.now_ns
             self._mark_complete(cycle, node_id)
 
-    def _purify_hop(self, node: NodeState, link_idx: int, cycle: int) -> None:
-        raws = node.left_links
-        if len(raws) < 3:
-            node.left_links = []
-            return
+    def _purify_hop(
+        self, node: NodeState, link_idx: int, cycle: int, raws: list[PairRecord]
+    ) -> list[PairRecord]:
         trios = len(raws) // 3
+        if not trios:
+            return []
         rng = self.rng.draws(self.ledgers[cycle].seeds[PURIFY_DOMAIN, link_idx], 6 * trios)
         kept: list[PairRecord] = []
         for t in range(trios):
@@ -610,7 +627,7 @@ class _ChainSimulation:
             kept.append(purify3_apply(trio, meas))
             delta = purify3_frame_delta(meas)
             node.pending_frame.append(FrameRecord(node.node_id, cycle, t, delta))
-        node.left_links = kept
+        return kept
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:

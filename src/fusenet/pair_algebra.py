@@ -79,8 +79,6 @@ class PauliFrame:
     def compose(self, other: "PauliFrame") -> "PauliFrame":
         return _FRAMES[self.x_bit ^ other.x_bit][self.z_bit ^ other.z_bit]
 
-    __xor__ = compose
-
     @property
     def is_identity(self) -> bool:
         return self.x_bit == 0 and self.z_bit == 0

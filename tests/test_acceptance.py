@@ -102,8 +102,7 @@ def test_criterion_4a_hop_success_counts():
     short = 0
     for cycle in range(cycles):
         on_herald(rx, HeraldMessage(cycle), 0)
-        on_train(rx, 0, link, rng, list(range(n)))
-        if len(rx.left_links) < m:
+        if len(on_train(rx, 0, link, rng, list(range(n)))) < m:
             short += 1
         build_return_message(rx, cycle)
         release_cycle_resources(rx)

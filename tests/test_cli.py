@@ -306,6 +306,9 @@ class TestRejectedInput:
             (_nearly_zero_hop, "cycle period"),
             (_return_before_train, "nodes[1]"),
             (_set(("network", "cycles"), 2**32), "cycles must be < 4294967296"),
+            # finite inputs whose fiber delay overflows to an infinite ns count
+            (_set(("network", "links", 0, "length_km"), 1e300), "links[0]"),
+            (_set(("network", "signal_speed_m_per_s"), 1e-300), "links[0]"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, mutate, field):
@@ -341,13 +344,15 @@ class TestRejectedInput:
 
     def test_sweep_non_finite_value(self, tmp_path, capsys):
         path = write_doc(tmp_path, BASE_DOC)
-        code, out, err = run_cli(
-            capsys, "sweep", path, "--param", "length_km", "--values", "10,nan"
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: config:") and err.count("\n") == 1
-        assert "links[0].length_km" in err
+        # 1e300 km is finite, but its delay in ns is not
+        for values, field in (("10,nan", "links[0].length_km"), ("10,1e300", "links[0]: ")):
+            code, out, err = run_cli(
+                capsys, "sweep", path, "--param", "length_km", "--values", values
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: config:") and err.count("\n") == 1
+            assert field in err
 
 
 @pytest.mark.parametrize(

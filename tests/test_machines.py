@@ -53,10 +53,14 @@ def arrivals(n, start=100, tau=10):
 
 
 def run_train(rx, n, draws, link=LINK):
-    """Resolve an n-signal train; returns the stub."""
+    """Resolve an n-signal train; returns its pairs and the stub."""
     rng = StubRng(draws)
-    on_train(rx, 0, link, rng, arrivals(n))
-    return rng
+    return on_train(rx, 0, link, rng, arrivals(n)), rng
+
+
+def fusiliers(pairs):
+    """The fusilier that filled each slot, slot k at index k."""
+    return [pair.left.slot for pair in pairs]
 
 
 class TestOnHerald:
@@ -123,22 +127,21 @@ class TestOnSignal:
 
     def test_first_success_takes_slot_zero_then_discards(self):
         _, rx, _ = start_cycle(3, 1)
-        rng = run_train(rx, 3, draws=[0.1, 0.5])
-        assert rx.filled_by == [0]
-        assert len(rx.left_links) == 1
+        pairs, rng = run_train(rx, 3, draws=[0.1, 0.5])
+        assert fusiliers(pairs) == [0]
         assert rng.values == []  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
         _, rx, _ = start_cycle(2, 1)
-        run_train(rx, 2, draws=[0.9, 0.1, 0.5])
-        assert rx.filled_by == [1]
-        assert rx.left_links[0].right == Endpoint(1, 0)
-        assert rx.fusilands is FusilandPhase.READY
+        pairs, _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
+        assert fusiliers(pairs) == [1]
+        assert pairs[0].right == Endpoint(1, 0)
+        assert rx.fusilands is FusilandPhase.RECEIVED
 
     def test_exhausted_bank_discards_without_drawing(self):
         _, rx, _ = start_cycle(4, 2)
-        rng = run_train(rx, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
-        assert rx.filled_by == [0, 1]
+        pairs, rng = run_train(rx, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
+        assert fusiliers(pairs) == [0, 1]
         assert rng.values == []  # discarded signals consumed no randomness
 
     def test_second_train_rejected(self):
@@ -150,14 +153,14 @@ class TestOnSignal:
     def test_error_bit_sampled_from_fidelity(self):
         _, rx, _ = start_cycle(1, 1)
         noisy = LinkModel(length_km=1.0, p_success=1.0, raw_fidelity=0.9)
-        run_train(rx, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
-        assert rx.left_links[0].x_error == 1
-        assert rx.left_links[0].model_fidelity == 0.9
+        pairs, _ = run_train(rx, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
+        assert pairs[0].x_error == 1
+        assert pairs[0].model_fidelity == 0.9
 
     def test_pair_endpoints_name_both_sides(self):
         _, rx, _ = start_cycle(2, 2)
-        run_train(rx, 2, draws=[0.9, 0.1, 0.5])
-        pair = rx.left_links[0]
+        pairs, _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
+        pair = pairs[0]
         assert pair.left == Endpoint(0, 1)  # fusilier 1 on node 0
         assert pair.right == Endpoint(1, 0)  # slot 0 on node 1
         assert pair.created_at_ns == 110  # fusilier 1's arrival
@@ -166,26 +169,25 @@ class TestOnSignal:
 class TestBuildReturnMessage:
     def test_no_successes_gives_empty_matches(self):
         _, rx, _ = start_cycle(3, 1)
-        run_train(rx, 3, draws=[0.9, 0.9, 0.9])
-        msg = build_return_message(rx, 0)
-        assert msg.successes == 0 and msg.usable_links == 0
+        pairs, _ = run_train(rx, 3, draws=[0.9, 0.9, 0.9])
+        build_return_message(rx, 0)
+        assert pairs == []
         assert rx.fusilands is FusilandPhase.REPORTED
 
     def test_matches_name_fusilier_and_slot(self):
         _, rx, _ = start_cycle(8, 2)
         draws = [0.9, 0.9, 0.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.5]
-        run_train(rx, 8, draws=draws)
-        msg = build_return_message(rx, 0)
-        assert msg.successes == 2
-        assert rx.filled_by == [2, 7]
+        pairs, _ = run_train(rx, 8, draws=draws)
+        build_return_message(rx, 0)
+        assert fusiliers(pairs) == [2, 7]
+        assert [pair.right.slot for pair in pairs] == [0, 1]
 
     def test_capacity_bounds_matches(self):
         _, rx, _ = start_cycle(5, 2)
         draws = [0.0, 0.5, 0.0, 0.5]  # first two succeed, bank full
-        run_train(rx, 5, draws=draws)
-        msg = build_return_message(rx, 0)
-        assert msg.successes == 2 and rx.filled_by == [0, 1]
-        assert msg.usable_links == 2
+        pairs, _ = run_train(rx, 5, draws=draws)
+        build_return_message(rx, 0)
+        assert fusiliers(pairs) == [0, 1]
 
     def test_incomplete_train_rejected(self):
         # a report before any train arrived; a train is resolved whole
@@ -195,36 +197,32 @@ class TestBuildReturnMessage:
         assert rx.fusilands is FusilandPhase.READY
 
 
-def mid_node_with_links(n_left, n_right):
-    """An intermediate node holding confirmed left links, awaiting a return."""
-    node = NodeState(1, n_fusiliers=max(n_right, 1), m_fusilands=max(n_left, 1))
+def awaiting_return():
+    """An intermediate node whose fusillade fired, awaiting its return."""
+    node = NodeState(1, n_fusiliers=3, m_fusilands=3)
     on_herald(node, HeraldMessage(0), 0)
-    node.left_links = [
-        PairRecord(Endpoint(0, k), Endpoint(1, k), 0, IDENTITY_FRAME, 0, 1.0)
-        for k in range(n_left)
-    ]
-    node.filled_by = list(range(n_left))
-    msg = ReturnMessage(0, successes=n_right, usable_links=n_right)
-    return node, msg
+    return node, ReturnMessage(0)
 
 
 class TestOnReturn:
-    def test_swaps_min_of_both_sides(self):
-        node, msg = mid_node_with_links(2, 3)
-        swaps = on_return(node, msg, StubRng([0.9, 0.1] * 3))
+    def test_swaps_the_given_count(self):
+        node, msg = awaiting_return()
+        rng = StubRng([0.9, 0.1] * 3)
+        swaps = on_return(node, msg, 2, rng)
         assert [s.slot for s in swaps] == [0, 1]
+        assert len(rng.values) == 2  # two draws per swap
         assert node.pending_frame == swaps
         assert node.fusillade is FusilladePhase.CONFIRMED
 
-    def test_no_left_links_means_no_swap(self):
-        node, msg = mid_node_with_links(0, 2)
-        swaps = on_return(node, msg, None)
+    def test_zero_swaps_draw_nothing(self):
+        node, msg = awaiting_return()
+        swaps = on_return(node, msg, 0, None)
         assert swaps == []
         assert node.pending_frame == []
 
     def test_swap_outcome_feeds_frame_record(self):
-        node, msg = mid_node_with_links(1, 1)
-        swaps = on_return(node, msg, StubRng([0.1, 0.9]))
+        node, msg = awaiting_return()
+        swaps = on_return(node, msg, 1, StubRng([0.1, 0.9]))
         assert node.pending_frame == swaps
         rec = swaps[0]
         # the parity outcome is the frame's X bit, the X readout its Z bit
@@ -234,17 +232,17 @@ class TestOnReturn:
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
         on_herald(node, HeraldMessage(0), 0)
-        swaps = on_return(node, ReturnMessage(0, successes=1, usable_links=1), None)
+        swaps = on_return(node, ReturnMessage(0), 0, None)
         assert swaps == []
         assert node.fusillade is FusilladePhase.CONFIRMED
         release_cycle_resources(node)
         assert node.all_idle()
 
     def test_wrong_cycle_rejected(self):
-        node, msg = mid_node_with_links(1, 1)
+        node, msg = awaiting_return()
         msg.cycle_id = 5
         with pytest.raises(ProtocolError):
-            on_return(node, msg, None)
+            on_return(node, msg, 0, None)
 
 
 class TestCycleLifecycle:
@@ -252,11 +250,10 @@ class TestCycleLifecycle:
         tx, rx, _ = start_cycle(3, 2)
         run_train(rx, 3, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
         msg = build_return_message(rx, 0)
-        on_return(tx, msg, None)
+        on_return(tx, msg, 0, None)
         release_cycle_resources(tx)
         release_cycle_resources(rx)
         assert tx.all_idle() and rx.all_idle()
-        assert tx.left_links == [] and rx.left_links == []
         # next herald is accepted again
         on_herald(tx, HeraldMessage(1), 1000)
         on_herald(rx, HeraldMessage(1), 1050)
@@ -271,8 +268,7 @@ class TestCycleLifecycle:
         for _ in range(cycles):
             rx = NodeState(1, 0, m)
             on_herald(rx, HeraldMessage(0), 0)
-            on_train(rx, 0, link, rng, [0] * n)
-            if len(rx.left_links) < m:
+            if len(on_train(rx, 0, link, rng, [0] * n)) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
         se = math.sqrt(expected * (1 - expected) / cycles)
@@ -298,6 +294,13 @@ def _signal_at_unreadied_bank(draws):
     return sequence
 
 
+def _signal_at_reported_bank():
+    _, rx, _ = start_cycle(2, 1)
+    run_train(rx, 2, draws=[0.1, 0.5])
+    build_return_message(rx, 0)
+    run_train(rx, 2, draws=[0.1, 0.5])
+
+
 def _report_twice():
     _, rx, _ = start_cycle(2, 1)
     run_train(rx, 2, draws=[0.1, 0.5])
@@ -312,6 +315,7 @@ def _report_twice():
         _release_unreported_fusilands,
         _signal_at_unreadied_bank([0.1, 0.5]),
         _signal_at_unreadied_bank([0.9]),
+        _signal_at_reported_bank,
         _report_twice,
     ],
     ids=[
@@ -319,6 +323,7 @@ def _report_twice():
         "release_fusilands_unreported",
         "signal_unreadied_bank_success_draw",
         "signal_unreadied_bank_failure_draw",
+        "signal_reported_bank",
         "build_return_message_twice",
     ],
 )
@@ -329,15 +334,15 @@ def test_illegal_bank_sequence_raises(sequence):
 
 def reference_train(node, from_node, link, rng, arrivals):
     """One signal at a time, as a per-signal handler would resolve a train."""
+    pairs = []
     for fusilier, arrival_ns in enumerate(arrivals):
-        slot = len(node.filled_by)
+        slot = len(pairs)
         if slot >= node.m_fusilands:
             continue  # discarded without drawing
         if rng.random() >= success_probability(link):
             continue
         x_error = 1 if rng.random() < 1.0 - link.raw_fidelity else 0
-        node.filled_by.append(fusilier)
-        node.left_links.append(
+        pairs.append(
             PairRecord(
                 Endpoint(from_node, fusilier),
                 Endpoint(node.node_id, slot),
@@ -347,6 +352,7 @@ def reference_train(node, from_node, link, rng, arrivals):
                 link.raw_fidelity,
             )
         )
+    return pairs
 
 
 class CountingRng:
@@ -377,12 +383,9 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
         on_herald(rx, HeraldMessage(0), 0)
         nodes.append(rx)
         rngs.append(CountingRng(seed))
-    on_train(nodes[0], 2, link, rngs[0], times)
-    reference_train(nodes[1], 2, link, rngs[1], times)
-    assert nodes[0].filled_by == nodes[1].filled_by
-    assert [asdict(pair) for pair in nodes[0].left_links] == [
-        asdict(pair) for pair in nodes[1].left_links
-    ]
+    pairs = on_train(nodes[0], 2, link, rngs[0], times)
+    expected = reference_train(nodes[1], 2, link, rngs[1], times)
+    assert [asdict(pair) for pair in pairs] == [asdict(pair) for pair in expected]
     assert rngs[0].draws == rngs[1].draws
     build_return_message(nodes[0], 0)  # the whole train was received
 
@@ -404,18 +407,17 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert on_herald(tx, herald, 0) == n
     on_herald(rx, herald, 11)
 
-    on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
-    successes = len(rx.filled_by)
-    assert successes <= m
-    assert successes == len(rx.left_links)
-    assert rx.filled_by == sorted(set(rx.filled_by))
+    pairs = on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
+    assert len(pairs) <= m
+    assert fusiliers(pairs) == sorted(set(fusiliers(pairs)))
+    assert [pair.right.slot for pair in pairs] == list(range(len(pairs)))
+    assert rx.fusilands is FusilandPhase.RECEIVED
 
     msg = build_return_message(rx, 0)
-    assert msg.successes == successes
-    assert msg.usable_links == successes
+    assert rx.fusilands is FusilandPhase.REPORTED
 
-    swaps = on_return(tx, msg, rng)
-    assert swaps == []  # tx has no left links: end node
+    swaps = on_return(tx, msg, 0, rng)
+    assert swaps == []  # tx has no left hop: end node
     assert tx.fusillade is FusilladePhase.CONFIRMED
 
     release_cycle_resources(tx)

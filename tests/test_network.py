@@ -289,6 +289,33 @@ class TestPurification:
         for cycle, successes in enumerate(result.hop_success_counts[0]):
             assert result.per_cycle_delivered[cycle] == successes // 3
 
+    def test_return_records_report_matches_and_swaps(self):
+        # Each return names its hop's raw successes, and node i swaps as many
+        # slots as the shorter of its two purified hops keeps (none at node 0).
+        cfg = chain_config(
+            [20.0, 25.0, 15.0, 20.0], n=12, m=9, p=0.6, fidelity=0.95, cycles=40,
+            seed=11, strategy=Strategy.PURIFY3, butterfly=True, tau_slot_ns=10,
+            proc_ns=1000,
+        )
+        result = run_network(cfg, collect_trace=True)
+        counts = result.hop_success_counts
+        returns = [rec for rec in result.trace if rec.kind == "ReturnArrive"]
+        assert len(returns) == cfg.cycles * len(cfg.links)
+        shorter = Counter()
+        for rec in returns:
+            fields = re.fullmatch(r"cycle=(\d+) matches=(\d+) swaps=(\d+)", rec.detail)
+            cycle, matches, swaps = map(int, fields.groups())
+            node = rec.node
+            assert matches == counts[node][cycle]
+            if node == 0:
+                assert swaps == 0
+                continue
+            left, right = counts[node - 1][cycle] // 3, counts[node][cycle] // 3
+            assert swaps == min(left, right)
+            shorter[(left > right) - (left < right)] += 1
+        # both sides set the count in some cycles, so neither is read alone
+        assert shorter[1] and shorter[-1]
+
 
 class TestButterfly:
     def test_split_examples(self):
