@@ -19,7 +19,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -98,12 +98,12 @@ def _plan_rows_text(rows: list[PlanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plan_rows_csv(rows: list[PlanRow]) -> str:
+def _csv_text(header: Sequence[str], rows) -> str:
+    """``header`` then ``rows`` as CSV, every cell passed through ``_csv_cell``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_PLAN_FIELDS)
-    for row in rows:
-        writer.writerow([_csv_cell(getattr(row, name)) for name in _PLAN_FIELDS])
+    for row in (header, *rows):
+        writer.writerow([_csv_cell(cell) for cell in row])
     return buf.getvalue()
 
 
@@ -116,7 +116,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     if args.format == "csv":
-        sys.stdout.write(_plan_rows_csv(rows))
+        sys.stdout.write(_csv_text(_PLAN_FIELDS, [astuple(row) for row in rows]))
     else:
         sys.stdout.write(_plan_rows_text(rows))
     return EXIT_OK
@@ -190,14 +190,6 @@ def _write_trace(fh: TextIO, trace) -> None:
     )
 
 
-def _summary_csv(stats_dict: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SUMMARY_FIELDS)
-    writer.writerow([_csv_cell(stats_dict[name]) for name in _SUMMARY_FIELDS])
-    return buf.getvalue()
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         doc = load_config(args.config)
@@ -208,9 +200,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     if doc.output.format == "csv":
-        text = _summary_csv(stats.to_dict())
+        text = _csv_text(_SUMMARY_FIELDS, [astuple(stats)])
     else:
-        text = _summary_document(doc, stats.to_dict())
+        text = _summary_document(doc, asdict(stats))
     outputs = [(doc.output.path, lambda fh: fh.write(text))]
     if doc.output.trace:
         outputs.append((doc.output.trace_path, lambda fh: _write_trace(fh, result.trace)))
@@ -268,22 +260,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             network = parse_config(swept).network
             result = run_network(network)
             stats = summarize(result.records, network)
-            rows.append((raw, network.seed, stats.to_dict()))
+            rows.append((args.param, raw, network.seed, *astuple(stats)))
     except DesynchronizationError as exc:
         return _fail("desync", str(exc), EXIT_DESYNC)
     except ConfigurationError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["param", "value", "seed", *_SUMMARY_FIELDS])
-    for raw, seed, stats_dict in rows:
-        writer.writerow(
-            [args.param, raw, seed]
-            + [_csv_cell(stats_dict[name]) for name in _SUMMARY_FIELDS]
-        )
+    text = _csv_text(("param", "value", "seed", *_SUMMARY_FIELDS), rows)
     try:
         out = args.out if args.out is not None else doc.output.path
-        _emit([(out, lambda fh: fh.write(buf.getvalue()))])
+        _emit([(out, lambda fh: fh.write(text))])
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
     return EXIT_OK

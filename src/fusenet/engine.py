@@ -3,7 +3,9 @@
 All simulation time is kept as integer nanoseconds so schedules stay exact;
 ties are broken by the scheduling sequence number, which makes the dispatch
 order a pure function of (config, seed). Fibers carry no state of their
-own: a hop is just its one-way delay, from ``channel_delay_ns``.
+own: a hop is just its one-way delay, from ``channel_delay_ns``. An event
+names its node and cycle and carries one datum, whatever its kind's handler
+needs beyond them.
 
 A train of events (a hop's signal train) takes one queue entry. Scheduling
 it reserves a block of consecutive sequence numbers, the ones that many
@@ -79,11 +81,17 @@ class EventKind(Enum):
 
 @dataclass(slots=True)
 class Event:
-    """A timestamped protocol event; ``seq`` is assigned when scheduled."""
+    """A timestamped protocol event at ``node`` for ``cycle``.
+
+    ``data`` is the one datum its handler needs beyond those (see
+    ``network`` for each kind's); ``seq`` is assigned when scheduled.
+    """
 
     time_ns: int
     kind: EventKind
-    payload: dict
+    node: int
+    cycle: int
+    data: object
     seq: int = -1
 
 

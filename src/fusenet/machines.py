@@ -9,11 +9,13 @@ after each success, and the call returns the pairs the train made; a single
 return message per hop confirms the fusillade; a node swaps as many pairs
 as the caller counts on the shorter of its two hops.
 
-Frame records a node produces (its swaps, and the purifications of the hop
-it receives on) wait in the node's one outbox, ``pending_frame``. A node
-that sends left (``sends_left``, the nodes left of the butterfly split)
-hands them to the return message it sends at the end of its incoming
-train; every other node hands them to the next herald that passes it.
+Both classical messages are plain frame lists. Frame records a node
+produces (its swaps, and the purifications of the hop it receives on) wait
+in the node's one outbox, ``pending_frame``. A node that sends left
+(``sends_left``, the nodes left of the butterfly split) empties it into its
+return message, the list ``build_return_message`` returns at the end of its
+incoming train; every other node empties it into the herald's list as the
+next herald passes.
 
 Because the fusillade fires as one train and each hop gets one return, each
 bank moves through one phase per cycle: the fusillade goes idle -> fired ->
@@ -64,29 +66,6 @@ class FrameRecord(NamedTuple):
 
 
 @dataclass
-class HeraldMessage:
-    """The classical pulse announcing a cycle; accumulates frame records.
-
-    The payload only grows as the herald sweeps rightward.
-    """
-
-    cycle_id: int
-    frame_payload: list[FrameRecord] = field(default_factory=list)
-
-
-@dataclass
-class ReturnMessage:
-    """Per-hop confirmation sent after the train.
-
-    ``relayed_frames`` carries the sending node's outbox when that node
-    sends left.
-    """
-
-    cycle_id: int
-    relayed_frames: list[FrameRecord] = field(default_factory=list)
-
-
-@dataclass
 class NodeState:
     """All per-node protocol state for one chain node.
 
@@ -111,42 +90,39 @@ class NodeState:
         )
 
 
-def pickup_frames(node: NodeState, herald: HeraldMessage) -> None:
-    """Move the node's pending frame records onto the herald payload."""
-    herald.frame_payload.extend(node.pending_frame)
-    node.pending_frame.clear()
-
-
 def on_herald(
     node: NodeState,
-    herald: HeraldMessage,
+    cycle: int,
+    herald_frames: list[FrameRecord],
     now_ns: int,
     *,
     generate: bool = True,
 ) -> int:
-    """Start a cycle at this node as the herald pulse passes.
+    """Start ``cycle`` at this node as the herald pulse passes.
 
-    Picks up the node's pending frame records (unless the node sends them
-    left on its return message instead), readies the fusiland bank for
-    the incoming signal train, and fires the whole fusillade, one signal per
-    slot time from ``now_ns``. Returns the fusillade size: the number of
-    signals fired, fusilier k in slot k (none from the rightmost node). With
-    ``generate`` false (a frame-flush sweep) only the pickup and cycle
-    bookkeeping happen.
+    Moves the node's pending frame records onto ``herald_frames``, the
+    herald's frame list (unless the node sends them left on its return
+    message instead), readies the fusiland bank for the incoming signal
+    train, and fires the whole fusillade, one signal per slot time from
+    ``now_ns``. Returns the fusillade size: the number of signals fired,
+    fusilier k in slot k (none from the rightmost node). With ``generate``
+    false (a frame-flush sweep) only the pickup and cycle bookkeeping
+    happen.
     """
-    if herald.cycle_id != node.current_cycle + 1:
+    if cycle != node.current_cycle + 1:
         raise DesynchronizationError(
             f"node {node.node_id} expected cycle {node.current_cycle + 1}, "
-            f"herald carries cycle {herald.cycle_id}"
+            f"herald carries cycle {cycle}"
         )
     if not node.all_idle() or now_ns < node.busy_until_ns:
         raise DesynchronizationError(
-            f"herald for cycle {herald.cycle_id} overtook unfinished work "
+            f"herald for cycle {cycle} overtook unfinished work "
             f"at node {node.node_id}"
         )
-    node.current_cycle = herald.cycle_id
+    node.current_cycle = cycle
     if not node.sends_left:
-        pickup_frames(node, herald)
+        herald_frames.extend(node.pending_frame)
+        node.pending_frame.clear()
     if not generate:
         return 0
     if node.m_fusilands:
@@ -211,12 +187,13 @@ def on_train(
     return pairs
 
 
-def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
-    """Assemble the hop's single return message after the whole train passed.
+def build_return_message(node: NodeState, cycle_id: int) -> list[FrameRecord]:
+    """Report the hop's bank after the whole train passed; return the message.
 
     It must come after a train has arrived. The bank is reported for the
-    cycle: fusilands still waiting stay empty. A node that sends left
-    empties its frame outbox into the message's ``relayed_frames``.
+    cycle: fusilands still waiting stay empty. The return message is the
+    list of frame records it relays left: a node that sends left empties its
+    frame outbox into it, and every other node's is empty.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -231,36 +208,37 @@ def build_return_message(node: NodeState, cycle_id: int) -> ReturnMessage:
         )
         raise ProtocolError(f"node {node.node_id} cannot report cycle {cycle_id}: {reason}")
     node.fusilands = FusilandPhase.REPORTED
-    msg = ReturnMessage(cycle_id)
-    if node.sends_left:
-        msg.relayed_frames, node.pending_frame = node.pending_frame, []
-    return msg
+    if not node.sends_left:
+        return []
+    relayed, node.pending_frame = node.pending_frame, []
+    return relayed
 
 
-def on_return(node: NodeState, msg: ReturnMessage, swaps: int, rng) -> list[FrameRecord]:
-    """Apply a return message: confirm the fusillade, then make ``swaps`` swaps.
+def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> list[FrameRecord]:
+    """Take the return for ``cycle_id``: confirm the fusillade, make ``swaps`` swaps.
 
-    ``swaps`` is the number of slots holding a pair on both of the node's
-    hops (0 at an end node), so swap k joins slot k of the left hop to slot
-    k of the right hop. Outcome bits are drawn from ``rng`` (parity bit then
-    X bit per swap) into one frame record per swap, appended to
-    ``pending_frame`` and returned, slot k at index k.
+    The caller takes the frames the return relays. ``swaps`` is the number
+    of slots holding a pair on both of the node's hops (0 at an end node),
+    so swap k joins slot k of the left hop to slot k of the right hop.
+    Outcome bits are drawn from ``rng`` (parity bit then X bit per swap)
+    into one frame record per swap, appended to ``pending_frame`` and
+    returned, slot k at index k.
     """
-    if msg.cycle_id != node.current_cycle:
+    if cycle_id != node.current_cycle:
         raise ProtocolError(
-            f"node {node.node_id} got return for cycle {msg.cycle_id} "
+            f"node {node.node_id} got return for cycle {cycle_id} "
             f"during cycle {node.current_cycle}"
         )
     if node.fusillade is not FusilladePhase.FIRED:
         raise ProtocolError(
-            f"node {node.node_id} got return for cycle {msg.cycle_id} while "
+            f"node {node.node_id} got return for cycle {cycle_id} while "
             f"its fusillade is {node.fusillade.value}"
         )
     node.fusillade = FusilladePhase.CONFIRMED
     records = [
         FrameRecord(
             node.node_id,
-            msg.cycle_id,
+            cycle_id,
             slot,
             PauliFrame(int(rng.random() < 0.5), int(rng.random() < 0.5)),
         )

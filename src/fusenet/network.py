@@ -14,6 +14,13 @@ receiving node's outbox, one hop per cycle, until they reach node 0. One
 final frame-flush sweep (no generation) delivers the last corrections;
 records still relaying then join the left-end fold with no arrival time.
 
+An event names its node and cycle; its one datum is, by kind: none for
+``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
+at the cycle start and passed along the sweep; the train's
+``(arrivals, draws)`` for ``SignalArrive``, on the hop into the node; the
+frame list a return relays (empty unless its sender sends left) for
+``ReturnArrive``; the swap count for ``SwapComplete``.
+
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
 ``_handle_signal_arrive`` resolves the whole train with ``on_train``, then
@@ -70,7 +77,6 @@ from .engine import (
 from .errors import ConfigurationError, DesynchronizationError, ProtocolError
 from .machines import (
     FrameRecord,
-    HeraldMessage,
     NodeState,
     build_return_message,
     on_herald,
@@ -85,7 +91,6 @@ from .pair_algebra import (
     PauliFrame,
     PurifyMeasurements,
     purify3_apply,
-    purify3_frame_delta,
     swap_apply,
 )
 
@@ -395,7 +400,7 @@ class _ChainSimulation:
     # -- event handlers -------------------------------------------------
 
     def _handle_cycle_start(self, event: Event) -> None:
-        cycle = event.payload["cycle"]
+        cycle = event.cycle
         cycles = self.config.cycles
         generate = cycle < cycles
         if generate:
@@ -406,37 +411,31 @@ class _ChainSimulation:
             self.ledgers[cycle] = _CycleLedger(
                 self.seed_rows[cycle % SEED_BLOCK], num_links, self.num_nodes
             )
-        self._herald_at(0, HeraldMessage(cycle))
+        self._herald_at(0, cycle, [])
         if self.collect_trace:
             self._trace(event, f"cycle={cycle}" + ("" if generate else " flush"))
 
     def _handle_herald_arrive(self, event: Event) -> None:
-        self._herald_at(event.payload["node"], event.payload["herald"])
+        self._herald_at(event.node, event.cycle, event.data)
         if self.collect_trace:
-            self._trace(event, f"cycle={event.payload['cycle']}")
+            self._trace(event, f"cycle={event.cycle}")
 
     def _handle_signal_arrive(self, event: Event) -> None:
         # Dispatched at the train's last signal: resolves every signal, then
         # ends the train.
-        payload = event.payload
-        node_id = payload["node"]
-        link_idx = payload["link"]
-        cycle = payload["cycle"]
-        arrivals = payload["arrivals"]
-        node = self.nodes[node_id]
-        model = self.config.links[link_idx].model
-        pairs = on_train(node, link_idx, model, payload["draws"], arrivals)
+        node = self.nodes[event.node]
+        link_idx = event.node - 1
+        arrivals, draws = event.data
+        pairs = on_train(node, link_idx, self.config.links[link_idx].model, draws, arrivals)
         if self.collect_trace:
-            self._train_records(event, node, cycle, pairs)
-        self._end_of_train(node_id, link_idx, cycle, pairs)
+            self._train_records(event, node, pairs)
+        self._end_of_train(node, event.cycle, pairs)
 
-    def _train_records(
-        self, event: Event, node: NodeState, cycle: int, pairs: list[PairRecord]
-    ) -> None:
+    def _train_records(self, event: Event, node: NodeState, pairs: list[PairRecord]) -> None:
         # Signal k of the train has seq first + k. It succeeded if it filled
         # a slot (its pair's left slot is k), was discarded if it came after
         # the bank filled, and failed otherwise.
-        arrivals = event.payload["arrivals"]
+        arrivals = event.data[0]
         count = len(arrivals)
         first = event.seq - count + 1
         full = pairs[-1].left.slot + 1 if len(pairs) == node.m_fusilands else count
@@ -445,21 +444,20 @@ class _ChainSimulation:
             outcomes[pair.left.slot] = f"success slot={slot}"
         kind = event.kind.value
         node_id = node.node_id
-        prefix = f"cycle={cycle} fusilier="
+        prefix = f"cycle={event.cycle} fusilier="
         self.trace += [
             TraceRecord(arrival_ns, first + k, kind, node_id, f"{prefix}{k} {outcome}")
             for k, (arrival_ns, outcome) in enumerate(zip(arrivals, outcomes))
         ]
 
     def _handle_return_arrive(self, event: Event) -> None:
-        node_id = event.payload["node"]
-        cycle = event.payload["cycle"]
-        msg = event.payload["msg"]
+        node_id = event.node
+        cycle = event.cycle
         node = self.nodes[node_id]
         if node_id == 0:
-            self._absorb_leftbound(msg.relayed_frames, self.queue.now_ns)
+            self._absorb_leftbound(event.data, self.queue.now_ns)
         else:
-            node.pending_frame.extend(msg.relayed_frames)
+            node.pending_frame.extend(event.data)
         ledger = self.ledgers[cycle]
         # Slot k swaps when both of the node's hops kept a pair in it; node 0
         # has no left hop. Two draws per swap: a parity bit, then an X bit.
@@ -469,18 +467,14 @@ class _ChainSimulation:
         rng = None
         if swaps:
             rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * swaps)
-        ledger.swaps[node_id] = on_return(node, msg, swaps, rng)
+        ledger.swaps[node_id] = on_return(node, cycle, swaps, rng)
         # The swap occupies the node for proc_ns; states are released here
         # and busy_until_ns guards the occupancy window against early heralds.
         release_cycle_resources(node)
         if swaps:
             node.busy_until_ns = self.queue.now_ns + self.config.proc_ns
             self.queue.schedule(
-                Event(
-                    node.busy_until_ns,
-                    EventKind.SWAP_COMPLETE,
-                    {"node": node_id, "cycle": cycle, "count": swaps},
-                )
+                Event(node.busy_until_ns, EventKind.SWAP_COMPLETE, node_id, cycle, swaps)
             )
         else:
             node.busy_until_ns = self.queue.now_ns
@@ -495,39 +489,31 @@ class _ChainSimulation:
         # Launched once the left end finished its cycle so that, at the exact
         # period boundary, completion events precede the next CycleStart in
         # the (time, seq) order.
-        if cycle + 1 > self.config.cycles:
-            return
         start_ns = (cycle + 1) * self.schedule.cycle_period_ns
         if start_ns < self.queue.now_ns:
             raise DesynchronizationError(
                 f"herald for cycle {cycle + 1} was due at {start_ns} ns but "
                 f"node 0 finished cycle {cycle} only at {self.queue.now_ns} ns"
             )
-        self.queue.schedule(
-            Event(start_ns, EventKind.CYCLE_START, {"node": 0, "cycle": cycle + 1})
-        )
+        self.queue.schedule(Event(start_ns, EventKind.CYCLE_START, 0, cycle + 1, None))
 
     def _handle_swap_complete(self, event: Event) -> None:
-        self._mark_complete(event.payload["cycle"], event.payload["node"])
+        self._mark_complete(event.cycle, event.node)
         if self.collect_trace:
-            self._trace(
-                event, f"cycle={event.payload['cycle']} count={event.payload['count']}"
-            )
+            self._trace(event, f"cycle={event.cycle} count={event.data}")
 
     # -- helpers ---------------------------------------------------------
 
     def _trace(self, event: Event, detail: str) -> None:
         self.trace.append(
-            TraceRecord(
-                event.time_ns, event.seq, event.kind.value, event.payload["node"], detail
-            )
+            TraceRecord(event.time_ns, event.seq, event.kind.value, event.node, detail)
         )
 
-    def _herald_at(self, node_id: int, herald: HeraldMessage) -> None:
-        cycle = herald.cycle_id
+    def _herald_at(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
         fired = on_herald(
             self.nodes[node_id],
-            herald,
+            cycle,
+            frames,
             self.queue.now_ns,
             generate=cycle < self.config.cycles,
         )
@@ -538,11 +524,13 @@ class _ChainSimulation:
                 Event(
                     self.queue.now_ns + self.schedule.link_delays_ns[node_id],
                     EventKind.HERALD_ARRIVE,
-                    {"node": node_id + 1, "cycle": cycle, "herald": herald},
+                    node_id + 1,
+                    cycle,
+                    frames,
                 )
             )
         else:
-            self._deliver_frames(herald)
+            self._deliver_frames(cycle, frames)
         self._schedule_signals(node_id, cycle, fired)
 
     def _schedule_signals(self, node_id: int, cycle: int, fired: int) -> None:
@@ -558,34 +546,25 @@ class _ChainSimulation:
             fired + self.config.links[node_id].m_fusilands,
         )
         self.queue.schedule(
-            Event(
-                arrivals[-1],
-                EventKind.SIGNAL_ARRIVE,
-                {
-                    "node": node_id + 1,
-                    "cycle": cycle,
-                    "link": node_id,
-                    "arrivals": arrivals,
-                    "draws": draws,
-                },
-            ),
+            Event(arrivals[-1], EventKind.SIGNAL_ARRIVE, node_id + 1, cycle, (arrivals, draws)),
             fired,
         )
 
-    def _end_of_train(
-        self, node_id: int, link_idx: int, cycle: int, pairs: list[PairRecord]
-    ) -> None:
-        node = self.nodes[node_id]
+    def _end_of_train(self, node: NodeState, cycle: int, pairs: list[PairRecord]) -> None:
+        node_id = node.node_id
+        link_idx = node_id - 1
         self.hop_success_counts[link_idx][cycle] = len(pairs)
         if self.config.strategy is Strategy.PURIFY3:
             pairs = self._purify_hop(node, link_idx, cycle, pairs)
         self.ledgers[cycle].hop_pairs[link_idx] = pairs
-        msg = build_return_message(node, cycle)
+        relayed = build_return_message(node, cycle)
         self.queue.schedule(
             Event(
                 self.queue.now_ns + self.schedule.link_delays_ns[link_idx],
                 EventKind.RETURN_ARRIVE,
-                {"node": link_idx, "cycle": cycle, "msg": msg},
+                link_idx,
+                cycle,
+                relayed,
             )
         )
         if node_id == self.num_nodes - 1:
@@ -624,9 +603,11 @@ class _ChainSimulation:
                 rx_x2=rx_x2,
                 rx_x3=rx_x3,
             )
-            kept.append(purify3_apply(trio, meas))
-            delta = purify3_frame_delta(meas)
-            node.pending_frame.append(FrameRecord(node.node_id, cycle, t, delta))
+            # A hop's pairs carry the identity frame, so the kept pair's
+            # frame is the round's frame delta.
+            pair = purify3_apply(trio, meas)
+            kept.append(pair)
+            node.pending_frame.append(FrameRecord(node.node_id, cycle, t, pair.frame))
         return kept
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
@@ -678,26 +659,24 @@ class _ChainSimulation:
                 )
         del self.ledgers[cycle]
 
-    def _deliver_frames(self, herald: HeraldMessage) -> None:
+    def _deliver_frames(self, cycle: int, frames: list[FrameRecord]) -> None:
         # Herald for cycle c carries the records generated during cycle c-1.
         folds: dict[int, PauliFrame] = {}
-        for rec in herald.frame_payload:
-            if rec.cycle != herald.cycle_id - 1:
+        for rec in frames:
+            if rec.cycle != cycle - 1:
                 raise ProtocolError(
-                    f"herald {herald.cycle_id} picked up a stale frame record "
+                    f"herald {cycle} picked up a stale frame record "
                     f"from cycle {rec.cycle} at node {rec.node}"
                 )
             folds[rec.slot] = folds.get(rec.slot, IDENTITY_FRAME).compose(rec.frame)
-        for record in self.records_by_cycle.pop(herald.cycle_id - 1, []):
+        for record in self.records_by_cycle.pop(cycle - 1, []):
             record.frame_available_at_ns = self.queue.now_ns
             record.herald_correction = folds.get(record.slot, IDENTITY_FRAME)
 
     # -- top level ---------------------------------------------------------
 
     def execute(self) -> RunResult:
-        self.queue.schedule(
-            Event(0, EventKind.CYCLE_START, {"node": 0, "cycle": 0})
-        )
+        self.queue.schedule(Event(0, EventKind.CYCLE_START, 0, 0, None))
         handlers = {
             EventKind.CYCLE_START: self._handle_cycle_start,
             EventKind.HERALD_ARRIVE: self._handle_herald_arrive,

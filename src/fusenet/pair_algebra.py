@@ -79,10 +79,6 @@ class PauliFrame:
     def compose(self, other: "PauliFrame") -> "PauliFrame":
         return _FRAMES[self.x_bit ^ other.x_bit][self.z_bit ^ other.z_bit]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_bit == 0 and self.z_bit == 0
-
 
 # Only four frame values exist; interning them keeps composition in the
 # simulator's hot loops allocation-free.

@@ -14,7 +14,6 @@ import pytest
 
 from fusenet.cli import main as cli_main
 from fusenet.machines import (
-    HeraldMessage,
     NodeState,
     build_return_message,
     on_herald,
@@ -101,7 +100,7 @@ def test_criterion_4a_hop_success_counts():
     rx = NodeState(1, 0, m)
     short = 0
     for cycle in range(cycles):
-        on_herald(rx, HeraldMessage(cycle), 0)
+        on_herald(rx, cycle, [], 0)
         if len(on_train(rx, 0, link, rng, list(range(n)))) < m:
             short += 1
         build_return_message(rx, cycle)

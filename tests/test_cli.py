@@ -17,6 +17,8 @@ from fusenet.cli import _write_trace, main
 from fusenet.config import load_config, parse_config, resolved_dict
 from fusenet.network import TraceRecord
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 BASE_DOC = {
     "schema_version": "1",
     "network": {
@@ -101,8 +103,7 @@ class TestPlan:
 
 class TestSimulate:
     def test_bundled_example_rate(self, capsys):
-        repo_config = Path(__file__).resolve().parents[1] / "configs" / "two_node_40km.json"
-        code, out, _ = run_cli(capsys, "simulate", str(repo_config))
+        code, out, _ = run_cli(capsys, "simulate", str(CONFIGS / "two_node_40km.json"))
         assert code == 0
         doc = json.loads(out)
         assert doc["summary"]["pairs_per_second"] == 2500.0
@@ -215,6 +216,21 @@ class TestSimulate:
         assert code == 3
         assert err.startswith("error: desync:")
 
+    def test_node_0_desync_exit_3(self, tmp_path, capsys):
+        # a period of a quarter of the hop's round trip: node 0 gets its
+        # cycle-0 return after cycle 1 was due to start
+        doc = json.loads((CONFIGS / "two_node_40km.json").read_text())
+        doc["network"]["cycle_period_ns"] = 100_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: desync: herald for cycle 1 was due at 100000 ns but "
+            "node 0 finished cycle 0 only at 400000 ns\n"
+        )
+
     def test_trace_without_path_exit_2(self, tmp_path, capsys):
         doc = copy.deepcopy(BASE_DOC)
         doc["output"] = {"format": "json", "trace": True}
@@ -282,6 +298,10 @@ def _return_before_train(doc):
     net["tau_slot_ns"] = 10
 
 
+def _no_n_fusiliers(doc):
+    del doc["network"]["links"][0]["n_fusiliers"]
+
+
 def _trace_to_summary_file(doc):
     # two spellings of one file: the trace would overwrite the summary
     doc["output"].update(path="out.json", trace=True, trace_path="./out.json")
@@ -309,11 +329,33 @@ class TestRejectedInput:
             # finite inputs whose fiber delay overflows to an infinite ns count
             (_set(("network", "links", 0, "length_km"), 1e300), "links[0]"),
             (_set(("network", "signal_speed_m_per_s"), 1e-300), "links[0]"),
+            (_set(("network", "tau_slot_ns"), -1), "tau_slot_ns"),
+            (_set(("network", "proc_ns"), -1), "proc_ns"),
+            (_set(("network", "seed"), -1), "seed must be >= 0"),
+            (_set(("network", "cycles"), 0), "cycles must be >= 1"),
+            (_set(("network", "links", 0, "n_fusiliers"), 0), "links[0]: n_fusiliers"),
+            (_set(("network", "links", 0, "m_fusilands"), 0), "links[0]: m_fusilands"),
+            (_set(("network", "cycle_period_ns"), 0), "cycle_period_ns"),
+            (_set(("network", "strategy"), "purify5"), "network.strategy"),
+            (_set(("output", "format"), "xml"), "output.format"),
+            (_set(("network", "cycles"), "ten"), "network.cycles"),
+            (_set(("network", "butterfly"), "yes"), "network.butterfly"),
+            (_set(("network",), []), "config.network:"),
+            (_set(("network", "links"), {}), "network.links"),
+            (_set(("network", "nodes"), [1, 2]), "network.nodes"),
+            (_no_n_fusiliers, "links[0].n_fusiliers"),
+            (_set(("network", "links", 0, "p_success"), 1.5), "links[0]: p_success"),
+            # an integer beyond the float range
+            (_set(("network", "links", 0, "length_km"), 10**400), "links[0].length_km"),
+            (lambda doc: [], "top level"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, mutate, field):
         doc = copy.deepcopy(BASE_DOC)
-        mutate(doc)
+        # a mutation edits the document in place or returns its replacement
+        replacement = mutate(doc)
+        if replacement is not None:
+            doc = replacement
         code, out, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
         assert code == 2
         assert out == ""

@@ -33,7 +33,7 @@ SPEED = 2.0e8
 
 
 def make_event(t, detail=None):
-    return Event(t, EventKind.CYCLE_START, {"node": 0, "detail": detail})
+    return Event(t, EventKind.CYCLE_START, 0, 0, detail)
 
 
 class TestEventQueue:
@@ -107,13 +107,13 @@ class TestRun:
 
 def schedule_train(q, start, count, spacing, node=0):
     arrivals = [start + k * spacing for k in range(count)]
-    payload = {"node": node, "arrivals": arrivals}
-    return q.schedule(Event(arrivals[-1], EventKind.SIGNAL_ARRIVE, payload), count)
+    data = {"arrivals": arrivals}
+    return q.schedule(Event(arrivals[-1], EventKind.SIGNAL_ARRIVE, node, 0, data), count)
 
 
 def train_records(event):
     """One (t, seq, kind, detail) record per train member, at its own key."""
-    arrivals = event.payload["arrivals"]
+    arrivals = event.data["arrivals"]
     first = event.seq - len(arrivals) + 1
     return [(t, first + k, event.kind.value, f"member={k}") for k, t in enumerate(arrivals)]
 
@@ -122,7 +122,7 @@ def tracing(trace, on_train=None):
     """Handlers that append their records to ``trace``, as a simulation does."""
 
     def single(event):
-        trace.append((event.time_ns, event.seq, event.kind.value, event.payload["detail"]))
+        trace.append((event.time_ns, event.seq, event.kind.value, event.data))
 
     def train(event):
         if on_train is not None:
@@ -214,26 +214,26 @@ def _dispatch(items, as_trains):
     def add(start, count, spacing, node, spawn):
         if as_trains and count > 1:
             train = schedule_train(q, start, count, spacing, node)
-            train.payload["spawn"] = spawn
+            train.data["spawn"] = spawn
             return
         for k in range(count):
-            payload = {"node": node, "member": k, "last": k == count - 1, "spawn": spawn}
-            q.schedule(Event(start + k * spacing, EventKind.SIGNAL_ARRIVE, payload))
+            data = {"member": k, "last": k == count - 1, "spawn": spawn}
+            q.schedule(Event(start + k * spacing, EventKind.SIGNAL_ARRIVE, node, 0, data))
 
     def spawn(event):
-        child = event.payload["spawn"]
+        child = event.data["spawn"]
         if child is not None:
             delay, count, spacing = child
-            add(q.now_ns + delay, count, spacing, 1000 * (event.payload["node"] + 1), None)
+            add(q.now_ns + delay, count, spacing, 1000 * (event.node + 1), None)
 
     def handle(event):
-        if "arrivals" in event.payload:
+        if "arrivals" in event.data:
             trace.extend(train_records(event))
             spawn(event)
             return
-        if event.payload["last"]:
+        if event.data["last"]:
             spawn(event)
-        trace.append((event.time_ns, event.seq, event.kind.value, f"member={event.payload['member']}"))
+        trace.append((event.time_ns, event.seq, event.kind.value, f"member={event.data['member']}"))
 
     for node, (start, count, spacing, child) in enumerate(items):
         add(start, count, spacing, node, child)

@@ -13,14 +13,11 @@ from fusenet.machines import (
     FrameRecord,
     FusilandPhase,
     FusilladePhase,
-    HeraldMessage,
     NodeState,
-    ReturnMessage,
     build_return_message,
     on_herald,
     on_return,
     on_train,
-    pickup_frames,
     release_cycle_resources,
 )
 from fusenet.pair_algebra import (
@@ -42,9 +39,9 @@ def start_cycle(n, m, cycle=0):
     """A transmitting node and a receiving node, herald already passed."""
     tx = NodeState(0, n_fusiliers=n, m_fusilands=0)
     rx = NodeState(1, n_fusiliers=0, m_fusilands=m)
-    herald = HeraldMessage(cycle)
-    fired = on_herald(tx, herald, 0)
-    on_herald(rx, herald, 50)
+    herald = []
+    fired = on_herald(tx, cycle, herald, 0)
+    on_herald(rx, cycle, herald, 50)
     return tx, rx, fired
 
 
@@ -71,7 +68,7 @@ class TestOnHerald:
 
     def test_rightmost_node_fires_nothing(self):
         rx = NodeState(2, n_fusiliers=0, m_fusilands=2)
-        fired = on_herald(rx, HeraldMessage(0), 0)
+        fired = on_herald(rx, 0, [], 0)
         assert fired == 0
         assert rx.fusillade is FusilladePhase.IDLE
         assert rx.fusilands is FusilandPhase.READY
@@ -79,22 +76,23 @@ class TestOnHerald:
     def test_herald_while_busy_desynchronizes(self):
         tx, _, _ = start_cycle(2, 1)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, HeraldMessage(1), 500)
+            on_herald(tx, 1, [], 500)
 
     def test_wrong_cycle_id_desynchronizes(self):
         tx = NodeState(0, 2, 0)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, HeraldMessage(3), 0)
+            on_herald(tx, 3, [], 0)
 
     def test_pickup_drains_pending_frames(self):
         _, rx, _ = start_cycle(1, 1)
         run_train(rx, 1, draws=[0.0, 0.5])
         build_return_message(rx, 0)
         release_cycle_resources(rx)
-        rx.pending_frame.append(FrameRecord(1, 0, 0, IDENTITY_FRAME))
-        herald = HeraldMessage(1)
-        on_herald(rx, herald, 10_000)
-        assert len(herald.frame_payload) == 1
+        record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
+        rx.pending_frame.append(record)
+        herald = []
+        on_herald(rx, 1, herald, 10_000)
+        assert herald == [record]
         assert rx.pending_frame == []
 
     def test_node_that_sends_left_keeps_its_outbox_for_the_return(self):
@@ -105,21 +103,12 @@ class TestOnHerald:
         release_cycle_resources(rx)
         record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
         rx.pending_frame.append(record)
-        herald = HeraldMessage(1)
-        on_herald(rx, herald, 10_000)
-        assert herald.frame_payload == []
+        herald = []
+        on_herald(rx, 1, herald, 10_000)
+        assert herald == []
         run_train(rx, 1, draws=[0.0, 0.5])
-        msg = build_return_message(rx, 1)
-        assert msg.relayed_frames == [record]
+        assert build_return_message(rx, 1) == [record]
         assert rx.pending_frame == []
-
-    def test_pickup_frames_helper(self):
-        node = NodeState(2, 0, 1)
-        node.pending_frame = [FrameRecord(2, 0, 0, IDENTITY_FRAME)]
-        herald = HeraldMessage(1)
-        pickup_frames(node, herald)
-        assert herald.frame_payload == [FrameRecord(2, 0, 0, IDENTITY_FRAME)]
-        assert node.pending_frame == []
 
 
 class TestOnSignal:
@@ -196,33 +185,40 @@ class TestBuildReturnMessage:
             build_return_message(rx, 0)
         assert rx.fusilands is FusilandPhase.READY
 
+    def test_wrong_cycle_rejected(self):
+        _, rx, _ = start_cycle(3, 1)
+        run_train(rx, 3, draws=[0.9, 0.9, 0.9])
+        with pytest.raises(ProtocolError, match="asked to report cycle 1 during cycle 0"):
+            build_return_message(rx, 1)
+        assert rx.fusilands is FusilandPhase.RECEIVED
+
 
 def awaiting_return():
     """An intermediate node whose fusillade fired, awaiting its return."""
     node = NodeState(1, n_fusiliers=3, m_fusilands=3)
-    on_herald(node, HeraldMessage(0), 0)
-    return node, ReturnMessage(0)
+    on_herald(node, 0, [], 0)
+    return node
 
 
 class TestOnReturn:
     def test_swaps_the_given_count(self):
-        node, msg = awaiting_return()
+        node = awaiting_return()
         rng = StubRng([0.9, 0.1] * 3)
-        swaps = on_return(node, msg, 2, rng)
+        swaps = on_return(node, 0, 2, rng)
         assert [s.slot for s in swaps] == [0, 1]
         assert len(rng.values) == 2  # two draws per swap
         assert node.pending_frame == swaps
         assert node.fusillade is FusilladePhase.CONFIRMED
 
     def test_zero_swaps_draw_nothing(self):
-        node, msg = awaiting_return()
-        swaps = on_return(node, msg, 0, None)
+        node = awaiting_return()
+        swaps = on_return(node, 0, 0, None)
         assert swaps == []
         assert node.pending_frame == []
 
     def test_swap_outcome_feeds_frame_record(self):
-        node, msg = awaiting_return()
-        swaps = on_return(node, msg, 1, StubRng([0.1, 0.9]))
+        node = awaiting_return()
+        swaps = on_return(node, 0, 1, StubRng([0.1, 0.9]))
         assert node.pending_frame == swaps
         rec = swaps[0]
         # the parity outcome is the frame's X bit, the X readout its Z bit
@@ -231,32 +227,42 @@ class TestOnReturn:
 
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
-        on_herald(node, HeraldMessage(0), 0)
-        swaps = on_return(node, ReturnMessage(0), 0, None)
+        on_herald(node, 0, [], 0)
+        swaps = on_return(node, 0, 0, None)
         assert swaps == []
         assert node.fusillade is FusilladePhase.CONFIRMED
         release_cycle_resources(node)
         assert node.all_idle()
 
     def test_wrong_cycle_rejected(self):
-        node, msg = awaiting_return()
-        msg.cycle_id = 5
+        node = awaiting_return()
         with pytest.raises(ProtocolError):
-            on_return(node, msg, 0, None)
+            on_return(node, 5, 0, None)
+
+    def test_return_needs_a_fired_fusillade(self):
+        # the rightmost node fires nothing, so its fusillade stays idle
+        idle = NodeState(2, n_fusiliers=0, m_fusilands=3)
+        on_herald(idle, 0, [], 0)
+        with pytest.raises(ProtocolError, match="its fusillade is idle"):
+            on_return(idle, 0, 0, None)
+        node = awaiting_return()
+        on_return(node, 0, 0, None)
+        with pytest.raises(ProtocolError, match="its fusillade is confirmed"):
+            on_return(node, 0, 0, None)
 
 
 class TestCycleLifecycle:
     def test_release_resets_everything(self):
         tx, rx, _ = start_cycle(3, 2)
         run_train(rx, 3, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
-        msg = build_return_message(rx, 0)
-        on_return(tx, msg, 0, None)
+        build_return_message(rx, 0)
+        on_return(tx, 0, 0, None)
         release_cycle_resources(tx)
         release_cycle_resources(rx)
         assert tx.all_idle() and rx.all_idle()
         # next herald is accepted again
-        on_herald(tx, HeraldMessage(1), 1000)
-        on_herald(rx, HeraldMessage(1), 1050)
+        on_herald(tx, 1, [], 1000)
+        on_herald(rx, 1, [], 1050)
 
     def test_success_distribution_truncated_binomial(self):
         # frequency of under-filled cycles converges to the binomial tail;
@@ -267,7 +273,7 @@ class TestCycleLifecycle:
         short = 0
         for _ in range(cycles):
             rx = NodeState(1, 0, m)
-            on_herald(rx, HeraldMessage(0), 0)
+            on_herald(rx, 0, [], 0)
             if len(on_train(rx, 0, link, rng, [0] * n)) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
@@ -380,7 +386,7 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     nodes, rngs = [], []
     for _ in range(2):
         rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
-        on_herald(rx, HeraldMessage(0), 0)
+        on_herald(rx, 0, [], 0)
         nodes.append(rx)
         rngs.append(CountingRng(seed))
     pairs = on_train(nodes[0], 2, link, rngs[0], times)
@@ -403,9 +409,9 @@ def test_full_cycle_fuzz(n, m, p, seed):
     rng = np.random.default_rng(seed)
     tx = NodeState(0, n, 0)
     rx = NodeState(1, 0, m)
-    herald = HeraldMessage(0)
-    assert on_herald(tx, herald, 0) == n
-    on_herald(rx, herald, 11)
+    herald = []
+    assert on_herald(tx, 0, herald, 0) == n
+    on_herald(rx, 0, herald, 11)
 
     pairs = on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
     assert len(pairs) <= m
@@ -413,10 +419,10 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert [pair.right.slot for pair in pairs] == list(range(len(pairs)))
     assert rx.fusilands is FusilandPhase.RECEIVED
 
-    msg = build_return_message(rx, 0)
+    assert build_return_message(rx, 0) == []
     assert rx.fusilands is FusilandPhase.REPORTED
 
-    swaps = on_return(tx, msg, 0, rng)
+    swaps = on_return(tx, 0, 0, rng)
     assert swaps == []  # tx has no left hop: end node
     assert tx.fusillade is FusilladePhase.CONFIRMED
 

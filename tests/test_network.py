@@ -514,7 +514,7 @@ def _check_train_trace(cfg):
     sched = result.schedule
     assert len(trains) == cfg.cycles * len(cfg.links)
     for event, count in trains:
-        link, cycle = event.payload["link"], event.payload["cycle"]
+        link, cycle = event.node - 1, event.cycle
         assert count == cfg.links[link].n_fusiliers
         start_ns = (
             cycle * sched.cycle_period_ns

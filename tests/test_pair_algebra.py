@@ -343,7 +343,7 @@ class TestSwap:
         right = make_pair(0, left=(1, 0), right=(2, 0))
         joined = swap_apply(left, right, 0, 0)
         assert joined.left == Endpoint(0, 0) and joined.right == Endpoint(2, 0)
-        assert joined.x_error == 0 and joined.frame.is_identity
+        assert joined.x_error == 0 and joined.frame == IDENTITY_FRAME
 
     def test_apply_xors_errors(self):
         left = make_pair(1, right=(1, 0))
@@ -431,7 +431,7 @@ class TestFrameAlgebra:
         assert forward.compose(forward) == IDENTITY_FRAME
 
     def test_identity(self):
-        assert IDENTITY_FRAME.is_identity
+        assert IDENTITY_FRAME == PauliFrame(0, 0)
         assert PauliFrame(1, 1).compose(IDENTITY_FRAME) == PauliFrame(1, 1)
 
     def test_swap_chain_frame_association_independent(self):
