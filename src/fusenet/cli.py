@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration or usage error, 3 desynchronization
 abort, 4 an output file (summary, trace or sweep CSV) could not be written.
 Every error path prints a single machine-readable line to stderr of the form
-``error: <category>: <detail>``. Output files go to temp files beside their
+``error: <category>: <detail>``, and every warning one line
+``warning: <message>``. Output files go to temp files beside their
 targets and are renamed into place only once every write has succeeded.
 Trace lines are written from one line template, byte-equal to
 ``json.dumps(record._asdict(), sort_keys=True)`` for each record.
@@ -19,6 +20,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, astuple, fields
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Optional, Sequence, TextIO
@@ -311,13 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
+    try:
+        return args.func(args)
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def main_entry() -> None:

@@ -5,22 +5,18 @@ a bank of fusilands (receivers serving the link from its left neighbor).
 One herald pulse per cycle fires the whole fusillade; the signal train
 arriving at a node is resolved in one call (``on_train``): its signals
 interact with the fusilands one at a time, rerouting to the next fusiland
-after each success, and the call returns the pairs the train made; a single
-return message per hop confirms the fusillade; a node swaps as many pairs
-as the caller counts on the shorter of its two hops.
-
-Both classical messages are plain frame lists. Frame records a node
-produces (its swaps, and the purifications of the hop it receives on) wait
-in the node's one outbox, ``pending_frame``. A node that sends left
-(``sends_left``, the nodes left of the butterfly split) empties it into its
-return message, the list ``build_return_message`` returns at the end of its
-incoming train; every other node empties it into the herald's list as the
-next herald passes.
+after each success, and the call returns the pairs the train made;
+``report_hop`` reports the bank once the train has passed; a single return
+message per hop confirms the fusillade, and ``on_return`` draws the swaps
+of as many pairs as the caller counts on the shorter of the node's two
+hops and returns their frames.
 
 Because the fusillade fires as one train and each hop gets one return, each
 bank moves through one phase per cycle: the fusillade goes idle -> fired ->
-confirmed and the fusilands idle -> ready -> received -> reported. A node
-keeps no pairs: a hop's pairs belong to whoever called ``on_train``.
+idle and the fusilands idle -> ready -> received -> reported -> idle. A
+node keeps only these phases and its cycle clock: a hop's pairs belong to
+whoever called ``on_train``, a node's swap frames to whoever called
+``on_return``.
 
 NodeState is mutated only by the single event-loop thread of a simulation
 run; all operations are deterministic given their RNG stream.
@@ -28,9 +24,8 @@ run; all operations are deterministic given their RNG stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import DesynchronizationError, ProtocolError
 from .pair_algebra import (
@@ -46,7 +41,6 @@ from .pair_algebra import (
 class FusilladePhase(Enum):
     IDLE = "idle"
     FIRED = "fired"
-    CONFIRMED = "confirmed"
 
 
 class FusilandPhase(Enum):
@@ -56,30 +50,15 @@ class FusilandPhase(Enum):
     REPORTED = "reported"
 
 
-class FrameRecord(NamedTuple):
-    """One node's pending frame contribution for an end-to-end slot."""
-
-    node: int
-    cycle: int
-    slot: int
-    frame: PauliFrame
-
-
 @dataclass
 class NodeState:
-    """All per-node protocol state for one chain node.
-
-    ``pending_frame`` is the node's frame outbox; ``sends_left`` says whether
-    it leaves on the node's return message instead of the next herald.
-    """
+    """All per-node protocol state for one chain node."""
 
     node_id: int
     n_fusiliers: int
     m_fusilands: int
-    sends_left: bool = False
     fusillade: FusilladePhase = FusilladePhase.IDLE
     fusilands: FusilandPhase = FusilandPhase.IDLE
-    pending_frame: list[FrameRecord] = field(default_factory=list)
     current_cycle: int = -1
     busy_until_ns: int = 0
 
@@ -90,24 +69,14 @@ class NodeState:
         )
 
 
-def on_herald(
-    node: NodeState,
-    cycle: int,
-    herald_frames: list[FrameRecord],
-    now_ns: int,
-    *,
-    generate: bool = True,
-) -> int:
+def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True) -> int:
     """Start ``cycle`` at this node as the herald pulse passes.
 
-    Moves the node's pending frame records onto ``herald_frames``, the
-    herald's frame list (unless the node sends them left on its return
-    message instead), readies the fusiland bank for the incoming signal
-    train, and fires the whole fusillade, one signal per slot time from
-    ``now_ns``. Returns the fusillade size: the number of signals fired,
-    fusilier k in slot k (none from the rightmost node). With ``generate``
-    false (a frame-flush sweep) only the pickup and cycle bookkeeping
-    happen.
+    Readies the fusiland bank for the incoming signal train and fires the
+    whole fusillade, one signal per slot time from ``now_ns``. Returns the
+    fusillade size: the number of signals fired, fusilier k in slot k (none
+    from the rightmost node). With ``generate`` false (a frame-flush sweep)
+    only the cycle bookkeeping happens.
     """
     if cycle != node.current_cycle + 1:
         raise DesynchronizationError(
@@ -120,9 +89,6 @@ def on_herald(
             f"at node {node.node_id}"
         )
     node.current_cycle = cycle
-    if not node.sends_left:
-        herald_frames.extend(node.pending_frame)
-        node.pending_frame.clear()
     if not generate:
         return 0
     if node.m_fusilands:
@@ -187,13 +153,11 @@ def on_train(
     return pairs
 
 
-def build_return_message(node: NodeState, cycle_id: int) -> list[FrameRecord]:
-    """Report the hop's bank after the whole train passed; return the message.
+def report_hop(node: NodeState, cycle_id: int) -> None:
+    """Report the hop's bank after the whole train passed.
 
     It must come after a train has arrived. The bank is reported for the
-    cycle: fusilands still waiting stay empty. The return message is the
-    list of frame records it relays left: a node that sends left empties its
-    frame outbox into it, and every other node's is empty.
+    cycle: fusilands still waiting stay empty.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -208,21 +172,16 @@ def build_return_message(node: NodeState, cycle_id: int) -> list[FrameRecord]:
         )
         raise ProtocolError(f"node {node.node_id} cannot report cycle {cycle_id}: {reason}")
     node.fusilands = FusilandPhase.REPORTED
-    if not node.sends_left:
-        return []
-    relayed, node.pending_frame = node.pending_frame, []
-    return relayed
 
 
-def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> list[FrameRecord]:
+def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> list[PauliFrame]:
     """Take the return for ``cycle_id``: confirm the fusillade, make ``swaps`` swaps.
 
-    The caller takes the frames the return relays. ``swaps`` is the number
-    of slots holding a pair on both of the node's hops (0 at an end node),
-    so swap k joins slot k of the left hop to slot k of the right hop.
-    Outcome bits are drawn from ``rng`` (parity bit then X bit per swap)
-    into one frame record per swap, appended to ``pending_frame`` and
-    returned, slot k at index k.
+    Confirming the fusillade returns it to idle. ``swaps`` is the number of
+    slots holding a pair on both of the node's hops (0 at an end node), so
+    swap k joins slot k of the left hop to slot k of the right hop. Outcome
+    bits are drawn from ``rng`` (parity bit then X bit per swap) into one
+    frame per swap; the frames are returned, slot k at index k.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -234,22 +193,15 @@ def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> list[FrameReco
             f"node {node.node_id} got return for cycle {cycle_id} while "
             f"its fusillade is {node.fusillade.value}"
         )
-    node.fusillade = FusilladePhase.CONFIRMED
-    records = [
-        FrameRecord(
-            node.node_id,
-            cycle_id,
-            slot,
-            PauliFrame(int(rng.random() < 0.5), int(rng.random() < 0.5)),
-        )
-        for slot in range(swaps)
+    node.fusillade = FusilladePhase.IDLE
+    return [
+        PauliFrame(int(rng.random() < 0.5), int(rng.random() < 0.5))
+        for _ in range(swaps)
     ]
-    node.pending_frame.extend(records)
-    return records
 
 
 def release_cycle_resources(node: NodeState) -> None:
-    """Return both banks to idle at cycle end, once each is settled."""
+    """Return the fusiland bank to idle at cycle end, once both banks are settled."""
     if node.fusillade is FusilladePhase.FIRED:
         raise ProtocolError(
             f"node {node.node_id} cannot release: its fusillade is unconfirmed"
@@ -258,5 +210,4 @@ def release_cycle_resources(node: NodeState) -> None:
         raise ProtocolError(
             f"node {node.node_id} cannot release: its fusilands are unreported"
         )
-    node.fusillade = FusilladePhase.IDLE
     node.fusilands = FusilandPhase.IDLE

@@ -4,15 +4,17 @@ A run executes a fixed number of generation cycles. Each cycle starts with a
 herald pulse launched at the left end; the pulse initiates every fusillade
 as it sweeps right, signal trains follow it down each fiber, return messages
 confirm each hop, and intermediate nodes swap as soon as they hold links on
-both sides. Frame records produced by purification and swapping
-wait in the producing node's outbox and leave on the *next* herald to the
-right end, so every end-to-end pair's correction becomes available exactly
-one cycle period after the pair is established. Under the butterfly split
-the outbox of a node left of the split leaves instead on the return message
-it sends when its incoming train ends, and relayed records join the
-receiving node's outbox, one hop per cycle, until they reach node 0. One
-final frame-flush sweep (no generation) delivers the last corrections;
-records still relaying then join the left-end fold with no arrival time.
+both sides. A frame record is one node's frames for one cycle, slot k at
+index k: a swapping node adds one per return, and a purified hop one per
+train. The simulation keeps each node's outbox and routes it: a record
+leaves on the *next* herald to the right end, so every end-to-end pair's
+correction becomes available exactly one cycle period after the pair is
+established. Under the butterfly split the outbox of a node left of the
+split leaves instead on the return message it sends when its incoming
+train ends, and relayed records join the receiving node's outbox, one hop
+per cycle, until they reach node 0. One final frame-flush sweep (no
+generation) delivers the last corrections; records still relaying then
+join the left-end fold with no arrival time.
 
 An event names its node and cycle; its one datum is, by kind: none for
 ``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
@@ -47,8 +49,8 @@ train's link draws when the train is scheduled, n + m values (a signal
 draws at most once, plus once more on a success); a node's swaps, two per
 swap; a hop's purification, six per trio.
 
-The ledger is also the one owner of a cycle's hop pairs; a node keeps only
-its bank phases and frame outbox. A return's swap count is the shorter of
+The ledger is also the one owner of a cycle's hop pairs and swap frames; a
+node keeps only its bank phases. A return's swap count is the shorter of
 the node's two hops in the ledger, and a hop's raw success count lives in
 ``hop_success_counts``, which the trace reads too.
 """
@@ -76,13 +78,12 @@ from .engine import (
 )
 from .errors import ConfigurationError, DesynchronizationError, ProtocolError
 from .machines import (
-    FrameRecord,
     NodeState,
-    build_return_message,
     on_herald,
     on_return,
     on_train,
     release_cycle_resources,
+    report_hop,
 )
 from .pair_algebra import (
     IDENTITY_FRAME,
@@ -178,6 +179,14 @@ class EndToEndRecord:
     correction: PauliFrame = IDENTITY_FRAME
     herald_correction: Optional[PauliFrame] = None
     left_frame_available_at_ns: Optional[int] = None
+
+
+class FrameRecord(NamedTuple):
+    """One node's frames for one cycle, slot k at index k."""
+
+    node: int
+    cycle: int
+    frames: list[PauliFrame]
 
 
 class TraceRecord(NamedTuple):
@@ -351,9 +360,9 @@ class _CycleLedger:
         self.seeds = seeds
         # hop_pairs[link]: the pairs the hop keeps at the end of its train
         # (after purification), slot k at index k; swaps[node]: the node's
-        # swap frame records, slot k at index k.
+        # swap frames, slot k at index k.
         self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
-        self.swaps: list[list[FrameRecord]] = [[] for _ in range(num_nodes)]
+        self.swaps: list[list[PauliFrame]] = [[] for _ in range(num_nodes)]
         self.outstanding = set(range(num_nodes))
 
 
@@ -378,10 +387,14 @@ class _ChainSimulation:
                 i,
                 config.links[i].n_fusiliers if i < self.num_nodes - 1 else 0,
                 config.links[i - 1].m_fusilands if i > 0 else 0,
-                sends_left=split_index is not None and i < split_index,
             )
             for i in range(self.num_nodes)
         ]
+        # Node i's frame outbox. Nodes below ``left_senders`` (left of the
+        # butterfly split) send it left on their return message; every
+        # other node's leaves on the next herald.
+        self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.num_nodes)]
+        self.left_senders = split_index or 0
         self.queue = EventQueue()
         self.rng = RngStream(config.seed)
         # Seed rows of the block holding the last cycle started.
@@ -457,7 +470,7 @@ class _ChainSimulation:
         if node_id == 0:
             self._absorb_leftbound(event.data, self.queue.now_ns)
         else:
-            node.pending_frame.extend(event.data)
+            self.outboxes[node_id].extend(event.data)
         ledger = self.ledgers[cycle]
         # Slot k swaps when both of the node's hops kept a pair in it; node 0
         # has no left hop. Two draws per swap: a parity bit, then an X bit.
@@ -467,7 +480,9 @@ class _ChainSimulation:
         rng = None
         if swaps:
             rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * swaps)
-        ledger.swaps[node_id] = on_return(node, cycle, swaps, rng)
+        ledger.swaps[node_id] = frames = on_return(node, cycle, swaps, rng)
+        if swaps:
+            self.outboxes[node_id].append(FrameRecord(node_id, cycle, frames))
         # The swap occupies the node for proc_ns; states are released here
         # and busy_until_ns guards the occupancy window against early heralds.
         release_cycle_resources(node)
@@ -511,12 +526,12 @@ class _ChainSimulation:
 
     def _herald_at(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
         fired = on_herald(
-            self.nodes[node_id],
-            cycle,
-            frames,
-            self.queue.now_ns,
-            generate=cycle < self.config.cycles,
+            self.nodes[node_id], cycle, self.queue.now_ns, generate=cycle < self.config.cycles
         )
+        if node_id >= self.left_senders:
+            outbox = self.outboxes[node_id]
+            frames += outbox
+            outbox.clear()
         if node_id + 1 < self.num_nodes:
             # The herald is multiplexed ahead of the signal train: schedule
             # it first so it wins the (time, seq) tie at the next node.
@@ -557,7 +572,10 @@ class _ChainSimulation:
         if self.config.strategy is Strategy.PURIFY3:
             pairs = self._purify_hop(node, link_idx, cycle, pairs)
         self.ledgers[cycle].hop_pairs[link_idx] = pairs
-        relayed = build_return_message(node, cycle)
+        report_hop(node, cycle)
+        relayed = []
+        if node_id < self.left_senders:
+            relayed, self.outboxes[node_id] = self.outboxes[node_id], []
         self.queue.schedule(
             Event(
                 self.queue.now_ns + self.schedule.link_delays_ns[link_idx],
@@ -605,16 +623,17 @@ class _ChainSimulation:
             )
             # A hop's pairs carry the identity frame, so the kept pair's
             # frame is the round's frame delta.
-            pair = purify3_apply(trio, meas)
-            kept.append(pair)
-            node.pending_frame.append(FrameRecord(node.node_id, cycle, t, pair.frame))
+            kept.append(purify3_apply(trio, meas))
+        frames = [pair.frame for pair in kept]
+        self.outboxes[node.node_id].append(FrameRecord(node.node_id, cycle, frames))
         return kept
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:
-            key = (rec.cycle, rec.slot)
-            self.left_folds[key] = self.left_folds.get(key, IDENTITY_FRAME).compose(rec.frame)
-            self.left_last_ns[key] = at_ns
+            for slot, frame in enumerate(rec.frames):
+                key = (rec.cycle, slot)
+                self.left_folds[key] = self.left_folds.get(key, IDENTITY_FRAME).compose(frame)
+                self.left_last_ns[key] = at_ns
 
     def _mark_complete(self, cycle: int, node_id: int) -> None:
         ledger = self.ledgers[cycle]
@@ -633,7 +652,7 @@ class _ChainSimulation:
         for slot in range(delivered):
             pair = ledger.hop_pairs[0][slot]
             for node_id in range(1, self.num_nodes - 1):
-                frame = ledger.swaps[node_id][slot].frame
+                frame = ledger.swaps[node_id][slot]
                 pair = swap_apply(
                     pair, ledger.hop_pairs[node_id][slot], frame.x_bit, frame.z_bit
                 )
@@ -668,7 +687,8 @@ class _ChainSimulation:
                     f"herald {cycle} picked up a stale frame record "
                     f"from cycle {rec.cycle} at node {rec.node}"
                 )
-            folds[rec.slot] = folds.get(rec.slot, IDENTITY_FRAME).compose(rec.frame)
+            for slot, frame in enumerate(rec.frames):
+                folds[slot] = folds.get(slot, IDENTITY_FRAME).compose(frame)
         for record in self.records_by_cycle.pop(cycle - 1, []):
             record.frame_available_at_ns = self.queue.now_ns
             record.herald_correction = folds.get(record.slot, IDENTITY_FRAME)
@@ -704,8 +724,8 @@ class _ChainSimulation:
     def _flush_leftbound(self) -> None:
         # Records still relaying hop-by-hop when the run ends are folded
         # into the left-end ledger without an arrival timestamp.
-        for node in self.nodes[1 : self.split]:
-            self._absorb_leftbound(node.pending_frame, None)
+        for outbox in self.outboxes[1 : self.split]:
+            self._absorb_leftbound(outbox, None)
 
     def _assign_left_availability(self) -> None:
         for record in self.records:

@@ -54,7 +54,7 @@ def check_fidelity(value: float, *, name: str = "fidelity") -> float:
     if value < 0.5:
         warnings.warn(
             f"{name}={value} is below 0.5; purification cannot improve it",
-            stacklevel=3,
+            stacklevel=4,
         )
     return value
 

@@ -15,10 +15,10 @@ import pytest
 from fusenet.cli import main as cli_main
 from fusenet.machines import (
     NodeState,
-    build_return_message,
     on_herald,
     on_train,
     release_cycle_resources,
+    report_hop,
 )
 from fusenet.metrics import summarize
 from fusenet.network import butterfly_split, run_network
@@ -100,10 +100,10 @@ def test_criterion_4a_hop_success_counts():
     rx = NodeState(1, 0, m)
     short = 0
     for cycle in range(cycles):
-        on_herald(rx, cycle, [], 0)
+        on_herald(rx, cycle, 0)
         if len(on_train(rx, 0, link, rng, list(range(n)))) < m:
             short += 1
-        build_return_message(rx, cycle)
+        report_hop(rx, cycle)
         release_cycle_resources(rx)
     expected = failure_prob_multi(n, m, p)
     se = math.sqrt(expected * (1 - expected) / cycles)

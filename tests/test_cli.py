@@ -6,6 +6,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -56,6 +58,36 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_console(*argv):
+    """Run the CLI in a fresh interpreter, where warnings reach stderr."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fusenet.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+DESYNC_WARNING = (
+    "warning: cycle_period_ns=100000 is below the safe bound 400000; "
+    "the run may abort with a desynchronization error\n"
+)
+DESYNC_ERROR = (
+    "error: desync: herald for cycle 1 was due at 100000 ns but "
+    "node 0 finished cycle 0 only at 400000 ns\n"
+)
+
+
+def desync_doc():
+    """The bundled two-node example with a period a quarter of its round trip."""
+    doc = json.loads((CONFIGS / "two_node_40km.json").read_text())
+    doc["network"]["cycle_period_ns"] = 100_000
+    return doc
+
+
 class TestPlan:
     def test_table_reproduces_resource_sizes(self, capsys):
         code, out, _ = run_cli(
@@ -94,6 +126,12 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--m", "one", "--p", "0.5")
         assert code == 2
         assert "--m" in err
+
+    def test_empty_m_list_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--m", ",", "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: config: --m expects at least one value\n"
 
     def test_help_exits_0(self, capsys):
         code, out, err = run_cli(capsys, "plan", "--help")
@@ -219,17 +257,26 @@ class TestSimulate:
     def test_node_0_desync_exit_3(self, tmp_path, capsys):
         # a period of a quarter of the hop's round trip: node 0 gets its
         # cycle-0 return after cycle 1 was due to start
-        doc = json.loads((CONFIGS / "two_node_40km.json").read_text())
-        doc["network"]["cycle_period_ns"] = 100_000
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code, out, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+            code, out, err = run_cli(capsys, "simulate", write_doc(tmp_path, desync_doc()))
         assert code == 3
         assert out == ""
-        assert err == (
-            "error: desync: herald for cycle 1 was due at 100000 ns but "
-            "node 0 finished cycle 0 only at 400000 ns\n"
-        )
+        assert err == DESYNC_ERROR
+
+    def test_console_prints_warning_then_error(self, tmp_path):
+        code, out, err = run_console("simulate", write_doc(tmp_path, desync_doc()))
+        assert code == 3
+        assert out == ""
+        assert err == DESYNC_WARNING + DESYNC_ERROR
+
+    def test_console_prints_low_fidelity_warning_in_one_line(self, tmp_path):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["network"]["links"][0]["raw_fidelity"] = 0.4
+        code, out, err = run_console("simulate", write_doc(tmp_path, doc))
+        assert code == 0
+        assert json.loads(out)["summary"]["pairs_total"] == 200
+        assert err == "warning: raw_fidelity=0.4 is below 0.5; purification cannot improve it\n"
 
     def test_trace_without_path_exit_2(self, tmp_path, capsys):
         doc = copy.deepcopy(BASE_DOC)
@@ -260,6 +307,17 @@ class TestSimulate:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert float(rows[0]["pairs_per_second"]) == 2500.0
+
+    def test_csv_summary_of_no_pairs_leaves_cells_empty(self, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["network"]["links"][0]["p_success"] = 0
+        doc["output"]["format"] = "csv"
+        code, out, _ = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert code == 0
+        [row] = csv.DictReader(io.StringIO(out))
+        assert row["pairs_total"] == "0"
+        empty = ("empirical_end_fidelity", "empirical_end_fidelity_stderr", "frame_latency_cycles")
+        assert [row[name] for name in empty] == ["", "", ""]
 
 
 def _set(path, value):
@@ -531,6 +589,21 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", path, "--param", "p", "--values", ",")
         assert code == 2
         assert "--values" in err
+
+    def test_non_integer_value_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BASE_DOC)
+        code, out, err = run_cli(capsys, "sweep", path, "--param", "n", "--values", "2,abc")
+        assert code == 2
+        assert out == ""
+        assert err == "error: config: --values: n expects integers, got 'abc'\n"
+
+    def test_desync_exit_3(self, tmp_path, capsys):
+        path = write_doc(tmp_path, desync_doc())
+        with pytest.warns(UserWarning, match="below the safe bound"):
+            code, out, err = run_cli(capsys, "sweep", path, "--param", "n", "--values", "1")
+        assert code == 3
+        assert out == ""
+        assert err == DESYNC_ERROR
 
     def test_unknown_parameter_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, BASE_DOC)

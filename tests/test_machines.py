@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from fusenet.errors import DesynchronizationError, ProtocolError
 from fusenet.machines import (
-    FrameRecord,
     FusilandPhase,
     FusilladePhase,
     NodeState,
-    build_return_message,
     on_herald,
     on_return,
     on_train,
     release_cycle_resources,
+    report_hop,
 )
 from fusenet.pair_algebra import (
     Endpoint,
@@ -39,9 +38,8 @@ def start_cycle(n, m, cycle=0):
     """A transmitting node and a receiving node, herald already passed."""
     tx = NodeState(0, n_fusiliers=n, m_fusilands=0)
     rx = NodeState(1, n_fusiliers=0, m_fusilands=m)
-    herald = []
-    fired = on_herald(tx, cycle, herald, 0)
-    on_herald(rx, cycle, herald, 50)
+    fired = on_herald(tx, cycle, 0)
+    on_herald(rx, cycle, 50)
     return tx, rx, fired
 
 
@@ -68,7 +66,7 @@ class TestOnHerald:
 
     def test_rightmost_node_fires_nothing(self):
         rx = NodeState(2, n_fusiliers=0, m_fusilands=2)
-        fired = on_herald(rx, 0, [], 0)
+        fired = on_herald(rx, 0, 0)
         assert fired == 0
         assert rx.fusillade is FusilladePhase.IDLE
         assert rx.fusilands is FusilandPhase.READY
@@ -76,39 +74,12 @@ class TestOnHerald:
     def test_herald_while_busy_desynchronizes(self):
         tx, _, _ = start_cycle(2, 1)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, 1, [], 500)
+            on_herald(tx, 1, 500)
 
     def test_wrong_cycle_id_desynchronizes(self):
         tx = NodeState(0, 2, 0)
         with pytest.raises(DesynchronizationError):
-            on_herald(tx, 3, [], 0)
-
-    def test_pickup_drains_pending_frames(self):
-        _, rx, _ = start_cycle(1, 1)
-        run_train(rx, 1, draws=[0.0, 0.5])
-        build_return_message(rx, 0)
-        release_cycle_resources(rx)
-        record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
-        rx.pending_frame.append(record)
-        herald = []
-        on_herald(rx, 1, herald, 10_000)
-        assert herald == [record]
-        assert rx.pending_frame == []
-
-    def test_node_that_sends_left_keeps_its_outbox_for_the_return(self):
-        _, rx, _ = start_cycle(1, 1)
-        rx.sends_left = True
-        run_train(rx, 1, draws=[0.0, 0.5])
-        build_return_message(rx, 0)
-        release_cycle_resources(rx)
-        record = FrameRecord(1, 0, 0, IDENTITY_FRAME)
-        rx.pending_frame.append(record)
-        herald = []
-        on_herald(rx, 1, herald, 10_000)
-        assert herald == []
-        run_train(rx, 1, draws=[0.0, 0.5])
-        assert build_return_message(rx, 1) == [record]
-        assert rx.pending_frame == []
+            on_herald(tx, 3, 0)
 
 
 class TestOnSignal:
@@ -156,10 +127,12 @@ class TestOnSignal:
 
 
 class TestBuildReturnMessage:
+    """``report_hop``, under the name it had while it built the return message."""
+
     def test_no_successes_gives_empty_matches(self):
         _, rx, _ = start_cycle(3, 1)
         pairs, _ = run_train(rx, 3, draws=[0.9, 0.9, 0.9])
-        build_return_message(rx, 0)
+        report_hop(rx, 0)
         assert pairs == []
         assert rx.fusilands is FusilandPhase.REPORTED
 
@@ -167,7 +140,7 @@ class TestBuildReturnMessage:
         _, rx, _ = start_cycle(8, 2)
         draws = [0.9, 0.9, 0.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.5]
         pairs, _ = run_train(rx, 8, draws=draws)
-        build_return_message(rx, 0)
+        report_hop(rx, 0)
         assert fusiliers(pairs) == [2, 7]
         assert [pair.right.slot for pair in pairs] == [0, 1]
 
@@ -175,28 +148,28 @@ class TestBuildReturnMessage:
         _, rx, _ = start_cycle(5, 2)
         draws = [0.0, 0.5, 0.0, 0.5]  # first two succeed, bank full
         pairs, _ = run_train(rx, 5, draws=draws)
-        build_return_message(rx, 0)
+        report_hop(rx, 0)
         assert fusiliers(pairs) == [0, 1]
 
     def test_incomplete_train_rejected(self):
         # a report before any train arrived; a train is resolved whole
         _, rx, _ = start_cycle(3, 1)
         with pytest.raises(ProtocolError, match="no signal train"):
-            build_return_message(rx, 0)
+            report_hop(rx, 0)
         assert rx.fusilands is FusilandPhase.READY
 
     def test_wrong_cycle_rejected(self):
         _, rx, _ = start_cycle(3, 1)
         run_train(rx, 3, draws=[0.9, 0.9, 0.9])
         with pytest.raises(ProtocolError, match="asked to report cycle 1 during cycle 0"):
-            build_return_message(rx, 1)
+            report_hop(rx, 1)
         assert rx.fusilands is FusilandPhase.RECEIVED
 
 
 def awaiting_return():
     """An intermediate node whose fusillade fired, awaiting its return."""
     node = NodeState(1, n_fusiliers=3, m_fusilands=3)
-    on_herald(node, 0, [], 0)
+    on_herald(node, 0, 0)
     return node
 
 
@@ -205,32 +178,27 @@ class TestOnReturn:
         node = awaiting_return()
         rng = StubRng([0.9, 0.1] * 3)
         swaps = on_return(node, 0, 2, rng)
-        assert [s.slot for s in swaps] == [0, 1]
+        assert len(swaps) == 2
         assert len(rng.values) == 2  # two draws per swap
-        assert node.pending_frame == swaps
-        assert node.fusillade is FusilladePhase.CONFIRMED
+        assert node.fusillade is FusilladePhase.IDLE
 
     def test_zero_swaps_draw_nothing(self):
         node = awaiting_return()
         swaps = on_return(node, 0, 0, None)
         assert swaps == []
-        assert node.pending_frame == []
 
     def test_swap_outcome_feeds_frame_record(self):
         node = awaiting_return()
         swaps = on_return(node, 0, 1, StubRng([0.1, 0.9]))
-        assert node.pending_frame == swaps
-        rec = swaps[0]
         # the parity outcome is the frame's X bit, the X readout its Z bit
-        assert (rec.frame.x_bit, rec.frame.z_bit) == (1, 0)
-        assert rec.slot == 0 and rec.node == 1 and rec.cycle == 0
+        assert [(frame.x_bit, frame.z_bit) for frame in swaps] == [(1, 0)]
 
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
-        on_herald(node, 0, [], 0)
+        on_herald(node, 0, 0)
         swaps = on_return(node, 0, 0, None)
         assert swaps == []
-        assert node.fusillade is FusilladePhase.CONFIRMED
+        assert node.fusillade is FusilladePhase.IDLE
         release_cycle_resources(node)
         assert node.all_idle()
 
@@ -242,12 +210,12 @@ class TestOnReturn:
     def test_return_needs_a_fired_fusillade(self):
         # the rightmost node fires nothing, so its fusillade stays idle
         idle = NodeState(2, n_fusiliers=0, m_fusilands=3)
-        on_herald(idle, 0, [], 0)
+        on_herald(idle, 0, 0)
         with pytest.raises(ProtocolError, match="its fusillade is idle"):
             on_return(idle, 0, 0, None)
         node = awaiting_return()
         on_return(node, 0, 0, None)
-        with pytest.raises(ProtocolError, match="its fusillade is confirmed"):
+        with pytest.raises(ProtocolError, match="its fusillade is idle"):
             on_return(node, 0, 0, None)
 
 
@@ -255,14 +223,14 @@ class TestCycleLifecycle:
     def test_release_resets_everything(self):
         tx, rx, _ = start_cycle(3, 2)
         run_train(rx, 3, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
-        build_return_message(rx, 0)
+        report_hop(rx, 0)
         on_return(tx, 0, 0, None)
         release_cycle_resources(tx)
         release_cycle_resources(rx)
         assert tx.all_idle() and rx.all_idle()
         # next herald is accepted again
-        on_herald(tx, 1, [], 1000)
-        on_herald(rx, 1, [], 1050)
+        on_herald(tx, 1, 1000)
+        on_herald(rx, 1, 1050)
 
     def test_success_distribution_truncated_binomial(self):
         # frequency of under-filled cycles converges to the binomial tail;
@@ -273,7 +241,7 @@ class TestCycleLifecycle:
         short = 0
         for _ in range(cycles):
             rx = NodeState(1, 0, m)
-            on_herald(rx, 0, [], 0)
+            on_herald(rx, 0, 0)
             if len(on_train(rx, 0, link, rng, [0] * n)) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
@@ -303,15 +271,15 @@ def _signal_at_unreadied_bank(draws):
 def _signal_at_reported_bank():
     _, rx, _ = start_cycle(2, 1)
     run_train(rx, 2, draws=[0.1, 0.5])
-    build_return_message(rx, 0)
+    report_hop(rx, 0)
     run_train(rx, 2, draws=[0.1, 0.5])
 
 
 def _report_twice():
     _, rx, _ = start_cycle(2, 1)
     run_train(rx, 2, draws=[0.1, 0.5])
-    build_return_message(rx, 0)
-    build_return_message(rx, 0)
+    report_hop(rx, 0)
+    report_hop(rx, 0)
 
 
 @pytest.mark.parametrize(
@@ -386,14 +354,14 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     nodes, rngs = [], []
     for _ in range(2):
         rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
-        on_herald(rx, 0, [], 0)
+        on_herald(rx, 0, 0)
         nodes.append(rx)
         rngs.append(CountingRng(seed))
     pairs = on_train(nodes[0], 2, link, rngs[0], times)
     expected = reference_train(nodes[1], 2, link, rngs[1], times)
     assert [asdict(pair) for pair in pairs] == [asdict(pair) for pair in expected]
     assert rngs[0].draws == rngs[1].draws
-    build_return_message(nodes[0], 0)  # the whole train was received
+    report_hop(nodes[0], 0)  # the whole train was received
 
 
 @given(
@@ -409,9 +377,8 @@ def test_full_cycle_fuzz(n, m, p, seed):
     rng = np.random.default_rng(seed)
     tx = NodeState(0, n, 0)
     rx = NodeState(1, 0, m)
-    herald = []
-    assert on_herald(tx, 0, herald, 0) == n
-    on_herald(rx, 0, herald, 11)
+    assert on_herald(tx, 0, 0) == n
+    on_herald(rx, 0, 11)
 
     pairs = on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
     assert len(pairs) <= m
@@ -419,12 +386,12 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert [pair.right.slot for pair in pairs] == list(range(len(pairs)))
     assert rx.fusilands is FusilandPhase.RECEIVED
 
-    assert build_return_message(rx, 0) == []
+    report_hop(rx, 0)
     assert rx.fusilands is FusilandPhase.REPORTED
 
     swaps = on_return(tx, 0, 0, rng)
     assert swaps == []  # tx has no left hop: end node
-    assert tx.fusillade is FusilladePhase.CONFIRMED
+    assert tx.fusillade is FusilladePhase.IDLE
 
     release_cycle_resources(tx)
     release_cycle_resources(rx)

@@ -370,6 +370,27 @@ class TestButterfly:
         # the final cycle's record cannot relay before the run ends
         assert result.records[-1].left_frame_available_at_ns is None
 
+    @pytest.mark.parametrize(
+        "hops, split",
+        [([20.0] * 6, 3), ([20.0] * 8, 4), ([10.0, 30.0, 20.0, 40.0, 20.0, 30.0], 3)],
+        ids=["six_even_hops", "eight_even_hops", "six_uneven_hops"],
+    )
+    def test_multi_hop_relays_arrive_split_minus_one_cycles_later(self, hops, split):
+        cycles = 12
+        result = run_network(chain_config(hops, cycles=cycles, butterfly=True, seed=4))
+        schedule = result.schedule
+        assert result.split_index == split
+        assert len(result.records) == cycles
+        # node split-1's cycle-c record is relayed one hop per cycle and
+        # reaches node 0 on cycle c+split-1's hop-0 return
+        relay_offset = schedule.herald_offsets_ns[1] + schedule.link_delays_ns[0]
+        for rec in result.records:
+            arrival_cycle = rec.cycle_id + split - 1
+            expected = None
+            if arrival_cycle < cycles:
+                expected = arrival_cycle * schedule.cycle_period_ns + relay_offset
+            assert rec.left_frame_available_at_ns == expected
+
 
 class TestFramePropagation:
     def test_herald_fold_equals_pair_frame(self):

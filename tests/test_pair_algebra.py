@@ -90,8 +90,10 @@ class TestSuccessProbability:
             LinkModel(length_km=1, p0=0.5, L0_km=math.nan)
 
     def test_low_fidelity_flagged(self):
-        with pytest.warns(UserWarning, match="below 0.5"):
+        with pytest.warns(UserWarning, match="below 0.5") as caught:
             LinkModel(length_km=1, p_success=0.5, raw_fidelity=0.3)
+        # the warning names the line that built the link, not the dataclass
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestFailureProbSingle:
