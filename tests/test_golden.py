@@ -276,3 +276,60 @@ def test_sweep_csv_digests(param, tmp_path, monkeypatch):
     argv = ["sweep", config_path, "--param", param, "--values", values, "--out", "sweep.csv"]
     assert cli.main(argv) == 0
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == SWEEP_EXPECTED[param]
+
+
+# Purify3 chains wider than the cases above, which keep at most two trios a
+# hop: one hop, so the first hop is also the last and nothing swaps; and
+# three hops of twelve fusilands, four trios a hop, so the kept pairs'
+# right-endpoint slots 3t reach t = 3. Pinned with their summary files.
+WIDER_CASES = {
+    "purify3_single_hop": {
+        "links": [_link(30.0, 14, 9, p_success=0.8, raw_fidelity=0.92)],
+        "strategy": "purify3",
+        "seed": 19,
+        "cycles": 40,
+    },
+    "purify3_butterfly_m12": {
+        "links": [_link(km, 16, 12, p_success=0.85, raw_fidelity=0.93) for km in (20.0, 15.0, 25.0)],
+        "strategy": "purify3",
+        "proc_ns": 300,
+        "butterfly": True,
+        "seed": 20,
+        "cycles": 40,
+    },
+}
+
+WIDER_EXPECTED = {
+    "purify3_butterfly_m12": {
+        "records": "c71f039717c7590bc1ccded0e8ef1016e58186192e94ad807ffafa977197131d",
+        "per_cycle_delivered": "6f67cab35e7ffea0e034b62b2d32454b7a17a262916d862d07e341d94e5dbfe1",
+        "hop_success_counts": "b91acf2e6e72eb9ea38daba87079f00a46735f4f9d53f013f6a47927f41796c7",
+        "left_frame_folds": "9cd78d2fdf6a797fd0745c0032c839669c093c64bf9cc8225143fb83b2fa2bad",
+        "trace": "06f46eb4b4fed591d86e47b1d7f653ce4fb211d9008797312931484009c4207d",
+        "summary_json": "88b17fe78598cf1be98552e159e1ede02bdc19a3adf7274221c870a297164392",
+        "summary_csv": "1e4a207f9c53503f7121af4a291bb47e07d2dcaca0f8b406302726340f2d5697",
+    },
+    "purify3_single_hop": {
+        "records": "f308e70bc245b310aa9034a3da8f08cc35a6aeae3f9d88f5346cec57206ce9ff",
+        "per_cycle_delivered": "defd0f8137a06048871dc3412875a94d1eca0c3b452efa687a41f1592743c7a7",
+        "hop_success_counts": "e0026469c0b8f355c30fa55c7c2d6d7970329eeec3366231711d24c832eb963a",
+        "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "trace": "fbf2affc4635b87f0d42a56d95f63689bf11d04a4866d37ef31f6e2e3f6a016c",
+        "summary_json": "7b21c2ccfd5ec00c43b90a9f6f430b79d8eebf1d02d5b4fdb7c1ded4052de208",
+        "summary_csv": "9399a3fa15d7acb70c880d61499e76c6aea6aef14e9cc757dffad5e614af3116",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDER_CASES))
+def test_wider_purify3_digests(case, tmp_path, monkeypatch):
+    result, trace_bytes = _simulate(tmp_path, monkeypatch, WIDER_CASES[case])
+    assert result.records, "the case delivers pairs"
+    digests = _digests(result, trace_bytes)
+    for fmt in ("json", "csv"):
+        config_path = _write_config(
+            tmp_path, monkeypatch, WIDER_CASES[case], {"format": fmt, "path": f"summary.{fmt}"}
+        )
+        assert cli.main(["simulate", config_path]) == 0
+        digests[f"summary_{fmt}"] = hashlib.sha256((tmp_path / f"summary.{fmt}").read_bytes()).hexdigest()
+    assert digests == WIDER_EXPECTED[case]
