@@ -5,17 +5,18 @@ a bank of fusilands (receivers serving the link from its left neighbor).
 One herald pulse per cycle fires the whole fusillade; the signal train
 arriving at a node is resolved in one call (``on_train``): its signals
 interact with the fusilands one at a time, rerouting to the next fusiland
-after each success, and the call returns the pairs the train made;
+after each success, and the call returns the train's pairs as columns, the
+fusilier that filled each slot and the error bits packed in one int;
 ``report_hop`` reports the bank once the train has passed; a single return
 message per hop confirms the fusillade, and ``on_return`` draws the swaps
 of as many pairs as the caller counts on the shorter of the node's two
-hops and returns their frames.
+hops and returns their outcome bits, packed the same way.
 
 Because the fusillade fires as one train and each hop gets one return, each
 bank moves through one phase per cycle: the fusillade goes idle -> fired ->
 idle and the fusilands idle -> ready -> received -> reported -> idle. A
 node keeps only these phases and its cycle clock: a hop's pairs belong to
-whoever called ``on_train``, a node's swap frames to whoever called
+whoever called ``on_train``, a node's swap outcomes to whoever called
 ``on_return``.
 
 NodeState is mutated only by the single event-loop thread of a simulation
@@ -28,14 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DesynchronizationError, ProtocolError
-from .pair_algebra import (
-    Endpoint,
-    IDENTITY_FRAME,
-    LinkModel,
-    PairRecord,
-    PauliFrame,
-    success_probability,
-)
+from .pair_algebra import LinkModel, success_probability
 
 
 class FusilladePhase(Enum):
@@ -99,25 +93,21 @@ def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True
     return node.n_fusiliers
 
 
-def on_train(
-    node: NodeState,
-    from_node: int,
-    link: LinkModel,
-    rng,
-    arrivals: list[int],
-) -> list[PairRecord]:
-    """Resolve a whole incoming signal train at this node's fusilands.
+def on_train(node: NodeState, link: LinkModel, rng, signals: int) -> tuple[list[int], int]:
+    """Resolve a whole incoming train of ``signals`` signals at this node's fusilands.
 
-    ``arrivals[k]`` is when fusilier k's signal arrives; the train must
-    reach a readied bank, which it leaves received. Signals interact in
-    fusilier order: each draws once from ``rng`` and succeeds below the
-    link's success probability; a success draws once more for its error bit
-    (from the link's raw fidelity), makes a pair, stamped with that
-    signal's arrival, in the next fusiland slot, and reroutes to the next
-    fusiland. A failure leaves the same fusiland waiting. Once every
-    fusiland is filled the remaining signals are discarded without drawing.
-    Returns the train's pairs, slot k at index k; pair k's ``left.slot`` is
-    the fusilier that filled slot k.
+    The train must reach a readied bank, which it leaves received. Signals
+    interact in fusilier order: each draws once from ``rng`` and succeeds
+    below the link's success probability; a success draws once more for its
+    error bit (from the link's raw fidelity), makes a pair in the next
+    fusiland slot, and reroutes to the next fusiland. A failure leaves the
+    same fusiland waiting. Once every fusiland is filled the remaining
+    signals are discarded without drawing.
+
+    Returns the train's pairs as columns ``(fusiliers, errors)``:
+    ``fusiliers[k]`` is the fusilier that filled slot k, and bit k of
+    ``errors`` is slot k's error bit. Slot k's pair was made when fusilier
+    ``fusiliers[k]``'s signal arrived.
     """
     if node.fusilands is not FusilandPhase.READY:
         raise ProtocolError(
@@ -125,32 +115,23 @@ def on_train(
             f"fusilands are {node.fusilands.value}"
         )
     node.fusilands = FusilandPhase.RECEIVED
-    pairs: list[PairRecord] = []
+    fusiliers: list[int] = []
+    errors = 0
     slot = 0
     capacity = node.m_fusilands
     draw = rng.random
     p_success = success_probability(link)
     p_error = 1.0 - link.raw_fidelity
-    fidelity = link.raw_fidelity
-    node_id = node.node_id
-    for fusilier, arrival_ns in enumerate(arrivals):
+    for fusilier in range(signals):
         if draw() >= p_success:
             continue
-        x_error = 1 if draw() < p_error else 0
-        pairs.append(
-            PairRecord(
-                Endpoint(from_node, fusilier),
-                Endpoint(node_id, slot),
-                x_error,
-                IDENTITY_FRAME,
-                arrival_ns,
-                fidelity,
-            )
-        )
+        if draw() < p_error:
+            errors |= 1 << slot
+        fusiliers.append(fusilier)
         slot += 1
         if slot == capacity:
             break
-    return pairs
+    return fusiliers, errors
 
 
 def report_hop(node: NodeState, cycle_id: int) -> None:
@@ -174,14 +155,15 @@ def report_hop(node: NodeState, cycle_id: int) -> None:
     node.fusilands = FusilandPhase.REPORTED
 
 
-def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> list[PauliFrame]:
+def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> tuple[int, int]:
     """Take the return for ``cycle_id``: confirm the fusillade, make ``swaps`` swaps.
 
     Confirming the fusillade returns it to idle. ``swaps`` is the number of
     slots holding a pair on both of the node's hops (0 at an end node), so
     swap k joins slot k of the left hop to slot k of the right hop. Outcome
-    bits are drawn from ``rng`` (parity bit then X bit per swap) into one
-    frame per swap; the frames are returned, slot k at index k.
+    bits are drawn from ``rng``, a parity bit then an X bit per swap, and
+    returned as ``(parity_bits, x_bits)``: bit k of each is swap k's outcome,
+    the X and the Z bit of its frame.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -194,10 +176,13 @@ def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> list[PauliFram
             f"its fusillade is {node.fusillade.value}"
         )
     node.fusillade = FusilladePhase.IDLE
-    return [
-        PauliFrame(int(rng.random() < 0.5), int(rng.random() < 0.5))
-        for _ in range(swaps)
-    ]
+    parity_bits = x_bits = 0
+    for k in range(swaps):
+        if rng.random() < 0.5:
+            parity_bits |= 1 << k
+        if rng.random() < 0.5:
+            x_bits |= 1 << k
+    return parity_bits, x_bits
 
 
 def release_cycle_resources(node: NodeState) -> None:

@@ -4,17 +4,17 @@ A run executes a fixed number of generation cycles. Each cycle starts with a
 herald pulse launched at the left end; the pulse initiates every fusillade
 as it sweeps right, signal trains follow it down each fiber, return messages
 confirm each hop, and intermediate nodes swap as soon as they hold links on
-both sides. A frame record is one node's frames for one cycle, slot k at
-index k: a swapping node adds one per return, and a purified hop one per
-train. The simulation keeps each node's outbox and routes it: a record
-leaves on the *next* herald to the right end, so every end-to-end pair's
-correction becomes available exactly one cycle period after the pair is
-established. Under the butterfly split the outbox of a node left of the
-split leaves instead on the return message it sends when its incoming
-train ends, and relayed records join the receiving node's outbox, one hop
-per cycle, until they reach node 0. One final frame-flush sweep (no
-generation) delivers the last corrections; records still relaying then
-join the left-end fold with no arrival time.
+both sides. A frame record is one node's frames for one cycle, slot k's in
+bit k of its X and Z ints: a swapping node adds one per return, and a
+purified hop one per train. The simulation keeps each node's outbox and
+routes it: a record leaves on the *next* herald to the right end, so every
+end-to-end pair's correction becomes available exactly one cycle period
+after the pair is established. Under the butterfly split the outbox of a
+node left of the split leaves instead on the return message it sends when
+its incoming train ends, and relayed records join the receiving node's
+outbox, one hop per cycle, until they reach node 0. One final frame-flush
+sweep (no generation) delivers the last corrections; records still
+relaying then join the left-end fold with no arrival time.
 
 An event names its node and cycle; its one datum is, by kind: none for
 ``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
@@ -26,17 +26,18 @@ frame list a return relays (empty unless its sender sends left) for
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
 ``_handle_signal_arrive`` resolves the whole train with ``on_train``, then
-ends it (purification, the return message). That equals one event per
-signal because nothing touches the receiving node's fusilands between a
-train's first and last signal: ``validate_config`` rejects a chain whose
-return from the right-hand hop would come sooner, and a herald that comes
-sooner (a cycle period below the safe bound) finds the bank still readied
-and desynchronizes as it would mid-train.
+ends it (purification, the return message). A slot's pair was made when
+its fusilier's signal arrived, ``arrivals[fusilier]``. That equals one
+event per signal because nothing touches the receiving node's fusilands
+between a train's first and last signal: ``validate_config`` rejects a
+chain whose return from the right-hand hop would come sooner, and a herald
+that comes sooner (a cycle period below the safe bound) finds the bank
+still readied and desynchronizes as it would mid-train.
 
 The simulation keeps its own trace. With the trace on, each handler
 appends its event's record at the event's (time, seq); a train appends one
 record per signal, at its arrival and reserved seq, its outcome read from
-the fusiliers of the train's pairs; a finalized cycle appends one
+the fusiliers column of the train's pairs; a finalized cycle appends one
 ``PairReady`` record per pair, now, under a seq reserved from the queue
 with no event queued. ``execute`` sorts the trace by (time, seq) once.
 
@@ -49,14 +50,23 @@ train's link draws when the train is scheduled, n + m values (a signal
 draws at most once, plus once more on a success); a node's swaps, two per
 swap; a hop's purification, six per trio.
 
-The ledger is also the one owner of a cycle's hop pairs and swap frames; a
-node keeps only its bank phases. A return's swap count is the shorter of
-the node's two hops in the ledger, and a hop's raw success count lives in
-``hop_success_counts``, which the trace reads too.
+The ledger is also the one owner of a cycle's hop pairs and swap outcomes,
+held as columns rather than one object per pair or per swap; a node keeps
+only its bank phases. A hop's kept pairs are the fusiliers that made them,
+their creation times, and their error and frame bits packed in ints, bit k
+for slot k; a node's swaps are its parity and X outcome bits, packed the
+same way. A purified hop folds all its trios in one ``purify3_bits`` call.
+A finalized cycle swaps all its slots at once, one ``swap_bits`` call per
+intermediate node from left to right, and only then builds one
+``PairRecord`` and ``EndToEndRecord`` per delivered pair; their model
+fidelity, the same for every pair, is folded once per run. A return's swap
+count is the shorter of the node's two hops in the ledger, and a hop's raw
+success count lives in ``hop_success_counts``, which the trace reads too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -86,13 +96,16 @@ from .machines import (
     report_hop,
 )
 from .pair_algebra import (
+    Endpoint,
+    FRAMES,
     IDENTITY_FRAME,
     LinkModel,
     PairRecord,
     PauliFrame,
-    PurifyMeasurements,
-    purify3_apply,
-    swap_apply,
+    purify3_bits,
+    purify3_kept_fidelity,
+    swap_bits,
+    swap_compose_analytic,
 )
 
 __all__ = [
@@ -102,6 +115,7 @@ __all__ = [
     "CycleSchedule",
     "EndToEndRecord",
     "RunResult",
+    "MAX_TRAIN_DRAWS",
     "effective_slots",
     "validate_config",
     "butterfly_split",
@@ -182,11 +196,32 @@ class EndToEndRecord:
 
 
 class FrameRecord(NamedTuple):
-    """One node's frames for one cycle, slot k at index k."""
+    """One node's frames for one cycle: ``count`` slots, slot k's frame in
+    bit k of ``x_bits`` (its X bit) and of ``z_bits`` (its Z bit)."""
 
     node: int
     cycle: int
-    frames: list[PauliFrame]
+    count: int
+    x_bits: int
+    z_bits: int
+
+
+class _HopPairs(NamedTuple):
+    """The pairs a hop keeps at the end of its train, as columns.
+
+    Slot k's pair was made by fusilier ``fusiliers[k]`` (its left endpoint's
+    slot) at ``created_at_ns[k]``; its error bit is bit k of ``errors`` and
+    its frame bit k of ``frame_x`` and ``frame_z``.
+    """
+
+    fusiliers: list[int]
+    created_at_ns: list[int]
+    errors: int
+    frame_x: int
+    frame_z: int
+
+
+_NO_PAIRS = _HopPairs([], [], 0, 0, 0)
 
 
 class TraceRecord(NamedTuple):
@@ -209,6 +244,11 @@ class RunResult:
     split_index: Optional[int] = None
     left_frame_folds: dict = field(default_factory=dict)
     trace: list[TraceRecord] = field(default_factory=list)
+
+
+# A train draws n + m values at once (see ``_schedule_signals``), so a hop
+# may ask for at most this many; larger hops are rejected as configuration.
+MAX_TRAIN_DRAWS = 2**24
 
 
 def effective_slots(link: LinkSpec, strategy: Strategy) -> int:
@@ -252,11 +292,12 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     computed period of 0 ns (every hop rounds to a 0 ns delay and there is
     no train or processing time) is rejected, as is a chain in which an
     intermediate node would get the return from its right hop before its
-    incoming train has ended, and a cycle count of 2**32 or more (a cycle
-    is one 32-bit word of its RNG key). An explicit ``cycle_period_ns``
-    override below the bound is accepted here; ``run_network`` warns about
-    it, and the run will then abort with a desynchronization error when the
-    herald overtakes a node.
+    incoming train has ended, a cycle count of 2**32 or more (a cycle is
+    one 32-bit word of its RNG key), and a hop whose n + m exceeds
+    ``MAX_TRAIN_DRAWS`` (its train draws that many values at once). An
+    explicit ``cycle_period_ns`` override below the bound is accepted here;
+    ``run_network`` warns about it, and the run will then abort with a
+    desynchronization error when the herald overtakes a node.
     """
     if len(config.nodes) < 2:
         raise ConfigurationError("a chain needs at least 2 nodes")
@@ -286,6 +327,12 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
             raise ConfigurationError(f"links[{idx}]: n_fusiliers must be >= 1")
         if link.m_fusilands < 1:
             raise ConfigurationError(f"links[{idx}]: m_fusilands must be >= 1")
+        if link.n_fusiliers + link.m_fusilands > MAX_TRAIN_DRAWS:
+            raise ConfigurationError(
+                f"links[{idx}]: n_fusiliers + m_fusilands = "
+                f"{link.n_fusiliers + link.m_fusilands} exceeds {MAX_TRAIN_DRAWS}, "
+                "the most values one signal train may draw"
+            )
         if config.strategy is Strategy.PURIFY3 and link.m_fusilands % 3 != 0:
             raise ConfigurationError(
                 f"links[{idx}]: m_fusilands={link.m_fusilands} must be a "
@@ -359,10 +406,10 @@ class _CycleLedger:
         # seeds[domain, index]: the PCG64 seed row of the cycle's key.
         self.seeds = seeds
         # hop_pairs[link]: the pairs the hop keeps at the end of its train
-        # (after purification), slot k at index k; swaps[node]: the node's
-        # swap frames, slot k at index k.
-        self.hop_pairs: list[Optional[list[PairRecord]]] = [None] * num_links
-        self.swaps: list[list[PauliFrame]] = [[] for _ in range(num_nodes)]
+        # (after purification); swaps[node]: the node's swap outcomes, bit k
+        # of (parity_bits, x_bits) for slot k.
+        self.hop_pairs: list[Optional[_HopPairs]] = [None] * num_links
+        self.swaps: list[tuple[int, int]] = [(0, 0)] * num_nodes
         self.outstanding = set(range(num_nodes))
 
 
@@ -395,6 +442,15 @@ class _ChainSimulation:
         # other node's leaves on the next herald.
         self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.num_nodes)]
         self.left_senders = split_index or 0
+        # Every end-to-end pair has the same model fidelity: each hop's
+        # (purified or raw) folded left to right as successive swaps.
+        fidelities = [link.model.raw_fidelity for link in config.links]
+        if config.strategy is Strategy.PURIFY3:
+            fidelities = [purify3_kept_fidelity(f, f, f) for f in fidelities]
+        self.end_fidelity = functools.reduce(swap_compose_analytic, fidelities)
+        # A kept pair in slot k sits in the right node's fusiland 3k when
+        # purified, k when raw.
+        self.right_stride = 3 if config.strategy is Strategy.PURIFY3 else 1
         self.queue = EventQueue()
         self.rng = RngStream(config.seed)
         # Seed rows of the block holding the last cycle started.
@@ -439,22 +495,24 @@ class _ChainSimulation:
         node = self.nodes[event.node]
         link_idx = event.node - 1
         arrivals, draws = event.data
-        pairs = on_train(node, link_idx, self.config.links[link_idx].model, draws, arrivals)
+        fusiliers, errors = on_train(
+            node, self.config.links[link_idx].model, draws, len(arrivals)
+        )
         if self.collect_trace:
-            self._train_records(event, node, pairs)
-        self._end_of_train(node, event.cycle, pairs)
+            self._train_records(event, node, fusiliers)
+        self._end_of_train(node, event.cycle, fusiliers, errors, arrivals)
 
-    def _train_records(self, event: Event, node: NodeState, pairs: list[PairRecord]) -> None:
+    def _train_records(self, event: Event, node: NodeState, fusiliers: list[int]) -> None:
         # Signal k of the train has seq first + k. It succeeded if it filled
-        # a slot (its pair's left slot is k), was discarded if it came after
-        # the bank filled, and failed otherwise.
+        # a slot, was discarded if it came after the bank filled, and failed
+        # otherwise.
         arrivals = event.data[0]
         count = len(arrivals)
         first = event.seq - count + 1
-        full = pairs[-1].left.slot + 1 if len(pairs) == node.m_fusilands else count
+        full = fusiliers[-1] + 1 if len(fusiliers) == node.m_fusilands else count
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
-        for slot, pair in enumerate(pairs):
-            outcomes[pair.left.slot] = f"success slot={slot}"
+        for slot, fusilier in enumerate(fusiliers):
+            outcomes[fusilier] = f"success slot={slot}"
         kind = event.kind.value
         node_id = node.node_id
         prefix = f"cycle={event.cycle} fusilier="
@@ -476,13 +534,16 @@ class _ChainSimulation:
         # has no left hop. Two draws per swap: a parity bit, then an X bit.
         swaps = 0
         if node_id:
-            swaps = min(len(ledger.hop_pairs[node_id - 1]), len(ledger.hop_pairs[node_id]))
+            swaps = min(
+                len(ledger.hop_pairs[node_id - 1].fusiliers),
+                len(ledger.hop_pairs[node_id].fusiliers),
+            )
         rng = None
         if swaps:
             rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * swaps)
-        ledger.swaps[node_id] = frames = on_return(node, cycle, swaps, rng)
+        ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
         if swaps:
-            self.outboxes[node_id].append(FrameRecord(node_id, cycle, frames))
+            self.outboxes[node_id].append(FrameRecord(node_id, cycle, swaps, *outcomes))
         # The swap occupies the node for proc_ns; states are released here
         # and busy_until_ns guards the occupancy window against early heralds.
         release_cycle_resources(node)
@@ -565,13 +626,18 @@ class _ChainSimulation:
             fired,
         )
 
-    def _end_of_train(self, node: NodeState, cycle: int, pairs: list[PairRecord]) -> None:
+    def _end_of_train(
+        self, node: NodeState, cycle: int, fusiliers: list[int], errors: int, arrivals: list[int]
+    ) -> None:
         node_id = node.node_id
         link_idx = node_id - 1
-        self.hop_success_counts[link_idx][cycle] = len(pairs)
+        self.hop_success_counts[link_idx][cycle] = len(fusiliers)
+        created = [arrivals[fusilier] for fusilier in fusiliers]
         if self.config.strategy is Strategy.PURIFY3:
-            pairs = self._purify_hop(node, link_idx, cycle, pairs)
-        self.ledgers[cycle].hop_pairs[link_idx] = pairs
+            hop = self._purify_hop(node_id, link_idx, cycle, fusiliers, created, errors)
+        else:
+            hop = _HopPairs(fusiliers, created, errors, 0, 0)
+        self.ledgers[cycle].hop_pairs[link_idx] = hop
         report_hop(node, cycle)
         relayed = []
         if node_id < self.left_senders:
@@ -593,45 +659,66 @@ class _ChainSimulation:
             self._mark_complete(cycle, node_id)
 
     def _purify_hop(
-        self, node: NodeState, link_idx: int, cycle: int, raws: list[PairRecord]
-    ) -> list[PairRecord]:
-        trios = len(raws) // 3
+        self,
+        node_id: int,
+        link_idx: int,
+        cycle: int,
+        fusiliers: list[int],
+        created: list[int],
+        errors: int,
+    ) -> _HopPairs:
+        # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t; its round is bit
+        # t of every column handed to purify3_bits.
+        trios = len(fusiliers) // 3
         if not trios:
-            return []
-        rng = self.rng.draws(self.ledgers[cycle].seeds[PURIFY_DOMAIN, link_idx], 6 * trios)
-        kept: list[PairRecord] = []
+            return _NO_PAIRS
+        coin = self.rng.draws(
+            self.ledgers[cycle].seeds[PURIFY_DOMAIN, link_idx], 6 * trios
+        ).random
+        e1 = e2 = e3 = tx12 = tx23 = tx_x2 = tx_x3 = rx_x2 = rx_x3 = 0
         for t in range(trios):
-            trio = raws[3 * t : 3 * t + 3]
-            # Transmit-side parities and the four X readouts are fair coins;
-            # receive-side parities then reflect the true pairwise error
-            # syndrome, keeping the decode statistics honest.
-            tx12 = int(rng.random() < 0.5)
-            tx23 = int(rng.random() < 0.5)
-            tx_x2 = int(rng.random() < 0.5)
-            tx_x3 = int(rng.random() < 0.5)
-            rx_x2 = int(rng.random() < 0.5)
-            rx_x3 = int(rng.random() < 0.5)
-            meas = PurifyMeasurements(
-                tx_parity_12=tx12,
-                tx_parity_23=tx23,
-                rx_parity_12=tx12 ^ trio[0].x_error ^ trio[1].x_error,
-                rx_parity_23=tx23 ^ trio[1].x_error ^ trio[2].x_error,
-                tx_x2=tx_x2,
-                tx_x3=tx_x3,
-                rx_x2=rx_x2,
-                rx_x3=rx_x3,
-            )
-            # A hop's pairs carry the identity frame, so the kept pair's
-            # frame is the round's frame delta.
-            kept.append(purify3_apply(trio, meas))
-        frames = [pair.frame for pair in kept]
-        self.outboxes[node.node_id].append(FrameRecord(node.node_id, cycle, frames))
-        return kept
+            bit = 1 << t
+            # Transmit-side parities and the four X readouts are fair coins.
+            if coin() < 0.5:
+                tx12 |= bit
+            if coin() < 0.5:
+                tx23 |= bit
+            if coin() < 0.5:
+                tx_x2 |= bit
+            if coin() < 0.5:
+                tx_x3 |= bit
+            if coin() < 0.5:
+                rx_x2 |= bit
+            if coin() < 0.5:
+                rx_x3 |= bit
+            trio = errors >> 3 * t
+            if trio & 1:
+                e1 |= bit
+            if trio & 2:
+                e2 |= bit
+            if trio & 4:
+                e3 |= bit
+        # Receive-side parities reflect the true pairwise error syndrome,
+        # keeping the decode statistics honest. A hop's pairs carry the
+        # identity frame, so the kept pair's frame is the round's delta.
+        kept_errors, frame_x, frame_z = purify3_bits(
+            e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
+        )
+        self.outboxes[node_id].append(FrameRecord(node_id, cycle, trios, frame_x, frame_z))
+        end = 3 * trios
+        return _HopPairs(
+            fusiliers[0:end:3],
+            list(map(max, created[0:end:3], created[1:end:3], created[2:end:3])),
+            kept_errors,
+            frame_x,
+            frame_z,
+        )
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:
-            for slot, frame in enumerate(rec.frames):
+            for slot in range(rec.count):
                 key = (rec.cycle, slot)
+                frame = FRAMES[rec.x_bits >> slot & 1][rec.z_bits >> slot & 1]
                 self.left_folds[key] = self.left_folds.get(key, IDENTITY_FRAME).compose(frame)
                 self.left_last_ns[key] = at_ns
 
@@ -642,20 +729,34 @@ class _ChainSimulation:
             self._finalize_cycle(cycle, ledger)
 
     def _finalize_cycle(self, cycle: int, ledger: _CycleLedger) -> None:
-        delivered = min(len(pairs) for pairs in ledger.hop_pairs)
+        hops = ledger.hop_pairs
+        delivered = min(len(hop.fusiliers) for hop in hops)
         self.per_cycle_delivered[cycle] = delivered
+        # Swap every intermediate node's slots, left to right, all slots at once.
+        first = hops[0]
+        errors, frame_x, frame_z = first.errors, first.frame_x, first.frame_z
+        for node_id in range(1, self.num_nodes - 1):
+            hop = hops[node_id]
+            errors, frame_x, frame_z = swap_bits(
+                errors, hop.errors, frame_x, frame_z, hop.frame_x, hop.frame_z,
+                *ledger.swaps[node_id],
+            )
+        created = [max(times) for times in zip(*(hop.created_at_ns for hop in hops))]
         established = (
             cycle * self.schedule.cycle_period_ns
             + self.schedule.herald_offsets_ns[-1]
         )
+        right_node = self.num_nodes - 1
         bucket = self.records_by_cycle.setdefault(cycle, [])
         for slot in range(delivered):
-            pair = ledger.hop_pairs[0][slot]
-            for node_id in range(1, self.num_nodes - 1):
-                frame = ledger.swaps[node_id][slot]
-                pair = swap_apply(
-                    pair, ledger.hop_pairs[node_id][slot], frame.x_bit, frame.z_bit
-                )
+            pair = PairRecord(
+                Endpoint(0, first.fusiliers[slot]),
+                Endpoint(right_node, self.right_stride * slot),
+                errors >> slot & 1,
+                FRAMES[frame_x >> slot & 1][frame_z >> slot & 1],
+                created[slot],
+                self.end_fidelity,
+            )
             record = EndToEndRecord(
                 cycle_id=cycle,
                 slot=slot,
@@ -672,7 +773,7 @@ class _ChainSimulation:
                         self.queue.now_ns,
                         self.queue.reserve(),
                         "PairReady",
-                        self.num_nodes - 1,
+                        right_node,
                         f"cycle={cycle} slot={slot} x={pair.x_error}",
                     )
                 )
@@ -680,18 +781,18 @@ class _ChainSimulation:
 
     def _deliver_frames(self, cycle: int, frames: list[FrameRecord]) -> None:
         # Herald for cycle c carries the records generated during cycle c-1.
-        folds: dict[int, PauliFrame] = {}
+        fold_x = fold_z = 0
         for rec in frames:
             if rec.cycle != cycle - 1:
                 raise ProtocolError(
                     f"herald {cycle} picked up a stale frame record "
                     f"from cycle {rec.cycle} at node {rec.node}"
                 )
-            for slot, frame in enumerate(rec.frames):
-                folds[slot] = folds.get(slot, IDENTITY_FRAME).compose(frame)
+            fold_x ^= rec.x_bits
+            fold_z ^= rec.z_bits
         for record in self.records_by_cycle.pop(cycle - 1, []):
             record.frame_available_at_ns = self.queue.now_ns
-            record.herald_correction = folds.get(record.slot, IDENTITY_FRAME)
+            record.herald_correction = FRAMES[fold_x >> record.slot & 1][fold_z >> record.slot & 1]
 
     # -- top level ---------------------------------------------------------
 

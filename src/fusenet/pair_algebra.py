@@ -6,6 +6,12 @@ error model: a pair is either in the canonical correlated state or carries a
 single X error, and its fidelity F is the weight of the canonical branch.
 Corrections are never applied physically; they accumulate in a Pauli frame
 (a pair of classical bits composed by XOR).
+
+The bit algebra of purification and swapping is GF(2), so its kernels
+(``purify3_bits``, ``swap_bits``) work on packed ints of any width: bit k
+of every argument and of every result belongs to round k. The simulator
+folds a whole hop, or a whole chain, per call; ``purify3_apply`` and
+``swap_apply`` run the same kernels on the bits of single pair records.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .errors import ConfigurationError, ProtocolError, UnsatisfiableError
 
 __all__ = [
     "PauliFrame",
+    "FRAMES",
     "IDENTITY_FRAME",
     "Endpoint",
     "PairRecord",
@@ -34,9 +41,11 @@ __all__ = [
     "min_fusiliers",
     "purify3_analytic",
     "purify3_decode",
-    "purify3_frame_delta",
+    "purify3_kept_fidelity",
+    "purify3_bits",
     "purify3_apply",
     "swap_compose_analytic",
+    "swap_bits",
     "swap_apply",
     "chain_fidelity",
 ]
@@ -77,13 +86,13 @@ class PauliFrame:
     z_bit: int = 0
 
     def compose(self, other: "PauliFrame") -> "PauliFrame":
-        return _FRAMES[self.x_bit ^ other.x_bit][self.z_bit ^ other.z_bit]
+        return FRAMES[self.x_bit ^ other.x_bit][self.z_bit ^ other.z_bit]
 
 
-# Only four frame values exist; interning them keeps composition in the
-# simulator's hot loops allocation-free.
-_FRAMES = tuple(tuple(PauliFrame(x, z) for z in (0, 1)) for x in (0, 1))
-IDENTITY_FRAME = _FRAMES[0][0]
+# Only four frame values exist, FRAMES[x_bit][z_bit]; interning them keeps
+# composition in the simulator's hot loops allocation-free.
+FRAMES = tuple(tuple(PauliFrame(x, z) for z in (0, 1)) for x in (0, 1))
+IDENTITY_FRAME = FRAMES[0][0]
 
 
 class Endpoint(NamedTuple):
@@ -262,22 +271,13 @@ class PurifyMeasurements(NamedTuple):
     rx_x3: int
 
 
-def purify3_frame_delta(meas: PurifyMeasurements) -> PauliFrame:
-    """Frame update from one purification round.
-
-    The four parity bits combine into the pending X correction; the four
-    X-basis readouts combine into the pending Z correction. The convention
-    is internal: only self-consistency of the XOR algebra is relied on.
-    """
-    x = meas.tx_parity_12 ^ meas.tx_parity_23 ^ meas.rx_parity_12 ^ meas.rx_parity_23
-    z = meas.tx_x2 ^ meas.tx_x3 ^ meas.rx_x2 ^ meas.rx_x3
-    return _FRAMES[x & 1][z & 1]
-
-
 @lru_cache(maxsize=256)
-def _purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
-    # Exact enumeration of the 8 error patterns the decoder can face;
-    # equals purify3_analytic(F) when all three inputs share fidelity F.
+def purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
+    """Model fidelity of the pair kept from three pairs of fidelities f1..f3.
+
+    Exact enumeration of the 8 error patterns the decoder can face; equals
+    purify3_analytic(F) when all three inputs share fidelity F.
+    """
     residual = 0.0
     for e1 in (0, 1):
         w1 = (1.0 - f1) if e1 else f1
@@ -291,16 +291,46 @@ def _purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
     return 1.0 - residual
 
 
+def purify3_bits(
+    x_error: int,
+    tx_parity_12: int,
+    tx_parity_23: int,
+    rx_parity_12: int,
+    rx_parity_23: int,
+    tx_x2: int,
+    tx_x3: int,
+    rx_x2: int,
+    rx_x3: int,
+) -> tuple[int, int, int]:
+    """Purification rounds packed one per bit: (kept x_error, frame X, frame Z).
+
+    ``x_error`` holds the kept (first) pair's error bits; the other
+    arguments are the measured bits in ``PurifyMeasurements`` order, taken
+    as given. The syndromes are the XOR of transmit- and receive-side
+    parities, and the decoder flips the kept pair's error only where it
+    blames pair 1, syndrome (1, 0). The four parity bits combine into the
+    round's X frame delta and the four X readouts into its Z delta; the
+    convention is internal, only self-consistency of the XOR algebra is
+    relied on.
+    """
+    syndrome_12 = tx_parity_12 ^ rx_parity_12
+    syndrome_23 = tx_parity_23 ^ rx_parity_23
+    return (
+        x_error ^ (syndrome_12 & ~syndrome_23),
+        syndrome_12 ^ syndrome_23,
+        tx_x2 ^ tx_x3 ^ rx_x2 ^ rx_x3,
+    )
+
+
 def purify3_apply(
     pairs: Sequence[PairRecord], meas: PurifyMeasurements
 ) -> PairRecord:
     """Consume three same-hop pairs and return the kept (first) pair.
 
-    The syndromes are the XOR of transmit- and receive-side parities; the
-    decoder corrects the kept pair only when it blames pair 1, so the kept
-    ``x_error`` is the residual after decoding. The kept frame composes the
-    input frames with the round's frame delta. Over random inputs the
-    residual error rate equals 1 - purify3_analytic(F).
+    The bits come from ``purify3_bits``: the kept ``x_error`` is the
+    residual after decoding, and the kept frame composes the input frames
+    with the round's frame delta. Over random inputs the residual error
+    rate equals 1 - purify3_analytic(F).
     """
     if len(pairs) != 3:
         raise ProtocolError(f"purification consumes exactly 3 pairs, got {len(pairs)}")
@@ -312,15 +342,12 @@ def purify3_apply(
                 f"{first.left.node}-{first.right.node} and "
                 f"{other.left.node}-{other.right.node}"
             )
-    syndrome_12 = (meas.tx_parity_12 ^ meas.rx_parity_12) & 1
-    syndrome_23 = (meas.tx_parity_23 ^ meas.rx_parity_23) & 1
-    blamed = purify3_decode(syndrome_12, syndrome_23)
-    residual = first.x_error ^ (1 if blamed is ErrorLocation.PAIR1 else 0)
+    residual, delta_x, delta_z = purify3_bits(first.x_error, *(bit & 1 for bit in meas))
     frame = (
         first.frame
         .compose(second.frame)
         .compose(third.frame)
-        .compose(purify3_frame_delta(meas))
+        .compose(FRAMES[delta_x][delta_z])
     )
     return PairRecord(
         left=first.left,
@@ -328,7 +355,7 @@ def purify3_apply(
         x_error=residual,
         frame=frame,
         created_at_ns=max(first.created_at_ns, second.created_at_ns, third.created_at_ns),
-        model_fidelity=_purify3_kept_fidelity(
+        model_fidelity=purify3_kept_fidelity(
             first.model_fidelity, second.model_fidelity, third.model_fidelity
         ),
     )
@@ -342,26 +369,55 @@ def swap_compose_analytic(f1: float, f2: float) -> float:
     return f1 * f2 + (1.0 - f1) * (1.0 - f2)
 
 
+def swap_bits(
+    left_error: int,
+    right_error: int,
+    left_x: int,
+    left_z: int,
+    right_x: int,
+    right_z: int,
+    parity_outcome: int,
+    x_outcome: int,
+) -> tuple[int, int, int]:
+    """Swaps packed one per bit: (spanning x_error, frame X, frame Z).
+
+    The error bits XOR; the spanning frame composes both frames with the
+    parity-gate outcome as its X bit and the X-basis readout as its Z bit.
+    """
+    return (
+        left_error ^ right_error,
+        left_x ^ right_x ^ parity_outcome,
+        left_z ^ right_z ^ x_outcome,
+    )
+
+
 def swap_apply(
     left: PairRecord, right: PairRecord, parity_outcome: int, x_outcome: int
 ) -> PairRecord:
     """Join two pairs meeting at a common node into one spanning pair.
 
-    The parity-gate outcome feeds the spanning frame's X bit and the
-    X-basis readout its Z bit; the error bits XOR.
+    The bits come from ``swap_bits``; the model fidelity from
+    ``swap_compose_analytic``.
     """
     if left.right.node != right.left.node:
         raise ProtocolError(
             f"pairs do not meet at one node: {left.right.node} vs {right.left.node}"
         )
-    frame = left.frame.compose(right.frame).compose(
-        _FRAMES[parity_outcome & 1][x_outcome & 1]
+    x_error, frame_x, frame_z = swap_bits(
+        left.x_error,
+        right.x_error,
+        left.frame.x_bit,
+        left.frame.z_bit,
+        right.frame.x_bit,
+        right.frame.z_bit,
+        parity_outcome & 1,
+        x_outcome & 1,
     )
     return PairRecord(
         left=left.left,
         right=right.right,
-        x_error=left.x_error ^ right.x_error,
-        frame=frame,
+        x_error=x_error,
+        frame=FRAMES[frame_x][frame_z],
         created_at_ns=max(left.created_at_ns, right.created_at_ns),
         model_fidelity=swap_compose_analytic(left.model_fidelity, right.model_fidelity),
     )

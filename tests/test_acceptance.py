@@ -23,17 +23,13 @@ from fusenet.machines import (
 from fusenet.metrics import summarize
 from fusenet.network import butterfly_split, run_network
 from fusenet.pair_algebra import (
-    Endpoint,
-    IDENTITY_FRAME,
     LinkModel,
-    PairRecord,
-    PurifyMeasurements,
     chain_fidelity,
     failure_prob_multi,
     min_fusiliers,
     purify3_analytic,
-    purify3_apply,
-    swap_apply,
+    purify3_bits,
+    swap_bits,
 )
 
 from conftest import chain_config
@@ -43,15 +39,9 @@ def _report(number, text):
     print(f"\nPASS criterion {number}: {text}")
 
 
-def _pair(x_error, left, right):
-    return PairRecord(
-        left=Endpoint(*left),
-        right=Endpoint(*right),
-        x_error=x_error,
-        frame=IDENTITY_FRAME,
-        created_at_ns=0,
-        model_fidelity=1.0,
-    )
+def _pack(bits):
+    """One column of 0/1 trials as an int: bit k is trial k."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def test_criterion_1_purification_gain():
@@ -101,7 +91,8 @@ def test_criterion_4a_hop_success_counts():
     short = 0
     for cycle in range(cycles):
         on_herald(rx, cycle, 0)
-        if len(on_train(rx, 0, link, rng, list(range(n)))) < m:
+        fusiliers, _ = on_train(rx, link, rng, n)
+        if len(fusiliers) < m:
             short += 1
         report_hop(rx, cycle)
         release_cycle_resources(rx)
@@ -116,30 +107,19 @@ def test_criterion_4a_hop_success_counts():
 
 
 def test_criterion_4b_purification_residual():
+    # All trials at once, trial k in bit k of every column of purify3_bits.
     trials = 1_000_000
     reports = []
     for idx, fidelity in enumerate((0.8, 0.9, 0.95)):
         rng = np.random.default_rng(500 + idx)
-        error_rows = (rng.random((trials, 3)) < 1.0 - fidelity).astype(np.uint8).tolist()
-        coin_rows = (rng.random((trials, 6)) < 0.5).astype(np.uint8).tolist()
-        pair1 = _pair(0, (0, 0), (1, 0))
-        pair2 = _pair(0, (0, 1), (1, 1))
-        pair3 = _pair(0, (0, 2), (1, 2))
-        trio = [pair1, pair2, pair3]
-        failures = 0
-        for (e1, e2, e3), coins in zip(error_rows, coin_rows):
-            pair1.x_error, pair2.x_error, pair3.x_error = e1, e2, e3
-            meas = PurifyMeasurements(
-                tx_parity_12=coins[0],
-                tx_parity_23=coins[1],
-                rx_parity_12=coins[0] ^ e1 ^ e2,
-                rx_parity_23=coins[1] ^ e2 ^ e3,
-                tx_x2=coins[2],
-                tx_x3=coins[3],
-                rx_x2=coins[4],
-                rx_x3=coins[5],
-            )
-            failures += purify3_apply(trio, meas).x_error
+        error_rows = rng.random((trials, 3)) < 1.0 - fidelity
+        coin_rows = rng.random((trials, 6)) < 0.5
+        e1, e2, e3 = (_pack(error_rows[:, j]) for j in range(3))
+        tx12, tx23, tx_x2, tx_x3, rx_x2, rx_x3 = (_pack(coin_rows[:, j]) for j in range(6))
+        kept, _, _ = purify3_bits(
+            e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
+        )
+        failures = kept.bit_count()
         expected = 1.0 - purify3_analytic(fidelity)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(failures / trials - expected) <= 4 * se
@@ -148,24 +128,22 @@ def test_criterion_4b_purification_residual():
 
 
 def test_criterion_4c_swap_chains():
+    # All trials at once, trial k in bit k of every column of swap_bits.
     trials = 1_000_000
     reports = []
     for seed, hop_fidelities in ((31, [0.9, 0.8]), (32, [0.95, 0.9, 0.85, 0.9, 0.95])):
         hops = len(hop_fidelities)
         rng = np.random.default_rng(seed)
-        error_rows = (
-            rng.random((trials, hops)) < 1.0 - np.array(hop_fidelities)
-        ).astype(np.uint8).tolist()
-        coin_rows = (rng.random((trials, 2 * (hops - 1))) < 0.5).astype(np.uint8).tolist()
-        pairs = [_pair(0, (i, 0), (i + 1, 0)) for i in range(hops)]
-        failures = 0
-        for errors, coins in zip(error_rows, coin_rows):
-            for pair, e in zip(pairs, errors):
-                pair.x_error = e
-            acc = pairs[0]
-            for i in range(1, hops):
-                acc = swap_apply(acc, pairs[i], coins[2 * i - 2], coins[2 * i - 1])
-            failures += acc.x_error
+        error_rows = rng.random((trials, hops)) < 1.0 - np.array(hop_fidelities)
+        coin_rows = rng.random((trials, 2 * (hops - 1))) < 0.5
+        errors = [_pack(error_rows[:, i]) for i in range(hops)]
+        coins = [_pack(coin_rows[:, j]) for j in range(2 * (hops - 1))]
+        acc_error, acc_x, acc_z = errors[0], 0, 0
+        for i in range(1, hops):
+            acc_error, acc_x, acc_z = swap_bits(
+                acc_error, errors[i], acc_x, acc_z, 0, 0, coins[2 * i - 2], coins[2 * i - 1]
+            )
+        failures = acc_error.bit_count()
         expected = 1.0 - chain_fidelity(hop_fidelities)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(failures / trials - expected) <= 4 * se

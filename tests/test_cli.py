@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from fusenet.cli import _write_trace, main
 from fusenet.config import load_config, parse_config, resolved_dict
-from fusenet.network import TraceRecord
+from fusenet.network import MAX_TRAIN_DRAWS, TraceRecord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -419,6 +420,22 @@ class TestRejectedInput:
         assert out == ""
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("field", ["n_fusiliers", "m_fusilands"])
+    def test_huge_train_rejected_at_once(self, tmp_path, capsys, field):
+        # a train draws n + m values at once, so a hop of 10**12 fusiliers or
+        # fusilands is refused before anything is drawn
+        doc = copy.deepcopy(BASE_DOC)
+        doc["network"]["links"][0][field] = 10**12
+        path = write_doc(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config: links[0]: n_fusiliers + m_fusilands = ")
+        assert err.count("\n") == 1
+        assert f"exceeds {MAX_TRAIN_DRAWS}" in err
 
     @pytest.mark.parametrize("key, first, second", [("seed", 7, 8), ("p_success", 1.0, 0.5)])
     def test_duplicate_key(self, tmp_path, capsys, key, first, second):

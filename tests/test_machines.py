@@ -48,14 +48,9 @@ def arrivals(n, start=100, tau=10):
 
 
 def run_train(rx, n, draws, link=LINK):
-    """Resolve an n-signal train; returns its pairs and the stub."""
+    """Resolve an n-signal train; returns its (fusiliers, errors) and the stub."""
     rng = StubRng(draws)
-    return on_train(rx, 0, link, rng, arrivals(n)), rng
-
-
-def fusiliers(pairs):
-    """The fusilier that filled each slot, slot k at index k."""
-    return [pair.left.slot for pair in pairs]
+    return on_train(rx, link, rng, n), rng
 
 
 class TestOnHerald:
@@ -87,21 +82,20 @@ class TestOnSignal:
 
     def test_first_success_takes_slot_zero_then_discards(self):
         _, rx, _ = start_cycle(3, 1)
-        pairs, rng = run_train(rx, 3, draws=[0.1, 0.5])
-        assert fusiliers(pairs) == [0]
+        (fusiliers, _), rng = run_train(rx, 3, draws=[0.1, 0.5])
+        assert fusiliers == [0]
         assert rng.values == []  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
         _, rx, _ = start_cycle(2, 1)
-        pairs, _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
-        assert fusiliers(pairs) == [1]
-        assert pairs[0].right == Endpoint(1, 0)
+        (fusiliers, _), _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
+        assert fusiliers == [1]  # fusilier 1 filled slot 0
         assert rx.fusilands is FusilandPhase.RECEIVED
 
     def test_exhausted_bank_discards_without_drawing(self):
         _, rx, _ = start_cycle(4, 2)
-        pairs, rng = run_train(rx, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
-        assert fusiliers(pairs) == [0, 1]
+        (fusiliers, _), rng = run_train(rx, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
+        assert fusiliers == [0, 1]
         assert rng.values == []  # discarded signals consumed no randomness
 
     def test_second_train_rejected(self):
@@ -113,17 +107,24 @@ class TestOnSignal:
     def test_error_bit_sampled_from_fidelity(self):
         _, rx, _ = start_cycle(1, 1)
         noisy = LinkModel(length_km=1.0, p_success=1.0, raw_fidelity=0.9)
-        pairs, _ = run_train(rx, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
-        assert pairs[0].x_error == 1
-        assert pairs[0].model_fidelity == 0.9
+        (_, errors), _ = run_train(rx, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
+        assert errors == 1
+
+    def test_error_bits_pack_by_slot(self):
+        _, rx, _ = start_cycle(4, 3)
+        noisy = LinkModel(length_km=1.0, p_success=0.5, raw_fidelity=0.9)
+        # slot 0 clean, fusilier 1 fails, slots 1 and 2 carry errors
+        draws = [0.1, 0.5, 0.9, 0.1, 0.05, 0.1, 0.01]
+        (fusiliers, errors), rng = run_train(rx, 4, draws=draws, link=noisy)
+        assert fusiliers == [0, 2, 3]
+        assert errors == 0b110
+        assert rng.values == []
 
     def test_pair_endpoints_name_both_sides(self):
+        # slot k is the right endpoint, fusiliers[k] the left one
         _, rx, _ = start_cycle(2, 2)
-        pairs, _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
-        pair = pairs[0]
-        assert pair.left == Endpoint(0, 1)  # fusilier 1 on node 0
-        assert pair.right == Endpoint(1, 0)  # slot 0 on node 1
-        assert pair.created_at_ns == 110  # fusilier 1's arrival
+        (fusiliers, _), _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
+        assert fusiliers == [1]  # slot 0 on node 1, fusilier 1 on node 0
 
 
 class TestBuildReturnMessage:
@@ -131,25 +132,24 @@ class TestBuildReturnMessage:
 
     def test_no_successes_gives_empty_matches(self):
         _, rx, _ = start_cycle(3, 1)
-        pairs, _ = run_train(rx, 3, draws=[0.9, 0.9, 0.9])
+        (fusiliers, errors), _ = run_train(rx, 3, draws=[0.9, 0.9, 0.9])
         report_hop(rx, 0)
-        assert pairs == []
+        assert (fusiliers, errors) == ([], 0)
         assert rx.fusilands is FusilandPhase.REPORTED
 
     def test_matches_name_fusilier_and_slot(self):
         _, rx, _ = start_cycle(8, 2)
         draws = [0.9, 0.9, 0.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.5]
-        pairs, _ = run_train(rx, 8, draws=draws)
+        (fusiliers, _), _ = run_train(rx, 8, draws=draws)
         report_hop(rx, 0)
-        assert fusiliers(pairs) == [2, 7]
-        assert [pair.right.slot for pair in pairs] == [0, 1]
+        assert fusiliers == [2, 7]  # slots 0 and 1
 
     def test_capacity_bounds_matches(self):
         _, rx, _ = start_cycle(5, 2)
         draws = [0.0, 0.5, 0.0, 0.5]  # first two succeed, bank full
-        pairs, _ = run_train(rx, 5, draws=draws)
+        (fusiliers, _), _ = run_train(rx, 5, draws=draws)
         report_hop(rx, 0)
-        assert fusiliers(pairs) == [0, 1]
+        assert fusiliers == [0, 1]
 
     def test_incomplete_train_rejected(self):
         # a report before any train arrived; a train is resolved whole
@@ -178,26 +178,26 @@ class TestOnReturn:
         node = awaiting_return()
         rng = StubRng([0.9, 0.1] * 3)
         swaps = on_return(node, 0, 2, rng)
-        assert len(swaps) == 2
+        assert swaps == (0b00, 0b11)  # (parity bits, X bits), swap k in bit k
         assert len(rng.values) == 2  # two draws per swap
         assert node.fusillade is FusilladePhase.IDLE
 
     def test_zero_swaps_draw_nothing(self):
         node = awaiting_return()
         swaps = on_return(node, 0, 0, None)
-        assert swaps == []
+        assert swaps == (0, 0)
 
     def test_swap_outcome_feeds_frame_record(self):
         node = awaiting_return()
         swaps = on_return(node, 0, 1, StubRng([0.1, 0.9]))
         # the parity outcome is the frame's X bit, the X readout its Z bit
-        assert [(frame.x_bit, frame.z_bit) for frame in swaps] == [(1, 0)]
+        assert swaps == (1, 0)
 
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
         on_herald(node, 0, 0)
         swaps = on_return(node, 0, 0, None)
-        assert swaps == []
+        assert swaps == (0, 0)
         assert node.fusillade is FusilladePhase.IDLE
         release_cycle_resources(node)
         assert node.all_idle()
@@ -242,7 +242,8 @@ class TestCycleLifecycle:
         for _ in range(cycles):
             rx = NodeState(1, 0, m)
             on_herald(rx, 0, 0)
-            if len(on_train(rx, 0, link, rng, [0] * n)) < m:
+            fusiliers, _ = on_train(rx, link, rng, n)
+            if len(fusiliers) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
         se = math.sqrt(expected * (1 - expected) / cycles)
@@ -263,7 +264,7 @@ def _release_unreported_fusilands():
 def _signal_at_unreadied_bank(draws):
     def sequence():
         rx = NodeState(1, n_fusiliers=0, m_fusilands=2)
-        on_train(rx, 0, LINK, StubRng(draws), [100])
+        on_train(rx, LINK, StubRng(draws), 1)
 
     return sequence
 
@@ -357,9 +358,23 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
         on_herald(rx, 0, 0)
         nodes.append(rx)
         rngs.append(CountingRng(seed))
-    pairs = on_train(nodes[0], 2, link, rngs[0], times)
+    fusiliers, errors = on_train(nodes[0], link, rngs[0], n)
     expected = reference_train(nodes[1], 2, link, rngs[1], times)
-    assert [asdict(pair) for pair in pairs] == [asdict(pair) for pair in expected]
+    # Slot k of the columns is the reference's pair k, made at its fusilier's arrival.
+    assert [asdict(pair) for pair in expected] == [
+        asdict(
+            PairRecord(
+                Endpoint(2, fusilier),
+                Endpoint(3, slot),
+                errors >> slot & 1,
+                IDENTITY_FRAME,
+                times[fusilier],
+                link.raw_fidelity,
+            )
+        )
+        for slot, fusilier in enumerate(fusiliers)
+    ]
+    assert errors >> len(fusiliers) == 0
     assert rngs[0].draws == rngs[1].draws
     report_hop(nodes[0], 0)  # the whole train was received
 
@@ -380,17 +395,17 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert on_herald(tx, 0, 0) == n
     on_herald(rx, 0, 11)
 
-    pairs = on_train(rx, 0, link, rng, arrivals(n, start=100, tau=1))
-    assert len(pairs) <= m
-    assert fusiliers(pairs) == sorted(set(fusiliers(pairs)))
-    assert [pair.right.slot for pair in pairs] == list(range(len(pairs)))
+    fusiliers, errors = on_train(rx, link, rng, n)
+    assert len(fusiliers) <= m
+    assert fusiliers == sorted(set(fusiliers))
+    assert errors == 0  # raw fidelity 1
     assert rx.fusilands is FusilandPhase.RECEIVED
 
     report_hop(rx, 0)
     assert rx.fusilands is FusilandPhase.REPORTED
 
     swaps = on_return(tx, 0, 0, rng)
-    assert swaps == []  # tx has no left hop: end node
+    assert swaps == (0, 0)  # tx has no left hop: end node
     assert tx.fusillade is FusilladePhase.IDLE
 
     release_cycle_resources(tx)

@@ -15,6 +15,7 @@ from fusenet.engine import EventKind, EventQueue, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
+    MAX_TRAIN_DRAWS,
     LinkSpec,
     NetworkConfig,
     Strategy,
@@ -107,6 +108,16 @@ class TestValidateConfig:
         for cycles in (2**32, 2**40):
             with pytest.raises(ConfigurationError, match=r"cycles must be < 4294967296"):
                 validate_config(chain_config([40.0], cycles=cycles))
+
+    def test_train_draws_bounded(self):
+        # a train draws n + m values at once: n + m may reach the bound, not pass it
+        assert validate_config(chain_config([40.0], n=MAX_TRAIN_DRAWS - 1, m=1))
+        for n, m in ((MAX_TRAIN_DRAWS, 1), (1, MAX_TRAIN_DRAWS), (10**12, 1), (1, 10**12)):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"links\[0\]: n_fusiliers \+ m_fusilands = {n + m} exceeds {MAX_TRAIN_DRAWS}",
+            ):
+                validate_config(chain_config([40.0], n=n, m=m))
 
     def test_small_override_warns(self):
         # 10 ns below the bound 400_050: the run warns, then completes
@@ -238,6 +249,37 @@ class TestStochasticChain:
         r4 = run_network(cfg4)
         r3 = run_network(cfg3)
         assert r4.hop_success_counts[:2] == r3.hop_success_counts
+
+
+@pytest.mark.parametrize("strategy", [Strategy.RAW, Strategy.PURIFY3])
+def test_record_pairs_match_the_traced_signals(strategy):
+    # End-to-end slot k holds hop slots k (raw) or 3k..3k+2 (purify3) of
+    # every hop: its left end is the fusilier that filled hop 0's first such
+    # slot, its right end the last node's fusiland, and it was made when the
+    # last of those signals arrived.
+    cfg = chain_config(
+        [20.0, 30.0, 10.0], n=9, m=6, p=0.8, fidelity=0.9, cycles=30, seed=5,
+        strategy=strategy, tau_slot_ns=7,
+    )
+    result = run_network(cfg, collect_trace=True)
+    filled = {}  # (hop, cycle, hop slot) -> (fusilier, arrival)
+    for rec in result.trace:
+        match = re.fullmatch(r"cycle=(\d+) fusilier=(\d+) success slot=(\d+)", rec.detail)
+        if rec.kind == EventKind.SIGNAL_ARRIVE.value and match:
+            cycle, fusilier, slot = map(int, match.groups())
+            filled[rec.node - 1, cycle, slot] = (fusilier, rec.t_ns)
+    width = 3 if strategy is Strategy.PURIFY3 else 1
+    fidelity = 0.9 if width == 1 else purify3_analytic(0.9)
+    assert result.records
+    for rec in result.records:
+        first = width * rec.slot
+        hop_slots = range(first, first + width)
+        assert rec.pair.left == (0, filled[0, rec.cycle_id, first][0])
+        assert rec.pair.right == (3, first)
+        assert rec.pair.created_at_ns == max(
+            filled[hop, rec.cycle_id, s][1] for hop in range(3) for s in hop_slots
+        )
+        assert rec.pair.model_fidelity == pytest.approx(chain_fidelity([fidelity] * 3), abs=1e-12)
 
 
 class TestPurification:

@@ -29,10 +29,11 @@ from fusenet.pair_algebra import (
     min_fusiliers,
     purify3_analytic,
     purify3_apply,
+    purify3_bits,
     purify3_decode,
-    purify3_frame_delta,
     success_probability,
     swap_apply,
+    swap_bits,
     swap_compose_analytic,
 )
 
@@ -302,7 +303,6 @@ class TestPurifyApply:
         pairs = [make_pair(0), make_pair(0), make_pair(0)]
         meas = _measurements_for((0, 0, 0), coins=(1, 0, 1, 1, 0, 1))
         kept = purify3_apply(pairs, meas)
-        assert kept.frame == purify3_frame_delta(meas)
         # parity bits feed x, the four X readouts feed z
         assert kept.frame.x_bit == 1 ^ 0 ^ 1 ^ 0
         assert kept.frame.z_bit == 1 ^ 1 ^ 0 ^ 1
@@ -326,6 +326,63 @@ class TestPurifyApply:
         expected = 1.0 - purify3_analytic(f)
         se = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(failures / n - expected) <= 4 * se
+
+
+def _columns(inputs, width):
+    """Pack input k's bit j into bit k of column j, for ``width`` bits each."""
+    return [sum(((k >> j) & 1) << k for k in range(inputs)) for j in range(width)]
+
+
+class TestPurifyBits:
+    """The packed kernel against the per-round decode, on every input."""
+
+    @staticmethod
+    def reference(e1, meas):
+        blamed = purify3_decode(
+            meas.tx_parity_12 ^ meas.rx_parity_12, meas.tx_parity_23 ^ meas.rx_parity_23
+        )
+        kept = e1 ^ (blamed is ErrorLocation.PAIR1)
+        x = meas.tx_parity_12 ^ meas.tx_parity_23 ^ meas.rx_parity_12 ^ meas.rx_parity_23
+        z = meas.tx_x2 ^ meas.tx_x3 ^ meas.rx_x2 ^ meas.rx_x3
+        return kept, x, z
+
+    def test_all_inputs_packed_and_scalar(self):
+        # input k: bits 0-2 are the three error bits, bits 3-10 the eight
+        # measured bits in PurifyMeasurements order
+        inputs = 2**11
+        e1, _, _, *meas_columns = _columns(inputs, 11)
+        packed = purify3_bits(e1, *meas_columns)
+        for k in range(inputs):
+            errors = [(k >> j) & 1 for j in range(3)]
+            meas = PurifyMeasurements(*((k >> j) & 1 for j in range(3, 11)))
+            expected = self.reference(errors[0], meas)
+            assert tuple((column >> k) & 1 for column in packed) == expected
+            assert purify3_bits(errors[0], *meas) == expected
+            kept = purify3_apply([make_pair(e, right=(1, j)) for j, e in enumerate(errors)], meas)
+            assert (kept.x_error, kept.frame.x_bit, kept.frame.z_bit) == expected
+
+
+class TestSwapBits:
+    """The packed kernel against frame composition, on every input."""
+
+    def test_all_inputs_packed_and_scalar(self):
+        # input k: bits are (left error, right error, left X, left Z,
+        # right X, right Z, parity outcome, X outcome)
+        inputs = 2**8
+        packed = swap_bits(*_columns(inputs, 8))
+        for k in range(inputs):
+            el, er, lx, lz, rx, rz, parity, x_out = ((k >> j) & 1 for j in range(8))
+            frame = PauliFrame(lx, lz).compose(PauliFrame(rx, rz)).compose(PauliFrame(parity, x_out))
+            expected = (el ^ er, frame.x_bit, frame.z_bit)
+            assert tuple((column >> k) & 1 for column in packed) == expected
+            assert swap_bits(el, er, lx, lz, rx, rz, parity, x_out) == expected
+            joined = swap_apply(
+                make_pair(el, right=(1, 0), frame=PauliFrame(lx, lz)),
+                make_pair(er, left=(1, 0), right=(2, 0), frame=PauliFrame(rx, rz)),
+                parity,
+                x_out,
+            )
+            assert (joined.x_error, joined.frame) == (el ^ er, frame)
 
 
 class TestSwap:
