@@ -13,6 +13,7 @@ refactors they guard and must never be regenerated to make a change pass.
 import hashlib
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +334,39 @@ def test_wider_purify3_digests(case, tmp_path, monkeypatch):
         assert cli.main(["simulate", config_path]) == 0
         digests[f"summary_{fmt}"] = hashlib.sha256((tmp_path / f"summary.{fmt}").read_bytes()).hexdigest()
     assert digests == WIDER_EXPECTED[case]
+
+
+# The paper's chain, ``configs/paper_1000km.json``: 100 hops of 10 km with
+# n=544 and m=100, far past the cases above in train length and hop count.
+# Its trace, about 544k signal lines, is left out.
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_1000km.json"
+
+PAPER_EXPECTED = {
+    "records": "9a3a5dc046d79331a6388f6590ee0f5417000b070eb12a0ac1fac9ca9cd3d3fe",
+    "per_cycle_delivered": "965b5c1560f33e9bb56477eb1abfe1f93245ea6fbf3a25eede50aacc273c4ec6",
+    "hop_success_counts": "644889c301abea62479f0c45cdfc5d7a64cbc49d991ace4ba3cae651d3cca863",
+    "summary_json": "12641a26227d8b327f092664e1ae58dd3a12d6017d9dd98ee322d474c3783395",
+}
+
+
+def test_paper_chain_digests(tmp_path, monkeypatch):
+    network = json.loads(PAPER_CONFIG.read_text())["network"]
+    config_path = _write_config(tmp_path, monkeypatch, network, {"path": "summary.json"})
+    captured = []
+
+    def capture(*args, **kwargs):
+        result = run_network(*args, **kwargs)
+        captured.append(result)
+        return result
+
+    run_network = cli.run_network
+    monkeypatch.setattr(cli, "run_network", capture)
+    assert cli.main(["simulate", config_path]) == 0
+    result = captured[0]
+    assert len(result.records) == 1000, "every cycle delivers a full bank"
+    assert {
+        "records": _sha([asdict(r) for r in result.records]),
+        "per_cycle_delivered": _sha(result.per_cycle_delivered),
+        "hop_success_counts": _sha(result.hop_success_counts),
+        "summary_json": hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest(),
+    } == PAPER_EXPECTED

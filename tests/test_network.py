@@ -451,11 +451,22 @@ class TestFramePropagation:
 
 
 class TestDesynchronization:
-    def test_short_override_aborts_naming_node(self):
-        cfg = chain_config([10.0, 40.0], cycle_period_ns=150_000, cycles=5)
+    @pytest.mark.parametrize(
+        "hops, extra",
+        [
+            # node 1 still awaits the return from its 40 km hop
+            ([10.0, 40.0], {"cycle_period_ns": 150_000}),
+            # node 1 is still inside its swap's proc_ns
+            ([10.0, 10.0], {"proc_ns": 50_000, "cycle_period_ns": 120_000}),
+        ],
+        ids=["awaiting_return", "inside_swap"],
+    )
+    def test_short_override_aborts_naming_node(self, hops, extra):
+        cfg = chain_config(hops, cycles=5, **extra)
         with pytest.warns(UserWarning):
-            with pytest.raises(DesynchronizationError, match="node 1"):
+            with pytest.raises(DesynchronizationError) as caught:
                 run_network(cfg)
+        assert str(caught.value) == "herald for cycle 1 overtook unfinished work at node 1"
 
     def test_boundary_tight_period_is_legal(self):
         # override equal to the safe bound runs cleanly
