@@ -18,10 +18,8 @@ from .pair_algebra import (
     failure_prob_single,
     min_fusiliers,
     purify3_analytic,
-    purify3_apply,
     purify3_decode,
     success_probability,
-    swap_apply,
     swap_compose_analytic,
 )
 from .network import (
@@ -54,10 +52,8 @@ __all__ = [
     "failure_prob_single",
     "min_fusiliers",
     "purify3_analytic",
-    "purify3_apply",
     "purify3_decode",
     "success_probability",
-    "swap_apply",
     "swap_compose_analytic",
     "EndToEndRecord",
     "LinkSpec",

@@ -1,23 +1,22 @@
-"""Per-bank cycle state of a repeater node: herald, signals, returns, swaps.
+"""Per-bank cycle state of a repeater node: herald, signal train, return.
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
-One herald pulse per cycle fires the whole fusillade; the signal train
+A bank's cycle is three calls. One herald pulse per cycle fires the whole
+fusillade and readies the fusilands (``on_herald``); the signal train
 arriving at a node is resolved in one call (``on_train``): its signals
 interact with the fusilands one at a time, rerouting to the next fusiland
 after each success, and the call returns the train's pairs as columns, the
-fusilier that filled each slot and the error bits packed in one int;
-``report_hop`` reports the bank once the train has passed; a single return
-message per hop confirms the fusillade, and ``on_return`` draws the swaps
-of as many pairs as the caller counts on the shorter of the node's two
-hops and returns their outcome bits, packed the same way.
+fusilier that filled each slot and the error bits packed in one int; a
+single return message per hop confirms the fusillade, and ``on_return``
+draws the swaps of as many pairs as the caller counts on the shorter of the
+node's two hops and returns their outcome bits, packed the same way.
 
 Because the fusillade fires as one train and each hop gets one return, each
 bank moves through one phase per cycle: the fusillade goes idle -> fired ->
-idle and the fusilands idle -> ready -> received -> reported -> idle. A
-node keeps only these phases and its cycle clock: a hop's pairs belong to
-whoever called ``on_train``, a node's swap outcomes to whoever called
-``on_return``.
+idle and the fusilands idle -> ready -> idle. A node keeps only these
+phases and its cycle clock: a hop's pairs belong to whoever called
+``on_train``, a node's swap outcomes to whoever called ``on_return``.
 
 NodeState is mutated only by the single event-loop thread of a simulation
 run; all operations are deterministic given their RNG stream.
@@ -40,8 +39,6 @@ class FusilladePhase(Enum):
 class FusilandPhase(Enum):
     IDLE = "idle"
     READY = "ready"
-    RECEIVED = "received"
-    REPORTED = "reported"
 
 
 @dataclass
@@ -55,12 +52,6 @@ class NodeState:
     fusilands: FusilandPhase = FusilandPhase.IDLE
     current_cycle: int = -1
     busy_until_ns: int = 0
-
-    def all_idle(self) -> bool:
-        return (
-            self.fusillade is FusilladePhase.IDLE
-            and self.fusilands is FusilandPhase.IDLE
-        )
 
 
 def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True) -> int:
@@ -77,7 +68,11 @@ def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True
             f"node {node.node_id} expected cycle {node.current_cycle + 1}, "
             f"herald carries cycle {cycle}"
         )
-    if not node.all_idle() or now_ns < node.busy_until_ns:
+    if (
+        node.fusillade is not FusilladePhase.IDLE
+        or node.fusilands is not FusilandPhase.IDLE
+        or now_ns < node.busy_until_ns
+    ):
         raise DesynchronizationError(
             f"herald for cycle {cycle} overtook unfinished work "
             f"at node {node.node_id}"
@@ -96,7 +91,7 @@ def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True
 def on_train(node: NodeState, link: LinkModel, rng, signals: int) -> tuple[list[int], int]:
     """Resolve a whole incoming train of ``signals`` signals at this node's fusilands.
 
-    The train must reach a readied bank, which it leaves received. Signals
+    The train must reach a readied bank, which it leaves idle. Signals
     interact in fusilier order: each draws once from ``rng`` and succeeds
     below the link's success probability; a success draws once more for its
     error bit (from the link's raw fidelity), makes a pair in the next
@@ -114,7 +109,7 @@ def on_train(node: NodeState, link: LinkModel, rng, signals: int) -> tuple[list[
             f"node {node.node_id} got a signal train while its "
             f"fusilands are {node.fusilands.value}"
         )
-    node.fusilands = FusilandPhase.RECEIVED
+    node.fusilands = FusilandPhase.IDLE
     fusiliers: list[int] = []
     errors = 0
     slot = 0
@@ -134,36 +129,17 @@ def on_train(node: NodeState, link: LinkModel, rng, signals: int) -> tuple[list[
     return fusiliers, errors
 
 
-def report_hop(node: NodeState, cycle_id: int) -> None:
-    """Report the hop's bank after the whole train passed.
-
-    It must come after a train has arrived. The bank is reported for the
-    cycle: fusilands still waiting stay empty.
-    """
-    if cycle_id != node.current_cycle:
-        raise ProtocolError(
-            f"node {node.node_id} asked to report cycle {cycle_id} "
-            f"during cycle {node.current_cycle}"
-        )
-    if node.fusilands is not FusilandPhase.RECEIVED:
-        reason = (
-            "no signal train has arrived"
-            if node.fusilands is FusilandPhase.READY
-            else f"its fusilands are {node.fusilands.value}"
-        )
-        raise ProtocolError(f"node {node.node_id} cannot report cycle {cycle_id}: {reason}")
-    node.fusilands = FusilandPhase.REPORTED
-
-
 def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> tuple[int, int]:
     """Take the return for ``cycle_id``: confirm the fusillade, make ``swaps`` swaps.
 
-    Confirming the fusillade returns it to idle. ``swaps`` is the number of
-    slots holding a pair on both of the node's hops (0 at an end node), so
-    swap k joins slot k of the left hop to slot k of the right hop. Outcome
-    bits are drawn from ``rng``, a parity bit then an X bit per swap, and
-    returned as ``(parity_bits, x_bits)``: bit k of each is swap k's outcome,
-    the X and the Z bit of its frame.
+    The return must not come before the node's own incoming train, if it
+    has one: a readied bank rejects it. Confirming the fusillade returns it
+    to idle. ``swaps`` is the number of slots holding a pair on both of the
+    node's hops (0 at an end node), so swap k joins slot k of the left hop
+    to slot k of the right hop. Outcome bits are drawn from ``rng``, a
+    parity bit then an X bit per swap, and returned as
+    ``(parity_bits, x_bits)``: bit k of each is swap k's outcome, the X and
+    the Z bit of its frame.
     """
     if cycle_id != node.current_cycle:
         raise ProtocolError(
@@ -175,6 +151,11 @@ def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> tuple[int, int
             f"node {node.node_id} got return for cycle {cycle_id} while "
             f"its fusillade is {node.fusillade.value}"
         )
+    if node.fusilands is FusilandPhase.READY:
+        raise ProtocolError(
+            f"node {node.node_id} got return for cycle {cycle_id} before "
+            "its signal train arrived"
+        )
     node.fusillade = FusilladePhase.IDLE
     parity_bits = x_bits = 0
     for k in range(swaps):
@@ -184,15 +165,3 @@ def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> tuple[int, int
             x_bits |= 1 << k
     return parity_bits, x_bits
 
-
-def release_cycle_resources(node: NodeState) -> None:
-    """Return the fusiland bank to idle at cycle end, once both banks are settled."""
-    if node.fusillade is FusilladePhase.FIRED:
-        raise ProtocolError(
-            f"node {node.node_id} cannot release: its fusillade is unconfirmed"
-        )
-    if node.fusilands in (FusilandPhase.READY, FusilandPhase.RECEIVED):
-        raise ProtocolError(
-            f"node {node.node_id} cannot release: its fusilands are unreported"
-        )
-    node.fusilands = FusilandPhase.IDLE

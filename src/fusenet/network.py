@@ -18,21 +18,23 @@ relaying then join the left-end fold with no arrival time.
 
 An event names its node and cycle; its one datum is, by kind: none for
 ``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
-at the cycle start and passed along the sweep; the train's
-``(arrivals, draws)`` for ``SignalArrive``, on the hop into the node; the
-frame list a return relays (empty unless its sender sends left) for
-``ReturnArrive``; the swap count for ``SwapComplete``.
+at the cycle start and passed along the sweep; the train's link ``Draws``
+for ``SignalArrive``, on the hop into the node; the frame list a return
+relays (empty unless its sender sends left) for ``ReturnArrive``; the swap
+count for ``SwapComplete``.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
 ``_handle_signal_arrive`` resolves the whole train with ``on_train``, then
-ends it (purification, the return message). A slot's pair was made when
-its fusilier's signal arrived, ``arrivals[fusilier]``. That equals one
-event per signal because nothing touches the receiving node's fusilands
-between a train's first and last signal: ``validate_config`` rejects a
-chain whose return from the right-hand hop would come sooner, and a herald
-that comes sooner (a cycle period below the safe bound) finds the bank
-still readied and desynchronizes as it would mid-train.
+ends it (purification, the return message). Arrival times are computed,
+not stored: fusilier k of an n-signal train dispatched at t arrives at
+``start + k * tau`` with ``start = t - (n - 1) * tau``, and a slot's pair
+was made when its fusilier's signal arrived. That equals one event per
+signal because nothing touches the receiving node's fusilands between a
+train's first and last signal: ``validate_config`` rejects a chain whose
+return from the right-hand hop would come sooner, and a herald that comes
+sooner (a cycle period below the safe bound) finds the bank still readied
+and desynchronizes as it would mid-train.
 
 The simulation keeps its own trace. With the trace on, each handler
 appends its event's record at the event's (time, seq); a train appends one
@@ -87,14 +89,7 @@ from .engine import (
     run,
 )
 from .errors import ConfigurationError, DesynchronizationError, ProtocolError
-from .machines import (
-    NodeState,
-    on_herald,
-    on_return,
-    on_train,
-    release_cycle_resources,
-    report_hop,
-)
+from .machines import NodeState, on_herald, on_return, on_train
 from .pair_algebra import (
     Endpoint,
     FRAMES,
@@ -340,7 +335,7 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
             )
     tau = config.tau_slot_ns
     for i in range(1, len(config.links)):
-        # Node i swaps and releases its banks when the return from links[i]
+        # Node i swaps and confirms its fusillade when the return from links[i]
         # arrives: not before its incoming train ends (times from its herald).
         return_ns = 2 * delays[i] + (config.links[i].n_fusiliers - 1) * tau
         train_end_ns = (config.links[i - 1].n_fusiliers - 1) * tau
@@ -425,7 +420,6 @@ class _ChainSimulation:
     ) -> None:
         self.config = config
         self.schedule = schedule
-        self.split = split_index
         self.collect_trace = collect_trace
         self.trace: list[TraceRecord] = []
         self.num_nodes = len(config.nodes)
@@ -437,9 +431,9 @@ class _ChainSimulation:
             )
             for i in range(self.num_nodes)
         ]
-        # Node i's frame outbox. Nodes below ``left_senders`` (left of the
-        # butterfly split) send it left on their return message; every
-        # other node's leaves on the next herald.
+        # Node i's frame outbox. Nodes below ``left_senders``, the butterfly
+        # split (never node 0; 0 without a split), send it left on their
+        # return message; every other node's leaves on the next herald.
         self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.num_nodes)]
         self.left_senders = split_index or 0
         # Every end-to-end pair has the same model fidelity: each hop's
@@ -491,24 +485,24 @@ class _ChainSimulation:
 
     def _handle_signal_arrive(self, event: Event) -> None:
         # Dispatched at the train's last signal: resolves every signal, then
-        # ends the train.
+        # ends the train. Fusilier k arrived at start_ns + k * tau.
         node = self.nodes[event.node]
-        link_idx = event.node - 1
-        arrivals, draws = event.data
-        fusiliers, errors = on_train(
-            node, self.config.links[link_idx].model, draws, len(arrivals)
-        )
+        link = self.config.links[event.node - 1]
+        signals = link.n_fusiliers
+        start_ns = event.time_ns - (signals - 1) * self.config.tau_slot_ns
+        fusiliers, errors = on_train(node, link.model, event.data, signals)
         if self.collect_trace:
-            self._train_records(event, node, fusiliers)
-        self._end_of_train(node, event.cycle, fusiliers, errors, arrivals)
+            self._train_records(event, node, signals, start_ns, fusiliers)
+        self._end_of_train(node, event.cycle, fusiliers, errors, start_ns)
 
-    def _train_records(self, event: Event, node: NodeState, fusiliers: list[int]) -> None:
+    def _train_records(
+        self, event: Event, node: NodeState, count: int, start_ns: int, fusiliers: list[int]
+    ) -> None:
         # Signal k of the train has seq first + k. It succeeded if it filled
         # a slot, was discarded if it came after the bank filled, and failed
         # otherwise.
-        arrivals = event.data[0]
-        count = len(arrivals)
         first = event.seq - count + 1
+        tau = self.config.tau_slot_ns
         full = fusiliers[-1] + 1 if len(fusiliers) == node.m_fusilands else count
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
         for slot, fusilier in enumerate(fusiliers):
@@ -517,8 +511,8 @@ class _ChainSimulation:
         node_id = node.node_id
         prefix = f"cycle={event.cycle} fusilier="
         self.trace += [
-            TraceRecord(arrival_ns, first + k, kind, node_id, f"{prefix}{k} {outcome}")
-            for k, (arrival_ns, outcome) in enumerate(zip(arrivals, outcomes))
+            TraceRecord(start_ns + k * tau, first + k, kind, node_id, f"{prefix}{k} {outcome}")
+            for k, outcome in enumerate(outcomes)
         ]
 
     def _handle_return_arrive(self, event: Event) -> None:
@@ -544,9 +538,8 @@ class _ChainSimulation:
         ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
         if swaps:
             self.outboxes[node_id].append(FrameRecord(node_id, cycle, swaps, *outcomes))
-        # The swap occupies the node for proc_ns; states are released here
-        # and busy_until_ns guards the occupancy window against early heralds.
-        release_cycle_resources(node)
+        # The swap occupies the node for proc_ns; busy_until_ns guards the
+        # occupancy window against early heralds.
         if swaps:
             node.busy_until_ns = self.queue.now_ns + self.config.proc_ns
             self.queue.schedule(
@@ -610,35 +603,39 @@ class _ChainSimulation:
         self._schedule_signals(node_id, cycle, fired)
 
     def _schedule_signals(self, node_id: int, cycle: int, fired: int) -> None:
-        # One queue entry for the whole train, holding a seq per signal;
-        # fusilier k fires k slot times after the herald passes.
+        # One queue entry for the whole train, holding a seq per signal and
+        # due at its last; fusilier k fires k slot times after the herald.
         if not fired:
             return
         start_ns = self.queue.now_ns + self.schedule.link_delays_ns[node_id]
-        tau = self.config.tau_slot_ns
-        arrivals = [start_ns + k * tau for k in range(fired)]
         draws = self.rng.draws(
             self.ledgers[cycle].seeds[LINK_DOMAIN, node_id],
             fired + self.config.links[node_id].m_fusilands,
         )
         self.queue.schedule(
-            Event(arrivals[-1], EventKind.SIGNAL_ARRIVE, node_id + 1, cycle, (arrivals, draws)),
+            Event(
+                start_ns + (fired - 1) * self.config.tau_slot_ns,
+                EventKind.SIGNAL_ARRIVE,
+                node_id + 1,
+                cycle,
+                draws,
+            ),
             fired,
         )
 
     def _end_of_train(
-        self, node: NodeState, cycle: int, fusiliers: list[int], errors: int, arrivals: list[int]
+        self, node: NodeState, cycle: int, fusiliers: list[int], errors: int, start_ns: int
     ) -> None:
         node_id = node.node_id
         link_idx = node_id - 1
         self.hop_success_counts[link_idx][cycle] = len(fusiliers)
-        created = [arrivals[fusilier] for fusilier in fusiliers]
+        tau = self.config.tau_slot_ns
+        created = [start_ns + fusilier * tau for fusilier in fusiliers]
         if self.config.strategy is Strategy.PURIFY3:
             hop = self._purify_hop(node_id, link_idx, cycle, fusiliers, created, errors)
         else:
             hop = _HopPairs(fusiliers, created, errors, 0, 0)
         self.ledgers[cycle].hop_pairs[link_idx] = hop
-        report_hop(node, cycle)
         relayed = []
         if node_id < self.left_senders:
             relayed, self.outboxes[node_id] = self.outboxes[node_id], []
@@ -653,8 +650,6 @@ class _ChainSimulation:
         )
         if node_id == self.num_nodes - 1:
             # The right end gets no return; its cycle ends with the train.
-            # Intermediate nodes keep their fusilands until the swap.
-            release_cycle_resources(node)
             node.busy_until_ns = self.queue.now_ns
             self._mark_complete(cycle, node_id)
 
@@ -668,7 +663,8 @@ class _ChainSimulation:
         errors: int,
     ) -> _HopPairs:
         # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t; its round is bit
-        # t of every column handed to purify3_bits.
+        # t of every column handed to purify3_bits. Fusiliers increase within
+        # a train, so the trio was made when its third member arrived.
         trios = len(fusiliers) // 3
         if not trios:
             return _NO_PAIRS
@@ -708,7 +704,7 @@ class _ChainSimulation:
         end = 3 * trios
         return _HopPairs(
             fusiliers[0:end:3],
-            list(map(max, created[0:end:3], created[1:end:3], created[2:end:3])),
+            created[2:end:3],
             kept_errors,
             frame_x,
             frame_z,
@@ -808,7 +804,7 @@ class _ChainSimulation:
         run(self.queue, handlers)
         # A train's signals are traced at keys before the train's dispatch.
         self.trace.sort()
-        if self.split is not None:
+        if self.left_senders:
             self._flush_leftbound()
             self._assign_left_availability()
         return RunResult(
@@ -817,7 +813,7 @@ class _ChainSimulation:
             records=self.records,
             per_cycle_delivered=self.per_cycle_delivered,
             hop_success_counts=self.hop_success_counts,
-            split_index=self.split,
+            split_index=self.left_senders or None,
             left_frame_folds=dict(self.left_folds),
             trace=self.trace,
         )
@@ -825,7 +821,7 @@ class _ChainSimulation:
     def _flush_leftbound(self) -> None:
         # Records still relaying hop-by-hop when the run ends are folded
         # into the left-end ledger without an arrival timestamp.
-        for outbox in self.outboxes[1 : self.split]:
+        for outbox in self.outboxes[1 : self.left_senders]:
             self._absorb_leftbound(outbox, None)
 
     def _assign_left_availability(self) -> None:

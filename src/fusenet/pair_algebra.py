@@ -10,8 +10,8 @@ Corrections are never applied physically; they accumulate in a Pauli frame
 The bit algebra of purification and swapping is GF(2), so its kernels
 (``purify3_bits``, ``swap_bits``) work on packed ints of any width: bit k
 of every argument and of every result belongs to round k. The simulator
-folds a whole hop, or a whole chain, per call; ``purify3_apply`` and
-``swap_apply`` run the same kernels on the bits of single pair records.
+folds a whole hop, or a whole chain, per call, and a single round is the
+same call on one-bit ints: they are the one implementation of both steps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ConfigurationError, ProtocolError, UnsatisfiableError
+from .errors import ConfigurationError, UnsatisfiableError
 
 __all__ = [
     "PauliFrame",
@@ -33,7 +33,6 @@ __all__ = [
     "PairRecord",
     "LinkModel",
     "ErrorLocation",
-    "PurifyMeasurements",
     "check_fidelity",
     "success_probability",
     "failure_prob_single",
@@ -43,10 +42,8 @@ __all__ = [
     "purify3_decode",
     "purify3_kept_fidelity",
     "purify3_bits",
-    "purify3_apply",
     "swap_compose_analytic",
     "swap_bits",
-    "swap_apply",
     "chain_fidelity",
 ]
 
@@ -253,24 +250,6 @@ def purify3_decode(syndrome_12: int, syndrome_23: int) -> ErrorLocation:
     return _DECODE[(syndrome_12 & 1, syndrome_23 & 1)]
 
 
-class PurifyMeasurements(NamedTuple):
-    """Raw outcomes of one three-pair purification round.
-
-    Parities are measured pairwise (pairs 1,2 then 2,3) on the transmitting
-    and receiving side; the four X readouts come from measuring out the
-    second and third qubit on each side.
-    """
-
-    tx_parity_12: int
-    tx_parity_23: int
-    rx_parity_12: int
-    rx_parity_23: int
-    tx_x2: int
-    tx_x3: int
-    rx_x2: int
-    rx_x3: int
-
-
 @lru_cache(maxsize=256)
 def purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
     """Model fidelity of the pair kept from three pairs of fidelities f1..f3.
@@ -305,13 +284,14 @@ def purify3_bits(
     """Purification rounds packed one per bit: (kept x_error, frame X, frame Z).
 
     ``x_error`` holds the kept (first) pair's error bits; the other
-    arguments are the measured bits in ``PurifyMeasurements`` order, taken
-    as given. The syndromes are the XOR of transmit- and receive-side
-    parities, and the decoder flips the kept pair's error only where it
-    blames pair 1, syndrome (1, 0). The four parity bits combine into the
-    round's X frame delta and the four X readouts into its Z delta; the
-    convention is internal, only self-consistency of the XOR algebra is
-    relied on.
+    arguments are the measured bits, taken as given: the parities of pairs
+    1,2 and 2,3 on the transmitting and the receiving side, then the X
+    readouts of the second and third qubit on each side. The syndromes are
+    the XOR of transmit- and receive-side parities, and the decoder flips
+    the kept pair's error only where it blames pair 1, syndrome (1, 0). The
+    four parity bits combine into the round's X frame delta and the four X
+    readouts into its Z delta; the convention is internal, only
+    self-consistency of the XOR algebra is relied on.
     """
     syndrome_12 = tx_parity_12 ^ rx_parity_12
     syndrome_23 = tx_parity_23 ^ rx_parity_23
@@ -319,45 +299,6 @@ def purify3_bits(
         x_error ^ (syndrome_12 & ~syndrome_23),
         syndrome_12 ^ syndrome_23,
         tx_x2 ^ tx_x3 ^ rx_x2 ^ rx_x3,
-    )
-
-
-def purify3_apply(
-    pairs: Sequence[PairRecord], meas: PurifyMeasurements
-) -> PairRecord:
-    """Consume three same-hop pairs and return the kept (first) pair.
-
-    The bits come from ``purify3_bits``: the kept ``x_error`` is the
-    residual after decoding, and the kept frame composes the input frames
-    with the round's frame delta. Over random inputs the residual error
-    rate equals 1 - purify3_analytic(F).
-    """
-    if len(pairs) != 3:
-        raise ProtocolError(f"purification consumes exactly 3 pairs, got {len(pairs)}")
-    first, second, third = pairs
-    for other in (second, third):
-        if other.left.node != first.left.node or other.right.node != first.right.node:
-            raise ProtocolError(
-                "purified pairs must share one hop, got "
-                f"{first.left.node}-{first.right.node} and "
-                f"{other.left.node}-{other.right.node}"
-            )
-    residual, delta_x, delta_z = purify3_bits(first.x_error, *(bit & 1 for bit in meas))
-    frame = (
-        first.frame
-        .compose(second.frame)
-        .compose(third.frame)
-        .compose(FRAMES[delta_x][delta_z])
-    )
-    return PairRecord(
-        left=first.left,
-        right=first.right,
-        x_error=residual,
-        frame=frame,
-        created_at_ns=max(first.created_at_ns, second.created_at_ns, third.created_at_ns),
-        model_fidelity=purify3_kept_fidelity(
-            first.model_fidelity, second.model_fidelity, third.model_fidelity
-        ),
     )
 
 
@@ -388,38 +329,6 @@ def swap_bits(
         left_error ^ right_error,
         left_x ^ right_x ^ parity_outcome,
         left_z ^ right_z ^ x_outcome,
-    )
-
-
-def swap_apply(
-    left: PairRecord, right: PairRecord, parity_outcome: int, x_outcome: int
-) -> PairRecord:
-    """Join two pairs meeting at a common node into one spanning pair.
-
-    The bits come from ``swap_bits``; the model fidelity from
-    ``swap_compose_analytic``.
-    """
-    if left.right.node != right.left.node:
-        raise ProtocolError(
-            f"pairs do not meet at one node: {left.right.node} vs {right.left.node}"
-        )
-    x_error, frame_x, frame_z = swap_bits(
-        left.x_error,
-        right.x_error,
-        left.frame.x_bit,
-        left.frame.z_bit,
-        right.frame.x_bit,
-        right.frame.z_bit,
-        parity_outcome & 1,
-        x_outcome & 1,
-    )
-    return PairRecord(
-        left=left.left,
-        right=right.right,
-        x_error=x_error,
-        frame=FRAMES[frame_x][frame_z],
-        created_at_ns=max(left.created_at_ns, right.created_at_ns),
-        model_fidelity=swap_compose_analytic(left.model_fidelity, right.model_fidelity),
     )
 
 

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from fusenet.cli import main as cli_main
-from fusenet.machines import (
-    NodeState,
-    on_herald,
-    on_train,
-    release_cycle_resources,
-    report_hop,
-)
+from fusenet.machines import NodeState, on_herald, on_train
 from fusenet.metrics import summarize
 from fusenet.network import butterfly_split, run_network
 from fusenet.pair_algebra import (
@@ -94,8 +88,6 @@ def test_criterion_4a_hop_success_counts():
         fusiliers, _ = on_train(rx, link, rng, n)
         if len(fusiliers) < m:
             short += 1
-        report_hop(rx, cycle)
-        release_cycle_resources(rx)
     expected = failure_prob_multi(n, m, p)
     se = math.sqrt(expected * (1 - expected) / cycles)
     assert abs(short / cycles - expected) <= 4 * se

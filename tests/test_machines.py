@@ -16,8 +16,6 @@ from fusenet.machines import (
     on_herald,
     on_return,
     on_train,
-    release_cycle_resources,
-    report_hop,
 )
 from fusenet.pair_algebra import (
     Endpoint,
@@ -90,7 +88,7 @@ class TestOnSignal:
         _, rx, _ = start_cycle(2, 1)
         (fusiliers, _), _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
         assert fusiliers == [1]  # fusilier 1 filled slot 0
-        assert rx.fusilands is FusilandPhase.RECEIVED
+        assert rx.fusilands is FusilandPhase.IDLE
 
     def test_exhausted_bank_discards_without_drawing(self):
         _, rx, _ = start_cycle(4, 2)
@@ -128,48 +126,33 @@ class TestOnSignal:
 
 
 class TestBuildReturnMessage:
-    """``report_hop``, under the name it had while it built the return message."""
+    """The hop's matches a return message reports: ``on_train``'s columns."""
 
     def test_no_successes_gives_empty_matches(self):
         _, rx, _ = start_cycle(3, 1)
         (fusiliers, errors), _ = run_train(rx, 3, draws=[0.9, 0.9, 0.9])
-        report_hop(rx, 0)
         assert (fusiliers, errors) == ([], 0)
-        assert rx.fusilands is FusilandPhase.REPORTED
+        assert rx.fusilands is FusilandPhase.IDLE
 
     def test_matches_name_fusilier_and_slot(self):
         _, rx, _ = start_cycle(8, 2)
         draws = [0.9, 0.9, 0.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.5]
         (fusiliers, _), _ = run_train(rx, 8, draws=draws)
-        report_hop(rx, 0)
         assert fusiliers == [2, 7]  # slots 0 and 1
 
     def test_capacity_bounds_matches(self):
         _, rx, _ = start_cycle(5, 2)
         draws = [0.0, 0.5, 0.0, 0.5]  # first two succeed, bank full
         (fusiliers, _), _ = run_train(rx, 5, draws=draws)
-        report_hop(rx, 0)
         assert fusiliers == [0, 1]
-
-    def test_incomplete_train_rejected(self):
-        # a report before any train arrived; a train is resolved whole
-        _, rx, _ = start_cycle(3, 1)
-        with pytest.raises(ProtocolError, match="no signal train"):
-            report_hop(rx, 0)
-        assert rx.fusilands is FusilandPhase.READY
-
-    def test_wrong_cycle_rejected(self):
-        _, rx, _ = start_cycle(3, 1)
-        run_train(rx, 3, draws=[0.9, 0.9, 0.9])
-        with pytest.raises(ProtocolError, match="asked to report cycle 1 during cycle 0"):
-            report_hop(rx, 1)
-        assert rx.fusilands is FusilandPhase.RECEIVED
 
 
 def awaiting_return():
-    """An intermediate node whose fusillade fired, awaiting its return."""
+    """An intermediate node whose fusillade fired and whose incoming train
+    was resolved, awaiting its return."""
     node = NodeState(1, n_fusiliers=3, m_fusilands=3)
     on_herald(node, 0, 0)
+    run_train(node, 3, draws=[0.9, 0.9, 0.9])
     return node
 
 
@@ -199,8 +182,7 @@ class TestOnReturn:
         swaps = on_return(node, 0, 0, None)
         assert swaps == (0, 0)
         assert node.fusillade is FusilladePhase.IDLE
-        release_cycle_resources(node)
-        assert node.all_idle()
+        on_herald(node, 1, 0)  # the next herald is accepted
 
     def test_wrong_cycle_rejected(self):
         node = awaiting_return()
@@ -221,13 +203,12 @@ class TestOnReturn:
 
 class TestCycleLifecycle:
     def test_release_resets_everything(self):
+        # the train leaves the fusilands idle, the return the fusillade
         tx, rx, _ = start_cycle(3, 2)
         run_train(rx, 3, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
-        report_hop(rx, 0)
         on_return(tx, 0, 0, None)
-        release_cycle_resources(tx)
-        release_cycle_resources(rx)
-        assert tx.all_idle() and rx.all_idle()
+        assert tx.fusillade is FusilladePhase.IDLE
+        assert rx.fusilands is FusilandPhase.IDLE
         # next herald is accepted again
         on_herald(tx, 1, 1000)
         on_herald(rx, 1, 1050)
@@ -250,17 +231,6 @@ class TestCycleLifecycle:
         assert abs(short / cycles - expected) <= 4 * se
 
 
-def _release_unconfirmed_fusillade():
-    tx, _, _ = start_cycle(2, 1)
-    release_cycle_resources(tx)
-
-
-def _release_unreported_fusilands():
-    _, rx, _ = start_cycle(2, 1)
-    run_train(rx, 2, draws=[0.9, 0.9])
-    release_cycle_resources(rx)
-
-
 def _signal_at_unreadied_bank(draws):
     def sequence():
         rx = NodeState(1, n_fusiliers=0, m_fusilands=2)
@@ -270,36 +240,31 @@ def _signal_at_unreadied_bank(draws):
 
 
 def _signal_at_reported_bank():
-    _, rx, _ = start_cycle(2, 1)
-    run_train(rx, 2, draws=[0.1, 0.5])
-    report_hop(rx, 0)
-    run_train(rx, 2, draws=[0.1, 0.5])
+    # the train was resolved and the node took its return for the cycle
+    node = awaiting_return()
+    on_return(node, 0, 0, None)
+    run_train(node, 3, draws=[0.1, 0.5])
 
 
-def _report_twice():
-    _, rx, _ = start_cycle(2, 1)
-    run_train(rx, 2, draws=[0.1, 0.5])
-    report_hop(rx, 0)
-    report_hop(rx, 0)
+def _return_before_train():
+    node = NodeState(1, n_fusiliers=3, m_fusilands=3)
+    on_herald(node, 0, 0)
+    on_return(node, 0, 0, None)
 
 
 @pytest.mark.parametrize(
     "sequence",
     [
-        _release_unconfirmed_fusillade,
-        _release_unreported_fusilands,
         _signal_at_unreadied_bank([0.1, 0.5]),
         _signal_at_unreadied_bank([0.9]),
         _signal_at_reported_bank,
-        _report_twice,
+        _return_before_train,
     ],
     ids=[
-        "release_fusillade_unconfirmed",
-        "release_fusilands_unreported",
         "signal_unreadied_bank_success_draw",
         "signal_unreadied_bank_failure_draw",
         "signal_reported_bank",
-        "build_return_message_twice",
+        "return_before_train",
     ],
 )
 def test_illegal_bank_sequence_raises(sequence):
@@ -376,7 +341,7 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     ]
     assert errors >> len(fusiliers) == 0
     assert rngs[0].draws == rngs[1].draws
-    report_hop(nodes[0], 0)  # the whole train was received
+    assert nodes[0].fusilands is FusilandPhase.IDLE  # the whole train was received
 
 
 @given(
@@ -399,15 +364,12 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert len(fusiliers) <= m
     assert fusiliers == sorted(set(fusiliers))
     assert errors == 0  # raw fidelity 1
-    assert rx.fusilands is FusilandPhase.RECEIVED
-
-    report_hop(rx, 0)
-    assert rx.fusilands is FusilandPhase.REPORTED
+    assert rx.fusilands is FusilandPhase.IDLE
 
     swaps = on_return(tx, 0, 0, rng)
     assert swaps == (0, 0)  # tx has no left hop: end node
     assert tx.fusillade is FusilladePhase.IDLE
 
-    release_cycle_resources(tx)
-    release_cycle_resources(rx)
-    assert tx.all_idle() and rx.all_idle()
+    # the next cycle starts cleanly at both nodes
+    on_herald(tx, 1, 100)
+    on_herald(rx, 1, 111)

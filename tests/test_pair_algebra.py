@@ -14,25 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from fusenet.errors import ConfigurationError, ProtocolError, UnsatisfiableError
+from fusenet.errors import ConfigurationError, UnsatisfiableError
 from fusenet.pair_algebra import (
-    Endpoint,
     ErrorLocation,
     IDENTITY_FRAME,
     LinkModel,
-    PairRecord,
     PauliFrame,
-    PurifyMeasurements,
     chain_fidelity,
     failure_prob_multi,
     failure_prob_single,
     min_fusiliers,
     purify3_analytic,
-    purify3_apply,
     purify3_bits,
     purify3_decode,
+    purify3_kept_fidelity,
     success_probability,
-    swap_apply,
     swap_bits,
     swap_compose_analytic,
 )
@@ -45,17 +41,6 @@ def enumerated_failure_prob(n, m, p):
     for bits in range(2**n):
         counts[bits.bit_count()] += 1
     return math.fsum(counts[k] * p**k * q ** (n - k) for k in range(m))
-
-
-def make_pair(x_error=0, left=(0, 0), right=(1, 0), frame=IDENTITY_FRAME, fid=1.0):
-    return PairRecord(
-        left=Endpoint(*left),
-        right=Endpoint(*right),
-        x_error=x_error,
-        frame=frame,
-        created_at_ns=0,
-        model_fidelity=fid,
-    )
 
 
 class TestSuccessProbability:
@@ -244,85 +229,69 @@ class TestPurifyDecode:
 
 
 def _measurements_for(errors, coins=(0, 0, 0, 0, 0, 0)):
+    """The measured bits of a round on error pattern ``errors``, in
+    ``purify3_bits`` order: receive-side parities follow the true syndrome."""
     tx12, tx23, tx_x2, tx_x3, rx_x2, rx_x3 = coins
     e1, e2, e3 = errors
-    return PurifyMeasurements(
-        tx_parity_12=tx12,
-        tx_parity_23=tx23,
-        rx_parity_12=tx12 ^ e1 ^ e2,
-        rx_parity_23=tx23 ^ e2 ^ e3,
-        tx_x2=tx_x2,
-        tx_x3=tx_x3,
-        rx_x2=rx_x2,
-        rx_x3=rx_x3,
-    )
+    return (tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3)
+
+
+def _kept_error(errors, coins=(0, 0, 0, 0, 0, 0)):
+    return purify3_bits(errors[0], *_measurements_for(errors, coins))[0]
+
+
+def _patterns(f1, f2, f3):
+    """The 8 error patterns of three pairs, with their probabilities."""
+    for k in range(8):
+        errors = (k & 1, k >> 1 & 1, k >> 2 & 1)
+        weight = math.prod((1.0 - f) if e else f for e, f in zip(errors, (f1, f2, f3)))
+        yield errors, weight
 
 
 class TestPurifyApply:
+    """One purification round as the simulator applies it: ``purify3_bits``
+    for the bits, ``purify3_kept_fidelity`` for the model fidelity."""
+
     def test_no_error_keeps_clean_pair(self):
-        pairs = [make_pair(0), make_pair(0, right=(1, 1)), make_pair(0, right=(1, 2))]
-        kept = purify3_apply(pairs, _measurements_for((0, 0, 0)))
-        assert kept.x_error == 0
-        assert kept.left == pairs[0].left and kept.right == pairs[0].right
+        assert purify3_bits(0, *_measurements_for((0, 0, 0))) == (0, 0, 0)
 
     def test_error_on_kept_pair_corrected(self):
-        pairs = [make_pair(1), make_pair(0), make_pair(0)]
-        kept = purify3_apply(pairs, _measurements_for((1, 0, 0)))
-        assert kept.x_error == 0
+        assert _kept_error((1, 0, 0)) == 0
 
     def test_double_error_miscorrects(self):
         # (1,1,0) produces the syndrome of pair 3: a logical error survives
-        pairs = [make_pair(1), make_pair(1), make_pair(0)]
-        kept = purify3_apply(pairs, _measurements_for((1, 1, 0)))
-        assert kept.x_error == 1
+        assert _kept_error((1, 1, 0)) == 1
 
     def test_residual_over_all_patterns_matches_analytic(self):
-        # exhaustive weighting of the 8 patterns reproduces 1 - F'
-        for f in (0.8, 0.9, 0.95):
-            e = 1.0 - f
-            residual = 0.0
-            for e1 in (0, 1):
-                for e2 in (0, 1):
-                    for e3 in (0, 1):
-                        pairs = [make_pair(e1), make_pair(e2), make_pair(e3)]
-                        kept = purify3_apply(
-                            pairs, _measurements_for((e1, e2, e3))
-                        )
-                        weight = math.prod(
-                            e if bit else (1.0 - e) for bit in (e1, e2, e3)
-                        )
-                        residual += weight * kept.x_error
-            assert residual == pytest.approx(1.0 - purify3_analytic(f), abs=1e-12)
+        # exhaustive weighting of the 8 patterns reproduces 1 - F', and the
+        # kept fidelity of unequal inputs too
+        for fids in [(f, f, f) for f in (0.8, 0.9, 0.95)] + [(0.9, 0.8, 0.7), (0.6, 0.99, 0.85)]:
+            residual = math.fsum(
+                weight * _kept_error(errors) for errors, weight in _patterns(*fids)
+            )
+            assert residual == pytest.approx(1.0 - purify3_kept_fidelity(*fids), abs=1e-12)
+            if len(set(fids)) == 1:
+                assert residual == pytest.approx(1.0 - purify3_analytic(fids[0]), abs=1e-12)
 
     def test_kept_model_fidelity_equal_inputs(self):
-        pairs = [make_pair(0, fid=0.95) for _ in range(3)]
-        kept = purify3_apply(pairs, _measurements_for((0, 0, 0)))
-        assert kept.model_fidelity == pytest.approx(purify3_analytic(0.95), abs=1e-12)
+        assert purify3_kept_fidelity(0.95, 0.95, 0.95) == pytest.approx(
+            purify3_analytic(0.95), abs=1e-12
+        )
 
     def test_frame_composes_measurement_bits(self):
-        pairs = [make_pair(0), make_pair(0), make_pair(0)]
-        meas = _measurements_for((0, 0, 0), coins=(1, 0, 1, 1, 0, 1))
-        kept = purify3_apply(pairs, meas)
+        _, frame_x, frame_z = purify3_bits(0, *_measurements_for((0, 0, 0), coins=(1, 0, 1, 1, 0, 1)))
         # parity bits feed x, the four X readouts feed z
-        assert kept.frame.x_bit == 1 ^ 0 ^ 1 ^ 0
-        assert kept.frame.z_bit == 1 ^ 1 ^ 0 ^ 1
-
-    def test_mismatched_endpoints_rejected(self):
-        pairs = [make_pair(0), make_pair(0, right=(2, 0)), make_pair(0)]
-        with pytest.raises(ProtocolError):
-            purify3_apply(pairs, _measurements_for((0, 0, 0)))
+        assert frame_x == 1 ^ 0 ^ 1 ^ 0
+        assert frame_z == 1 ^ 1 ^ 0 ^ 1
 
     def test_monte_carlo_residual_rate(self):
-        # smoke-scale check; the acceptance suite runs the full 1e6 triples
+        # smoke-scale, one round per call; the acceptance suite runs 1e6
+        # triples packed into one call
         f = 0.9
         n = 100_000
         rng = np.random.default_rng(12)
         errors = (rng.random((n, 3)) < 1.0 - f).astype(int)
-        failures = 0
-        for e1, e2, e3 in errors.tolist():
-            pairs = [make_pair(e1), make_pair(e2), make_pair(e3)]
-            kept = purify3_apply(pairs, _measurements_for((e1, e2, e3)))
-            failures += kept.x_error
+        failures = sum(_kept_error(row) for row in errors.tolist())
         expected = 1.0 - purify3_analytic(f)
         se = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(failures / n - expected) <= 4 * se
@@ -338,28 +307,22 @@ class TestPurifyBits:
 
     @staticmethod
     def reference(e1, meas):
-        blamed = purify3_decode(
-            meas.tx_parity_12 ^ meas.rx_parity_12, meas.tx_parity_23 ^ meas.rx_parity_23
-        )
+        tx12, tx23, rx12, rx23, tx_x2, tx_x3, rx_x2, rx_x3 = meas
+        blamed = purify3_decode(tx12 ^ rx12, tx23 ^ rx23)
         kept = e1 ^ (blamed is ErrorLocation.PAIR1)
-        x = meas.tx_parity_12 ^ meas.tx_parity_23 ^ meas.rx_parity_12 ^ meas.rx_parity_23
-        z = meas.tx_x2 ^ meas.tx_x3 ^ meas.rx_x2 ^ meas.rx_x3
-        return kept, x, z
+        return kept, tx12 ^ tx23 ^ rx12 ^ rx23, tx_x2 ^ tx_x3 ^ rx_x2 ^ rx_x3
 
     def test_all_inputs_packed_and_scalar(self):
         # input k: bits 0-2 are the three error bits, bits 3-10 the eight
-        # measured bits in PurifyMeasurements order
+        # measured bits in purify3_bits order
         inputs = 2**11
         e1, _, _, *meas_columns = _columns(inputs, 11)
         packed = purify3_bits(e1, *meas_columns)
         for k in range(inputs):
-            errors = [(k >> j) & 1 for j in range(3)]
-            meas = PurifyMeasurements(*((k >> j) & 1 for j in range(3, 11)))
-            expected = self.reference(errors[0], meas)
+            meas = [(k >> j) & 1 for j in range(3, 11)]
+            expected = self.reference(k & 1, meas)
             assert tuple((column >> k) & 1 for column in packed) == expected
-            assert purify3_bits(errors[0], *meas) == expected
-            kept = purify3_apply([make_pair(e, right=(1, j)) for j, e in enumerate(errors)], meas)
-            assert (kept.x_error, kept.frame.x_bit, kept.frame.z_bit) == expected
+            assert purify3_bits(k & 1, *meas) == expected
 
 
 class TestSwapBits:
@@ -376,13 +339,6 @@ class TestSwapBits:
             expected = (el ^ er, frame.x_bit, frame.z_bit)
             assert tuple((column >> k) & 1 for column in packed) == expected
             assert swap_bits(el, er, lx, lz, rx, rz, parity, x_out) == expected
-            joined = swap_apply(
-                make_pair(el, right=(1, 0), frame=PauliFrame(lx, lz)),
-                make_pair(er, left=(1, 0), right=(2, 0), frame=PauliFrame(rx, rz)),
-                parity,
-                x_out,
-            )
-            assert (joined.x_error, joined.frame) == (el ^ er, frame)
 
 
 class TestSwap:
@@ -397,29 +353,29 @@ class TestSwap:
         for f in (0.0, 0.25, 0.8, 1.0):
             assert swap_compose_analytic(0.5, f) == pytest.approx(0.5, abs=1e-15)
 
+    # swap_bits(left error, right error, left X, left Z, right X, right Z,
+    # parity outcome, X outcome) -> (error, frame X, frame Z)
     def test_apply_clean(self):
-        left = make_pair(0, left=(0, 0), right=(1, 0))
-        right = make_pair(0, left=(1, 0), right=(2, 0))
-        joined = swap_apply(left, right, 0, 0)
-        assert joined.left == Endpoint(0, 0) and joined.right == Endpoint(2, 0)
-        assert joined.x_error == 0 and joined.frame == IDENTITY_FRAME
+        assert swap_bits(0, 0, 0, 0, 0, 0, 0, 0) == (0, 0, 0)
 
     def test_apply_xors_errors(self):
-        left = make_pair(1, right=(1, 0))
-        right = make_pair(0, left=(1, 0), right=(2, 0))
-        assert swap_apply(left, right, 0, 0).x_error == 1
+        assert swap_bits(1, 0, 0, 0, 0, 0, 0, 0)[0] == 1
+        assert swap_bits(1, 1, 0, 0, 0, 0, 0, 0)[0] == 0
 
     def test_apply_composes_frames_and_outcomes(self):
-        left = make_pair(0, right=(1, 0), frame=PauliFrame(1, 0))
-        right = make_pair(0, left=(1, 0), right=(2, 0), frame=PauliFrame(0, 1))
-        joined = swap_apply(left, right, 1, 1)
-        assert joined.frame == PauliFrame(1 ^ 0 ^ 1, 0 ^ 1 ^ 1)
+        # left frame (1, 0), right frame (0, 1), both outcomes 1
+        assert swap_bits(0, 0, 1, 0, 0, 1, 1, 1) == (0, 1 ^ 0 ^ 1, 0 ^ 1 ^ 1)
 
-    def test_non_adjacent_rejected(self):
-        left = make_pair(0, right=(1, 0))
-        right = make_pair(0, left=(5, 0), right=(6, 0))
-        with pytest.raises(ProtocolError):
-            swap_apply(left, right, 0, 0)
+    def test_fidelity_is_weight_of_clean_outcomes(self):
+        # the model fidelity of a swap is the weight of its error-free outcomes
+        for f1, f2 in ((0.9, 0.8), (0.95, 0.95), (0.6, 1.0)):
+            clean = math.fsum(
+                (f1 if el == 0 else 1.0 - f1) * (f2 if er == 0 else 1.0 - f2)
+                for el in (0, 1)
+                for er in (0, 1)
+                if swap_bits(el, er, 0, 0, 0, 0, 0, 0)[0] == 0
+            )
+            assert swap_compose_analytic(f1, f2) == pytest.approx(clean, abs=1e-15)
 
 
 class TestChainFidelity:
@@ -461,10 +417,10 @@ class TestChainFidelity:
         draws = rng.random((n, 3))
         errors = 0
         for row in draws.tolist():
-            left = make_pair(int(row[0] < 0.1), right=(1, 0))
-            right = make_pair(int(row[1] < 0.2), left=(1, 0), right=(2, 0))
-            joined = swap_apply(left, right, int(row[2] < 0.5), 0)
-            errors += joined.x_error
+            x_error, _, _ = swap_bits(
+                int(row[0] < 0.1), int(row[1] < 0.2), 0, 0, 0, 0, int(row[2] < 0.5), 0
+            )
+            errors += x_error
         expected = 1.0 - chain_fidelity(fids)
         se = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(errors / n - expected) <= 4 * se
@@ -494,17 +450,14 @@ class TestFrameAlgebra:
         assert PauliFrame(1, 1).compose(IDENTITY_FRAME) == PauliFrame(1, 1)
 
     def test_swap_chain_frame_association_independent(self):
-        # frames accumulated across swaps do not depend on association order
-        pairs = [
-            make_pair(i % 2, left=(i, 0), right=(i + 1, 0), frame=PauliFrame(i & 1, (i >> 1) & 1))
-            for i in range(4)
-        ]
+        # frames accumulated across swaps do not depend on association order;
+        # hop i's (error, frame X, frame Z), and the swap outcomes at nodes 1-3
+        hops = [(i % 2, i & 1, (i >> 1) & 1) for i in range(4)]
         outcomes = [(1, 0), (0, 1), (1, 1)]
-        left_fold = pairs[0]
-        for pair, (a, b) in zip(pairs[1:], outcomes):
-            left_fold = swap_apply(left_fold, pair, a, b)
-        right_fold = pairs[-1]
-        for pair, (a, b) in zip(reversed(pairs[:-1]), reversed(outcomes)):
-            right_fold = swap_apply(pair, right_fold, a, b)
-        assert left_fold.frame == right_fold.frame
-        assert left_fold.x_error == right_fold.x_error
+        left_fold = hops[0]
+        for (e, x, z), (a, b) in zip(hops[1:], outcomes):
+            left_fold = swap_bits(left_fold[0], e, left_fold[1], left_fold[2], x, z, a, b)
+        right_fold = hops[-1]
+        for (e, x, z), (a, b) in zip(reversed(hops[:-1]), reversed(outcomes)):
+            right_fold = swap_bits(e, right_fold[0], x, z, right_fold[1], right_fold[2], a, b)
+        assert left_fold == right_fold
