@@ -146,6 +146,15 @@ class TestBuildReturnMessage:
         (fusiliers, _), _ = run_train(rx, 5, draws=draws)
         assert fusiliers == [0, 1]
 
+    def test_incomplete_train_rejected(self):
+        # a return before the node's own train arrived; a train is resolved whole
+        node = NodeState(1, n_fusiliers=3, m_fusilands=1)
+        on_herald(node, 0, 0)
+        with pytest.raises(ProtocolError, match="before its signal train arrived"):
+            on_return(node, 0, 0, None)
+        assert node.fusilands is FusilandPhase.READY
+        assert node.fusillade is FusilladePhase.FIRED
+
 
 def awaiting_return():
     """An intermediate node whose fusillade fired and whose incoming train
