@@ -15,7 +15,6 @@ from .pair_algebra import (
     PauliFrame,
     chain_fidelity,
     failure_prob_multi,
-    failure_prob_single,
     min_fusiliers,
     purify3_analytic,
     purify3_decode,
@@ -49,7 +48,6 @@ __all__ = [
     "PauliFrame",
     "chain_fidelity",
     "failure_prob_multi",
-    "failure_prob_single",
     "min_fusiliers",
     "purify3_analytic",
     "purify3_decode",

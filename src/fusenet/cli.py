@@ -7,7 +7,9 @@ Every error path prints a single machine-readable line to stderr of the form
 ``warning: <message>``. Output files go to temp files beside their
 targets and are renamed into place only once every write has succeeded.
 Trace lines are written from one line template, byte-equal to
-``json.dumps(record._asdict(), sort_keys=True)`` for each record.
+``json.dumps(record._asdict(), sort_keys=True)`` for each record, and
+joined into chunks of ``TRACE_CHUNK`` lines, one write per chunk. The
+argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -51,6 +54,9 @@ SWEEP_PARAMETERS = {
     "F": "raw_fidelity",
     "strategy": "strategy",
 }
+
+# Trace lines joined per write: few writes, and a bounded string per write.
+TRACE_CHUNK = 1024
 
 _SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryStats))
 _PLAN_FIELDS = tuple(f.name for f in fields(PlanRow))
@@ -111,8 +117,15 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     try:
-        m_values = _parse_int_list(args.m, "--m")
-        rows = plan_table(m_values, args.p, args.target)
+        rows = []
+        for m in _parse_int_list(args.m, "--m"):
+            try:
+                rows += plan_table([m], args.p, args.target)
+            except OverflowError:
+                raise ConfigurationError(
+                    f"m={m}, p={args.p}: the float binomial tail overflows; "
+                    "the planner cannot size this query yet"
+                ) from None
     except UnsatisfiableError as exc:
         return _fail("unsatisfiable", str(exc), EXIT_CONFIG)
     except ConfigurationError as exc:
@@ -177,19 +190,25 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
             write(sys.stdout)
 
 
-def _write_trace(fh: TextIO, trace) -> None:
+def _write_trace(fh: TextIO, trace: Sequence) -> None:
     """Write ``trace`` as JSON lines, one ``TraceRecord`` per line.
 
     Each line comes from one template and equals
     ``json.dumps(record._asdict(), sort_keys=True)``: the keys in sorted
     order, the strings escaped by the ASCII escaper ``json.dumps`` uses,
-    and the ints printed as ints.
+    and the ints printed as ints. Every ``TRACE_CHUNK`` lines are joined
+    and written at once.
     """
-    fh.writelines(
-        f'{{"detail": {_escape(detail)}, "kind": {_escape(kind)}, '
-        f'"node": {node}, "seq": {seq}, "t_ns": {t_ns}}}\n'
-        for t_ns, seq, kind, node, detail in trace
-    )
+    for start in range(0, len(trace), TRACE_CHUNK):
+        fh.write(
+            "".join(
+                [
+                    f'{{"detail": {_escape(detail)}, "kind": {_escape(kind)}, '
+                    f'"node": {node}, "seq": {seq}, "t_ns": {t_ns}}}\n'
+                    for t_ns, seq, kind, node, detail in trace[start : start + TRACE_CHUNK]
+                ]
+            )
+        )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -283,7 +302,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: config: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fusenet`` argument parser, built on the first call and shared, unmodified, after."""
     parser = _Parser(
         prog="fusenet",
         description=(

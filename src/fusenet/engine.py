@@ -18,6 +18,12 @@ what the train's handler reads or writes, which the caller guarantees (see
 nothing queued, for a caller that keys a record like an event without
 dispatching one. ``run`` only dispatches; handlers keep their own trace.
 
+``run`` is the one consumer of the queue: it pops the queue's heap itself,
+sets ``now_ns`` and calls ``handlers[event.kind]``. Event kinds hash by
+identity (``object.__hash__``), which is exact because each member is a
+singleton; the handler lookup then costs no Python-level ``Enum.__hash__``
+call per event.
+
 Each (domain, index, cycle) key owns numpy's
 ``PCG64(SeedSequence((seed, domain, index, cycle)))`` generator. Building a
 ``SeedSequence`` per key costs far more than drawing from it, so
@@ -78,6 +84,9 @@ class EventKind(Enum):
     RETURN_ARRIVE = "ReturnArrive"
     SWAP_COMPLETE = "SwapComplete"
 
+    # Members are singletons, so identity hashing is exact, and it is C-level.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class Event:
@@ -118,8 +127,10 @@ class EventQueue:
             raise SchedulingError(
                 f"event at t={event.time_ns} ns lies before now={self.now_ns} ns"
             )
-        event.seq = self.reserve(count)
-        heapq.heappush(self._heap, (event.time_ns, event.seq, event))
+        seq = self._next_seq + count - 1
+        self._next_seq = seq + 1
+        event.seq = seq
+        heapq.heappush(self._heap, (event.time_ns, seq, event))
         return event
 
     def reserve(self, count: int = 1) -> int:
@@ -127,20 +138,18 @@ class EventQueue:
         self._next_seq += count
         return self._next_seq - 1
 
-    def pop(self) -> Event:
-        time_ns, _seq, event = heapq.heappop(self._heap)
-        self.now_ns = time_ns
-        return event
-
 
 def run(queue: EventQueue, handlers: Mapping[EventKind, Callable[[Event], None]]) -> None:
     """Dispatch events in (time, seq) order until the queue drains.
 
-    A handler raising a ProtocolError aborts the run; the offending event is
+    Sets ``queue.now_ns`` to each event's time before its handler runs. A
+    handler raising a ProtocolError aborts the run; the offending event is
     attached to the exception as ``exc.event``.
     """
-    while len(queue):
-        event = queue.pop()
+    heap = queue._heap
+    pop = heapq.heappop
+    while heap:
+        queue.now_ns, _seq, event = pop(heap)
         try:
             handlers[event.kind](event)
         except ProtocolError as exc:

@@ -69,6 +69,7 @@ success count lives in ``hop_success_counts``, which the trace reads too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -225,6 +226,11 @@ class TraceRecord(NamedTuple):
     kind: str
     node: int
     detail: str
+
+
+# A TraceRecord from one (t_ns, seq, kind, node, detail) tuple, built in C:
+# the NamedTuple's own constructor is Python code.
+_trace_record = functools.partial(tuple.__new__, TraceRecord)
 
 
 @dataclass
@@ -498,22 +504,25 @@ class _ChainSimulation:
     def _train_records(
         self, event: Event, node: NodeState, count: int, start_ns: int, fusiliers: list[int]
     ) -> None:
-        # Signal k of the train has seq first + k. It succeeded if it filled
-        # a slot, was discarded if it came after the bank filled, and failed
-        # otherwise.
-        first = event.seq - count + 1
-        tau = self.config.tau_slot_ns
+        # Signal k of the train arrived at start_ns + k * tau under seq
+        # event.seq - count + 1 + k. It succeeded if it filled a slot, was
+        # discarded if it came after the bank filled, and failed otherwise.
         full = fusiliers[-1] + 1 if len(fusiliers) == node.m_fusilands else count
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
         for slot, fusilier in enumerate(fusiliers):
             outcomes[fusilier] = f"success slot={slot}"
-        kind = event.kind.value
-        node_id = node.node_id
         prefix = f"cycle={event.cycle} fusilier="
-        self.trace += [
-            TraceRecord(start_ns + k * tau, first + k, kind, node_id, f"{prefix}{k} {outcome}")
-            for k, outcome in enumerate(outcomes)
-        ]
+        details = [f"{prefix}{k} {outcome}" for k, outcome in enumerate(outcomes)]
+        self.trace += map(
+            _trace_record,
+            zip(
+                itertools.count(start_ns, self.config.tau_slot_ns),
+                itertools.count(event.seq - count + 1),
+                itertools.repeat(event.kind._value_),
+                itertools.repeat(node.node_id),
+                details,
+            ),
+        )
 
     def _handle_return_arrive(self, event: Event) -> None:
         node_id = event.node
@@ -575,7 +584,7 @@ class _ChainSimulation:
 
     def _trace(self, event: Event, detail: str) -> None:
         self.trace.append(
-            TraceRecord(event.time_ns, event.seq, event.kind.value, event.node, detail)
+            _trace_record((event.time_ns, event.seq, event.kind._value_, event.node, detail))
         )
 
     def _herald_at(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "ErrorLocation",
     "check_fidelity",
     "success_probability",
-    "failure_prob_single",
     "failure_prob_multi",
     "min_fusiliers",
     "purify3_analytic",
@@ -166,21 +165,13 @@ def success_probability(model: LinkModel) -> float:
     return model.p0 * math.exp(-model.length_km / model.L0_km)
 
 
-def failure_prob_single(n: int, p: float) -> float:
-    """Probability that none of ``n`` independent attempts succeed: (1-p)**n."""
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n!r}")
-    _check_probability(p)
-    return (1.0 - p) ** n
-
-
 def failure_prob_multi(n: int, m: int, p: float) -> float:
     """Probability that fewer than ``m`` of ``n`` attempts succeed.
 
     This is the lower binomial tail P[successes <= m-1] for n Bernoulli(p)
     trials, evaluated by direct summation. Double precision is ample at the
     scales used here; the smallest contributing terms are far above
-    underflow. Reduces to :func:`failure_prob_single` at m = 1.
+    underflow. At m = 1 it is exactly (1-p)**n, the chance that none succeed.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n!r}")

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusenet.cli import _write_trace, main
+from fusenet.cli import TRACE_CHUNK, _write_trace, main
 from fusenet.config import load_config, parse_config, resolved_dict
-from fusenet.network import MAX_TRAIN_DRAWS, TraceRecord
+from fusenet.network import MAX_TRAIN_DRAWS, TraceRecord, run_network
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,6 +138,16 @@ class TestPlan:
         code, out, err = run_cli(capsys, "plan", "--help")
         assert code == 0
         assert out.startswith("usage: fusenet plan") and err == ""
+
+    def test_float_tail_overflow_is_one_config_line(self, capsys):
+        # comb(1100, k) overflows a float on the first tail evaluation
+        code, out, err = run_cli(capsys, "plan", "--m", "2,1100", "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: config: m=1100, p=0.5: the float binomial tail overflows; "
+            "the planner cannot size this query yet\n"
+        )
 
 
 class TestSimulate:
@@ -518,6 +528,37 @@ def test_trace_lines_equal_json_dumps(trace):
     assert buf.getvalue() == "".join(
         json.dumps(rec._asdict(), sort_keys=True) + "\n" for rec in trace
     )
+
+
+def test_trace_chunks_equal_json_dumps(tmp_path):
+    # A real trace several chunks long, with a record needing escapes put
+    # at the first chunk boundary.
+    doc = load_config(str(CONFIGS / "chain4_purify_butterfly.json"))
+    trace = run_network(doc.network, collect_trace=True).trace
+    escaped = TraceRecord(-1, 2**70, 'Kind "q"', 3, 'a\\b\n\x00\u2028\ud800\xe9')
+    trace.insert(TRACE_CHUNK, escaped)
+    assert len(trace) > 2 * TRACE_CHUNK
+    path = tmp_path / "trace.jsonl"
+    with open(path, "x", encoding="utf-8") as fh:
+        _write_trace(fh, trace)
+    assert path.read_bytes() == "".join(
+        json.dumps(rec._asdict(), sort_keys=True) + "\n" for rec in trace
+    ).encode("ascii")
+
+
+def test_calls_in_one_process_match_first_calls(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; nothing may carry over from
+    # one call to the next. Each call is compared with the same call made
+    # first, in a fresh interpreter.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["plan", "--m", "1,2", "--p", "0.25"],
+        ["plan", "--m", "1", "--p", "abc"],
+        ["simulate", str(CONFIGS / "two_node_40km.json")],
+        ["--help"],
+    ]
+    for argv in calls:
+        assert run_cli(capsys, *argv) == run_console(*argv), argv
 
 
 class TestWriteFailure:

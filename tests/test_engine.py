@@ -36,26 +36,31 @@ def make_event(t, detail=None):
     return Event(t, EventKind.CYCLE_START, 0, 0, detail)
 
 
+def dispatch_all(q):
+    """Run ``q`` until it drains; return its events in dispatch order."""
+    seen = []
+    run(q, {EventKind.CYCLE_START: seen.append, EventKind.SIGNAL_ARRIVE: seen.append})
+    return seen
+
+
 class TestEventQueue:
     def test_equal_times_pop_in_scheduling_order(self):
         q = EventQueue()
         first = q.schedule(make_event(100, "first"))
         second = q.schedule(make_event(100, "second"))
         assert first.seq < second.seq
-        assert q.pop() is first
-        assert q.pop() is second
+        assert dispatch_all(q) == [first, second]
 
     def test_time_orders_before_seq(self):
         q = EventQueue()
         late = q.schedule(make_event(200))
         early = q.schedule(make_event(50))
-        assert q.pop() is early
-        assert q.pop() is late
+        assert dispatch_all(q) == [early, late]
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
         q.schedule(make_event(100))
-        q.pop()
+        dispatch_all(q)
         with pytest.raises(SchedulingError):
             q.schedule(make_event(99))
 
@@ -64,10 +69,8 @@ class TestEventQueue:
         for t in (5, 3, 9, 3):
             q.schedule(make_event(t))
         seen = []
-        while len(q):
-            q.pop()
-            seen.append(q.now_ns)
-        assert seen == sorted(seen)
+        run(q, {EventKind.CYCLE_START: lambda event: seen.append(q.now_ns)})
+        assert seen == [3, 3, 5, 9]
 
     def test_reserved_seqs_are_skipped_and_queue_nothing(self):
         q = EventQueue()
@@ -76,7 +79,7 @@ class TestEventQueue:
         assert q.reserve(3) == 4
         assert len(q) == 1
         assert q.schedule(make_event(5)).seq == 5
-        assert [q.pop().seq for _ in range(2)] == [first.seq, 5]
+        assert [event.seq for event in dispatch_all(q)] == [first.seq, 5]
 
 
 class TestRun:
@@ -141,7 +144,7 @@ class TestTrain:
         # seqs 1, 2, 3 are the train's; it is queued under the last one.
         assert (before.seq, train.seq, after.seq) == (0, 3, 4)
         assert len(q) == 3
-        assert [q.pop() for _ in range(3)] == [before, after, train]
+        assert dispatch_all(q) == [before, after, train]
         assert q.now_ns == 10
 
     def test_ties_with_earlier_and_later_seqs(self):
@@ -188,7 +191,7 @@ class TestTrain:
     def test_train_starting_in_the_past_rejected(self):
         q = EventQueue()
         q.schedule(make_event(100))
-        q.pop()
+        dispatch_all(q)
         with pytest.raises(SchedulingError):
             schedule_train(q, 97, 3, 1)
 

@@ -27,7 +27,7 @@ from fusenet.pair_algebra import (
     IDENTITY_FRAME,
     LinkModel,
     chain_fidelity,
-    failure_prob_single,
+    failure_prob_multi,
     purify3_analytic,
 )
 
@@ -226,7 +226,7 @@ class TestStochasticChain:
         cfg = chain_config([40.0], n=16, m=1, p=0.25, cycles=cycles, seed=21)
         result = run_network(cfg)
         failures = sum(1 for d in result.per_cycle_delivered if d == 0)
-        expected = failure_prob_single(16, 0.25)
+        expected = failure_prob_multi(16, 1, 0.25)
         se = math.sqrt(expected * (1 - expected) / cycles)
         assert abs(failures / cycles - expected) <= 4 * se
 

@@ -22,7 +22,6 @@ from fusenet.pair_algebra import (
     PauliFrame,
     chain_fidelity,
     failure_prob_multi,
-    failure_prob_single,
     min_fusiliers,
     purify3_analytic,
     purify3_bits,
@@ -83,30 +82,30 @@ class TestSuccessProbability:
 
 
 class TestFailureProbSingle:
+    """The single-receiver case, m = 1: no signal of n succeeds."""
+
     def test_sixteen_at_quarter(self):
         # 0.75^16 via repeated squaring: 0.75^2=0.5625, ^4, ^8, ^16
-        assert failure_prob_single(16, 0.25) == pytest.approx(
+        assert failure_prob_multi(16, 1, 0.25) == pytest.approx(
             0.010022595757618546, abs=1e-15
         )
 
     def test_certain_success(self):
-        assert failure_prob_single(1, 1.0) == 0.0
+        assert failure_prob_multi(1, 1, 1.0) == 0.0
 
     def test_never_succeeds(self):
-        assert failure_prob_single(5, 0.0) == 1.0
+        assert failure_prob_multi(5, 1, 0.0) == 1.0
 
     def test_zero_fusiliers_rejected(self):
         with pytest.raises(ConfigurationError):
-            failure_prob_single(0, 0.5)
+            failure_prob_multi(0, 1, 0.5)
 
 
 class TestFailureProbMulti:
     def test_reduces_to_single_at_m1(self):
         for n in range(1, 65):
             for p in [k / 10 for k in range(11)]:
-                assert failure_prob_multi(n, 1, p) == pytest.approx(
-                    failure_prob_single(n, p), abs=1e-15
-                )
+                assert failure_prob_multi(n, 1, p) == (1.0 - p) ** n
 
     def test_two_term_case(self):
         # 0.75^24 + 24 * 0.25 * 0.75^23
