@@ -67,9 +67,10 @@ def summarize(
 
     The empirical fidelity is one minus the error rate of the
     frame-corrected stream: each record's physically observable bit is
-    ``x_error XOR frame`` and the classically delivered correction undoes
-    the frame. A cycle counts as failed when it delivered fewer pairs than
-    the configured slot capacity.
+    ``x_error XOR frame``, and its ``correction`` (the herald share XOR the
+    left share, as delivered) undoes the frame if no record was lost. A
+    cycle counts as failed when it delivered fewer pairs than the
+    configured slot capacity.
     """
     schedule = validate_config(config)
     period_ns = schedule.cycle_period_ns

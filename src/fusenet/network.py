@@ -13,8 +13,12 @@ after the pair is established. Under the butterfly split the outbox of a
 node left of the split leaves instead on the return message it sends when
 its incoming train ends, and relayed records join the receiving node's
 outbox, one hop per cycle, until they reach node 0. One final frame-flush
-sweep (no generation) delivers the last corrections; records still
-relaying then join the left-end fold with no arrival time.
+sweep (no generation) delivers the last corrections. What arrives is kept
+per cycle as packed ints: the herald's fold and arrival time, and the left
+fold with each slot's last arrival at node 0 (None for records still
+relaying when the run ends). At run end each pair's ``correction`` is set
+from them, the herald share XOR the left share, so the summary scores what
+was delivered.
 
 An event names its node and cycle; its one datum is, by kind: none for
 ``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
@@ -175,10 +179,10 @@ class EndToEndRecord:
     instant at the right end node (the herald's arrival there for the
     cycle); the correction frame rides the next herald, so
     ``frame_available_at_ns`` is exactly one cycle period later.
-    ``correction`` is the pair's full pending frame, which is the XOR-fold
-    of the cycle's frame records for this slot; ``herald_correction`` is the
-    share actually delivered by the herald (everything, unless the
-    butterfly split routes part leftward).
+    ``correction`` is the XOR-fold of the cycle's frame records for this
+    slot as delivered: ``herald_correction``, the herald's share (everything,
+    unless the butterfly split routes part leftward), XOR the left share.
+    It equals ``pair.frame`` when no record was lost.
     """
 
     cycle_id: int
@@ -457,14 +461,13 @@ class _ChainSimulation:
         self.seed_rows = None
         self.ledgers: dict[int, _CycleLedger] = {}
         self.records: list[EndToEndRecord] = []
-        self.records_by_cycle: dict[int, list[EndToEndRecord]] = {}
         self.per_cycle_delivered = [0] * config.cycles
         self.hop_success_counts = [[0] * config.cycles for _ in config.links]
-        # Butterfly ledger per (cycle, slot) of the records sent left: their
-        # fold, and when the last one reached node 0 (None: still relaying
-        # when the run ended).
-        self.left_folds: dict[tuple[int, int], PauliFrame] = {}
-        self.left_last_ns: dict[tuple[int, int], Optional[int]] = {}
+        # Frames delivered for cycle c, slot k in bit k: herald_folds[c] =
+        # (x_bits, z_bits, arrival_ns) at the right end, left_folds[c] =
+        # [x_bits, z_bits, last_ns] at node 0, last_ns[k] per slot.
+        self.herald_folds: dict[int, tuple[int, int, int]] = {}
+        self.left_folds: dict[int, list] = {}
 
     # -- event handlers -------------------------------------------------
 
@@ -721,11 +724,10 @@ class _ChainSimulation:
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:
-            for slot in range(rec.count):
-                key = (rec.cycle, slot)
-                frame = FRAMES[rec.x_bits >> slot & 1][rec.z_bits >> slot & 1]
-                self.left_folds[key] = self.left_folds.get(key, IDENTITY_FRAME).compose(frame)
-                self.left_last_ns[key] = at_ns
+            fold = self.left_folds.setdefault(rec.cycle, [0, 0, []])
+            fold[0] ^= rec.x_bits
+            fold[1] ^= rec.z_bits
+            fold[2][: rec.count] = [at_ns] * rec.count
 
     def _mark_complete(self, cycle: int, node_id: int) -> None:
         ledger = self.ledgers[cycle]
@@ -752,7 +754,6 @@ class _ChainSimulation:
             + self.schedule.herald_offsets_ns[-1]
         )
         right_node = self.num_nodes - 1
-        bucket = self.records_by_cycle.setdefault(cycle, [])
         for slot in range(delivered):
             pair = PairRecord(
                 Endpoint(0, first.fusiliers[slot]),
@@ -767,10 +768,8 @@ class _ChainSimulation:
                 slot=slot,
                 pair=pair,
                 established_at_ns=established,
-                correction=pair.frame,
             )
             self.records.append(record)
-            bucket.append(record)
             if self.collect_trace:
                 # Keyed like an event scheduled now, but nothing is queued.
                 self.trace.append(
@@ -795,9 +794,7 @@ class _ChainSimulation:
                 )
             fold_x ^= rec.x_bits
             fold_z ^= rec.z_bits
-        for record in self.records_by_cycle.pop(cycle - 1, []):
-            record.frame_available_at_ns = self.queue.now_ns
-            record.herald_correction = FRAMES[fold_x >> record.slot & 1][fold_z >> record.slot & 1]
+        self.herald_folds[cycle - 1] = (fold_x, fold_z, self.queue.now_ns)
 
     # -- top level ---------------------------------------------------------
 
@@ -813,9 +810,7 @@ class _ChainSimulation:
         run(self.queue, handlers)
         # A train's signals are traced at keys before the train's dispatch.
         self.trace.sort()
-        if self.left_senders:
-            self._flush_leftbound()
-            self._assign_left_availability()
+        self._deliver()
         return RunResult(
             config=self.config,
             schedule=self.schedule,
@@ -823,21 +818,32 @@ class _ChainSimulation:
             per_cycle_delivered=self.per_cycle_delivered,
             hop_success_counts=self.hop_success_counts,
             split_index=self.left_senders or None,
-            left_frame_folds=dict(self.left_folds),
+            left_frame_folds={
+                (cycle, slot): FRAMES[x >> slot & 1][z >> slot & 1]
+                for cycle, (x, z, last_ns) in self.left_folds.items()
+                for slot in range(len(last_ns))
+            },
             trace=self.trace,
         )
 
-    def _flush_leftbound(self) -> None:
-        # Records still relaying hop-by-hop when the run ends are folded
-        # into the left-end ledger without an arrival timestamp.
+    def _deliver(self) -> None:
+        # Records still relaying hop by hop when the run ends join the left
+        # folds with no arrival time. A pair's correction is then what was
+        # delivered for its slot: the herald share XOR the left share.
         for outbox in self.outboxes[1 : self.left_senders]:
             self._absorb_leftbound(outbox, None)
-
-    def _assign_left_availability(self) -> None:
         for record in self.records:
-            record.left_frame_available_at_ns = self.left_last_ns.get(
-                (record.cycle_id, record.slot), record.frame_available_at_ns
-            )
+            cycle, slot = record.cycle_id, record.slot
+            if cycle not in self.herald_folds:
+                raise ProtocolError(f"no herald delivered the frame records of cycle {cycle}")
+            herald_x, herald_z, at_ns = self.herald_folds[cycle]
+            x, z = herald_x >> slot & 1, herald_z >> slot & 1
+            left_x, left_z, last_ns = self.left_folds.get(cycle, (0, 0, ()))
+            record.frame_available_at_ns = at_ns
+            record.herald_correction = FRAMES[x][z]
+            record.correction = FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)]
+            if self.left_senders:
+                record.left_frame_available_at_ns = last_ns[slot] if slot < len(last_ns) else at_ns
 
 
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:

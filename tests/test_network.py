@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusenet.engine import EventKind, EventQueue, channel_delay_ns
-from fusenet.errors import ConfigurationError, DesynchronizationError
+from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
     MAX_TRAIN_DRAWS,
     LinkSpec,
     NetworkConfig,
     Strategy,
+    _ChainSimulation,
     butterfly_split,
     run_network,
     validate_config,
@@ -449,6 +450,41 @@ class TestFramePropagation:
             observable = rec.pair.x_error ^ rec.pair.frame.x_bit
             assert observable ^ rec.correction.x_bit == rec.pair.x_error
 
+    @pytest.mark.parametrize("drop", ["herald_bound", "left_bound"])
+    @pytest.mark.parametrize("strategy, m", [(Strategy.RAW, 2), (Strategy.PURIFY3, 6)])
+    def test_dropped_frame_record_moves_fidelity(self, monkeypatch, drop, strategy, m):
+        # The split is node 2: node 3's records ride the herald right, node
+        # 1's relay left to node 0. Losing either must show in the summary.
+        cfg = chain_config(
+            [20.0] * 4, n=9, m=m, p=0.8, fidelity=0.9, cycles=200, seed=5,
+            strategy=strategy, butterfly=True,
+        )
+        intact = summarize(run_network(cfg).records, cfg)
+        if drop == "herald_bound":
+            herald_at = _ChainSimulation._herald_at
+
+            def lossy(sim, node_id, cycle, frames):
+                if node_id == 3:
+                    sim.outboxes[3].clear()
+                herald_at(sim, node_id, cycle, frames)
+
+            monkeypatch.setattr(_ChainSimulation, "_herald_at", lossy)
+        else:
+            absorb = _ChainSimulation._absorb_leftbound
+
+            def lossy(sim, records, at_ns):
+                absorb(sim, [rec for rec in records if rec.node != 1], at_ns)
+
+            monkeypatch.setattr(_ChainSimulation, "_absorb_leftbound", lossy)
+        lost = summarize(run_network(cfg).records, cfg)
+        stderr = math.hypot(intact.empirical_end_fidelity_stderr, lost.empirical_end_fidelity_stderr)
+        assert abs(intact.empirical_end_fidelity - lost.empirical_end_fidelity) > 4 * stderr
+
+    def test_missing_herald_share_raises(self, monkeypatch):
+        monkeypatch.setattr(_ChainSimulation, "_deliver_frames", lambda sim, cycle, frames: None)
+        with pytest.raises(ProtocolError, match=r"^no herald delivered the frame records of cycle 0$"):
+            run_network(chain_config([20.0, 20.0], cycles=3))
+
 
 class TestDesynchronization:
     @pytest.mark.parametrize(
@@ -549,6 +585,8 @@ def test_short_chain_properties(cfg):
     for rec in result.records:
         left = result.left_frame_folds.get((rec.cycle_id, rec.slot), IDENTITY_FRAME)
         assert rec.herald_correction.compose(left) == rec.pair.frame
+        assert rec.correction == rec.pair.frame
+        assert rec.frame_available_at_ns - rec.established_at_ns == result.schedule.cycle_period_ns
     if not cfg.butterfly:
         assert not result.left_frame_folds
         return
