@@ -17,7 +17,6 @@ from .pair_algebra import (
     failure_prob_multi,
     min_fusiliers,
     purify3_analytic,
-    purify3_decode,
     success_probability,
     swap_compose_analytic,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "failure_prob_multi",
     "min_fusiliers",
     "purify3_analytic",
-    "purify3_decode",
     "success_probability",
     "swap_compose_analytic",
     "EndToEndRecord",

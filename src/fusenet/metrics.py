@@ -68,7 +68,8 @@ def summarize(
     The empirical fidelity is one minus the error rate of the
     frame-corrected stream: each record's physically observable bit is
     ``x_error XOR frame``, and its ``correction`` (the herald share XOR the
-    left share, as delivered) undoes the frame if no record was lost. A
+    left share, as delivered) undoes the frame if no record was lost. The
+    frame latency is the records' mean delivery delay in cycle periods. A
     cycle counts as failed when it delivered fewer pairs than the
     configured slot capacity.
     """
@@ -80,16 +81,11 @@ def summarize(
     delivered_per_cycle = [0] * config.cycles
     corrected_errors = 0
     latency_sum = 0.0
-    latency_count = 0
     for record in records:
         delivered_per_cycle[record.cycle_id] += 1
         observable = record.pair.x_error ^ record.pair.frame.x_bit
         corrected_errors += observable ^ record.correction.x_bit
-        if record.frame_available_at_ns is not None:
-            latency_sum += (
-                record.frame_available_at_ns - record.established_at_ns
-            ) / period_ns
-            latency_count += 1
+        latency_sum += (record.frame_available_at_ns - record.established_at_ns) / period_ns
 
     failure_cycles = sum(
         1 for count in delivered_per_cycle if count < schedule.links_per_cycle
@@ -109,7 +105,7 @@ def summarize(
         analytic_end_fidelity=analytic_end_to_end_fidelity(config),
         cycle_period_s=schedule.cycle_period_s,
         failure_cycles=failure_cycles,
-        frame_latency_cycles=(latency_sum / latency_count) if latency_count else None,
+        frame_latency_cycles=(latency_sum / pairs_total) if pairs_total else None,
         cycles=config.cycles,
         links_per_cycle=schedule.links_per_cycle,
     )

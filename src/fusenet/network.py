@@ -16,9 +16,7 @@ outbox, one hop per cycle, until they reach node 0. One final frame-flush
 sweep (no generation) delivers the last corrections. What arrives is kept
 per cycle as packed ints: the herald's fold and arrival time, and the left
 fold with each slot's last arrival at node 0 (None for records still
-relaying when the run ends). At run end each pair's ``correction`` is set
-from them, the herald share XOR the left share, so the summary scores what
-was delivered.
+relaying when the run ends).
 
 An event names its node and cycle; its one datum is, by kind: none for
 ``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
@@ -63,11 +61,14 @@ their creation times, and their error and frame bits packed in ints, bit k
 for slot k; a node's swaps are its parity and X outcome bits, packed the
 same way. A purified hop folds all its trios in one ``purify3_bits`` call.
 A finalized cycle swaps all its slots at once, one ``swap_bits`` call per
-intermediate node from left to right, and only then builds one
-``PairRecord`` and ``EndToEndRecord`` per delivered pair; their model
-fidelity, the same for every pair, is folded once per run. A return's swap
-count is the shorter of the node's two hops in the ledger, and a hop's raw
-success count lives in ``hop_success_counts``, which the trace reads too.
+intermediate node from left to right, and is kept as its delivered pairs, in
+the same columns, and its hops' raw success counts (which the trace reads
+from the ledger). A return's swap count is the shorter of the node's two
+hops in the ledger. At run end each ``PairRecord`` and ``EndToEndRecord`` is
+built once, in cycle order, with the pair's ``correction`` the herald share
+XOR the left share, so the summary scores what was delivered; the model
+fidelity, the same for every pair, is folded once per run. Nothing is
+allocated per cycle before the run.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ from .machines import NodeState, on_herald, on_return, on_train
 from .pair_algebra import (
     Endpoint,
     FRAMES,
-    IDENTITY_FRAME,
     LinkModel,
     PairRecord,
     PauliFrame,
@@ -173,7 +173,7 @@ class CycleSchedule:
 
 @dataclass
 class EndToEndRecord:
-    """One end-to-end pair delivered by a cycle.
+    """One end-to-end pair delivered by a cycle, built once at run end.
 
     ``established_at_ns`` is the pipeline's deterministic availability
     instant at the right end node (the herald's arrival there for the
@@ -183,16 +183,19 @@ class EndToEndRecord:
     slot as delivered: ``herald_correction``, the herald's share (everything,
     unless the butterfly split routes part leftward), XOR the left share.
     It equals ``pair.frame`` when no record was lost.
+    Under the butterfly split ``left_frame_available_at_ns`` is when the
+    slot's last left-bound record reached node 0 (the herald's arrival if
+    none went left, None if one was still relaying when the run ended).
     """
 
     cycle_id: int
     slot: int
     pair: PairRecord
     established_at_ns: int
-    frame_available_at_ns: Optional[int] = None
-    correction: PauliFrame = IDENTITY_FRAME
-    herald_correction: Optional[PauliFrame] = None
-    left_frame_available_at_ns: Optional[int] = None
+    frame_available_at_ns: int
+    correction: PauliFrame
+    herald_correction: PauliFrame
+    left_frame_available_at_ns: Optional[int]
 
 
 class FrameRecord(NamedTuple):
@@ -207,7 +210,7 @@ class FrameRecord(NamedTuple):
 
 
 class _HopPairs(NamedTuple):
-    """The pairs a hop keeps at the end of its train, as columns.
+    """Pairs as columns: a hop's kept at the end of its train, or a cycle's delivered.
 
     Slot k's pair was made by fusilier ``fusiliers[k]`` (its left endpoint's
     slot) at ``created_at_ns[k]``; its error bit is bit k of ``errors`` and
@@ -311,9 +314,11 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
             f"{len(config.nodes)} nodes need {len(config.nodes) - 1} links, "
             f"got {len(config.links)}"
         )
+    seen = set()
     for idx, name in enumerate(config.nodes):
-        if name in config.nodes[:idx]:
+        if name in seen:
             raise ConfigurationError(f"nodes[{idx}]: duplicate node name {name!r}")
+        seen.add(name)
     delays = _link_delays_ns(config)
     if config.tau_slot_ns < 0 or config.proc_ns < 0:
         raise ConfigurationError("tau_slot_ns and proc_ns must be >= 0")
@@ -405,15 +410,16 @@ def butterfly_split(config: NetworkConfig) -> int:
 class _CycleLedger:
     """Per-cycle bookkeeping used to compose end-to-end pairs."""
 
-    __slots__ = ("seeds", "hop_pairs", "swaps", "outstanding")
+    __slots__ = ("seeds", "hop_pairs", "successes", "swaps", "outstanding")
 
     def __init__(self, seeds, num_links: int, num_nodes: int) -> None:
         # seeds[domain, index]: the PCG64 seed row of the cycle's key.
         self.seeds = seeds
         # hop_pairs[link]: the pairs the hop keeps at the end of its train
-        # (after purification); swaps[node]: the node's swap outcomes, bit k
-        # of (parity_bits, x_bits) for slot k.
+        # (after purification), from successes[link] raw ones; swaps[node]:
+        # the node's swap outcomes, bit k of (parity_bits, x_bits) for slot k.
         self.hop_pairs: list[Optional[_HopPairs]] = [None] * num_links
+        self.successes = [0] * num_links
         self.swaps: list[tuple[int, int]] = [(0, 0)] * num_nodes
         self.outstanding = set(range(num_nodes))
 
@@ -460,9 +466,8 @@ class _ChainSimulation:
         # Seed rows of the block holding the last cycle started.
         self.seed_rows = None
         self.ledgers: dict[int, _CycleLedger] = {}
-        self.records: list[EndToEndRecord] = []
-        self.per_cycle_delivered = [0] * config.cycles
-        self.hop_success_counts = [[0] * config.cycles for _ in config.links]
+        # finished[cycle] = (its delivered pairs, its hops' success counts).
+        self.finished: dict[int, tuple[_HopPairs, list[int]]] = {}
         # Frames delivered for cycle c, slot k in bit k: herald_folds[c] =
         # (x_bits, z_bits, arrival_ns) at the right end, left_folds[c] =
         # [x_bits, z_bits, last_ns] at node 0, last_ns[k] per slot.
@@ -563,7 +568,7 @@ class _ChainSimulation:
         if node_id == 0:
             self._schedule_next_cycle(cycle)
         if self.collect_trace:
-            matches = self.hop_success_counts[node_id][cycle]
+            matches = ledger.successes[node_id]
             self._trace(event, f"cycle={cycle} matches={matches} swaps={swaps}")
 
     def _schedule_next_cycle(self, cycle: int) -> None:
@@ -640,7 +645,7 @@ class _ChainSimulation:
     ) -> None:
         node_id = node.node_id
         link_idx = node_id - 1
-        self.hop_success_counts[link_idx][cycle] = len(fusiliers)
+        self.ledgers[cycle].successes[link_idx] = len(fusiliers)
         tau = self.config.tau_slot_ns
         created = [start_ns + fusilier * tau for fusilier in fusiliers]
         if self.config.strategy is Strategy.PURIFY3:
@@ -736,10 +741,9 @@ class _ChainSimulation:
             self._finalize_cycle(cycle, ledger)
 
     def _finalize_cycle(self, cycle: int, ledger: _CycleLedger) -> None:
+        # Swap every intermediate node's slots, left to right, all slots at
+        # once; a slot is delivered where every hop kept a pair.
         hops = ledger.hop_pairs
-        delivered = min(len(hop.fusiliers) for hop in hops)
-        self.per_cycle_delivered[cycle] = delivered
-        # Swap every intermediate node's slots, left to right, all slots at once.
         first = hops[0]
         errors, frame_x, frame_z = first.errors, first.frame_x, first.frame_z
         for node_id in range(1, self.num_nodes - 1):
@@ -749,38 +753,17 @@ class _ChainSimulation:
                 *ledger.swaps[node_id],
             )
         created = [max(times) for times in zip(*(hop.created_at_ns for hop in hops))]
-        established = (
-            cycle * self.schedule.cycle_period_ns
-            + self.schedule.herald_offsets_ns[-1]
-        )
-        right_node = self.num_nodes - 1
-        for slot in range(delivered):
-            pair = PairRecord(
-                Endpoint(0, first.fusiliers[slot]),
-                Endpoint(right_node, self.right_stride * slot),
-                errors >> slot & 1,
-                FRAMES[frame_x >> slot & 1][frame_z >> slot & 1],
-                created[slot],
-                self.end_fidelity,
-            )
-            record = EndToEndRecord(
-                cycle_id=cycle,
-                slot=slot,
-                pair=pair,
-                established_at_ns=established,
-            )
-            self.records.append(record)
-            if self.collect_trace:
-                # Keyed like an event scheduled now, but nothing is queued.
-                self.trace.append(
-                    TraceRecord(
-                        self.queue.now_ns,
-                        self.queue.reserve(),
-                        "PairReady",
-                        right_node,
-                        f"cycle={cycle} slot={slot} x={pair.x_error}",
-                    )
+        pairs = _HopPairs(first.fusiliers[: len(created)], created, errors, frame_x, frame_z)
+        self.finished[cycle] = (pairs, ledger.successes)
+        if self.collect_trace:
+            # Keyed like an event scheduled now, but nothing is queued.
+            self.trace += [
+                TraceRecord(
+                    self.queue.now_ns, self.queue.reserve(), "PairReady", self.num_nodes - 1,
+                    f"cycle={cycle} slot={slot} x={errors >> slot & 1}",
                 )
+                for slot in range(len(created))
+            ]
         del self.ledgers[cycle]
 
     def _deliver_frames(self, cycle: int, frames: list[FrameRecord]) -> None:
@@ -810,13 +793,23 @@ class _ChainSimulation:
         run(self.queue, handlers)
         # A train's signals are traced at keys before the train's dispatch.
         self.trace.sort()
-        self._deliver()
+        # Records still relaying when the run ends join the left folds with no
+        # arrival time. A cycle is freed as its records are built; cycles finish
+        # in order, since a node finishes each before the next herald reaches it.
+        for outbox in self.outboxes[1 : self.left_senders]:
+            self._absorb_leftbound(outbox, None)
+        records, delivered, successes = [], [], []
+        for cycle in range(self.config.cycles):
+            pairs, hop_successes = self.finished.pop(cycle)
+            records += self._cycle_records(cycle, pairs)
+            delivered.append(len(pairs.fusiliers))
+            successes.append(hop_successes)
         return RunResult(
             config=self.config,
             schedule=self.schedule,
-            records=self.records,
-            per_cycle_delivered=self.per_cycle_delivered,
-            hop_success_counts=self.hop_success_counts,
+            records=records,
+            per_cycle_delivered=delivered,
+            hop_success_counts=[list(counts) for counts in zip(*successes)],
             split_index=self.left_senders or None,
             left_frame_folds={
                 (cycle, slot): FRAMES[x >> slot & 1][z >> slot & 1]
@@ -826,24 +819,30 @@ class _ChainSimulation:
             trace=self.trace,
         )
 
-    def _deliver(self) -> None:
-        # Records still relaying hop by hop when the run ends join the left
-        # folds with no arrival time. A pair's correction is then what was
-        # delivered for its slot: the herald share XOR the left share.
-        for outbox in self.outboxes[1 : self.left_senders]:
-            self._absorb_leftbound(outbox, None)
-        for record in self.records:
-            cycle, slot = record.cycle_id, record.slot
-            if cycle not in self.herald_folds:
-                raise ProtocolError(f"no herald delivered the frame records of cycle {cycle}")
-            herald_x, herald_z, at_ns = self.herald_folds[cycle]
+    def _cycle_records(self, cycle: int, pairs: _HopPairs) -> list[EndToEndRecord]:
+        fusiliers, created, errors, frame_x, frame_z = pairs
+        if cycle not in self.herald_folds:
+            raise ProtocolError(f"no herald delivered the frame records of cycle {cycle}")
+        herald_x, herald_z, at_ns = self.herald_folds.pop(cycle)
+        left_x, left_z, last_ns = self.left_folds.get(cycle, (0, 0, ()))
+        established = cycle * self.schedule.cycle_period_ns + self.schedule.herald_offsets_ns[-1]
+        records = []
+        for slot, fusilier in enumerate(fusiliers):
             x, z = herald_x >> slot & 1, herald_z >> slot & 1
-            left_x, left_z, last_ns = self.left_folds.get(cycle, (0, 0, ()))
-            record.frame_available_at_ns = at_ns
-            record.herald_correction = FRAMES[x][z]
-            record.correction = FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)]
+            left_at_ns = None
             if self.left_senders:
-                record.left_frame_available_at_ns = last_ns[slot] if slot < len(last_ns) else at_ns
+                left_at_ns = last_ns[slot] if slot < len(last_ns) else at_ns
+            pair = PairRecord(
+                Endpoint(0, fusilier), Endpoint(self.num_nodes - 1, self.right_stride * slot),
+                errors >> slot & 1, FRAMES[frame_x >> slot & 1][frame_z >> slot & 1],
+                created[slot], self.end_fidelity,
+            )
+            records.append(EndToEndRecord(
+                cycle, slot, pair, established, at_ns,
+                FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)],
+                FRAMES[x][z], left_at_ns,
+            ))
+        return records
 
 
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:

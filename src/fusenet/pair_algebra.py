@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -32,13 +31,11 @@ __all__ = [
     "Endpoint",
     "PairRecord",
     "LinkModel",
-    "ErrorLocation",
     "check_fidelity",
     "success_probability",
     "failure_prob_multi",
     "min_fusiliers",
     "purify3_analytic",
-    "purify3_decode",
     "purify3_kept_fidelity",
     "purify3_bits",
     "swap_compose_analytic",
@@ -219,33 +216,12 @@ def purify3_analytic(fidelity: float) -> float:
     return fidelity**3 + 3.0 * fidelity**2 * (1.0 - fidelity)
 
 
-class ErrorLocation(Enum):
-    """Which pair the repetition-code decoder blames for a syndrome."""
-
-    NONE = "none"
-    PAIR1 = "pair1"
-    PAIR2 = "pair2"
-    PAIR3 = "pair3"
-
-
-_DECODE = {
-    (0, 0): ErrorLocation.NONE,
-    (1, 0): ErrorLocation.PAIR1,
-    (1, 1): ErrorLocation.PAIR2,
-    (0, 1): ErrorLocation.PAIR3,
-}
-
-
-def purify3_decode(syndrome_12: int, syndrome_23: int) -> ErrorLocation:
-    """Minimal-weight error location for the two repetition-code syndromes."""
-    return _DECODE[(syndrome_12 & 1, syndrome_23 & 1)]
-
-
 @lru_cache(maxsize=256)
 def purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
     """Model fidelity of the pair kept from three pairs of fidelities f1..f3.
 
-    Exact enumeration of the 8 error patterns the decoder can face; equals
+    Exact enumeration of the 8 error patterns the decoder can face, each
+    decided by ``purify3_bits`` on its syndromes; equals
     purify3_analytic(F) when all three inputs share fidelity F.
     """
     residual = 0.0
@@ -255,8 +231,7 @@ def purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
             w2 = (1.0 - f2) if e2 else f2
             for e3 in (0, 1):
                 w3 = (1.0 - f3) if e3 else f3
-                blamed = _DECODE[(e1 ^ e2, e2 ^ e3)]
-                if e1 ^ (blamed is ErrorLocation.PAIR1):
+                if purify3_bits(e1, 0, 0, e1 ^ e2, e2 ^ e3, 0, 0, 0, 0)[0]:
                     residual += w1 * w2 * w3
     return 1.0 - residual
 

@@ -2,15 +2,19 @@
 
 import math
 import re
+import time
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusenet.config import load_config
 from fusenet.engine import EventKind, EventQueue, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import rate_model, summarize
@@ -82,7 +86,18 @@ class TestValidateConfig:
     def test_duplicate_node_names_rejected(self):
         cfg = chain_config([40.0, 10.0])
         cfg.nodes = ["a", "b", "a"]
-        with pytest.raises(ConfigurationError, match="nodes"):
+        with pytest.raises(ConfigurationError, match=r"^nodes\[2\]: duplicate node name 'a'$"):
+            validate_config(cfg)
+
+    def test_duplicate_check_is_linear(self):
+        # one pass over the names, not one scan of the earlier names per node
+        link = chain_config([1.0]).links[0]
+        cfg = NetworkConfig(nodes=[f"n{i}" for i in range(50_000)], links=[link] * 49_999)
+        start = time.perf_counter()
+        validate_config(cfg)
+        assert time.perf_counter() - start < 2.0
+        cfg.nodes[-1] = "n7"
+        with pytest.raises(ConfigurationError, match=r"^nodes\[49999\]: duplicate node name 'n7'$"):
             validate_config(cfg)
 
     def test_zero_cycle_period_rejected(self):
@@ -518,6 +533,22 @@ class TestDesynchronization:
         assert [r.pair.x_error for r in a.records] == [
             r.pair.x_error for r in b.records
         ]
+
+
+def test_simulation_allocates_nothing_per_cycle_up_front():
+    # building a run allocates nothing per cycle, so the largest legal cycle
+    # count fits in 1 MiB
+    path = Path(__file__).resolve().parents[1] / "configs" / "two_node_40km.json"
+    config = load_config(str(path)).network
+    config.cycles = 2**32 - 1
+    schedule = validate_config(config)
+    tracemalloc.start()
+    try:
+        _ChainSimulation(config, schedule, None, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _HOP_KM = (0.001, 0.01, 0.1, 1.0, 10.0, 25.0)

@@ -16,7 +16,6 @@ from scipy.stats import binom
 
 from fusenet.errors import ConfigurationError, UnsatisfiableError
 from fusenet.pair_algebra import (
-    ErrorLocation,
     IDENTITY_FRAME,
     LinkModel,
     PauliFrame,
@@ -25,7 +24,6 @@ from fusenet.pair_algebra import (
     min_fusiliers,
     purify3_analytic,
     purify3_bits,
-    purify3_decode,
     purify3_kept_fidelity,
     success_probability,
     swap_bits,
@@ -208,23 +206,23 @@ class TestPurifyAnalytic:
             assert min(abs(f - 0.0), abs(f - 0.5), abs(f - 1.0)) < 1e-4
 
 
+# Reference decoder: the pair (1, 2 or 3; None for no error) that the
+# minimal-weight explanation of the syndromes (s12, s23) blames.
+_DECODE = {(0, 0): None, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+
+
 class TestPurifyDecode:
     def test_table(self):
-        assert purify3_decode(0, 0) is ErrorLocation.NONE
-        assert purify3_decode(1, 0) is ErrorLocation.PAIR1
-        assert purify3_decode(1, 1) is ErrorLocation.PAIR2
-        assert purify3_decode(0, 1) is ErrorLocation.PAIR3
+        # purify3_bits flips the kept pair's error exactly where the
+        # reference blames pair 1
+        for (s12, s23), blamed in _DECODE.items():
+            assert purify3_bits(0, 0, 0, s12, s23, 0, 0, 0, 0)[0] == (blamed == 1)
 
     def test_single_error_explanations(self):
         # each single-error pattern maps back to the erroneous pair
-        for errors, blamed in [
-            ((1, 0, 0), ErrorLocation.PAIR1),
-            ((0, 1, 0), ErrorLocation.PAIR2),
-            ((0, 0, 1), ErrorLocation.PAIR3),
-            ((0, 0, 0), ErrorLocation.NONE),
-        ]:
+        for errors, blamed in [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3), ((0, 0, 0), None)]:
             e1, e2, e3 = errors
-            assert purify3_decode(e1 ^ e2, e2 ^ e3) is blamed
+            assert _DECODE[(e1 ^ e2, e2 ^ e3)] == blamed
 
 
 def _measurements_for(errors, coins=(0, 0, 0, 0, 0, 0)):
@@ -302,13 +300,12 @@ def _columns(inputs, width):
 
 
 class TestPurifyBits:
-    """The packed kernel against the per-round decode, on every input."""
+    """The packed kernel against the reference decode, on every input."""
 
     @staticmethod
     def reference(e1, meas):
         tx12, tx23, rx12, rx23, tx_x2, tx_x3, rx_x2, rx_x3 = meas
-        blamed = purify3_decode(tx12 ^ rx12, tx23 ^ rx23)
-        kept = e1 ^ (blamed is ErrorLocation.PAIR1)
+        kept = e1 ^ (_DECODE[(tx12 ^ rx12, tx23 ^ rx23)] == 1)
         return kept, tx12 ^ tx23 ^ rx12 ^ rx23, tx_x2 ^ tx_x3 ^ rx_x2 ^ rx_x3
 
     def test_all_inputs_packed_and_scalar(self):
