@@ -6,10 +6,9 @@ Every error path prints a single machine-readable line to stderr of the form
 ``error: <category>: <detail>``, and every warning one line
 ``warning: <message>``. Output files go to temp files beside their
 targets and are renamed into place only once every write has succeeded.
-Trace lines are written from one line template, byte-equal to
-``json.dumps(record._asdict(), sort_keys=True)`` for each record, and
-joined into chunks of ``TRACE_CHUNK`` lines, one write per chunk. The
-argument parser is built once per process.
+The trace, already its JSON lines (see ``network``), is joined into
+chunks of ``TRACE_CHUNK`` lines, one write per chunk. The argument parser
+is built once per process.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, astuple, fields
-from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Optional, Sequence, TextIO
 
 from .config import (
@@ -190,25 +188,10 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
             write(sys.stdout)
 
 
-def _write_trace(fh: TextIO, trace: Sequence) -> None:
-    """Write ``trace`` as JSON lines, one ``TraceRecord`` per line.
-
-    Each line comes from one template and equals
-    ``json.dumps(record._asdict(), sort_keys=True)``: the keys in sorted
-    order, the strings escaped by the ASCII escaper ``json.dumps`` uses,
-    and the ints printed as ints. Every ``TRACE_CHUNK`` lines are joined
-    and written at once.
-    """
+def _write_trace(fh: TextIO, trace: Sequence[str]) -> None:
+    """Write ``trace``, a run's JSON lines, joining every ``TRACE_CHUNK`` lines into one write."""
     for start in range(0, len(trace), TRACE_CHUNK):
-        fh.write(
-            "".join(
-                [
-                    f'{{"detail": {_escape(detail)}, "kind": {_escape(kind)}, '
-                    f'"node": {node}, "seq": {seq}, "t_ns": {t_ns}}}\n'
-                    for t_ns, seq, kind, node, detail in trace[start : start + TRACE_CHUNK]
-                ]
-            )
-        )
+        fh.write("".join(trace[start : start + TRACE_CHUNK]))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -38,12 +38,15 @@ return from the right-hand hop would come sooner, and a herald that comes
 sooner (a cycle period below the safe bound) finds the bank still readied
 and desynchronizes as it would mid-train.
 
-The simulation keeps its own trace. With the trace on, each handler
-appends its event's record at the event's (time, seq); a train appends one
-record per signal, at its arrival and reserved seq, its outcome read from
-the fusiliers column of the train's pairs; a finalized cycle appends one
-``PairReady`` record per pair, now, under a seq reserved from the queue
-with no event queued. ``execute`` sorts the trace by (time, seq) once.
+The simulation keeps its own trace, each entry built once as its final
+JSON line, byte-equal to ``json.dumps`` of its fields ``{t_ns, seq, kind,
+node, detail}`` with sorted keys. With the trace on, each handler appends
+its event's line at the event's (time, seq); a train appends one line per
+signal, at its arrival and reserved seq, its outcome read from the
+fusiliers column of the train's pairs; a finalized cycle appends one
+``PairReady`` line per pair, now, under a seq reserved from the queue with
+no event queued. ``execute`` sorts the entries by (time, seq) once and
+strips each to its line in place.
 
 Keyed seeds are expanded a block of ``SEED_BLOCK`` cycles at a time, at the
 ``CycleStart`` of the block's first cycle (see ``engine``), and each
@@ -79,6 +82,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
 from typing import NamedTuple, Optional
 
 from .engine import (
@@ -227,22 +231,23 @@ class _HopPairs(NamedTuple):
 _NO_PAIRS = _HopPairs([], [], 0, 0, 0)
 
 
-class TraceRecord(NamedTuple):
-    t_ns: int
-    seq: int
-    kind: str
-    node: int
-    detail: str
-
-
-# A TraceRecord from one (t_ns, seq, kind, node, detail) tuple, built in C:
-# the NamedTuple's own constructor is Python code.
-_trace_record = functools.partial(tuple.__new__, TraceRecord)
+def _trace_line(t_ns: int, seq: int, kind: str, node: int, detail: str) -> str:
+    """One trace line: ``json.dumps`` of the fields with sorted keys, plus a
+    newline (``kind`` and ``detail`` through the escaper ``json.dumps`` uses)."""
+    return (
+        f'{{"detail": {_escape(detail)}, "kind": {_escape(kind)}, '
+        f'"node": {node}, "seq": {seq}, "t_ns": {t_ns}}}\n'
+    )
 
 
 @dataclass
 class RunResult:
-    """Everything a finished run produced."""
+    """Everything a finished run produced.
+
+    ``trace`` is empty unless the run collected it: then it is the run's
+    JSON lines, newline included, in (t_ns, seq) order; ``json.loads`` one
+    to read its fields.
+    """
 
     config: NetworkConfig
     schedule: CycleSchedule
@@ -251,7 +256,7 @@ class RunResult:
     hop_success_counts: list[list[int]]
     split_index: Optional[int] = None
     left_frame_folds: dict = field(default_factory=dict)
-    trace: list[TraceRecord] = field(default_factory=list)
+    trace: list[str] = field(default_factory=list)
 
 
 # A train draws n + m values at once (see ``_schedule_signals``), so a hop
@@ -437,7 +442,8 @@ class _ChainSimulation:
         self.config = config
         self.schedule = schedule
         self.collect_trace = collect_trace
-        self.trace: list[TraceRecord] = []
+        # (t_ns, seq, line) entries; execute strips each to its line.
+        self.trace: list = []
         self.num_nodes = len(config.nodes)
         self.nodes = [
             NodeState(
@@ -506,31 +512,32 @@ class _ChainSimulation:
         start_ns = event.time_ns - (signals - 1) * self.config.tau_slot_ns
         fusiliers, errors = on_train(node, link.model, event.data, signals)
         if self.collect_trace:
-            self._train_records(event, node, signals, start_ns, fusiliers)
+            self._train_lines(event, node, signals, start_ns, fusiliers)
         self._end_of_train(node, event.cycle, fusiliers, errors, start_ns)
 
-    def _train_records(
+    def _train_lines(
         self, event: Event, node: NodeState, count: int, start_ns: int, fusiliers: list[int]
     ) -> None:
         # Signal k of the train arrived at start_ns + k * tau under seq
         # event.seq - count + 1 + k. It succeeded if it filled a slot, was
         # discarded if it came after the bank filled, and failed otherwise.
+        # Past the kind, a line holds only ints and fixed words, so it needs
+        # no escaping.
         full = fusiliers[-1] + 1 if len(fusiliers) == node.m_fusilands else count
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
         for slot, fusilier in enumerate(fusiliers):
             outcomes[fusilier] = f"success slot={slot}"
-        prefix = f"cycle={event.cycle} fusilier="
-        details = [f"{prefix}{k} {outcome}" for k, outcome in enumerate(outcomes)]
-        self.trace += map(
-            _trace_record,
-            zip(
+        head = f'{{"detail": "cycle={event.cycle} fusilier='
+        mid = f'", "kind": {_escape(event.kind._value_)}, "node": {node.node_id}, "seq": '
+        self.trace += [
+            (t, seq, f'{head}{k} {outcome}{mid}{seq}, "t_ns": {t}}}\n')
+            for k, t, seq, outcome in zip(
+                itertools.count(),
                 itertools.count(start_ns, self.config.tau_slot_ns),
                 itertools.count(event.seq - count + 1),
-                itertools.repeat(event.kind._value_),
-                itertools.repeat(node.node_id),
-                details,
-            ),
-        )
+                outcomes,
+            )
+        ]
 
     def _handle_return_arrive(self, event: Event) -> None:
         node_id = event.node
@@ -591,8 +598,9 @@ class _ChainSimulation:
     # -- helpers ---------------------------------------------------------
 
     def _trace(self, event: Event, detail: str) -> None:
+        t_ns, seq = event.time_ns, event.seq
         self.trace.append(
-            _trace_record((event.time_ns, event.seq, event.kind._value_, event.node, detail))
+            (t_ns, seq, _trace_line(t_ns, seq, event.kind._value_, event.node, detail))
         )
 
     def _herald_at(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
@@ -757,13 +765,13 @@ class _ChainSimulation:
         self.finished[cycle] = (pairs, ledger.successes)
         if self.collect_trace:
             # Keyed like an event scheduled now, but nothing is queued.
-            self.trace += [
-                TraceRecord(
-                    self.queue.now_ns, self.queue.reserve(), "PairReady", self.num_nodes - 1,
-                    f"cycle={cycle} slot={slot} x={errors >> slot & 1}",
+            now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
+            for slot in range(len(created)):
+                seq = self.queue.reserve()
+                detail = f"cycle={cycle} slot={slot} x={errors >> slot & 1}"
+                self.trace.append(
+                    (now_ns, seq, _trace_line(now_ns, seq, "PairReady", node_id, detail))
                 )
-                for slot in range(len(created))
-            ]
         del self.ledgers[cycle]
 
     def _deliver_frames(self, cycle: int, frames: list[FrameRecord]) -> None:
@@ -792,7 +800,11 @@ class _ChainSimulation:
         }
         run(self.queue, handlers)
         # A train's signals are traced at keys before the train's dispatch.
-        self.trace.sort()
+        # Seqs are unique, so the sort never compares two lines.
+        trace = self.trace
+        trace.sort()
+        for index, (_t_ns, _seq, line) in enumerate(trace):
+            trace[index] = line
         # Records still relaying when the run ends join the left folds with no
         # arrival time. A cycle is freed as its records are built; cycles finish
         # in order, since a node finishes each before the next herald reaches it.
@@ -816,7 +828,7 @@ class _ChainSimulation:
                 for cycle, (x, z, last_ns) in self.left_folds.items()
                 for slot in range(len(last_ns))
             },
-            trace=self.trace,
+            trace=trace,
         )
 
     def _cycle_records(self, cycle: int, pairs: _HopPairs) -> list[EndToEndRecord]:

@@ -1,4 +1,7 @@
-"""Shared test helpers: deterministic stub RNG and config builders."""
+"""Shared test helpers: deterministic stub RNG, config builders, trace parsing."""
+
+import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,3 +58,8 @@ def chain_config(
         butterfly=butterfly,
         cycle_period_ns=cycle_period_ns,
     )
+
+
+def trace_records(trace):
+    """A run's trace lines parsed, each to a namespace of its fields."""
+    return [SimpleNamespace(**json.loads(line)) for line in trace]

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from fusenet.cli import TRACE_CHUNK, _write_trace, main
 from fusenet.config import load_config, parse_config, resolved_dict
-from fusenet.network import MAX_TRAIN_DRAWS, TraceRecord, run_network
+from fusenet.network import MAX_TRAIN_DRAWS, _trace_line, run_network
+
+from conftest import trace_records
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -515,35 +517,41 @@ _ANY_TEXT = st.text(
 _WIDE_INTS = st.integers(min_value=-(2**100), max_value=2**100)
 
 
+_TRACE_FIELDS = ("t_ns", "seq", "kind", "node", "detail")
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.builds(TraceRecord, _WIDE_INTS, _WIDE_INTS, _ANY_TEXT, _WIDE_INTS, _ANY_TEXT),
+        st.tuples(_WIDE_INTS, _WIDE_INTS, _ANY_TEXT, _WIDE_INTS, _ANY_TEXT),
         max_size=8,
     )
 )
 def test_trace_lines_equal_json_dumps(trace):
     buf = io.StringIO()
-    _write_trace(buf, trace)
+    _write_trace(buf, [_trace_line(*fields) for fields in trace])
     assert buf.getvalue() == "".join(
-        json.dumps(rec._asdict(), sort_keys=True) + "\n" for rec in trace
+        json.dumps(dict(zip(_TRACE_FIELDS, fields)), sort_keys=True) + "\n"
+        for fields in trace
     )
 
 
 def test_trace_chunks_equal_json_dumps(tmp_path):
-    # A real trace several chunks long, with a record needing escapes put
-    # at the first chunk boundary.
+    # A real trace several chunks long, with a line needing escapes put at
+    # the first chunk boundary.
     doc = load_config(str(CONFIGS / "chain4_purify_butterfly.json"))
     trace = run_network(doc.network, collect_trace=True).trace
-    escaped = TraceRecord(-1, 2**70, 'Kind "q"', 3, 'a\\b\n\x00\u2028\ud800\xe9')
+    fields = (-1, 2**70, 'Kind "q"', 3, 'a\\b\n\x00\u2028\ud800\xe9')
+    escaped = _trace_line(*fields)
     trace.insert(TRACE_CHUNK, escaped)
     assert len(trace) > 2 * TRACE_CHUNK
     path = tmp_path / "trace.jsonl"
     with open(path, "x", encoding="utf-8") as fh:
         _write_trace(fh, trace)
     assert path.read_bytes() == "".join(
-        json.dumps(rec._asdict(), sort_keys=True) + "\n" for rec in trace
+        json.dumps(vars(rec), sort_keys=True) + "\n" for rec in trace_records(trace)
     ).encode("ascii")
+    assert vars(trace_records([escaped])[0]) == dict(zip(_TRACE_FIELDS, fields))
 
 
 def test_calls_in_one_process_match_first_calls(tmp_path, capsys, monkeypatch):

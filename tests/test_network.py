@@ -1,5 +1,6 @@
 """Chain orchestration: schedules, sweeps, purification, butterfly, frames."""
 
+import json
 import math
 import re
 import time
@@ -36,7 +37,7 @@ from fusenet.pair_algebra import (
     purify3_analytic,
 )
 
-from conftest import chain_config
+from conftest import chain_config, trace_records
 
 
 class TestValidateConfig:
@@ -184,7 +185,7 @@ class TestPerfectChain:
         result = run_network(cfg, collect_trace=True)
         num_nodes = len(hops) + 1
         per_cycle = {}
-        for rec in result.trace:
+        for rec in trace_records(result.trace):
             match = re.search(r"cycle=(\d+)", rec.detail)
             per_cycle.setdefault(int(match.group(1)), Counter())[rec.kind] += 1
         for cycle in range(cycles):
@@ -206,7 +207,7 @@ class TestPerfectChain:
         result = run_network(cfg, collect_trace=True)
         arrivals = [
             (rec.node, rec.t_ns)
-            for rec in result.trace
+            for rec in trace_records(result.trace)
             if rec.kind == "HeraldArrive" and rec.t_ns < result.schedule.cycle_period_ns
         ]
         assert arrivals == [(1, 50_000), (2, 250_000), (3, 350_000)]
@@ -279,7 +280,7 @@ def test_record_pairs_match_the_traced_signals(strategy):
     )
     result = run_network(cfg, collect_trace=True)
     filled = {}  # (hop, cycle, hop slot) -> (fusilier, arrival)
-    for rec in result.trace:
+    for rec in trace_records(result.trace):
         match = re.fullmatch(r"cycle=(\d+) fusilier=(\d+) success slot=(\d+)", rec.detail)
         if rec.kind == EventKind.SIGNAL_ARRIVE.value and match:
             cycle, fusilier, slot = map(int, match.groups())
@@ -357,7 +358,7 @@ class TestPurification:
         )
         result = run_network(cfg, collect_trace=True)
         counts = result.hop_success_counts
-        returns = [rec for rec in result.trace if rec.kind == "ReturnArrive"]
+        returns = [rec for rec in trace_records(result.trace) if rec.kind == "ReturnArrive"]
         assert len(returns) == cfg.cycles * len(cfg.links)
         shorter = Counter()
         for rec in returns:
@@ -638,8 +639,10 @@ def test_short_chain_properties(cfg):
 
 
 def _check_train_trace(cfg):
-    """A traced run's keys strictly increase, and every signal train traces
-    each of its n signals once, at (its arrival, the train's first seq + k)."""
+    """A traced run's lines are each the sorted-key ``json.dumps`` of what
+    they parse to, their keys strictly increase, and every signal train
+    traces each of its n signals once, at (its arrival, the train's first
+    seq + k)."""
     trains = []
     schedule = EventQueue.schedule
 
@@ -650,10 +653,13 @@ def _check_train_trace(cfg):
 
     with mock.patch.object(EventQueue, "schedule", recording):
         result = run_network(cfg, collect_trace=True)
-    keys = [(rec.t_ns, rec.seq) for rec in result.trace]
+    for line in result.trace:
+        assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+    records = trace_records(result.trace)
+    keys = [(rec.t_ns, rec.seq) for rec in records]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
-    signals = {(rec.t_ns, rec.seq): rec for rec in result.trace if rec.kind == "SignalArrive"}
+    signals = {(rec.t_ns, rec.seq): rec for rec in records if rec.kind == "SignalArrive"}
     sched = result.schedule
     assert len(trains) == cfg.cycles * len(cfg.links)
     for event, count in trains:
