@@ -1,14 +1,15 @@
 """Command-line entry point: plan, simulate, and sweep workflows.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 desynchronization
-abort, 4 an output file (summary, trace or sweep CSV) could not be written.
-Every error path prints a single machine-readable line to stderr of the form
-``error: <category>: <detail>``, and every warning one line
-``warning: <message>``. Output files go to temp files beside their
-targets and are renamed into place only once every write has succeeded.
-The trace, already its JSON lines (see ``network``), is joined into
-chunks of ``TRACE_CHUNK`` lines, one write per chunk. The argument parser
-is built once per process.
+Commands raise; ``main`` alone reports, with one stderr line
+``error: <category>: <detail>`` and an exit code, mapping each class once,
+most specific first: ``desync`` (``DesynchronizationError``) 3,
+``unsatisfiable`` (``UnsatisfiableError``) 2, ``config``
+(``ConfigurationError``, usage errors included) 2, ``io`` (``OSError``: an
+output, a file or standard output, could not be written) 4. Success exits
+0, and every warning is one line ``warning: <message>``. Every output goes
+through ``_emit``. The trace, already its JSON lines (see ``network``), is
+joined into chunks of ``TRACE_CHUNK`` lines, one write per chunk. The
+argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ _SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryStats))
 _PLAN_FIELDS = tuple(f.name for f in fields(PlanRow))
 
 
-def _fail(category: str, message: str, code: int) -> int:
-    print(f"error: {category}: {message}", file=sys.stderr)
+def _fail(category: str, exc: Exception, code: int) -> int:
+    print(f"error: {category}: {exc}", file=sys.stderr)
     return code
 
 
@@ -113,26 +114,21 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        rows = []
-        for m in _parse_int_list(args.m, "--m"):
-            try:
-                rows += plan_table([m], args.p, args.target)
-            except OverflowError:
-                raise ConfigurationError(
-                    f"m={m}, p={args.p}: the float binomial tail overflows; "
-                    "the planner cannot size this query yet"
-                ) from None
-    except UnsatisfiableError as exc:
-        return _fail("unsatisfiable", str(exc), EXIT_CONFIG)
-    except ConfigurationError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+def cmd_plan(args: argparse.Namespace) -> None:
+    rows = []
+    for m in _parse_int_list(args.m, "--m"):
+        try:
+            rows += plan_table([m], args.p, args.target)
+        except OverflowError:
+            raise ConfigurationError(
+                f"m={m}, p={args.p}: the float binomial tail overflows; "
+                "the planner cannot size this query yet"
+            ) from None
     if args.format == "csv":
-        sys.stdout.write(_csv_text(_PLAN_FIELDS, [astuple(row) for row in rows]))
+        text = _csv_text(_PLAN_FIELDS, [astuple(row) for row in rows])
     else:
-        sys.stdout.write(_plan_rows_text(rows))
-    return EXIT_OK
+        text = _plan_rows_text(rows)
+    _emit([(None, lambda fh: fh.write(text))])
 
 
 def _summary_document(doc: ConfigDocument, stats_dict: dict) -> str:
@@ -167,7 +163,8 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
 
     A file is written to a temp file beside ``path``; the temp files are
     renamed into place only after every write succeeded, and removed if any
-    write or rename fails. Stdout is written last.
+    write or rename fails. Stdout is written last and flushed, so that its
+    failure raises here too.
     """
     temps: list[tuple[str, str]] = []
     try:
@@ -183,9 +180,18 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
         for temp, _path in temps:
             if os.path.exists(temp):
                 os.remove(temp)
-    for path, write in outputs:
-        if path is None:
-            write(sys.stdout)
+    try:
+        for path, write in outputs:
+            if path is None:
+                write(sys.stdout)
+        sys.stdout.flush()
+    except OSError:
+        # Point stdout at the null device, so that the flush at exit of what
+        # its buffer still holds cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _write_trace(fh: TextIO, trace: Sequence[str]) -> None:
@@ -194,15 +200,10 @@ def _write_trace(fh: TextIO, trace: Sequence[str]) -> None:
         fh.write("".join(trace[start : start + TRACE_CHUNK]))
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        doc = load_config(args.config)
-        result = run_network(doc.network, collect_trace=doc.output.trace)
-        stats = summarize(result.records, doc.network)
-    except DesynchronizationError as exc:
-        return _fail("desync", str(exc), EXIT_DESYNC)
-    except ConfigurationError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+def cmd_simulate(args: argparse.Namespace) -> None:
+    doc = load_config(args.config)
+    result = run_network(doc.network, collect_trace=doc.output.trace)
+    stats = summarize(result.records, doc.network)
     if doc.output.format == "csv":
         text = _csv_text(_SUMMARY_FIELDS, [astuple(stats)])
     else:
@@ -210,11 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs = [(doc.output.path, lambda fh: fh.write(text))]
     if doc.output.trace:
         outputs.append((doc.output.trace_path, lambda fh: _write_trace(fh, result.trace)))
-    try:
-        _emit(outputs)
-    except OSError as exc:
-        return _fail("io", str(exc), EXIT_IO)
-    return EXIT_OK
+    _emit(outputs)
 
 
 def _swept_document(base: dict, param: str, raw: str, index: int) -> dict:
@@ -244,45 +241,34 @@ def _swept_document(base: dict, param: str, raw: str, index: int) -> dict:
     return doc
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     if args.param not in SWEEP_PARAMETERS:
-        return _fail(
-            "config",
+        raise ConfigurationError(
             f"--param: unknown parameter {args.param!r}; "
-            f"choose one of {tuple(SWEEP_PARAMETERS)}",
-            EXIT_CONFIG,
+            f"choose one of {tuple(SWEEP_PARAMETERS)}"
         )
     raw_values = [part for part in args.values.split(",") if part.strip() != ""]
     if not raw_values:
-        return _fail("config", "--values: expected at least one value", EXIT_CONFIG)
-    try:
-        doc = load_config(args.config)
-        base = resolved_dict(doc)
-        rows = []
-        for index, raw in enumerate(raw_values):
-            swept = _swept_document(base, args.param, raw, index)
-            network = parse_config(swept).network
-            result = run_network(network)
-            stats = summarize(result.records, network)
-            rows.append((args.param, raw, network.seed, *astuple(stats)))
-    except DesynchronizationError as exc:
-        return _fail("desync", str(exc), EXIT_DESYNC)
-    except ConfigurationError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+        raise ConfigurationError("--values: expected at least one value")
+    doc = load_config(args.config)
+    base = resolved_dict(doc)
+    rows = []
+    for index, raw in enumerate(raw_values):
+        swept = _swept_document(base, args.param, raw, index)
+        network = parse_config(swept).network
+        result = run_network(network)
+        stats = summarize(result.records, network)
+        rows.append((args.param, raw, network.seed, *astuple(stats)))
     text = _csv_text(("param", "value", "seed", *_SUMMARY_FIELDS), rows)
-    try:
-        out = args.out if args.out is not None else doc.output.path
-        _emit([(out, lambda fh: fh.write(text))])
-    except OSError as exc:
-        return _fail("io", str(exc), EXIT_IO)
-    return EXIT_OK
+    out = args.out if args.out is not None else doc.output.path
+    _emit([(out, lambda fh: fh.write(text))])
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error, its subparsers' too, as one ``error: config:`` line."""
+    """Raises a usage error, its subparsers' too, as a ConfigurationError."""
 
     def error(self, message: str):
-        self.exit(EXIT_CONFIG, f"error: config: {message}\n")
+        raise ConfigurationError(message)
 
 
 @functools.cache
@@ -322,14 +308,21 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        args.func(args)
+        return EXIT_OK
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except DesynchronizationError as exc:
+        return _fail("desync", exc, EXIT_DESYNC)
+    except UnsatisfiableError as exc:
+        return _fail("unsatisfiable", exc, EXIT_CONFIG)
+    except ConfigurationError as exc:
+        return _fail("config", exc, EXIT_CONFIG)
+    except OSError as exc:
+        return _fail("io", exc, EXIT_IO)
     finally:
         warnings.formatwarning = formatwarning
 

@@ -224,11 +224,11 @@ _TABLES = {
 }
 
 
-def parse_config(doc: Any, source: str = "config") -> ConfigDocument:
+def parse_config(doc: Any) -> ConfigDocument:
     """Parse and validate a raw JSON object into a ConfigDocument."""
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{source}: expected a JSON object at the top level")
-    return ConfigDocument(**_check_fields(doc, _DOCUMENT_FIELDS, source, ConfigDocument))
+        raise ConfigurationError("config: expected a JSON object at the top level")
+    return ConfigDocument(**_check_fields(doc, _DOCUMENT_FIELDS, "config", ConfigDocument))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -254,7 +254,7 @@ def load_config(path: str) -> ConfigDocument:
         raise ConfigurationError(f"{path}: cannot read ({exc.strerror})") from None
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
-    return parse_config(doc, source="config")
+    return parse_config(doc)
 
 
 def _link_dict(link: LinkSpec) -> dict:

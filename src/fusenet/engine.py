@@ -112,9 +112,6 @@ class EventQueue:
         self._heap: list[tuple[int, int, Event]] = []
         self._next_seq = 0
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def schedule(self, event: Event, count: int = 1) -> Event:
         """Insert an event; scheduling into the simulated past is an error.
 

@@ -61,15 +61,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_console(*argv):
-    """Run the CLI in a fresh interpreter, where warnings reach stderr."""
+def console_env():
+    """The environment of a fresh interpreter, where warnings reach stderr."""
     env = dict(os.environ)
     env.pop("PYTHONWARNINGS", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_console(*argv):
+    """Run the CLI in a fresh interpreter, where warnings reach stderr."""
     done = subprocess.run(
         [sys.executable, "-m", "fusenet.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=console_env(), capture_output=True, text=True, timeout=120,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -617,6 +622,32 @@ class TestWriteFailure:
         assert err.startswith("error: io:") and err.count("\n") == 1
         assert out_csv.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--m", "1", "--p", "0.5"],
+            ["simulate", str(CONFIGS / "two_node_40km.json")],
+            ["sweep", str(CONFIGS / "two_node_40km.json"), "--param", "m", "--values", "1"],
+        ],
+        ids=["plan", "simulate", "sweep"],
+    )
+    def test_full_stdout(self, argv, unbuffered):
+        # A buffered stdout fails only at its flush, an unbuffered one at
+        # the write; neither may leave a traceback or a second failure at exit.
+        env = console_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "fusenet.cli", *argv],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert done.returncode == 4
+        assert done.stderr.startswith("error: io: ") and done.stderr.count("\n") == 1
 
 
 class TestSweep:

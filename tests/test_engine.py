@@ -77,7 +77,7 @@ class TestEventQueue:
         first = q.schedule(make_event(5))
         assert q.reserve() == 1
         assert q.reserve(3) == 4
-        assert len(q) == 1
+        assert len(q._heap) == 1
         assert q.schedule(make_event(5)).seq == 5
         assert [event.seq for event in dispatch_all(q)] == [first.seq, 5]
 
@@ -94,7 +94,7 @@ class TestRun:
         hits = []
         assert run(q, {EventKind.CYCLE_START: hits.append}) is None
         assert hits == [event]
-        assert q.now_ns == 10 and len(q) == 0
+        assert q.now_ns == 10 and not q._heap
 
     def test_protocol_error_attaches_event(self):
         q = EventQueue()
@@ -143,7 +143,7 @@ class TestTrain:
         after = q.schedule(make_event(0))
         # seqs 1, 2, 3 are the train's; it is queued under the last one.
         assert (before.seq, train.seq, after.seq) == (0, 3, 4)
-        assert len(q) == 3
+        assert len(q._heap) == 3
         assert dispatch_all(q) == [before, after, train]
         assert q.now_ns == 10
 

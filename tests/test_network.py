@@ -501,6 +501,25 @@ class TestFramePropagation:
         with pytest.raises(ProtocolError, match=r"^no herald delivered the frame records of cycle 0$"):
             run_network(chain_config([20.0, 20.0], cycles=3))
 
+    def test_stale_frame_record_raises(self, monkeypatch):
+        # Node 1 keeps its cycle-0 record through herald 1, so herald 2
+        # carries it to the right end a cycle late.
+        herald_at = _ChainSimulation._herald_at
+
+        def keep_outbox(sim, node_id, cycle, frames):
+            if (node_id, cycle) != (1, 1):
+                return herald_at(sim, node_id, cycle, frames)
+            kept, sim.outboxes[1] = sim.outboxes[1], []
+            herald_at(sim, node_id, cycle, frames)
+            sim.outboxes[1][:0] = kept
+
+        monkeypatch.setattr(_ChainSimulation, "_herald_at", keep_outbox)
+        with pytest.raises(ProtocolError) as caught:
+            run_network(chain_config([20.0, 20.0], cycles=3))
+        assert str(caught.value) == "herald 2 picked up a stale frame record from cycle 0 at node 1"
+        event = caught.value.event
+        assert (event.kind, event.node, event.cycle) == (EventKind.HERALD_ARRIVE, 2, 2)
+
 
 class TestDesynchronization:
     @pytest.mark.parametrize(
