@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import errno
 import functools
 import io
 import itertools
@@ -164,8 +165,12 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
     A file is written to a temp file beside ``path``; the temp files are
     renamed into place only after every write succeeded, and removed if any
     write or rename fails. Stdout is written last and flushed, so that its
-    failure raises here too.
+    failure raises here too. A closed stdout (``sys.stdout`` is None when
+    the process starts without fd 1) raises ``OSError`` before any write.
     """
+    to_stdout = [write for path, write in outputs if path is None]
+    if to_stdout and sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
     temps: list[tuple[str, str]] = []
     try:
         for path, write in outputs:
@@ -180,10 +185,11 @@ def _emit(outputs: list[tuple[Optional[str], Callable[[TextIO], object]]]) -> No
         for temp, _path in temps:
             if os.path.exists(temp):
                 os.remove(temp)
+    if not to_stdout:
+        return
     try:
-        for path, write in outputs:
-            if path is None:
-                write(sys.stdout)
+        for write in to_stdout:
+            write(sys.stdout)
         sys.stdout.flush()
     except OSError:
         # Point stdout at the null device, so that the flush at exit of what

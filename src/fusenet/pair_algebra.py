@@ -190,6 +190,15 @@ def min_fusiliers(m: int, p: float, target_pf: float) -> int:
 
     Uses the strict inequality failure_prob_multi(n, m, p) < target_pf.
     Monotone non-decreasing in m and in 1/target_pf.
+
+    The tail falls as n grows, so the search gallops up from n = m in
+    steps 1, 2, 4, ... and then bisects: O(log n) tail evaluations, and
+    the same n as scanning n = m, m + 1, ... for the first tail below
+    target. A tail that overflows a float marks n as past the answer,
+    because comb(n, k) only grows with n; when the answer's own tail
+    overflows, ``OverflowError`` propagates, as it would from the scan.
+    A p at or below the float resolution (1 - p rounds to 1) makes the
+    float tail at least 1 at every n and raises ``ConfigurationError``.
     """
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m!r}")
@@ -202,10 +211,35 @@ def min_fusiliers(m: int, p: float, target_pf: float) -> int:
         raise UnsatisfiableError(
             "p=0 signals never succeed, no fusillade size works"
         )
-    n = m
-    while failure_prob_multi(n, m, p) >= target_pf:
-        n += 1
-    return n
+    if 1.0 - p == 1.0:
+        raise ConfigurationError(
+            f"p={p!r} is at or below the float resolution 2**-54: 1 - p "
+            "rounds to 1, so the float binomial tail never falls below target"
+        )
+    overflow_from = math.inf  # the smallest n seen whose tail overflows
+
+    def past_answer(n: int) -> bool:
+        nonlocal overflow_from
+        try:
+            return failure_prob_multi(n, m, p) < target_pf
+        except OverflowError:
+            overflow_from = min(overflow_from, n)
+            return True
+
+    # Invariant: the tail at lo is >= target_pf (at m - 1 it is 1 by
+    # convention), and hi is past the answer.
+    lo, hi = m - 1, m
+    while not past_answer(hi):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if past_answer(mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi >= overflow_from:
+        failure_prob_multi(hi, m, p)  # raises the scan's OverflowError
+    return hi
 
 
 def purify3_analytic(fidelity: float) -> float:

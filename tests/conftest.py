@@ -1,6 +1,8 @@
 """Shared test helpers: deterministic stub RNG, config builders, trace parsing."""
 
 import json
+import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -63,3 +65,19 @@ def chain_config(
 def trace_records(trace):
     """A run's trace lines parsed, each to a namespace of its fields."""
     return [SimpleNamespace(**json.loads(line)) for line in trace]
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

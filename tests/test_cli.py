@@ -20,7 +20,7 @@ from fusenet.cli import TRACE_CHUNK, _write_trace, main
 from fusenet.config import load_config, parse_config, resolved_dict
 from fusenet.network import MAX_TRAIN_DRAWS, _trace_line, run_network
 
-from conftest import trace_records
+from conftest import deadline, trace_records
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -154,6 +154,36 @@ class TestPlan:
         assert err == (
             "error: config: m=1100, p=0.5: the float binomial tail overflows; "
             "the planner cannot size this query yet\n"
+        )
+
+    def test_overflowing_answer_is_one_config_line_at_once(self, capsys):
+        # the float tail overflows before it falls below 1e-4 (n=1438 by scipy)
+        with deadline(2.0):
+            code, out, err = run_cli(
+                capsys, "plan", "--m", "300", "--p", "0.25", "--target", "1e-4"
+            )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: config: m=300, p=0.25: the float binomial tail overflows; "
+            "the planner cannot size this query yet\n"
+        )
+
+    def test_tiny_p_is_one_row_at_once(self, capsys):
+        with deadline(2.0):
+            code, out, err = run_cli(capsys, "plan", "--m", "1", "--p", "1e-9")
+        assert code == 0
+        assert err == ""
+        assert len(out.splitlines()) == 2  # header + 1 row
+
+    def test_p_below_float_resolution_is_one_config_line(self, capsys):
+        with deadline(2.0):
+            code, out, err = run_cli(capsys, "plan", "--m", "1", "--p", "1e-17")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: config: p=1e-17 is at or below the float resolution 2**-54: "
+            "1 - p rounds to 1, so the float binomial tail never falls below target\n"
         )
 
 
@@ -574,6 +604,22 @@ def test_calls_in_one_process_match_first_calls(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, *argv) == run_console(*argv), argv
 
 
+STDOUT_COMMANDS = [
+    ["plan", "--m", "1", "--p", "0.5"],
+    ["simulate", str(CONFIGS / "two_node_40km.json")],
+    ["sweep", str(CONFIGS / "two_node_40km.json"), "--param", "m", "--values", "1"],
+]
+
+
+def run_without_stdout(*argv):
+    """Run the CLI in a fresh interpreter started with fd 1 closed."""
+    return subprocess.run(
+        [sys.executable, "-m", "fusenet.cli", *argv],
+        env=console_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+
+
 class TestWriteFailure:
     """An unwritable output exits 4 with one ``error: io:`` line."""
 
@@ -625,15 +671,7 @@ class TestWriteFailure:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["plan", "--m", "1", "--p", "0.5"],
-            ["simulate", str(CONFIGS / "two_node_40km.json")],
-            ["sweep", str(CONFIGS / "two_node_40km.json"), "--param", "m", "--values", "1"],
-        ],
-        ids=["plan", "simulate", "sweep"],
-    )
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=["plan", "simulate", "sweep"])
     def test_full_stdout(self, argv, unbuffered):
         # A buffered stdout fails only at its flush, an unbuffered one at
         # the write; neither may leave a traceback or a second failure at exit.
@@ -648,6 +686,21 @@ class TestWriteFailure:
             )
         assert done.returncode == 4
         assert done.stderr.startswith("error: io: ") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=["plan", "simulate", "sweep"])
+    def test_closed_stdout(self, argv):
+        # Started with fd 1 closed, the interpreter sets sys.stdout to None.
+        done = run_without_stdout(*argv)
+        assert done.returncode == 4
+        assert done.stderr == "error: io: [Errno 9] standard output is closed\n"
+
+    def test_closed_stdout_unused(self, tmp_path):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["output"]["path"] = str(tmp_path / "summary.json")
+        done = run_without_stdout("simulate", write_doc(tmp_path, doc))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "summary" in json.loads((tmp_path / "summary.json").read_text())
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from fusenet.errors import ConfigurationError, UnsatisfiableError
+from fusenet.metrics import PlanRow, plan_table
 from fusenet.pair_algebra import (
     IDENTITY_FRAME,
     LinkModel,
@@ -30,6 +31,8 @@ from fusenet.pair_algebra import (
     swap_compose_analytic,
 )
 
+from conftest import deadline
+
 
 def enumerated_failure_prob(n, m, p):
     """Oracle: walk all 2^n outcome strings, weight each by p^k (1-p)^(n-k)."""
@@ -38,6 +41,35 @@ def enumerated_failure_prob(n, m, p):
     for bits in range(2**n):
         counts[bits.bit_count()] += 1
     return math.fsum(counts[k] * p**k * q ** (n - k) for k in range(m))
+
+
+def linear_scan_row(m, p, target):
+    """Oracle: the plan row of the first n = m, m + 1, ... whose tail is below target."""
+    n = m
+    while failure_prob_multi(n, m, p) >= target:
+        n += 1
+    pf_prev = failure_prob_multi(n - 1, m, p) if n - 1 >= m else 1.0
+    return PlanRow(m, p, target, n, failure_prob_multi(n, m, p), pf_prev, n * p)
+
+
+# The 38 planner queries of perfbench's plan_grid workload.
+PLAN_GRID = [
+    (m, p, target)
+    for m in (1, 3, 10, 30, 100, 200)
+    for p in (0.5, 0.25, 0.1, 0.05)
+    for target in (1e-2, 1e-6)
+    if p >= {100: 0.25, 200: 0.5}.get(m, 0.0)
+]
+
+# Rows whose search passes an n with an overflowing tail before it settles:
+# a gallop that stopped at the first overflow would raise on each of them.
+# The values are the linear scan's.
+OVERSHOOT_ROWS = [
+    PlanRow(250, 0.25, 1e-06, 1286, 9.595422240821552e-07, 1.034028459714672e-06, 321.5),
+    PlanRow(300, 0.25, 0.01, 1345, 0.009679910127108622, 0.010082644216272384, 336.25),
+    PlanRow(350, 0.4, 0.01, 962, 0.009801035800453857, 0.010486763269036359, 384.8),
+    PlanRow(400, 0.5, 1e-06, 945, 9.75245202544657e-07, 1.1321116952959399e-06, 472.5),
+]
 
 
 class TestSuccessProbability:
@@ -165,8 +197,8 @@ class TestMinFusiliers:
             min_fusiliers(1, 0.5, 0.0)
 
     @given(
-        m=st.integers(min_value=1, max_value=6),
-        p=st.floats(min_value=0.05, max_value=1.0),
+        m=st.integers(min_value=1, max_value=60),
+        p=st.floats(min_value=0.01, max_value=1.0),
         target=st.floats(min_value=1e-6, max_value=0.5),
     )
     @settings(max_examples=60, deadline=None)
@@ -176,6 +208,44 @@ class TestMinFusiliers:
         assert failure_prob_multi(n, m, p) < target
         if n - 1 >= m:
             assert failure_prob_multi(n - 1, m, p) >= target
+        assert plan_table([m], p, target) == [linear_scan_row(m, p, target)]
+
+    def test_plan_grid_rows_equal_linear_scan(self):
+        assert len(PLAN_GRID) == 38
+        for m, p, target in PLAN_GRID:
+            assert plan_table([m], p, target) == [linear_scan_row(m, p, target)]
+
+    @pytest.mark.parametrize("row", OVERSHOOT_ROWS, ids=lambda row: f"m{row.m}")
+    def test_overflow_past_the_answer_is_not_raised(self, row):
+        with deadline(1.0):
+            assert plan_table([row.m], row.p, row.target_pf) == [row]
+
+    def test_overflowing_answer_raises_at_once(self):
+        with deadline(1.0), pytest.raises(OverflowError):
+            plan_table([300], 0.25, 1e-4)
+
+    def test_tiny_p_sized_at_once(self):
+        with deadline(1.0):
+            n = min_fusiliers(1, 1e-9, 0.01)
+        assert failure_prob_multi(n, 1, 1e-9) < 0.01 <= failure_prob_multi(n - 1, 1, 1e-9)
+        # The float tail (1 - p)**n puts n at 4605170314, 130 above the exact answer.
+        exact = math.ceil(math.log(0.01) / math.log1p(-1e-9))
+        assert exact == 4605170184
+        assert n == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("p", [1e-17, 2.0**-54])
+    def test_p_below_float_resolution_rejected(self, m, p):
+        with deadline(1.0), pytest.raises(
+            ConfigurationError, match=rf"^p={p!r} is at or below the float resolution 2\*\*-54"
+        ):
+            min_fusiliers(m, p, 0.01)
+
+    def test_p_at_float_resolution_sized(self):
+        # 1 - 2**-53 is the float just below 1, so this tail does fall
+        with deadline(1.0):
+            n = min_fusiliers(1, 2.0**-53, 0.01)
+        assert failure_prob_multi(n, 1, 2.0**-53) < 0.01 <= failure_prob_multi(n - 1, 1, 2.0**-53)
 
     def test_per_receiver_cost_shrinks(self):
         ratios = [min_fusiliers(m, 0.25, 0.01) / m for m in (1, 2, 10, 100)]
