@@ -116,15 +116,7 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
 
 def cmd_plan(args: argparse.Namespace) -> None:
-    rows = []
-    for m in _parse_int_list(args.m, "--m"):
-        try:
-            rows += plan_table([m], args.p, args.target)
-        except OverflowError:
-            raise ConfigurationError(
-                f"m={m}, p={args.p}: the float binomial tail overflows; "
-                "the planner cannot size this query yet"
-            ) from None
+    rows = plan_table(_parse_int_list(args.m, "--m"), args.p, args.target)
     if args.format == "csv":
         text = _csv_text(_PLAN_FIELDS, [astuple(row) for row in rows])
     else:

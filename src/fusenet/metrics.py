@@ -16,16 +16,10 @@ from .network import (
     EndToEndRecord,
     LinkSpec,
     NetworkConfig,
-    Strategy,
+    analytic_end_to_end_fidelity,
     validate_config,
 )
-from .pair_algebra import (
-    LinkModel,
-    chain_fidelity,
-    failure_prob_multi,
-    min_fusiliers,
-    purify3_analytic,
-)
+from .pair_algebra import LinkModel, failure_prob_multi, min_fusiliers
 
 __all__ = ["SummaryStats", "PlanRow", "summarize", "plan_table", "rate_model"]
 
@@ -47,17 +41,6 @@ class SummaryStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def analytic_end_to_end_fidelity(config: NetworkConfig) -> float:
-    """Chain fidelity over per-hop fidelities, after per-hop purification."""
-    hop_fidelities = []
-    for link in config.links:
-        f = link.model.raw_fidelity
-        if config.strategy is Strategy.PURIFY3:
-            f = purify3_analytic(f)
-        hop_fidelities.append(f)
-    return chain_fidelity(hop_fidelities)
 
 
 def summarize(

@@ -70,13 +70,12 @@ from the ledger). A return's swap count is the shorter of the node's two
 hops in the ledger. At run end each ``PairRecord`` and ``EndToEndRecord`` is
 built once, in cycle order, with the pair's ``correction`` the herald share
 XOR the left share, so the summary scores what was delivered; the model
-fidelity, the same for every pair, is folded once per run. Nothing is
-allocated per cycle before the run.
+fidelity, the same for every pair, is ``analytic_end_to_end_fidelity``,
+computed once per run. Nothing is allocated per cycle before the run.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -106,10 +105,10 @@ from .pair_algebra import (
     LinkModel,
     PairRecord,
     PauliFrame,
+    chain_fidelity,
+    purify3_analytic,
     purify3_bits,
-    purify3_kept_fidelity,
     swap_bits,
-    swap_compose_analytic,
 )
 
 __all__ = [
@@ -122,6 +121,7 @@ __all__ = [
     "MAX_TRAIN_DRAWS",
     "effective_slots",
     "validate_config",
+    "analytic_end_to_end_fidelity",
     "butterfly_split",
     "run_network",
 ]
@@ -249,7 +249,6 @@ class RunResult:
     to read its fields.
     """
 
-    config: NetworkConfig
     schedule: CycleSchedule
     records: list[EndToEndRecord]
     per_cycle_delivered: list[int]
@@ -392,6 +391,15 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     )
 
 
+def analytic_end_to_end_fidelity(config: NetworkConfig) -> float:
+    """The closed-form fidelity of every end-to-end pair: ``chain_fidelity``
+    over each hop's raw fidelity, after ``purify3_analytic`` under purify3."""
+    fidelities = [link.model.raw_fidelity for link in config.links]
+    if config.strategy is Strategy.PURIFY3:
+        fidelities = [purify3_analytic(f) for f in fidelities]
+    return chain_fidelity(fidelities)
+
+
 def butterfly_split(config: NetworkConfig) -> int:
     """Pick the intermediate node that best balances the two half-chains.
 
@@ -458,12 +466,8 @@ class _ChainSimulation:
         # return message; every other node's leaves on the next herald.
         self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.num_nodes)]
         self.left_senders = split_index or 0
-        # Every end-to-end pair has the same model fidelity: each hop's
-        # (purified or raw) folded left to right as successive swaps.
-        fidelities = [link.model.raw_fidelity for link in config.links]
-        if config.strategy is Strategy.PURIFY3:
-            fidelities = [purify3_kept_fidelity(f, f, f) for f in fidelities]
-        self.end_fidelity = functools.reduce(swap_compose_analytic, fidelities)
+        # Every end-to-end pair has the same model fidelity.
+        self.end_fidelity = analytic_end_to_end_fidelity(config)
         # A kept pair in slot k sits in the right node's fusiland 3k when
         # purified, k when raw.
         self.right_stride = 3 if config.strategy is Strategy.PURIFY3 else 1
@@ -556,21 +560,18 @@ class _ChainSimulation:
                 len(ledger.hop_pairs[node_id - 1].fusiliers),
                 len(ledger.hop_pairs[node_id].fusiliers),
             )
-        rng = None
         if swaps:
             rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * swaps)
-        ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
-        if swaps:
+            ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
             self.outboxes[node_id].append(FrameRecord(node_id, cycle, swaps, *outcomes))
-        # The swap occupies the node for proc_ns; busy_until_ns guards the
-        # occupancy window against early heralds.
-        if swaps:
+            # The swap occupies the node for proc_ns; busy_until_ns guards the
+            # occupancy window against early heralds.
             node.busy_until_ns = self.queue.now_ns + self.config.proc_ns
             self.queue.schedule(
                 Event(node.busy_until_ns, EventKind.SWAP_COMPLETE, node_id, cycle, swaps)
             )
         else:
-            node.busy_until_ns = self.queue.now_ns
+            on_return(node, cycle, 0, None)
             self._mark_complete(cycle, node_id)
         if node_id == 0:
             self._schedule_next_cycle(cycle)
@@ -675,7 +676,6 @@ class _ChainSimulation:
         )
         if node_id == self.num_nodes - 1:
             # The right end gets no return; its cycle ends with the train.
-            node.busy_until_ns = self.queue.now_ns
             self._mark_complete(cycle, node_id)
 
     def _purify_hop(
@@ -817,7 +817,6 @@ class _ChainSimulation:
             delivered.append(len(pairs.fusiliers))
             successes.append(hop_successes)
         return RunResult(
-            config=self.config,
             schedule=self.schedule,
             records=records,
             per_cycle_delivered=delivered,

@@ -103,7 +103,9 @@ class PairRecord:
     all frame corrections are accounted for; ``frame`` is the pending
     correction that classical messages still have to deliver.
     ``model_fidelity`` is the analytic fidelity the error bit was (or would
-    be) sampled from.
+    be) sampled from; a run's end-to-end pairs carry the chain's closed
+    form, ``network.analytic_end_to_end_fidelity``, the summary's
+    ``analytic_end_fidelity``.
     """
 
     left: Endpoint
@@ -196,7 +198,8 @@ def min_fusiliers(m: int, p: float, target_pf: float) -> int:
     the same n as scanning n = m, m + 1, ... for the first tail below
     target. A tail that overflows a float marks n as past the answer,
     because comb(n, k) only grows with n; when the answer's own tail
-    overflows, ``OverflowError`` propagates, as it would from the scan.
+    overflows, where the scan would meet ``OverflowError``, it raises
+    ``ConfigurationError`` naming m and p, so no ``OverflowError`` escapes.
     A p at or below the float resolution (1 - p rounds to 1) makes the
     float tail at least 1 at every n and raises ``ConfigurationError``.
     """
@@ -238,7 +241,10 @@ def min_fusiliers(m: int, p: float, target_pf: float) -> int:
         else:
             lo = mid
     if hi >= overflow_from:
-        failure_prob_multi(hi, m, p)  # raises the scan's OverflowError
+        raise ConfigurationError(
+            f"m={m}, p={p}: the float binomial tail overflows; "
+            "the planner cannot size this query yet"
+        )
     return hi
 
 

@@ -156,6 +156,15 @@ class TestPlan:
             "the planner cannot size this query yet\n"
         )
 
+    def test_overflow_after_a_sized_row_prints_no_row(self):
+        # m=1 is sized before m=1100 overflows; the planner raises the line
+        # itself, and nothing reaches stdout
+        code, out, err = run_console("plan", "--m", "1,1100", "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: config: ")
+
     def test_overflowing_answer_is_one_config_line_at_once(self, capsys):
         # the float tail overflows before it falls below 1e-4 (n=1438 by scipy)
         with deadline(2.0):

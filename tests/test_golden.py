@@ -90,28 +90,28 @@ CASES = {
 
 EXPECTED = {
     "overlapping_trains": {
-        "records": "977f467be4dd1d65e63ac73dc35ffc0fb423b95404497fbf0dca7f771fd8b9a4",
+        "records": "072997a06729be3bf0174d11b3401e6dc44951cb3a4f2156e5e898fd84c9ee0c",
         "per_cycle_delivered": "2f33271b4d9a736eb56ef0365da9a7f3bab585a313dd52676358933dd92e90f4",
         "hop_success_counts": "e41404828b07954db1e67cd07c9a80fdede8bc90b434996f2c55c0be4a6f8746",
         "left_frame_folds": "0dc008c4946b1f4d828ce5998127b9aa87a5dc508cf4cd79c2ab6386e20b0734",
         "trace": "9d0e46e1a0d2b1dd475b48cd2ad4188dabb9ce32a78e190989d94eafbd492bc3",
     },
     "overlapping_trains_tau0": {
-        "records": "0f692e5282a271d1dbd85e3df89cb8afe9f2e358a3f507193fcc096c11f59036",
+        "records": "d3791b7d1c147416d3a8fb96f194f20f72487c79d96d71fa455b8c4a21b12593",
         "per_cycle_delivered": "98eaef7268d4033f18baf32ecc014dd1c62e5a0d641204317147b656e5bf7817",
         "hop_success_counts": "8fefea01b1dc4d6ff2af58567636b7756d4498a8b00783f87b27e2fb6d5fb589",
         "left_frame_folds": "961cc676f8d5c946e1a66f9964bf3e26024c752e83c35df7e87eb887d53e3a30",
         "trace": "eaba6db17becdce69b6b6230de56a3797861cb384f20d4caa18d558c61637fa7",
     },
     "p0_L0_link_form": {
-        "records": "f6599a3d0c5ab3ed6e5d70d8b3702e2c93198e27fef2db3fa4c43d8af42fa2f3",
+        "records": "7501f6065120302e3eb780205d5c04ae31308a58eb2b4c3183c15bcb6aeaf8e0",
         "per_cycle_delivered": "597fbd5ee93e166b7461a87e39e6026dd61208ded0fa6cf1e09f7f1c275d5ddc",
         "hop_success_counts": "d59a3b265d3537a2221cd59a925a1f34c425fa692050140568ef4457805c8370",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "trace": "a8989f850b3472628e4f3e828fe9bef532d89b28a82741fc913c00984ef10632",
     },
     "purify3": {
-        "records": "097a190ad4c1f2a4acc95b0fa9a325f7849922a300bc7e4c3128ae459a497023",
+        "records": "bc8ecd6f8e8041f07fb100a3a42ec559c22fdacdffb41a7b31b04285ee2d527a",
         "per_cycle_delivered": "d74b2a86663a623f8e741a6308d5c8c22d0d6e3a4f825d77a79e83a3a9dea205",
         "hop_success_counts": "e22b2b172e3d649000c75264d65a2efaeb7183f86f9f944062e157b76b905fdf",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -125,7 +125,7 @@ EXPECTED = {
         "trace": "7cd2e789021027122ad60cd61bfc210fceb2ce872498f9f2c3629ec5794b28a5",
     },
     "raw": {
-        "records": "a43ccb5b912eac92c266064edd10dbb80db68da93f5be7ec0527b244e3196868",
+        "records": "c4135150b9c821516a28e7dcd04433e99e8a9f5e67a4a09849a67bff557b6682",
         "per_cycle_delivered": "192ca333904171119f3f62aa36a77e75f81f5d539cf03b7de4d0f47beb871e24",
         "hop_success_counts": "bf462685bfea328bd5f777c0391962ddf54ca728759bcfa17cc245f8e961d776",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -311,7 +311,7 @@ WIDER_EXPECTED = {
         "summary_csv": "1e4a207f9c53503f7121af4a291bb47e07d2dcaca0f8b406302726340f2d5697",
     },
     "purify3_single_hop": {
-        "records": "f308e70bc245b310aa9034a3da8f08cc35a6aeae3f9d88f5346cec57206ce9ff",
+        "records": "774f87598fe5ed224417fc9147b64f8093274c04d1c796742dc0c2f811f04840",
         "per_cycle_delivered": "defd0f8137a06048871dc3412875a94d1eca0c3b452efa687a41f1592743c7a7",
         "hop_success_counts": "e0026469c0b8f355c30fa55c7c2d6d7970329eeec3366231711d24c832eb963a",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",

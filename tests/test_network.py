@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusenet.config import load_config
@@ -374,6 +374,41 @@ class TestPurification:
             shorter[(left > right) - (left < right)] += 1
         # both sides set the count in some cycles, so neither is read alone
         assert shorter[1] and shorter[-1]
+
+
+@st.composite
+def _fidelity_chains(draw):
+    hops = draw(st.integers(min_value=1, max_value=6))
+    m = 3 * draw(st.integers(min_value=1, max_value=2))
+    links = [
+        LinkSpec(
+            LinkModel(
+                length_km=10.0,
+                p_success=1.0,
+                raw_fidelity=draw(st.floats(min_value=0.5, max_value=1.0)),
+            ),
+            n_fusiliers=m,
+            m_fusilands=m,
+        )
+        for _ in range(hops)
+    ]
+    return NetworkConfig(
+        nodes=[f"n{i}" for i in range(hops + 1)],
+        links=links,
+        strategy=draw(st.sampled_from(Strategy)),
+        cycles=2,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fidelity_chains())
+@example(chain_config([10.0] * 3, n=3, m=3, fidelity=0.9, cycles=2))
+def test_records_carry_the_summary_analytic_fidelity(cfg):
+    # One closed form: three raw 0.9 hops give 0.756 in both places
+    result = run_network(cfg)
+    assert result.records
+    analytic = summarize(result.records, cfg).analytic_end_fidelity
+    assert {rec.pair.model_fidelity for rec in result.records} == {analytic}
 
 
 class TestButterfly:

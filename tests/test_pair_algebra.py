@@ -221,8 +221,19 @@ class TestMinFusiliers:
             assert plan_table([row.m], row.p, row.target_pf) == [row]
 
     def test_overflowing_answer_raises_at_once(self):
-        with deadline(1.0), pytest.raises(OverflowError):
+        with deadline(1.0), pytest.raises(
+            ConfigurationError, match=r"^m=300, p=0\.25: the float binomial tail overflows"
+        ):
             plan_table([300], 0.25, 1e-4)
+
+    @pytest.mark.parametrize("plan", [min_fusiliers, lambda m, p, t: plan_table([m], p, t)],
+                             ids=["min_fusiliers", "plan_table"])
+    def test_overflow_at_the_first_tail_is_one_config_error(self, plan):
+        # comb(1100, k) overflows a float on the first tail evaluation
+        with deadline(1.0), pytest.raises(
+            ConfigurationError, match=r"^m=1100, p=0\.5: the float binomial tail overflows"
+        ):
+            plan(1100, 0.5, 0.01)
 
     def test_tiny_p_sized_at_once(self):
         with deadline(1.0):
