@@ -48,14 +48,25 @@ fusiliers column of the train's pairs; a finalized cycle appends one
 no event queued. ``execute`` sorts the entries by (time, seq) once and
 strips each to its line in place.
 
-Keyed seeds are expanded a block of ``SEED_BLOCK`` cycles at a time, at the
-``CycleStart`` of the block's first cycle (see ``engine``), and each
-cycle's rows hang on its ``_CycleLedger``. Several cycles are in flight at
-once on a long chain, so every draw of cycle c reads ledger c, which lives
-exactly as long as the cycle. Each key is drawn once, in one vector call: a
-train's link draws when the train is scheduled, n + m values (a signal
-draws at most once, plus once more on a success); a node's swaps, two per
-swap; a hop's purification, six per trio.
+Keyed seeds are expanded a block of cycles at a time, at the ``CycleStart``
+of the block's first cycle (see ``engine``), and each cycle's rows hang on
+its ``_CycleLedger``. Several cycles are in flight at once on a long chain,
+so every draw of cycle c reads ledger c, which lives exactly as long as the
+cycle. Each key is drawn once, in one vector call: a train's link draws
+when the train is scheduled, n + m values (a signal draws at most once,
+plus once more on a success); a node's swaps, two per swap, at most 2 *
+min of its hops' slot counts; a hop's purification, six per trio, at most 6
+* floor(m / 3). A domain whose largest such count is at most
+``BATCH_MAX_DRAWS`` (64) draws every key of the block at the block's start,
+in one ``pcg64_random`` call and one ``tolist``, and the ledger hands each
+train, swap and purification a ``Draws`` over its key's values, releasing
+them; a domain above it draws key by key from numpy's generator, which
+costs less than the kernel there (see ``engine``). Long trains, such as the
+paper chain's n + m = 644, stay on that native path. A block holds at most
+``SEED_BLOCK`` cycles and at most ``BLOCK_MAX_VALUES`` (2**14) batched
+values. A cycle keeps each batched key's values until the key is drawn, so
+a chain with many cycles in flight also holds their undrawn values. Which
+path draws a key, and how many cycles a block holds, changes no output.
 
 The ledger is also the one owner of a cycle's hop pairs and swap outcomes,
 held as columns rather than one object per pair or per swap; a node keeps
@@ -85,6 +96,8 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import NamedTuple, Optional
 
 from .engine import (
+    DOMAINS,
+    Draws,
     Event,
     EventKind,
     EventQueue,
@@ -95,6 +108,7 @@ from .engine import (
     SEED_BLOCK,
     SWAP_DOMAIN,
     channel_delay_ns,
+    pcg64_random,
     run,
 )
 from .errors import ConfigurationError, DesynchronizationError, ProtocolError
@@ -119,6 +133,7 @@ __all__ = [
     "EndToEndRecord",
     "RunResult",
     "MAX_TRAIN_DRAWS",
+    "BATCH_MAX_DRAWS",
     "effective_slots",
     "validate_config",
     "analytic_end_to_end_fidelity",
@@ -262,6 +277,16 @@ class RunResult:
 # may ask for at most this many; larger hops are rejected as configuration.
 MAX_TRAIN_DRAWS = 2**24
 
+# An RNG domain whose keys each draw at most this many values in a cycle
+# draws every key of a seed block in one ``pcg64_random`` call; a domain
+# above it draws key by key (``RngStream.draws``). It sits just below the
+# measured break-even of the two (see ``engine``), and it keeps long
+# trains, whose values would be held for every cycle in flight, native.
+BATCH_MAX_DRAWS = 64
+# The most values a block of batched draws may hold: the block is cut to
+# fewer cycles when its keys would draw more.
+BLOCK_MAX_VALUES = 2**14
+
 
 def effective_slots(link: LinkSpec, strategy: Strategy) -> int:
     """End-to-end slot capacity a hop contributes per cycle."""
@@ -400,6 +425,19 @@ def analytic_end_to_end_fidelity(config: NetworkConfig) -> float:
     return chain_fidelity(fidelities)
 
 
+def _batched_draws(config: NetworkConfig) -> list[int]:
+    """Per RNG domain, the most values one of its keys draws in a cycle, or
+    0 if the domain draws key by key: it draws nothing, or more than
+    ``BATCH_MAX_DRAWS`` values a key."""
+    slots = [effective_slots(link, config.strategy) for link in config.links]
+    most = [0] * DOMAINS
+    most[LINK_DOMAIN] = max(link.n_fusiliers + link.m_fusilands for link in config.links)
+    most[SWAP_DOMAIN] = 2 * max(map(min, slots, slots[1:]), default=0)
+    if config.strategy is Strategy.PURIFY3:
+        most[PURIFY_DOMAIN] = 6 * max(slots)
+    return [count if count <= BATCH_MAX_DRAWS else 0 for count in most]
+
+
 def butterfly_split(config: NetworkConfig) -> int:
     """Pick the intermediate node that best balances the two half-chains.
 
@@ -423,11 +461,14 @@ def butterfly_split(config: NetworkConfig) -> int:
 class _CycleLedger:
     """Per-cycle bookkeeping used to compose end-to-end pairs."""
 
-    __slots__ = ("seeds", "hop_pairs", "successes", "swaps", "outstanding")
+    __slots__ = ("seeds", "batched", "hop_pairs", "successes", "swaps", "outstanding")
 
-    def __init__(self, seeds, num_links: int, num_nodes: int) -> None:
-        # seeds[domain, index]: the PCG64 seed row of the cycle's key.
+    def __init__(self, seeds, batched: list, num_links: int, num_nodes: int) -> None:
+        # seeds[domain, index]: the PCG64 seed row of the cycle's key;
+        # batched[domain][index]: the key's values if its domain draws a
+        # block at once, else batched[domain] is None.
         self.seeds = seeds
+        self.batched = batched
         # hop_pairs[link]: the pairs the hop keeps at the end of its train
         # (after purification), from successes[link] raw ones; swaps[node]:
         # the node's swap outcomes, bit k of (parity_bits, x_bits) for slot k.
@@ -435,6 +476,15 @@ class _CycleLedger:
         self.successes = [0] * num_links
         self.swaps: list[tuple[int, int]] = [(0, 0)] * num_nodes
         self.outstanding = set(range(num_nodes))
+
+    def draws(self, rng: RngStream, domain: int, index: int, count: int) -> Draws:
+        """The first ``count`` draws of the cycle's key (domain, index); a key
+        is drawn once, so its batched values are released here."""
+        batched = self.batched[domain]
+        if batched is None:
+            return rng.draws(self.seeds[domain, index], count)
+        values, batched[index] = batched[index], None
+        return Draws(values)
 
 
 class _ChainSimulation:
@@ -473,8 +523,15 @@ class _ChainSimulation:
         self.right_stride = 3 if config.strategy is Strategy.PURIFY3 else 1
         self.queue = EventQueue()
         self.rng = RngStream(config.seed)
-        # Seed rows of the block holding the last cycle started.
+        # Per domain, the values one key draws if the domain is batched, else
+        # 0; a block is as many cycles as keep its batched values in bounds.
+        self.batched = _batched_draws(config)
+        per_cycle = len(config.links) * sum(self.batched)
+        self.block = min(SEED_BLOCK, max(1, BLOCK_MAX_VALUES // max(1, per_cycle)))
+        # Seed rows of the block holding the last cycle started, and per
+        # domain its batched values by cycle and index (None if not batched).
         self.seed_rows = None
+        self.block_draws: list = []
         self.ledgers: dict[int, _CycleLedger] = {}
         # finished[cycle] = (its delivered pairs, its hops' success counts).
         self.finished: dict[int, tuple[_HopPairs, list[int]]] = {}
@@ -492,11 +549,19 @@ class _ChainSimulation:
         generate = cycle < cycles
         if generate:
             num_links = len(self.config.links)
-            if cycle % SEED_BLOCK == 0:
-                block = range(cycle, min(cycle + SEED_BLOCK, cycles))
-                self.seed_rows = self.rng.seed_block(block, num_links)
+            offset = cycle % self.block
+            if not offset:
+                block = range(cycle, min(cycle + self.block, cycles))
+                self.seed_rows = rows = self.rng.seed_block(block, num_links)
+                self.block_draws = [
+                    pcg64_random(rows[:, domain], count).tolist() if count else None
+                    for domain, count in enumerate(self.batched)
+                ]
             self.ledgers[cycle] = _CycleLedger(
-                self.seed_rows[cycle % SEED_BLOCK], num_links, self.num_nodes
+                self.seed_rows[offset],
+                [None if values is None else values[offset] for values in self.block_draws],
+                num_links,
+                self.num_nodes,
             )
         self._herald_at(0, cycle, [])
         if self.collect_trace:
@@ -561,7 +626,7 @@ class _ChainSimulation:
                 len(ledger.hop_pairs[node_id].fusiliers),
             )
         if swaps:
-            rng = self.rng.draws(ledger.seeds[SWAP_DOMAIN, node_id], 2 * swaps)
+            rng = ledger.draws(self.rng, SWAP_DOMAIN, node_id, 2 * swaps)
             ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
             self.outboxes[node_id].append(FrameRecord(node_id, cycle, swaps, *outcomes))
             # The swap occupies the node for proc_ns; busy_until_ns guards the
@@ -634,9 +699,8 @@ class _ChainSimulation:
         if not fired:
             return
         start_ns = self.queue.now_ns + self.schedule.link_delays_ns[node_id]
-        draws = self.rng.draws(
-            self.ledgers[cycle].seeds[LINK_DOMAIN, node_id],
-            fired + self.config.links[node_id].m_fusilands,
+        draws = self.ledgers[cycle].draws(
+            self.rng, LINK_DOMAIN, node_id, fired + self.config.links[node_id].m_fusilands
         )
         self.queue.schedule(
             Event(
@@ -693,9 +757,7 @@ class _ChainSimulation:
         trios = len(fusiliers) // 3
         if not trios:
             return _NO_PAIRS
-        coin = self.rng.draws(
-            self.ledgers[cycle].seeds[PURIFY_DOMAIN, link_idx], 6 * trios
-        ).random
+        coin = self.ledgers[cycle].draws(self.rng, PURIFY_DOMAIN, link_idx, 6 * trios).random
         e1 = e2 = e3 = tx12 = tx23 = tx_x2 = tx_x3 = rx_x2 = rx_x3 = 0
         for t in range(trios):
             bit = 1 << t

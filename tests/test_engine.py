@@ -22,6 +22,7 @@ from fusenet.engine import (
     SEED_BLOCK,
     SWAP_DOMAIN,
     channel_delay_ns,
+    pcg64_random,
     run,
 )
 from fusenet.errors import ConfigurationError, ProtocolError, SchedulingError
@@ -369,19 +370,84 @@ def test_seed_rows_equal_numpy_seed_sequence(seed, first_cycle, span, width, cou
                 assert drawn.tolist() == reference_generator(key).random(count).tolist(), key
 
 
-def test_importing_the_package_leaves_numpy_random_unloaded():
-    # numpy.random costs about 5.5 MB of RSS; only a simulation needs it.
+@given(
+    seed=st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**64 - 1),
+        st.integers(2**64, 2**96),
+    ),
+    first_cycle=st.integers(0, KEY_WORD_LIMIT - 1),
+    span=st.integers(1, 3),
+    width=st.integers(1, 5),
+    count=st.one_of(st.sampled_from([1, 63, 64, 65, 200]), st.integers(1, 200)),
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_draws_equal_numpy_pcg64(seed, first_cycle, span, width, count):
+    # One kernel pass over a block's rows must give, row for row, the draws
+    # of numpy's generator for that key; a numpy overflow warning fails it.
+    cycles = range(first_cycle, min(first_cycle + span, KEY_WORD_LIMIT))
+    rows = RngStream(seed).seed_block(cycles, width)
+    drawn = pcg64_random(rows, count)
+    assert drawn.shape == (len(cycles), DOMAINS, width, count)
+    assert drawn.dtype == np.float64
+    # A simulation hands the kernel one domain's rows, a strided view.
+    assert pcg64_random(rows[:, SWAP_DOMAIN], count).tobytes() == drawn[:, SWAP_DOMAIN].tobytes()
+    for k, cycle in enumerate(cycles):
+        for domain in range(DOMAINS):
+            for index in range(width):
+                key = (seed, domain, index, cycle)
+                expected = reference_generator(key).random(count).tolist()
+                assert drawn[k, domain, index].tolist() == expected, key
+
+
+def _numpy_random_loaded(statements, *args):
+    """Run ``statements`` in a fresh interpreter with ``args`` as its argv;
+    whether ``numpy.random`` was loaded after importing numpy, and after them.
+
+    Skips where numpy imports ``numpy.random`` with numpy itself.
+    """
     probe = (
-        "import sys, numpy; bare = 'numpy.random' in sys.modules; "
-        "import fusenet.cli, fusenet.metrics; "
+        "import sys, numpy; bare = 'numpy.random' in sys.modules\n"
+        f"{statements}\n"
         "print(bare, 'numpy.random' in sys.modules)"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     if out[0] == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert out == ["False", "False"]
+    return out == ["False", "True"]
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random costs about 5.5 MB of RSS; only a native draw needs it.
+    assert not _numpy_random_loaded("import fusenet.cli, fusenet.metrics")
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "config, long_trains",
+    [("two_node_40km.json", False), ("chain4_purify_butterfly.json", False), ("two_node_40km.json", True)],
+)
+def test_only_long_trains_load_numpy_random(config, long_trains):
+    # A chain whose every key draws at most BATCH_MAX_DRAWS values a cycle
+    # draws them all with the kernel and never imports numpy.random; a train
+    # of BATCH_MAX_DRAWS + 1 values draws natively and does.
+    statements = (
+        "import dataclasses\n"
+        "from fusenet.config import load_config\n"
+        "from fusenet.network import BATCH_MAX_DRAWS, run_network\n"
+        "network = load_config(sys.argv[1]).network\n"
+        "if sys.argv[2] == 'True':\n"
+        "    network.links = [dataclasses.replace(link, n_fusiliers=BATCH_MAX_DRAWS,\n"
+        "                     m_fusilands=1) for link in network.links]\n"
+        "assert run_network(network).records"
+    )
+    assert _numpy_random_loaded(statements, str(CONFIGS / config), str(long_trains)) is long_trains

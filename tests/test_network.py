@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusenet import network as network_module
 from fusenet.config import load_config
-from fusenet.engine import EventKind, EventQueue, channel_delay_ns
+from fusenet.engine import EventKind, EventQueue, RngStream, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
@@ -38,6 +39,7 @@ from fusenet.pair_algebra import (
 )
 
 from conftest import chain_config, trace_records
+from test_golden import CASES, EXPECTED, _digests, _link, _simulate
 
 
 class TestValidateConfig:
@@ -748,3 +750,58 @@ def test_overlapping_trains_trace_each_signal_at_its_key(tau_slot_ns, seed):
 def test_short_chain_trace_each_signal_at_its_key(cfg):
     if _return_before_train(cfg) is None:
         _check_train_trace(cfg)
+
+
+# A chain whose trains draw 73 values a key, above BATCH_MAX_DRAWS, and whose
+# swaps draw at most 6, below it: one run takes both draw paths.
+MIXED_DRAWS_CHAIN = {
+    "links": [_link(km, 70, 3, p_success=0.3, raw_fidelity=0.9) for km in (10.0, 20.0, 15.0)],
+    "seed": 21,
+    "cycles": 40,
+}
+
+# Every key drawn natively; every key batched; blocks of one cycle each.
+DRAW_PATHS = {
+    "native": ("BATCH_MAX_DRAWS", 0),
+    "batched": ("BATCH_MAX_DRAWS", MAX_TRAIN_DRAWS),
+    "one_cycle_blocks": ("BLOCK_MAX_VALUES", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["mixed_draws"])
+def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
+    # Which keys the kernel draws, and how many cycles a block holds, must
+    # not move a bit of output: records, counts, left folds and trace bytes
+    # agree across the paths, and with the pinned digests.
+    network = MIXED_DRAWS_CHAIN if case == "mixed_draws" else CASES[case]
+    digests = {}
+    for path, (name, value) in DRAW_PATHS.items():
+        native_keys, block_cycles = [], []
+        draws, kernel = RngStream.draws, network_module.pcg64_random
+
+        def native(stream, row, count):
+            native_keys.append(count)
+            return draws(stream, row, count)
+
+        def batched(rows, count):
+            block_cycles.append(rows.shape[0])
+            return kernel(rows, count)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(network_module, name, value)
+            patch.setattr(RngStream, "draws", native)
+            patch.setattr(network_module, "pcg64_random", batched)
+            (tmp_path / path).mkdir()
+            result, trace_bytes = _simulate(tmp_path / path, patch, network)
+        digests[path] = _digests(result, trace_bytes)
+        if path == "native":
+            assert native_keys and not block_cycles
+        elif path == "batched":
+            assert block_cycles and not native_keys
+        else:
+            assert set(block_cycles) == {1}
+            assert bool(native_keys) is (case == "mixed_draws")
+    assert digests["batched"] == digests["native"]
+    assert digests["one_cycle_blocks"] == digests["native"]
+    if case in EXPECTED:
+        assert digests["native"] == EXPECTED[case]
