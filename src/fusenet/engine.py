@@ -14,7 +14,7 @@ separate ``schedule`` calls would have taken, so member k keeps the key
 key and its handler resolves every member in that one dispatch. This is
 exact only while no event between a train's first and last member touches
 what the train's handler reads or writes, which the caller guarantees (see
-``network.validate_config``). ``EventQueue.reserve`` hands out seqs with
+``network.validate_config``). ``EventQueue.reserve`` hands out a seq with
 nothing queued, for a caller that keys a record like an event without
 dispatching one. ``run`` only dispatches; handlers keep their own trace.
 
@@ -42,14 +42,21 @@ G(k+3) * c`` with ``G(j) = M**0 + ... + M**(j-1)``: a closed form in the
 row. ``pcg64_random`` evaluates it for many rows and draws at once in
 uint64 limbs, building its coefficient tables on first use, and returns
 ``(x >> 11) * 2**-53`` of the permuted word, as ``Generator.random`` does.
-It saves the per-key set-up of numpy's own generator (``RngStream.draws``,
-one vector call per key) and spends more per value: for a block of 512
-keys on a 2-vCPU x86_64 host, the kernel with its ``tolist`` takes about
-0.8 us a key at 16 values and 4.0 us at 64, numpy's generator 3.4 and 4.8
-us, and the two cross between 80 and 96 values a key. So the kernel serves
-short streams, a block of keys at a time, and the native path serves long
-ones and is the tests' reference. ``numpy.random`` is imported on the
-first native draw, not with this module, and the kernel never imports it.
+It saves the per-key set-up of numpy's own generator (``RngStream.draws``)
+and spends more per value: for a block of 512 keys on a 2-vCPU x86_64
+host, the kernel with its ``tolist`` takes about 0.8 us a key at 16 values
+and 4.0 us at 64, numpy's generator 3.4 and 4.8 us; they cross between 80
+and 96 values a key. The native path is the tests' reference.
+``numpy.random`` is imported on the first native draw, never by the kernel.
+
+``KeyedDraws`` owns a run's keyed draws. Its caller states once the most
+values each (domain, index) key draws in a cycle and asks a started cycle
+for a key's ``Draws``. It expands the seeds a block of cycles at a time, at
+most ``SEED_BLOCK`` cycles and ``BLOCK_MAX_VALUES`` batched values. A domain
+whose keys draw at most ``BATCH_MAX_DRAWS`` values each takes the whole
+block from one kernel call, held as float64 arrays until the block's
+cycles end, and a key's values become a list only when it is drawn; a
+domain above the limit draws key by key natively. Neither changes a value.
 """
 
 from __future__ import annotations
@@ -73,9 +80,18 @@ SWAP_DOMAIN = 1
 PURIFY_DOMAIN = 2
 DOMAINS = 3
 
-# The most cycles whose keyed seeds are expanded together (a simulation may
-# take fewer; see ``network``). Output does not depend on it.
+# The most cycles whose keyed seeds are expanded together (a block may hold
+# fewer; see ``KeyedDraws``). Output does not depend on it.
 SEED_BLOCK = 64
+# A domain whose keys each draw at most this many values a cycle draws every
+# key of a block in one ``pcg64_random`` call; a domain above it draws key by
+# key (``RngStream.draws``). It sits just below the measured crossover of the
+# two, and it keeps long trains, whose values would be held for every cycle
+# in flight, native.
+BATCH_MAX_DRAWS = 64
+# The most values a block of batched draws may hold: the block is cut to
+# fewer cycles when its keys would draw more.
+BLOCK_MAX_VALUES = 2**14
 # A key's index and cycle each take one 32-bit entropy word; numpy splits a
 # larger integer into several words, which the seed kernel does not model.
 KEY_WORD_LIMIT = 2**32
@@ -156,9 +172,9 @@ class EventQueue:
         heapq.heappush(self._heap, (event.time_ns, seq, event))
         return event
 
-    def reserve(self, count: int = 1) -> int:
-        """Take the next ``count`` seqs, queueing nothing; returns the last."""
-        self._next_seq += count
+    def reserve(self) -> int:
+        """Take the next seq, queueing nothing, and return it."""
+        self._next_seq += 1
         return self._next_seq - 1
 
 
@@ -398,3 +414,48 @@ class Draws:
 
     def __init__(self, values: list[float]) -> None:
         self.random = iter(values).__next__
+
+
+class KeyedDraws:
+    """The keyed draws of a run, for its cycles started in order from 0.
+
+    ``counts[domain][index]`` is the most values key (domain, index) draws
+    in a cycle (0 if it never draws), every domain's list of one length.
+    """
+
+    def __init__(self, seed: int, counts: list[list[int]], cycles: int) -> None:
+        self.rng = RngStream(seed)
+        self.counts = counts
+        self.cycles = cycles
+        self.width = len(counts[0])
+        # Per domain, the values each key takes from a block, 0 if it draws
+        # key by key; a block is as many cycles as keep them in bounds.
+        most = list(map(max, counts))
+        self.batched = [count if count <= BATCH_MAX_DRAWS else 0 for count in most]
+        self.native = max(most) > BATCH_MAX_DRAWS
+        per_cycle = self.width * sum(self.batched)
+        self.block = min(SEED_BLOCK, max(1, BLOCK_MAX_VALUES // max(1, per_cycle)))
+        # The last block started: its seed rows if a key draws natively, and
+        # per domain its batched values by cycle, index and draw (or None).
+        self.rows = None
+        self.values: list = []
+
+    def cycle(self, cycle: int) -> Callable[[int, int], Draws]:
+        """Start ``cycle``; returns its ``draws(domain, index)``: the key's
+        first ``counts[domain][index]`` values, as ``Draws``."""
+        offset = cycle % self.block
+        if not offset:
+            block = range(cycle, min(cycle + self.block, self.cycles))
+            rows = self.rng.seed_block(block, self.width)
+            self.rows = rows if self.native else None
+            self.values = [
+                pcg64_random(rows[:, domain], count) if count else None
+                for domain, count in enumerate(self.batched)
+            ]
+        return functools.partial(self._draws, self.rows, self.values, offset)
+
+    def _draws(self, rows, values: list, offset: int, domain: int, index: int) -> Draws:
+        count = self.counts[domain][index]
+        if values[domain] is None:
+            return self.rng.draws(rows[offset, domain, index], count)
+        return Draws(values[domain][offset, index, :count].tolist())

@@ -77,7 +77,7 @@ class TestEventQueue:
         q = EventQueue()
         first = q.schedule(make_event(5))
         assert q.reserve() == 1
-        assert q.reserve(3) == 4
+        assert [q.reserve() for _ in range(3)] == [2, 3, 4]
         assert len(q._heap) == 1
         assert q.schedule(make_event(5)).seq == 5
         assert [event.seq for event in dispatch_all(q)] == [first.seq, 5]
@@ -443,7 +443,8 @@ def test_only_long_trains_load_numpy_random(config, long_trains):
     statements = (
         "import dataclasses\n"
         "from fusenet.config import load_config\n"
-        "from fusenet.network import BATCH_MAX_DRAWS, run_network\n"
+        "from fusenet.engine import BATCH_MAX_DRAWS\n"
+        "from fusenet.network import run_network\n"
         "network = load_config(sys.argv[1]).network\n"
         "if sys.argv[2] == 'True':\n"
         "    network.links = [dataclasses.replace(link, n_fusiliers=BATCH_MAX_DRAWS,\n"

@@ -9,15 +9,16 @@ import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fusenet import network as network_module
-from fusenet.config import load_config
-from fusenet.engine import EventKind, EventQueue, RngStream, channel_delay_ns
+from fusenet import engine as engine_module
+from fusenet.config import load_config, parse_config
+from fusenet.engine import EventKind, EventQueue, KeyedDraws, RngStream, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
@@ -26,6 +27,7 @@ from fusenet.network import (
     NetworkConfig,
     Strategy,
     _ChainSimulation,
+    _key_draws,
     butterfly_split,
     run_network,
     validate_config,
@@ -608,6 +610,36 @@ def test_simulation_allocates_nothing_per_cycle_up_front():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("config", ["two_node_40km.json", "chain4_purify_butterfly.json"])
+def test_run_end_leaves_no_per_cycle_state(config):
+    # Every cycle's herald fold, ledger and finished pairs are consumed by
+    # the records; herald 0 carries no records and leaves no fold behind.
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    network = load_config(str(path)).network
+    network.cycles = 3
+    split = butterfly_split(network) if network.butterfly else None
+    sim = _ChainSimulation(network, validate_config(network), split, False)
+    assert len(sim.execute().per_cycle_delivered) == 3
+    assert (sim.herald_folds, sim.ledgers, sim.finished) == ({}, {}, {})
+
+
+def test_long_short_train_chain_holds_few_draws():
+    # A 100-hop chain of 10 km hops has about 50 cycles in flight, and the
+    # batched kernel draws every one of its keys. Held as float64 arrays, 8
+    # bytes a value, the undrawn values of those cycles keep the peak below
+    # 4.5 MiB; as lists of floats, 32 bytes a value, they reach about 5.4 MiB.
+    cfg = chain_config(
+        [10.0] * 100, n=17, m=3, p=0.25, fidelity=0.98, cycles=120, seed=3, tau_slot_ns=10
+    )
+    tracemalloc.start()
+    try:
+        run_network(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
 _HOP_KM = (0.001, 0.01, 0.1, 1.0, 10.0, 25.0)
 
 
@@ -777,7 +809,7 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
     digests = {}
     for path, (name, value) in DRAW_PATHS.items():
         native_keys, block_cycles = [], []
-        draws, kernel = RngStream.draws, network_module.pcg64_random
+        draws, kernel = RngStream.draws, engine_module.pcg64_random
 
         def native(stream, row, count):
             native_keys.append(count)
@@ -788,9 +820,9 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
             return kernel(rows, count)
 
         with monkeypatch.context() as patch:
-            patch.setattr(network_module, name, value)
+            patch.setattr(engine_module, name, value)
             patch.setattr(RngStream, "draws", native)
-            patch.setattr(network_module, "pcg64_random", batched)
+            patch.setattr(engine_module, "pcg64_random", batched)
             (tmp_path / path).mkdir()
             result, trace_bytes = _simulate(tmp_path / path, patch, network)
         digests[path] = _digests(result, trace_bytes)
@@ -805,3 +837,54 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
     assert digests["one_cycle_blocks"] == digests["native"]
     if case in EXPECTED:
         assert digests["native"] == EXPECTED[case]
+
+
+def _check_draws_within_counts(cfg, path):
+    """Run ``cfg`` on one of ``DRAW_PATHS``: each key's draws are asked for
+    at most once and hand out at most the values ``_key_draws`` counts."""
+    counts, handed, native = _key_draws(cfg), {}, []
+    cycle_draws, draws = KeyedDraws.cycle, RngStream.draws
+
+    def recording(keyed, cycle):
+        cycle_draws_of = cycle_draws(keyed, cycle)
+
+        def counted(domain, index):
+            key = (domain, index, cycle)
+            assert key not in handed, f"key {key} drawn twice"
+            handed[key] = 0
+            values = cycle_draws_of(domain, index).random
+
+            def random():
+                handed[key] += 1
+                assert handed[key] <= counts[domain][index], f"key {key} drew past its count"
+                return values()
+
+            return SimpleNamespace(random=random)
+
+        return counted
+
+    def native_draws(stream, row, count):
+        native.append(count)
+        return draws(stream, row, count)
+
+    with mock.patch.object(KeyedDraws, "cycle", recording), mock.patch.object(
+        RngStream, "draws", native_draws
+    ), mock.patch.object(engine_module, *DRAW_PATHS[path]):
+        run_network(cfg)
+    assert handed and len(native) == (len(handed) if path == "native" else 0)
+
+
+@pytest.mark.parametrize("path", ["batched", "native"])
+@settings(max_examples=40, deadline=None)
+@given(_short_chains())
+def test_short_chain_draws_stay_within_key_counts(path, cfg):
+    if _return_before_train(cfg) is None:
+        _check_draws_within_counts(cfg, path)
+
+
+@pytest.mark.parametrize("path", ["batched", "native"])
+def test_mixed_chain_draws_stay_within_key_counts(path):
+    links = MIXED_DRAWS_CHAIN["links"]
+    doc = {"nodes": [f"n{i}" for i in range(len(links) + 1)], **MIXED_DRAWS_CHAIN}
+    cfg = parse_config({"schema_version": "1", "network": doc, "output": {}}).network
+    _check_draws_within_counts(cfg, path)
