@@ -3,9 +3,15 @@
 All simulation time is kept as integer nanoseconds so schedules stay exact;
 ties are broken by the scheduling sequence number, which makes the dispatch
 order a pure function of (config, seed). Fibers carry no state of their
-own: a hop is just its one-way delay, from ``channel_delay_ns``. An event
-names its node and cycle and carries one datum, whatever its kind's handler
-needs beyond them.
+own: a hop is just its one-way delay, from ``channel_delay_ns``.
+
+A queue entry is the flat tuple ``(time_ns, seq, kind, node, cycle,
+datum)``: an event names its kind, its node and its cycle and carries one
+datum, whatever its kind's handler needs beyond them. ``run`` pops each
+entry, sets ``queue.now_ns`` and ``queue.seq`` to its time and seq, and
+calls ``handlers[kind](node, cycle, datum)``; a handler reads the two from
+the queue when it needs them. No object is built per event: ``Event`` is
+only the record of the entry whose handler raised a ``ProtocolError``.
 
 A train of events (a hop's signal train) takes one queue entry. Scheduling
 it reserves a block of consecutive sequence numbers, the ones that many
@@ -18,11 +24,9 @@ what the train's handler reads or writes, which the caller guarantees (see
 nothing queued, for a caller that keys a record like an event without
 dispatching one. ``run`` only dispatches; handlers keep their own trace.
 
-``run`` is the one consumer of the queue: it pops the queue's heap itself,
-sets ``now_ns`` and calls ``handlers[event.kind]``. Event kinds hash by
-identity (``object.__hash__``), which is exact because each member is a
-singleton; the handler lookup then costs no Python-level ``Enum.__hash__``
-call per event.
+Event kinds hash by identity (``object.__hash__``), which is exact because
+each member is a singleton; the handler lookup then costs no Python-level
+``Enum.__hash__`` call per event.
 
 Each (domain, index, cycle) key owns numpy's
 ``PCG64(SeedSequence((seed, domain, index, cycle)))`` generator. Building a
@@ -65,7 +69,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -130,47 +134,54 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(slots=True)
-class Event:
-    """A timestamped protocol event at ``node`` for ``cycle``.
+class Event(NamedTuple):
+    """The queue entry whose handler raised, as ``ProtocolError.event``.
 
-    ``data`` is the one datum its handler needs beyond those (see
-    ``network`` for each kind's); ``seq`` is assigned when scheduled.
+    Its fields are the entry's, in order; ``datum`` is what the handler got
+    beyond the node and cycle (see ``network`` for each kind's).
     """
 
     time_ns: int
+    seq: int
     kind: EventKind
     node: int
     cycle: int
-    data: object
-    seq: int = -1
+    datum: object
 
 
 class EventQueue:
-    """Priority queue ordered by (time, scheduling sequence number)."""
+    """Priority queue of ``(time_ns, seq, kind, node, cycle, datum)`` entries.
+
+    Entries pop in (time, seq) order; a seq is unique, so no two entries
+    ever compare past it. ``now_ns`` and ``seq`` are those of the entry
+    ``run`` dispatched last.
+    """
 
     def __init__(self) -> None:
         self.now_ns = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self.seq = -1
+        self._heap: list[tuple] = []
         self._next_seq = 0
 
-    def schedule(self, event: Event, count: int = 1) -> Event:
-        """Insert an event; scheduling into the simulated past is an error.
+    def schedule(
+        self, time_ns: int, kind: EventKind, node: int, cycle: int, datum: object, count: int = 1
+    ) -> int:
+        """Queue an event and return its seq; scheduling into the simulated
+        past is an error.
 
         With ``count`` > 1 the event stands for a train of that many members,
-        due by ``event.time_ns``: it reserves their consecutive seqs and is
-        queued under the last one, so member k has seq
-        ``event.seq - count + 1 + k``.
+        due by ``time_ns``: it reserves their consecutive seqs and is queued
+        under the last one, which it returns, so member k has seq
+        ``seq - count + 1 + k``.
         """
-        if event.time_ns < self.now_ns:
+        if time_ns < self.now_ns:
             raise SchedulingError(
-                f"event at t={event.time_ns} ns lies before now={self.now_ns} ns"
+                f"event at t={time_ns} ns lies before now={self.now_ns} ns"
             )
         seq = self._next_seq + count - 1
         self._next_seq = seq + 1
-        event.seq = seq
-        heapq.heappush(self._heap, (event.time_ns, seq, event))
-        return event
+        heapq.heappush(self._heap, (time_ns, seq, kind, node, cycle, datum))
+        return seq
 
     def reserve(self) -> int:
         """Take the next seq, queueing nothing, and return it."""
@@ -178,22 +189,25 @@ class EventQueue:
         return self._next_seq - 1
 
 
-def run(queue: EventQueue, handlers: Mapping[EventKind, Callable[[Event], None]]) -> None:
+def run(
+    queue: EventQueue, handlers: Mapping[EventKind, Callable[[int, int, object], None]]
+) -> None:
     """Dispatch events in (time, seq) order until the queue drains.
 
-    Sets ``queue.now_ns`` to each event's time before its handler runs. A
-    handler raising a ProtocolError aborts the run; the offending event is
-    attached to the exception as ``exc.event``.
+    Pops each entry, sets ``queue.now_ns`` and ``queue.seq`` to its time
+    and seq, then calls ``handlers[kind](node, cycle, datum)``. A handler
+    raising a ProtocolError aborts the run; the offending entry is attached
+    to the exception as ``exc.event``, an ``Event``.
     """
     heap = queue._heap
     pop = heapq.heappop
-    while heap:
-        queue.now_ns, _seq, event = pop(heap)
-        try:
-            handlers[event.kind](event)
-        except ProtocolError as exc:
-            exc.event = event
-            raise
+    try:
+        while heap:
+            queue.now_ns, queue.seq, kind, node, cycle, datum = pop(heap)
+            handlers[kind](node, cycle, datum)
+    except ProtocolError as exc:
+        exc.event = Event(queue.now_ns, queue.seq, kind, node, cycle, datum)
+        raise
 
 
 def channel_delay_ns(length_km: float, signal_speed_m_per_s: float) -> int:
@@ -452,10 +466,13 @@ class KeyedDraws:
                 pcg64_random(rows[:, domain], count) if count else None
                 for domain, count in enumerate(self.batched)
             ]
-        return functools.partial(self._draws, self.rows, self.values, offset)
+        rows, values, counts, rng = self.rows, self.values, self.counts, self.rng
 
-    def _draws(self, rows, values: list, offset: int, domain: int, index: int) -> Draws:
-        count = self.counts[domain][index]
-        if values[domain] is None:
-            return self.rng.draws(rows[offset, domain, index], count)
-        return Draws(values[domain][offset, index, :count].tolist())
+        def draws(domain: int, index: int) -> Draws:
+            count = counts[domain][index]
+            batch = values[domain]
+            if batch is None:
+                return rng.draws(rows[offset, domain, index], count)
+            return Draws(batch[offset, index, :count].tolist())
+
+        return draws

@@ -18,12 +18,14 @@ per cycle as packed ints: the herald's fold and arrival time, and the left
 fold with each slot's last arrival at node 0 (None for records still
 relaying when the run ends).
 
-An event names its node and cycle; its one datum is, by kind: none for
-``CycleStart``; the herald's frame list for ``HeraldArrive``, one list made
-at the cycle start and passed along the sweep; the train's link ``Draws``
-for ``SignalArrive``, on the hop into the node; the frame list a return
-relays (empty unless its sender sends left) for ``ReturnArrive``; the swap
-count for ``SwapComplete``.
+Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
+its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
+event object exists. The datum is, by kind: none for ``CycleStart``; the
+herald's frame list for ``HeraldArrive``, one list made at the cycle start
+and passed along the sweep; the train's link ``Draws`` for
+``SignalArrive``, on the hop into the node; the frame list a return relays
+(empty unless its sender sends left) for ``ReturnArrive``; the swap count
+for ``SwapComplete``.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
@@ -40,8 +42,9 @@ and desynchronizes as it would mid-train.
 
 The simulation keeps its own trace, each entry built once as its final
 JSON line, byte-equal to ``json.dumps`` of its fields ``{t_ns, seq, kind,
-node, detail}`` with sorted keys. With the trace on, each handler appends
-its event's line at the event's (time, seq); a train appends one line per
+node, detail}`` with sorted keys; each kind goes through the escaper once,
+into ``_KIND_JSON``. With the trace on, each handler appends its event's
+line at the queue's (now_ns, seq); a train appends one line per
 signal, at its arrival and reserved seq, its outcome read from the
 fusiliers column of the train's pairs; a finalized cycle appends one
 ``PairReady`` line per pair, now, under a seq reserved from the queue with
@@ -52,8 +55,8 @@ Keyed draws belong to ``engine.KeyedDraws`` (seed blocks, kernel or native,
 held values); this module only states each key's count, once, in
 ``_key_draws``. Each cycle's ``_CycleLedger`` holds the cycle's
 ``draws(domain, index)``, which a handler calls once per key: a train's
-when it is scheduled, a node's swaps at its return, a purification at its
-train's end. Several cycles are in flight at once on a long chain, so every
+when the herald schedules it, a node's swaps at its return, a purification
+at its train's end. Several cycles are in flight at once on a long chain, so every
 draw of cycle c goes through ledger c, which lives as long as the cycle.
 
 The ledger is also the one owner of a cycle's hop pairs and swap outcomes,
@@ -85,7 +88,6 @@ from typing import NamedTuple, Optional
 
 from .engine import (
     DOMAINS,
-    Event,
     EventKind,
     EventQueue,
     KEY_WORD_LIMIT,
@@ -230,13 +232,29 @@ class _HopPairs(NamedTuple):
 _NO_PAIRS = _HopPairs([], [], 0, 0, 0)
 
 
-def _trace_line(t_ns: int, seq: int, kind: str, node: int, detail: str) -> str:
+def _trace_line(t_ns: int, seq: int, kind_json: str, node: int, detail: str) -> str:
     """One trace line: ``json.dumps`` of the fields with sorted keys, plus a
-    newline (``kind`` and ``detail`` through the escaper ``json.dumps`` uses)."""
+    newline. ``kind_json`` is the kind already through the escaper
+    ``json.dumps`` uses (a ``_KIND_JSON`` value); ``detail`` goes through it
+    here."""
     return (
-        f'{{"detail": {_escape(detail)}, "kind": {_escape(kind)}, '
+        f'{{"detail": {_escape(detail)}, "kind": {kind_json}, '
         f'"node": {node}, "seq": {seq}, "t_ns": {t_ns}}}\n'
     )
+
+
+# The event kinds, each bound once: a member looked up on its Enum class
+# costs a slow attribute lookup per event.
+_CYCLE_START = EventKind.CYCLE_START
+_HERALD_ARRIVE = EventKind.HERALD_ARRIVE
+_SIGNAL_ARRIVE = EventKind.SIGNAL_ARRIVE
+_RETURN_ARRIVE = EventKind.RETURN_ARRIVE
+_SWAP_COMPLETE = EventKind.SWAP_COMPLETE
+
+# Every trace kind as json.dumps writes it: the event kinds and PairReady,
+# fixed ASCII words escaped once rather than per line.
+_KIND_JSON = {kind: _escape(kind.value) for kind in EventKind}
+_PAIR_READY_JSON = _escape("PairReady")
 
 
 @dataclass
@@ -257,7 +275,7 @@ class RunResult:
     trace: list[str] = field(default_factory=list)
 
 
-# A train draws n + m values at once (see ``_schedule_signals``), so a hop
+# A train draws n + m values at once (see ``_herald_at``), so a hop
 # may ask for at most this many; larger hops are rejected as configuration.
 MAX_TRAIN_DRAWS = 2**24
 
@@ -447,7 +465,8 @@ class _CycleLedger:
         self.hop_pairs: list[Optional[_HopPairs]] = [None] * (num_nodes - 1)
         self.successes = [0] * (num_nodes - 1)
         self.swaps: list[tuple[int, int]] = [(0, 0)] * num_nodes
-        self.outstanding = set(range(num_nodes))
+        # Nodes yet to finish the cycle; each finishes it once.
+        self.outstanding = num_nodes
 
 
 class _ChainSimulation:
@@ -463,6 +482,12 @@ class _ChainSimulation:
         self.config = config
         self.schedule = schedule
         self.collect_trace = collect_trace
+        # What the handlers read per event, cached off the config.
+        self.cycles = config.cycles
+        self.links = config.links
+        self.tau = config.tau_slot_ns
+        self.proc_ns = config.proc_ns
+        self.delays = schedule.link_delays_ns
         # (t_ns, seq, line) entries; execute strips each to its line.
         self.trace: list = []
         self.num_nodes = len(config.nodes)
@@ -497,37 +522,37 @@ class _ChainSimulation:
 
     # -- event handlers -------------------------------------------------
 
-    def _handle_cycle_start(self, event: Event) -> None:
-        cycle = event.cycle
-        generate = cycle < self.config.cycles
+    def _handle_cycle_start(self, node_id: int, cycle: int, _datum: None) -> None:
+        generate = cycle < self.cycles
         if generate:
             self.ledgers[cycle] = _CycleLedger(self.keyed.cycle(cycle), self.num_nodes)
         self._herald_at(0, cycle, [])
         if self.collect_trace:
-            self._trace(event, f"cycle={cycle}" + ("" if generate else " flush"))
+            detail = f"cycle={cycle}" + ("" if generate else " flush")
+            self._trace(_CYCLE_START, node_id, detail)
 
-    def _handle_herald_arrive(self, event: Event) -> None:
-        self._herald_at(event.node, event.cycle, event.data)
+    def _handle_herald_arrive(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
+        self._herald_at(node_id, cycle, frames)
         if self.collect_trace:
-            self._trace(event, f"cycle={event.cycle}")
+            self._trace(_HERALD_ARRIVE, node_id, f"cycle={cycle}")
 
-    def _handle_signal_arrive(self, event: Event) -> None:
+    def _handle_signal_arrive(self, node_id: int, cycle: int, draws) -> None:
         # Dispatched at the train's last signal: resolves every signal, then
         # ends the train. Fusilier k arrived at start_ns + k * tau.
-        node = self.nodes[event.node]
-        link = self.config.links[event.node - 1]
+        node = self.nodes[node_id]
+        link = self.links[node_id - 1]
         signals = link.n_fusiliers
-        start_ns = event.time_ns - (signals - 1) * self.config.tau_slot_ns
-        fusiliers, errors = on_train(node, link.model, event.data, signals)
+        start_ns = self.queue.now_ns - (signals - 1) * self.tau
+        fusiliers, errors = on_train(node, link.model, draws, signals)
         if self.collect_trace:
-            self._train_lines(event, node, signals, start_ns, fusiliers)
-        self._end_of_train(node, event.cycle, fusiliers, errors, start_ns)
+            self._train_lines(node, cycle, signals, start_ns, fusiliers)
+        self._end_of_train(node, cycle, fusiliers, errors, start_ns)
 
     def _train_lines(
-        self, event: Event, node: NodeState, count: int, start_ns: int, fusiliers: list[int]
+        self, node: NodeState, cycle: int, count: int, start_ns: int, fusiliers: list[int]
     ) -> None:
         # Signal k of the train arrived at start_ns + k * tau under seq
-        # event.seq - count + 1 + k. It succeeded if it filled a slot, was
+        # queue.seq - count + 1 + k. It succeeded if it filled a slot, was
         # discarded if it came after the bank filled, and failed otherwise.
         # Past the kind, a line holds only ints and fixed words, so it needs
         # no escaping.
@@ -535,53 +560,53 @@ class _ChainSimulation:
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
         for slot, fusilier in enumerate(fusiliers):
             outcomes[fusilier] = f"success slot={slot}"
-        head = f'{{"detail": "cycle={event.cycle} fusilier='
-        mid = f'", "kind": {_escape(event.kind._value_)}, "node": {node.node_id}, "seq": '
+        head = f'{{"detail": "cycle={cycle} fusilier='
+        mid = (
+            f'", "kind": {_KIND_JSON[_SIGNAL_ARRIVE]}, '
+            f'"node": {node.node_id}, "seq": '
+        )
         self.trace += [
             (t, seq, f'{head}{k} {outcome}{mid}{seq}, "t_ns": {t}}}\n')
             for k, t, seq, outcome in zip(
                 itertools.count(),
-                itertools.count(start_ns, self.config.tau_slot_ns),
-                itertools.count(event.seq - count + 1),
+                itertools.count(start_ns, self.tau),
+                itertools.count(self.queue.seq - count + 1),
                 outcomes,
             )
         ]
 
-    def _handle_return_arrive(self, event: Event) -> None:
-        node_id = event.node
-        cycle = event.cycle
+    def _handle_return_arrive(self, node_id: int, cycle: int, relayed: list[FrameRecord]) -> None:
         node = self.nodes[node_id]
-        if node_id == 0:
-            self._absorb_leftbound(event.data, self.queue.now_ns)
-        else:
-            self.outboxes[node_id].extend(event.data)
+        queue = self.queue
+        if relayed:
+            if node_id == 0:
+                self._absorb_leftbound(relayed, queue.now_ns)
+            else:
+                self.outboxes[node_id].extend(relayed)
         ledger = self.ledgers[cycle]
         # Slot k swaps when both of the node's hops kept a pair in it; node 0
         # has no left hop. Two draws per swap: a parity bit, then an X bit.
         swaps = 0
         if node_id:
-            swaps = min(
-                len(ledger.hop_pairs[node_id - 1].fusiliers),
-                len(ledger.hop_pairs[node_id].fusiliers),
-            )
+            hops = ledger.hop_pairs
+            swaps = min(len(hops[node_id - 1].fusiliers), len(hops[node_id].fusiliers))
         if swaps:
             rng = ledger.draws(SWAP_DOMAIN, node_id)
             ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
             self.outboxes[node_id].append(FrameRecord(node_id, cycle, swaps, *outcomes))
             # The swap occupies the node for proc_ns; busy_until_ns guards the
             # occupancy window against early heralds.
-            node.busy_until_ns = self.queue.now_ns + self.config.proc_ns
-            self.queue.schedule(
-                Event(node.busy_until_ns, EventKind.SWAP_COMPLETE, node_id, cycle, swaps)
-            )
+            node.busy_until_ns = queue.now_ns + self.proc_ns
+            queue.schedule(node.busy_until_ns, _SWAP_COMPLETE, node_id, cycle, swaps)
         else:
             on_return(node, cycle, 0, None)
-            self._mark_complete(cycle, node_id)
+            self._mark_complete(cycle, ledger)
         if node_id == 0:
             self._schedule_next_cycle(cycle)
         if self.collect_trace:
             matches = ledger.successes[node_id]
-            self._trace(event, f"cycle={cycle} matches={matches} swaps={swaps}")
+            detail = f"cycle={cycle} matches={matches} swaps={swaps}"
+            self._trace(_RETURN_ARRIVE, node_id, detail)
 
     def _schedule_next_cycle(self, cycle: int) -> None:
         # Launched once the left end finished its cycle so that, at the exact
@@ -593,91 +618,75 @@ class _ChainSimulation:
                 f"herald for cycle {cycle + 1} was due at {start_ns} ns but "
                 f"node 0 finished cycle {cycle} only at {self.queue.now_ns} ns"
             )
-        self.queue.schedule(Event(start_ns, EventKind.CYCLE_START, 0, cycle + 1, None))
+        self.queue.schedule(start_ns, _CYCLE_START, 0, cycle + 1, None)
 
-    def _handle_swap_complete(self, event: Event) -> None:
-        self._mark_complete(event.cycle, event.node)
+    def _handle_swap_complete(self, node_id: int, cycle: int, swaps: int) -> None:
+        self._mark_complete(cycle, self.ledgers[cycle])
         if self.collect_trace:
-            self._trace(event, f"cycle={event.cycle} count={event.data}")
+            self._trace(_SWAP_COMPLETE, node_id, f"cycle={cycle} count={swaps}")
 
     # -- helpers ---------------------------------------------------------
 
-    def _trace(self, event: Event, detail: str) -> None:
-        t_ns, seq = event.time_ns, event.seq
-        self.trace.append(
-            (t_ns, seq, _trace_line(t_ns, seq, event.kind._value_, event.node, detail))
-        )
+    def _trace(self, kind: EventKind, node_id: int, detail: str) -> None:
+        t_ns, seq = self.queue.now_ns, self.queue.seq
+        self.trace.append((t_ns, seq, _trace_line(t_ns, seq, _KIND_JSON[kind], node_id, detail)))
 
     def _herald_at(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
-        fired = on_herald(
-            self.nodes[node_id], cycle, self.queue.now_ns, generate=cycle < self.config.cycles
-        )
+        queue = self.queue
+        fired = on_herald(self.nodes[node_id], cycle, queue.now_ns, generate=cycle < self.cycles)
         if node_id >= self.left_senders:
             outbox = self.outboxes[node_id]
             frames += outbox
             outbox.clear()
-        if node_id + 1 < self.num_nodes:
-            # The herald is multiplexed ahead of the signal train: schedule
-            # it first so it wins the (time, seq) tie at the next node.
-            self.queue.schedule(
-                Event(
-                    self.queue.now_ns + self.schedule.link_delays_ns[node_id],
-                    EventKind.HERALD_ARRIVE,
-                    node_id + 1,
-                    cycle,
-                    frames,
-                )
-            )
-        else:
+        if node_id + 1 == self.num_nodes:
+            # The right end fires no train.
             self._deliver_frames(cycle, frames)
-        self._schedule_signals(node_id, cycle, fired)
-
-    def _schedule_signals(self, node_id: int, cycle: int, fired: int) -> None:
-        # One queue entry for the whole train, holding a seq per signal and
-        # due at its last; fusilier k fires k slot times after the herald.
-        if not fired:
             return
-        start_ns = self.queue.now_ns + self.schedule.link_delays_ns[node_id]
-        draws = self.ledgers[cycle].draws(LINK_DOMAIN, node_id)
-        self.queue.schedule(
-            Event(
-                start_ns + (fired - 1) * self.config.tau_slot_ns,
-                EventKind.SIGNAL_ARRIVE,
+        # The herald is multiplexed ahead of the signal train: schedule it
+        # first so it wins the (time, seq) tie at the next node.
+        arrive_ns = queue.now_ns + self.delays[node_id]
+        queue.schedule(arrive_ns, _HERALD_ARRIVE, node_id + 1, cycle, frames)
+        if fired:
+            # One queue entry for the whole train, holding a seq per signal
+            # and due at its last; fusilier k fires k slot times after the
+            # herald.
+            draws = self.ledgers[cycle].draws(LINK_DOMAIN, node_id)
+            queue.schedule(
+                arrive_ns + (fired - 1) * self.tau,
+                _SIGNAL_ARRIVE,
                 node_id + 1,
                 cycle,
                 draws,
-            ),
-            fired,
-        )
+                fired,
+            )
 
     def _end_of_train(
         self, node: NodeState, cycle: int, fusiliers: list[int], errors: int, start_ns: int
     ) -> None:
         node_id = node.node_id
         link_idx = node_id - 1
-        self.ledgers[cycle].successes[link_idx] = len(fusiliers)
-        tau = self.config.tau_slot_ns
+        ledger = self.ledgers[cycle]
+        ledger.successes[link_idx] = len(fusiliers)
+        tau = self.tau
         created = [start_ns + fusilier * tau for fusilier in fusiliers]
         if self.config.strategy is Strategy.PURIFY3:
             hop = self._purify_hop(node_id, link_idx, cycle, fusiliers, created, errors)
         else:
             hop = _HopPairs(fusiliers, created, errors, 0, 0)
-        self.ledgers[cycle].hop_pairs[link_idx] = hop
+        ledger.hop_pairs[link_idx] = hop
         relayed = []
         if node_id < self.left_senders:
             relayed, self.outboxes[node_id] = self.outboxes[node_id], []
         self.queue.schedule(
-            Event(
-                self.queue.now_ns + self.schedule.link_delays_ns[link_idx],
-                EventKind.RETURN_ARRIVE,
-                link_idx,
-                cycle,
-                relayed,
-            )
+            self.queue.now_ns + self.delays[link_idx],
+            _RETURN_ARRIVE,
+            link_idx,
+            cycle,
+            relayed,
         )
         if node_id == self.num_nodes - 1:
             # The right end gets no return; its cycle ends with the train.
-            self._mark_complete(cycle, node_id)
+            self._mark_complete(cycle, ledger)
 
     def _purify_hop(
         self,
@@ -741,9 +750,8 @@ class _ChainSimulation:
             fold[1] ^= rec.z_bits
             fold[2][: rec.count] = [at_ns] * rec.count
 
-    def _mark_complete(self, cycle: int, node_id: int) -> None:
-        ledger = self.ledgers[cycle]
-        ledger.outstanding.discard(node_id)
+    def _mark_complete(self, cycle: int, ledger: _CycleLedger) -> None:
+        ledger.outstanding -= 1
         if not ledger.outstanding:
             self._finalize_cycle(cycle, ledger)
 
@@ -769,7 +777,7 @@ class _ChainSimulation:
                 seq = self.queue.reserve()
                 detail = f"cycle={cycle} slot={slot} x={errors >> slot & 1}"
                 self.trace.append(
-                    (now_ns, seq, _trace_line(now_ns, seq, "PairReady", node_id, detail))
+                    (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
                 )
         del self.ledgers[cycle]
 
@@ -791,13 +799,13 @@ class _ChainSimulation:
     # -- top level ---------------------------------------------------------
 
     def execute(self) -> RunResult:
-        self.queue.schedule(Event(0, EventKind.CYCLE_START, 0, 0, None))
+        self.queue.schedule(0, _CYCLE_START, 0, 0, None)
         handlers = {
-            EventKind.CYCLE_START: self._handle_cycle_start,
-            EventKind.HERALD_ARRIVE: self._handle_herald_arrive,
-            EventKind.SIGNAL_ARRIVE: self._handle_signal_arrive,
-            EventKind.RETURN_ARRIVE: self._handle_return_arrive,
-            EventKind.SWAP_COMPLETE: self._handle_swap_complete,
+            _CYCLE_START: self._handle_cycle_start,
+            _HERALD_ARRIVE: self._handle_herald_arrive,
+            _SIGNAL_ARRIVE: self._handle_signal_arrive,
+            _RETURN_ARRIVE: self._handle_return_arrive,
+            _SWAP_COMPLETE: self._handle_swap_complete,
         }
         run(self.queue, handlers)
         # A train's signals are traced at keys before the train's dispatch.

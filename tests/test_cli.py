@@ -564,6 +564,11 @@ _WIDE_INTS = st.integers(min_value=-(2**100), max_value=2**100)
 _TRACE_FIELDS = ("t_ns", "seq", "kind", "node", "detail")
 
 
+def _line(t_ns, seq, kind, node, detail):
+    """``_trace_line`` of raw fields: it takes the kind already escaped."""
+    return _trace_line(t_ns, seq, json.dumps(kind), node, detail)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -573,7 +578,7 @@ _TRACE_FIELDS = ("t_ns", "seq", "kind", "node", "detail")
 )
 def test_trace_lines_equal_json_dumps(trace):
     buf = io.StringIO()
-    _write_trace(buf, [_trace_line(*fields) for fields in trace])
+    _write_trace(buf, [_line(*fields) for fields in trace])
     assert buf.getvalue() == "".join(
         json.dumps(dict(zip(_TRACE_FIELDS, fields)), sort_keys=True) + "\n"
         for fields in trace
@@ -586,7 +591,7 @@ def test_trace_chunks_equal_json_dumps(tmp_path):
     doc = load_config(str(CONFIGS / "chain4_purify_butterfly.json"))
     trace = run_network(doc.network, collect_trace=True).trace
     fields = (-1, 2**70, 'Kind "q"', 3, 'a\\b\n\x00\u2028\ud800\xe9')
-    escaped = _trace_line(*fields)
+    escaped = _line(*fields)
     trace.insert(TRACE_CHUNK, escaped)
     assert len(trace) > 2 * TRACE_CHUNK
     path = tmp_path / "trace.jsonl"

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusenet.engine import (
-    Event,
     EventKind,
     DOMAINS,
     EventQueue,
@@ -33,54 +32,72 @@ from conftest import chain_config
 SPEED = 2.0e8
 
 
-def make_event(t, detail=None):
-    return Event(t, EventKind.CYCLE_START, 0, 0, detail)
+def schedule_event(q, t, detail=None):
+    """Queue a CycleStart at ``t`` whose datum is ``detail``; return its seq."""
+    return q.schedule(t, EventKind.CYCLE_START, 0, 0, detail)
 
 
 def dispatch_all(q):
-    """Run ``q`` until it drains; return its events in dispatch order."""
+    """Run ``q`` until it drains; return its events' (t, seq, detail) in
+    dispatch order."""
     seen = []
-    run(q, {EventKind.CYCLE_START: seen.append, EventKind.SIGNAL_ARRIVE: seen.append})
+
+    def record(node, cycle, datum):
+        seen.append((q.now_ns, q.seq, datum))
+
+    run(q, {EventKind.CYCLE_START: record, EventKind.SIGNAL_ARRIVE: record})
     return seen
 
 
 class TestEventQueue:
     def test_equal_times_pop_in_scheduling_order(self):
         q = EventQueue()
-        first = q.schedule(make_event(100, "first"))
-        second = q.schedule(make_event(100, "second"))
-        assert first.seq < second.seq
-        assert dispatch_all(q) == [first, second]
+        first = schedule_event(q, 100, "first")
+        second = schedule_event(q, 100, "second")
+        assert first < second
+        assert dispatch_all(q) == [(100, first, "first"), (100, second, "second")]
 
     def test_time_orders_before_seq(self):
         q = EventQueue()
-        late = q.schedule(make_event(200))
-        early = q.schedule(make_event(50))
-        assert dispatch_all(q) == [early, late]
+        late = schedule_event(q, 200)
+        early = schedule_event(q, 50)
+        assert dispatch_all(q) == [(50, early, None), (200, late, None)]
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
-        q.schedule(make_event(100))
+        schedule_event(q, 100)
         dispatch_all(q)
         with pytest.raises(SchedulingError):
-            q.schedule(make_event(99))
+            schedule_event(q, 99)
 
     def test_clock_is_monotone(self):
         q = EventQueue()
         for t in (5, 3, 9, 3):
-            q.schedule(make_event(t))
+            schedule_event(q, t)
         seen = []
-        run(q, {EventKind.CYCLE_START: lambda event: seen.append(q.now_ns)})
+        run(q, {EventKind.CYCLE_START: lambda node, cycle, datum: seen.append(q.now_ns)})
         assert seen == [3, 3, 5, 9]
+
+    def test_entries_are_flat_and_handlers_take_their_fields(self):
+        q = EventQueue()
+        assert q.schedule(7, EventKind.SIGNAL_ARRIVE, 3, 4, "datum", 2) == 1
+        assert q._heap == [(7, 1, EventKind.SIGNAL_ARRIVE, 3, 4, "datum")]
+        calls = []
+
+        def handler(*fields):
+            calls.append((q.now_ns, q.seq, fields))
+
+        run(q, {EventKind.SIGNAL_ARRIVE: handler})
+        assert calls == [(7, 1, (3, 4, "datum"))]
 
     def test_reserved_seqs_are_skipped_and_queue_nothing(self):
         q = EventQueue()
-        first = q.schedule(make_event(5))
+        first = schedule_event(q, 5)
         assert q.reserve() == 1
         assert [q.reserve() for _ in range(3)] == [2, 3, 4]
         assert len(q._heap) == 1
-        assert q.schedule(make_event(5)).seq == 5
-        assert [event.seq for event in dispatch_all(q)] == [first.seq, 5]
+        assert schedule_event(q, 5) == 5
+        assert [seq for _t, seq, _detail in dispatch_all(q)] == [first, 5]
 
 
 class TestRun:
@@ -91,47 +108,62 @@ class TestRun:
 
     def test_single_event_single_dispatch(self):
         q = EventQueue()
-        event = q.schedule(make_event(10))
+        seq = schedule_event(q, 10, "only")
         hits = []
-        assert run(q, {EventKind.CYCLE_START: hits.append}) is None
-        assert hits == [event]
+
+        def handler(*fields):
+            hits.append((q.seq, fields))
+
+        assert run(q, {EventKind.CYCLE_START: handler}) is None
+        assert hits == [(seq, (0, 0, "only"))]
         assert q.now_ns == 10 and not q._heap
 
     def test_protocol_error_attaches_event(self):
         q = EventQueue()
-        q.schedule(make_event(10))
+        schedule_event(q, 3)
+        seq = q.schedule(10, EventKind.HERALD_ARRIVE, 2, 5, "frames")
 
-        def boom(event):
+        def boom(node, cycle, datum):
             raise ProtocolError("bad transition")
 
+        handlers = {EventKind.CYCLE_START: lambda *fields: None, EventKind.HERALD_ARRIVE: boom}
         with pytest.raises(ProtocolError) as info:
-            run(q, {EventKind.CYCLE_START: boom})
-        assert info.value.event.time_ns == 10
+            run(q, handlers)
+        event = info.value.event
+        assert event.time_ns == 10
+        assert (event.kind, event.node, event.cycle, event.seq) == (
+            EventKind.HERALD_ARRIVE, 2, 5, seq
+        )
+        assert event.datum == "frames"
 
 
 def schedule_train(q, start, count, spacing, node=0):
+    """Queue a train of ``count`` members ``spacing`` apart from ``start``;
+    return its datum, which holds the members' arrivals and its seq."""
     arrivals = [start + k * spacing for k in range(count)]
     data = {"arrivals": arrivals}
-    return q.schedule(Event(arrivals[-1], EventKind.SIGNAL_ARRIVE, node, 0, data), count)
+    data["seq"] = q.schedule(arrivals[-1], EventKind.SIGNAL_ARRIVE, node, 0, data, count)
+    return data
 
 
-def train_records(event):
+def train_records(q, data):
     """One (t, seq, kind, detail) record per train member, at its own key."""
-    arrivals = event.data["arrivals"]
-    first = event.seq - len(arrivals) + 1
-    return [(t, first + k, event.kind.value, f"member={k}") for k, t in enumerate(arrivals)]
+    arrivals = data["arrivals"]
+    first = q.seq - len(arrivals) + 1
+    kind = EventKind.SIGNAL_ARRIVE.value
+    return [(t, first + k, kind, f"member={k}") for k, t in enumerate(arrivals)]
 
 
-def tracing(trace, on_train=None):
+def tracing(q, trace, on_train=None):
     """Handlers that append their records to ``trace``, as a simulation does."""
 
-    def single(event):
-        trace.append((event.time_ns, event.seq, event.kind.value, event.data))
+    def single(node, cycle, datum):
+        trace.append((q.now_ns, q.seq, EventKind.CYCLE_START.value, datum))
 
-    def train(event):
+    def train(node, cycle, data):
         if on_train is not None:
-            on_train(event)
-        trace.extend(train_records(event))
+            on_train(data)
+        trace.extend(train_records(q, data))
 
     return {EventKind.CYCLE_START: single, EventKind.SIGNAL_ARRIVE: train}
 
@@ -139,22 +171,22 @@ def tracing(trace, on_train=None):
 class TestTrain:
     def test_reserves_one_seq_per_member(self):
         q = EventQueue()
-        before = q.schedule(make_event(0))
+        before = schedule_event(q, 0, "before")
         train = schedule_train(q, 0, 3, 5)
-        after = q.schedule(make_event(0))
+        after = schedule_event(q, 0, "after")
         # seqs 1, 2, 3 are the train's; it is queued under the last one.
-        assert (before.seq, train.seq, after.seq) == (0, 3, 4)
+        assert (before, train["seq"], after) == (0, 3, 4)
         assert len(q._heap) == 3
-        assert dispatch_all(q) == [before, after, train]
+        assert dispatch_all(q) == [(0, before, "before"), (0, after, "after"), (10, 3, train)]
         assert q.now_ns == 10
 
     def test_ties_with_earlier_and_later_seqs(self):
         q = EventQueue()
-        q.schedule(make_event(10, "early"))
+        schedule_event(q, 10, "early")
         schedule_train(q, 10, 3, 0)
-        q.schedule(make_event(10, "late"))
+        schedule_event(q, 10, "late")
         trace = []
-        run(q, tracing(trace))
+        run(q, tracing(q, trace))
         assert sorted(trace) == [
             (10, 0, "CycleStart", "early"),
             (10, 1, "SignalArrive", "member=0"),
@@ -167,7 +199,7 @@ class TestTrain:
         q = EventQueue()
         schedule_train(q, 7, 4, 0)
         calls, trace = [], []
-        run(q, tracing(trace, calls.append))
+        run(q, tracing(q, trace, calls.append))
         assert len(calls) == 1
         assert [(t, seq) for t, seq, _kind, _detail in sorted(trace)] == [
             (7, 0), (7, 1), (7, 2), (7, 3)
@@ -175,11 +207,11 @@ class TestTrain:
 
     def test_member_records_interleave_with_other_events(self):
         q = EventQueue()
-        q.schedule(make_event(10, "tied, lower seq"))
+        schedule_event(q, 10, "tied, lower seq")
         schedule_train(q, 0, 3, 10)
-        q.schedule(make_event(15, "between members"))
+        schedule_event(q, 15, "between members")
         dispatched, trace = [], []
-        run(q, tracing(trace, lambda e: dispatched.append(q.now_ns)))
+        run(q, tracing(q, trace, lambda data: dispatched.append(q.now_ns)))
         assert sorted(trace) == [
             (0, 1, "SignalArrive", "member=0"),
             (10, 0, "CycleStart", "tied, lower seq"),
@@ -191,7 +223,7 @@ class TestTrain:
 
     def test_train_starting_in_the_past_rejected(self):
         q = EventQueue()
-        q.schedule(make_event(100))
+        schedule_event(q, 100)
         dispatch_all(q)
         with pytest.raises(SchedulingError):
             schedule_train(q, 97, 3, 1)
@@ -218,26 +250,26 @@ def _dispatch(items, as_trains):
     def add(start, count, spacing, node, spawn):
         if as_trains and count > 1:
             train = schedule_train(q, start, count, spacing, node)
-            train.data["spawn"] = spawn
+            train["spawn"] = spawn
             return
         for k in range(count):
             data = {"member": k, "last": k == count - 1, "spawn": spawn}
-            q.schedule(Event(start + k * spacing, EventKind.SIGNAL_ARRIVE, node, 0, data))
+            q.schedule(start + k * spacing, EventKind.SIGNAL_ARRIVE, node, 0, data)
 
-    def spawn(event):
-        child = event.data["spawn"]
+    def spawn(node, data):
+        child = data["spawn"]
         if child is not None:
             delay, count, spacing = child
-            add(q.now_ns + delay, count, spacing, 1000 * (event.node + 1), None)
+            add(q.now_ns + delay, count, spacing, 1000 * (node + 1), None)
 
-    def handle(event):
-        if "arrivals" in event.data:
-            trace.extend(train_records(event))
-            spawn(event)
+    def handle(node, cycle, data):
+        if "arrivals" in data:
+            trace.extend(train_records(q, data))
+            spawn(node, data)
             return
-        if event.data["last"]:
-            spawn(event)
-        trace.append((event.time_ns, event.seq, event.kind.value, f"member={event.data['member']}"))
+        if data["last"]:
+            spawn(node, data)
+        trace.append((q.now_ns, q.seq, EventKind.SIGNAL_ARRIVE.value, f"member={data['member']}"))
 
     for node, (start, count, spacing, child) in enumerate(items):
         add(start, count, spacing, node, child)

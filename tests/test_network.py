@@ -734,10 +734,11 @@ def _check_train_trace(cfg):
     trains = []
     schedule = EventQueue.schedule
 
-    def recording(queue, event, count=1):
-        if event.kind is EventKind.SIGNAL_ARRIVE:
-            trains.append((event, count))
-        return schedule(queue, event, count)
+    def recording(queue, time_ns, kind, node, cycle, datum, count=1):
+        seq = schedule(queue, time_ns, kind, node, cycle, datum, count)
+        if kind is EventKind.SIGNAL_ARRIVE:
+            trains.append((node, cycle, seq, count))
+        return seq
 
     with mock.patch.object(EventQueue, "schedule", recording):
         result = run_network(cfg, collect_trace=True)
@@ -750,15 +751,15 @@ def _check_train_trace(cfg):
     signals = {(rec.t_ns, rec.seq): rec for rec in records if rec.kind == "SignalArrive"}
     sched = result.schedule
     assert len(trains) == cfg.cycles * len(cfg.links)
-    for event, count in trains:
-        link, cycle = event.node - 1, event.cycle
+    for node, cycle, seq, count in trains:
+        link = node - 1
         assert count == cfg.links[link].n_fusiliers
         start_ns = (
             cycle * sched.cycle_period_ns
             + sched.herald_offsets_ns[link]
             + sched.link_delays_ns[link]
         )
-        first = event.seq - count + 1
+        first = seq - count + 1
         for k in range(count):
             rec = signals.pop((start_ns + k * cfg.tau_slot_ns, first + k))
             assert rec.node == link + 1
