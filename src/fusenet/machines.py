@@ -1,55 +1,49 @@
-"""Per-bank cycle state of a repeater node: herald, signal train, return.
+"""Per-bank cycle state of a repeater node, and the two draw loops of a cycle.
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
-A bank's cycle is three calls. One herald pulse per cycle fires the whole
-fusillade and readies the fusilands (``on_herald``); the signal train
-arriving at a node is resolved in one call (``on_train``): its signals
-interact with the fusilands one at a time, rerouting to the next fusiland
-after each success, and the call returns the train's pairs as columns, the
-fusilier that filled each slot and the error bits packed in one int; a
-single return message per hop confirms the fusillade, and ``on_return``
-draws the swaps of as many pairs as the caller counts on the shorter of the
-node's two hops and returns their outcome bits, packed the same way.
+A bank's cycle is three calls, which only check and advance its phase. One
+herald pulse per cycle fires the whole fusillade and readies the fusilands
+(``on_herald``); the signal train arriving at a node leaves its readied
+bank (``on_train``); a single return message per hop confirms the fusillade
+(``on_return``). Because the fusillade fires as one train and each hop gets
+one return, each bank moves through one phase per cycle: the fusillade is
+``fired`` from its herald to its return, and the fusilands are ``ready``
+from their herald to their train.
 
-Because the fusillade fires as one train and each hop gets one return, each
-bank moves through one phase per cycle: the fusillade goes idle -> fired ->
-idle and the fusilands idle -> ready -> idle. A node keeps only these
-phases and its cycle clock: a hop's pairs belong to whoever called
-``on_train``, a node's swap outcomes to whoever called ``on_return``.
+What a cycle makes is drawn by two pure loops, which touch no node.
+``train_pairs`` resolves a hop's train against its bank: its signals
+interact with the fusilands one at a time, rerouting to the next fusiland
+after each success, and it returns the train's pairs as columns, the
+fusilier that filled each slot and the error bits packed in one int.
+``swap_outcomes`` draws a node's swaps and returns their outcome bits,
+packed the same way.
 
 NodeState is mutated only by the single event-loop thread of a simulation
-run; all operations are deterministic given their RNG stream.
+run; both loops are deterministic given their RNG stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DesynchronizationError, ProtocolError
 from .pair_algebra import LinkModel, success_probability
 
 
-class FusilladePhase(Enum):
-    IDLE = "idle"
-    FIRED = "fired"
-
-
-class FusilandPhase(Enum):
-    IDLE = "idle"
-    READY = "ready"
-
-
 @dataclass
 class NodeState:
-    """All per-node protocol state for one chain node."""
+    """All per-node protocol state for one chain node.
+
+    ``fired``: the fusillade fired and awaits its return; ``ready``: the
+    fusilands await their incoming train. A bank in neither is idle.
+    """
 
     node_id: int
     n_fusiliers: int
     m_fusilands: int
-    fusillade: FusilladePhase = FusilladePhase.IDLE
-    fusilands: FusilandPhase = FusilandPhase.IDLE
+    fired: bool = False
+    ready: bool = False
     current_cycle: int = -1
     busy_until_ns: int = 0
 
@@ -68,11 +62,7 @@ def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True
             f"node {node.node_id} expected cycle {node.current_cycle + 1}, "
             f"herald carries cycle {cycle}"
         )
-    if (
-        node.fusillade is not FusilladePhase.IDLE
-        or node.fusilands is not FusilandPhase.IDLE
-        or now_ns < node.busy_until_ns
-    ):
+    if node.fired or node.ready or now_ns < node.busy_until_ns:
         raise DesynchronizationError(
             f"herald for cycle {cycle} overtook unfinished work "
             f"at node {node.node_id}"
@@ -81,39 +71,65 @@ def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True
     if not generate:
         return 0
     if node.m_fusilands:
-        node.fusilands = FusilandPhase.READY
+        node.ready = True
     if not node.n_fusiliers:
         return 0
-    node.fusillade = FusilladePhase.FIRED
+    node.fired = True
     return node.n_fusiliers
 
 
-def on_train(node: NodeState, link: LinkModel, rng, signals: int) -> tuple[list[int], int]:
-    """Resolve a whole incoming train of ``signals`` signals at this node's fusilands.
+def on_train(node: NodeState) -> None:
+    """Take a whole incoming signal train: it must reach a readied bank,
+    which it leaves idle."""
+    if not node.ready:
+        raise ProtocolError(
+            f"node {node.node_id} got a signal train while its fusilands are idle"
+        )
+    node.ready = False
 
-    The train must reach a readied bank, which it leaves idle. Signals
-    interact in fusilier order: each draws once from ``rng`` and succeeds
-    below the link's success probability; a success draws once more for its
-    error bit (from the link's raw fidelity), makes a pair in the next
-    fusiland slot, and reroutes to the next fusiland. A failure leaves the
-    same fusiland waiting. Once every fusiland is filled the remaining
-    signals are discarded without drawing.
+
+def on_return(node: NodeState, cycle_id: int) -> None:
+    """Take the return for ``cycle_id``: confirm the fusillade, leaving it idle.
+
+    The return must not come before the node's own incoming train, if it
+    has one: a readied bank rejects it.
+    """
+    if cycle_id != node.current_cycle:
+        raise ProtocolError(
+            f"node {node.node_id} got return for cycle {cycle_id} "
+            f"during cycle {node.current_cycle}"
+        )
+    if not node.fired:
+        raise ProtocolError(
+            f"node {node.node_id} got return for cycle {cycle_id} while "
+            "its fusillade is idle"
+        )
+    if node.ready:
+        raise ProtocolError(
+            f"node {node.node_id} got return for cycle {cycle_id} before "
+            "its signal train arrived"
+        )
+    node.fired = False
+
+
+def train_pairs(link: LinkModel, rng, signals: int, capacity: int) -> tuple[list[int], int]:
+    """Resolve a train of ``signals`` signals at a bank of ``capacity`` fusilands.
+
+    Signals interact in fusilier order: each draws once from ``rng`` and
+    succeeds below the link's success probability; a success draws once
+    more for its error bit (from the link's raw fidelity), makes a pair in
+    the next fusiland slot, and reroutes to the next fusiland. A failure
+    leaves the same fusiland waiting. Once every fusiland is filled the
+    remaining signals are discarded without drawing.
 
     Returns the train's pairs as columns ``(fusiliers, errors)``:
     ``fusiliers[k]`` is the fusilier that filled slot k, and bit k of
     ``errors`` is slot k's error bit. Slot k's pair was made when fusilier
     ``fusiliers[k]``'s signal arrived.
     """
-    if node.fusilands is not FusilandPhase.READY:
-        raise ProtocolError(
-            f"node {node.node_id} got a signal train while its "
-            f"fusilands are {node.fusilands.value}"
-        )
-    node.fusilands = FusilandPhase.IDLE
     fusiliers: list[int] = []
     errors = 0
     slot = 0
-    capacity = node.m_fusilands
     draw = rng.random
     p_success = success_probability(link)
     p_error = 1.0 - link.raw_fidelity
@@ -129,34 +145,13 @@ def on_train(node: NodeState, link: LinkModel, rng, signals: int) -> tuple[list[
     return fusiliers, errors
 
 
-def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> tuple[int, int]:
-    """Take the return for ``cycle_id``: confirm the fusillade, make ``swaps`` swaps.
+def swap_outcomes(swaps: int, rng) -> tuple[int, int]:
+    """Draw ``swaps`` swaps from ``rng``, a parity bit then an X bit per swap.
 
-    The return must not come before the node's own incoming train, if it
-    has one: a readied bank rejects it. Confirming the fusillade returns it
-    to idle. ``swaps`` is the number of slots holding a pair on both of the
-    node's hops (0 at an end node), so swap k joins slot k of the left hop
-    to slot k of the right hop. Outcome bits are drawn from ``rng``, a
-    parity bit then an X bit per swap, and returned as
-    ``(parity_bits, x_bits)``: bit k of each is swap k's outcome, the X and
-    the Z bit of its frame.
+    Returns ``(parity_bits, x_bits)``: bit k of each is swap k's outcome,
+    the X and the Z bit of its frame. Swap k joins slot k of the node's left
+    hop to slot k of its right hop.
     """
-    if cycle_id != node.current_cycle:
-        raise ProtocolError(
-            f"node {node.node_id} got return for cycle {cycle_id} "
-            f"during cycle {node.current_cycle}"
-        )
-    if node.fusillade is not FusilladePhase.FIRED:
-        raise ProtocolError(
-            f"node {node.node_id} got return for cycle {cycle_id} while "
-            f"its fusillade is {node.fusillade.value}"
-        )
-    if node.fusilands is FusilandPhase.READY:
-        raise ProtocolError(
-            f"node {node.node_id} got return for cycle {cycle_id} before "
-            "its signal train arrived"
-        )
-    node.fusillade = FusilladePhase.IDLE
     parity_bits = x_bits = 0
     for k in range(swaps):
         if rng.random() < 0.5:
@@ -164,4 +159,3 @@ def on_return(node: NodeState, cycle_id: int, swaps: int, rng) -> tuple[int, int
         if rng.random() < 0.5:
             x_bits |= 1 << k
     return parity_bits, x_bits
-

@@ -18,58 +18,56 @@ per cycle as packed ints: the herald's fold and arrival time, and the left
 fold with each slot's last arrival at node 0 (None for records still
 relaying when the run ends).
 
+A cycle's outcome is made as the cycle starts, by ``_cycle_outcome``, from
+the config, the cycle and its keyed draws alone: every hop's train and kept
+pairs, every purification, every node's swaps, the pairs delivered and
+each node's frame records. The handlers only check bank phases, keep the
+timeline (scheduling, occupancy, the desynchronization checks), route frame
+records at the events that carry them, and trace. Hop i's train starts
+arriving as the herald reaches its right node, at ``cycle * period +
+herald_offsets_ns[i + 1]``, and fusilier k k slot times later; a slot's
+pair was made then. Keyed draws belong to ``engine.KeyedDraws``; this
+module states each key's count once, in ``_key_draws``.
+
 Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
 its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
 event object exists. The datum is, by kind: none for ``CycleStart``; the
 herald's frame list for ``HeraldArrive``, one list made at the cycle start
-and passed along the sweep; the train's link ``Draws`` for
-``SignalArrive``, on the hop into the node; the frame list a return relays
-(empty unless its sender sends left) for ``ReturnArrive``; the swap count
-for ``SwapComplete``.
+and passed along the sweep; the train's fusiliers (those that filled a
+slot, slot by slot) for ``SignalArrive``, on the hop into the node; the
+frame list a return relays (empty unless its sender sends left) for
+``ReturnArrive``; the swap count for ``SwapComplete``.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
-``_handle_signal_arrive`` resolves the whole train with ``on_train``, then
-ends it (purification, the return message). Arrival times are computed,
-not stored: fusilier k of an n-signal train dispatched at t arrives at
-``start + k * tau`` with ``start = t - (n - 1) * tau``, and a slot's pair
-was made when its fusilier's signal arrived. That equals one event per
-signal because nothing touches the receiving node's fusilands between a
-train's first and last signal: ``validate_config`` rejects a chain whose
-return from the right-hand hop would come sooner, and a herald that comes
-sooner (a cycle period below the safe bound) finds the bank still readied
-and desynchronizes as it would mid-train.
+``_handle_signal_arrive`` takes the whole train with ``on_train``, then
+ends it (the purification record, the return message). That equals one
+event per signal because nothing touches the receiving node's fusilands
+between a train's first and last signal: ``validate_config`` rejects a
+chain whose return from the right-hand hop would come sooner, and a herald
+that comes sooner (a cycle period below the safe bound) finds the bank
+still readied and desynchronizes as it would mid-train.
 
 The simulation keeps its own trace, each entry built once as its final
 JSON line, byte-equal to ``json.dumps`` of its fields ``{t_ns, seq, kind,
 node, detail}`` with sorted keys; each kind goes through the escaper once,
 into ``_KIND_JSON``. With the trace on, each handler appends its event's
-line at the queue's (now_ns, seq); a train appends one line per
-signal, at its arrival and reserved seq, its outcome read from the
-fusiliers column of the train's pairs; a finalized cycle appends one
-``PairReady`` line per pair, now, under a seq reserved from the queue with
-no event queued. ``execute`` sorts the entries by (time, seq) once and
-strips each to its line in place.
+line at the queue's (now_ns, seq); a train appends one line per signal, at
+its arrival and reserved seq, its outcome read from the train's fusiliers;
+the last node to finish a cycle appends one ``PairReady`` line per
+delivered pair, now, under a seq reserved from the queue with no event
+queued. ``execute`` sorts the entries by (time, seq) once and strips each
+to its line in place.
 
-Keyed draws belong to ``engine.KeyedDraws`` (seed blocks, kernel or native,
-held values); this module only states each key's count, once, in
-``_key_draws``. Each cycle's ``_CycleLedger`` holds the cycle's
-``draws(domain, index)``, which a handler calls once per key: a train's
-when the herald schedules it, a node's swaps at its return, a purification
-at its train's end. Several cycles are in flight at once on a long chain, so every
-draw of cycle c goes through ledger c, which lives as long as the cycle.
-
-The ledger is also the one owner of a cycle's hop pairs and swap outcomes,
-held as columns rather than one object per pair or per swap; a node keeps
-only its bank phases. A hop's kept pairs are the fusiliers that made them,
-their creation times, and their error and frame bits packed in ints, bit k
-for slot k; a node's swaps are its parity and X outcome bits, packed the
-same way. A purified hop folds all its trios in one ``purify3_bits`` call.
-A finalized cycle swaps all its slots at once, one ``swap_bits`` call per
-intermediate node from left to right, and is kept as its delivered pairs, in
-the same columns, and its hops' raw success counts (which the trace reads
-from the ledger). A return's swap count is the shorter of the node's two
-hops in the ledger. At run end each ``PairRecord`` and ``EndToEndRecord`` is
+A cycle's pairs are columns rather than one object per pair or per swap: a
+hop's kept pairs are the fusiliers that made them, their creation times,
+and their error and frame bits packed in ints, bit k for slot k; a node's
+swaps are its parity and X outcome bits, packed the same way. A purified
+hop folds all its trios in one ``purify3_bits`` call, and the cycle swaps
+all its slots at once, one ``swap_bits`` call per intermediate node from
+left to right. A started cycle's outcome is held until its last node
+finishes it, and then only its delivered pairs and its hops' raw success
+counts are kept. At run end each ``PairRecord`` and ``EndToEndRecord`` is
 built once, in cycle order, with the pair's ``correction`` the herald share
 XOR the left share, so the summary scores what was delivered; the model
 fidelity, the same for every pair, is ``analytic_end_to_end_fidelity``,
@@ -99,7 +97,7 @@ from .engine import (
     run,
 )
 from .errors import ConfigurationError, DesynchronizationError, ProtocolError
-from .machines import NodeState, on_herald, on_return, on_train
+from .machines import NodeState, on_herald, on_return, on_train, swap_outcomes, train_pairs
 from .pair_algebra import (
     Endpoint,
     FRAMES,
@@ -215,7 +213,7 @@ class FrameRecord(NamedTuple):
 
 
 class _HopPairs(NamedTuple):
-    """Pairs as columns: a hop's kept at the end of its train, or a cycle's delivered.
+    """Pairs as columns: those a hop keeps (after purification), or a cycle's delivered.
 
     Slot k's pair was made by fusilier ``fusiliers[k]`` (its left endpoint's
     slot) at ``created_at_ns[k]``; its error bit is bit k of ``errors`` and
@@ -230,6 +228,22 @@ class _HopPairs(NamedTuple):
 
 
 _NO_PAIRS = _HopPairs([], [], 0, 0, 0)
+
+
+class _CycleOutcome(NamedTuple):
+    """What one cycle makes, all of it drawn when the cycle starts.
+
+    ``trains[i]`` is the fusiliers that filled a slot in hop i's train,
+    slot by slot, and ``successes[i]`` their count; ``purified[i]`` and
+    ``swapped[i]`` are node i's purification and swap frame records (None
+    where it makes none); ``pairs`` is the cycle's delivered pairs.
+    """
+
+    trains: list[list[int]]
+    successes: list[int]
+    purified: list[Optional[FrameRecord]]
+    swapped: list[Optional[FrameRecord]]
+    pairs: _HopPairs
 
 
 def _trace_line(t_ns: int, seq: int, kind_json: str, node: int, detail: str) -> str:
@@ -275,7 +289,7 @@ class RunResult:
     trace: list[str] = field(default_factory=list)
 
 
-# A train draws n + m values at once (see ``_herald_at``), so a hop
+# A train draws n + m values at once (see ``_key_draws``), so a hop
 # may ask for at most this many; larger hops are rejected as configuration.
 MAX_TRAIN_DRAWS = 2**24
 
@@ -451,22 +465,54 @@ def butterfly_split(config: NetworkConfig) -> int:
     return best_index
 
 
-class _CycleLedger:
-    """Per-cycle bookkeeping used to compose end-to-end pairs."""
-
-    __slots__ = ("draws", "hop_pairs", "successes", "swaps", "outstanding")
-
-    def __init__(self, draws, num_nodes: int) -> None:
-        # draws(domain, index): the Draws of the cycle's key (see KeyedDraws).
-        self.draws = draws
-        # hop_pairs[link]: the pairs the hop keeps at the end of its train
-        # (after purification), from successes[link] raw ones; swaps[node]:
-        # the node's swap outcomes, bit k of (parity_bits, x_bits) for slot k.
-        self.hop_pairs: list[Optional[_HopPairs]] = [None] * (num_nodes - 1)
-        self.successes = [0] * (num_nodes - 1)
-        self.swaps: list[tuple[int, int]] = [(0, 0)] * num_nodes
-        # Nodes yet to finish the cycle; each finishes it once.
-        self.outstanding = num_nodes
+def _purify_hop(
+    draws, node_id: int, cycle: int, fusiliers: list[int], created: list[int], errors: int
+) -> tuple[_HopPairs, Optional[FrameRecord]]:
+    """The pairs hop ``node_id - 1`` keeps after purification, and the
+    purification's frame record at its right node, ``node_id`` (None when
+    the hop kept no trio, which draws nothing). ``draws`` is the cycle's
+    ``draws(domain, index)``."""
+    # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t; its round is bit
+    # t of every column handed to purify3_bits. Fusiliers increase within
+    # a train, so the trio was made when its third member arrived.
+    trios = len(fusiliers) // 3
+    if not trios:
+        return _NO_PAIRS, None
+    coin = draws(PURIFY_DOMAIN, node_id - 1).random
+    e1 = e2 = e3 = tx12 = tx23 = tx_x2 = tx_x3 = rx_x2 = rx_x3 = 0
+    for t in range(trios):
+        bit = 1 << t
+        # Transmit-side parities and the four X readouts are fair coins.
+        if coin() < 0.5:
+            tx12 |= bit
+        if coin() < 0.5:
+            tx23 |= bit
+        if coin() < 0.5:
+            tx_x2 |= bit
+        if coin() < 0.5:
+            tx_x3 |= bit
+        if coin() < 0.5:
+            rx_x2 |= bit
+        if coin() < 0.5:
+            rx_x3 |= bit
+        trio = errors >> 3 * t
+        if trio & 1:
+            e1 |= bit
+        if trio & 2:
+            e2 |= bit
+        if trio & 4:
+            e3 |= bit
+    # Receive-side parities reflect the true pairwise error syndrome,
+    # keeping the decode statistics honest. A hop's pairs carry the
+    # identity frame, so the kept pair's frame is the round's delta.
+    kept_errors, frame_x, frame_z = purify3_bits(
+        e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
+    )
+    end = 3 * trios
+    return (
+        _HopPairs(fusiliers[0:end:3], created[2:end:3], kept_errors, frame_x, frame_z),
+        FrameRecord(node_id, cycle, trios, frame_x, frame_z),
+    )
 
 
 class _ChainSimulation:
@@ -482,12 +528,13 @@ class _ChainSimulation:
         self.config = config
         self.schedule = schedule
         self.collect_trace = collect_trace
-        # What the handlers read per event, cached off the config.
+        # What the handlers and _cycle_outcome read, cached off the config.
         self.cycles = config.cycles
         self.links = config.links
         self.tau = config.tau_slot_ns
         self.proc_ns = config.proc_ns
         self.delays = schedule.link_delays_ns
+        self.purify = config.strategy is Strategy.PURIFY3
         # (t_ns, seq, line) entries; execute strips each to its line.
         self.trace: list = []
         self.num_nodes = len(config.nodes)
@@ -508,11 +555,14 @@ class _ChainSimulation:
         self.end_fidelity = analytic_end_to_end_fidelity(config)
         # A kept pair in slot k sits in the right node's fusiland 3k when
         # purified, k when raw.
-        self.right_stride = 3 if config.strategy is Strategy.PURIFY3 else 1
+        self.right_stride = 3 if self.purify else 1
         self.queue = EventQueue()
         self.keyed = KeyedDraws(config.seed, _key_draws(config), config.cycles)
-        self.ledgers: dict[int, _CycleLedger] = {}
-        # finished[cycle] = (its delivered pairs, its hops' success counts).
+        # outcomes[cycle] from the cycle's start until unfinished[cycle], its
+        # nodes yet to finish it, reaches 0; then finished[cycle] = (its
+        # delivered pairs, its hops' success counts) until the run ends.
+        self.outcomes: dict[int, _CycleOutcome] = {}
+        self.unfinished: dict[int, int] = {}
         self.finished: dict[int, tuple[_HopPairs, list[int]]] = {}
         # Frames delivered for cycle c, slot k in bit k: herald_folds[c] =
         # (x_bits, z_bits, arrival_ns) at the right end, left_folds[c] =
@@ -520,12 +570,59 @@ class _ChainSimulation:
         self.herald_folds: dict[int, tuple[int, int, int]] = {}
         self.left_folds: dict[int, list] = {}
 
+    def _cycle_outcome(self, cycle: int) -> _CycleOutcome:
+        """Everything ``cycle`` makes, from its keyed draws alone.
+
+        Hop i's train resolves against node i + 1's bank and, under
+        purify3, purifies its trios; then every intermediate node swaps all
+        its slots at once, left to right. A slot is delivered where every
+        hop kept a pair, made when the last of them was.
+        """
+        draws = self.keyed.cycle(cycle)
+        tau, num_nodes = self.tau, self.num_nodes
+        cycle_ns = cycle * self.schedule.cycle_period_ns
+        offsets = self.schedule.herald_offsets_ns
+        trains, hops = [], []
+        purified: list[Optional[FrameRecord]] = [None] * num_nodes
+        for index, link in enumerate(self.links):
+            fusiliers, errors = train_pairs(
+                link.model, draws(LINK_DOMAIN, index), link.n_fusiliers, link.m_fusilands
+            )
+            start_ns = cycle_ns + offsets[index + 1]
+            created = [start_ns + fusilier * tau for fusilier in fusiliers]
+            if self.purify:
+                hop, purified[index + 1] = _purify_hop(
+                    draws, index + 1, cycle, fusiliers, created, errors
+                )
+            else:
+                hop = _HopPairs(fusiliers, created, errors, 0, 0)
+            trains.append(fusiliers)
+            hops.append(hop)
+        # Slot k swaps at node i when both of its hops kept a pair in it.
+        swapped: list[Optional[FrameRecord]] = [None] * num_nodes
+        first = hops[0]
+        errors, frame_x, frame_z = first.errors, first.frame_x, first.frame_z
+        for node_id in range(1, num_nodes - 1):
+            hop = hops[node_id]
+            swaps = min(len(hops[node_id - 1].fusiliers), len(hop.fusiliers))
+            outcomes = (0, 0)
+            if swaps:
+                outcomes = swap_outcomes(swaps, draws(SWAP_DOMAIN, node_id))
+                swapped[node_id] = FrameRecord(node_id, cycle, swaps, *outcomes)
+            errors, frame_x, frame_z = swap_bits(
+                errors, hop.errors, frame_x, frame_z, hop.frame_x, hop.frame_z, *outcomes
+            )
+        created = [max(times) for times in zip(*(hop.created_at_ns for hop in hops))]
+        pairs = _HopPairs(first.fusiliers[: len(created)], created, errors, frame_x, frame_z)
+        return _CycleOutcome(trains, list(map(len, trains)), purified, swapped, pairs)
+
     # -- event handlers -------------------------------------------------
 
     def _handle_cycle_start(self, node_id: int, cycle: int, _datum: None) -> None:
         generate = cycle < self.cycles
         if generate:
-            self.ledgers[cycle] = _CycleLedger(self.keyed.cycle(cycle), self.num_nodes)
+            self.outcomes[cycle] = self._cycle_outcome(cycle)
+            self.unfinished[cycle] = self.num_nodes
         self._herald_at(0, cycle, [])
         if self.collect_trace:
             detail = f"cycle={cycle}" + ("" if generate else " flush")
@@ -536,17 +633,26 @@ class _ChainSimulation:
         if self.collect_trace:
             self._trace(_HERALD_ARRIVE, node_id, f"cycle={cycle}")
 
-    def _handle_signal_arrive(self, node_id: int, cycle: int, draws) -> None:
-        # Dispatched at the train's last signal: resolves every signal, then
-        # ends the train. Fusilier k arrived at start_ns + k * tau.
+    def _handle_signal_arrive(self, node_id: int, cycle: int, fusiliers: list[int]) -> None:
+        # Dispatched at the train's last signal; fusilier k arrived at
+        # start_ns + k * tau.
         node = self.nodes[node_id]
-        link = self.links[node_id - 1]
-        signals = link.n_fusiliers
-        start_ns = self.queue.now_ns - (signals - 1) * self.tau
-        fusiliers, errors = on_train(node, link.model, draws, signals)
+        on_train(node)
         if self.collect_trace:
+            signals = self.links[node_id - 1].n_fusiliers
+            start_ns = self.queue.now_ns - (signals - 1) * self.tau
             self._train_lines(node, cycle, signals, start_ns, fusiliers)
-        self._end_of_train(node, cycle, fusiliers, errors, start_ns)
+        record = self.outcomes[cycle].purified[node_id]
+        if record:
+            self.outboxes[node_id].append(record)
+        relayed = []
+        if node_id < self.left_senders:
+            relayed, self.outboxes[node_id] = self.outboxes[node_id], []
+        return_ns = self.queue.now_ns + self.delays[node_id - 1]
+        self.queue.schedule(return_ns, _RETURN_ARRIVE, node_id - 1, cycle, relayed)
+        if node_id == self.num_nodes - 1:
+            # The right end gets no return; its cycle ends with the train.
+            self._node_finished(cycle)
 
     def _train_lines(
         self, node: NodeState, cycle: int, count: int, start_ns: int, fusiliers: list[int]
@@ -583,28 +689,23 @@ class _ChainSimulation:
                 self._absorb_leftbound(relayed, queue.now_ns)
             else:
                 self.outboxes[node_id].extend(relayed)
-        ledger = self.ledgers[cycle]
-        # Slot k swaps when both of the node's hops kept a pair in it; node 0
-        # has no left hop. Two draws per swap: a parity bit, then an X bit.
+        on_return(node, cycle)
+        outcome = self.outcomes[cycle]
+        record = outcome.swapped[node_id]
         swaps = 0
-        if node_id:
-            hops = ledger.hop_pairs
-            swaps = min(len(hops[node_id - 1].fusiliers), len(hops[node_id].fusiliers))
-        if swaps:
-            rng = ledger.draws(SWAP_DOMAIN, node_id)
-            ledger.swaps[node_id] = outcomes = on_return(node, cycle, swaps, rng)
-            self.outboxes[node_id].append(FrameRecord(node_id, cycle, swaps, *outcomes))
+        if record:
+            swaps = record.count
+            self.outboxes[node_id].append(record)
             # The swap occupies the node for proc_ns; busy_until_ns guards the
             # occupancy window against early heralds.
             node.busy_until_ns = queue.now_ns + self.proc_ns
             queue.schedule(node.busy_until_ns, _SWAP_COMPLETE, node_id, cycle, swaps)
         else:
-            on_return(node, cycle, 0, None)
-            self._mark_complete(cycle, ledger)
+            self._node_finished(cycle)
         if node_id == 0:
             self._schedule_next_cycle(cycle)
         if self.collect_trace:
-            matches = ledger.successes[node_id]
+            matches = outcome.successes[node_id]
             detail = f"cycle={cycle} matches={matches} swaps={swaps}"
             self._trace(_RETURN_ARRIVE, node_id, detail)
 
@@ -621,7 +722,7 @@ class _ChainSimulation:
         self.queue.schedule(start_ns, _CYCLE_START, 0, cycle + 1, None)
 
     def _handle_swap_complete(self, node_id: int, cycle: int, swaps: int) -> None:
-        self._mark_complete(cycle, self.ledgers[cycle])
+        self._node_finished(cycle)
         if self.collect_trace:
             self._trace(_SWAP_COMPLETE, node_id, f"cycle={cycle} count={swaps}")
 
@@ -650,98 +751,9 @@ class _ChainSimulation:
             # One queue entry for the whole train, holding a seq per signal
             # and due at its last; fusilier k fires k slot times after the
             # herald.
-            draws = self.ledgers[cycle].draws(LINK_DOMAIN, node_id)
-            queue.schedule(
-                arrive_ns + (fired - 1) * self.tau,
-                _SIGNAL_ARRIVE,
-                node_id + 1,
-                cycle,
-                draws,
-                fired,
-            )
-
-    def _end_of_train(
-        self, node: NodeState, cycle: int, fusiliers: list[int], errors: int, start_ns: int
-    ) -> None:
-        node_id = node.node_id
-        link_idx = node_id - 1
-        ledger = self.ledgers[cycle]
-        ledger.successes[link_idx] = len(fusiliers)
-        tau = self.tau
-        created = [start_ns + fusilier * tau for fusilier in fusiliers]
-        if self.config.strategy is Strategy.PURIFY3:
-            hop = self._purify_hop(node_id, link_idx, cycle, fusiliers, created, errors)
-        else:
-            hop = _HopPairs(fusiliers, created, errors, 0, 0)
-        ledger.hop_pairs[link_idx] = hop
-        relayed = []
-        if node_id < self.left_senders:
-            relayed, self.outboxes[node_id] = self.outboxes[node_id], []
-        self.queue.schedule(
-            self.queue.now_ns + self.delays[link_idx],
-            _RETURN_ARRIVE,
-            link_idx,
-            cycle,
-            relayed,
-        )
-        if node_id == self.num_nodes - 1:
-            # The right end gets no return; its cycle ends with the train.
-            self._mark_complete(cycle, ledger)
-
-    def _purify_hop(
-        self,
-        node_id: int,
-        link_idx: int,
-        cycle: int,
-        fusiliers: list[int],
-        created: list[int],
-        errors: int,
-    ) -> _HopPairs:
-        # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t; its round is bit
-        # t of every column handed to purify3_bits. Fusiliers increase within
-        # a train, so the trio was made when its third member arrived.
-        trios = len(fusiliers) // 3
-        if not trios:
-            return _NO_PAIRS
-        coin = self.ledgers[cycle].draws(PURIFY_DOMAIN, link_idx).random
-        e1 = e2 = e3 = tx12 = tx23 = tx_x2 = tx_x3 = rx_x2 = rx_x3 = 0
-        for t in range(trios):
-            bit = 1 << t
-            # Transmit-side parities and the four X readouts are fair coins.
-            if coin() < 0.5:
-                tx12 |= bit
-            if coin() < 0.5:
-                tx23 |= bit
-            if coin() < 0.5:
-                tx_x2 |= bit
-            if coin() < 0.5:
-                tx_x3 |= bit
-            if coin() < 0.5:
-                rx_x2 |= bit
-            if coin() < 0.5:
-                rx_x3 |= bit
-            trio = errors >> 3 * t
-            if trio & 1:
-                e1 |= bit
-            if trio & 2:
-                e2 |= bit
-            if trio & 4:
-                e3 |= bit
-        # Receive-side parities reflect the true pairwise error syndrome,
-        # keeping the decode statistics honest. A hop's pairs carry the
-        # identity frame, so the kept pair's frame is the round's delta.
-        kept_errors, frame_x, frame_z = purify3_bits(
-            e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
-        )
-        self.outboxes[node_id].append(FrameRecord(node_id, cycle, trios, frame_x, frame_z))
-        end = 3 * trios
-        return _HopPairs(
-            fusiliers[0:end:3],
-            created[2:end:3],
-            kept_errors,
-            frame_x,
-            frame_z,
-        )
+            fusiliers = self.outcomes[cycle].trains[node_id]
+            last_ns = arrive_ns + (fired - 1) * self.tau
+            queue.schedule(last_ns, _SIGNAL_ARRIVE, node_id + 1, cycle, fusiliers, fired)
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:
@@ -750,36 +762,25 @@ class _ChainSimulation:
             fold[1] ^= rec.z_bits
             fold[2][: rec.count] = [at_ns] * rec.count
 
-    def _mark_complete(self, cycle: int, ledger: _CycleLedger) -> None:
-        ledger.outstanding -= 1
-        if not ledger.outstanding:
-            self._finalize_cycle(cycle, ledger)
-
-    def _finalize_cycle(self, cycle: int, ledger: _CycleLedger) -> None:
-        # Swap every intermediate node's slots, left to right, all slots at
-        # once; a slot is delivered where every hop kept a pair.
-        hops = ledger.hop_pairs
-        first = hops[0]
-        errors, frame_x, frame_z = first.errors, first.frame_x, first.frame_z
-        for node_id in range(1, self.num_nodes - 1):
-            hop = hops[node_id]
-            errors, frame_x, frame_z = swap_bits(
-                errors, hop.errors, frame_x, frame_z, hop.frame_x, hop.frame_z,
-                *ledger.swaps[node_id],
-            )
-        created = [max(times) for times in zip(*(hop.created_at_ns for hop in hops))]
-        pairs = _HopPairs(first.fusiliers[: len(created)], created, errors, frame_x, frame_z)
-        self.finished[cycle] = (pairs, ledger.successes)
+    def _node_finished(self, cycle: int) -> None:
+        # A node finishes each cycle once; the last keeps the cycle's pairs
+        # and success counts and drops the rest of its outcome.
+        self.unfinished[cycle] -= 1
+        if self.unfinished[cycle]:
+            return
+        del self.unfinished[cycle]
+        outcome = self.outcomes.pop(cycle)
+        pairs = outcome.pairs
+        self.finished[cycle] = (pairs, outcome.successes)
         if self.collect_trace:
             # Keyed like an event scheduled now, but nothing is queued.
             now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
-            for slot in range(len(created)):
+            for slot in range(len(pairs.created_at_ns)):
                 seq = self.queue.reserve()
-                detail = f"cycle={cycle} slot={slot} x={errors >> slot & 1}"
+                detail = f"cycle={cycle} slot={slot} x={pairs.errors >> slot & 1}"
                 self.trace.append(
                     (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
                 )
-        del self.ledgers[cycle]
 
     def _deliver_frames(self, cycle: int, frames: list[FrameRecord]) -> None:
         # Herald for cycle c carries the records generated during cycle c-1;

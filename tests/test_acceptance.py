@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fusenet.cli import main as cli_main
-from fusenet.machines import NodeState, on_herald, on_train
+from fusenet.machines import train_pairs
 from fusenet.metrics import summarize
 from fusenet.network import butterfly_split, run_network
 from fusenet.pair_algebra import (
@@ -81,11 +81,9 @@ def test_criterion_4a_hop_success_counts():
     n, m, p, cycles = 16, 1, 0.25, 100_000
     link = LinkModel(length_km=1.0, p_success=p)
     rng = np.random.default_rng(2024)
-    rx = NodeState(1, 0, m)
     short = 0
-    for cycle in range(cycles):
-        on_herald(rx, cycle, 0)
-        fusiliers, _ = on_train(rx, link, rng, n)
+    for _ in range(cycles):
+        fusiliers, _ = train_pairs(link, rng, n, m)
         if len(fusiliers) < m:
             short += 1
     expected = failure_prob_multi(n, m, p)

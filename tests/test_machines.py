@@ -1,4 +1,4 @@
-"""Per-bank node state: herald firing, signal routing, returns, swaps."""
+"""Per-bank node state (herald, train, return) and the train and swap draw loops."""
 
 import math
 from dataclasses import asdict
@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from fusenet.errors import DesynchronizationError, ProtocolError
 from fusenet.machines import (
-    FusilandPhase,
-    FusilladePhase,
     NodeState,
     on_herald,
     on_return,
     on_train,
+    swap_outcomes,
+    train_pairs,
 )
 from fusenet.pair_algebra import (
     Endpoint,
@@ -45,24 +45,25 @@ def arrivals(n, start=100, tau=10):
     return [start + tau * k for k in range(n)]
 
 
-def run_train(rx, n, draws, link=LINK):
-    """Resolve an n-signal train; returns its (fusiliers, errors) and the stub."""
+def run_train(m, n, draws, link=LINK):
+    """Resolve an n-signal train at a bank of m fusilands; returns its
+    (fusiliers, errors) and the stub."""
     rng = StubRng(draws)
-    return on_train(rx, link, rng, n), rng
+    return train_pairs(link, rng, n, m), rng
 
 
 class TestOnHerald:
     def test_fires_whole_fusillade(self):
         tx, _, fired = start_cycle(3, 1)
         assert fired == 3
-        assert tx.fusillade is FusilladePhase.FIRED
+        assert tx.fired
 
     def test_rightmost_node_fires_nothing(self):
         rx = NodeState(2, n_fusiliers=0, m_fusilands=2)
         fired = on_herald(rx, 0, 0)
         assert fired == 0
-        assert rx.fusillade is FusilladePhase.IDLE
-        assert rx.fusilands is FusilandPhase.READY
+        assert not rx.fired
+        assert rx.ready
 
     def test_herald_while_busy_desynchronizes(self):
         tx, _, _ = start_cycle(2, 1)
@@ -76,148 +77,139 @@ class TestOnHerald:
 
 
 class TestOnSignal:
-    """The signals of one train, resolved by ``on_train``."""
+    """The signals of one train: ``train_pairs`` draws them, ``on_train``
+    takes the train at its bank."""
 
     def test_first_success_takes_slot_zero_then_discards(self):
-        _, rx, _ = start_cycle(3, 1)
-        (fusiliers, _), rng = run_train(rx, 3, draws=[0.1, 0.5])
+        (fusiliers, _), rng = run_train(1, 3, draws=[0.1, 0.5])
         assert fusiliers == [0]
         assert rng.values == []  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
         _, rx, _ = start_cycle(2, 1)
-        (fusiliers, _), _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
+        on_train(rx)
+        assert not rx.ready
+        (fusiliers, _), _ = run_train(1, 2, draws=[0.9, 0.1, 0.5])
         assert fusiliers == [1]  # fusilier 1 filled slot 0
-        assert rx.fusilands is FusilandPhase.IDLE
 
     def test_exhausted_bank_discards_without_drawing(self):
-        _, rx, _ = start_cycle(4, 2)
-        (fusiliers, _), rng = run_train(rx, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
+        (fusiliers, _), rng = run_train(2, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
         assert fusiliers == [0, 1]
         assert rng.values == []  # discarded signals consumed no randomness
 
     def test_second_train_rejected(self):
         _, rx, _ = start_cycle(3, 1)
-        run_train(rx, 3, draws=[0.9, 0.9, 0.9])
-        with pytest.raises(ProtocolError):
-            run_train(rx, 3, draws=[0.1, 0.5])
+        on_train(rx)
+        with pytest.raises(ProtocolError, match="^node 1 got a signal train while its fusilands are idle$"):
+            on_train(rx)
 
     def test_error_bit_sampled_from_fidelity(self):
-        _, rx, _ = start_cycle(1, 1)
         noisy = LinkModel(length_km=1.0, p_success=1.0, raw_fidelity=0.9)
-        (_, errors), _ = run_train(rx, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
+        (_, errors), _ = run_train(1, 1, draws=[0.0, 0.05], link=noisy)  # second draw < 1 - F: error
         assert errors == 1
 
     def test_error_bits_pack_by_slot(self):
-        _, rx, _ = start_cycle(4, 3)
         noisy = LinkModel(length_km=1.0, p_success=0.5, raw_fidelity=0.9)
         # slot 0 clean, fusilier 1 fails, slots 1 and 2 carry errors
         draws = [0.1, 0.5, 0.9, 0.1, 0.05, 0.1, 0.01]
-        (fusiliers, errors), rng = run_train(rx, 4, draws=draws, link=noisy)
+        (fusiliers, errors), rng = run_train(3, 4, draws=draws, link=noisy)
         assert fusiliers == [0, 2, 3]
         assert errors == 0b110
         assert rng.values == []
 
     def test_pair_endpoints_name_both_sides(self):
         # slot k is the right endpoint, fusiliers[k] the left one
-        _, rx, _ = start_cycle(2, 2)
-        (fusiliers, _), _ = run_train(rx, 2, draws=[0.9, 0.1, 0.5])
+        (fusiliers, _), _ = run_train(2, 2, draws=[0.9, 0.1, 0.5])
         assert fusiliers == [1]  # slot 0 on node 1, fusilier 1 on node 0
 
 
 class TestBuildReturnMessage:
-    """The hop's matches a return message reports: ``on_train``'s columns."""
+    """The hop's matches a return message reports: ``train_pairs``'s columns."""
 
     def test_no_successes_gives_empty_matches(self):
-        _, rx, _ = start_cycle(3, 1)
-        (fusiliers, errors), _ = run_train(rx, 3, draws=[0.9, 0.9, 0.9])
+        (fusiliers, errors), _ = run_train(1, 3, draws=[0.9, 0.9, 0.9])
         assert (fusiliers, errors) == ([], 0)
-        assert rx.fusilands is FusilandPhase.IDLE
 
     def test_matches_name_fusilier_and_slot(self):
-        _, rx, _ = start_cycle(8, 2)
         draws = [0.9, 0.9, 0.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.5]
-        (fusiliers, _), _ = run_train(rx, 8, draws=draws)
+        (fusiliers, _), _ = run_train(2, 8, draws=draws)
         assert fusiliers == [2, 7]  # slots 0 and 1
 
     def test_capacity_bounds_matches(self):
-        _, rx, _ = start_cycle(5, 2)
         draws = [0.0, 0.5, 0.0, 0.5]  # first two succeed, bank full
-        (fusiliers, _), _ = run_train(rx, 5, draws=draws)
+        (fusiliers, _), _ = run_train(2, 5, draws=draws)
         assert fusiliers == [0, 1]
 
     def test_incomplete_train_rejected(self):
-        # a return before the node's own train arrived; a train is resolved whole
+        # a return before the node's own train arrived; a train is taken whole
         node = NodeState(1, n_fusiliers=3, m_fusilands=1)
         on_herald(node, 0, 0)
         with pytest.raises(ProtocolError, match="before its signal train arrived"):
-            on_return(node, 0, 0, None)
-        assert node.fusilands is FusilandPhase.READY
-        assert node.fusillade is FusilladePhase.FIRED
+            on_return(node, 0)
+        assert node.ready
+        assert node.fired
 
 
 def awaiting_return():
     """An intermediate node whose fusillade fired and whose incoming train
-    was resolved, awaiting its return."""
+    was taken, awaiting its return."""
     node = NodeState(1, n_fusiliers=3, m_fusilands=3)
     on_herald(node, 0, 0)
-    run_train(node, 3, draws=[0.9, 0.9, 0.9])
+    on_train(node)
     return node
 
 
 class TestOnReturn:
     def test_swaps_the_given_count(self):
-        node = awaiting_return()
         rng = StubRng([0.9, 0.1] * 3)
-        swaps = on_return(node, 0, 2, rng)
+        swaps = swap_outcomes(2, rng)
         assert swaps == (0b00, 0b11)  # (parity bits, X bits), swap k in bit k
         assert len(rng.values) == 2  # two draws per swap
-        assert node.fusillade is FusilladePhase.IDLE
+        node = awaiting_return()
+        on_return(node, 0)
+        assert not node.fired
 
     def test_zero_swaps_draw_nothing(self):
-        node = awaiting_return()
-        swaps = on_return(node, 0, 0, None)
-        assert swaps == (0, 0)
+        assert swap_outcomes(0, None) == (0, 0)
 
     def test_swap_outcome_feeds_frame_record(self):
-        node = awaiting_return()
-        swaps = on_return(node, 0, 1, StubRng([0.1, 0.9]))
-        # the parity outcome is the frame's X bit, the X readout its Z bit
-        assert swaps == (1, 0)
+        # a parity draw, then an X draw: the parity outcome is the frame's
+        # X bit, the X readout its Z bit
+        assert swap_outcomes(1, StubRng([0.1, 0.9])) == (1, 0)
+        assert swap_outcomes(1, StubRng([0.9, 0.1])) == (0, 1)
 
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
         on_herald(node, 0, 0)
-        swaps = on_return(node, 0, 0, None)
-        assert swaps == (0, 0)
-        assert node.fusillade is FusilladePhase.IDLE
+        on_return(node, 0)
+        assert not node.fired
         on_herald(node, 1, 0)  # the next herald is accepted
 
     def test_wrong_cycle_rejected(self):
         node = awaiting_return()
-        with pytest.raises(ProtocolError):
-            on_return(node, 5, 0, None)
+        with pytest.raises(ProtocolError, match="^node 1 got return for cycle 5 during cycle 0$"):
+            on_return(node, 5)
 
     def test_return_needs_a_fired_fusillade(self):
         # the rightmost node fires nothing, so its fusillade stays idle
         idle = NodeState(2, n_fusiliers=0, m_fusilands=3)
         on_herald(idle, 0, 0)
         with pytest.raises(ProtocolError, match="its fusillade is idle"):
-            on_return(idle, 0, 0, None)
+            on_return(idle, 0)
         node = awaiting_return()
-        on_return(node, 0, 0, None)
+        on_return(node, 0)
         with pytest.raises(ProtocolError, match="its fusillade is idle"):
-            on_return(node, 0, 0, None)
+            on_return(node, 0)
 
 
 class TestCycleLifecycle:
     def test_release_resets_everything(self):
         # the train leaves the fusilands idle, the return the fusillade
         tx, rx, _ = start_cycle(3, 2)
-        run_train(rx, 3, draws=[0.1, 0.5, 0.9, 0.1, 0.5])
-        on_return(tx, 0, 0, None)
-        assert tx.fusillade is FusilladePhase.IDLE
-        assert rx.fusilands is FusilandPhase.IDLE
+        on_train(rx)
+        on_return(tx, 0)
+        assert not tx.fired
+        assert not rx.ready
         # next herald is accepted again
         on_herald(tx, 1, 1000)
         on_herald(rx, 1, 1050)
@@ -230,9 +222,7 @@ class TestCycleLifecycle:
         rng = np.random.default_rng(77)
         short = 0
         for _ in range(cycles):
-            rx = NodeState(1, 0, m)
-            on_herald(rx, 0, 0)
-            fusiliers, _ = on_train(rx, link, rng, n)
+            fusiliers, _ = train_pairs(link, rng, n, m)
             if len(fusiliers) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
@@ -241,24 +231,26 @@ class TestCycleLifecycle:
 
 
 def _signal_at_unreadied_bank(draws):
+    # the bank rejects the train whatever its signals drew
     def sequence():
         rx = NodeState(1, n_fusiliers=0, m_fusilands=2)
-        on_train(rx, LINK, StubRng(draws), 1)
+        run_train(rx.m_fusilands, 1, draws)
+        on_train(rx)
 
     return sequence
 
 
 def _signal_at_reported_bank():
-    # the train was resolved and the node took its return for the cycle
+    # the train was taken and the node took its return for the cycle
     node = awaiting_return()
-    on_return(node, 0, 0, None)
-    run_train(node, 3, draws=[0.1, 0.5])
+    on_return(node, 0)
+    on_train(node)
 
 
 def _return_before_train():
     node = NodeState(1, n_fusiliers=3, m_fusilands=3)
     on_herald(node, 0, 0)
-    on_return(node, 0, 0, None)
+    on_return(node, 0)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +274,8 @@ def test_illegal_bank_sequence_raises(sequence):
 
 
 def reference_train(node, from_node, link, rng, arrivals):
-    """One signal at a time, as a per-signal handler would resolve a train."""
+    """One signal at a time, as a per-signal handler would resolve a train
+    at ``node``'s bank."""
     pairs = []
     for fusilier, arrival_ns in enumerate(arrivals):
         slot = len(pairs)
@@ -326,14 +319,10 @@ class CountingRng:
 def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     link = LinkModel(length_km=1.0, p_success=p, raw_fidelity=fidelity)
     times = arrivals(n, start=40, tau=tau)
-    nodes, rngs = [], []
-    for _ in range(2):
-        rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
-        on_herald(rx, 0, 0)
-        nodes.append(rx)
-        rngs.append(CountingRng(seed))
-    fusiliers, errors = on_train(nodes[0], link, rngs[0], n)
-    expected = reference_train(nodes[1], 2, link, rngs[1], times)
+    rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
+    rngs = [CountingRng(seed), CountingRng(seed)]
+    fusiliers, errors = train_pairs(link, rngs[0], n, m)
+    expected = reference_train(rx, 2, link, rngs[1], times)
     # Slot k of the columns is the reference's pair k, made at its fusilier's arrival.
     assert [asdict(pair) for pair in expected] == [
         asdict(
@@ -350,7 +339,6 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     ]
     assert errors >> len(fusiliers) == 0
     assert rngs[0].draws == rngs[1].draws
-    assert nodes[0].fusilands is FusilandPhase.IDLE  # the whole train was received
 
 
 @given(
@@ -369,15 +357,15 @@ def test_full_cycle_fuzz(n, m, p, seed):
     assert on_herald(tx, 0, 0) == n
     on_herald(rx, 0, 11)
 
-    fusiliers, errors = on_train(rx, link, rng, n)
+    on_train(rx)
+    fusiliers, errors = train_pairs(link, rng, n, m)
     assert len(fusiliers) <= m
     assert fusiliers == sorted(set(fusiliers))
     assert errors == 0  # raw fidelity 1
-    assert rx.fusilands is FusilandPhase.IDLE
+    assert not rx.ready
 
-    swaps = on_return(tx, 0, 0, rng)
-    assert swaps == (0, 0)  # tx has no left hop: end node
-    assert tx.fusillade is FusilladePhase.IDLE
+    on_return(tx, 0)  # tx has no left hop: an end node swaps nothing
+    assert not tx.fired
 
     # the next cycle starts cleanly at both nodes
     on_herald(tx, 1, 100)

@@ -612,22 +612,25 @@ def test_simulation_allocates_nothing_per_cycle_up_front():
 
 @pytest.mark.parametrize("config", ["two_node_40km.json", "chain4_purify_butterfly.json"])
 def test_run_end_leaves_no_per_cycle_state(config):
-    # Every cycle's herald fold, ledger and finished pairs are consumed by
-    # the records; herald 0 carries no records and leaves no fold behind.
+    # Every cycle's outcome is dropped when its last node finishes it, and
+    # its herald fold and finished pairs are consumed by the records;
+    # herald 0 carries no records and leaves no fold behind.
     path = Path(__file__).resolve().parents[1] / "configs" / config
     network = load_config(str(path)).network
     network.cycles = 3
     split = butterfly_split(network) if network.butterfly else None
     sim = _ChainSimulation(network, validate_config(network), split, False)
     assert len(sim.execute().per_cycle_delivered) == 3
-    assert (sim.herald_folds, sim.ledgers, sim.finished) == ({}, {}, {})
+    assert (sim.herald_folds, sim.outcomes, sim.unfinished, sim.finished) == ({}, {}, {}, {})
 
 
 def test_long_short_train_chain_holds_few_draws():
     # A 100-hop chain of 10 km hops has about 50 cycles in flight, and the
-    # batched kernel draws every one of its keys. Held as float64 arrays, 8
-    # bytes a value, the undrawn values of those cycles keep the peak below
-    # 4.5 MiB; as lists of floats, 32 bytes a value, they reach about 5.4 MiB.
+    # batched kernel draws every one of its keys. A cycle's keys are all
+    # drawn as it starts, so a cycle in flight holds its outcome and no
+    # draws, and the peak stays below 4.5 MiB (about 2 MiB); held for every
+    # cycle in flight as lists of floats, 32 bytes a value, the draws alone
+    # would take about 4 MiB.
     cfg = chain_config(
         [10.0] * 100, n=17, m=3, p=0.25, fidelity=0.98, cycles=120, seed=3, tau_slot_ns=10
     )
