@@ -6,42 +6,50 @@ as it sweeps right, signal trains follow it down each fiber, return messages
 confirm each hop, and intermediate nodes swap as soon as they hold links on
 both sides. A frame record is one node's frames for one cycle, slot k's in
 bit k of its X and Z ints: a swapping node adds one per return, and a
-purified hop one per train. The simulation keeps each node's outbox and
-routes it: a record leaves on the *next* herald to the right end, so every
-end-to-end pair's correction becomes available exactly one cycle period
-after the pair is established. Under the butterfly split the outbox of a
-node left of the split leaves instead on the return message it sends when
-its incoming train ends, and relayed records join the receiving node's
-outbox, one hop per cycle, until they reach node 0. One final frame-flush
-sweep (no generation) delivers the last corrections. What arrives is kept
-per cycle as packed ints: the herald's fold and arrival time, and the left
-fold with each slot's last arrival at node 0 (None for records still
-relaying when the run ends).
+purified hop one per train. A record rides the *next* herald to the right
+end, so every end-to-end pair's correction becomes available exactly one
+cycle period after the pair is established. Under the butterfly split a
+record of a node left of the split goes left instead, on the return message
+the node sends when its incoming train ends, and relayed records join the
+receiving node's outbox, one hop per cycle, until they reach node 0. One
+final frame-flush sweep (no generation) is the herald of the last cycle's
+records: it is traced and, like every herald, checked for desynchronization.
+
+The records' bits are read from the cycle's outcome, folded once as the
+cycle starts into the herald share (the nodes from the split rightward, or
+every node without one) and the left share. That is what the herald would
+carry: a herald that reaches a node before the node's train or return of
+the previous cycle, and so before its record, desynchronizes
+(``on_herald``), so herald c + 1 would pick up every record of cycle c and
+no other. Its arrival is the schedule's too, since cycle c + 1 starts at
+exactly (c + 1) * period or the run raises. Only the left-bound records
+still travel, in the outboxes of the nodes left of the split, and only to
+time their arrival: the left folds keep each slot's last arrival at node 0
+(None for records still relaying when the run ends).
 
 A cycle's outcome is made as the cycle starts, by ``_cycle_outcome``, from
 the config, the cycle and its keyed draws alone: every hop's train and kept
 pairs, every purification, every node's swaps, the pairs delivered and
 each node's frame records. The handlers only check bank phases, keep the
-timeline (scheduling, occupancy, the desynchronization checks), route frame
-records at the events that carry them, and trace. Hop i's train starts
-arriving as the herald reaches its right node, at ``cycle * period +
-herald_offsets_ns[i + 1]``, and fusilier k k slot times later; a slot's
-pair was made then. Keyed draws belong to ``engine.KeyedDraws``; this
-module states each key's count once, in ``_key_draws``.
+timeline (scheduling, occupancy, the desynchronization checks), relay the
+left-bound frame records, and trace. Hop i's train starts arriving as the
+herald reaches its right node, at ``cycle * period + herald_offsets_ns[i +
+1]``, and fusilier k k slot times later; a slot's pair was made then.
+Keyed draws belong to ``engine.KeyedDraws``; this module states each key's
+count once, in ``_key_draws``.
 
 Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
 its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
-event object exists. The datum is, by kind: none for ``CycleStart``; the
-herald's frame list for ``HeraldArrive``, one list made at the cycle start
-and passed along the sweep; the train's fusiliers (those that filled a
-slot, slot by slot) for ``SignalArrive``, on the hop into the node; the
-frame list a return relays (empty unless its sender sends left) for
+event object exists. The datum is, by kind: none for ``CycleStart`` and
+``HeraldArrive``; the train's fusiliers (those that filled a slot, slot by
+slot) for ``SignalArrive``, on the hop into the node; the frame records a
+return relays (empty unless its sender is left of the split) for
 ``ReturnArrive``; the swap count for ``SwapComplete``.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
 ``_handle_signal_arrive`` takes the whole train with ``on_train``, then
-ends it (the purification record, the return message). That equals one
+ends it with the return message. That equals one
 event per signal because nothing touches the receiving node's fusilands
 between a train's first and last signal: ``validate_config`` rejects a
 chain whose return from the right-hand hop would come sooner, and a herald
@@ -66,10 +74,11 @@ swaps are its parity and X outcome bits, packed the same way. A purified
 hop folds all its trios in one ``purify3_bits`` call, and the cycle swaps
 all its slots at once, one ``swap_bits`` call per intermediate node from
 left to right. A started cycle's outcome is held until its last node
-finishes it, and then only its delivered pairs and its hops' raw success
-counts are kept. At run end each ``PairRecord`` and ``EndToEndRecord`` is
-built once, in cycle order, with the pair's ``correction`` the herald share
-XOR the left share, so the summary scores what was delivered; the model
+finishes it; from the cycle's start one row keeps its delivered pairs, its
+hops' raw success counts and its two frame shares, in cycle order. At run
+end each ``PairRecord`` and ``EndToEndRecord`` is built once, in cycle
+order, with the pair's ``correction`` the herald share XOR the left share,
+so the summary scores what was delivered; the model
 fidelity, the same for every pair, is ``analytic_end_to_end_fidelity``,
 computed once per run. Nothing is allocated per cycle before the run.
 """
@@ -79,6 +88,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -96,7 +106,7 @@ from .engine import (
     channel_delay_ns,
     run,
 )
-from .errors import ConfigurationError, DesynchronizationError, ProtocolError
+from .errors import ConfigurationError, DesynchronizationError
 from .machines import NodeState, on_herald, on_return, on_train, swap_outcomes, train_pairs
 from .pair_algebra import (
     Endpoint,
@@ -183,9 +193,10 @@ class EndToEndRecord:
     cycle); the correction frame rides the next herald, so
     ``frame_available_at_ns`` is exactly one cycle period later.
     ``correction`` is the XOR-fold of the cycle's frame records for this
-    slot as delivered: ``herald_correction``, the herald's share (everything,
-    unless the butterfly split routes part leftward), XOR the left share.
-    It equals ``pair.frame`` when no record was lost.
+    slot: ``herald_correction``, the herald's share (everything, unless the
+    butterfly split routes part leftward), XOR the left share. Both shares
+    are read from the cycle's outcome, which is what the herald and the left
+    relays carry (see the module docstring), so it equals ``pair.frame``.
     Under the butterfly split ``left_frame_available_at_ns`` is when the
     slot's last left-bound record reached node 0 (the herald's arrival if
     none went left, None if one was still relaying when the run ended).
@@ -465,6 +476,24 @@ def butterfly_split(config: NetworkConfig) -> int:
     return best_index
 
 
+def _frame_shares(records, split: int) -> tuple[int, int, int, int]:
+    """Fold a cycle's frame records (None where a node made none) into
+    ``(herald_x, herald_z, left_x, left_z)``: the herald share, from the
+    nodes at and right of ``split`` (every node when it is 0), and the left
+    share, from the nodes left of it."""
+    herald_x = herald_z = left_x = left_z = 0
+    for rec in records:
+        if rec is None:
+            continue
+        if rec.node < split:
+            left_x ^= rec.x_bits
+            left_z ^= rec.z_bits
+        else:
+            herald_x ^= rec.x_bits
+            herald_z ^= rec.z_bits
+    return herald_x, herald_z, left_x, left_z
+
+
 def _purify_hop(
     draws, node_id: int, cycle: int, fusiliers: list[int], created: list[int], errors: int
 ) -> tuple[_HopPairs, Optional[FrameRecord]]:
@@ -546,11 +575,11 @@ class _ChainSimulation:
             )
             for i in range(self.num_nodes)
         ]
-        # Node i's frame outbox. Nodes below ``left_senders``, the butterfly
-        # split (never node 0; 0 without a split), send it left on their
-        # return message; every other node's leaves on the next herald.
-        self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.num_nodes)]
+        # Node i's left-bound frame records, for the nodes below
+        # ``left_senders``, the butterfly split (0 without one). They leave on
+        # the node's return message and are relayed only to time their arrival.
         self.left_senders = split_index or 0
+        self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.left_senders)]
         # Every end-to-end pair has the same model fidelity.
         self.end_fidelity = analytic_end_to_end_fidelity(config)
         # A kept pair in slot k sits in the right node's fusiland 3k when
@@ -559,16 +588,15 @@ class _ChainSimulation:
         self.queue = EventQueue()
         self.keyed = KeyedDraws(config.seed, _key_draws(config), config.cycles)
         # outcomes[cycle] from the cycle's start until unfinished[cycle], its
-        # nodes yet to finish it, reaches 0; then finished[cycle] = (its
-        # delivered pairs, its hops' success counts) until the run ends.
+        # nodes yet to finish it, reaches 0. From its start each cycle has a
+        # row in ``rows``: (its delivered pairs, its hops' success counts, its
+        # frame shares) until the run ends.
         self.outcomes: dict[int, _CycleOutcome] = {}
         self.unfinished: dict[int, int] = {}
-        self.finished: dict[int, tuple[_HopPairs, list[int]]] = {}
-        # Frames delivered for cycle c, slot k in bit k: herald_folds[c] =
-        # (x_bits, z_bits, arrival_ns) at the right end, left_folds[c] =
-        # [x_bits, z_bits, last_ns] at node 0, last_ns[k] per slot.
-        self.herald_folds: dict[int, tuple[int, int, int]] = {}
-        self.left_folds: dict[int, list] = {}
+        self.rows: deque[tuple[_HopPairs, list[int], tuple[int, int, int, int]]] = deque()
+        # left_folds[c][k]: when the last left-bound record of cycle c's slot
+        # k reached node 0.
+        self.left_folds: dict[int, list[Optional[int]]] = {}
 
     def _cycle_outcome(self, cycle: int) -> _CycleOutcome:
         """Everything ``cycle`` makes, from its keyed draws alone.
@@ -621,15 +649,17 @@ class _ChainSimulation:
     def _handle_cycle_start(self, node_id: int, cycle: int, _datum: None) -> None:
         generate = cycle < self.cycles
         if generate:
-            self.outcomes[cycle] = self._cycle_outcome(cycle)
+            outcome = self.outcomes[cycle] = self._cycle_outcome(cycle)
             self.unfinished[cycle] = self.num_nodes
-        self._herald_at(0, cycle, [])
+            shares = _frame_shares(outcome.purified + outcome.swapped, self.left_senders)
+            self.rows.append((outcome.pairs, outcome.successes, shares))
+        self._herald_at(0, cycle)
         if self.collect_trace:
             detail = f"cycle={cycle}" + ("" if generate else " flush")
             self._trace(_CYCLE_START, node_id, detail)
 
-    def _handle_herald_arrive(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
-        self._herald_at(node_id, cycle, frames)
+    def _handle_herald_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
+        self._herald_at(node_id, cycle)
         if self.collect_trace:
             self._trace(_HERALD_ARRIVE, node_id, f"cycle={cycle}")
 
@@ -642,12 +672,12 @@ class _ChainSimulation:
             signals = self.links[node_id - 1].n_fusiliers
             start_ns = self.queue.now_ns - (signals - 1) * self.tau
             self._train_lines(node, cycle, signals, start_ns, fusiliers)
-        record = self.outcomes[cycle].purified[node_id]
-        if record:
-            self.outboxes[node_id].append(record)
         relayed = []
         if node_id < self.left_senders:
             relayed, self.outboxes[node_id] = self.outboxes[node_id], []
+            record = self.outcomes[cycle].purified[node_id]
+            if record:
+                relayed.append(record)
         return_ns = self.queue.now_ns + self.delays[node_id - 1]
         self.queue.schedule(return_ns, _RETURN_ARRIVE, node_id - 1, cycle, relayed)
         if node_id == self.num_nodes - 1:
@@ -695,7 +725,8 @@ class _ChainSimulation:
         swaps = 0
         if record:
             swaps = record.count
-            self.outboxes[node_id].append(record)
+            if node_id < self.left_senders:
+                self.outboxes[node_id].append(record)
             # The swap occupies the node for proc_ns; busy_until_ns guards the
             # occupancy window against early heralds.
             node.busy_until_ns = queue.now_ns + self.proc_ns
@@ -732,21 +763,16 @@ class _ChainSimulation:
         t_ns, seq = self.queue.now_ns, self.queue.seq
         self.trace.append((t_ns, seq, _trace_line(t_ns, seq, _KIND_JSON[kind], node_id, detail)))
 
-    def _herald_at(self, node_id: int, cycle: int, frames: list[FrameRecord]) -> None:
+    def _herald_at(self, node_id: int, cycle: int) -> None:
         queue = self.queue
         fired = on_herald(self.nodes[node_id], cycle, queue.now_ns, generate=cycle < self.cycles)
-        if node_id >= self.left_senders:
-            outbox = self.outboxes[node_id]
-            frames += outbox
-            outbox.clear()
         if node_id + 1 == self.num_nodes:
             # The right end fires no train.
-            self._deliver_frames(cycle, frames)
             return
         # The herald is multiplexed ahead of the signal train: schedule it
         # first so it wins the (time, seq) tie at the next node.
         arrive_ns = queue.now_ns + self.delays[node_id]
-        queue.schedule(arrive_ns, _HERALD_ARRIVE, node_id + 1, cycle, frames)
+        queue.schedule(arrive_ns, _HERALD_ARRIVE, node_id + 1, cycle, None)
         if fired:
             # One queue entry for the whole train, holding a seq per signal
             # and due at its last; fusilier k fires k slot times after the
@@ -757,21 +783,15 @@ class _ChainSimulation:
 
     def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
         for rec in records:
-            fold = self.left_folds.setdefault(rec.cycle, [0, 0, []])
-            fold[0] ^= rec.x_bits
-            fold[1] ^= rec.z_bits
-            fold[2][: rec.count] = [at_ns] * rec.count
+            self.left_folds.setdefault(rec.cycle, [])[: rec.count] = [at_ns] * rec.count
 
     def _node_finished(self, cycle: int) -> None:
-        # A node finishes each cycle once; the last keeps the cycle's pairs
-        # and success counts and drops the rest of its outcome.
+        # A node finishes each cycle once; the last drops the cycle's outcome.
         self.unfinished[cycle] -= 1
         if self.unfinished[cycle]:
             return
         del self.unfinished[cycle]
-        outcome = self.outcomes.pop(cycle)
-        pairs = outcome.pairs
-        self.finished[cycle] = (pairs, outcome.successes)
+        pairs = self.outcomes.pop(cycle).pairs
         if self.collect_trace:
             # Keyed like an event scheduled now, but nothing is queued.
             now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
@@ -781,21 +801,6 @@ class _ChainSimulation:
                 self.trace.append(
                     (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
                 )
-
-    def _deliver_frames(self, cycle: int, frames: list[FrameRecord]) -> None:
-        # Herald for cycle c carries the records generated during cycle c-1;
-        # herald 0 carries none, and no fold is kept for it.
-        fold_x = fold_z = 0
-        for rec in frames:
-            if rec.cycle != cycle - 1:
-                raise ProtocolError(
-                    f"herald {cycle} picked up a stale frame record "
-                    f"from cycle {rec.cycle} at node {rec.node}"
-                )
-            fold_x ^= rec.x_bits
-            fold_z ^= rec.z_bits
-        if cycle:
-            self.herald_folds[cycle - 1] = (fold_x, fold_z, self.queue.now_ns)
 
     # -- top level ---------------------------------------------------------
 
@@ -816,37 +821,38 @@ class _ChainSimulation:
         for index, (_t_ns, _seq, line) in enumerate(trace):
             trace[index] = line
         # Records still relaying when the run ends join the left folds with no
-        # arrival time. A cycle is freed as its records are built; cycles finish
-        # in order, since a node finishes each before the next herald reaches it.
-        for outbox in self.outboxes[1 : self.left_senders]:
+        # arrival time. A cycle's row is freed as its records are built.
+        for outbox in self.outboxes:
             self._absorb_leftbound(outbox, None)
-        records, delivered, successes = [], [], []
-        for cycle in range(self.config.cycles):
-            pairs, hop_successes = self.finished.pop(cycle)
-            records += self._cycle_records(cycle, pairs)
+            outbox.clear()
+        records, delivered, successes, left_frame_folds = [], [], [], {}
+        for cycle in range(self.cycles):
+            pairs, hop_successes, shares = self.rows.popleft()
+            last_ns = self.left_folds.pop(cycle, ())
+            records += self._cycle_records(cycle, pairs, shares, last_ns)
             delivered.append(len(pairs.fusiliers))
             successes.append(hop_successes)
+            left_x, left_z = shares[2:]
+            for slot in range(len(last_ns)):
+                left_frame_folds[cycle, slot] = FRAMES[left_x >> slot & 1][left_z >> slot & 1]
         return RunResult(
             schedule=self.schedule,
             records=records,
             per_cycle_delivered=delivered,
             hop_success_counts=[list(counts) for counts in zip(*successes)],
             split_index=self.left_senders or None,
-            left_frame_folds={
-                (cycle, slot): FRAMES[x >> slot & 1][z >> slot & 1]
-                for cycle, (x, z, last_ns) in self.left_folds.items()
-                for slot in range(len(last_ns))
-            },
+            left_frame_folds=left_frame_folds,
             trace=trace,
         )
 
-    def _cycle_records(self, cycle: int, pairs: _HopPairs) -> list[EndToEndRecord]:
+    def _cycle_records(
+        self, cycle: int, pairs: _HopPairs, shares: tuple[int, int, int, int], last_ns
+    ) -> list[EndToEndRecord]:
         fusiliers, created, errors, frame_x, frame_z = pairs
-        if cycle not in self.herald_folds:
-            raise ProtocolError(f"no herald delivered the frame records of cycle {cycle}")
-        herald_x, herald_z, at_ns = self.herald_folds.pop(cycle)
-        left_x, left_z, last_ns = self.left_folds.get(cycle, (0, 0, ()))
-        established = cycle * self.schedule.cycle_period_ns + self.schedule.herald_offsets_ns[-1]
+        herald_x, herald_z, left_x, left_z = shares
+        period = self.schedule.cycle_period_ns
+        established = cycle * period + self.schedule.herald_offsets_ns[-1]
+        at_ns = established + period
         records = []
         for slot, fusilier in enumerate(fusiliers):
             x, z = herald_x >> slot & 1, herald_z >> slot & 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, UnsatisfiableError
@@ -36,7 +35,6 @@ __all__ = [
     "failure_prob_multi",
     "min_fusiliers",
     "purify3_analytic",
-    "purify3_kept_fidelity",
     "purify3_bits",
     "swap_compose_analytic",
     "swap_bits",
@@ -254,26 +252,6 @@ def purify3_analytic(fidelity: float) -> float:
     Fixed points at 0, 0.5, and 1; strictly improving on (0.5, 1).
     """
     return fidelity**3 + 3.0 * fidelity**2 * (1.0 - fidelity)
-
-
-@lru_cache(maxsize=256)
-def purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
-    """Model fidelity of the pair kept from three pairs of fidelities f1..f3.
-
-    Exact enumeration of the 8 error patterns the decoder can face, each
-    decided by ``purify3_bits`` on its syndromes; equals
-    purify3_analytic(F) when all three inputs share fidelity F.
-    """
-    residual = 0.0
-    for e1 in (0, 1):
-        w1 = (1.0 - f1) if e1 else f1
-        for e2 in (0, 1):
-            w2 = (1.0 - f2) if e2 else f2
-            for e3 in (0, 1):
-                w3 = (1.0 - f3) if e3 else f3
-                if purify3_bits(e1, 0, 0, e1 ^ e2, e2 ^ e3, 0, 0, 0, 0)[0]:
-                    residual += w1 * w2 * w3
-    return 1.0 - residual
 
 
 def purify3_bits(

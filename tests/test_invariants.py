@@ -10,6 +10,10 @@ and a variant of it and checks the relation between the two outputs:
 - timing independence: longer hops and a nonzero ``proc_ns`` move every
   time but no outcome bit;
 - naming: node names change nothing.
+
+One more property holds within a single run: every record's frame shares
+compose to the pair's frame, and its herald share is available one period
+after the pair.
 """
 
 import dataclasses
@@ -19,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusenet.network import LinkSpec, NetworkConfig, Strategy, run_network
-from fusenet.pair_algebra import LinkModel
+from fusenet.pair_algebra import IDENTITY_FRAME, LinkModel
 
 from conftest import chain_config
 
@@ -135,3 +139,14 @@ def test_naming(config, names):
     other = run_network(dataclasses.replace(config, nodes=renamed))
     assert other.records == base.records
     assert other.hop_success_counts == base.hop_success_counts
+
+
+@given(config=chains())
+@RELATION
+def test_frame_shares_compose(config):
+    result = run_network(config)
+    period = result.schedule.cycle_period_ns
+    for rec in result.records:
+        left = result.left_frame_folds.get((rec.cycle_id, rec.slot), IDENTITY_FRAME)
+        assert rec.herald_correction.compose(left) == rec.pair.frame == rec.correction
+        assert rec.frame_available_at_ns - rec.established_at_ns == period

@@ -17,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusenet import engine as engine_module
+from fusenet import network as network_module
 from fusenet.config import load_config, parse_config
 from fusenet.engine import EventKind, EventQueue, KeyedDraws, RngStream, channel_delay_ns
-from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
+from fusenet.errors import ConfigurationError, DesynchronizationError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
     MAX_TRAIN_DRAWS,
@@ -508,56 +509,30 @@ class TestFramePropagation:
     @pytest.mark.parametrize("drop", ["herald_bound", "left_bound"])
     @pytest.mark.parametrize("strategy, m", [(Strategy.RAW, 2), (Strategy.PURIFY3, 6)])
     def test_dropped_frame_record_moves_fidelity(self, monkeypatch, drop, strategy, m):
-        # The split is node 2: node 3's records ride the herald right, node
-        # 1's relay left to node 0. Losing either must show in the summary.
+        # The split is node 2: node 3's records fold into the herald share,
+        # node 1's into the left share. Losing either from its fold must show
+        # in the summary and leave the other share as it was.
         cfg = chain_config(
             [20.0] * 4, n=9, m=m, p=0.8, fidelity=0.9, cycles=200, seed=5,
             strategy=strategy, butterfly=True,
         )
-        intact = summarize(run_network(cfg).records, cfg)
+        intact = run_network(cfg)
+        dropped = 3 if drop == "herald_bound" else 1
+        fold = network_module._frame_shares
+
+        def lossy(records, split):
+            return fold([rec for rec in records if rec is None or rec.node != dropped], split)
+
+        monkeypatch.setattr(network_module, "_frame_shares", lossy)
+        lost = run_network(cfg)
         if drop == "herald_bound":
-            herald_at = _ChainSimulation._herald_at
-
-            def lossy(sim, node_id, cycle, frames):
-                if node_id == 3:
-                    sim.outboxes[3].clear()
-                herald_at(sim, node_id, cycle, frames)
-
-            monkeypatch.setattr(_ChainSimulation, "_herald_at", lossy)
+            assert lost.left_frame_folds == intact.left_frame_folds
         else:
-            absorb = _ChainSimulation._absorb_leftbound
-
-            def lossy(sim, records, at_ns):
-                absorb(sim, [rec for rec in records if rec.node != 1], at_ns)
-
-            monkeypatch.setattr(_ChainSimulation, "_absorb_leftbound", lossy)
-        lost = summarize(run_network(cfg).records, cfg)
-        stderr = math.hypot(intact.empirical_end_fidelity_stderr, lost.empirical_end_fidelity_stderr)
-        assert abs(intact.empirical_end_fidelity - lost.empirical_end_fidelity) > 4 * stderr
-
-    def test_missing_herald_share_raises(self, monkeypatch):
-        monkeypatch.setattr(_ChainSimulation, "_deliver_frames", lambda sim, cycle, frames: None)
-        with pytest.raises(ProtocolError, match=r"^no herald delivered the frame records of cycle 0$"):
-            run_network(chain_config([20.0, 20.0], cycles=3))
-
-    def test_stale_frame_record_raises(self, monkeypatch):
-        # Node 1 keeps its cycle-0 record through herald 1, so herald 2
-        # carries it to the right end a cycle late.
-        herald_at = _ChainSimulation._herald_at
-
-        def keep_outbox(sim, node_id, cycle, frames):
-            if (node_id, cycle) != (1, 1):
-                return herald_at(sim, node_id, cycle, frames)
-            kept, sim.outboxes[1] = sim.outboxes[1], []
-            herald_at(sim, node_id, cycle, frames)
-            sim.outboxes[1][:0] = kept
-
-        monkeypatch.setattr(_ChainSimulation, "_herald_at", keep_outbox)
-        with pytest.raises(ProtocolError) as caught:
-            run_network(chain_config([20.0, 20.0], cycles=3))
-        assert str(caught.value) == "herald 2 picked up a stale frame record from cycle 0 at node 1"
-        event = caught.value.event
-        assert (event.kind, event.node, event.cycle) == (EventKind.HERALD_ARRIVE, 2, 2)
+            herald = lambda result: [rec.herald_correction for rec in result.records]
+            assert herald(lost) == herald(intact)
+        before, after = summarize(intact.records, cfg), summarize(lost.records, cfg)
+        stderr = math.hypot(before.empirical_end_fidelity_stderr, after.empirical_end_fidelity_stderr)
+        assert abs(before.empirical_end_fidelity - after.empirical_end_fidelity) > 4 * stderr
 
 
 class TestDesynchronization:
@@ -613,15 +588,16 @@ def test_simulation_allocates_nothing_per_cycle_up_front():
 @pytest.mark.parametrize("config", ["two_node_40km.json", "chain4_purify_butterfly.json"])
 def test_run_end_leaves_no_per_cycle_state(config):
     # Every cycle's outcome is dropped when its last node finishes it, and
-    # its herald fold and finished pairs are consumed by the records;
-    # herald 0 carries no records and leaves no fold behind.
+    # its row and left-bound arrival times are consumed by the records.
     path = Path(__file__).resolve().parents[1] / "configs" / config
     network = load_config(str(path)).network
     network.cycles = 3
     split = butterfly_split(network) if network.butterfly else None
     sim = _ChainSimulation(network, validate_config(network), split, False)
     assert len(sim.execute().per_cycle_delivered) == 3
-    assert (sim.herald_folds, sim.outcomes, sim.unfinished, sim.finished) == ({}, {}, {}, {})
+    assert (sim.outcomes, sim.unfinished, sim.left_folds) == ({}, {}, {})
+    assert not sim.rows
+    assert not any(sim.outboxes)
 
 
 def test_long_short_train_chain_holds_few_draws():

@@ -25,7 +25,6 @@ from fusenet.pair_algebra import (
     min_fusiliers,
     purify3_analytic,
     purify3_bits,
-    purify3_kept_fidelity,
     success_probability,
     swap_bits,
     swap_compose_analytic,
@@ -326,9 +325,28 @@ def _patterns(f1, f2, f3):
         yield errors, weight
 
 
+def purify3_kept_fidelity(f1: float, f2: float, f3: float) -> float:
+    """Oracle: model fidelity of the pair kept from three pairs of fidelities f1..f3.
+
+    Exact enumeration of the 8 error patterns the decoder can face, each
+    decided by ``purify3_bits`` on its syndromes; equals
+    purify3_analytic(F) when all three inputs share fidelity F.
+    """
+    residual = 0.0
+    for e1 in (0, 1):
+        w1 = (1.0 - f1) if e1 else f1
+        for e2 in (0, 1):
+            w2 = (1.0 - f2) if e2 else f2
+            for e3 in (0, 1):
+                w3 = (1.0 - f3) if e3 else f3
+                if purify3_bits(e1, 0, 0, e1 ^ e2, e2 ^ e3, 0, 0, 0, 0)[0]:
+                    residual += w1 * w2 * w3
+    return 1.0 - residual
+
+
 class TestPurifyApply:
-    """One purification round as the simulator applies it: ``purify3_bits``
-    for the bits, ``purify3_kept_fidelity`` for the model fidelity."""
+    """One purification round as the simulator applies it, ``purify3_bits``,
+    and its model fidelity against the oracle ``purify3_kept_fidelity``."""
 
     def test_no_error_keeps_clean_pair(self):
         assert purify3_bits(0, *_measurements_for((0, 0, 0))) == (0, 0, 0)
