@@ -10,10 +10,10 @@ purified hop one per train. A record rides the *next* herald to the right
 end, so every end-to-end pair's correction becomes available exactly one
 cycle period after the pair is established. Under the butterfly split a
 record of a node left of the split goes left instead, on the return message
-the node sends when its incoming train ends, and relayed records join the
-receiving node's outbox, one hop per cycle, until they reach node 0. One
-final frame-flush sweep (no generation) is the herald of the last cycle's
-records: it is traced and, like every herald, checked for desynchronization.
+the node sends when its incoming train ends, one hop per cycle, until it
+reaches node 0. One final frame-flush sweep (no generation) is the herald
+of the last cycle's records: it is traced and, like every herald, checked
+for desynchronization.
 
 The records' bits are read from the cycle's outcome, folded once as the
 cycle starts into the herald share (the nodes from the split rightward, or
@@ -22,17 +22,28 @@ carry: a herald that reaches a node before the node's train or return of
 the previous cycle, and so before its record, desynchronizes
 (``on_herald``), so herald c + 1 would pick up every record of cycle c and
 no other. Its arrival is the schedule's too, since cycle c + 1 starts at
-exactly (c + 1) * period or the run raises. Only the left-bound records
-still travel, in the outboxes of the nodes left of the split, and only to
-time their arrival: the left folds keep each slot's last arrival at node 0
-(None for records still relaying when the run ends).
+exactly (c + 1) * period or the run raises.
+
+The left share's arrival is the schedule's as well. With the split at node
+s >= 2, cycle c's left share is in at node 0 at ``(c + s - 1) * period +
+2 * d0 + (n0 - 1) * tau`` (d0 and n0 hop 0's delay and train), or never
+if ``c + s - 1 >= cycles``; with s = 1 no record goes left and it is the
+herald's arrival. That is when node s - 1's swap record of cycle c arrives,
+and it is exact: the record covers every delivered slot, no left-bound
+record of the cycle leaves later, and each record moves one hop per cycle.
+A record comes to a node with the return from the node's right hop, which
+comes after the node's own train has ended (``validate_config``) and,
+unless the run desynchronizes, before its next herald, so the record leaves
+on the node's next return. The left folds cover the slots of the cycle's
+largest left-bound record.
 
 A cycle's outcome is made as the cycle starts, by ``_cycle_outcome``, from
 the config, the cycle and its keyed draws alone: every hop's train and kept
 pairs, every purification, every node's swaps, the pairs delivered and
-each node's frame records. The handlers only check bank phases, keep the
-timeline (scheduling, occupancy, the desynchronization checks), relay the
-left-bound frame records, and trace. Hop i's train starts arriving as the
+each node's frame records; the cycle's end-to-end records, success counts
+and left folds are built from it then, once. The handlers only check bank
+phases, keep the timeline (scheduling, occupancy, the desynchronization
+checks), and trace. Hop i's train starts arriving as the
 herald reaches its right node, at ``cycle * period + herald_offsets_ns[i +
 1]``, and fusilier k k slot times later; a slot's pair was made then.
 Keyed draws belong to ``engine.KeyedDraws``; this module states each key's
@@ -40,11 +51,10 @@ count once, in ``_key_draws``.
 
 Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
 its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
-event object exists. The datum is, by kind: none for ``CycleStart`` and
-``HeraldArrive``; the train's fusiliers (those that filled a slot, slot by
-slot) for ``SignalArrive``, on the hop into the node; the frame records a
-return relays (empty unless its sender is left of the split) for
-``ReturnArrive``; the swap count for ``SwapComplete``.
+event object exists. The datum is, by kind: none for ``CycleStart``,
+``HeraldArrive`` and ``ReturnArrive``; the train's fusiliers (those that
+filled a slot, slot by slot) for ``SignalArrive``, on the hop into the
+node; the swap count for ``SwapComplete``.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
@@ -74,13 +84,12 @@ swaps are its parity and X outcome bits, packed the same way. A purified
 hop folds all its trios in one ``purify3_bits`` call, and the cycle swaps
 all its slots at once, one ``swap_bits`` call per intermediate node from
 left to right. A started cycle's outcome is held until its last node
-finishes it; from the cycle's start one row keeps its delivered pairs, its
-hops' raw success counts and its two frame shares, in cycle order. At run
-end each ``PairRecord`` and ``EndToEndRecord`` is built once, in cycle
-order, with the pair's ``correction`` the herald share XOR the left share,
-so the summary scores what was delivered; the model
-fidelity, the same for every pair, is ``analytic_end_to_end_fidelity``,
-computed once per run. Nothing is allocated per cycle before the run.
+finishes it. As the cycle starts each ``PairRecord`` and
+``EndToEndRecord`` is built once, in cycle order, with the pair's
+``correction`` the herald share XOR the left share, so the summary scores
+what was delivered; the model fidelity, the same for every pair, is
+``analytic_end_to_end_fidelity``, computed once per run. Nothing is
+allocated per cycle before the run.
 """
 
 from __future__ import annotations
@@ -88,7 +97,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -186,7 +194,7 @@ class CycleSchedule:
 
 @dataclass
 class EndToEndRecord:
-    """One end-to-end pair delivered by a cycle, built once at run end.
+    """One end-to-end pair delivered by a cycle, built once as the cycle starts.
 
     ``established_at_ns`` is the pipeline's deterministic availability
     instant at the right end node (the herald's arrival there for the
@@ -195,11 +203,14 @@ class EndToEndRecord:
     ``correction`` is the XOR-fold of the cycle's frame records for this
     slot: ``herald_correction``, the herald's share (everything, unless the
     butterfly split routes part leftward), XOR the left share. Both shares
-    are read from the cycle's outcome, which is what the herald and the left
-    relays carry (see the module docstring), so it equals ``pair.frame``.
-    Under the butterfly split ``left_frame_available_at_ns`` is when the
-    slot's last left-bound record reached node 0 (the herald's arrival if
-    none went left, None if one was still relaying when the run ended).
+    are read from the cycle's outcome, which is what the herald and the
+    left-bound returns carry (see the module docstring), so it equals
+    ``pair.frame``. Under the butterfly split at node s,
+    ``left_frame_available_at_ns`` is when the slot's last left-bound
+    record reaches node 0, ``(cycle_id + s - 1) * period + 2 * d0 + (n0 -
+    1) * tau`` with d0 and n0 hop 0's delay and train, or None when
+    ``cycle_id + s - 1 >= cycles``; with s = 1 no record goes left and it
+    equals ``frame_available_at_ns``.
     """
 
     cycle_id: int
@@ -217,7 +228,6 @@ class FrameRecord(NamedTuple):
     bit k of ``x_bits`` (its X bit) and of ``z_bits`` (its Z bit)."""
 
     node: int
-    cycle: int
     count: int
     x_bits: int
     z_bits: int
@@ -476,26 +486,28 @@ def butterfly_split(config: NetworkConfig) -> int:
     return best_index
 
 
-def _frame_shares(records, split: int) -> tuple[int, int, int, int]:
+def _frame_shares(records, split: int) -> tuple[int, int, int, int, int]:
     """Fold a cycle's frame records (None where a node made none) into
-    ``(herald_x, herald_z, left_x, left_z)``: the herald share, from the
-    nodes at and right of ``split`` (every node when it is 0), and the left
-    share, from the nodes left of it."""
-    herald_x = herald_z = left_x = left_z = 0
+    ``(herald_x, herald_z, left_x, left_z, left_count)``: the herald share,
+    from the nodes at and right of ``split`` (every node when it is 0), the
+    left share, from the nodes left of it, and the largest count among the
+    left share's records."""
+    herald_x = herald_z = left_x = left_z = left_count = 0
     for rec in records:
         if rec is None:
             continue
         if rec.node < split:
             left_x ^= rec.x_bits
             left_z ^= rec.z_bits
+            left_count = max(left_count, rec.count)
         else:
             herald_x ^= rec.x_bits
             herald_z ^= rec.z_bits
-    return herald_x, herald_z, left_x, left_z
+    return herald_x, herald_z, left_x, left_z, left_count
 
 
 def _purify_hop(
-    draws, node_id: int, cycle: int, fusiliers: list[int], created: list[int], errors: int
+    draws, node_id: int, fusiliers: list[int], created: list[int], errors: int
 ) -> tuple[_HopPairs, Optional[FrameRecord]]:
     """The pairs hop ``node_id - 1`` keeps after purification, and the
     purification's frame record at its right node, ``node_id`` (None when
@@ -540,7 +552,7 @@ def _purify_hop(
     end = 3 * trios
     return (
         _HopPairs(fusiliers[0:end:3], created[2:end:3], kept_errors, frame_x, frame_z),
-        FrameRecord(node_id, cycle, trios, frame_x, frame_z),
+        FrameRecord(node_id, trios, frame_x, frame_z),
     )
 
 
@@ -575,11 +587,11 @@ class _ChainSimulation:
             )
             for i in range(self.num_nodes)
         ]
-        # Node i's left-bound frame records, for the nodes below
-        # ``left_senders``, the butterfly split (0 without one). They leave on
-        # the node's return message and are relayed only to time their arrival.
+        # The nodes below ``left_senders``, the butterfly split (0 without
+        # one), send their frame records left.
         self.left_senders = split_index or 0
-        self.outboxes: list[list[FrameRecord]] = [[] for _ in range(self.left_senders)]
+        # When node 1's return message reaches node 0, from its cycle's start.
+        self.left_return_ns = 2 * self.delays[0] + (self.links[0].n_fusiliers - 1) * self.tau
         # Every end-to-end pair has the same model fidelity.
         self.end_fidelity = analytic_end_to_end_fidelity(config)
         # A kept pair in slot k sits in the right node's fusiland 3k when
@@ -588,15 +600,14 @@ class _ChainSimulation:
         self.queue = EventQueue()
         self.keyed = KeyedDraws(config.seed, _key_draws(config), config.cycles)
         # outcomes[cycle] from the cycle's start until unfinished[cycle], its
-        # nodes yet to finish it, reaches 0. From its start each cycle has a
-        # row in ``rows``: (its delivered pairs, its hops' success counts, its
-        # frame shares) until the run ends.
+        # nodes yet to finish it, reaches 0.
         self.outcomes: dict[int, _CycleOutcome] = {}
         self.unfinished: dict[int, int] = {}
-        self.rows: deque[tuple[_HopPairs, list[int], tuple[int, int, int, int]]] = deque()
-        # left_folds[c][k]: when the last left-bound record of cycle c's slot
-        # k reached node 0.
-        self.left_folds: dict[int, list[Optional[int]]] = {}
+        # What the run returns, each cycle's part made as the cycle starts.
+        self.records: list[EndToEndRecord] = []
+        self.delivered: list[int] = []
+        self.successes: list[list[int]] = []
+        self.left_frame_folds: dict[tuple[int, int], PauliFrame] = {}
 
     def _cycle_outcome(self, cycle: int) -> _CycleOutcome:
         """Everything ``cycle`` makes, from its keyed draws alone.
@@ -620,7 +631,7 @@ class _ChainSimulation:
             created = [start_ns + fusilier * tau for fusilier in fusiliers]
             if self.purify:
                 hop, purified[index + 1] = _purify_hop(
-                    draws, index + 1, cycle, fusiliers, created, errors
+                    draws, index + 1, fusiliers, created, errors
                 )
             else:
                 hop = _HopPairs(fusiliers, created, errors, 0, 0)
@@ -636,13 +647,48 @@ class _ChainSimulation:
             outcomes = (0, 0)
             if swaps:
                 outcomes = swap_outcomes(swaps, draws(SWAP_DOMAIN, node_id))
-                swapped[node_id] = FrameRecord(node_id, cycle, swaps, *outcomes)
+                swapped[node_id] = FrameRecord(node_id, swaps, *outcomes)
             errors, frame_x, frame_z = swap_bits(
                 errors, hop.errors, frame_x, frame_z, hop.frame_x, hop.frame_z, *outcomes
             )
         created = [max(times) for times in zip(*(hop.created_at_ns for hop in hops))]
         pairs = _HopPairs(first.fusiliers[: len(created)], created, errors, frame_x, frame_z)
         return _CycleOutcome(trains, list(map(len, trains)), purified, swapped, pairs)
+
+    def _add_cycle_records(self, cycle: int, outcome: _CycleOutcome) -> None:
+        """Append what the run returns of ``cycle``: its end-to-end records,
+        its delivered count, its hops' success counts and its left folds."""
+        fusiliers, created, errors, frame_x, frame_z = outcome.pairs
+        herald_x, herald_z, left_x, left_z, left_count = _frame_shares(
+            outcome.purified + outcome.swapped, self.left_senders
+        )
+        self.delivered.append(len(fusiliers))
+        self.successes.append(outcome.successes)
+        for slot in range(left_count):
+            self.left_frame_folds[cycle, slot] = FRAMES[left_x >> slot & 1][left_z >> slot & 1]
+        period = self.schedule.cycle_period_ns
+        established = cycle * period + self.schedule.herald_offsets_ns[-1]
+        at_ns = established + period
+        # Node split-1's swap record, which covers every delivered slot, is
+        # the last left-bound record to reach node 0 (module docstring).
+        left_at_ns = None
+        if self.left_senders == 1:
+            left_at_ns = at_ns
+        elif self.left_senders and cycle + self.left_senders - 1 < self.cycles:
+            left_at_ns = (cycle + self.left_senders - 1) * period + self.left_return_ns
+        records = self.records
+        for slot, fusilier in enumerate(fusiliers):
+            x, z = herald_x >> slot & 1, herald_z >> slot & 1
+            pair = PairRecord(
+                Endpoint(0, fusilier), Endpoint(self.num_nodes - 1, self.right_stride * slot),
+                errors >> slot & 1, FRAMES[frame_x >> slot & 1][frame_z >> slot & 1],
+                created[slot], self.end_fidelity,
+            )
+            records.append(EndToEndRecord(
+                cycle, slot, pair, established, at_ns,
+                FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)],
+                FRAMES[x][z], left_at_ns,
+            ))
 
     # -- event handlers -------------------------------------------------
 
@@ -651,8 +697,7 @@ class _ChainSimulation:
         if generate:
             outcome = self.outcomes[cycle] = self._cycle_outcome(cycle)
             self.unfinished[cycle] = self.num_nodes
-            shares = _frame_shares(outcome.purified + outcome.swapped, self.left_senders)
-            self.rows.append((outcome.pairs, outcome.successes, shares))
+            self._add_cycle_records(cycle, outcome)
         self._herald_at(0, cycle)
         if self.collect_trace:
             detail = f"cycle={cycle}" + ("" if generate else " flush")
@@ -672,14 +717,8 @@ class _ChainSimulation:
             signals = self.links[node_id - 1].n_fusiliers
             start_ns = self.queue.now_ns - (signals - 1) * self.tau
             self._train_lines(node, cycle, signals, start_ns, fusiliers)
-        relayed = []
-        if node_id < self.left_senders:
-            relayed, self.outboxes[node_id] = self.outboxes[node_id], []
-            record = self.outcomes[cycle].purified[node_id]
-            if record:
-                relayed.append(record)
         return_ns = self.queue.now_ns + self.delays[node_id - 1]
-        self.queue.schedule(return_ns, _RETURN_ARRIVE, node_id - 1, cycle, relayed)
+        self.queue.schedule(return_ns, _RETURN_ARRIVE, node_id - 1, cycle, None)
         if node_id == self.num_nodes - 1:
             # The right end gets no return; its cycle ends with the train.
             self._node_finished(cycle)
@@ -711,22 +750,15 @@ class _ChainSimulation:
             )
         ]
 
-    def _handle_return_arrive(self, node_id: int, cycle: int, relayed: list[FrameRecord]) -> None:
+    def _handle_return_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
         node = self.nodes[node_id]
         queue = self.queue
-        if relayed:
-            if node_id == 0:
-                self._absorb_leftbound(relayed, queue.now_ns)
-            else:
-                self.outboxes[node_id].extend(relayed)
         on_return(node, cycle)
         outcome = self.outcomes[cycle]
         record = outcome.swapped[node_id]
         swaps = 0
         if record:
             swaps = record.count
-            if node_id < self.left_senders:
-                self.outboxes[node_id].append(record)
             # The swap occupies the node for proc_ns; busy_until_ns guards the
             # occupancy window against early heralds.
             node.busy_until_ns = queue.now_ns + self.proc_ns
@@ -781,10 +813,6 @@ class _ChainSimulation:
             last_ns = arrive_ns + (fired - 1) * self.tau
             queue.schedule(last_ns, _SIGNAL_ARRIVE, node_id + 1, cycle, fusiliers, fired)
 
-    def _absorb_leftbound(self, records: list[FrameRecord], at_ns: Optional[int]) -> None:
-        for rec in records:
-            self.left_folds.setdefault(rec.cycle, [])[: rec.count] = [at_ns] * rec.count
-
     def _node_finished(self, cycle: int) -> None:
         # A node finishes each cycle once; the last drops the cycle's outcome.
         self.unfinished[cycle] -= 1
@@ -820,56 +848,15 @@ class _ChainSimulation:
         trace.sort()
         for index, (_t_ns, _seq, line) in enumerate(trace):
             trace[index] = line
-        # Records still relaying when the run ends join the left folds with no
-        # arrival time. A cycle's row is freed as its records are built.
-        for outbox in self.outboxes:
-            self._absorb_leftbound(outbox, None)
-            outbox.clear()
-        records, delivered, successes, left_frame_folds = [], [], [], {}
-        for cycle in range(self.cycles):
-            pairs, hop_successes, shares = self.rows.popleft()
-            last_ns = self.left_folds.pop(cycle, ())
-            records += self._cycle_records(cycle, pairs, shares, last_ns)
-            delivered.append(len(pairs.fusiliers))
-            successes.append(hop_successes)
-            left_x, left_z = shares[2:]
-            for slot in range(len(last_ns)):
-                left_frame_folds[cycle, slot] = FRAMES[left_x >> slot & 1][left_z >> slot & 1]
         return RunResult(
             schedule=self.schedule,
-            records=records,
-            per_cycle_delivered=delivered,
-            hop_success_counts=[list(counts) for counts in zip(*successes)],
+            records=self.records,
+            per_cycle_delivered=self.delivered,
+            hop_success_counts=[list(counts) for counts in zip(*self.successes)],
             split_index=self.left_senders or None,
-            left_frame_folds=left_frame_folds,
+            left_frame_folds=self.left_frame_folds,
             trace=trace,
         )
-
-    def _cycle_records(
-        self, cycle: int, pairs: _HopPairs, shares: tuple[int, int, int, int], last_ns
-    ) -> list[EndToEndRecord]:
-        fusiliers, created, errors, frame_x, frame_z = pairs
-        herald_x, herald_z, left_x, left_z = shares
-        period = self.schedule.cycle_period_ns
-        established = cycle * period + self.schedule.herald_offsets_ns[-1]
-        at_ns = established + period
-        records = []
-        for slot, fusilier in enumerate(fusiliers):
-            x, z = herald_x >> slot & 1, herald_z >> slot & 1
-            left_at_ns = None
-            if self.left_senders:
-                left_at_ns = last_ns[slot] if slot < len(last_ns) else at_ns
-            pair = PairRecord(
-                Endpoint(0, fusilier), Endpoint(self.num_nodes - 1, self.right_stride * slot),
-                errors >> slot & 1, FRAMES[frame_x >> slot & 1][frame_z >> slot & 1],
-                created[slot], self.end_fidelity,
-            )
-            records.append(EndToEndRecord(
-                cycle, slot, pair, established, at_ns,
-                FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)],
-                FRAMES[x][z], left_at_ns,
-            ))
-        return records
 
 
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:

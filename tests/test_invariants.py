@@ -84,8 +84,8 @@ def test_prefix(config, extra):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 9: under the butterfly split a record still relaying "
-    "left when the run ends has no left_frame_available_at_ns",
+    reason="ROADMAP item 9: under the butterfly split a left share due after "
+    "the run's last cycle has no left_frame_available_at_ns",
 )
 def test_prefix_butterfly_split():
     config = chain_config(

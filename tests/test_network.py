@@ -454,41 +454,33 @@ class TestButterfly:
             assert rec.herald_correction.compose(left) == rec.pair.frame
             assert rec.correction == rec.pair.frame
 
-    def test_left_records_arrive_one_relay_cycle_later(self):
-        cfg = chain_config([20.0] * 4, cycles=10, butterfly=True, seed=3)
-        result = run_network(cfg)
-        schedule = result.schedule
-        # the split is node 2, so only node 1 sends records leftward: its
-        # cycle-c swap record rides cycle c+1's hop-0 return to node 0,
-        # landing one link delay after that train ends at node 1
-        relay_offset = schedule.herald_offsets_ns[1] + schedule.link_delays_ns[0]
-        for rec in result.records[:-1]:
-            assert rec.left_frame_available_at_ns == (
-                (rec.cycle_id + 1) * schedule.cycle_period_ns + relay_offset
-            )
-        # the final cycle's record cannot relay before the run ends
-        assert result.records[-1].left_frame_available_at_ns is None
-
     @pytest.mark.parametrize(
-        "hops, split",
-        [([20.0] * 6, 3), ([20.0] * 8, 4), ([10.0, 30.0, 20.0, 40.0, 20.0, 30.0], 3)],
-        ids=["six_even_hops", "eight_even_hops", "six_uneven_hops"],
+        "hops, split, cycles, seed",
+        [
+            ([20.0] * 4, 2, 10, 3),
+            ([20.0] * 6, 3, 12, 4),
+            ([20.0] * 8, 4, 12, 4),
+            ([10.0, 30.0, 20.0, 40.0, 20.0, 30.0], 3, 12, 4),
+        ],
+        ids=["four_even_hops", "six_even_hops", "eight_even_hops", "six_uneven_hops"],
     )
-    def test_multi_hop_relays_arrive_split_minus_one_cycles_later(self, hops, split):
-        cycles = 12
-        result = run_network(chain_config(hops, cycles=cycles, butterfly=True, seed=4))
+    def test_left_share_due_split_minus_one_cycles_later(self, hops, split, cycles, seed):
+        result = run_network(chain_config(hops, cycles=cycles, butterfly=True, seed=seed))
         schedule = result.schedule
         assert result.split_index == split
         assert len(result.records) == cycles
-        # node split-1's cycle-c record is relayed one hop per cycle and
-        # reaches node 0 on cycle c+split-1's hop-0 return
-        relay_offset = schedule.herald_offsets_ns[1] + schedule.link_delays_ns[0]
+        # node split-1's cycle-c record moves one hop left per cycle and
+        # reaches node 0 on cycle c+split-1's hop-0 return, one link delay
+        # after that cycle's train ends at node 1
+        return_offset = schedule.herald_offsets_ns[1] + schedule.link_delays_ns[0]
         for rec in result.records:
             arrival_cycle = rec.cycle_id + split - 1
             expected = None
             if arrival_cycle < cycles:
-                expected = arrival_cycle * schedule.cycle_period_ns + relay_offset
+                expected = arrival_cycle * schedule.cycle_period_ns + return_offset
             assert rec.left_frame_available_at_ns == expected
+        # the final cycle's left share is not in before the run ends
+        assert result.records[-1].left_frame_available_at_ns is None
 
 
 class TestFramePropagation:
@@ -587,17 +579,14 @@ def test_simulation_allocates_nothing_per_cycle_up_front():
 
 @pytest.mark.parametrize("config", ["two_node_40km.json", "chain4_purify_butterfly.json"])
 def test_run_end_leaves_no_per_cycle_state(config):
-    # Every cycle's outcome is dropped when its last node finishes it, and
-    # its row and left-bound arrival times are consumed by the records.
+    # Every cycle's outcome is dropped when its last node finishes it.
     path = Path(__file__).resolve().parents[1] / "configs" / config
     network = load_config(str(path)).network
     network.cycles = 3
     split = butterfly_split(network) if network.butterfly else None
     sim = _ChainSimulation(network, validate_config(network), split, False)
     assert len(sim.execute().per_cycle_delivered) == 3
-    assert (sim.outcomes, sim.unfinished, sim.left_folds) == ({}, {}, {})
-    assert not sim.rows
-    assert not any(sim.outboxes)
+    assert (sim.outcomes, sim.unfinished) == ({}, {})
 
 
 def test_long_short_train_chain_holds_few_draws():
@@ -690,7 +679,7 @@ def test_short_chain_properties(cfg):
         assert not result.left_frame_folds
         return
     # Node split-1's cycle-c swap record is the last of a pair's records to
-    # reach node 0: it relays one hop per cycle and lands with cycle
+    # reach node 0: it moves one hop per cycle and lands with cycle
     # c+split-1's hop-0 return, unless the run ended before that cycle.
     split, schedule = result.split_index, result.schedule
     hop0_return_ns = 2 * schedule.link_delays_ns[0] + (cfg.links[0].n_fusiliers - 1) * cfg.tau_slot_ns
@@ -703,6 +692,19 @@ def test_short_chain_properties(cfg):
         else:
             expected = arrival_cycle * schedule.cycle_period_ns + hop0_return_ns
         assert rec.left_frame_available_at_ns == expected
+    # A cycle's left folds cover the slots of its largest left-bound record:
+    # node i's purification (hop i-1's trios) and swaps (the pairs both its
+    # hops kept), for 1 <= i < split.
+    counts = result.hop_success_counts
+    for cycle in range(cfg.cycles):
+        kept = [hop[cycle] // per_pair for hop in counts]
+        largest = max(
+            [kept[i - 1] for i in range(1, split) if per_pair == 3]
+            + [min(kept[i - 1], kept[i]) for i in range(1, split)],
+            default=0,
+        )
+        slots = sorted(slot for c, slot in result.left_frame_folds if c == cycle)
+        assert slots == list(range(largest))
 
 
 def _check_train_trace(cfg):
