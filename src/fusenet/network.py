@@ -41,11 +41,23 @@ A cycle's outcome is made as the cycle starts, by ``_cycle_outcome``, from
 the config, the cycle and its keyed draws alone: every hop's train and kept
 pairs, every purification, every node's swaps, the pairs delivered and
 each node's frame records; the cycle's end-to-end records, success counts
-and left folds are built from it then, once. The handlers only check bank
-phases, keep the timeline (scheduling, occupancy, the desynchronization
-checks), and trace. Hop i's train starts arriving as the
-herald reaches its right node, at ``cycle * period + herald_offsets_ns[i +
-1]``, and fusilier k k slot times later; a slot's pair was made then.
+and left folds are built from it then, once (``_CycleRecords``). Hop i's
+train starts arriving as the herald reaches its right node, at ``cycle *
+period + herald_offsets_ns[i + 1]``, and fusilier k k slot times later; a
+slot's pair was made then.
+
+So the event timeline adds nothing to a run's result but its trace and its
+desynchronization errors, and it runs only where one of them can occur: a
+traced run, or a period below ``_safe_period_ns``. An untraced run at or
+above that bound loops over its cycles in order instead
+(``_CycleRecords.loop``). There no herald can overtake: node i's return
+and swap end by ``2 * d_i + (n_i - 1) * tau + proc_ns`` after its herald,
+and its incoming train by ``(n_{i-1} - 1) * tau`` (d_i and n_i hop i's
+delay and train). Neither is later than the bound, so neither is later
+than the node's next herald, one period on; at a tie the return or train,
+scheduled first, is taken first. On the timeline (``_ChainSimulation``)
+the handlers only check bank phases, keep the timeline (scheduling,
+occupancy, the desynchronization checks), and trace.
 Keyed draws belong to ``engine.KeyedDraws``; this module states each key's
 count once, in ``_key_draws``.
 
@@ -83,8 +95,8 @@ and their error and frame bits packed in ints, bit k for slot k; a node's
 swaps are its parity and X outcome bits, packed the same way. A purified
 hop folds all its trios in one ``purify3_bits`` call, and the cycle swaps
 all its slots at once, one ``swap_bits`` call per intermediate node from
-left to right. A started cycle's outcome is held until its last node
-finishes it. As the cycle starts each ``PairRecord`` and
+left to right. On the timeline a started cycle's outcome is held until
+its last node finishes it. As the cycle starts each ``PairRecord`` and
 ``EndToEndRecord`` is built once, in cycle order, with the pair's
 ``correction`` the herald share XOR the left share, so the summary scores
 what was delivered; the model fidelity, the same for every pair, is
@@ -556,53 +568,38 @@ def _purify_hop(
     )
 
 
-class _ChainSimulation:
-    """One event-driven run of a configured chain."""
+class _CycleRecords:
+    """What a run returns, built cycle by cycle from each cycle's outcome.
+
+    Both ways of running a chain build on it: its ``loop``, for an untraced
+    run at or above the safe period, and its subclass ``_ChainSimulation``,
+    the event timeline, which builds each cycle's part as the cycle starts.
+    """
 
     def __init__(
-        self,
-        config: NetworkConfig,
-        schedule: CycleSchedule,
-        split_index: Optional[int],
-        collect_trace: bool,
+        self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
     ) -> None:
-        self.config = config
         self.schedule = schedule
-        self.collect_trace = collect_trace
-        # What the handlers and _cycle_outcome read, cached off the config.
+        # What _cycle_outcome, _add_cycle_records and the handlers read,
+        # cached off the config.
         self.cycles = config.cycles
         self.links = config.links
         self.tau = config.tau_slot_ns
-        self.proc_ns = config.proc_ns
-        self.delays = schedule.link_delays_ns
-        self.purify = config.strategy is Strategy.PURIFY3
-        # (t_ns, seq, line) entries; execute strips each to its line.
-        self.trace: list = []
         self.num_nodes = len(config.nodes)
-        self.nodes = [
-            NodeState(
-                i,
-                config.links[i].n_fusiliers if i < self.num_nodes - 1 else 0,
-                config.links[i - 1].m_fusilands if i > 0 else 0,
-            )
-            for i in range(self.num_nodes)
-        ]
+        self.purify = config.strategy is Strategy.PURIFY3
         # The nodes below ``left_senders``, the butterfly split (0 without
         # one), send their frame records left.
         self.left_senders = split_index or 0
         # When node 1's return message reaches node 0, from its cycle's start.
-        self.left_return_ns = 2 * self.delays[0] + (self.links[0].n_fusiliers - 1) * self.tau
+        self.left_return_ns = (
+            2 * schedule.link_delays_ns[0] + (self.links[0].n_fusiliers - 1) * self.tau
+        )
         # Every end-to-end pair has the same model fidelity.
         self.end_fidelity = analytic_end_to_end_fidelity(config)
         # A kept pair in slot k sits in the right node's fusiland 3k when
         # purified, k when raw.
         self.right_stride = 3 if self.purify else 1
-        self.queue = EventQueue()
         self.keyed = KeyedDraws(config.seed, _key_draws(config), config.cycles)
-        # outcomes[cycle] from the cycle's start until unfinished[cycle], its
-        # nodes yet to finish it, reaches 0.
-        self.outcomes: dict[int, _CycleOutcome] = {}
-        self.unfinished: dict[int, int] = {}
         # What the run returns, each cycle's part made as the cycle starts.
         self.records: list[EndToEndRecord] = []
         self.delivered: list[int] = []
@@ -689,6 +686,58 @@ class _ChainSimulation:
                 FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)],
                 FRAMES[x][z], left_at_ns,
             ))
+
+    def _result(self, trace: list[str]) -> RunResult:
+        return RunResult(
+            schedule=self.schedule,
+            records=self.records,
+            per_cycle_delivered=self.delivered,
+            hop_success_counts=[list(counts) for counts in zip(*self.successes)],
+            split_index=self.left_senders or None,
+            left_frame_folds=self.left_frame_folds,
+            trace=trace,
+        )
+
+    def loop(self) -> RunResult:
+        """Build every cycle in order, with no event timeline and no trace."""
+        outcome, add = self._cycle_outcome, self._add_cycle_records
+        for cycle in range(self.cycles):
+            add(cycle, outcome(cycle))
+        return self._result([])
+
+
+class _ChainSimulation(_CycleRecords):
+    """One event-driven run of a configured chain: the timeline that a
+    traced run, or one below the safe period, needs for its trace and its
+    desynchronization errors."""
+
+    def __init__(
+        self,
+        config: NetworkConfig,
+        schedule: CycleSchedule,
+        split_index: Optional[int],
+        collect_trace: bool,
+    ) -> None:
+        super().__init__(config, schedule, split_index)
+        self.collect_trace = collect_trace
+        # What only the handlers read.
+        self.proc_ns = config.proc_ns
+        self.delays = schedule.link_delays_ns
+        # (t_ns, seq, line) entries; execute strips each to its line.
+        self.trace: list = []
+        self.nodes = [
+            NodeState(
+                i,
+                config.links[i].n_fusiliers if i < self.num_nodes - 1 else 0,
+                config.links[i - 1].m_fusilands if i > 0 else 0,
+            )
+            for i in range(self.num_nodes)
+        ]
+        self.queue = EventQueue()
+        # outcomes[cycle] from the cycle's start until unfinished[cycle], its
+        # nodes yet to finish it, reaches 0.
+        self.outcomes: dict[int, _CycleOutcome] = {}
+        self.unfinished: dict[int, int] = {}
 
     # -- event handlers -------------------------------------------------
 
@@ -848,15 +897,7 @@ class _ChainSimulation:
         trace.sort()
         for index, (_t_ns, _seq, line) in enumerate(trace):
             trace[index] = line
-        return RunResult(
-            schedule=self.schedule,
-            records=self.records,
-            per_cycle_delivered=self.delivered,
-            hop_success_counts=[list(counts) for counts in zip(*self.successes)],
-            split_index=self.left_senders or None,
-            left_frame_folds=self.left_frame_folds,
-            trace=trace,
-        )
+        return self._result(trace)
 
 
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:
@@ -866,7 +907,9 @@ def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult
     per-hop success statistics that the summary layer consumes. Warns when
     a ``cycle_period_ns`` override is below the safe bound, and aborts with
     a DesynchronizationError (naming the violating node) if a herald then
-    overtakes unfinished swap work.
+    overtakes unfinished swap work. Only a traced run and one below the
+    safe bound run the event timeline; any other loops over its cycles, with
+    the same result and an empty trace.
     """
     schedule = validate_config(config)
     bound = _safe_period_ns(config, schedule.link_delays_ns)
@@ -877,5 +920,6 @@ def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult
             stacklevel=2,
         )
     split = butterfly_split(config) if config.butterfly else None
-    sim = _ChainSimulation(config, schedule, split, collect_trace)
-    return sim.execute()
+    if collect_trace or schedule.cycle_period_ns < bound:
+        return _ChainSimulation(config, schedule, split, collect_trace).execute()
+    return _CycleRecords(config, schedule, split).loop()

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -589,6 +589,25 @@ def test_run_end_leaves_no_per_cycle_state(config):
     assert (sim.outcomes, sim.unfinished) == ({}, {})
 
 
+def test_only_traced_and_below_bound_runs_take_the_timeline(monkeypatch):
+    class TimelineRan(Exception):
+        pass
+
+    def timeline(queue, handlers):
+        raise TimelineRan
+
+    monkeypatch.setattr(network_module, "run", timeline)
+    cfg = chain_config([10.0, 30.0], n=4, m=2, p=0.5, cycles=40, seed=123)
+    assert len(run_network(cfg).per_cycle_delivered) == 40
+    with pytest.raises(TimelineRan):
+        run_network(cfg, collect_trace=True)
+    cfg.cycle_period_ns = _safe_bound(cfg)
+    assert len(run_network(cfg).per_cycle_delivered) == 40
+    cfg.cycle_period_ns -= 1
+    with pytest.warns(UserWarning), pytest.raises(TimelineRan):
+        run_network(cfg)
+
+
 def test_long_short_train_chain_holds_few_draws():
     # A 100-hop chain of 10 km hops has about 50 cycles in flight, and the
     # batched kernel draws every one of its keys. A cycle's keys are all
@@ -651,19 +670,76 @@ def _return_before_train(cfg):
     return None
 
 
+def _safe_bound(cfg):
+    return network_module._safe_period_ns(cfg, validate_config(cfg).link_delays_ns)
+
+
+@st.composite
+def _short_chains_with_periods(draw):
+    """A ``_short_chains`` config run at the computed period, exactly at the
+    safe bound, 1 ns to a few slot times above it, or below it down to about
+    half of it."""
+    cfg = draw(_short_chains())
+    if _return_before_train(cfg) is None:
+        bound = _safe_bound(cfg)
+        cfg.cycle_period_ns = draw(st.one_of(
+            st.none(),
+            st.just(bound),
+            st.integers(bound + 1, bound + 3 * max(cfg.tau_slot_ns, 1)),
+            st.integers(max(bound // 2, 1), bound - 1),
+        ))
+    return cfg
+
+
+def _uneven_purify_butterfly(lengths_km, m_fusilands):
+    """A purify3 butterfly chain at p = 1: hop i keeps ``m_fusilands[i] // 3``
+    trios every cycle."""
+    cfg = chain_config(
+        lengths_km, n=9, m=3, p=1.0, fidelity=0.9, cycles=6, seed=11,
+        strategy=Strategy.PURIFY3, butterfly=True, tau_slot_ns=10,
+    )
+    cfg.links = [replace(link, m_fusilands=m) for link, m in zip(cfg.links, m_fusilands)]
+    return cfg
+
+
+def _without_trace(result):
+    fields = asdict(result)
+    del fields["trace"]
+    return fields
+
+
 @settings(max_examples=60, deadline=None)
-@given(_short_chains())
+@given(_short_chains_with_periods())
+# Split 2 and 3, where node 1's purification record (hop 0's trios)
+# outcounts every left-bound swap record, the last one included.
+@example(_uneven_purify_butterfly([10.0, 10.0, 25.0], [6, 3, 3]))
+@example(_uneven_purify_butterfly([10.0, 10.0, 10.0, 25.0], [9, 6, 3, 3]))
 def test_short_chain_properties(cfg):
     rejected = _return_before_train(cfg)
     if rejected is not None:
         with pytest.raises(ConfigurationError, match=rf"nodes\[{rejected}\]"):
             run_network(cfg)
         return
-    result = run_network(cfg)
-    traced = run_network(cfg, collect_trace=True)
-    assert [asdict(r) for r in traced.records] == [asdict(r) for r in result.records]
-    assert traced.hop_success_counts == result.hop_success_counts
-    assert traced.left_frame_folds == result.left_frame_folds
+    # Untraced at or above the safe bound, the run loops over its cycles
+    # with no event timeline; traced, or below the bound, it runs the
+    # timeline. Both ways give the same result, the trace aside, and below
+    # the bound the same desynchronization.
+    below = validate_config(cfg).cycle_period_ns < _safe_bound(cfg)
+    runs = []
+    for collect_trace in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                runs.append(run_network(cfg, collect_trace=collect_trace))
+            except DesynchronizationError as exc:
+                runs.append(str(exc))
+        assert len(caught) == below
+    result, traced = runs
+    if isinstance(result, str) or isinstance(traced, str):
+        assert below and result == traced
+        return
+    assert result.trace == []
+    assert _without_trace(result) == _without_trace(traced)
 
     per_pair = 3 if cfg.strategy is Strategy.PURIFY3 else 1
     assert result.per_cycle_delivered == [
@@ -671,8 +747,6 @@ def test_short_chain_properties(cfg):
         for cycle in range(cfg.cycles)
     ]
     for rec in result.records:
-        left = result.left_frame_folds.get((rec.cycle_id, rec.slot), IDENTITY_FRAME)
-        assert rec.herald_correction.compose(left) == rec.pair.frame
         assert rec.correction == rec.pair.frame
         assert rec.frame_available_at_ns - rec.established_at_ns == result.schedule.cycle_period_ns
     if not cfg.butterfly:
@@ -786,7 +860,9 @@ DRAW_PATHS = {
 def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
     # Which keys the kernel draws, and how many cycles a block holds, must
     # not move a bit of output: records, counts, left folds and trace bytes
-    # agree across the paths, and with the pinned digests.
+    # agree across the paths, and with the pinned digests. On every path the
+    # untraced run, a loop over cycles with no event timeline, returns the
+    # traced run's result, the trace aside.
     network = MIXED_DRAWS_CHAIN if case == "mixed_draws" else CASES[case]
     digests = {}
     for path, (name, value) in DRAW_PATHS.items():
@@ -807,6 +883,8 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
             patch.setattr(engine_module, "pcg64_random", batched)
             (tmp_path / path).mkdir()
             result, trace_bytes = _simulate(tmp_path / path, patch, network)
+            untraced = run_network(load_config(str(tmp_path / path / "config.json")).network)
+        assert _without_trace(untraced) == _without_trace(result)
         digests[path] = _digests(result, trace_bytes)
         if path == "native":
             assert native_keys and not block_cycles
