@@ -46,22 +46,30 @@ G(k+3) * c`` with ``G(j) = M**0 + ... + M**(j-1)``: a closed form in the
 row. ``pcg64_random`` evaluates it for many rows and draws at once in
 uint64 limbs, building its coefficient tables on first use, and returns
 ``(x >> 11) * 2**-53`` of the permuted word, as ``Generator.random`` does.
-It saves the per-key set-up of numpy's own generator (``RngStream.draws``)
-and spends more per value: for a block of 512 keys on a 2-vCPU x86_64
-host, the kernel with its ``tolist`` takes about 0.8 us a key at 16 values
-and 4.0 us at 64, numpy's generator 3.4 and 4.8 us; they cross between 80
-and 96 values a key. The native path is the tests' reference.
-``numpy.random`` is imported on the first native draw, never by the kernel.
+It saves the per-key set-up of numpy's own generator
+(``RngStream.substream``) and spends more per value. The native path is
+the tests' reference. ``numpy.random`` is imported on the first native
+draw, never by the kernel.
 
-``KeyedDraws`` owns a run's keyed draws. Its caller states once the most
-values each (domain, index) key draws in a cycle and, as each cycle
-starts, reads the cycle's keys as ``Draws``. It expands the seeds a block
-of cycles at a time, at most ``SEED_BLOCK`` cycles and
-``BLOCK_MAX_VALUES`` batched values. A domain whose keys draw at most
-``BATCH_MAX_DRAWS`` values each takes the whole block from one kernel
-call, held as float64 arrays until the next block starts, and a key's
-values become a list only when it is drawn; a domain above the limit
-draws key by key natively. Neither changes a value.
+Every keyed draw is only ever compared with a threshold: a signal with its
+success probability, its error bit with 1 - F, a swap or purification
+coin with 0.5. So ``KeyedDraws``, the one owner of a run's keyed draws,
+hands out threshold bits, never a float. Its caller states once the most
+values each (domain, index) key draws in a cycle and, per domain, the
+columns its keys read: ``(start, step, thresholds)``, draws ``start``,
+``start + step``, ... of key i each tested against ``thresholds[i]``. As
+each cycle starts it reads a key as one int per column, bit j set when the
+column's draw j is below its threshold. It expands the seeds a block of
+cycles at a time, at most ``SEED_BLOCK`` cycles and ``BLOCK_MAX_VALUES``
+batched values. A domain whose keys draw at most ``BATCH_MAX_DRAWS``
+values each takes the whole block from one kernel call, and the block's
+tests are packed once, in numpy, into each key's ints, held until the
+next block starts; a domain above the limit draws key by key natively and
+packs a key's bits with ``np.packbits`` when it is read. Neither changes
+a bit. For a block of 512 keys of two columns each on a 2-vCPU x86_64
+host, the kernel with its packing takes about 1.0 us a key at 16 values,
+4.7 us at 64 and 12 us at 128; numpy's generator with the key's packing
+12, 11 and 13 us, and 16 us at 644, where the kernel takes 77 us.
 """
 
 from __future__ import annotations
@@ -90,9 +98,11 @@ DOMAINS = 3
 SEED_BLOCK = 64
 # A domain whose keys each draw at most this many values a cycle draws every
 # key of a block in one ``pcg64_random`` call; a domain above it draws key by
-# key (``RngStream.draws``). It sits just below the measured crossover of the
-# two. Long keys stay native: there the kernel costs about 70 ns a value
-# against numpy's 30 ns (36 against 50 cycles/s on the paper config).
+# key from numpy's generator (``RngStream.substream``). Packed into
+# threshold bits, the two cross between 128 and 256 values a key (module
+# docstring), so the limit is low; no benchmark workload has keys of 65 to
+# 128 values. Long keys stay native: there the kernel costs about 120 ns a
+# value against numpy's 25 ns.
 BATCH_MAX_DRAWS = 64
 # The most values a block of batched draws may hold: the block is cut to
 # fewer cycles when its keys would draw more.
@@ -413,36 +423,72 @@ class RngStream:
         """The generator of the key whose ``seed_block`` row is ``row``."""
         return np.random.Generator(np.random.PCG64(_row_seed_type()(row)))
 
-    def draws(self, row: np.ndarray, count: int) -> "Draws":
-        """The first ``count`` draws of a key's substream, drawn in one call."""
-        return Draws(self.substream(row).random(count).tolist())
 
+def _block_tests(count: int, columns, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """What a batched block compares: the draws each column reads and their
+    thresholds, per key.
 
-class Draws:
-    """Precomputed uniform draws, served in order by ``random()``.
-
-    Stands in for the substream it was drawn from while at most as many
-    values are asked for as were drawn.
+    Returns ``(index, limits)``: ``index[c, j]`` is column c's draw j,
+    ``limits[i, c, j]`` key i's threshold for it, or 0.0 (no draw is below
+    it) where column c has no draw j or key i draws fewer values. A row of
+    draws is a whole number of bytes, so the block packs in one call.
     """
+    spans = [len(range(start, count, step)) for start, step, _ in columns]
+    j = np.arange(-(-max(spans + [1]) // 8) * 8)
+    index = np.array([start + step * j for start, step, _ in columns])
+    thresholds = np.array([limits for _, _, limits in columns], np.float64).T
+    read = index < np.asarray(counts)[:, None, None]
+    return np.minimum(index, count - 1), np.where(read, thresholds[..., None], 0.0)
 
-    __slots__ = ("random",)
 
-    def __init__(self, values: list[float]) -> None:
-        self.random = iter(values).__next__
+def _block_bits(values: np.ndarray, index: np.ndarray, limits: np.ndarray) -> list:
+    """Every key's threshold bits in a block of ``pcg64_random`` values, as
+    nested lists by cycle, key and column, each column one int."""
+    bits = values[..., index] < limits
+    packed = np.packbits(bits, bitorder="little").reshape(bits.shape[:-1] + (-1,))
+    size = packed.shape[-1]
+    lanes = -(-size // 8)
+    if size % 8:
+        padded = np.zeros(packed.shape[:-1] + (8 * lanes,), np.uint8)
+        padded[..., :size] = packed
+        packed = padded
+    words = packed.view("<u8")
+    # A column of more than 64 bits joins its words as Python ints.
+    ints = words[..., -1].astype(object)
+    for k in range(lanes - 2, -1, -1):
+        ints = ints << 64 | words[..., k].astype(object)
+    return ints.tolist()
+
+
+def _key_bits(values: np.ndarray, columns, index: int) -> list[int]:
+    """One key's threshold bits, one int per column, from its own values."""
+    return [
+        int.from_bytes(
+            np.packbits(values[start::step] < limits[index], bitorder="little").tobytes(),
+            "little",
+        )
+        for start, step, limits in columns
+    ]
 
 
 class KeyedDraws:
-    """The keyed draws of a run, for its cycles started in order from 0.
+    """The keyed draws of a run, for its cycles started in order from 0,
+    handed out as threshold bits.
 
     ``counts[domain][index]`` is the most values key (domain, index) draws
-    in a cycle (0 if it never draws), every domain's list of one length. A
-    block's values are read in cycle order, each cycle's as it starts, so
-    no block is held past the start of the next.
+    in a cycle (0 if it never draws), every domain's list of one length.
+    ``columns[domain]`` is what the domain's keys test their draws against:
+    each column ``(start, step, thresholds)`` reads draws ``start``,
+    ``start + step``, ... of key i, each against ``thresholds[i]``. Every
+    keyed draw is only ever compared with a threshold, so no float is
+    handed out. A block's bits are read in cycle order, each cycle's as it
+    starts, so no block is held past the start of the next.
     """
 
-    def __init__(self, seed: int, counts: list[list[int]], cycles: int) -> None:
+    def __init__(self, seed: int, counts: list[list[int]], columns: list, cycles: int) -> None:
         self.rng = RngStream(seed)
         self.counts = counts
+        self.columns = columns
         self.cycles = cycles
         self.width = len(counts[0])
         # Per domain, the values each key takes from a block, 0 if it draws
@@ -452,30 +498,37 @@ class KeyedDraws:
         self.native = max(most) > BATCH_MAX_DRAWS
         per_cycle = self.width * sum(self.batched)
         self.block = min(SEED_BLOCK, max(1, BLOCK_MAX_VALUES // max(1, per_cycle)))
+        self.tests = [
+            _block_tests(count, columns[domain], counts[domain]) if count else None
+            for domain, count in enumerate(self.batched)
+        ]
         # The last block started: its seed rows if a key draws natively, and
-        # per domain its batched values by cycle, index and draw (or None).
+        # per domain its batched bits by cycle, index and column (or None).
         self.rows = None
-        self.values: list = []
+        self.bits: list = []
 
-    def cycle(self, cycle: int) -> Callable[[int, int], Draws]:
-        """Start ``cycle``; returns its ``draws(domain, index)``: the key's
-        first ``counts[domain][index]`` values, as ``Draws``."""
+    def cycle(self, cycle: int) -> Callable[[int, int], list[int]]:
+        """Start ``cycle``; returns its ``draws(domain, index)``: one int per
+        column of the domain, bit j set when the column's draw j is below
+        its threshold. No int has a bit for a draw at or past the key's
+        count."""
         offset = cycle % self.block
         if not offset:
             block = range(cycle, min(cycle + self.block, self.cycles))
             rows = self.rng.seed_block(block, self.width)
             self.rows = rows if self.native else None
-            self.values = [
-                pcg64_random(rows[:, domain], count) if count else None
-                for domain, count in enumerate(self.batched)
+            self.bits = [
+                _block_bits(pcg64_random(rows[:, domain], count), *tests) if count else None
+                for domain, (count, tests) in enumerate(zip(self.batched, self.tests))
             ]
-        rows, values, counts, rng = self.rows, self.values, self.counts, self.rng
+        rows, counts, columns, rng = self.rows, self.counts, self.columns, self.rng
+        bits = [None if block is None else block[offset] for block in self.bits]
 
-        def draws(domain: int, index: int) -> Draws:
-            count = counts[domain][index]
-            batch = values[domain]
+        def draws(domain: int, index: int) -> list[int]:
+            batch = bits[domain]
             if batch is None:
-                return rng.draws(rows[offset, domain, index], count)
-            return Draws(batch[offset, index, :count].tolist())
+                values = rng.substream(rows[offset, domain, index]).random(counts[domain][index])
+                return _key_bits(values, columns[domain], index)
+            return batch[index]
 
         return draws

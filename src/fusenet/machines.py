@@ -1,4 +1,4 @@
-"""Per-bank cycle state of a repeater node, and the two draw loops of a cycle.
+"""Per-bank cycle state of a repeater node, and what a cycle draws at its banks.
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
@@ -11,16 +11,19 @@ one return, each bank moves through one phase per cycle: the fusillade is
 ``fired`` from its herald to its return, and the fusilands are ``ready``
 from their herald to their train.
 
-What a cycle makes is drawn by two pure loops, which touch no node.
-``train_pairs`` resolves a hop's train against its bank: its signals
-interact with the fusilands one at a time, rerouting to the next fusiland
-after each success, and it returns the train's pairs as columns, the
-fusilier that filled each slot and the error bits packed in one int.
-``swap_outcomes`` draws a node's swaps and returns their outcome bits,
-packed the same way.
+What a cycle makes is read from its keyed draws by two pure functions,
+which touch no node. Each gets a key's draws as threshold bits (see
+``engine.KeyedDraws``), one int per column, bit j set when draw j is below
+the column's threshold. ``train_pairs`` resolves a hop's train against its
+bank: its signals interact with the fusilands one at a time, rerouting to
+the next fusiland after each success, and it returns the train's pairs as
+columns, the fusilier that filled each slot and the error bits packed in
+one int. It steps from one success to the next, so it costs a step per
+pair made, not per signal. ``swap_outcomes`` cuts a node's swap bits to
+its swaps, packed the same way.
 
 NodeState is mutated only by the single event-loop thread of a simulation
-run; both loops are deterministic given their RNG stream.
+run; both functions are deterministic given their bits.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DesynchronizationError, ProtocolError
-from .pair_algebra import LinkModel, success_probability
 
 
 @dataclass
@@ -112,50 +114,54 @@ def on_return(node: NodeState, cycle_id: int) -> None:
     node.fired = False
 
 
-def train_pairs(link: LinkModel, rng, signals: int, capacity: int) -> tuple[list[int], int]:
+def train_pairs(masks: list[int], signals: int, capacity: int) -> tuple[list[int], int]:
     """Resolve a train of ``signals`` signals at a bank of ``capacity`` fusilands.
 
-    Signals interact in fusilier order: each draws once from ``rng`` and
-    succeeds below the link's success probability; a success draws once
-    more for its error bit (from the link's raw fidelity), makes a pair in
-    the next fusiland slot, and reroutes to the next fusiland. A failure
-    leaves the same fusiland waiting. Once every fusiland is filled the
-    remaining signals are discarded without drawing.
+    ``masks`` is the train's key read as threshold bits, ``(successes,
+    error_bits)``: bit j of ``successes`` is set when the key's draw j is
+    below the link's success probability, bit j of ``error_bits`` when it
+    is below 1 - F (F the link's raw fidelity). Signals interact in
+    fusilier order, each reading one draw; a success reads one more for its
+    error bit, makes a pair in the next fusiland slot and reroutes to the
+    next fusiland. A failure leaves the same fusiland waiting. Once every
+    fusiland is filled the remaining signals are discarded without drawing.
+    So fusilier f reads draw f + s, s the slots filled before it, and the
+    loop steps from success to success (the lowest set bit of what is left
+    of ``successes``), at most ``capacity`` times. No bit at or past
+    ``signals + capacity`` changes the result.
 
     Returns the train's pairs as columns ``(fusiliers, errors)``:
     ``fusiliers[k]`` is the fusilier that filled slot k, and bit k of
     ``errors`` is slot k's error bit. Slot k's pair was made when fusilier
     ``fusiliers[k]``'s signal arrived.
     """
+    successes, error_bits = masks
     fusiliers: list[int] = []
-    errors = 0
-    slot = 0
-    draw = rng.random
-    p_success = success_probability(link)
-    p_error = 1.0 - link.raw_fidelity
-    for fusilier in range(signals):
-        if draw() >= p_success:
-            continue
-        if draw() < p_error:
-            errors |= 1 << slot
+    errors = slot = draw = 0
+    while slot < capacity:
+        rest = successes >> draw
+        if not rest:
+            break
+        draw += (rest & -rest).bit_length() - 1
+        fusilier = draw - slot
+        if fusilier >= signals:
+            break
+        errors |= (error_bits >> draw + 1 & 1) << slot
         fusiliers.append(fusilier)
         slot += 1
-        if slot == capacity:
-            break
+        draw += 2
     return fusiliers, errors
 
 
-def swap_outcomes(swaps: int, rng) -> tuple[int, int]:
-    """Draw ``swaps`` swaps from ``rng``, a parity bit then an X bit per swap.
+def swap_outcomes(swaps: int, masks: list[int]) -> tuple[int, int]:
+    """The outcomes of a node's ``swaps`` swaps, from its key's threshold
+    bits ``(parity_bits, x_bits)``: swap k reads a parity draw, 2k, then an
+    X draw, 2k + 1, each a fair coin, so bit k of each mask is its outcome.
 
-    Returns ``(parity_bits, x_bits)``: bit k of each is swap k's outcome,
-    the X and the Z bit of its frame. Swap k joins slot k of the node's left
-    hop to slot k of its right hop.
+    Returns ``(parity_bits, x_bits)`` cut to the swaps: bit k of each is
+    swap k's outcome, the X and the Z bit of its frame. Swap k joins slot k
+    of the node's left hop to slot k of its right hop.
     """
-    parity_bits = x_bits = 0
-    for k in range(swaps):
-        if rng.random() < 0.5:
-            parity_bits |= 1 << k
-        if rng.random() < 0.5:
-            x_bits |= 1 << k
-    return parity_bits, x_bits
+    keep = (1 << swaps) - 1
+    parity_bits, x_bits = masks
+    return parity_bits & keep, x_bits & keep

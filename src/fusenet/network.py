@@ -58,8 +58,13 @@ than the node's next herald, one period on; at a tie the return or train,
 scheduled first, is taken first. On the timeline (``_ChainSimulation``)
 the handlers only check bank phases, keep the timeline (scheduling,
 occupancy, the desynchronization checks), and trace.
-Keyed draws belong to ``engine.KeyedDraws``; this module states each key's
-count once, in ``_key_draws``.
+Keyed draws belong to ``engine.KeyedDraws``, which hands each key out as
+threshold bits, one int per column; this module states each key's count
+and thresholds once, in ``_key_draws``: a train's draws against its
+success probability and against 1 - F, a swap's and a purification's coins
+against 0.5. A train steps from one success to the next
+(``machines.train_pairs``), and a node's swaps and a hop's purification
+coins are its key's columns cut to the swaps or trios made.
 
 Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
 its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
@@ -137,6 +142,7 @@ from .pair_algebra import (
     chain_fidelity,
     purify3_analytic,
     purify3_bits,
+    success_probability,
     swap_bits,
 )
 
@@ -464,18 +470,35 @@ def analytic_end_to_end_fidelity(config: NetworkConfig) -> float:
     return chain_fidelity(fidelities)
 
 
-def _key_draws(config: NetworkConfig) -> list[list[int]]:
-    """``counts[domain][index]``, the most values RNG key (domain, index)
-    draws in a cycle, index below the hop count: hop i's train n + m (a
-    signal at most once, a success once more); node i's swaps, two per slot
-    its two hops both keep; hop i's purification, six per trio (purify3)."""
-    slots = [effective_slots(link, config.strategy) for link in config.links]
+def _key_draws(config: NetworkConfig) -> tuple[list[list[int]], list[list[tuple]]]:
+    """Each RNG key's draws, as ``engine.KeyedDraws`` takes them:
+    ``(counts, columns)``.
+
+    ``counts[domain][index]`` is the most values key (domain, index) draws
+    in a cycle, index below the hop count, and ``columns[domain]`` the
+    thresholds its draws are tested against, as ``(start, step,
+    thresholds by index)``. Hop i's train draws n + m (a signal at most
+    once, a success once more), each draw tested against the hop's success
+    probability and against 1 - F for the error bit; node i's swaps two per
+    slot its two hops both keep, a parity then an X coin; hop i's
+    purification six fair coins per trio (purify3).
+    """
+    links = config.links
+    slots = [effective_slots(link, config.strategy) for link in links]
     counts = [[0] * len(slots) for _ in range(DOMAINS)]
-    counts[LINK_DOMAIN] = [link.n_fusiliers + link.m_fusilands for link in config.links]
+    counts[LINK_DOMAIN] = [link.n_fusiliers + link.m_fusilands for link in links]
     counts[SWAP_DOMAIN][1:] = [2 * min(pair) for pair in zip(slots, slots[1:])]
     if config.strategy is Strategy.PURIFY3:
         counts[PURIFY_DOMAIN] = [6 * count for count in slots]
-    return counts
+    coin = [0.5] * len(slots)
+    columns: list[list[tuple]] = [[] for _ in range(DOMAINS)]
+    columns[LINK_DOMAIN] = [
+        (0, 1, [success_probability(link.model) for link in links]),
+        (0, 1, [1.0 - link.model.raw_fidelity for link in links]),
+    ]
+    columns[SWAP_DOMAIN] = [(0, 2, coin), (1, 2, coin)]
+    columns[PURIFY_DOMAIN] = [(j, 6, coin) for j in range(6)]
+    return counts, columns
 
 
 def butterfly_split(config: NetworkConfig) -> int:
@@ -531,30 +554,21 @@ def _purify_hop(
     trios = len(fusiliers) // 3
     if not trios:
         return _NO_PAIRS, None
-    coin = draws(PURIFY_DOMAIN, node_id - 1).random
-    e1 = e2 = e3 = tx12 = tx23 = tx_x2 = tx_x3 = rx_x2 = rx_x3 = 0
-    for t in range(trios):
-        bit = 1 << t
-        # Transmit-side parities and the four X readouts are fair coins.
-        if coin() < 0.5:
-            tx12 |= bit
-        if coin() < 0.5:
-            tx23 |= bit
-        if coin() < 0.5:
-            tx_x2 |= bit
-        if coin() < 0.5:
-            tx_x3 |= bit
-        if coin() < 0.5:
-            rx_x2 |= bit
-        if coin() < 0.5:
-            rx_x3 |= bit
-        trio = errors >> 3 * t
-        if trio & 1:
-            e1 |= bit
-        if trio & 2:
-            e2 |= bit
-        if trio & 4:
-            e3 |= bit
+    # Trio t's six coins are draws 6t..6t+5: the transmit-side parities and
+    # the four X readouts, one column each.
+    keep = (1 << trios) - 1
+    tx12, tx23, tx_x2, tx_x3, rx_x2, rx_x3 = (
+        coins & keep for coins in draws(PURIFY_DOMAIN, node_id - 1)
+    )
+    # Slot 3t + k's error bit is bit t of trio member k + 1's column.
+    members = [0, 0, 0]
+    rest = errors & (1 << 3 * trios) - 1
+    while rest:
+        low = rest & -rest
+        trio, member = divmod(low.bit_length() - 1, 3)
+        members[member] |= 1 << trio
+        rest ^= low
+    e1, e2, e3 = members
     # Receive-side parities reflect the true pairwise error syndrome,
     # keeping the decode statistics honest. A hop's pairs carry the
     # identity frame, so the kept pair's frame is the round's delta.
@@ -599,7 +613,7 @@ class _CycleRecords:
         # A kept pair in slot k sits in the right node's fusiland 3k when
         # purified, k when raw.
         self.right_stride = 3 if self.purify else 1
-        self.keyed = KeyedDraws(config.seed, _key_draws(config), config.cycles)
+        self.keyed = KeyedDraws(config.seed, *_key_draws(config), config.cycles)
         # What the run returns, each cycle's part made as the cycle starts.
         self.records: list[EndToEndRecord] = []
         self.delivered: list[int] = []
@@ -622,7 +636,7 @@ class _CycleRecords:
         purified: list[Optional[FrameRecord]] = [None] * num_nodes
         for index, link in enumerate(self.links):
             fusiliers, errors = train_pairs(
-                link.model, draws(LINK_DOMAIN, index), link.n_fusiliers, link.m_fusilands
+                draws(LINK_DOMAIN, index), link.n_fusiliers, link.m_fusilands
             )
             start_ns = cycle_ns + offsets[index + 1]
             created = [start_ns + fusilier * tau for fusilier in fusiliers]

@@ -1,29 +1,12 @@
-"""Shared test helpers: deterministic stub RNG, config builders, trace parsing."""
+"""Shared test helpers: config builders, trace parsing, a deadline."""
 
 import json
 import signal
 from contextlib import contextmanager
 from types import SimpleNamespace
 
-import pytest
-
 from fusenet.network import LinkSpec, NetworkConfig, Strategy
 from fusenet.pair_algebra import LinkModel
-
-
-class StubRng:
-    """Feeds a prescribed sequence of uniform draws to machine operations."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
-@pytest.fixture
-def stub_rng():
-    return StubRng
 
 
 def chain_config(

@@ -17,7 +17,6 @@ from fusenet.machines import train_pairs
 from fusenet.metrics import summarize
 from fusenet.network import butterfly_split, run_network
 from fusenet.pair_algebra import (
-    LinkModel,
     chain_fidelity,
     failure_prob_multi,
     min_fusiliers,
@@ -78,12 +77,13 @@ def test_criterion_3_resource_table():
 
 
 def test_criterion_4a_hop_success_counts():
+    # Each cycle's train gets its n + m draws as threshold bits, bit j set
+    # when draw j is below p, as a simulation's keyed draws hand them out.
     n, m, p, cycles = 16, 1, 0.25, 100_000
-    link = LinkModel(length_km=1.0, p_success=p)
     rng = np.random.default_rng(2024)
     short = 0
-    for _ in range(cycles):
-        fusiliers, _ = train_pairs(link, rng, n, m)
+    for row in rng.random((cycles, n + m)) < p:
+        fusiliers, _ = train_pairs([_pack(row), 0], n, m)
         if len(fusiliers) < m:
             short += 1
     expected = failure_prob_multi(n, m, p)

@@ -5,17 +5,20 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusenet import engine as engine_module
 from fusenet.engine import (
     EventKind,
     DOMAINS,
     EventQueue,
     KEY_WORD_LIMIT,
+    KeyedDraws,
     LINK_DOMAIN,
     RngStream,
     SEED_BLOCK,
@@ -341,10 +344,8 @@ class TestRngStream:
         stream = RngStream(12345)
         row = stream.seed_block(range(17, 18), 4)[0, LINK_DOMAIN, 3]
         scalar = stream.substream(row)
-        batched = stream.draws(row, 40)
-        assert [batched.random() for _ in range(40)] == [scalar.random() for _ in range(40)]
-        with pytest.raises(StopIteration):
-            batched.random()
+        batched = pcg64_random(row[None], 40)[0].tolist()
+        assert batched == [scalar.random() for _ in range(40)]
 
     def test_rows_do_not_depend_on_block_bounds(self):
         stream = RngStream(99)
@@ -432,6 +433,64 @@ def test_kernel_draws_equal_numpy_pcg64(seed, first_cycle, span, width, count):
                 key = (seed, domain, index, cycle)
                 expected = reference_generator(key).random(count).tolist()
                 assert drawn[k, domain, index].tolist() == expected, key
+
+
+# Every key drawn natively; the default split at BATCH_MAX_DRAWS; every key
+# batched, 64 values or more; blocks of one cycle each.
+PACK_PATHS = {
+    "native": ("BATCH_MAX_DRAWS", 0),
+    "default": ("BATCH_MAX_DRAWS", engine_module.BATCH_MAX_DRAWS),
+    "batched": ("BATCH_MAX_DRAWS", 2**24),
+    "one_cycle_blocks": ("BLOCK_MAX_VALUES", 1),
+}
+
+_THRESHOLDS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _keyed_draws(draw):
+    """(seed, counts, columns, cycles) of a random run's keys: mixed counts
+    from 1 to 130 within a domain, random columns with a random threshold
+    per key."""
+    width = draw(st.integers(1, 4))
+    sizes = st.one_of(st.sampled_from([1, 63, 64, 65, 128, 130]), st.integers(1, 130))
+    counts = [draw(st.lists(sizes, min_size=width, max_size=width)) for _ in range(DOMAINS)]
+    column = st.tuples(
+        st.integers(0, 9), st.integers(1, 7), st.lists(_THRESHOLDS, min_size=width, max_size=width)
+    )
+    columns = [draw(st.lists(column, min_size=1, max_size=4)) for _ in range(DOMAINS)]
+    return draw(st.integers(0, 2**64)), counts, columns, draw(st.integers(1, 3))
+
+
+@pytest.mark.parametrize("path", sorted(PACK_PATHS))
+@given(keys=_keyed_draws())
+@example(keys=(5, [[130, 1], [64, 65], [63, 2]], [[(0, 1, [0.5, 1.0])], [(1, 2, [1.0, 1.0])], [(0, 3, [0.0, 0.7])]], 2))
+@settings(max_examples=40, deadline=None)
+def test_keyed_draws_pack_threshold_bits(path, keys):
+    # Each int a key hands out is sum_j (u[start::step][j] < t) << j over
+    # its own count of values u from numpy's generator: on every draw path,
+    # above 64 bits too, and with no bit at or past the key's own count.
+    seed, counts, columns, cycles = keys
+    with mock.patch.object(engine_module, *PACK_PATHS[path]):
+        keyed = KeyedDraws(seed, counts, columns, cycles)
+        handed = [keyed.cycle(cycle) for cycle in range(cycles)]
+    if path == "native":
+        assert not any(keyed.batched)
+    elif path == "batched":
+        assert all(keyed.batched)
+    elif path == "one_cycle_blocks":
+        assert keyed.block == 1
+    stream = RngStream(seed)
+    for cycle, draws in enumerate(handed):
+        rows = stream.seed_block(range(cycle, cycle + 1), len(counts[0]))[0]
+        for domain in range(DOMAINS):
+            for index, count in enumerate(counts[domain]):
+                values = stream.substream(rows[domain, index]).random(count).tolist()
+                expected = [
+                    sum((u < thresholds[index]) << j for j, u in enumerate(values[start::step]))
+                    for start, step, thresholds in columns[domain]
+                ]
+                assert draws(domain, index) == expected, (cycle, domain, index)
 
 
 def _numpy_random_loaded(statements, *args):

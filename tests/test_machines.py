@@ -1,11 +1,11 @@
-"""Per-bank node state (herald, train, return) and the train and swap draw loops."""
+"""Per-bank node state (herald, train, return) and the train and swap bit readers."""
 
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusenet.errors import DesynchronizationError, ProtocolError
@@ -26,8 +26,6 @@ from fusenet.pair_algebra import (
     success_probability,
 )
 
-from conftest import StubRng
-
 LINK = LinkModel(length_km=1.0, p_success=0.25)
 PERFECT = LinkModel(length_km=1.0, p_success=1.0)
 
@@ -45,11 +43,59 @@ def arrivals(n, start=100, tau=10):
     return [start + tau * k for k in range(n)]
 
 
+def pack(bits):
+    """0/1 values as an int: bit j is value j."""
+    return sum(int(bit) << j for j, bit in enumerate(bits))
+
+
+def train_masks(draws, link):
+    """A train key's threshold bits for the uniform ``draws``, as
+    ``KeyedDraws`` hands them out: below p, and below 1 - F."""
+    p, p_error = success_probability(link), 1.0 - link.raw_fidelity
+    return [pack(u < p for u in draws), pack(u < p_error for u in draws)]
+
+
+def coin_masks(draws):
+    """A swap key's threshold bits for the uniform ``draws``: its parity
+    draws (even) and its X draws (odd), each below 0.5."""
+    return [pack(u < 0.5 for u in draws[0::2]), pack(u < 0.5 for u in draws[1::2])]
+
+
+def per_signal_train(masks, signals, capacity):
+    """The test's oracle: one signal at a time, each reading the next draw's
+    success bit, a success the next draw's error bit too, and nothing read
+    once the bank is full. Returns ``(fusiliers, errors)`` and how many
+    draws it read, which are draws 0 to that count - 1."""
+    successes, error_bits = masks
+    fusiliers, errors, reads = [], 0, 0
+    for fusilier in range(signals):
+        if len(fusiliers) == capacity:
+            break
+        reads += 1
+        if not successes >> reads - 1 & 1:
+            continue
+        reads += 1
+        errors |= (error_bits >> reads - 1 & 1) << len(fusiliers)
+        fusiliers.append(fusilier)
+    return (fusiliers, errors), reads
+
+
+def check_train(masks, n, m, past):
+    """``train_pairs`` on ``masks`` gives the oracle's pairs, and with
+    ``past`` set above the oracle's reads too; returns the oracle's
+    (pairs, reads)."""
+    expected, reads = per_signal_train(masks, n, m)
+    assert train_pairs(masks, n, m) == expected
+    assert train_pairs([mask | past << reads for mask in masks], n, m) == expected
+    return expected, reads
+
+
 def run_train(m, n, draws, link=LINK):
-    """Resolve an n-signal train at a bank of m fusilands; returns its
-    (fusiliers, errors) and the stub."""
-    rng = StubRng(draws)
-    return train_pairs(link, rng, n, m), rng
+    """Resolve an n-signal train at a bank of m fusilands from ``draws``,
+    the uniform values its key draws in order; returns its (fusiliers,
+    errors) and how many of the draws it read. Every bit past those read
+    may be set without changing the pairs."""
+    return check_train(train_masks(draws, link), n, m, (1 << 256) - 1)
 
 
 class TestOnHerald:
@@ -81,9 +127,9 @@ class TestOnSignal:
     takes the train at its bank."""
 
     def test_first_success_takes_slot_zero_then_discards(self):
-        (fusiliers, _), rng = run_train(1, 3, draws=[0.1, 0.5])
+        (fusiliers, _), reads = run_train(1, 3, draws=[0.1, 0.5])
         assert fusiliers == [0]
-        assert rng.values == []  # the two discarded signals drew nothing
+        assert reads == 2  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
         _, rx, _ = start_cycle(2, 1)
@@ -93,9 +139,9 @@ class TestOnSignal:
         assert fusiliers == [1]  # fusilier 1 filled slot 0
 
     def test_exhausted_bank_discards_without_drawing(self):
-        (fusiliers, _), rng = run_train(2, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
+        (fusiliers, _), reads = run_train(2, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
         assert fusiliers == [0, 1]
-        assert rng.values == []  # discarded signals consumed no randomness
+        assert reads == 4  # discarded signals consumed no randomness
 
     def test_second_train_rejected(self):
         _, rx, _ = start_cycle(3, 1)
@@ -112,10 +158,10 @@ class TestOnSignal:
         noisy = LinkModel(length_km=1.0, p_success=0.5, raw_fidelity=0.9)
         # slot 0 clean, fusilier 1 fails, slots 1 and 2 carry errors
         draws = [0.1, 0.5, 0.9, 0.1, 0.05, 0.1, 0.01]
-        (fusiliers, errors), rng = run_train(3, 4, draws=draws, link=noisy)
+        (fusiliers, errors), reads = run_train(3, 4, draws=draws, link=noisy)
         assert fusiliers == [0, 2, 3]
         assert errors == 0b110
-        assert rng.values == []
+        assert reads == len(draws)
 
     def test_pair_endpoints_name_both_sides(self):
         # slot k is the right endpoint, fusiliers[k] the left one
@@ -161,22 +207,21 @@ def awaiting_return():
 
 class TestOnReturn:
     def test_swaps_the_given_count(self):
-        rng = StubRng([0.9, 0.1] * 3)
-        swaps = swap_outcomes(2, rng)
+        # the key drew three swaps' coins; the third swap's bits are cut
+        swaps = swap_outcomes(2, coin_masks([0.9, 0.1] * 3))
         assert swaps == (0b00, 0b11)  # (parity bits, X bits), swap k in bit k
-        assert len(rng.values) == 2  # two draws per swap
         node = awaiting_return()
         on_return(node, 0)
         assert not node.fired
 
     def test_zero_swaps_draw_nothing(self):
-        assert swap_outcomes(0, None) == (0, 0)
+        assert swap_outcomes(0, coin_masks([0.1] * 6)) == (0, 0)
 
     def test_swap_outcome_feeds_frame_record(self):
         # a parity draw, then an X draw: the parity outcome is the frame's
         # X bit, the X readout its Z bit
-        assert swap_outcomes(1, StubRng([0.1, 0.9])) == (1, 0)
-        assert swap_outcomes(1, StubRng([0.9, 0.1])) == (0, 1)
+        assert swap_outcomes(1, coin_masks([0.1, 0.9])) == (1, 0)
+        assert swap_outcomes(1, coin_masks([0.9, 0.1])) == (0, 1)
 
     def test_unlisted_fusiliers_retire(self):
         node = NodeState(0, n_fusiliers=4, m_fusilands=0)
@@ -218,11 +263,10 @@ class TestCycleLifecycle:
         # frequency of under-filled cycles converges to the binomial tail;
         # acceptance runs the full 1e5-cycle version
         n, m, p, cycles = 24, 2, 0.25, 20_000
-        link = LinkModel(length_km=1.0, p_success=p)
         rng = np.random.default_rng(77)
         short = 0
-        for _ in range(cycles):
-            fusiliers, _ = train_pairs(link, rng, n, m)
+        for row in rng.random((cycles, n + m)) < p:
+            fusiliers, _ = train_pairs([pack(row), 0], n, m)
             if len(fusiliers) < m:
                 short += 1
         expected = failure_prob_multi(n, m, p)
@@ -298,13 +342,15 @@ def reference_train(node, from_node, link, rng, arrivals):
 
 
 class CountingRng:
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
+    """Serves ``values`` in order, counting how many were read."""
+
+    def __init__(self, values):
+        self.values = iter(values)
         self.draws = 0
 
     def random(self):
         self.draws += 1
-        return self.rng.random()
+        return next(self.values)
 
 
 @given(
@@ -320,9 +366,13 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     link = LinkModel(length_km=1.0, p_success=p, raw_fidelity=fidelity)
     times = arrivals(n, start=40, tau=tau)
     rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
-    rngs = [CountingRng(seed), CountingRng(seed)]
-    fusiliers, errors = train_pairs(link, rngs[0], n, m)
-    expected = reference_train(rx, 2, link, rngs[1], times)
+    # The key's n + m draws: the reference reads them one at a time, the
+    # train their threshold bits.
+    draws = np.random.default_rng(seed).random(n + m).tolist()
+    rng = CountingRng(draws)
+    expected = reference_train(rx, 2, link, rng, times)
+    masks = train_masks(draws, link)
+    fusiliers, errors = train_pairs(masks, n, m)
     # Slot k of the columns is the reference's pair k, made at its fusilier's arrival.
     assert [asdict(pair) for pair in expected] == [
         asdict(
@@ -338,7 +388,45 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
         for slot, fusilier in enumerate(fusiliers)
     ]
     assert errors >> len(fusiliers) == 0
-    assert rngs[0].draws == rngs[1].draws
+    # The train reads no draw the reference does not: setting every bit past
+    # the reference's reads changes nothing.
+    past = ((1 << 64) - 1) << rng.draws
+    assert train_pairs([mask | past for mask in masks], n, m) == (fusiliers, errors)
+
+
+_THRESHOLDS = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _train_sizes(draw):
+    """(n, m) with n + m at the uint64 boundary (63, 64, 65) or anywhere to
+    200, either of them 0 included."""
+    total = draw(st.one_of(st.sampled_from([63, 64, 65]), st.integers(0, 200)))
+    n = draw(st.integers(0, total))
+    return n, total - n
+
+
+@given(
+    size=_train_sizes(),
+    p=_THRESHOLDS,
+    fidelity=_THRESHOLDS,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(size=(0, 5), p=1.0, fidelity=0.0, seed=0)
+@example(size=(5, 0), p=1.0, fidelity=0.0, seed=0)
+@example(size=(40, 30), p=1.0, fidelity=0.0, seed=0)
+@example(size=(64, 1), p=0.0, fidelity=1.0, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_train_scan_equals_per_signal_loop(size, p, fidelity, seed):
+    # The success scan gives what a per-signal loop over the same bits
+    # gives; the loop reads no draw at or past n + m, and random bits set
+    # past its reads change nothing for the scan.
+    n, m = size
+    rng = np.random.default_rng(seed)
+    draws = rng.random(n + m)
+    masks = [pack(draws < p), pack(draws < 1.0 - fidelity)]
+    _, reads = check_train(masks, n, m, int.from_bytes(rng.bytes(40), "little"))
+    assert reads <= n + m
 
 
 @given(
@@ -351,14 +439,14 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
 def test_full_cycle_fuzz(n, m, p, seed):
     """A whole hop cycle in any sampled regime passes every bank check."""
     link = LinkModel(length_km=1.0, p_success=p)
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).random(n + m).tolist()
     tx = NodeState(0, n, 0)
     rx = NodeState(1, 0, m)
     assert on_herald(tx, 0, 0) == n
     on_herald(rx, 0, 11)
 
     on_train(rx)
-    fusiliers, errors = train_pairs(link, rng, n, m)
+    fusiliers, errors = train_pairs(train_masks(draws, link), n, m)
     assert len(fusiliers) <= m
     assert fusiliers == sorted(set(fusiliers))
     assert errors == 0  # raw fidelity 1

@@ -867,11 +867,11 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
     digests = {}
     for path, (name, value) in DRAW_PATHS.items():
         native_keys, block_cycles = [], []
-        draws, kernel = RngStream.draws, engine_module.pcg64_random
+        substream, kernel = RngStream.substream, engine_module.pcg64_random
 
-        def native(stream, row, count):
-            native_keys.append(count)
-            return draws(stream, row, count)
+        def native(stream, row):
+            native_keys.append(row)
+            return substream(stream, row)
 
         def batched(rows, count):
             block_cycles.append(rows.shape[0])
@@ -879,7 +879,7 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(engine_module, name, value)
-            patch.setattr(RngStream, "draws", native)
+            patch.setattr(RngStream, "substream", native)
             patch.setattr(engine_module, "pcg64_random", batched)
             (tmp_path / path).mkdir()
             result, trace_bytes = _simulate(tmp_path / path, patch, network)
@@ -899,39 +899,53 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
         assert digests["native"] == EXPECTED[case]
 
 
+# Every bit a test sets past a key's count: more than any chain here could
+# read past it.
+_PAST_COUNT = (1 << 4096) - 1
+
+
 def _check_draws_within_counts(cfg, path):
     """Run ``cfg`` on one of ``DRAW_PATHS``: each key's draws are asked for
-    at most once and hand out at most the values ``_key_draws`` counts."""
-    counts, handed, native = _key_draws(cfg), {}, []
-    cycle_draws, draws = KeyedDraws.cycle, RngStream.draws
+    at most once a cycle and read no draw past what ``_key_draws`` counts.
 
-    def recording(keyed, cycle):
-        cycle_draws_of = cycle_draws(keyed, cycle)
+    Each key's ints carry no bit for a draw at or past its count; with every
+    such bit set, the run's result is unchanged, so none of them is read.
+    Every native key is counted, as a ``substream`` call.
+    """
+    counts, columns = _key_draws(cfg)
+    cycle_draws, substream = KeyedDraws.cycle, RngStream.substream
 
-        def counted(domain, index):
-            key = (domain, index, cycle)
-            assert key not in handed, f"key {key} drawn twice"
-            handed[key] = 0
-            values = cycle_draws_of(domain, index).random
+    def run(past_count):
+        handed, native = set(), []
 
-            def random():
-                handed[key] += 1
-                assert handed[key] <= counts[domain][index], f"key {key} drew past its count"
-                return values()
+        def recording(keyed, cycle):
+            cycle_draws_of = cycle_draws(keyed, cycle)
 
-            return SimpleNamespace(random=random)
+            def counted(domain, index):
+                key = (domain, index, cycle)
+                assert key not in handed, f"key {key} drawn twice"
+                handed.add(key)
+                bits = []
+                for value, (start, step, _) in zip(cycle_draws_of(domain, index), columns[domain]):
+                    reads = len(range(start, counts[domain][index], step))
+                    assert value >> reads == 0, f"key {key} has a bit past its count"
+                    bits.append(value | past_count << reads)
+                return bits
 
-        return counted
+            return counted
 
-    def native_draws(stream, row, count):
-        native.append(count)
-        return draws(stream, row, count)
+        def native_substream(stream, row):
+            native.append(row)
+            return substream(stream, row)
 
-    with mock.patch.object(KeyedDraws, "cycle", recording), mock.patch.object(
-        RngStream, "draws", native_draws
-    ), mock.patch.object(engine_module, *DRAW_PATHS[path]):
-        run_network(cfg)
-    assert handed and len(native) == (len(handed) if path == "native" else 0)
+        with mock.patch.object(KeyedDraws, "cycle", recording), mock.patch.object(
+            RngStream, "substream", native_substream
+        ), mock.patch.object(engine_module, *DRAW_PATHS[path]):
+            result = run_network(cfg)
+        assert handed and len(native) == (len(handed) if path == "native" else 0)
+        return asdict(result)
+
+    assert run(_PAST_COUNT) == run(0)
 
 
 @pytest.mark.parametrize("path", ["batched", "native"])
