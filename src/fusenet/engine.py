@@ -10,8 +10,7 @@ datum)``: an event names its kind, its node and its cycle and carries one
 datum, whatever its kind's handler needs beyond them. ``run`` pops each
 entry, sets ``queue.now_ns`` and ``queue.seq`` to its time and seq, and
 calls ``handlers[kind](node, cycle, datum)``; a handler reads the two from
-the queue when it needs them. No object is built per event: ``Event`` is
-only the record of the entry whose handler raised a ``ProtocolError``.
+the queue when it needs them. No object is built per event.
 
 A train of events (a hop's signal train) takes one queue entry. Scheduling
 it reserves a block of consecutive sequence numbers, the ones that many
@@ -24,9 +23,9 @@ what the train's handler reads or writes, which the caller guarantees (see
 nothing queued, for a caller that keys a record like an event without
 dispatching one. ``run`` only dispatches; handlers keep their own trace.
 
-Event kinds hash by identity (``object.__hash__``), which is exact because
-each member is a singleton; the handler lookup then costs no Python-level
-``Enum.__hash__`` call per event.
+An ``EventKind`` hashes by identity (``object.__hash__``), which is exact
+because each member is a singleton; the handler lookup then costs no
+Python-level ``Enum.__hash__`` call per event.
 
 Each (domain, index, cycle) key owns numpy's
 ``PCG64(SeedSequence((seed, domain, index, cycle)))`` generator. Building a
@@ -78,11 +77,11 @@ import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError, SchedulingError
+from .errors import ConfigurationError, SchedulingError
 
 NS_PER_SECOND = 1_000_000_000
 
@@ -145,21 +144,6 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-class Event(NamedTuple):
-    """The queue entry whose handler raised, as ``ProtocolError.event``.
-
-    Its fields are the entry's, in order; ``datum`` is what the handler got
-    beyond the node and cycle (see ``network`` for each kind's).
-    """
-
-    time_ns: int
-    seq: int
-    kind: EventKind
-    node: int
-    cycle: int
-    datum: object
-
-
 class EventQueue:
     """Priority queue of ``(time_ns, seq, kind, node, cycle, datum)`` entries.
 
@@ -206,19 +190,13 @@ def run(
     """Dispatch events in (time, seq) order until the queue drains.
 
     Pops each entry, sets ``queue.now_ns`` and ``queue.seq`` to its time
-    and seq, then calls ``handlers[kind](node, cycle, datum)``. A handler
-    raising a ProtocolError aborts the run; the offending entry is attached
-    to the exception as ``exc.event``, an ``Event``.
+    and seq, then calls ``handlers[kind](node, cycle, datum)``.
     """
     heap = queue._heap
     pop = heapq.heappop
-    try:
-        while heap:
-            queue.now_ns, queue.seq, kind, node, cycle, datum = pop(heap)
-            handlers[kind](node, cycle, datum)
-    except ProtocolError as exc:
-        exc.event = Event(queue.now_ns, queue.seq, kind, node, cycle, datum)
-        raise
+    while heap:
+        queue.now_ns, queue.seq, kind, node, cycle, datum = pop(heap)
+        handlers[kind](node, cycle, datum)
 
 
 def channel_delay_ns(length_km: float, signal_speed_m_per_s: float) -> int:

@@ -14,7 +14,7 @@ class SchedulingError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """A protocol state machine was driven through an illegal transition."""
+    """The simulated protocol went out of step."""
 
 
 class DesynchronizationError(ProtocolError):

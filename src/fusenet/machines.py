@@ -1,117 +1,29 @@
-"""Per-bank cycle state of a repeater node, and what a cycle draws at its banks.
+"""What a cycle draws at a node's banks: two pure functions of keyed draws.
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
-A bank's cycle is three calls, which only check and advance its phase. One
-herald pulse per cycle fires the whole fusillade and readies the fusilands
-(``on_herald``); the signal train arriving at a node leaves its readied
-bank (``on_train``); a single return message per hop confirms the fusillade
-(``on_return``). Because the fusillade fires as one train and each hop gets
-one return, each bank moves through one phase per cycle: the fusillade is
-``fired`` from its herald to its return, and the fusilands are ``ready``
-from their herald to their train.
-
-What a cycle makes is read from its keyed draws by two pure functions,
-which touch no node. Each gets a key's draws as threshold bits (see
+Each function gets a key's draws as threshold bits (see
 ``engine.KeyedDraws``), one int per column, bit j set when draw j is below
 the column's threshold. ``train_pairs`` resolves a hop's train against its
 bank: its signals interact with the fusilands one at a time, rerouting to
 the next fusiland after each success, and it returns the train's pairs as
 columns, the fusilier that filled each slot and the error bits packed in
 one int. It steps from one success to the next, so it costs a step per
-pair made, not per signal. ``swap_outcomes`` cuts a node's swap bits to
-its swaps, packed the same way.
-
-NodeState is mutated only by the single event-loop thread of a simulation
-run; both functions are deterministic given their bits.
+pair made, not per signal, and a step costs no more for a wider train.
+``swap_outcomes`` cuts a node's swap bits to
+its swaps, packed the same way. Both are deterministic given their bits;
+neither keeps any state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .errors import DesynchronizationError, ProtocolError
-
-
-@dataclass
-class NodeState:
-    """All per-node protocol state for one chain node.
-
-    ``fired``: the fusillade fired and awaits its return; ``ready``: the
-    fusilands await their incoming train. A bank in neither is idle.
-    """
-
-    node_id: int
-    n_fusiliers: int
-    m_fusilands: int
-    fired: bool = False
-    ready: bool = False
-    current_cycle: int = -1
-    busy_until_ns: int = 0
-
-
-def on_herald(node: NodeState, cycle: int, now_ns: int, *, generate: bool = True) -> int:
-    """Start ``cycle`` at this node as the herald pulse passes.
-
-    Readies the fusiland bank for the incoming signal train and fires the
-    whole fusillade, one signal per slot time from ``now_ns``. Returns the
-    fusillade size: the number of signals fired, fusilier k in slot k (none
-    from the rightmost node). With ``generate`` false (a frame-flush sweep)
-    only the cycle bookkeeping happens.
-    """
-    if cycle != node.current_cycle + 1:
-        raise DesynchronizationError(
-            f"node {node.node_id} expected cycle {node.current_cycle + 1}, "
-            f"herald carries cycle {cycle}"
-        )
-    if node.fired or node.ready or now_ns < node.busy_until_ns:
-        raise DesynchronizationError(
-            f"herald for cycle {cycle} overtook unfinished work "
-            f"at node {node.node_id}"
-        )
-    node.current_cycle = cycle
-    if not generate:
-        return 0
-    if node.m_fusilands:
-        node.ready = True
-    if not node.n_fusiliers:
-        return 0
-    node.fired = True
-    return node.n_fusiliers
-
-
-def on_train(node: NodeState) -> None:
-    """Take a whole incoming signal train: it must reach a readied bank,
-    which it leaves idle."""
-    if not node.ready:
-        raise ProtocolError(
-            f"node {node.node_id} got a signal train while its fusilands are idle"
-        )
-    node.ready = False
-
-
-def on_return(node: NodeState, cycle_id: int) -> None:
-    """Take the return for ``cycle_id``: confirm the fusillade, leaving it idle.
-
-    The return must not come before the node's own incoming train, if it
-    has one: a readied bank rejects it.
-    """
-    if cycle_id != node.current_cycle:
-        raise ProtocolError(
-            f"node {node.node_id} got return for cycle {cycle_id} "
-            f"during cycle {node.current_cycle}"
-        )
-    if not node.fired:
-        raise ProtocolError(
-            f"node {node.node_id} got return for cycle {cycle_id} while "
-            "its fusillade is idle"
-        )
-    if node.ready:
-        raise ProtocolError(
-            f"node {node.node_id} got return for cycle {cycle_id} before "
-            "its signal train arrived"
-        )
-    node.fired = False
+# The scan reads both masks through a window of this many draws, refilled
+# only when used up: a step shifts at most a window, so a train costs time
+# linear in its width. A paper hop (n + m = 644) fits in one window.
+_WINDOW = 1024
+_WINDOW_BITS = (1 << _WINDOW) - 1
+_ERROR_WINDOW_BITS = (1 << _WINDOW + 1) - 1
 
 
 def train_pairs(masks: list[int], signals: int, capacity: int) -> tuple[list[int], int]:
@@ -127,7 +39,7 @@ def train_pairs(masks: list[int], signals: int, capacity: int) -> tuple[list[int
     fusiland is filled the remaining signals are discarded without drawing.
     So fusilier f reads draw f + s, s the slots filled before it, and the
     loop steps from success to success (the lowest set bit of what is left
-    of ``successes``), at most ``capacity`` times. No bit at or past
+    of the window), at most ``capacity`` times. No bit at or past
     ``signals + capacity`` changes the result.
 
     Returns the train's pairs as columns ``(fusiliers, errors)``:
@@ -135,22 +47,59 @@ def train_pairs(masks: list[int], signals: int, capacity: int) -> tuple[list[int
     ``errors`` is slot k's error bit. Slot k's pair was made when fusilier
     ``fusiliers[k]``'s signal arrived.
     """
-    successes, error_bits = masks
+    # Draw and slot count from the current window: draw from its first
+    # draw, base, pointing one past the last success (at its error bit);
+    # slot is one more than the slots filled in the window, and errors
+    # holds slot k's bit at k + 1. So a window's fusiliers come out short by
+    # base - first, first the slots filled before it, and signals and
+    # capacity count from the window too. Leaving a window adds base - first
+    # back and keeps its error bits as a binary string. A train of at most a
+    # window reads the masks as they are.
+    window, error_window = masks
     fusiliers: list[int] = []
-    errors = slot = draw = 0
-    while slot < capacity:
-        rest = successes >> draw
+    errors = draw = base = 0
+    slot = 1
+    spare = signals + capacity - _WINDOW
+    if spare > 0:
+        size = (signals + capacity >> 3) + 2
+        success_bytes = (window & (1 << 8 * size) - 1).to_bytes(size, "little")
+        error_bytes = (error_window & (1 << 8 * size) - 1).to_bytes(size, "little")
+        window &= _WINDOW_BITS
+        error_window &= _ERROR_WINDOW_BITS
+        pieces, first = [], 0
+    while slot <= capacity:
+        rest = window >> draw
         if not rest:
-            break
-        draw += (rest & -rest).bit_length() - 1
+            if spare <= 0:
+                break
+            skew = base - first
+            fusiliers[first:] = map(skew.__add__, fusiliers[first:])
+            pieces.append(bin(errors >> 1 | 1 << slot - 1)[3:])
+            first += slot - 1
+            capacity -= slot - 1
+            base += _WINDOW
+            spare -= _WINDOW
+            signals += skew - base + first
+            errors, slot, draw = 0, 1, max(draw - _WINDOW, 0)
+            at = base >> 3
+            window = int.from_bytes(success_bytes[at : at + (_WINDOW >> 3)], "little")
+            error_window = int.from_bytes(error_bytes[at : at + (_WINDOW >> 3) + 1], "little")
+            continue
+        draw += (rest & -rest).bit_length()
         fusilier = draw - slot
         if fusilier >= signals:
             break
-        errors |= (error_bits >> draw + 1 & 1) << slot
+        if error_window >> draw & 1:
+            errors |= 1 << slot
         fusiliers.append(fusilier)
         slot += 1
-        draw += 2
-    return fusiliers, errors
+        draw += 1
+    if not base:
+        return fusiliers, errors >> 1
+    skew = base - first
+    fusiliers[first:] = map(skew.__add__, fusiliers[first:])
+    pieces.append(bin(errors >> 1 | 1 << slot - 1)[3:])
+    return fusiliers, int("".join(reversed(pieces)) or "0", 2)
 
 
 def swap_outcomes(swaps: int, masks: list[int]) -> tuple[int, int]:

@@ -20,8 +20,8 @@ cycle starts into the herald share (the nodes from the split rightward, or
 every node without one) and the left share. That is what the herald would
 carry: a herald that reaches a node before the node's train or return of
 the previous cycle, and so before its record, desynchronizes
-(``on_herald``), so herald c + 1 would pick up every record of cycle c and
-no other. Its arrival is the schedule's too, since cycle c + 1 starts at
+(``_CycleRecords._desync_error``), so herald c + 1 would pick up every
+record of cycle c and no other. Its arrival is the schedule's too, since cycle c + 1 starts at
 exactly (c + 1) * period or the run raises.
 
 The left share's arrival is the schedule's as well. With the split at node
@@ -46,18 +46,20 @@ train starts arriving as the herald reaches its right node, at ``cycle *
 period + herald_offsets_ns[i + 1]``, and fusilier k k slot times later; a
 slot's pair was made then.
 
-So the event timeline adds nothing to a run's result but its trace and its
-desynchronization errors, and it runs only where one of them can occur: a
-traced run, or a period below ``_safe_period_ns``. An untraced run at or
-above that bound loops over its cycles in order instead
-(``_CycleRecords.loop``). There no herald can overtake: node i's return
-and swap end by ``2 * d_i + (n_i - 1) * tau + proc_ns`` after its herald,
-and its incoming train by ``(n_{i-1} - 1) * tau`` (d_i and n_i hop i's
-delay and train). Neither is later than the bound, so neither is later
-than the node's next herald, one period on; at a tie the return or train,
-scheduled first, is taken first. On the timeline (``_ChainSimulation``)
-the handlers only check bank phases, keep the timeline (scheduling,
-occupancy, the desynchronization checks), and trace.
+So the event timeline (``_ChainSimulation``) adds nothing to a run's
+result but its trace, and only a traced run takes it; an untraced run
+loops over its cycles in order (``_CycleRecords.loop``). Whether a run
+desynchronizes is decided once, from the schedule, ``proc_ns`` and which
+nodes swapped in each cycle (``_CycleRecords._desync_error``), and only
+below ``_safe_period_ns``: at or above it no herald can overtake. Node
+i's return and swap end by ``2 * d_i + (n_i - 1) * tau + proc_ns`` after
+its herald, and its incoming train by ``(n_{i-1} - 1) * tau`` (d_i and n_i
+hop i's delay and train). Neither is later than the bound, so neither is
+later than the node's next herald, one period on; at a tie the return or
+train, scheduled first, is taken first. A traced run below the bound takes the
+loop first, for its verdict, then replays on the timeline, whose handlers
+only schedule and trace.
+
 Keyed draws belong to ``engine.KeyedDraws``, which hands each key out as
 threshold bits, one int per column; this module states each key's count
 and thresholds once, in ``_key_draws``: a train's draws against its
@@ -75,24 +77,23 @@ node; the swap count for ``SwapComplete``.
 
 Each hop's signal train is one queue entry holding n reserved seqs (see
 ``engine``), dispatched once, at its last signal's arrival:
-``_handle_signal_arrive`` takes the whole train with ``on_train``, then
-ends it with the return message. That equals one
-event per signal because nothing touches the receiving node's fusilands
-between a train's first and last signal: ``validate_config`` rejects a
-chain whose return from the right-hand hop would come sooner, and a herald
-that comes sooner (a cycle period below the safe bound) finds the bank
-still readied and desynchronizes as it would mid-train.
+``_handle_signal_arrive`` traces the whole train, then ends it with the
+return message. That equals one event per signal because no event between
+a train's first and last signal touches the receiving node:
+``validate_config`` rejects a chain whose return from the right-hand hop
+would come sooner, and a run whose next herald would come sooner
+desynchronizes before the timeline starts.
 
 The simulation keeps its own trace, each entry built once as its final
 JSON line, byte-equal to ``json.dumps`` of its fields ``{t_ns, seq, kind,
 node, detail}`` with sorted keys; each kind goes through the escaper once,
-into ``_KIND_JSON``. With the trace on, each handler appends its event's
-line at the queue's (now_ns, seq); a train appends one line per signal, at
-its arrival and reserved seq, its outcome read from the train's fusiliers;
-the last node to finish a cycle appends one ``PairReady`` line per
-delivered pair, now, under a seq reserved from the queue with no event
-queued. ``execute`` sorts the entries by (time, seq) once and strips each
-to its line in place.
+into ``_KIND_JSON``. Each handler appends its event's line at the queue's
+(now_ns, seq); a train appends one line per signal, at its arrival and
+reserved seq, its outcome read from the train's fusiliers; the last node
+to finish a cycle appends one ``PairReady`` line per delivered pair, now,
+under a seq reserved from the queue with no event queued. ``execute``
+sorts the entries by (time, seq) once and strips each to its line in
+place.
 
 A cycle's pairs are columns rather than one object per pair or per swap: a
 hop's kept pairs are the fusiliers that made them, their creation times,
@@ -117,7 +118,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .engine import (
     DOMAINS,
@@ -132,7 +133,7 @@ from .engine import (
     run,
 )
 from .errors import ConfigurationError, DesynchronizationError
-from .machines import NodeState, on_herald, on_return, on_train, swap_outcomes, train_pairs
+from .machines import swap_outcomes, train_pairs
 from .pair_algebra import (
     Endpoint,
     FRAMES,
@@ -521,6 +522,9 @@ def butterfly_split(config: NetworkConfig) -> int:
     return best_index
 
 
+_HERALD, _TRAIN, _RETURN = range(3)
+
+
 def _frame_shares(records, split: int) -> tuple[int, int, int, int, int]:
     """Fold a cycle's frame records (None where a node made none) into
     ``(herald_x, herald_z, left_x, left_z, left_count)``: the herald share,
@@ -585,9 +589,10 @@ def _purify_hop(
 class _CycleRecords:
     """What a run returns, built cycle by cycle from each cycle's outcome.
 
-    Both ways of running a chain build on it: its ``loop``, for an untraced
-    run at or above the safe period, and its subclass ``_ChainSimulation``,
-    the event timeline, which builds each cycle's part as the cycle starts.
+    Both ways of running a chain build on it: its ``loop``, which every
+    untraced run takes and which decides desynchronization below the safe
+    period, and its subclass ``_ChainSimulation``, the event timeline of a
+    traced run, which builds each cycle's part as the cycle starts.
     """
 
     def __init__(
@@ -599,6 +604,7 @@ class _CycleRecords:
         self.cycles = config.cycles
         self.links = config.links
         self.tau = config.tau_slot_ns
+        self.proc_ns = config.proc_ns
         self.num_nodes = len(config.nodes)
         self.purify = config.strategy is Strategy.PURIFY3
         # The nodes below ``left_senders``, the butterfly split (0 without
@@ -712,41 +718,118 @@ class _CycleRecords:
             trace=trace,
         )
 
-    def loop(self) -> RunResult:
-        """Build every cycle in order, with no event timeline and no trace."""
+    def _desync_error(self, swapped: Iterable[list[Optional[FrameRecord]]]) -> Optional[str]:
+        """The error text of the first desynchronization a run meets on the event
+        timeline, or None if it meets none.
+
+        ``swapped`` yields each cycle's swap records (``_CycleOutcome.swapped``)
+        in cycle order; it is read only as far as the verdict needs. Herald
+        c + 1 overtakes node i >= 1 if the queue dispatches it before the
+        node's work of cycle c (its return, or at the right end its incoming
+        train), or, when the node swapped in cycle c, strictly less than
+        ``proc_ns`` after that return. Node 0 desynchronizes when its return
+        comes after the next cycle's start; times are fixed offsets from a
+        cycle's start, so then it does so in cycle 0, and no later herald
+        exists.
+
+        Events are (kind, node, cycle), node 0's herald being the cycle's
+        start. The queue orders them by (time, the key of the entry that
+        scheduled it, rank among what that handler scheduled), cycle 0's start
+        first: a herald schedules the next node's herald, then the train it
+        leads; a train its return; node 0's return the next cycle's start.
+        """
+        schedule, tau, proc_ns = self.schedule, self.tau, self.proc_ns
+        period, offsets = schedule.cycle_period_ns, schedule.herald_offsets_ns
+        last = len(offsets) - 1
+        # When each kind comes to node i, from its cycle's start: the herald;
+        # the last signal of the train into it; the return from its hop, one
+        # delay after that hop's last signal.
+        ends = [offsets[i + 1] + (link.n_fusiliers - 1) * tau for i, link in enumerate(self.links)]
+        at = (offsets, [0] + ends, [end + d for end, d in zip(ends, schedule.link_delays_ns)])
+        if at[_RETURN][0] > period:
+            return (
+                f"herald for cycle 1 was due at {period} ns but node 0 finished "
+                f"cycle 0 only at {at[_RETURN][0]} ns"
+            )
+
+        def time(event):
+            kind, node, cycle = event
+            return cycle * period + at[kind][node]
+
+        def parent(event):
+            kind, node, cycle = event
+            if kind == _RETURN:
+                return _TRAIN, node + 1, cycle
+            if node:
+                return _HERALD, node - 1, cycle
+            return (_RETURN, 0, cycle - 1) if cycle else None
+
+        def precedes(a, b):
+            while time(a) == time(b):
+                up_a, up_b = parent(a), parent(b)
+                if up_a == up_b:
+                    return a[0] < b[0]  # a herald goes before the train it leads
+                if up_a is None or up_b is None:
+                    return up_a is None
+                a, b = up_a, up_b
+            return time(a) < time(b)
+
+        first = None
+        for cycle, records in enumerate(swapped):
+            # Herald cycle + 1 passes node i at (cycle + 1) * period + offsets[i].
+            if first and time(first) < (cycle + 1) * period + offsets[1]:
+                break
+            for node in range(1, last + 1):
+                herald = (_HERALD, node, cycle + 1)
+                work = (_RETURN if node < last else _TRAIN, node, cycle)
+                if precedes(herald, work) or (
+                    records[node] and time(herald) < time(work) + proc_ns
+                ):
+                    if first is None or precedes(herald, first):
+                        first = herald
+                    break
+        if first is None:
+            return None
+        return f"herald for cycle {first[2]} overtook unfinished work at node {first[1]}"
+
+    def _swaps(self):
+        """Build every cycle in order, yielding each one's swap records."""
         outcome, add = self._cycle_outcome, self._add_cycle_records
         for cycle in range(self.cycles):
-            add(cycle, outcome(cycle))
+            made = outcome(cycle)
+            add(cycle, made)
+            yield made.swapped
+
+    def loop(self, check: bool) -> RunResult:
+        """Build every cycle in order, with no event timeline and no trace.
+
+        With ``check`` (a period below the safe bound) first raise the
+        desynchronization the timeline would meet (``_desync_error``), if
+        any, as soon as no later cycle can hold an earlier one. At or above
+        the bound there is none (module docstring).
+        """
+        swaps = self._swaps()
+        if check:
+            error = self._desync_error(swaps)
+            if error:
+                raise DesynchronizationError(error)
+        for _ in swaps:
+            pass
         return self._result([])
 
 
 class _ChainSimulation(_CycleRecords):
     """One event-driven run of a configured chain: the timeline that a
-    traced run, or one below the safe period, needs for its trace and its
-    desynchronization errors."""
+    traced run needs for its trace. It checks nothing: a run that would
+    desynchronize is stopped by ``_desync_error`` before it starts."""
 
     def __init__(
-        self,
-        config: NetworkConfig,
-        schedule: CycleSchedule,
-        split_index: Optional[int],
-        collect_trace: bool,
+        self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
     ) -> None:
         super().__init__(config, schedule, split_index)
-        self.collect_trace = collect_trace
-        # What only the handlers read.
-        self.proc_ns = config.proc_ns
         self.delays = schedule.link_delays_ns
         # (t_ns, seq, line) entries; execute strips each to its line.
         self.trace: list = []
-        self.nodes = [
-            NodeState(
-                i,
-                config.links[i].n_fusiliers if i < self.num_nodes - 1 else 0,
-                config.links[i - 1].m_fusilands if i > 0 else 0,
-            )
-            for i in range(self.num_nodes)
-        ]
         self.queue = EventQueue()
         # outcomes[cycle] from the cycle's start until unfinished[cycle], its
         # nodes yet to finish it, reaches 0.
@@ -762,24 +845,18 @@ class _ChainSimulation(_CycleRecords):
             self.unfinished[cycle] = self.num_nodes
             self._add_cycle_records(cycle, outcome)
         self._herald_at(0, cycle)
-        if self.collect_trace:
-            detail = f"cycle={cycle}" + ("" if generate else " flush")
-            self._trace(_CYCLE_START, node_id, detail)
+        self._trace(_CYCLE_START, node_id, f"cycle={cycle}" + ("" if generate else " flush"))
 
     def _handle_herald_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
         self._herald_at(node_id, cycle)
-        if self.collect_trace:
-            self._trace(_HERALD_ARRIVE, node_id, f"cycle={cycle}")
+        self._trace(_HERALD_ARRIVE, node_id, f"cycle={cycle}")
 
     def _handle_signal_arrive(self, node_id: int, cycle: int, fusiliers: list[int]) -> None:
         # Dispatched at the train's last signal; fusilier k arrived at
         # start_ns + k * tau.
-        node = self.nodes[node_id]
-        on_train(node)
-        if self.collect_trace:
-            signals = self.links[node_id - 1].n_fusiliers
-            start_ns = self.queue.now_ns - (signals - 1) * self.tau
-            self._train_lines(node, cycle, signals, start_ns, fusiliers)
+        link = self.links[node_id - 1]
+        start_ns = self.queue.now_ns - (link.n_fusiliers - 1) * self.tau
+        self._train_lines(node_id, cycle, link, start_ns, fusiliers)
         return_ns = self.queue.now_ns + self.delays[node_id - 1]
         self.queue.schedule(return_ns, _RETURN_ARRIVE, node_id - 1, cycle, None)
         if node_id == self.num_nodes - 1:
@@ -787,22 +864,20 @@ class _ChainSimulation(_CycleRecords):
             self._node_finished(cycle)
 
     def _train_lines(
-        self, node: NodeState, cycle: int, count: int, start_ns: int, fusiliers: list[int]
+        self, node_id: int, cycle: int, link: LinkSpec, start_ns: int, fusiliers: list[int]
     ) -> None:
         # Signal k of the train arrived at start_ns + k * tau under seq
         # queue.seq - count + 1 + k. It succeeded if it filled a slot, was
         # discarded if it came after the bank filled, and failed otherwise.
         # Past the kind, a line holds only ints and fixed words, so it needs
         # no escaping.
-        full = fusiliers[-1] + 1 if len(fusiliers) == node.m_fusilands else count
+        count = link.n_fusiliers
+        full = fusiliers[-1] + 1 if len(fusiliers) == link.m_fusilands else count
         outcomes = ["failure"] * full + ["discarded"] * (count - full)
         for slot, fusilier in enumerate(fusiliers):
             outcomes[fusilier] = f"success slot={slot}"
         head = f'{{"detail": "cycle={cycle} fusilier='
-        mid = (
-            f'", "kind": {_KIND_JSON[_SIGNAL_ARRIVE]}, '
-            f'"node": {node.node_id}, "seq": '
-        )
+        mid = f'", "kind": {_KIND_JSON[_SIGNAL_ARRIVE]}, "node": {node_id}, "seq": '
         self.trace += [
             (t, seq, f'{head}{k} {outcome}{mid}{seq}, "t_ns": {t}}}\n')
             for k, t, seq, outcome in zip(
@@ -814,43 +889,28 @@ class _ChainSimulation(_CycleRecords):
         ]
 
     def _handle_return_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
-        node = self.nodes[node_id]
         queue = self.queue
-        on_return(node, cycle)
         outcome = self.outcomes[cycle]
         record = outcome.swapped[node_id]
         swaps = 0
         if record:
+            # The swap occupies the node for proc_ns.
             swaps = record.count
-            # The swap occupies the node for proc_ns; busy_until_ns guards the
-            # occupancy window against early heralds.
-            node.busy_until_ns = queue.now_ns + self.proc_ns
-            queue.schedule(node.busy_until_ns, _SWAP_COMPLETE, node_id, cycle, swaps)
+            queue.schedule(queue.now_ns + self.proc_ns, _SWAP_COMPLETE, node_id, cycle, swaps)
         else:
             self._node_finished(cycle)
         if node_id == 0:
-            self._schedule_next_cycle(cycle)
-        if self.collect_trace:
-            matches = outcome.successes[node_id]
-            detail = f"cycle={cycle} matches={matches} swaps={swaps}"
-            self._trace(_RETURN_ARRIVE, node_id, detail)
-
-    def _schedule_next_cycle(self, cycle: int) -> None:
-        # Launched once the left end finished its cycle so that, at the exact
-        # period boundary, completion events precede the next CycleStart in
-        # the (time, seq) order.
-        start_ns = (cycle + 1) * self.schedule.cycle_period_ns
-        if start_ns < self.queue.now_ns:
-            raise DesynchronizationError(
-                f"herald for cycle {cycle + 1} was due at {start_ns} ns but "
-                f"node 0 finished cycle {cycle} only at {self.queue.now_ns} ns"
-            )
-        self.queue.schedule(start_ns, _CYCLE_START, 0, cycle + 1, None)
+            # Launched once the left end finished its cycle so that, at the
+            # exact period boundary, completion events precede the next
+            # CycleStart in the (time, seq) order.
+            start_ns = (cycle + 1) * self.schedule.cycle_period_ns
+            queue.schedule(start_ns, _CYCLE_START, 0, cycle + 1, None)
+        detail = f"cycle={cycle} matches={outcome.successes[node_id]} swaps={swaps}"
+        self._trace(_RETURN_ARRIVE, node_id, detail)
 
     def _handle_swap_complete(self, node_id: int, cycle: int, swaps: int) -> None:
         self._node_finished(cycle)
-        if self.collect_trace:
-            self._trace(_SWAP_COMPLETE, node_id, f"cycle={cycle} count={swaps}")
+        self._trace(_SWAP_COMPLETE, node_id, f"cycle={cycle} count={swaps}")
 
     # -- helpers ---------------------------------------------------------
 
@@ -859,39 +919,39 @@ class _ChainSimulation(_CycleRecords):
         self.trace.append((t_ns, seq, _trace_line(t_ns, seq, _KIND_JSON[kind], node_id, detail)))
 
     def _herald_at(self, node_id: int, cycle: int) -> None:
-        queue = self.queue
-        fired = on_herald(self.nodes[node_id], cycle, queue.now_ns, generate=cycle < self.cycles)
         if node_id + 1 == self.num_nodes:
             # The right end fires no train.
             return
+        queue = self.queue
         # The herald is multiplexed ahead of the signal train: schedule it
         # first so it wins the (time, seq) tie at the next node.
         arrive_ns = queue.now_ns + self.delays[node_id]
         queue.schedule(arrive_ns, _HERALD_ARRIVE, node_id + 1, cycle, None)
-        if fired:
+        if cycle < self.cycles:
             # One queue entry for the whole train, holding a seq per signal
             # and due at its last; fusilier k fires k slot times after the
-            # herald.
+            # herald. A frame-flush sweep fires none.
+            signals = self.links[node_id].n_fusiliers
             fusiliers = self.outcomes[cycle].trains[node_id]
-            last_ns = arrive_ns + (fired - 1) * self.tau
-            queue.schedule(last_ns, _SIGNAL_ARRIVE, node_id + 1, cycle, fusiliers, fired)
+            last_ns = arrive_ns + (signals - 1) * self.tau
+            queue.schedule(last_ns, _SIGNAL_ARRIVE, node_id + 1, cycle, fusiliers, signals)
 
     def _node_finished(self, cycle: int) -> None:
-        # A node finishes each cycle once; the last drops the cycle's outcome.
+        # A node finishes each cycle once; the last drops the cycle's outcome
+        # and traces its pairs, keyed like an event scheduled now, but
+        # nothing is queued.
         self.unfinished[cycle] -= 1
         if self.unfinished[cycle]:
             return
         del self.unfinished[cycle]
         pairs = self.outcomes.pop(cycle).pairs
-        if self.collect_trace:
-            # Keyed like an event scheduled now, but nothing is queued.
-            now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
-            for slot in range(len(pairs.created_at_ns)):
-                seq = self.queue.reserve()
-                detail = f"cycle={cycle} slot={slot} x={pairs.errors >> slot & 1}"
-                self.trace.append(
-                    (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
-                )
+        now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
+        for slot in range(len(pairs.created_at_ns)):
+            seq = self.queue.reserve()
+            detail = f"cycle={cycle} slot={slot} x={pairs.errors >> slot & 1}"
+            self.trace.append(
+                (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
+            )
 
     # -- top level ---------------------------------------------------------
 
@@ -921,19 +981,24 @@ def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult
     per-hop success statistics that the summary layer consumes. Warns when
     a ``cycle_period_ns`` override is below the safe bound, and aborts with
     a DesynchronizationError (naming the violating node) if a herald then
-    overtakes unfinished swap work. Only a traced run and one below the
-    safe bound run the event timeline; any other loops over its cycles, with
-    the same result and an empty trace.
+    overtakes unfinished work. An untraced run loops over its cycles
+    (``_CycleRecords.loop``), deciding desynchronization there below the
+    bound. A traced run replays on the event timeline, with the same
+    result plus its trace; below the bound it takes the loop first, for its
+    verdict, so the timeline only ever runs a chain that stays in step.
     """
     schedule = validate_config(config)
     bound = _safe_period_ns(config, schedule.link_delays_ns)
-    if schedule.cycle_period_ns < bound:
+    below = schedule.cycle_period_ns < bound
+    if below:
         warnings.warn(
             f"cycle_period_ns={schedule.cycle_period_ns} is below the safe bound "
             f"{bound}; the run may abort with a desynchronization error",
             stacklevel=2,
         )
     split = butterfly_split(config) if config.butterfly else None
-    if collect_trace or schedule.cycle_period_ns < bound:
-        return _ChainSimulation(config, schedule, split, collect_trace).execute()
-    return _CycleRecords(config, schedule, split).loop()
+    if below or not collect_trace:
+        result = _CycleRecords(config, schedule, split).loop(below)
+        if not collect_trace:
+            return result
+    return _ChainSimulation(config, schedule, split).execute()

@@ -27,7 +27,7 @@ from fusenet.engine import (
     pcg64_random,
     run,
 )
-from fusenet.errors import ConfigurationError, ProtocolError, SchedulingError
+from fusenet.errors import ConfigurationError, SchedulingError
 from fusenet.network import validate_config
 
 from conftest import chain_config
@@ -120,24 +120,6 @@ class TestRun:
         assert run(q, {EventKind.CYCLE_START: handler}) is None
         assert hits == [(seq, (0, 0, "only"))]
         assert q.now_ns == 10 and not q._heap
-
-    def test_protocol_error_attaches_event(self):
-        q = EventQueue()
-        schedule_event(q, 3)
-        seq = q.schedule(10, EventKind.HERALD_ARRIVE, 2, 5, "frames")
-
-        def boom(node, cycle, datum):
-            raise ProtocolError("bad transition")
-
-        handlers = {EventKind.CYCLE_START: lambda *fields: None, EventKind.HERALD_ARRIVE: boom}
-        with pytest.raises(ProtocolError) as info:
-            run(q, handlers)
-        event = info.value.event
-        assert event.time_ns == 10
-        assert (event.kind, event.node, event.cycle, event.seq) == (
-            EventKind.HERALD_ARRIVE, 2, 5, seq
-        )
-        assert event.datum == "frames"
 
 
 def schedule_train(q, start, count, spacing, node=0):

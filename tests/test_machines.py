@@ -1,4 +1,4 @@
-"""Per-bank node state (herald, train, return) and the train and swap bit readers."""
+"""The train and swap bit readers."""
 
 import math
 from dataclasses import asdict
@@ -8,15 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fusenet.errors import DesynchronizationError, ProtocolError
-from fusenet.machines import (
-    NodeState,
-    on_herald,
-    on_return,
-    on_train,
-    swap_outcomes,
-    train_pairs,
-)
+from fusenet.machines import swap_outcomes, train_pairs
 from fusenet.pair_algebra import (
     Endpoint,
     IDENTITY_FRAME,
@@ -26,17 +18,10 @@ from fusenet.pair_algebra import (
     success_probability,
 )
 
+from conftest import deadline
+
 LINK = LinkModel(length_km=1.0, p_success=0.25)
 PERFECT = LinkModel(length_km=1.0, p_success=1.0)
-
-
-def start_cycle(n, m, cycle=0):
-    """A transmitting node and a receiving node, herald already passed."""
-    tx = NodeState(0, n_fusiliers=n, m_fusilands=0)
-    rx = NodeState(1, n_fusiliers=0, m_fusilands=m)
-    fired = on_herald(tx, cycle, 0)
-    on_herald(rx, cycle, 50)
-    return tx, rx, fired
 
 
 def arrivals(n, start=100, tau=10):
@@ -46,6 +31,11 @@ def arrivals(n, start=100, tau=10):
 def pack(bits):
     """0/1 values as an int: bit j is value j."""
     return sum(int(bit) << j for j, bit in enumerate(bits))
+
+
+def pack_fast(bits):
+    """``pack`` of a boolean array, in one numpy call."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def train_masks(draws, link):
@@ -98,33 +88,8 @@ def run_train(m, n, draws, link=LINK):
     return check_train(train_masks(draws, link), n, m, (1 << 256) - 1)
 
 
-class TestOnHerald:
-    def test_fires_whole_fusillade(self):
-        tx, _, fired = start_cycle(3, 1)
-        assert fired == 3
-        assert tx.fired
-
-    def test_rightmost_node_fires_nothing(self):
-        rx = NodeState(2, n_fusiliers=0, m_fusilands=2)
-        fired = on_herald(rx, 0, 0)
-        assert fired == 0
-        assert not rx.fired
-        assert rx.ready
-
-    def test_herald_while_busy_desynchronizes(self):
-        tx, _, _ = start_cycle(2, 1)
-        with pytest.raises(DesynchronizationError):
-            on_herald(tx, 1, 500)
-
-    def test_wrong_cycle_id_desynchronizes(self):
-        tx = NodeState(0, 2, 0)
-        with pytest.raises(DesynchronizationError):
-            on_herald(tx, 3, 0)
-
-
 class TestOnSignal:
-    """The signals of one train: ``train_pairs`` draws them, ``on_train``
-    takes the train at its bank."""
+    """The signals of one train, as ``train_pairs`` draws them."""
 
     def test_first_success_takes_slot_zero_then_discards(self):
         (fusiliers, _), reads = run_train(1, 3, draws=[0.1, 0.5])
@@ -132,9 +97,6 @@ class TestOnSignal:
         assert reads == 2  # the two discarded signals drew nothing
 
     def test_failure_reprepares_same_fusiland(self):
-        _, rx, _ = start_cycle(2, 1)
-        on_train(rx)
-        assert not rx.ready
         (fusiliers, _), _ = run_train(1, 2, draws=[0.9, 0.1, 0.5])
         assert fusiliers == [1]  # fusilier 1 filled slot 0
 
@@ -142,12 +104,6 @@ class TestOnSignal:
         (fusiliers, _), reads = run_train(2, 4, draws=[0.0, 0.5, 0.0, 0.5])  # exactly 2 successes' draws
         assert fusiliers == [0, 1]
         assert reads == 4  # discarded signals consumed no randomness
-
-    def test_second_train_rejected(self):
-        _, rx, _ = start_cycle(3, 1)
-        on_train(rx)
-        with pytest.raises(ProtocolError, match="^node 1 got a signal train while its fusilands are idle$"):
-            on_train(rx)
 
     def test_error_bit_sampled_from_fidelity(self):
         noisy = LinkModel(length_km=1.0, p_success=1.0, raw_fidelity=0.9)
@@ -186,33 +142,12 @@ class TestBuildReturnMessage:
         (fusiliers, _), _ = run_train(2, 5, draws=draws)
         assert fusiliers == [0, 1]
 
-    def test_incomplete_train_rejected(self):
-        # a return before the node's own train arrived; a train is taken whole
-        node = NodeState(1, n_fusiliers=3, m_fusilands=1)
-        on_herald(node, 0, 0)
-        with pytest.raises(ProtocolError, match="before its signal train arrived"):
-            on_return(node, 0)
-        assert node.ready
-        assert node.fired
-
-
-def awaiting_return():
-    """An intermediate node whose fusillade fired and whose incoming train
-    was taken, awaiting its return."""
-    node = NodeState(1, n_fusiliers=3, m_fusilands=3)
-    on_herald(node, 0, 0)
-    on_train(node)
-    return node
-
 
 class TestOnReturn:
     def test_swaps_the_given_count(self):
         # the key drew three swaps' coins; the third swap's bits are cut
         swaps = swap_outcomes(2, coin_masks([0.9, 0.1] * 3))
         assert swaps == (0b00, 0b11)  # (parity bits, X bits), swap k in bit k
-        node = awaiting_return()
-        on_return(node, 0)
-        assert not node.fired
 
     def test_zero_swaps_draw_nothing(self):
         assert swap_outcomes(0, coin_masks([0.1] * 6)) == (0, 0)
@@ -223,42 +158,8 @@ class TestOnReturn:
         assert swap_outcomes(1, coin_masks([0.1, 0.9])) == (1, 0)
         assert swap_outcomes(1, coin_masks([0.9, 0.1])) == (0, 1)
 
-    def test_unlisted_fusiliers_retire(self):
-        node = NodeState(0, n_fusiliers=4, m_fusilands=0)
-        on_herald(node, 0, 0)
-        on_return(node, 0)
-        assert not node.fired
-        on_herald(node, 1, 0)  # the next herald is accepted
-
-    def test_wrong_cycle_rejected(self):
-        node = awaiting_return()
-        with pytest.raises(ProtocolError, match="^node 1 got return for cycle 5 during cycle 0$"):
-            on_return(node, 5)
-
-    def test_return_needs_a_fired_fusillade(self):
-        # the rightmost node fires nothing, so its fusillade stays idle
-        idle = NodeState(2, n_fusiliers=0, m_fusilands=3)
-        on_herald(idle, 0, 0)
-        with pytest.raises(ProtocolError, match="its fusillade is idle"):
-            on_return(idle, 0)
-        node = awaiting_return()
-        on_return(node, 0)
-        with pytest.raises(ProtocolError, match="its fusillade is idle"):
-            on_return(node, 0)
-
 
 class TestCycleLifecycle:
-    def test_release_resets_everything(self):
-        # the train leaves the fusilands idle, the return the fusillade
-        tx, rx, _ = start_cycle(3, 2)
-        on_train(rx)
-        on_return(tx, 0)
-        assert not tx.fired
-        assert not rx.ready
-        # next herald is accepted again
-        on_herald(tx, 1, 1000)
-        on_herald(rx, 1, 1050)
-
     def test_success_distribution_truncated_binomial(self):
         # frequency of under-filled cycles converges to the binomial tail;
         # acceptance runs the full 1e5-cycle version
@@ -274,56 +175,13 @@ class TestCycleLifecycle:
         assert abs(short / cycles - expected) <= 4 * se
 
 
-def _signal_at_unreadied_bank(draws):
-    # the bank rejects the train whatever its signals drew
-    def sequence():
-        rx = NodeState(1, n_fusiliers=0, m_fusilands=2)
-        run_train(rx.m_fusilands, 1, draws)
-        on_train(rx)
-
-    return sequence
-
-
-def _signal_at_reported_bank():
-    # the train was taken and the node took its return for the cycle
-    node = awaiting_return()
-    on_return(node, 0)
-    on_train(node)
-
-
-def _return_before_train():
-    node = NodeState(1, n_fusiliers=3, m_fusilands=3)
-    on_herald(node, 0, 0)
-    on_return(node, 0)
-
-
-@pytest.mark.parametrize(
-    "sequence",
-    [
-        _signal_at_unreadied_bank([0.1, 0.5]),
-        _signal_at_unreadied_bank([0.9]),
-        _signal_at_reported_bank,
-        _return_before_train,
-    ],
-    ids=[
-        "signal_unreadied_bank_success_draw",
-        "signal_unreadied_bank_failure_draw",
-        "signal_reported_bank",
-        "return_before_train",
-    ],
-)
-def test_illegal_bank_sequence_raises(sequence):
-    with pytest.raises(ProtocolError):
-        sequence()
-
-
-def reference_train(node, from_node, link, rng, arrivals):
+def reference_train(node_id, capacity, from_node, link, rng, arrivals):
     """One signal at a time, as a per-signal handler would resolve a train
-    at ``node``'s bank."""
+    at node ``node_id``'s bank of ``capacity`` fusilands."""
     pairs = []
     for fusilier, arrival_ns in enumerate(arrivals):
         slot = len(pairs)
-        if slot >= node.m_fusilands:
+        if slot >= capacity:
             continue  # discarded without drawing
         if rng.random() >= success_probability(link):
             continue
@@ -331,7 +189,7 @@ def reference_train(node, from_node, link, rng, arrivals):
         pairs.append(
             PairRecord(
                 Endpoint(from_node, fusilier),
-                Endpoint(node.node_id, slot),
+                Endpoint(node_id, slot),
                 x_error,
                 IDENTITY_FRAME,
                 arrival_ns,
@@ -365,12 +223,11 @@ class CountingRng:
 def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     link = LinkModel(length_km=1.0, p_success=p, raw_fidelity=fidelity)
     times = arrivals(n, start=40, tau=tau)
-    rx = NodeState(3, n_fusiliers=0, m_fusilands=m)
     # The key's n + m draws: the reference reads them one at a time, the
     # train their threshold bits.
     draws = np.random.default_rng(seed).random(n + m).tolist()
     rng = CountingRng(draws)
-    expected = reference_train(rx, 2, link, rng, times)
+    expected = reference_train(3, m, 2, link, rng, times)
     masks = train_masks(draws, link)
     fusiliers, errors = train_pairs(masks, n, m)
     # Slot k of the columns is the reference's pair k, made at its fusilier's arrival.
@@ -437,24 +294,71 @@ def test_train_scan_equals_per_signal_loop(size, p, fidelity, seed):
 )
 @settings(max_examples=120, deadline=None)
 def test_full_cycle_fuzz(n, m, p, seed):
-    """A whole hop cycle in any sampled regime passes every bank check."""
+    """A whole hop's train in any sampled regime fills at most its bank,
+    each slot from a distinct fusilier, in fusilier order."""
     link = LinkModel(length_km=1.0, p_success=p)
     draws = np.random.default_rng(seed).random(n + m).tolist()
-    tx = NodeState(0, n, 0)
-    rx = NodeState(1, 0, m)
-    assert on_herald(tx, 0, 0) == n
-    on_herald(rx, 0, 11)
-
-    on_train(rx)
     fusiliers, errors = train_pairs(train_masks(draws, link), n, m)
     assert len(fusiliers) <= m
     assert fusiliers == sorted(set(fusiliers))
+    assert all(0 <= fusilier < n for fusilier in fusiliers)
     assert errors == 0  # raw fidelity 1
-    assert not rx.ready
 
-    on_return(tx, 0)  # tx has no left hop: an end node swaps nothing
-    assert not tx.fired
 
-    # the next cycle starts cleanly at both nodes
-    on_herald(tx, 1, 100)
-    on_herald(rx, 1, 111)
+@st.composite
+def _wide_train_sizes(draw):
+    """(n, m) whose n + m spans one to four scan windows, or sits at a
+    window's edge."""
+    total = draw(st.one_of(st.integers(1020, 1030), st.integers(1, 4100)))
+    n = draw(st.integers(0, total))
+    return n, total - n
+
+
+@given(
+    size=_wide_train_sizes(),
+    p=_THRESHOLDS,
+    fidelity=_THRESHOLDS,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(size=(2048, 2048), p=1.0, fidelity=0.5, seed=0)
+@example(size=(4000, 10), p=0.002, fidelity=0.5, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_wide_train_scan_equals_per_signal_loop(size, p, fidelity, seed):
+    # Trains wider than a scan window give what the per-signal loop gives,
+    # random bits past its reads included.
+    n, m = size
+    rng = np.random.default_rng(seed)
+    draws = rng.random(n + m)
+    masks = [pack(draws < p), pack(draws < 1.0 - fidelity)]
+    check_train(masks, n, m, int.from_bytes(rng.bytes(600), "little"))
+
+
+def per_signal_string(masks, signals, capacity):
+    """``per_signal_train`` over the masks' binary strings, in time linear
+    in the train's width."""
+    width = signals + capacity + 1
+    successes, error_bits = (format(mask, "b").zfill(width)[::-1] for mask in masks)
+    fusiliers, errors, reads = [], [], 0
+    for fusilier in range(signals):
+        if len(fusiliers) == capacity:
+            break
+        reads += 1
+        if successes[reads - 1] == "0":
+            continue
+        reads += 1
+        errors.append(error_bits[reads - 1])
+        fusiliers.append(fusilier)
+    return fusiliers, int("".join(reversed(errors)) or "0", 2)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_a_train_of_two_million_draws_resolves_in_linear_time(p):
+    # n = m = 2**20: a scan that shifts the whole masks once per success
+    # takes minutes at this width; a linear one well under a second.
+    n = m = 2**20
+    rng = np.random.default_rng(16)
+    draws = rng.random(n + m)
+    masks = [pack_fast(draws < p), pack_fast(draws < 0.1)]
+    with deadline(5):
+        pairs = train_pairs(masks, n, m)
+    assert pairs == per_signal_string(masks, n, m)

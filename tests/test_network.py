@@ -1,5 +1,6 @@
 """Chain orchestration: schedules, sweeps, purification, butterfly, frames."""
 
+import heapq
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from fusenet import engine as engine_module
 from fusenet import network as network_module
 from fusenet.config import load_config, parse_config
 from fusenet.engine import EventKind, EventQueue, KeyedDraws, RngStream, channel_delay_ns
-from fusenet.errors import ConfigurationError, DesynchronizationError
+from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
     MAX_TRAIN_DRAWS,
@@ -28,6 +29,7 @@ from fusenet.network import (
     NetworkConfig,
     Strategy,
     _ChainSimulation,
+    _CycleRecords,
     _key_draws,
     butterfly_split,
     run_network,
@@ -41,7 +43,7 @@ from fusenet.pair_algebra import (
     purify3_analytic,
 )
 
-from conftest import chain_config, trace_records
+from conftest import chain_config, deadline, trace_records
 from test_golden import CASES, EXPECTED, _digests, _link, _simulate
 
 
@@ -562,19 +564,20 @@ class TestDesynchronization:
 
 
 def test_simulation_allocates_nothing_per_cycle_up_front():
-    # building a run allocates nothing per cycle, so the largest legal cycle
-    # count fits in 1 MiB
+    # building a run, the cycle loop or the timeline, allocates nothing per
+    # cycle, so the largest legal cycle count fits in 1 MiB
     path = Path(__file__).resolve().parents[1] / "configs" / "two_node_40km.json"
     config = load_config(str(path)).network
     config.cycles = 2**32 - 1
     schedule = validate_config(config)
-    tracemalloc.start()
-    try:
-        _ChainSimulation(config, schedule, None, False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for build in (_CycleRecords, _ChainSimulation):
+        tracemalloc.start()
+        try:
+            build(config, schedule, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("config", ["two_node_40km.json", "chain4_purify_butterfly.json"])
@@ -584,12 +587,14 @@ def test_run_end_leaves_no_per_cycle_state(config):
     network = load_config(str(path)).network
     network.cycles = 3
     split = butterfly_split(network) if network.butterfly else None
-    sim = _ChainSimulation(network, validate_config(network), split, False)
+    sim = _ChainSimulation(network, validate_config(network), split)
     assert len(sim.execute().per_cycle_delivered) == 3
     assert (sim.outcomes, sim.unfinished) == ({}, {})
 
 
-def test_only_traced_and_below_bound_runs_take_the_timeline(monkeypatch):
+def test_only_traced_runs_take_the_timeline(monkeypatch):
+    # An untraced run never calls the event timeline: at the bound, below
+    # it in step, or below it out of step.
     class TimelineRan(Exception):
         pass
 
@@ -597,15 +602,34 @@ def test_only_traced_and_below_bound_runs_take_the_timeline(monkeypatch):
         raise TimelineRan
 
     monkeypatch.setattr(network_module, "run", timeline)
-    cfg = chain_config([10.0, 30.0], n=4, m=2, p=0.5, cycles=40, seed=123)
+    cfg = chain_config([10.0, 30.0], n=4, m=2, p=0.5, cycles=40, seed=123, tau_slot_ns=10)
     assert len(run_network(cfg).per_cycle_delivered) == 40
     with pytest.raises(TimelineRan):
         run_network(cfg, collect_trace=True)
     cfg.cycle_period_ns = _safe_bound(cfg)
     assert len(run_network(cfg).per_cycle_delivered) == 40
+    # 1 ns below the bound hop 1's train still ends in time: the run stays
+    # in step, as the timeline would.
     cfg.cycle_period_ns -= 1
+    with pytest.warns(UserWarning):
+        assert len(run_network(cfg).per_cycle_delivered) == 40
     with pytest.warns(UserWarning), pytest.raises(TimelineRan):
+        run_network(cfg, collect_trace=True)
+    cfg.cycle_period_ns = 150_000
+    with pytest.warns(UserWarning), pytest.raises(DesynchronizationError):
         run_network(cfg)
+
+
+@pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+def test_desync_at_the_largest_cycle_count_raises_at_once(collect_trace):
+    # The verdict keeps nothing per cycle and stops as soon as no later
+    # cycle can hold an earlier violation, so the largest legal cycle count
+    # costs two cycles here.
+    cfg = chain_config([10.0, 40.0], cycles=2**32 - 1, cycle_period_ns=150_000)
+    with deadline(5), pytest.warns(UserWarning):
+        with pytest.raises(DesynchronizationError) as caught:
+            run_network(cfg, collect_trace=collect_trace)
+    assert str(caught.value) == "herald for cycle 1 overtook unfinished work at node 1"
 
 
 def test_long_short_train_chain_holds_few_draws():
@@ -780,6 +804,155 @@ def test_short_chain_properties(cfg):
         slots = sorted(slot for c, slot in result.left_frame_folds if c == cycle)
         assert slots == list(range(largest))
 
+
+def _timeline_desync(cfg):
+    """The error text of the first desynchronization the event timeline
+    meets on ``cfg``, or None, and its traced result if it meets none.
+
+    The test's oracle for ``_CycleRecords._desync_error``: each node's bank
+    checks, made on the timeline's dispatched ``(t_ns, seq, kind, node,
+    cycle)`` before the handler runs. A herald readies the fusilands (any
+    node but 0) and fires the fusillade (any node but the last), unless it
+    is a frame-flush sweep; it must carry the node's next cycle, and it
+    overtakes if either bank is still waiting or the node is still inside a
+    swap, ``proc_ns`` from the return that started it. A train needs readied
+    fusilands, a return a fired fusillade whose own train is in; node 0's
+    return must come by the next cycle's start.
+    """
+    schedule = validate_config(cfg)
+    period, last, cycles = schedule.cycle_period_ns, len(cfg.links), cfg.cycles
+    fired, ready = [False] * (last + 1), [False] * (last + 1)
+    current, busy_until = [-1] * (last + 1), [0] * (last + 1)
+
+    def check(t_ns, kind, node, cycle):
+        if kind in (EventKind.CYCLE_START, EventKind.HERALD_ARRIVE):
+            if cycle != current[node] + 1:
+                raise DesynchronizationError(
+                    f"node {node} expected cycle {current[node] + 1}, herald carries cycle {cycle}"
+                )
+            if fired[node] or ready[node] or t_ns < busy_until[node]:
+                raise DesynchronizationError(
+                    f"herald for cycle {cycle} overtook unfinished work at node {node}"
+                )
+            current[node] = cycle
+            if cycle < cycles:
+                ready[node], fired[node] = node > 0, node < last
+        elif kind is EventKind.SIGNAL_ARRIVE:
+            if not ready[node]:
+                raise ProtocolError(f"node {node} got a train at idle fusilands")
+            ready[node] = False
+        elif kind is EventKind.RETURN_ARRIVE:
+            if cycle != current[node] or not fired[node] or ready[node]:
+                raise ProtocolError(f"node {node} got an unexpected return for cycle {cycle}")
+            fired[node] = False
+            if node == 0 and (cycle + 1) * period < t_ns:
+                raise DesynchronizationError(
+                    f"herald for cycle {cycle + 1} was due at {(cycle + 1) * period} ns "
+                    f"but node 0 finished cycle {cycle} only at {t_ns} ns"
+                )
+
+    def watched(queue, handlers):
+        heap = queue._heap
+        while heap:
+            t_ns, seq, kind, node, cycle, datum = heapq.heappop(heap)
+            queue.now_ns, queue.seq = t_ns, seq
+            check(t_ns, kind, node, cycle)
+            handlers[kind](node, cycle, datum)
+            if kind is EventKind.RETURN_ARRIVE and any(
+                entry[2:5] == (EventKind.SWAP_COMPLETE, node, cycle) for entry in heap
+            ):
+                busy_until[node] = t_ns + cfg.proc_ns
+
+    split = butterfly_split(cfg) if cfg.butterfly else None
+    with mock.patch.object(network_module, "run", watched):
+        try:
+            return None, _ChainSimulation(cfg, schedule, split).execute()
+        except DesynchronizationError as exc:
+            return str(exc), None
+
+
+@st.composite
+def _short_chains_below_bound(draw):
+    """A ``_short_chains`` config with ``proc_ns`` 0, 40 or 1000, run at a
+    period from about half the safe bound to the bound."""
+    cfg = draw(_short_chains())
+    cfg.proc_ns = draw(st.sampled_from((0, 40, 1000)))
+    if _return_before_train(cfg) is None:
+        bound = _safe_bound(cfg)
+        cfg.cycle_period_ns = draw(st.integers(max(bound // 2, 1), bound))
+    return cfg
+
+
+@st.composite
+def _short_chains_at_herald_ties(draw):
+    """A ``_short_chains_below_bound`` config whose period is solved for an
+    exact time tie: herald c + 1 at node i with node i's return of cycle c,
+    that return plus ``proc_ns``, or the end of node i's incoming train (at
+    node 0, the next cycle's start with its return); or herald c + k at
+    node i with herald c + 1 at node j, for k in 2..3."""
+    cfg = draw(_short_chains_below_bound())
+    if _return_before_train(cfg) is not None:
+        return cfg
+    schedule = validate_config(cfg)
+    delays, offsets, tau = schedule.link_delays_ns, schedule.herald_offsets_ns, cfg.tau_slot_ns
+    node = draw(st.integers(0, len(cfg.links)))
+    gaps = []
+    if node < len(cfg.links):
+        returned = 2 * delays[node] + (cfg.links[node].n_fusiliers - 1) * tau
+        gaps += [returned, returned + cfg.proc_ns]
+    if node:
+        gaps.append((cfg.links[node - 1].n_fusiliers - 1) * tau)
+    ahead = draw(st.integers(2, 3))
+    gaps += [
+        (offsets[other] - offsets[node]) // (ahead - 1)
+        for other in range(node + 1, len(offsets))
+        if (offsets[other] - offsets[node]) % (ahead - 1) == 0
+    ]
+    period = draw(st.sampled_from(gaps))
+    if period > 0:
+        cfg.cycle_period_ns = period
+    return cfg
+
+
+def _tied_chain(lengths_km, trains, tau_slot_ns, cycle_period_ns):
+    """A raw chain at p = 1 whose hop i fires ``trains[i]`` signals."""
+    cfg = chain_config(
+        lengths_km, m=1, cycles=4, tau_slot_ns=tau_slot_ns, cycle_period_ns=cycle_period_ns
+    )
+    cfg.links = [replace(link, n_fusiliers=n) for link, n in zip(cfg.links, trains)]
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_short_chains_below_bound(), _short_chains_at_herald_ties()))
+# Herald 1 reaches node 2 (delays 5, 10, 5 ns) at 75 ns, as its return of
+# cycle 0 does; its parent, herald 1 at node 1, is due 5 ns before that
+# return's, the train into node 3, so the herald goes first and overtakes.
+@example(_tied_chain([0.001, 0.002, 0.001], [2, 1, 7], 10, 70))
+# Three equal hops and no train time, at a period of one of their round
+# trips: herald c + 1 ties node i's return, and so do their parents for i
+# levels up, until node 0's return (the next start's parent) comes after
+# herald c at node 1. So the returns go first, and it is the long fourth
+# hop's node 3 that is overtaken.
+@example(_tied_chain([0.002, 0.002, 0.002, 0.01], [3] * 4, 0, 20))
+def test_desync_verdict_equals_the_timeline_bank_checks(cfg):
+    # The verdict decided from the schedule and each cycle's swaps, traced
+    # or not, is the error the bank checks meet on the timeline, text
+    # included; a run they pass gives the watched timeline's result.
+    if _return_before_train(cfg) is not None:
+        return
+    expected, timeline = _timeline_desync(cfg)
+    for collect_trace in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                result = run_network(cfg, collect_trace=collect_trace)
+            except DesynchronizationError as exc:
+                assert str(exc) == expected
+                continue
+        assert expected is None
+        assert _without_trace(result) == _without_trace(timeline)
+        assert result.trace == (timeline.trace if collect_trace else [])
 
 def _check_train_trace(cfg):
     """A traced run's lines are each the sorted-key ``json.dumps`` of what
