@@ -53,22 +53,25 @@ draw, never by the kernel.
 Every keyed draw is only ever compared with a threshold: a signal with its
 success probability, its error bit with 1 - F, a swap or purification
 coin with 0.5. So ``KeyedDraws``, the one owner of a run's keyed draws,
-hands out threshold bits, never a float. Its caller states once the most
+hands out threshold tests, never a float. Its caller states once the most
 values each (domain, index) key draws in a cycle and, per domain, the
 columns its keys read: ``(start, step, thresholds)``, draws ``start``,
-``start + step``, ... of key i each tested against ``thresholds[i]``. As
-each cycle starts it reads a key as one int per column, bit j set when the
-column's draw j is below its threshold. It expands the seeds a block of
-cycles at a time, at most ``SEED_BLOCK`` cycles and ``BLOCK_MAX_VALUES``
-batched values. A domain whose keys draw at most ``BATCH_MAX_DRAWS``
-values each takes the whole block from one kernel call, and the block's
-tests are packed once, in numpy, into each key's ints, held until the
-next block starts; a domain above the limit draws key by key natively and
-packs a key's bits with ``np.packbits`` when it is read. Neither changes
-a bit. For a block of 512 keys of two columns each on a 2-vCPU x86_64
-host, the kernel with its packing takes about 1.0 us a key at 16 values,
-4.7 us at 64 and 12 us at 128; numpy's generator with the key's packing
-12, 11 and 13 us, and 16 us at 644, where the kernel takes 77 us.
+``start + step``, ... of key i each tested against ``thresholds[i]``. It
+hands out the run's tests a block of cycles at a time, per domain one bool
+array ``(cycles, keys, columns, draws)``, left as bools: nothing is packed
+into ints. A block holds at most ``SEED_BLOCK`` cycles and
+``BLOCK_MAX_VALUES`` values, native keys' included, so a chain of long
+keys (a paper hop's 644 draws, or a train of 2**22 signals) gets blocks of
+one cycle; the seed rows are still expanded up to ``SEED_BLOCK`` cycles at
+a time. A domain whose keys draw at most
+``BATCH_MAX_DRAWS`` values each takes a block's values from one kernel
+call; a domain above the limit draws key by key natively, into one array.
+Either way the block's tests are one comparison per column. Neither
+changes a bit. For one cycle of 512 keys of two columns each on a 2-vCPU
+x86_64 host, the kernel with its tests takes about 3.0 us a key at 64
+values, 3.8 us at 80 and 6.6 us at 128; numpy's generator with its tests
+3.7 to 4.1 us at any of those, and 6.4 us at 644, where the kernel takes
+45 us.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -92,19 +95,19 @@ SWAP_DOMAIN = 1
 PURIFY_DOMAIN = 2
 DOMAINS = 3
 
-# The most cycles whose keyed seeds are expanded together (a block may hold
-# fewer; see ``KeyedDraws``). Output does not depend on it.
+# The most cycles whose keyed seeds are expanded together, and the most a
+# block of tests holds (see ``KeyedDraws``). Output does not depend on it.
 SEED_BLOCK = 64
 # A domain whose keys each draw at most this many values a cycle draws every
 # key of a block in one ``pcg64_random`` call; a domain above it draws key by
-# key from numpy's generator (``RngStream.substream``). Packed into
-# threshold bits, the two cross between 128 and 256 values a key (module
-# docstring), so the limit is low; no benchmark workload has keys of 65 to
-# 128 values. Long keys stay native: there the kernel costs about 120 ns a
-# value against numpy's 25 ns.
+# key from numpy's generator (``RngStream.substream``). As threshold tests the
+# two cross at about 80 values a key (module docstring), so a key of 65 to 80
+# values runs natively at up to 1.2 times the kernel's cost; no benchmark
+# workload has such keys. Long keys stay native: there the kernel costs about
+# 70 ns a value against numpy's 10.
 BATCH_MAX_DRAWS = 64
-# The most values a block of batched draws may hold: the block is cut to
-# fewer cycles when its keys would draw more.
+# The most values a block may hold, native keys' included: the block is cut
+# to fewer cycles, but never fewer than one, when its keys would draw more.
 BLOCK_MAX_VALUES = 2**14
 # A key's index and cycle each take one 32-bit entropy word; numpy splits a
 # larger integer into several words, which the seed kernel does not model.
@@ -402,56 +405,9 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(_row_seed_type()(row)))
 
 
-def _block_tests(count: int, columns, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """What a batched block compares: the draws each column reads and their
-    thresholds, per key.
-
-    Returns ``(index, limits)``: ``index[c, j]`` is column c's draw j,
-    ``limits[i, c, j]`` key i's threshold for it, or 0.0 (no draw is below
-    it) where column c has no draw j or key i draws fewer values. A row of
-    draws is a whole number of bytes, so the block packs in one call.
-    """
-    spans = [len(range(start, count, step)) for start, step, _ in columns]
-    j = np.arange(-(-max(spans + [1]) // 8) * 8)
-    index = np.array([start + step * j for start, step, _ in columns])
-    thresholds = np.array([limits for _, _, limits in columns], np.float64).T
-    read = index < np.asarray(counts)[:, None, None]
-    return np.minimum(index, count - 1), np.where(read, thresholds[..., None], 0.0)
-
-
-def _block_bits(values: np.ndarray, index: np.ndarray, limits: np.ndarray) -> list:
-    """Every key's threshold bits in a block of ``pcg64_random`` values, as
-    nested lists by cycle, key and column, each column one int."""
-    bits = values[..., index] < limits
-    packed = np.packbits(bits, bitorder="little").reshape(bits.shape[:-1] + (-1,))
-    size = packed.shape[-1]
-    lanes = -(-size // 8)
-    if size % 8:
-        padded = np.zeros(packed.shape[:-1] + (8 * lanes,), np.uint8)
-        padded[..., :size] = packed
-        packed = padded
-    words = packed.view("<u8")
-    # A column of more than 64 bits joins its words as Python ints.
-    ints = words[..., -1].astype(object)
-    for k in range(lanes - 2, -1, -1):
-        ints = ints << 64 | words[..., k].astype(object)
-    return ints.tolist()
-
-
-def _key_bits(values: np.ndarray, columns, index: int) -> list[int]:
-    """One key's threshold bits, one int per column, from its own values."""
-    return [
-        int.from_bytes(
-            np.packbits(values[start::step] < limits[index], bitorder="little").tobytes(),
-            "little",
-        )
-        for start, step, limits in columns
-    ]
-
-
 class KeyedDraws:
-    """The keyed draws of a run, for its cycles started in order from 0,
-    handed out as threshold bits.
+    """The keyed draws of a run, for its cycles in order from 0, handed out
+    as threshold tests a block of cycles at a time.
 
     ``counts[domain][index]`` is the most values key (domain, index) draws
     in a cycle (0 if it never draws), every domain's list of one length.
@@ -459,54 +415,81 @@ class KeyedDraws:
     each column ``(start, step, thresholds)`` reads draws ``start``,
     ``start + step``, ... of key i, each against ``thresholds[i]``. Every
     keyed draw is only ever compared with a threshold, so no float is
-    handed out. A block's bits are read in cycle order, each cycle's as it
-    starts, so no block is held past the start of the next.
+    handed out.
     """
 
     def __init__(self, seed: int, counts: list[list[int]], columns: list, cycles: int) -> None:
         self.rng = RngStream(seed)
         self.counts = counts
-        self.columns = columns
         self.cycles = cycles
         self.width = len(counts[0])
-        # Per domain, the values each key takes from a block, 0 if it draws
-        # key by key; a block is as many cycles as keep them in bounds.
-        most = list(map(max, counts))
-        self.batched = [count if count <= BATCH_MAX_DRAWS else 0 for count in most]
-        self.native = max(most) > BATCH_MAX_DRAWS
-        per_cycle = self.width * sum(self.batched)
+        self.most = list(map(max, counts))
+        # Per domain, whether the kernel draws it.
+        self.batched = [0 < count <= BATCH_MAX_DRAWS for count in self.most]
+        # A block is as many cycles as keep its values in bounds; the seed
+        # rows are expanded a whole number of blocks at a time.
+        per_cycle = self.width * sum(self.most)
         self.block = min(SEED_BLOCK, max(1, BLOCK_MAX_VALUES // max(1, per_cycle)))
-        self.tests = [
-            _block_tests(count, columns[domain], counts[domain]) if count else None
-            for domain, count in enumerate(self.batched)
-        ]
-        # The last block started: its seed rows if a key draws natively, and
-        # per domain its batched bits by cycle, index and column (or None).
-        self.rows = None
-        self.bits: list = []
-
-    def cycle(self, cycle: int) -> Callable[[int, int], list[int]]:
-        """Start ``cycle``; returns its ``draws(domain, index)``: one int per
-        column of the domain, bit j set when the column's draw j is below
-        its threshold. No int has a bit for a draw at or past the key's
-        count."""
-        offset = cycle % self.block
-        if not offset:
-            block = range(cycle, min(cycle + self.block, self.cycles))
-            rows = self.rng.seed_block(block, self.width)
-            self.rows = rows if self.native else None
-            self.bits = [
-                _block_bits(pcg64_random(rows[:, domain], count), *tests) if count else None
-                for domain, (count, tests) in enumerate(zip(self.batched, self.tests))
+        self.seed_cycles = self.block * (SEED_BLOCK // self.block)
+        self.columns = columns
+        # Per domain, each key's threshold by column, and the tests that a
+        # key's own count leaves unset where it draws fewer values than the
+        # domain's longest key: (index, column, first unset draw).
+        self.thresholds = [np.array([t for _, _, t in cs], np.float64).T for cs in columns]
+        self.short = [
+            [
+                (index, column, len(range(start, count, step)))
+                for column, (start, step, _) in enumerate(columns[domain])
+                for index, count in enumerate(counts[domain])
+                if count < most
             ]
-        rows, counts, columns, rng = self.rows, self.counts, self.columns, self.rng
-        bits = [None if block is None else block[offset] for block in self.bits]
+            for domain, most in enumerate(self.most)
+        ]
 
-        def draws(domain: int, index: int) -> list[int]:
-            batch = bits[domain]
-            if batch is None:
-                values = rng.substream(rows[offset, domain, index]).random(counts[domain][index])
-                return _key_bits(values, columns[domain], index)
-            return batch[index]
+    def _values(self, rows: np.ndarray, domain: int) -> np.ndarray:
+        """The draws of every key of ``domain`` in a block, by its seed rows
+        ``(cycles, DOMAINS, width, 4)``: float64 of shape ``(cycles, width,
+        count)``. Past a key's own count they are 0.0 or the kernel's draws
+        of the same stream, whose tests ``_tests`` unsets."""
+        count = self.most[domain]
+        if self.batched[domain]:
+            return pcg64_random(rows[:, domain], count)
+        values = np.zeros((len(rows), self.width, count))
+        for index, key_count in enumerate(self.counts[domain]):
+            for cycle in range(len(rows) if key_count else 0):
+                generator = self.rng.substream(rows[cycle, domain, index])
+                generator.random(key_count, out=values[cycle, index, :key_count])
+        return values
 
-        return draws
+    def _tests(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Every domain's tests of the block whose seed rows are ``rows``."""
+        tests = []
+        for domain, columns in enumerate(self.columns):
+            values = self._values(rows, domain)
+            spans = [len(range(start, values.shape[-1], step)) for start, step, _ in columns]
+            out = np.zeros(values.shape[:2] + (len(columns), max(spans, default=0)), bool)
+            thresholds = self.thresholds[domain]
+            for column, (start, step, _) in enumerate(columns):
+                drawn = values[..., start::step]
+                span = drawn.shape[-1]
+                np.less(drawn, thresholds[:, column, None], out=out[:, :, column, :span])
+            del values
+            for index, column, span in self.short[domain]:
+                out[:, index, column, span:] = False
+            tests.append(out)
+        return tests
+
+    def blocks(self) -> Iterator[tuple[range, list[np.ndarray]]]:
+        """Each block of cycles in order, with its tests: per domain a bool
+        array of shape ``(cycles, width, columns, draws)``, ``[k, i, c, j]``
+        set when column c's draw j of key i in the block's cycle k is below
+        its threshold, with as many draws as the domain's longest column.
+        No test at or past a key's count is set, and no block is held past
+        the next."""
+        for first in range(0, self.cycles, self.seed_cycles):
+            rows = self.rng.seed_block(
+                range(first, min(first + self.seed_cycles, self.cycles)), self.width
+            )
+            for start in range(0, len(rows), self.block):
+                block = rows[start : start + self.block]
+                yield range(first + start, first + start + len(block)), self._tests(block)

@@ -2,115 +2,98 @@
 
 A node owns a fusillade (transmitters firing toward its right neighbor) and
 a bank of fusilands (receivers serving the link from its left neighbor).
-Each function gets a key's draws as threshold bits (see
-``engine.KeyedDraws``), one int per column, bit j set when draw j is below
-the column's threshold. ``train_pairs`` resolves a hop's train against its
-bank: its signals interact with the fusilands one at a time, rerouting to
-the next fusiland after each success, and it returns the train's pairs as
-columns, the fusilier that filled each slot and the error bits packed in
-one int. It steps from one success to the next, so it costs a step per
-pair made, not per signal, and a step costs no more for a wider train.
-``swap_outcomes`` cuts a node's swap bits to
-its swaps, packed the same way. Both are deterministic given their bits;
-neither keeps any state.
+Each function gets keys' draws as threshold tests (see
+``engine.KeyedDraws``): bool arrays, any leading axes for the keys of a
+block of cycles, then one row per column, entry j set when draw j is below
+the column's threshold. ``train_pairs`` resolves every train of a block
+against its bank in one array pass: its signals interact with the
+fusilands one at a time, rerouting to the next fusiland after each
+success, and it returns the trains' pairs as slot columns, the fusilier
+that filled each slot and its error bit, with each train's count. It reads
+the successes' positions off runs of set success tests, so it costs a few
+numpy passes over the draws whatever a train's width. ``swap_outcomes``
+cuts the nodes' swap coins to their swaps the same way. Both are
+deterministic given their tests; neither keeps any state.
 """
 
 from __future__ import annotations
 
-
-# The scan reads both masks through a window of this many draws, refilled
-# only when used up: a step shifts at most a window, so a train costs time
-# linear in its width. A paper hop (n + m = 644) fits in one window.
-_WINDOW = 1024
-_WINDOW_BITS = (1 << _WINDOW) - 1
-_ERROR_WINDOW_BITS = (1 << _WINDOW + 1) - 1
+import numpy as np
 
 
-def train_pairs(masks: list[int], signals: int, capacity: int) -> tuple[list[int], int]:
-    """Resolve a train of ``signals`` signals at a bank of ``capacity`` fusilands.
+def train_pairs(masks: np.ndarray, signals, capacity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve trains of ``signals`` signals at banks of ``capacity`` fusilands.
 
-    ``masks`` is the train's key read as threshold bits, ``(successes,
-    error_bits)``: bit j of ``successes`` is set when the key's draw j is
-    below the link's success probability, bit j of ``error_bits`` when it
-    is below 1 - F (F the link's raw fidelity). Signals interact in
-    fusilier order, each reading one draw; a success reads one more for its
-    error bit, makes a pair in the next fusiland slot and reroutes to the
-    next fusiland. A failure leaves the same fusiland waiting. Once every
-    fusiland is filled the remaining signals are discarded without drawing.
-    So fusilier f reads draw f + s, s the slots filled before it, and the
-    loop steps from success to success (the lowest set bit of what is left
-    of the window), at most ``capacity`` times. No bit at or past
-    ``signals + capacity`` changes the result.
+    ``masks`` holds the trains' keys as threshold tests, shape ``(...,
+    2, draws)``: ``[..., 0, j]`` is set when the key's draw j is below the
+    link's success probability, ``[..., 1, j]`` when it is below 1 - F (F
+    the link's raw fidelity); ``signals`` and ``capacity`` broadcast
+    against the leading axes. Signals interact in fusilier order, each
+    reading one draw; a success reads one more for its error bit, makes a
+    pair in the next fusiland slot and reroutes to the next fusiland. A
+    failure leaves the same fusiland waiting. Once every fusiland is filled
+    the remaining signals are discarded without drawing. So a run of set
+    success tests from draw r holds successes at r, r + 2, ..., each of
+    them skipping its error draw; success k at draw d is slot k, fusilier
+    d - k, with its error bit at draw d + 1, and the slot is kept while k <
+    ``capacity`` and d - k < ``signals``. No test at or past ``signals +
+    capacity`` changes the result.
 
-    Returns the train's pairs as columns ``(fusiliers, errors)``:
-    ``fusiliers[k]`` is the fusilier that filled slot k, and bit k of
-    ``errors`` is slot k's error bit. Slot k's pair was made when fusilier
-    ``fusiliers[k]``'s signal arrived.
+    Returns ``(fusiliers, errors, counts)``: ``counts[...]`` is the slots
+    each train filled, ``fusiliers[..., k]`` (int32) the fusilier that
+    filled slot k and ``errors[..., k]`` its error bit; both have the
+    largest capacity's width and hold 0 past a train's count. Slot k's pair
+    was made when fusilier ``fusiliers[..., k]``'s signal arrived.
     """
-    # Draw and slot count from the current window: draw from its first
-    # draw, base, pointing one past the last success (at its error bit);
-    # slot is one more than the slots filled in the window, and errors
-    # holds slot k's bit at k + 1. So a window's fusiliers come out short by
-    # base - first, first the slots filled before it, and signals and
-    # capacity count from the window too. Leaving a window adds base - first
-    # back and keeps its error bits as a binary string. A train of at most a
-    # window reads the masks as they are.
-    window, error_window = masks
-    fusiliers: list[int] = []
-    errors = draw = base = 0
-    slot = 1
-    spare = signals + capacity - _WINDOW
-    if spare > 0:
-        size = (signals + capacity >> 3) + 2
-        success_bytes = (window & (1 << 8 * size) - 1).to_bytes(size, "little")
-        error_bytes = (error_window & (1 << 8 * size) - 1).to_bytes(size, "little")
-        window &= _WINDOW_BITS
-        error_window &= _ERROR_WINDOW_BITS
-        pieces, first = [], 0
-    while slot <= capacity:
-        rest = window >> draw
-        if not rest:
-            if spare <= 0:
-                break
-            skew = base - first
-            fusiliers[first:] = map(skew.__add__, fusiliers[first:])
-            pieces.append(bin(errors >> 1 | 1 << slot - 1)[3:])
-            first += slot - 1
-            capacity -= slot - 1
-            base += _WINDOW
-            spare -= _WINDOW
-            signals += skew - base + first
-            errors, slot, draw = 0, 1, max(draw - _WINDOW, 0)
-            at = base >> 3
-            window = int.from_bytes(success_bytes[at : at + (_WINDOW >> 3)], "little")
-            error_window = int.from_bytes(error_bytes[at : at + (_WINDOW >> 3) + 1], "little")
-            continue
-        draw += (rest & -rest).bit_length()
-        fusilier = draw - slot
-        if fusilier >= signals:
-            break
-        if error_window >> draw & 1:
-            errors |= 1 << slot
-        fusiliers.append(fusilier)
-        slot += 1
-        draw += 1
-    if not base:
-        return fusiliers, errors >> 1
-    skew = base - first
-    fusiliers[first:] = map(skew.__add__, fusiliers[first:])
-    pieces.append(bin(errors >> 1 | 1 << slot - 1)[3:])
-    return fusiliers, int("".join(reversed(pieces)) or "0", 2)
+    lead, draws = masks.shape[:-2], masks.shape[-1]
+    rows = int(np.prod(lead))
+    keys = masks.reshape(rows, 2 * draws)
+    # Every set success test, by its position in the rows' success tests,
+    # each row one unset test longer so that no run goes on into the next.
+    stride = draws + 1
+    padded = np.zeros((rows, stride), bool)
+    padded[:, :draws] = keys[:, :draws]
+    at = np.flatnonzero(padded)
+    # A run starts where the test before is unset; the successes sit at
+    # even offsets from their run's start.
+    starts = np.empty(at.shape, bool)
+    starts[:1] = True
+    np.not_equal(at[1:] - at[:-1], 1, out=starts[1:])
+    run_start = np.where(starts, at, 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    row, draw = np.divmod(at[(at - run_start) & 1 == 0], stride)
+    del padded, at, starts, run_start
+    # Success k of its row fills slot k.
+    index = np.arange(row.size)
+    firsts = np.empty(row.shape, bool)
+    firsts[:1] = True
+    np.not_equal(row[1:], row[:-1], out=firsts[1:])
+    slot = index - np.maximum.accumulate(np.where(firsts, index, 0))
+    capacity = (np.zeros(lead, np.int64) + capacity).ravel()
+    signals = (np.zeros(lead, np.int64) + signals).ravel()
+    kept = (slot < capacity[row]) & (draw - slot < signals[row])
+    row, slot, draw = row[kept], slot[kept], draw[kept]
+    width = int(capacity.max(initial=0))
+    fusiliers = np.zeros(rows * width, np.int32)
+    errors = np.zeros(rows * width, bool)
+    filled = row * width + slot
+    fusiliers[filled] = draw - slot
+    errors[filled] = keys.ravel()[row * 2 * draws + draws + draw + 1]
+    counts = np.bincount(row, minlength=rows)
+    return fusiliers.reshape(lead + (width,)), errors.reshape(lead + (width,)), counts.reshape(lead)
 
 
-def swap_outcomes(swaps: int, masks: list[int]) -> tuple[int, int]:
-    """The outcomes of a node's ``swaps`` swaps, from its key's threshold
-    bits ``(parity_bits, x_bits)``: swap k reads a parity draw, 2k, then an
-    X draw, 2k + 1, each a fair coin, so bit k of each mask is its outcome.
+def swap_outcomes(swaps, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of nodes' ``swaps`` swaps, from their keys' threshold
+    tests ``masks``, shape ``(..., 2, draws)``: swap k reads a parity draw,
+    2k, then an X draw, 2k + 1, each a fair coin, so ``[..., 0, k]`` and
+    ``[..., 1, k]`` are its outcomes; ``swaps`` broadcasts against the
+    leading axes.
 
-    Returns ``(parity_bits, x_bits)`` cut to the swaps: bit k of each is
-    swap k's outcome, the X and the Z bit of its frame. Swap k joins slot k
-    of the node's left hop to slot k of its right hop.
+    Returns ``(parity, x)`` cut to the swaps: ``[..., k]`` of each is swap
+    k's outcome, the X and the Z bit of its frame, and is False from swap
+    ``swaps`` on. Swap k joins slot k of the node's left hop to slot k of
+    its right hop.
     """
-    keep = (1 << swaps) - 1
-    parity_bits, x_bits = masks
-    return parity_bits & keep, x_bits & keep
+    keep = np.arange(masks.shape[-1]) < np.asarray(swaps)[..., None]
+    return masks[..., 0, :] & keep, masks[..., 1, :] & keep

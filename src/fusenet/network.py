@@ -37,18 +37,21 @@ unless the run desynchronizes, before its next herald, so the record leaves
 on the node's next return. The left folds cover the slots of the cycle's
 largest left-bound record.
 
-A cycle's outcome is made as the cycle starts, by ``_cycle_outcome``, from
-the config, the cycle and its keyed draws alone: every hop's train and kept
-pairs, every purification, every node's swaps, the pairs delivered and
-each node's frame records; the cycle's end-to-end records, success counts
-and left folds are built from it then, once (``_CycleRecords``). Hop i's
+A cycle's outcome is made from the config, the cycle and its keyed draws
+alone: every hop's train and kept pairs, every purification, every node's
+swaps, the pairs delivered and each node's frame records. The outcomes are
+made a block of cycles at a time, from the block's keyed draws
+(``_CycleRecords._block_outcomes``), and handed out in cycle order, each
+as its cycle starts; the cycle's end-to-end records, success counts and
+left folds are built from it then, once (``_CycleRecords``). Hop i's
 train starts arriving as the herald reaches its right node, at ``cycle *
 period + herald_offsets_ns[i + 1]``, and fusilier k k slot times later; a
 slot's pair was made then.
 
 So the event timeline (``_ChainSimulation``) adds nothing to a run's
 result but its trace, and only a traced run takes it; an untraced run
-loops over its cycles in order (``_CycleRecords.loop``). Whether a run
+loops over its cycles in order (``_CycleRecords.loop``). Both take each
+cycle's outcome, in cycle order, from the same block pass. Whether a run
 desynchronizes is decided once, from the schedule, ``proc_ns`` and which
 nodes swapped in each cycle (``_CycleRecords._desync_error``), and only
 below ``_safe_period_ns``: at or above it no herald can overtake. Node
@@ -60,13 +63,13 @@ train, scheduled first, is taken first. A traced run below the bound takes the
 loop first, for its verdict, then replays on the timeline, whose handlers
 only schedule and trace.
 
-Keyed draws belong to ``engine.KeyedDraws``, which hands each key out as
-threshold bits, one int per column; this module states each key's count
-and thresholds once, in ``_key_draws``: a train's draws against its
-success probability and against 1 - F, a swap's and a purification's coins
-against 0.5. A train steps from one success to the next
-(``machines.train_pairs``), and a node's swaps and a hop's purification
-coins are its key's columns cut to the swaps or trios made.
+Keyed draws belong to ``engine.KeyedDraws``, which hands a block of
+cycles out as threshold tests, one bool array per domain; this module
+states each key's count and thresholds once, in ``_key_draws``: a train's
+draws against its success probability and against 1 - F, a swap's and a
+purification's coins against 0.5. Every train of the block resolves in one
+array pass (``machines.train_pairs``), and a node's swaps and a hop's
+purification coins are its key's columns cut to the swaps or trios made.
 
 Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
 its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
@@ -95,13 +98,17 @@ under a seq reserved from the queue with no event queued. ``execute``
 sorts the entries by (time, seq) once and strips each to its line in
 place.
 
-A cycle's pairs are columns rather than one object per pair or per swap: a
-hop's kept pairs are the fusiliers that made them, their creation times,
-and their error and frame bits packed in ints, bit k for slot k; a node's
-swaps are its parity and X outcome bits, packed the same way. A purified
-hop folds all its trios in one ``purify3_bits`` call, and the cycle swaps
-all its slots at once, one ``swap_bits`` call per intermediate node from
-left to right. On the timeline a started cycle's outcome is held until
+A block's pairs are arrays with axes (cycle, hop or node, slot) rather
+than one object per pair or per swap: each hop's kept fusiliers, error and
+frame bits, each node's parity and X outcome bits. One ``purify3_bits``
+call purifies every trio of the block, and the block swaps all its slots
+at once, one ``swap_bits`` call per intermediate node from left to right;
+a slot's creation time is the latest of its hops' (``max`` over hops) and
+a cycle's delivered count the least of their kept counts (``min``). Each
+cycle's outcome is then sliced from the columns as lists: the delivered
+pairs' fusiliers and creation times, their error and frame bits packed in
+ints, bit k for slot k, and each frame record's bits packed the same way.
+On the timeline a started cycle's outcome is held until
 its last node finishes it. As the cycle starts each ``PairRecord`` and
 ``EndToEndRecord`` is built once, in cycle order, with the pair's
 ``correction`` the herald share XOR the left share, so the summary scores
@@ -118,7 +125,9 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .engine import (
     DOMAINS,
@@ -267,11 +276,8 @@ class _HopPairs(NamedTuple):
     frame_z: int
 
 
-_NO_PAIRS = _HopPairs([], [], 0, 0, 0)
-
-
 class _CycleOutcome(NamedTuple):
-    """What one cycle makes, all of it drawn when the cycle starts.
+    """What one cycle makes, all of it from its block's keyed draws.
 
     ``trains[i]`` is the fusiliers that filled a slot in hop i's train,
     slot by slot, and ``successes[i]`` their count; ``purified[i]`` and
@@ -545,45 +551,32 @@ def _frame_shares(records, split: int) -> tuple[int, int, int, int, int]:
     return herald_x, herald_z, left_x, left_z, left_count
 
 
-def _purify_hop(
-    draws, node_id: int, fusiliers: list[int], created: list[int], errors: int
-) -> tuple[_HopPairs, Optional[FrameRecord]]:
-    """The pairs hop ``node_id - 1`` keeps after purification, and the
-    purification's frame record at its right node, ``node_id`` (None when
-    the hop kept no trio, which draws nothing). ``draws`` is the cycle's
-    ``draws(domain, index)``."""
-    # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t; its round is bit
-    # t of every column handed to purify3_bits. Fusiliers increase within
-    # a train, so the trio was made when its third member arrived.
-    trios = len(fusiliers) // 3
-    if not trios:
-        return _NO_PAIRS, None
-    # Trio t's six coins are draws 6t..6t+5: the transmit-side parities and
-    # the four X readouts, one column each.
-    keep = (1 << trios) - 1
-    tx12, tx23, tx_x2, tx_x3, rx_x2, rx_x3 = (
-        coins & keep for coins in draws(PURIFY_DOMAIN, node_id - 1)
-    )
-    # Slot 3t + k's error bit is bit t of trio member k + 1's column.
-    members = [0, 0, 0]
-    rest = errors & (1 << 3 * trios) - 1
-    while rest:
-        low = rest & -rest
-        trio, member = divmod(low.bit_length() - 1, 3)
-        members[member] |= 1 << trio
-        rest ^= low
-    e1, e2, e3 = members
-    # Receive-side parities reflect the true pairwise error syndrome,
-    # keeping the decode statistics honest. A hop's pairs carry the
-    # identity frame, so the kept pair's frame is the round's delta.
-    kept_errors, frame_x, frame_z = purify3_bits(
-        e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
-    )
-    end = 3 * trios
-    return (
-        _HopPairs(fusiliers[0:end:3], created[2:end:3], kept_errors, frame_x, frame_z),
-        FrameRecord(node_id, trios, frame_x, frame_z),
-    )
+def _ints(bits: np.ndarray) -> list:
+    """``bits`` packed along its last axis into Python ints, bit k of each
+    from ``bits[..., k]``, as nested lists over the leading axes."""
+    size = bits.shape[-1]
+    words = max(1, -(-size // 64))
+    packed = np.zeros(bits.shape[:-1] + (8 * words,), np.uint8)
+    packed[..., : -(-size // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    lanes = packed.view("<u8")
+    ints = lanes[..., -1]
+    for word in range(words - 2, -1, -1):
+        ints = ints.astype(object) << 64 | lanes[..., word].astype(object)
+    return ints.tolist()
+
+
+def _frame_records(
+    nodes: range, counts: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray
+) -> list[Optional[FrameRecord]]:
+    """A block's frame records of ``nodes``, flat over (cycle, node): node
+    ``nodes[i]``'s in cycle k from ``counts[k, i]`` and the slot bits
+    ``x_bits[k, i]`` and ``z_bits[k, i]``, or None where the count is 0."""
+    x_ints, z_ints = _ints(np.stack([x_bits, z_bits]).reshape(2, counts.size, x_bits.shape[-1]))
+    counts = counts.ravel().tolist()
+    return [
+        FrameRecord(node, count, x, z) if count else None
+        for node, count, x, z in zip(itertools.cycle(nodes), counts, x_ints, z_ints)
+    ]
 
 
 class _CycleRecords:
@@ -599,7 +592,7 @@ class _CycleRecords:
         self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
     ) -> None:
         self.schedule = schedule
-        # What _cycle_outcome, _add_cycle_records and the handlers read,
+        # What _block_outcomes, _add_cycle_records and the handlers read,
         # cached off the config.
         self.cycles = config.cycles
         self.links = config.links
@@ -620,57 +613,100 @@ class _CycleRecords:
         # purified, k when raw.
         self.right_stride = 3 if self.purify else 1
         self.keyed = KeyedDraws(config.seed, *_key_draws(config), config.cycles)
+        self.signals = np.array([link.n_fusiliers for link in self.links])
+        self.capacity = np.array([link.m_fusilands for link in self.links])
+        # When hop i's train starts arriving, from its cycle's start: a
+        # slot's pair is made tau after it per fusilier, in int64 ns unless
+        # the run's last train could end past that range.
+        offsets = schedule.herald_offsets_ns
+        last_ns = (self.cycles - 1) * schedule.cycle_period_ns + offsets[-1]
+        fits = last_ns + int(self.signals.max()) * self.tau < 2**63
+        self.train_ns = np.array(offsets[1:], np.int64 if fits else object)
         # What the run returns, each cycle's part made as the cycle starts.
         self.records: list[EndToEndRecord] = []
         self.delivered: list[int] = []
         self.successes: list[list[int]] = []
         self.left_frame_folds: dict[tuple[int, int], PauliFrame] = {}
 
-    def _cycle_outcome(self, cycle: int) -> _CycleOutcome:
-        """Everything ``cycle`` makes, from its keyed draws alone.
+    def _outcomes(self) -> Iterator[_CycleOutcome]:
+        """Every cycle's outcome, in cycle order, a block of cycles at a time."""
+        for cycles, tests in self.keyed.blocks():
+            yield from self._block_outcomes(cycles, tests)
+
+    def _block_outcomes(self, cycles: range, tests: list) -> list[_CycleOutcome]:
+        """Everything each cycle of a block makes, from its keyed draws alone,
+        folded over the whole block as arrays (axes cycle, hop or node, slot).
 
         Hop i's train resolves against node i + 1's bank and, under
         purify3, purifies its trios; then every intermediate node swaps all
         its slots at once, left to right. A slot is delivered where every
         hop kept a pair, made when the last of them was.
         """
-        draws = self.keyed.cycle(cycle)
-        tau, num_nodes = self.tau, self.num_nodes
-        cycle_ns = cycle * self.schedule.cycle_period_ns
-        offsets = self.schedule.herald_offsets_ns
-        trains, hops = [], []
-        purified: list[Optional[FrameRecord]] = [None] * num_nodes
-        for index, link in enumerate(self.links):
-            fusiliers, errors = train_pairs(
-                draws(LINK_DOMAIN, index), link.n_fusiliers, link.m_fusilands
+        hops = len(self.links)
+        fusiliers, errors, counts = train_pairs(tests[LINK_DOMAIN], self.signals, self.capacity)
+        width = fusiliers.shape[-1]
+        # Each train's fusiliers, flat over the block's (cycle, hop).
+        flat = fusiliers[np.arange(width) < counts[..., None]].tolist()
+        ends = np.cumsum(counts).tolist()
+        trains = [flat[start:end] for start, end in zip([0] + ends, ends)]
+        slots = self.schedule.links_per_cycle
+        if self.purify:
+            # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t, made when
+            # its third member arrived (fusiliers increase within a train).
+            # Its six coins are draws 6t..6t+5: the transmit-side parities
+            # and the four X readouts, one column each, and slot 3t + k's
+            # error bit is member k + 1's.
+            end = width - width % 3
+            kept = counts // 3
+            trio = np.arange(end // 3) < kept[..., None]
+            tx12, tx23, tx_x2, tx_x3, rx_x2, rx_x3 = np.moveaxis(
+                tests[PURIFY_DOMAIN] & trio[:, :, None, :], 2, 0
             )
-            start_ns = cycle_ns + offsets[index + 1]
-            created = [start_ns + fusilier * tau for fusilier in fusiliers]
-            if self.purify:
-                hop, purified[index + 1] = _purify_hop(
-                    draws, index + 1, fusiliers, created, errors
-                )
-            else:
-                hop = _HopPairs(fusiliers, created, errors, 0, 0)
-            trains.append(fusiliers)
-            hops.append(hop)
-        # Slot k swaps at node i when both of its hops kept a pair in it.
-        swapped: list[Optional[FrameRecord]] = [None] * num_nodes
-        first = hops[0]
-        errors, frame_x, frame_z = first.errors, first.frame_x, first.frame_z
-        for node_id in range(1, num_nodes - 1):
-            hop = hops[node_id]
-            swaps = min(len(hops[node_id - 1].fusiliers), len(hop.fusiliers))
-            outcomes = (0, 0)
-            if swaps:
-                outcomes = swap_outcomes(swaps, draws(SWAP_DOMAIN, node_id))
-                swapped[node_id] = FrameRecord(node_id, swaps, *outcomes)
-            errors, frame_x, frame_z = swap_bits(
-                errors, hop.errors, frame_x, frame_z, hop.frame_x, hop.frame_z, *outcomes
+            e1, e2, e3 = (errors[..., k:end:3] & trio for k in range(3))
+            # Receive-side parities reflect the true pairwise error syndrome,
+            # keeping the decode statistics honest. A hop's pairs carry the
+            # identity frame, so the kept pair's frame is the round's delta.
+            errors, frame_x, frame_z = purify3_bits(
+                e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
             )
-        created = [max(times) for times in zip(*(hop.created_at_ns for hop in hops))]
-        pairs = _HopPairs(first.fusiliers[: len(created)], created, errors, frame_x, frame_z)
-        return _CycleOutcome(trains, list(map(len, trains)), purified, swapped, pairs)
+            firsts = fusiliers[:, 0, 0 : 3 * slots : 3].tolist()
+            lasts = fusiliers[..., 2:end:3]
+            # A purified hop's frame record is at its right node, if it kept
+            # a trio: flat over the block's (cycle, hop).
+            purified = _frame_records(range(1, hops + 1), kept, frame_x, frame_z)
+        else:
+            kept, firsts, lasts = counts, trains[::hops], fusiliers
+            frame_x = frame_z = np.zeros_like(errors)
+        # Slot k swaps at node i when both of its hops kept a pair in it;
+        # only the first links_per_cycle slots can be delivered.
+        swaps = np.minimum(kept[:, :-1], kept[:, 1:])
+        parity, x_out = swap_outcomes(swaps, tests[SWAP_DOMAIN][:, 1:])
+        swapped = _frame_records(range(1, hops), swaps, parity, x_out)
+        pair_errors, pair_x, pair_z = (bits[:, 0, :slots] for bits in (errors, frame_x, frame_z))
+        for node in range(1, hops):
+            pair_errors, pair_x, pair_z = swap_bits(
+                pair_errors, errors[:, node, :slots], pair_x, pair_z,
+                frame_x[:, node, :slots], frame_z[:, node, :slots],
+                parity[:, node - 1, :slots], x_out[:, node - 1, :slots],
+            )
+        pair_ints = _ints(np.stack([pair_errors, pair_x, pair_z], axis=1))
+        delivered = kept.min(axis=1).tolist()
+        cycle_ns = np.array(cycles, self.train_ns.dtype) * self.schedule.cycle_period_ns
+        made = self.train_ns[:, None] + lasts[..., :slots].astype(self.train_ns.dtype) * self.tau
+        created = (made.max(axis=1) + cycle_ns[:, None]).tolist()
+        no_purification = [None] * self.num_nodes
+        outcomes = []
+        for k, (successes, count, first, times, ints) in enumerate(
+            zip(counts.tolist(), delivered, firsts, created, pair_ints)
+        ):
+            outcomes.append(_CycleOutcome(
+                trains[k * hops : (k + 1) * hops],
+                successes,
+                [None, *purified[k * hops : (k + 1) * hops]] if self.purify else no_purification,
+                [None, *swapped[k * (hops - 1) : (k + 1) * (hops - 1)], None],
+                _HopPairs(first[:count], times[:count], *ints),
+            ))
+        return outcomes
 
     def _add_cycle_records(self, cycle: int, outcome: _CycleOutcome) -> None:
         """Append what the run returns of ``cycle``: its end-to-end records,
@@ -794,9 +830,8 @@ class _CycleRecords:
 
     def _swaps(self):
         """Build every cycle in order, yielding each one's swap records."""
-        outcome, add = self._cycle_outcome, self._add_cycle_records
-        for cycle in range(self.cycles):
-            made = outcome(cycle)
+        add = self._add_cycle_records
+        for cycle, made in enumerate(self._outcomes()):
             add(cycle, made)
             yield made.swapped
 
@@ -841,7 +876,7 @@ class _ChainSimulation(_CycleRecords):
     def _handle_cycle_start(self, node_id: int, cycle: int, _datum: None) -> None:
         generate = cycle < self.cycles
         if generate:
-            outcome = self.outcomes[cycle] = self._cycle_outcome(cycle)
+            outcome = self.outcomes[cycle] = next(self.started)
             self.unfinished[cycle] = self.num_nodes
             self._add_cycle_records(cycle, outcome)
         self._herald_at(0, cycle)
@@ -956,6 +991,10 @@ class _ChainSimulation(_CycleRecords):
     # -- top level ---------------------------------------------------------
 
     def execute(self) -> RunResult:
+        # Every cycle's outcome, taken as the cycle starts. The generator
+        # refers back to the simulation, so it is dropped when the run ends,
+        # not left for the cyclic collector with the run's trace and records.
+        self.started = self._outcomes()
         self.queue.schedule(0, _CYCLE_START, 0, 0, None)
         handlers = {
             _CYCLE_START: self._handle_cycle_start,
@@ -965,6 +1004,7 @@ class _ChainSimulation(_CycleRecords):
             _SWAP_COMPLETE: self._handle_swap_complete,
         }
         run(self.queue, handlers)
+        del self.started
         # A train's signals are traced at keys before the train's dispatch.
         # Seqs are unique, so the sort never compares two lines.
         trace = self.trace

@@ -8,10 +8,11 @@ Corrections are never applied physically; they accumulate in a Pauli frame
 (a pair of classical bits composed by XOR).
 
 The bit algebra of purification and swapping is GF(2), so its kernels
-(``purify3_bits``, ``swap_bits``) work on packed ints of any width: bit k
-of every argument and of every result belongs to round k. The simulator
-folds a whole hop, or a whole chain, per call, and a single round is the
-same call on one-bit ints: they are the one implementation of both steps.
+(``purify3_bits``, ``swap_bits``) work on packed ints of any width, bit k
+of every argument and of every result belonging to round k, and alike on
+numpy bool arrays, one round an entry. The simulator folds a whole block
+of cycles per call on bool arrays, and a single round is the same call on
+one-bit ints: they are the one implementation of both steps.
 """
 
 from __future__ import annotations

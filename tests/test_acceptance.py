@@ -77,15 +77,14 @@ def test_criterion_3_resource_table():
 
 
 def test_criterion_4a_hop_success_counts():
-    # Each cycle's train gets its n + m draws as threshold bits, bit j set
-    # when draw j is below p, as a simulation's keyed draws hand them out.
+    # Each cycle's train gets its n + m draws as threshold tests, set when
+    # draw j is below p, as a simulation's keyed draws hand them out, and
+    # every cycle resolves in one array pass.
     n, m, p, cycles = 16, 1, 0.25, 100_000
     rng = np.random.default_rng(2024)
-    short = 0
-    for row in rng.random((cycles, n + m)) < p:
-        fusiliers, _ = train_pairs([_pack(row), 0], n, m)
-        if len(fusiliers) < m:
-            short += 1
+    rows = rng.random((cycles, n + m)) < p
+    _, _, counts = train_pairs(np.stack([rows, np.zeros_like(rows)], axis=1), n, m)
+    short = int((counts < m).sum())
     expected = failure_prob_multi(n, m, p)
     se = math.sqrt(expected * (1 - expected) / cycles)
     assert abs(short / cycles - expected) <= 4 * se

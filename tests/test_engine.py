@@ -449,30 +449,36 @@ def _keyed_draws(draw):
 @example(keys=(5, [[130, 1], [64, 65], [63, 2]], [[(0, 1, [0.5, 1.0])], [(1, 2, [1.0, 1.0])], [(0, 3, [0.0, 0.7])]], 2))
 @settings(max_examples=40, deadline=None)
 def test_keyed_draws_pack_threshold_bits(path, keys):
-    # Each int a key hands out is sum_j (u[start::step][j] < t) << j over
-    # its own count of values u from numpy's generator: on every draw path,
-    # above 64 bits too, and with no bit at or past the key's own count.
+    # A block's tests of key i, column c, are u[start::step][j] < t over
+    # the key's own count of values u from numpy's generator, on every
+    # draw path, and no test at or past the key's count is set. The blocks
+    # cover the run's cycles once each, in order.
     seed, counts, columns, cycles = keys
     with mock.patch.object(engine_module, *PACK_PATHS[path]):
         keyed = KeyedDraws(seed, counts, columns, cycles)
-        handed = [keyed.cycle(cycle) for cycle in range(cycles)]
+        blocks = list(keyed.blocks())
     if path == "native":
         assert not any(keyed.batched)
     elif path == "batched":
         assert all(keyed.batched)
     elif path == "one_cycle_blocks":
         assert keyed.block == 1
-    stream = RngStream(seed)
-    for cycle, draws in enumerate(handed):
-        rows = stream.seed_block(range(cycle, cycle + 1), len(counts[0]))[0]
-        for domain in range(DOMAINS):
-            for index, count in enumerate(counts[domain]):
-                values = stream.substream(rows[domain, index]).random(count).tolist()
-                expected = [
-                    sum((u < thresholds[index]) << j for j, u in enumerate(values[start::step]))
-                    for start, step, thresholds in columns[domain]
-                ]
-                assert draws(domain, index) == expected, (cycle, domain, index)
+    assert [cycle for block, _ in blocks for cycle in block] == list(range(cycles))
+    stream, width = RngStream(seed), len(counts[0])
+    for block, tests in blocks:
+        for k, cycle in enumerate(block):
+            rows = stream.seed_block(range(cycle, cycle + 1), width)[0]
+            for domain in range(DOMAINS):
+                spans = [len(range(start, max(counts[domain]), step)) for start, step, _ in columns[domain]]
+                assert tests[domain].shape == (len(block), width, len(spans), max(spans))
+                assert tests[domain].dtype == bool
+                for index, count in enumerate(counts[domain]):
+                    values = stream.substream(rows[domain, index]).random(count).tolist()
+                    for column, (start, step, thresholds) in enumerate(columns[domain]):
+                        expected = [u < thresholds[index] for u in values[start::step]]
+                        row = tests[domain][k, index, column].tolist()
+                        assert row[: len(expected)] == expected, (cycle, domain, index, column)
+                        assert not any(row[len(expected) :]), (cycle, domain, index, column)
 
 
 def _numpy_random_loaded(statements, *args):

@@ -39,53 +39,75 @@ def pack_fast(bits):
 
 
 def train_masks(draws, link):
-    """A train key's threshold bits for the uniform ``draws``, as
+    """A train key's threshold tests for the uniform ``draws``, as
     ``KeyedDraws`` hands them out: below p, and below 1 - F."""
-    p, p_error = success_probability(link), 1.0 - link.raw_fidelity
-    return [pack(u < p for u in draws), pack(u < p_error for u in draws)]
+    draws = np.asarray(draws, float)
+    return np.stack([draws < success_probability(link), draws < 1.0 - link.raw_fidelity])
 
 
 def coin_masks(draws):
-    """A swap key's threshold bits for the uniform ``draws``: its parity
+    """A swap key's threshold tests for the uniform ``draws``: its parity
     draws (even) and its X draws (odd), each below 0.5."""
-    return [pack(u < 0.5 for u in draws[0::2]), pack(u < 0.5 for u in draws[1::2])]
+    draws = np.asarray(draws, float)
+    return np.stack([draws[0::2] < 0.5, draws[1::2] < 0.5])
+
+
+def resolve(masks, signals, capacity):
+    """One train's ``train_pairs`` as columns: its fusiliers, slot by slot,
+    and its error bits packed in one int, bit k for slot k."""
+    fusiliers, errors, count = train_pairs(masks, signals, capacity)
+    return fusiliers[:count].tolist(), pack_fast(errors[:count])
+
+
+def swap_ints(swaps, masks):
+    """A node's ``swap_outcomes`` packed in ints, bit k for swap k."""
+    return tuple(pack_fast(bits) for bits in swap_outcomes(swaps, masks))
+
+
+def with_past(masks, reads, past):
+    """``masks`` with the tests of ``past``, a bool array of the same shape,
+    set at and after draw ``reads``, and with as many more draws appended,
+    each set as ``past`` is."""
+    masks = masks | (np.arange(masks.shape[-1]) >= reads) & past
+    return np.concatenate([masks, past], axis=-1)
 
 
 def per_signal_train(masks, signals, capacity):
     """The test's oracle: one signal at a time, each reading the next draw's
-    success bit, a success the next draw's error bit too, and nothing read
-    once the bank is full. Returns ``(fusiliers, errors)`` and how many
-    draws it read, which are draws 0 to that count - 1."""
-    successes, error_bits = masks
+    success test, a success the next draw's error test too, and nothing
+    read once the bank is full. Returns ``(fusiliers, errors)`` and how
+    many draws it read, which are draws 0 to that count - 1."""
+    successes, error_bits = (row.tolist() for row in masks)
     fusiliers, errors, reads = [], 0, 0
     for fusilier in range(signals):
         if len(fusiliers) == capacity:
             break
         reads += 1
-        if not successes >> reads - 1 & 1:
+        if not successes[reads - 1]:
             continue
         reads += 1
-        errors |= (error_bits >> reads - 1 & 1) << len(fusiliers)
+        errors |= error_bits[reads - 1] << len(fusiliers)
         fusiliers.append(fusilier)
     return (fusiliers, errors), reads
 
 
 def check_train(masks, n, m, past):
     """``train_pairs`` on ``masks`` gives the oracle's pairs, and with
-    ``past`` set above the oracle's reads too; returns the oracle's
+    ``past`` set from the oracle's reads on too; returns the oracle's
     (pairs, reads)."""
     expected, reads = per_signal_train(masks, n, m)
-    assert train_pairs(masks, n, m) == expected
-    assert train_pairs([mask | past << reads for mask in masks], n, m) == expected
+    assert resolve(masks, n, m) == expected
+    assert resolve(with_past(masks, reads, past), n, m) == expected
     return expected, reads
 
 
 def run_train(m, n, draws, link=LINK):
     """Resolve an n-signal train at a bank of m fusilands from ``draws``,
     the uniform values its key draws in order; returns its (fusiliers,
-    errors) and how many of the draws it read. Every bit past those read
+    errors) and how many of the draws it read. Every test past those read
     may be set without changing the pairs."""
-    return check_train(train_masks(draws, link), n, m, (1 << 256) - 1)
+    masks = train_masks(draws, link)
+    return check_train(masks, n, m, np.ones(masks.shape, bool))
 
 
 class TestOnSignal:
@@ -146,17 +168,17 @@ class TestBuildReturnMessage:
 class TestOnReturn:
     def test_swaps_the_given_count(self):
         # the key drew three swaps' coins; the third swap's bits are cut
-        swaps = swap_outcomes(2, coin_masks([0.9, 0.1] * 3))
+        swaps = swap_ints(2, coin_masks([0.9, 0.1] * 3))
         assert swaps == (0b00, 0b11)  # (parity bits, X bits), swap k in bit k
 
     def test_zero_swaps_draw_nothing(self):
-        assert swap_outcomes(0, coin_masks([0.1] * 6)) == (0, 0)
+        assert swap_ints(0, coin_masks([0.1] * 6)) == (0, 0)
 
     def test_swap_outcome_feeds_frame_record(self):
         # a parity draw, then an X draw: the parity outcome is the frame's
         # X bit, the X readout its Z bit
-        assert swap_outcomes(1, coin_masks([0.1, 0.9])) == (1, 0)
-        assert swap_outcomes(1, coin_masks([0.9, 0.1])) == (0, 1)
+        assert swap_ints(1, coin_masks([0.1, 0.9])) == (1, 0)
+        assert swap_ints(1, coin_masks([0.9, 0.1])) == (0, 1)
 
 
 class TestCycleLifecycle:
@@ -165,11 +187,9 @@ class TestCycleLifecycle:
         # acceptance runs the full 1e5-cycle version
         n, m, p, cycles = 24, 2, 0.25, 20_000
         rng = np.random.default_rng(77)
-        short = 0
-        for row in rng.random((cycles, n + m)) < p:
-            fusiliers, _ = train_pairs([pack(row), 0], n, m)
-            if len(fusiliers) < m:
-                short += 1
+        rows = rng.random((cycles, n + m)) < p
+        _, _, counts = train_pairs(np.stack([rows, np.zeros_like(rows)], axis=1), n, m)
+        short = int((counts < m).sum())
         expected = failure_prob_multi(n, m, p)
         se = math.sqrt(expected * (1 - expected) / cycles)
         assert abs(short / cycles - expected) <= 4 * se
@@ -229,7 +249,7 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     rng = CountingRng(draws)
     expected = reference_train(3, m, 2, link, rng, times)
     masks = train_masks(draws, link)
-    fusiliers, errors = train_pairs(masks, n, m)
+    fusiliers, errors = resolve(masks, n, m)
     # Slot k of the columns is the reference's pair k, made at its fusilier's arrival.
     assert [asdict(pair) for pair in expected] == [
         asdict(
@@ -247,8 +267,8 @@ def test_on_train_equals_per_signal_reference(n, m, p, fidelity, tau, seed):
     assert errors >> len(fusiliers) == 0
     # The train reads no draw the reference does not: setting every bit past
     # the reference's reads changes nothing.
-    past = ((1 << 64) - 1) << rng.draws
-    assert train_pairs([mask | past for mask in masks], n, m) == (fusiliers, errors)
+    past = np.ones(masks.shape, bool)
+    assert resolve(with_past(masks, rng.draws, past), n, m) == (fusiliers, errors)
 
 
 _THRESHOLDS = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
@@ -281,8 +301,8 @@ def test_train_scan_equals_per_signal_loop(size, p, fidelity, seed):
     n, m = size
     rng = np.random.default_rng(seed)
     draws = rng.random(n + m)
-    masks = [pack(draws < p), pack(draws < 1.0 - fidelity)]
-    _, reads = check_train(masks, n, m, int.from_bytes(rng.bytes(40), "little"))
+    masks = np.stack([draws < p, draws < 1.0 - fidelity])
+    _, reads = check_train(masks, n, m, rng.random(masks.shape) < 0.5)
     assert reads <= n + m
 
 
@@ -298,7 +318,7 @@ def test_full_cycle_fuzz(n, m, p, seed):
     each slot from a distinct fusilier, in fusilier order."""
     link = LinkModel(length_km=1.0, p_success=p)
     draws = np.random.default_rng(seed).random(n + m).tolist()
-    fusiliers, errors = train_pairs(train_masks(draws, link), n, m)
+    fusiliers, errors = resolve(train_masks(draws, link), n, m)
     assert len(fusiliers) <= m
     assert fusiliers == sorted(set(fusiliers))
     assert all(0 <= fusilier < n for fusilier in fusiliers)
@@ -307,8 +327,7 @@ def test_full_cycle_fuzz(n, m, p, seed):
 
 @st.composite
 def _wide_train_sizes(draw):
-    """(n, m) whose n + m spans one to four scan windows, or sits at a
-    window's edge."""
+    """(n, m) whose n + m is up to 4100, or about 1024."""
     total = draw(st.one_of(st.integers(1020, 1030), st.integers(1, 4100)))
     n = draw(st.integers(0, total))
     return n, total - n
@@ -324,20 +343,19 @@ def _wide_train_sizes(draw):
 @example(size=(4000, 10), p=0.002, fidelity=0.5, seed=1)
 @settings(max_examples=100, deadline=None)
 def test_wide_train_scan_equals_per_signal_loop(size, p, fidelity, seed):
-    # Trains wider than a scan window give what the per-signal loop gives,
-    # random bits past its reads included.
+    # Wide trains give what the per-signal loop gives, random tests past
+    # its reads included.
     n, m = size
     rng = np.random.default_rng(seed)
     draws = rng.random(n + m)
-    masks = [pack(draws < p), pack(draws < 1.0 - fidelity)]
-    check_train(masks, n, m, int.from_bytes(rng.bytes(600), "little"))
+    masks = np.stack([draws < p, draws < 1.0 - fidelity])
+    check_train(masks, n, m, rng.random(masks.shape) < 0.5)
 
 
 def per_signal_string(masks, signals, capacity):
-    """``per_signal_train`` over the masks' binary strings, in time linear
+    """``per_signal_train`` over the masks as binary strings, in time linear
     in the train's width."""
-    width = signals + capacity + 1
-    successes, error_bits = (format(mask, "b").zfill(width)[::-1] for mask in masks)
+    successes, error_bits = ("".join(np.where(row, "1", "0")) for row in masks)
     fusiliers, errors, reads = [], [], 0
     for fusilier in range(signals):
         if len(fusiliers) == capacity:
@@ -358,7 +376,52 @@ def test_a_train_of_two_million_draws_resolves_in_linear_time(p):
     n = m = 2**20
     rng = np.random.default_rng(16)
     draws = rng.random(n + m)
-    masks = [pack_fast(draws < p), pack_fast(draws < 0.1)]
+    masks = np.stack([draws < p, draws < 0.1])
     with deadline(5):
-        pairs = train_pairs(masks, n, m)
+        pairs = resolve(masks, n, m)
     assert pairs == per_signal_string(masks, n, m)
+
+
+@st.composite
+def _train_blocks(draw):
+    """A block of trains as ``KeyedDraws`` hands it out: cycles x hops of
+    mixed (n, m, p, F), n + m around 64 and 1024 or anywhere to 1100, each
+    hop's tests padded to the widest with False, or with random tests."""
+    cycles = draw(st.integers(1, 4))
+    width = st.one_of(st.sampled_from([1, 63, 64, 65, 1023, 1024, 1025]), st.integers(1, 1100))
+    hops = []
+    for total in draw(st.lists(width, min_size=1, max_size=5)):
+        n = draw(st.integers(0, total))
+        hops.append((n, total - n, draw(_THRESHOLDS), draw(_THRESHOLDS)))
+    return cycles, hops, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@given(block=_train_blocks())
+@example(block=(2, [(1000, 24, 1.0, 0.5), (17, 3, 0.25, 0.98), (0, 5, 1.0, 0.0)], False, 0))
+@example(block=(3, [(40, 24, 1.0, 0.5), (64, 1, 0.5, 0.5), (1, 1023, 1.0, 1.0)], True, 1))
+@settings(max_examples=150, deadline=None)
+def test_train_block_rows_equal_per_signal_loop(block):
+    # One array pass over stacked cycles of trains of every width gives,
+    # row by row, what the per-signal loop gives for that train alone,
+    # fusiliers and error bits included, and nothing past a row's count.
+    cycles, hops, noisy_padding, seed = block
+    rng = np.random.default_rng(seed)
+    widest = max(n + m for n, m, _, _ in hops)
+    masks = np.zeros((cycles, len(hops), 2, widest), bool)
+    if noisy_padding:
+        masks[...] = rng.random(masks.shape) < 0.5
+    for hop, (n, m, p, fidelity) in enumerate(hops):
+        draws = rng.random((cycles, n + m))
+        masks[:, hop, 0, : n + m] = draws < p
+        masks[:, hop, 1, : n + m] = draws < 1.0 - fidelity
+    signals = [n for n, _, _, _ in hops]
+    capacity = [m for _, m, _, _ in hops]
+    fusiliers, errors, counts = train_pairs(masks, signals, capacity)
+    assert fusiliers.shape == errors.shape == (cycles, len(hops), max(capacity))
+    for cycle in range(cycles):
+        for hop, (n, m, _, _) in enumerate(hops):
+            count = counts[cycle, hop]
+            expected, _ = per_signal_train(masks[cycle, hop, :, : n + m], n, m)
+            row = fusiliers[cycle, hop], errors[cycle, hop]
+            assert (row[0][:count].tolist(), pack(row[1][:count])) == expected
+            assert not row[0][count:].any() and not row[1][count:].any()

@@ -1,5 +1,6 @@
 """Chain orchestration: schedules, sweeps, purification, butterfly, frames."""
 
+import gc
 import heapq
 import json
 import math
@@ -7,12 +8,14 @@ import re
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,7 @@ from fusenet.network import (
     Strategy,
     _ChainSimulation,
     _CycleRecords,
+    _ints,
     _key_draws,
     butterfly_split,
     run_network,
@@ -285,6 +289,22 @@ def test_record_pairs_match_the_traced_signals(strategy):
         [20.0, 30.0, 10.0], n=9, m=6, p=0.8, fidelity=0.9, cycles=30, seed=5,
         strategy=strategy, tau_slot_ns=7,
     )
+    _check_records_match_the_traced_signals(cfg)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.RAW, Strategy.PURIFY3])
+def test_record_times_past_int64_stay_exact(strategy):
+    # A slot time of 2**62 ns puts a train's end, and the period, past
+    # int64: creation times are still exact integers.
+    cfg = chain_config(
+        [20.0, 30.0, 10.0], n=9, m=6, p=0.8, fidelity=0.9, cycles=5, seed=6,
+        strategy=strategy, tau_slot_ns=2**62,
+    )
+    _check_records_match_the_traced_signals(cfg)
+
+
+def _check_records_match_the_traced_signals(cfg):
+    strategy = cfg.strategy
     result = run_network(cfg, collect_trace=True)
     filled = {}  # (hop, cycle, hop slot) -> (fusilier, arrival)
     for rec in trace_records(result.trace):
@@ -590,6 +610,28 @@ def test_run_end_leaves_no_per_cycle_state(config):
     sim = _ChainSimulation(network, validate_config(network), split)
     assert len(sim.execute().per_cycle_delivered) == 3
     assert (sim.outcomes, sim.unfinished) == ({}, {})
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["loop", "timeline"])
+def test_a_finished_run_is_freed_at_once(traced):
+    # A finished run holds no reference cycle, so its records and trace go
+    # as soon as the caller drops it, not at the cyclic collector's next
+    # full pass.
+    cfg = chain_config([10.0, 20.0], n=6, m=3, p=0.5, cycles=70, seed=4)
+    gc.disable()
+    try:
+        schedule = validate_config(cfg)
+        if traced:
+            run = _ChainSimulation(cfg, schedule, None)
+            run.execute()
+        else:
+            run = _CycleRecords(cfg, schedule, None)
+            run.loop(False)
+        gone = weakref.ref(run)
+        del run
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_only_traced_runs_take_the_timeline(monkeypatch):
@@ -1072,53 +1114,65 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
         assert digests["native"] == EXPECTED[case]
 
 
-# Every bit a test sets past a key's count: more than any chain here could
-# read past it.
-_PAST_COUNT = (1 << 4096) - 1
+@settings(max_examples=60, deadline=None)
+@given(_short_chains())
+# Hop 0 fills 4 of its 6 slots: one trio, and slot 3 left over, error bit
+# and all.
+@example(chain_config([0.001], n=4, m=6, p=1.0, fidelity=0.5, cycles=2, strategy=Strategy.PURIFY3))
+def test_frame_records_hold_no_bit_past_their_count(cfg):
+    # A frame record covers its count of slots and no more: the left folds
+    # read a cycle's records up to the largest left-bound count, so a bit
+    # past a record's own count would reach them.
+    if _return_before_train(cfg) is not None:
+        return
+    records = _CycleRecords(cfg, validate_config(cfg), None)
+    for outcome in records._outcomes():
+        for record in outcome.purified + outcome.swapped:
+            if record is not None:
+                assert record.count > 0
+                assert record.x_bits >> record.count == 0, record
+                assert record.z_bits >> record.count == 0, record
 
 
 def _check_draws_within_counts(cfg, path):
-    """Run ``cfg`` on one of ``DRAW_PATHS``: each key's draws are asked for
-    at most once a cycle and read no draw past what ``_key_draws`` counts.
+    """Run ``cfg`` on one of ``DRAW_PATHS``: its blocks start every cycle
+    once, in order, and set no test past what ``_key_draws`` counts.
 
-    Each key's ints carry no bit for a draw at or past its count; with every
-    such bit set, the run's result is unchanged, so none of them is read.
-    Every native key is counted, as a ``substream`` call.
+    With every such test set, the run's result is unchanged, so none of
+    them is read. Every native key with a count is drawn once a cycle, as a
+    ``substream`` call.
     """
     counts, columns = _key_draws(cfg)
-    cycle_draws, substream = KeyedDraws.cycle, RngStream.substream
+    blocks, substream = KeyedDraws.blocks, RngStream.substream
 
-    def run(past_count):
-        handed, native = set(), []
+    def run(set_past):
+        started, native = [], []
 
-        def recording(keyed, cycle):
-            cycle_draws_of = cycle_draws(keyed, cycle)
-
-            def counted(domain, index):
-                key = (domain, index, cycle)
-                assert key not in handed, f"key {key} drawn twice"
-                handed.add(key)
-                bits = []
-                for value, (start, step, _) in zip(cycle_draws_of(domain, index), columns[domain]):
-                    reads = len(range(start, counts[domain][index], step))
-                    assert value >> reads == 0, f"key {key} has a bit past its count"
-                    bits.append(value | past_count << reads)
-                return bits
-
-            return counted
+        def recording(keyed):
+            for cycles, tests in blocks(keyed):
+                started.extend(cycles)
+                for domain, domain_tests in enumerate(tests):
+                    for index, count in enumerate(counts[domain]):
+                        for column, (start, step, _) in enumerate(columns[domain]):
+                            past = domain_tests[:, index, column, len(range(start, count, step)) :]
+                            assert not past.any(), f"key {domain, index} has a test past its count"
+                            past[...] = set_past
+                yield cycles, tests
 
         def native_substream(stream, row):
             native.append(row)
             return substream(stream, row)
 
-        with mock.patch.object(KeyedDraws, "cycle", recording), mock.patch.object(
+        with mock.patch.object(KeyedDraws, "blocks", recording), mock.patch.object(
             RngStream, "substream", native_substream
         ), mock.patch.object(engine_module, *DRAW_PATHS[path]):
             result = run_network(cfg)
-        assert handed and len(native) == (len(handed) if path == "native" else 0)
+        assert started == list(range(cfg.cycles))
+        keys = sum(1 for domain in counts for count in domain if count)
+        assert len(native) == (keys * cfg.cycles if path == "native" else 0)
         return asdict(result)
 
-    assert run(_PAST_COUNT) == run(0)
+    assert run(True) == run(False)
 
 
 @pytest.mark.parametrize("path", ["batched", "native"])
@@ -1135,3 +1189,95 @@ def test_mixed_chain_draws_stay_within_key_counts(path):
     doc = {"nodes": [f"n{i}" for i in range(len(links) + 1)], **MIXED_DRAWS_CHAIN}
     cfg = parse_config({"schema_version": "1", "network": doc, "output": {}}).network
     _check_draws_within_counts(cfg, path)
+
+
+# Raw, purify3 and purify3 with the butterfly, on hops of unequal banks,
+# over 130 cycles: blocks of 64 leave a partial block of 2, and blocks of 7
+# cut seed blocks of 63 into nine each and leave a partial block of 4.
+BLOCK_CHAINS = {
+    "raw": {
+        "links": [
+            _link(15.0, 6, 3, p_success=0.6, raw_fidelity=0.9),
+            _link(25.0, 9, 5, p_success=0.5, raw_fidelity=0.9),
+            _link(10.0, 4, 2, p_success=0.7, raw_fidelity=0.95),
+        ],
+        "tau_slot_ns": 7,
+        "seed": 31,
+        "cycles": 130,
+    },
+    "purify3": {
+        "links": [
+            _link(30.0, 9, 6, p_success=0.8, raw_fidelity=0.92),
+            _link(20.0, 12, 9, p_success=0.7, raw_fidelity=0.9),
+            _link(40.0, 9, 3, p_success=0.75, raw_fidelity=0.93),
+        ],
+        "strategy": "purify3",
+        "seed": 32,
+        "cycles": 130,
+    },
+    "purify3_butterfly": {
+        "links": [
+            _link(15.0, 9, 6, p_success=0.8, raw_fidelity=0.92),
+            _link(15.0, 12, 9, p_success=0.7, raw_fidelity=0.9),
+            _link(30.0, 9, 3, p_success=0.75, raw_fidelity=0.93),
+            _link(20.0, 9, 6, p_success=0.8, raw_fidelity=0.95),
+        ],
+        "strategy": "purify3",
+        "butterfly": True,
+        "proc_ns": 300,
+        "seed": 33,
+        "cycles": 130,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CHAINS))
+def test_block_size_does_not_move_output(case, tmp_path, monkeypatch):
+    # How many cycles a block of tests holds must not move a bit of output:
+    # blocks of 1, 7 and 64 cycles give the same result, traced and
+    # untraced, and the same trace bytes.
+    network = BLOCK_CHAINS[case]
+    links = network["links"]
+    doc = {"nodes": [f"n{i}" for i in range(len(links) + 1)], **network}
+    cfg = parse_config({"schema_version": "1", "network": doc, "output": {}}).network
+    per_cycle = len(links) * sum(map(max, _key_draws(cfg)[0]))
+    # Each size's patch, and the block lengths it gives.
+    sizes = {
+        1: (("SEED_BLOCK", 1), {1}),
+        7: (("BLOCK_MAX_VALUES", 7 * per_cycle), {7, 4}),
+        64: (("BLOCK_MAX_VALUES", 2**40), {64, 2}),
+    }
+    runs = {}
+    for size, ((name, value), expected) in sizes.items():
+        lengths, blocks = set(), KeyedDraws.blocks
+
+        def recording(keyed):
+            for cycles, tests in blocks(keyed):
+                lengths.add(len(cycles))
+                yield cycles, tests
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, name, value)
+            patch.setattr(KeyedDraws, "blocks", recording)
+            (tmp_path / str(size)).mkdir()
+            traced, trace_bytes = _simulate(tmp_path / str(size), patch, network)
+            untraced = run_network(cfg)
+        assert lengths == expected
+        assert trace_bytes and _without_trace(untraced) == _without_trace(traced)
+        runs[size] = asdict(traced), trace_bytes
+    assert runs[7] == runs[1]
+    assert runs[64] == runs[1]
+
+
+@given(
+    shape=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    width=st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129]), st.integers(0, 200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_slot_bits_pack_into_ints(shape, width, seed):
+    # A block's slot bits become one int per leading index, bit k from
+    # slot k, above 64 slots too.
+    bits = np.random.default_rng(seed).random(shape + (width,)) < 0.5
+    expected = [[sum(int(bit) << k for k, bit in enumerate(row)) for row in rows] for rows in bits]
+    assert _ints(bits) == expected
