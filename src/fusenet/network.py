@@ -4,64 +4,64 @@ A run executes a fixed number of generation cycles. Each cycle starts with a
 herald pulse launched at the left end; the pulse initiates every fusillade
 as it sweeps right, signal trains follow it down each fiber, return messages
 confirm each hop, and intermediate nodes swap as soon as they hold links on
-both sides. A frame record is one node's frames for one cycle, slot k's in
-bit k of its X and Z ints: a swapping node adds one per return, and a
-purified hop one per train. A record rides the *next* herald to the right
-end, so every end-to-end pair's correction becomes available exactly one
-cycle period after the pair is established. Under the butterfly split a
-record of a node left of the split goes left instead, on the return message
-the node sends when its incoming train ends, one hop per cycle, until it
-reaches node 0. One final frame-flush sweep (no generation) is the herald
-of the last cycle's records: it is traced and, like every herald, checked
-for desynchronization.
+both sides. A node's frames of a cycle are one per slot it swapped (made as
+its return comes) or, for a purified hop's right node, one per trio kept
+(made as the train ends). They ride the *next* herald to the right end, so
+every end-to-end pair's correction becomes available exactly one cycle
+period after the pair is established. Under the butterfly split the frames
+of a node left of the split go left instead, on the return message the node
+sends when its incoming train ends, one hop per cycle, until they reach node
+0. One final frame-flush sweep (no generation) is the herald of the last
+cycle's frames: it is traced and, like every herald, checked for
+desynchronization.
 
-The records' bits are read from the cycle's outcome, folded once as the
-cycle starts into the herald share (the nodes from the split rightward, or
-every node without one) and the left share. That is what the herald would
+The frames are folded a block of cycles at a time, as arrays
+(``_fold_shares``): every node's frame indices XOR-reduce over the nodes
+into each cycle's herald share (the nodes from the split rightward, or
+every node without one) and left share. That is what the herald would
 carry: a herald that reaches a node before the node's train or return of
-the previous cycle, and so before its record, desynchronizes
+the previous cycle, and so before its frames, desynchronizes
 (``_CycleRecords._desync_error``), so herald c + 1 would pick up every
-record of cycle c and no other. Its arrival is the schedule's too, since cycle c + 1 starts at
-exactly (c + 1) * period or the run raises.
+frame of cycle c and no other. Its arrival is the schedule's too, since
+cycle c + 1 starts at exactly (c + 1) * period or the run raises.
 
 The left share's arrival is the schedule's as well. With the split at node
 s >= 2, cycle c's left share is in at node 0 at ``(c + s - 1) * period +
 2 * d0 + (n0 - 1) * tau`` (d0 and n0 hop 0's delay and train), or never
-if ``c + s - 1 >= cycles``; with s = 1 no record goes left and it is the
-herald's arrival. That is when node s - 1's swap record of cycle c arrives,
-and it is exact: the record covers every delivered slot, no left-bound
-record of the cycle leaves later, and each record moves one hop per cycle.
-A record comes to a node with the return from the node's right hop, which
+if ``c + s - 1 >= cycles``; with s = 1 no frame goes left and it is the
+herald's arrival. That is when node s - 1's swap frames of cycle c arrive,
+and it is exact: they cover every delivered slot, no left-bound frames of
+the cycle leave later, and each node's frames move one hop per cycle.
+Frames come to a node with the return from the node's right hop, which
 comes after the node's own train has ended (``validate_config``) and,
-unless the run desynchronizes, before its next herald, so the record leaves
-on the node's next return. The left folds cover the slots of the cycle's
-largest left-bound record.
+unless the run desynchronizes, before its next herald, so they leave on
+the node's next return. The left folds cover each cycle's slots up to the
+largest purification or swap count among the left nodes.
 
-A cycle's outcome is made from the config, the cycle and its keyed draws
-alone: every hop's train and kept pairs, every purification, every node's
-swaps, the pairs delivered and each node's frame records. The outcomes are
-made a block of cycles at a time, from the block's keyed draws
-(``_CycleRecords._block_outcomes``), and handed out in cycle order, each
-as its cycle starts; the cycle's end-to-end records, success counts and
-left folds are built from it then, once (``_CycleRecords``). Hop i's
-train starts arriving as the herald reaches its right node, at ``cycle *
-period + herald_offsets_ns[i + 1]``, and fusilier k k slot times later; a
-slot's pair was made then.
+What a cycle makes (every hop's train and kept pairs, every purification,
+every node's swaps and frames, the pairs delivered) follows from the
+config, the cycle and its keyed draws alone. It is made a block of cycles
+at a time, as arrays (``_CycleRecords._fold_block``), and folded straight
+into what the run returns, in one pass per block (``_add_block_records``).
+Hop i's train starts arriving as the herald reaches its right node, at
+``cycle * period + herald_offsets_ns[i + 1]``, and fusilier k k slot times
+later; a slot's pair was made then.
 
 So the event timeline (``_ChainSimulation``) adds nothing to a run's
 result but its trace, and only a traced run takes it; an untraced run
-loops over its cycles in order (``_CycleRecords.loop``). Both take each
-cycle's outcome, in cycle order, from the same block pass. Whether a run
-desynchronizes is decided once, from the schedule, ``proc_ns`` and which
-nodes swapped in each cycle (``_CycleRecords._desync_error``), and only
-below ``_safe_period_ns``: at or above it no herald can overtake. Node
-i's return and swap end by ``2 * d_i + (n_i - 1) * tau + proc_ns`` after
-its herald, and its incoming train by ``(n_{i-1} - 1) * tau`` (d_i and n_i
-hop i's delay and train). Neither is later than the bound, so neither is
-later than the node's next herald, one period on; at a tie the return or
-train, scheduled first, is taken first. A traced run below the bound takes the
-loop first, for its verdict, then replays on the timeline, whose handlers
-only schedule and trace.
+loops over its blocks in order (``_CycleRecords.loop``) and builds no
+object per cycle but its records. Only the timeline slices each cycle's
+outcome out of its block (``_CycleOutcome``). Whether a run
+desynchronizes is decided once, from the schedule, ``proc_ns`` and each
+node's swap count in each cycle (``_CycleRecords._desync_error``), and
+only below ``_safe_period_ns``: at or above it no herald can overtake.
+Node i's return and swap end by ``2 * d_i + (n_i - 1) * tau + proc_ns``
+after its herald, and its incoming train by ``(n_{i-1} - 1) * tau`` (d_i
+and n_i hop i's delay and train). Neither is later than the bound, so
+neither is later than the node's next herald, one period on; at a tie the
+return or train, scheduled first, is taken first. A traced run below the
+bound takes the loop first, for its verdict, then replays on the
+timeline, whose handlers only schedule and trace.
 
 Keyed draws belong to ``engine.KeyedDraws``, which hands a block of
 cycles out as threshold tests, one bool array per domain; this module
@@ -104,15 +104,15 @@ frame bits, each node's parity and X outcome bits. One ``purify3_bits``
 call purifies every trio of the block, and the block swaps all its slots
 at once, one ``swap_bits`` call per intermediate node from left to right;
 a slot's creation time is the latest of its hops' (``max`` over hops) and
-a cycle's delivered count the least of their kept counts (``min``). Each
-cycle's outcome is then sliced from the columns as lists: the delivered
-pairs' fusiliers and creation times, their error and frame bits packed in
-ints, bit k for slot k, and each frame record's bits packed the same way.
-On the timeline a started cycle's outcome is held until
-its last node finishes it. As the cycle starts each ``PairRecord`` and
-``EndToEndRecord`` is built once, in cycle order, with the pair's
-``correction`` the herald share XOR the left share, so the summary scores
-what was delivered; the model fidelity, the same for every pair, is
+a cycle's delivered count the least of their kept counts (``min``). A
+frame is held as its index 2x + z (``FRAMES[x][z]``), so XOR composes
+frames. The delivered pairs then leave as flat columns over the block's
+(cycle, slot), one mask each: the fusilier, the creation time, and a
+code of the error bit and the pair's frame, correction and herald share
+(``_PAIR_CODES``). Each ``PairRecord`` and ``EndToEndRecord`` is built
+once from them, in cycle order, with the pair's ``correction`` the herald
+share XOR the left share, so the summary scores what was delivered; the
+model fidelity, the same for every pair, is
 ``analytic_end_to_end_fidelity``, computed once per run. Nothing is
 allocated per cycle before the run.
 """
@@ -222,22 +222,22 @@ class CycleSchedule:
 
 @dataclass
 class EndToEndRecord:
-    """One end-to-end pair delivered by a cycle, built once as the cycle starts.
+    """One end-to-end pair delivered by a cycle, built once with its block.
 
     ``established_at_ns`` is the pipeline's deterministic availability
     instant at the right end node (the herald's arrival there for the
     cycle); the correction frame rides the next herald, so
     ``frame_available_at_ns`` is exactly one cycle period later.
-    ``correction`` is the XOR-fold of the cycle's frame records for this
-    slot: ``herald_correction``, the herald's share (everything, unless the
+    ``correction`` is the XOR-fold of the cycle's frames for this slot:
+    ``herald_correction``, the herald's share (everything, unless the
     butterfly split routes part leftward), XOR the left share. Both shares
-    are read from the cycle's outcome, which is what the herald and the
+    are folded from the block's arrays, which is what the herald and the
     left-bound returns carry (see the module docstring), so it equals
     ``pair.frame``. Under the butterfly split at node s,
     ``left_frame_available_at_ns`` is when the slot's last left-bound
-    record reaches node 0, ``(cycle_id + s - 1) * period + 2 * d0 + (n0 -
+    frame reaches node 0, ``(cycle_id + s - 1) * period + 2 * d0 + (n0 -
     1) * tau`` with d0 and n0 hop 0's delay and train, or None when
-    ``cycle_id + s - 1 >= cycles``; with s = 1 no record goes left and it
+    ``cycle_id + s - 1 >= cycles``; with s = 1 no frame goes left and it
     equals ``frame_available_at_ns``.
     """
 
@@ -251,45 +251,31 @@ class EndToEndRecord:
     left_frame_available_at_ns: Optional[int]
 
 
-class FrameRecord(NamedTuple):
-    """One node's frames for one cycle: ``count`` slots, slot k's frame in
-    bit k of ``x_bits`` (its X bit) and of ``z_bits`` (its Z bit)."""
+class _Block(NamedTuple):
+    """What a block makes besides its records: the trains' ``fusiliers`` and
+    ``counts`` (``machines.train_pairs``), node i's swap counts ``swaps[:, i
+    - 1]``, each cycle's delivered count, and the delivered error bits, flat."""
 
-    node: int
-    count: int
-    x_bits: int
-    z_bits: int
-
-
-class _HopPairs(NamedTuple):
-    """Pairs as columns: those a hop keeps (after purification), or a cycle's delivered.
-
-    Slot k's pair was made by fusilier ``fusiliers[k]`` (its left endpoint's
-    slot) at ``created_at_ns[k]``; its error bit is bit k of ``errors`` and
-    its frame bit k of ``frame_x`` and ``frame_z``.
-    """
-
-    fusiliers: list[int]
-    created_at_ns: list[int]
-    errors: int
-    frame_x: int
-    frame_z: int
+    fusiliers: np.ndarray
+    counts: np.ndarray
+    swaps: np.ndarray
+    delivered: list[int]
+    errors: np.ndarray
 
 
 class _CycleOutcome(NamedTuple):
-    """What one cycle makes, all of it from its block's keyed draws.
+    """What the timeline reads of one cycle, sliced from its block.
 
     ``trains[i]`` is the fusiliers that filled a slot in hop i's train,
-    slot by slot, and ``successes[i]`` their count; ``purified[i]`` and
-    ``swapped[i]`` are node i's purification and swap frame records (None
-    where it makes none); ``pairs`` is the cycle's delivered pairs.
+    slot by slot, and ``successes[i]`` their count; ``swaps[i - 1]`` is
+    node i's swap count (0 < i < hops); ``errors`` is the delivered pairs'
+    error bits, slot by slot.
     """
 
     trains: list[list[int]]
     successes: list[int]
-    purified: list[Optional[FrameRecord]]
-    swapped: list[Optional[FrameRecord]]
-    pairs: _HopPairs
+    swaps: list[int]
+    errors: list[int]
 
 
 def _trace_line(t_ns: int, seq: int, kind_json: str, node: int, detail: str) -> str:
@@ -531,69 +517,71 @@ def butterfly_split(config: NetworkConfig) -> int:
 _HERALD, _TRAIN, _RETURN = range(3)
 
 
-def _frame_shares(records, split: int) -> tuple[int, int, int, int, int]:
-    """Fold a cycle's frame records (None where a node made none) into
-    ``(herald_x, herald_z, left_x, left_z, left_count)``: the herald share,
-    from the nodes at and right of ``split`` (every node when it is 0), the
-    left share, from the nodes left of it, and the largest count among the
-    left share's records."""
-    herald_x = herald_z = left_x = left_z = left_count = 0
-    for rec in records:
-        if rec is None:
-            continue
-        if rec.node < split:
-            left_x ^= rec.x_bits
-            left_z ^= rec.z_bits
-            left_count = max(left_count, rec.count)
-        else:
-            herald_x ^= rec.x_bits
-            herald_z ^= rec.z_bits
-    return herald_x, herald_z, left_x, left_z, left_count
+# Every frame by its index 2x + z: FRAMES[x][z].
+_FRAME_AT = FRAMES[0] + FRAMES[1]
+
+# A delivered pair's (error bit e, frame, correction, herald share) by its
+# code 64e + 16f + 4c + h, with f, c and h the three frames' indices.
+_PAIR_CODES = tuple(
+    (code >> 6, _FRAME_AT[code >> 4 & 3], _FRAME_AT[code >> 2 & 3], _FRAME_AT[code & 3])
+    for code in range(128)
+)
 
 
-def _ints(bits: np.ndarray) -> list:
-    """``bits`` packed along its last axis into Python ints, bit k of each
-    from ``bits[..., k]``, as nested lists over the leading axes."""
-    size = bits.shape[-1]
-    words = max(1, -(-size // 64))
-    packed = np.zeros(bits.shape[:-1] + (8 * words,), np.uint8)
-    packed[..., : -(-size // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    lanes = packed.view("<u8")
-    ints = lanes[..., -1]
-    for word in range(words - 2, -1, -1):
-        ints = ints.astype(object) << 64 | lanes[..., word].astype(object)
-    return ints.tolist()
+def _frame_index(x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
+    """The frames ``FRAMES[x][z]`` of bool arrays ``x_bits`` and ``z_bits``
+    by their index 2x + z, as uint8; XOR of two indices composes their frames."""
+    return x_bits.astype(np.uint8) << 1 | z_bits
 
 
-def _frame_records(
-    nodes: range, counts: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray
-) -> list[Optional[FrameRecord]]:
-    """A block's frame records of ``nodes``, flat over (cycle, node): node
-    ``nodes[i]``'s in cycle k from ``counts[k, i]`` and the slot bits
-    ``x_bits[k, i]`` and ``z_bits[k, i]``, or None where the count is 0."""
-    x_ints, z_ints = _ints(np.stack([x_bits, z_bits]).reshape(2, counts.size, x_bits.shape[-1]))
-    counts = counts.ravel().tolist()
-    return [
-        FrameRecord(node, count, x, z) if count else None
-        for node, count, x, z in zip(itertools.cycle(nodes), counts, x_ints, z_ints)
-    ]
+# Columns are converted to Python scalars this many items at a time, so a
+# wide block holds no list of all its pairs.
+_CHUNK = 2**12
+
+
+def _items(column: np.ndarray) -> Iterator:
+    """The items of a flat ``column`` as Python scalars, in order."""
+    return itertools.chain.from_iterable(
+        column[start : start + _CHUNK].tolist() for start in range(0, len(column), _CHUNK)
+    )
+
+
+def _fold_shares(frames: list, left_nodes: int, width: int):
+    """Fold a block's frames into each cycle's herald and left shares.
+
+    ``frames`` holds ``(index, count)`` pairs: frame indices
+    (``_frame_index``), axes (cycle, node, slot) with node i's at ``[:, i -
+    1]``, and the slots each node's frames cover, axes (cycle, node). Nodes
+    1 to ``left_nodes`` make the left share, the rest the herald share.
+    Returns ``(shares, left_counts)``: the herald and the left share, each
+    (cycle, slot) at least ``width`` slots wide, and each cycle's largest
+    left count.
+    """
+    width = max([width] + [index.shape[-1] for index, _ in frames])
+    shares = np.zeros((2, len(frames[0][1]), width), np.uint8)
+    left_counts = 0
+    for index, count in frames:
+        for share, nodes in zip(shares, (index[:, left_nodes:], index[:, :left_nodes])):
+            share[:, : index.shape[-1]] ^= np.bitwise_xor.reduce(nodes, axis=1)
+        left_counts = np.maximum(left_counts, count[:, :left_nodes].max(axis=1, initial=0))
+    return shares, left_counts
 
 
 class _CycleRecords:
-    """What a run returns, built cycle by cycle from each cycle's outcome.
+    """What a run returns, folded a block of cycles at a time, as arrays.
 
     Both ways of running a chain build on it: its ``loop``, which every
     untraced run takes and which decides desynchronization below the safe
     period, and its subclass ``_ChainSimulation``, the event timeline of a
-    traced run, which builds each cycle's part as the cycle starts.
+    traced run. Both get the run's records from one pass per block,
+    ``_add_block_records``, in cycle order.
     """
 
     def __init__(
         self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
     ) -> None:
         self.schedule = schedule
-        # What _block_outcomes, _add_cycle_records and the handlers read,
-        # cached off the config.
+        # What _add_block_records and the handlers read, cached off the config.
         self.cycles = config.cycles
         self.links = config.links
         self.tau = config.tau_slot_ns
@@ -601,7 +589,7 @@ class _CycleRecords:
         self.num_nodes = len(config.nodes)
         self.purify = config.strategy is Strategy.PURIFY3
         # The nodes below ``left_senders``, the butterfly split (0 without
-        # one), send their frame records left.
+        # one), send their frames left.
         self.left_senders = split_index or 0
         # When node 1's return message reaches node 0, from its cycle's start.
         self.left_return_ns = (
@@ -622,33 +610,31 @@ class _CycleRecords:
         last_ns = (self.cycles - 1) * schedule.cycle_period_ns + offsets[-1]
         fits = last_ns + int(self.signals.max()) * self.tau < 2**63
         self.train_ns = np.array(offsets[1:], np.int64 if fits else object)
-        # What the run returns, each cycle's part made as the cycle starts.
+        # What the run returns, each block's part made as the block starts.
         self.records: list[EndToEndRecord] = []
         self.delivered: list[int] = []
-        self.successes: list[list[int]] = []
+        self.successes: list[list[int]] = [[] for _ in self.links]
         self.left_frame_folds: dict[tuple[int, int], PauliFrame] = {}
 
-    def _outcomes(self) -> Iterator[_CycleOutcome]:
-        """Every cycle's outcome, in cycle order, a block of cycles at a time."""
-        for cycles, tests in self.keyed.blocks():
-            yield from self._block_outcomes(cycles, tests)
-
-    def _block_outcomes(self, cycles: range, tests: list) -> list[_CycleOutcome]:
-        """Everything each cycle of a block makes, from its keyed draws alone,
-        folded over the whole block as arrays (axes cycle, hop or node, slot).
+    def _fold_block(self, cycles: range, tests: list) -> tuple[_Block, tuple, tuple]:
+        """Everything a block of cycles makes, from its keyed draws alone,
+        as arrays (axes cycle, hop or node, slot).
 
         Hop i's train resolves against node i + 1's bank and, under
         purify3, purifies its trios; then every intermediate node swaps all
         its slots at once, left to right. A slot is delivered where every
-        hop kept a pair, made when the last of them was.
+        hop kept a pair, made when the last of them was. Every node's
+        frames fold into each cycle's herald and left shares
+        (``_fold_shares``).
+
+        Returns ``(block, pairs, folds)``: the ``_Block``; the delivered
+        pairs as flat columns over the block's (cycle, slot), each pair's
+        fusilier, creation time and ``_PAIR_CODES`` code; and the left
+        folds as flat columns, each fold's cycle, slot and frame index.
         """
         hops = len(self.links)
         fusiliers, errors, counts = train_pairs(tests[LINK_DOMAIN], self.signals, self.capacity)
         width = fusiliers.shape[-1]
-        # Each train's fusiliers, flat over the block's (cycle, hop).
-        flat = fusiliers[np.arange(width) < counts[..., None]].tolist()
-        ends = np.cumsum(counts).tolist()
-        trains = [flat[start:end] for start, end in zip([0] + ends, ends)]
         slots = self.schedule.links_per_cycle
         if self.purify:
             # Trio t is slots 3t, 3t+1, 3t+2 and keeps slot 3t, made when
@@ -669,19 +655,20 @@ class _CycleRecords:
             errors, frame_x, frame_z = purify3_bits(
                 e1, tx12, tx23, tx12 ^ e1 ^ e2, tx23 ^ e2 ^ e3, tx_x2, tx_x3, rx_x2, rx_x3
             )
-            firsts = fusiliers[:, 0, 0 : 3 * slots : 3].tolist()
+            firsts = fusiliers[:, 0, 0 : 3 * slots : 3]
             lasts = fusiliers[..., 2:end:3]
-            # A purified hop's frame record is at its right node, if it kept
-            # a trio: flat over the block's (cycle, hop).
-            purified = _frame_records(range(1, hops + 1), kept, frame_x, frame_z)
+            # A purified hop's frames are its right node's, one per trio kept.
+            frames = [(_frame_index(frame_x, frame_z), kept)]
         else:
-            kept, firsts, lasts = counts, trains[::hops], fusiliers
-            frame_x = frame_z = np.zeros_like(errors)
+            kept, firsts, lasts = counts, fusiliers[:, 0, :slots], fusiliers
+            frame_x = frame_z = np.broadcast_to(False, errors.shape)
+            frames = []
         # Slot k swaps at node i when both of its hops kept a pair in it;
         # only the first links_per_cycle slots can be delivered.
         swaps = np.minimum(kept[:, :-1], kept[:, 1:])
         parity, x_out = swap_outcomes(swaps, tests[SWAP_DOMAIN][:, 1:])
-        swapped = _frame_records(range(1, hops), swaps, parity, x_out)
+        frames.append((_frame_index(parity, x_out), swaps))
+        shares, left_counts = _fold_shares(frames, max(self.left_senders - 1, 0), slots)
         pair_errors, pair_x, pair_z = (bits[:, 0, :slots] for bits in (errors, frame_x, frame_z))
         for node in range(1, hops):
             pair_errors, pair_x, pair_z = swap_bits(
@@ -689,84 +676,83 @@ class _CycleRecords:
                 frame_x[:, node, :slots], frame_z[:, node, :slots],
                 parity[:, node - 1, :slots], x_out[:, node - 1, :slots],
             )
-        pair_ints = _ints(np.stack([pair_errors, pair_x, pair_z], axis=1))
-        delivered = kept.min(axis=1).tolist()
+        delivered = kept.min(axis=1)
+        pairs = np.arange(slots) < delivered[:, None]
         cycle_ns = np.array(cycles, self.train_ns.dtype) * self.schedule.cycle_period_ns
         made = self.train_ns[:, None] + lasts[..., :slots].astype(self.train_ns.dtype) * self.tau
-        created = (made.max(axis=1) + cycle_ns[:, None]).tolist()
-        no_purification = [None] * self.num_nodes
-        outcomes = []
-        for k, (successes, count, first, times, ints) in enumerate(
-            zip(counts.tolist(), delivered, firsts, created, pair_ints)
-        ):
-            outcomes.append(_CycleOutcome(
-                trains[k * hops : (k + 1) * hops],
-                successes,
-                [None, *purified[k * hops : (k + 1) * hops]] if self.purify else no_purification,
-                [None, *swapped[k * (hops - 1) : (k + 1) * (hops - 1)], None],
-                _HopPairs(first[:count], times[:count], *ints),
-            ))
-        return outcomes
-
-    def _add_cycle_records(self, cycle: int, outcome: _CycleOutcome) -> None:
-        """Append what the run returns of ``cycle``: its end-to-end records,
-        its delivered count, its hops' success counts and its left folds."""
-        fusiliers, created, errors, frame_x, frame_z = outcome.pairs
-        herald_x, herald_z, left_x, left_z, left_count = _frame_shares(
-            outcome.purified + outcome.swapped, self.left_senders
+        herald, left = shares[:, :, :slots]
+        error_bits = pair_errors[pairs].view(np.uint8)
+        codes = error_bits << 6
+        for shift, index in ((4, _frame_index(pair_x, pair_z)), (2, herald ^ left), (0, herald)):
+            codes |= index[pairs] << shift
+        folds = np.arange(shares.shape[-1]) < left_counts[:, None]
+        fold_rows, fold_slots = np.nonzero(folds)
+        return (
+            _Block(fusiliers, counts, swaps, delivered.tolist(), error_bits),
+            (firsts[pairs], (made.max(axis=1) + cycle_ns[:, None])[pairs], codes),
+            (fold_rows + cycles.start, fold_slots, shares[1][folds]),
         )
-        self.delivered.append(len(fusiliers))
-        self.successes.append(outcome.successes)
-        for slot in range(left_count):
-            self.left_frame_folds[cycle, slot] = FRAMES[left_x >> slot & 1][left_z >> slot & 1]
-        period = self.schedule.cycle_period_ns
-        established = cycle * period + self.schedule.herald_offsets_ns[-1]
-        at_ns = established + period
-        # Node split-1's swap record, which covers every delivered slot, is
-        # the last left-bound record to reach node 0 (module docstring).
-        left_at_ns = None
-        if self.left_senders == 1:
-            left_at_ns = at_ns
-        elif self.left_senders and cycle + self.left_senders - 1 < self.cycles:
-            left_at_ns = (cycle + self.left_senders - 1) * period + self.left_return_ns
-        records = self.records
-        for slot, fusilier in enumerate(fusiliers):
-            x, z = herald_x >> slot & 1, herald_z >> slot & 1
-            pair = PairRecord(
-                Endpoint(0, fusilier), Endpoint(self.num_nodes - 1, self.right_stride * slot),
-                errors >> slot & 1, FRAMES[frame_x >> slot & 1][frame_z >> slot & 1],
-                created[slot], self.end_fidelity,
-            )
-            records.append(EndToEndRecord(
-                cycle, slot, pair, established, at_ns,
-                FRAMES[x ^ (left_x >> slot & 1)][z ^ (left_z >> slot & 1)],
-                FRAMES[x][z], left_at_ns,
-            ))
+
+    def _add_block_records(self, cycles: range, tests: list) -> _Block:
+        """Append what the run returns of a block of cycles, in one pass
+        over its flat columns (``_fold_block``): its end-to-end records,
+        delivered and success counts and left folds. Returns the block."""
+        block, pairs, folds = self._fold_block(cycles, tests)
+        period, offset = self.schedule.cycle_period_ns, self.schedule.herald_offsets_ns[-1]
+        records, fidelity, stride = self.records, self.end_fidelity, self.right_stride
+        right, split = self.num_nodes - 1, self.left_senders
+        columns = zip(*map(_items, pairs))
+        for cycle, count in zip(cycles, block.delivered):
+            at_ns = cycle * period + offset
+            # Node split-1's swap frames, which cover every delivered slot,
+            # are the last left-bound frames to reach node 0 (module docstring).
+            left_ns = available_ns = at_ns + period
+            if split != 1:
+                left_ns = None
+                if split and cycle + split - 1 < self.cycles:
+                    left_ns = (cycle + split - 1) * period + self.left_return_ns
+            for slot, (fusilier, made_ns, code) in zip(range(count), columns):
+                error, frame, correction, herald = _PAIR_CODES[code]
+                pair = PairRecord(
+                    Endpoint(0, fusilier), Endpoint(right, stride * slot),
+                    error, frame, made_ns, fidelity,
+                )
+                records.append(EndToEndRecord(
+                    cycle, slot, pair, at_ns, available_ns, correction, herald, left_ns
+                ))
+        fold_cycles, fold_slots, fold_frames = (column.tolist() for column in folds)
+        self.left_frame_folds.update(
+            zip(zip(fold_cycles, fold_slots), map(_FRAME_AT.__getitem__, fold_frames))
+        )
+        self.delivered += block.delivered
+        for hop, column in zip(self.successes, block.counts.T.tolist()):
+            hop += column
+        return block
 
     def _result(self, trace: list[str]) -> RunResult:
         return RunResult(
             schedule=self.schedule,
             records=self.records,
             per_cycle_delivered=self.delivered,
-            hop_success_counts=[list(counts) for counts in zip(*self.successes)],
+            hop_success_counts=self.successes,
             split_index=self.left_senders or None,
             left_frame_folds=self.left_frame_folds,
             trace=trace,
         )
 
-    def _desync_error(self, swapped: Iterable[list[Optional[FrameRecord]]]) -> Optional[str]:
+    def _desync_error(self, swaps: Iterable[list[int]]) -> Optional[str]:
         """The error text of the first desynchronization a run meets on the event
         timeline, or None if it meets none.
 
-        ``swapped`` yields each cycle's swap records (``_CycleOutcome.swapped``)
-        in cycle order; it is read only as far as the verdict needs. Herald
-        c + 1 overtakes node i >= 1 if the queue dispatches it before the
-        node's work of cycle c (its return, or at the right end its incoming
-        train), or, when the node swapped in cycle c, strictly less than
-        ``proc_ns`` after that return. Node 0 desynchronizes when its return
-        comes after the next cycle's start; times are fixed offsets from a
-        cycle's start, so then it does so in cycle 0, and no later herald
-        exists.
+        ``swaps`` yields each cycle's swap counts in cycle order, node i's at
+        ``[i - 1]`` (a row of ``_Block.swaps``); it is read only as far as
+        the verdict needs. Herald c + 1 overtakes node i >= 1 if the queue
+        dispatches it before the node's work of cycle c (its return, or at
+        the right end its incoming train), or, when the node swapped in
+        cycle c, strictly less than ``proc_ns`` after that return. Node 0
+        desynchronizes when its return comes after the next cycle's start;
+        times are fixed offsets from a cycle's start, so then it does so in
+        cycle 0, and no later herald exists.
 
         Events are (kind, node, cycle), node 0's herald being the cycle's
         start. The queue orders them by (time, the key of the entry that
@@ -811,7 +797,7 @@ class _CycleRecords:
             return time(a) < time(b)
 
         first = None
-        for cycle, records in enumerate(swapped):
+        for cycle, swapped in enumerate(swaps):
             # Herald cycle + 1 passes node i at (cycle + 1) * period + offsets[i].
             if first and time(first) < (cycle + 1) * period + offsets[1]:
                 break
@@ -819,7 +805,7 @@ class _CycleRecords:
                 herald = (_HERALD, node, cycle + 1)
                 work = (_RETURN if node < last else _TRAIN, node, cycle)
                 if precedes(herald, work) or (
-                    records[node] and time(herald) < time(work) + proc_ns
+                    node < last and swapped[node - 1] and time(herald) < time(work) + proc_ns
                 ):
                     if first is None or precedes(herald, first):
                         first = herald
@@ -828,27 +814,22 @@ class _CycleRecords:
             return None
         return f"herald for cycle {first[2]} overtook unfinished work at node {first[1]}"
 
-    def _swaps(self):
-        """Build every cycle in order, yielding each one's swap records."""
-        add = self._add_cycle_records
-        for cycle, made in enumerate(self._outcomes()):
-            add(cycle, made)
-            yield made.swapped
-
     def loop(self, check: bool) -> RunResult:
-        """Build every cycle in order, with no event timeline and no trace.
+        """Build every block in order, with no event timeline and no trace.
 
         With ``check`` (a period below the safe bound) first raise the
         desynchronization the timeline would meet (``_desync_error``), if
         any, as soon as no later cycle can hold an earlier one. At or above
         the bound there is none (module docstring).
         """
-        swaps = self._swaps()
+        blocks = (self._add_block_records(*block) for block in self.keyed.blocks())
         if check:
-            error = self._desync_error(swaps)
+            error = self._desync_error(
+                itertools.chain.from_iterable(block.swaps.tolist() for block in blocks)
+            )
             if error:
                 raise DesynchronizationError(error)
-        for _ in swaps:
+        for _ in blocks:
             pass
         return self._result([])
 
@@ -856,7 +837,10 @@ class _CycleRecords:
 class _ChainSimulation(_CycleRecords):
     """One event-driven run of a configured chain: the timeline that a
     traced run needs for its trace. It checks nothing: a run that would
-    desynchronize is stopped by ``_desync_error`` before it starts."""
+    desynchronize is stopped by ``_desync_error`` before it starts. It
+    builds no record either: a block's records are added by the block pass
+    as the block's first cycle starts, and the timeline reads each cycle's
+    outcome (``_CycleOutcome``), sliced from the block, for its events."""
 
     def __init__(
         self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
@@ -876,9 +860,8 @@ class _ChainSimulation(_CycleRecords):
     def _handle_cycle_start(self, node_id: int, cycle: int, _datum: None) -> None:
         generate = cycle < self.cycles
         if generate:
-            outcome = self.outcomes[cycle] = next(self.started)
+            self.outcomes[cycle] = next(self.started)
             self.unfinished[cycle] = self.num_nodes
-            self._add_cycle_records(cycle, outcome)
         self._herald_at(0, cycle)
         self._trace(_CYCLE_START, node_id, f"cycle={cycle}" + ("" if generate else " flush"))
 
@@ -926,11 +909,9 @@ class _ChainSimulation(_CycleRecords):
     def _handle_return_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
         queue = self.queue
         outcome = self.outcomes[cycle]
-        record = outcome.swapped[node_id]
-        swaps = 0
-        if record:
+        swaps = outcome.swaps[node_id - 1] if node_id else 0
+        if swaps:
             # The swap occupies the node for proc_ns.
-            swaps = record.count
             queue.schedule(queue.now_ns + self.proc_ns, _SWAP_COMPLETE, node_id, cycle, swaps)
         else:
             self._node_finished(cycle)
@@ -948,6 +929,24 @@ class _ChainSimulation(_CycleRecords):
         self._trace(_SWAP_COMPLETE, node_id, f"cycle={cycle} count={swaps}")
 
     # -- helpers ---------------------------------------------------------
+
+    def _outcomes(self) -> Iterator[_CycleOutcome]:
+        """Every cycle's outcome, in cycle order, sliced from its block."""
+        hops = len(self.links)
+        for block in self.keyed.blocks():
+            fusiliers, counts, swaps, delivered, errors = self._add_block_records(*block)
+            # Each train's fusiliers, flat over the block's (cycle, hop).
+            flat = fusiliers[np.arange(fusiliers.shape[-1]) < counts[..., None]].tolist()
+            ends = np.cumsum(counts).tolist()
+            trains = [flat[start:end] for start, end in zip([0] + ends, ends)]
+            errors = iter(errors.tolist())
+            for k, (successes, swapped, count) in enumerate(
+                zip(counts.tolist(), swaps.tolist(), delivered)
+            ):
+                yield _CycleOutcome(
+                    trains[k * hops : (k + 1) * hops], successes, swapped,
+                    list(itertools.islice(errors, count)),
+                )
 
     def _trace(self, kind: EventKind, node_id: int, detail: str) -> None:
         t_ns, seq = self.queue.now_ns, self.queue.seq
@@ -979,11 +978,11 @@ class _ChainSimulation(_CycleRecords):
         if self.unfinished[cycle]:
             return
         del self.unfinished[cycle]
-        pairs = self.outcomes.pop(cycle).pairs
+        errors = self.outcomes.pop(cycle).errors
         now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
-        for slot in range(len(pairs.created_at_ns)):
+        for slot, error in enumerate(errors):
             seq = self.queue.reserve()
-            detail = f"cycle={cycle} slot={slot} x={pairs.errors >> slot & 1}"
+            detail = f"cycle={cycle} slot={slot} x={error}"
             self.trace.append(
                 (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
             )

@@ -33,13 +33,13 @@ from fusenet.network import (
     Strategy,
     _ChainSimulation,
     _CycleRecords,
-    _ints,
     _key_draws,
     butterfly_split,
     run_network,
     validate_config,
 )
 from fusenet.pair_algebra import (
+    FRAMES,
     IDENTITY_FRAME,
     LinkModel,
     chain_fidelity,
@@ -523,7 +523,7 @@ class TestFramePropagation:
     @pytest.mark.parametrize("drop", ["herald_bound", "left_bound"])
     @pytest.mark.parametrize("strategy, m", [(Strategy.RAW, 2), (Strategy.PURIFY3, 6)])
     def test_dropped_frame_record_moves_fidelity(self, monkeypatch, drop, strategy, m):
-        # The split is node 2: node 3's records fold into the herald share,
+        # The split is node 2: node 3's frames fold into the herald share,
         # node 1's into the left share. Losing either from its fold must show
         # in the summary and leave the other share as it was.
         cfg = chain_config(
@@ -532,12 +532,17 @@ class TestFramePropagation:
         )
         intact = run_network(cfg)
         dropped = 3 if drop == "herald_bound" else 1
-        fold = network_module._frame_shares
+        fold = network_module._fold_shares
 
-        def lossy(records, split):
-            return fold([rec for rec in records if rec is None or rec.node != dropped], split)
+        def lossy(frames, left_nodes, width):
+            # Node i's frames are at [:, i - 1] of each kind's array; index 0
+            # is the identity frame, which folds to nothing.
+            frames = [(index.copy(), count) for index, count in frames]
+            for index, _ in frames:
+                index[:, dropped - 1] = 0
+            return fold(frames, left_nodes, width)
 
-        monkeypatch.setattr(network_module, "_frame_shares", lossy)
+        monkeypatch.setattr(network_module, "_fold_shares", lossy)
         lost = run_network(cfg)
         if drop == "herald_bound":
             assert lost.left_frame_folds == intact.left_frame_folds
@@ -635,15 +640,17 @@ def test_a_finished_run_is_freed_at_once(traced):
 
 
 def test_only_traced_runs_take_the_timeline(monkeypatch):
-    # An untraced run never calls the event timeline: at the bound, below
-    # it in step, or below it out of step.
+    # An untraced run never calls the event timeline, nor slices a cycle's
+    # outcome out of its block: at the bound, below it in step, or below it
+    # out of step.
     class TimelineRan(Exception):
         pass
 
-    def timeline(queue, handlers):
+    def timeline(*args):
         raise TimelineRan
 
     monkeypatch.setattr(network_module, "run", timeline)
+    monkeypatch.setattr(network_module, "_CycleOutcome", timeline)
     cfg = chain_config([10.0, 30.0], n=4, m=2, p=0.5, cycles=40, seed=123, tau_slot_ns=10)
     assert len(run_network(cfg).per_cycle_delivered) == 40
     with pytest.raises(TimelineRan):
@@ -1120,18 +1127,28 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
 # and all.
 @example(chain_config([0.001], n=4, m=6, p=1.0, fidelity=0.5, cycles=2, strategy=Strategy.PURIFY3))
 def test_frame_records_hold_no_bit_past_their_count(cfg):
-    # A frame record covers its count of slots and no more: the left folds
-    # read a cycle's records up to the largest left-bound count, so a bit
-    # past a record's own count would reach them.
+    # A node's frames of a cycle cover its purification or swap count of
+    # slots and no more: the left folds read a cycle's frames up to the
+    # largest left-bound count, so a frame past a node's own count would
+    # reach them. Checked on every block's arrays as they are folded.
     if _return_before_train(cfg) is not None:
         return
-    records = _CycleRecords(cfg, validate_config(cfg), None)
-    for outcome in records._outcomes():
-        for record in outcome.purified + outcome.swapped:
-            if record is not None:
-                assert record.count > 0
-                assert record.x_bits >> record.count == 0, record
-                assert record.z_bits >> record.count == 0, record
+    fold, folded = network_module._fold_shares, []
+
+    def recording(frames, left_nodes, width):
+        folded.append(list(frames))
+        return fold(frames, left_nodes, width)
+
+    with mock.patch.object(network_module, "_fold_shares", recording):
+        run_network(cfg)
+    kinds = 2 if cfg.strategy is Strategy.PURIFY3 else 1
+    assert folded and {len(block) for block in folded} == {kinds}
+    for block in folded:
+        for index, count in block:
+            assert index.dtype == np.uint8 and index.max(initial=0) <= 3
+            assert index.shape[:2] == count.shape
+            past = np.arange(index.shape[-1]) >= count[..., None]
+            assert not index[past].any()
 
 
 def _check_draws_within_counts(cfg, path):
@@ -1269,15 +1286,94 @@ def test_block_size_does_not_move_output(case, tmp_path, monkeypatch):
     assert runs[64] == runs[1]
 
 
-@given(
-    shape=st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    width=st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129]), st.integers(0, 200)),
-    seed=st.integers(0, 2**32 - 1),
+def _fold_reference(blocks, split):
+    """Every cycle's frame shares folded record by record, as ints:
+    ``(herald_x, herald_z, left_x, left_z, left_count)`` per cycle.
+
+    ``blocks`` holds each block's ``(frame indices, counts)`` pairs as
+    ``_fold_shares`` got them. A node's frames of a cycle become one
+    record, slot k's X and Z bits in bit k of two ints, node i's the i-th
+    of each array; the records of the nodes left of ``split`` (none when it
+    is 0) fold into the left share, the rest into the herald share.
+    """
+    shares = []
+    for frames in blocks:
+        for k in range(len(frames[0][1])):
+            herald_x = herald_z = left_x = left_z = left_count = 0
+            for index, count in frames:
+                for node, (row, n) in enumerate(zip(index[k].tolist(), count[k].tolist()), 1):
+                    if not n:
+                        continue
+                    x = sum((frame >> 1) << slot for slot, frame in enumerate(row))
+                    z = sum((frame & 1) << slot for slot, frame in enumerate(row))
+                    if node < split:
+                        left_x, left_z, left_count = left_x ^ x, left_z ^ z, max(left_count, n)
+                    else:
+                        herald_x, herald_z = herald_x ^ x, herald_z ^ z
+            shares.append((herald_x, herald_z, left_x, left_z, left_count))
+    return shares
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_short_chains_with_periods(), one_cycle_blocks=st.booleans())
+# Two hops under the butterfly split at node 1: no frame goes left.
+@example(
+    cfg=chain_config([10.0, 20.0], n=6, m=3, p=0.7, cycles=5, seed=2, butterfly=True),
+    one_cycle_blocks=False,
 )
-@settings(max_examples=100, deadline=None)
-def test_slot_bits_pack_into_ints(shape, width, seed):
-    # A block's slot bits become one int per leading index, bit k from
-    # slot k, above 64 slots too.
-    bits = np.random.default_rng(seed).random(shape + (width,)) < 0.5
-    expected = [[sum(int(bit) << k for k, bit in enumerate(row)) for row in rows] for rows in bits]
-    assert _ints(bits) == expected
+# One purified hop: its right node's frames are the only ones.
+@example(
+    cfg=chain_config([10.0], n=9, m=6, p=0.8, cycles=4, seed=3, strategy=Strategy.PURIFY3),
+    one_cycle_blocks=True,
+)
+@example(cfg=_uneven_purify_butterfly([10.0, 10.0, 10.0, 25.0], [9, 6, 3, 3]), one_cycle_blocks=False)
+# A cycle of 5000 pairs: more than one chunk of a column.
+@example(
+    cfg=chain_config([1.0, 1.0], n=5000, m=5000, cycles=1, seed=4, butterfly=True),
+    one_cycle_blocks=False,
+)
+def test_block_records_equal_a_fold_of_per_node_ints(cfg, one_cycle_blocks):
+    # The records and left folds a block pass builds from its arrays equal
+    # those built slot by slot from per-node frame ints, each cycle's folded
+    # record by record, on any block size and at periods below the bound
+    # that still finish; every id, slot, endpoint and bit is a Python int.
+    if _return_before_train(cfg) is not None:
+        return
+    fold, blocks = network_module._fold_shares, []
+
+    def recording(frames, left_nodes, width):
+        blocks.append([(index.copy(), count.copy()) for index, count in frames])
+        return fold(frames, left_nodes, width)
+
+    block_values = 1 if one_cycle_blocks else engine_module.BLOCK_MAX_VALUES
+    with mock.patch.object(network_module, "_fold_shares", recording), mock.patch.object(
+        engine_module, "BLOCK_MAX_VALUES", block_values
+    ), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = run_network(cfg)
+        except DesynchronizationError:
+            return
+    if one_cycle_blocks:
+        assert {len(frames[0][1]) for frames in blocks} == {1}
+    shares = _fold_reference(blocks, butterfly_split(cfg) if cfg.butterfly else 0)
+    assert len(shares) == cfg.cycles
+    assert [(rec.cycle_id, rec.slot) for rec in result.records] == [
+        (cycle, slot) for cycle, count in enumerate(result.per_cycle_delivered) for slot in range(count)
+    ]
+    for rec in result.records:
+        herald_x, herald_z, left_x, left_z, _ = shares[rec.cycle_id]
+        x, z = herald_x >> rec.slot & 1, herald_z >> rec.slot & 1
+        assert rec.herald_correction is FRAMES[x][z]
+        assert rec.correction is FRAMES[x ^ (left_x >> rec.slot & 1)][z ^ (left_z >> rec.slot & 1)]
+        assert rec.correction is rec.pair.frame
+        pair = rec.pair
+        fields = (pair.x_error, rec.cycle_id, rec.slot, *pair.left, *pair.right, pair.created_at_ns)
+        assert all(type(value) is int for value in fields), rec
+    folds = {
+        (cycle, slot): FRAMES[left_x >> slot & 1][left_z >> slot & 1]
+        for cycle, (_, _, left_x, left_z, count) in enumerate(shares)
+        for slot in range(count)
+    }
+    assert result.left_frame_folds == folds
+    assert all(type(value) is int for key in result.left_frame_folds for value in key)
