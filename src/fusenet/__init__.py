@@ -4,7 +4,6 @@ from .errors import (
     ConfigurationError,
     DesynchronizationError,
     ProtocolError,
-    SchedulingError,
     UnsatisfiableError,
 )
 from .pair_algebra import (
@@ -38,7 +37,6 @@ __all__ = [
     "ConfigurationError",
     "DesynchronizationError",
     "ProtocolError",
-    "SchedulingError",
     "UnsatisfiableError",
     "Endpoint",
     "IDENTITY_FRAME",

@@ -1,31 +1,9 @@
-"""Deterministic discrete-event core: event queue, fiber delays, seeded substreams.
+"""Deterministic core: fiber delays on the nanosecond clock, seeded keyed draws.
 
-All simulation time is kept as integer nanoseconds so schedules stay exact;
-ties are broken by the scheduling sequence number, which makes the dispatch
-order a pure function of (config, seed). Fibers carry no state of their
-own: a hop is just its one-way delay, from ``channel_delay_ns``.
-
-A queue entry is the flat tuple ``(time_ns, seq, kind, node, cycle,
-datum)``: an event names its kind, its node and its cycle and carries one
-datum, whatever its kind's handler needs beyond them. ``run`` pops each
-entry, sets ``queue.now_ns`` and ``queue.seq`` to its time and seq, and
-calls ``handlers[kind](node, cycle, datum)``; a handler reads the two from
-the queue when it needs them. No object is built per event.
-
-A train of events (a hop's signal train) takes one queue entry. Scheduling
-it reserves a block of consecutive sequence numbers, the ones that many
-separate ``schedule`` calls would have taken, so member k keeps the key
-(its own time, ``first + k``). The entry is queued under the last member's
-key and its handler resolves every member in that one dispatch. This is
-exact only while no event between a train's first and last member touches
-what the train's handler reads or writes, which the caller guarantees (see
-``network.validate_config``). ``EventQueue.reserve`` hands out a seq with
-nothing queued, for a caller that keys a record like an event without
-dispatching one. ``run`` only dispatches; handlers keep their own trace.
-
-An ``EventKind`` hashes by identity (``object.__hash__``), which is exact
-because each member is a singleton; the handler lookup then costs no
-Python-level ``Enum.__hash__`` call per event.
+All simulation time is kept as integer nanoseconds so schedules stay exact.
+Fibers carry no state of their own: a hop is just its one-way delay, from
+``channel_delay_ns``. Where each event of a cycle falls is a closed form of
+the schedule (see ``network``), so no event queue is kept.
 
 Each (domain, index, cycle) key owns numpy's
 ``PCG64(SeedSequence((seed, domain, index, cycle)))`` generator. Building a
@@ -77,14 +55,12 @@ values, 3.8 us at 80 and 6.6 us at 128; numpy's generator with its tests
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, SchedulingError
+from .errors import ConfigurationError
 
 NS_PER_SECOND = 1_000_000_000
 
@@ -134,72 +110,6 @@ _MASK128 = 2**128 - 1
 _ONE = np.uint64(1)
 _WORD = np.uint64(32)
 _LOW_WORD = np.uint64(_MASK32)
-
-
-class EventKind(Enum):
-    CYCLE_START = "CycleStart"
-    HERALD_ARRIVE = "HeraldArrive"
-    SIGNAL_ARRIVE = "SignalArrive"
-    RETURN_ARRIVE = "ReturnArrive"
-    SWAP_COMPLETE = "SwapComplete"
-
-    # Members are singletons, so identity hashing is exact, and it is C-level.
-    __hash__ = object.__hash__
-
-
-class EventQueue:
-    """Priority queue of ``(time_ns, seq, kind, node, cycle, datum)`` entries.
-
-    Entries pop in (time, seq) order; a seq is unique, so no two entries
-    ever compare past it. ``now_ns`` and ``seq`` are those of the entry
-    ``run`` dispatched last.
-    """
-
-    def __init__(self) -> None:
-        self.now_ns = 0
-        self.seq = -1
-        self._heap: list[tuple] = []
-        self._next_seq = 0
-
-    def schedule(
-        self, time_ns: int, kind: EventKind, node: int, cycle: int, datum: object, count: int = 1
-    ) -> int:
-        """Queue an event and return its seq; scheduling into the simulated
-        past is an error.
-
-        With ``count`` > 1 the event stands for a train of that many members,
-        due by ``time_ns``: it reserves their consecutive seqs and is queued
-        under the last one, which it returns, so member k has seq
-        ``seq - count + 1 + k``.
-        """
-        if time_ns < self.now_ns:
-            raise SchedulingError(
-                f"event at t={time_ns} ns lies before now={self.now_ns} ns"
-            )
-        seq = self._next_seq + count - 1
-        self._next_seq = seq + 1
-        heapq.heappush(self._heap, (time_ns, seq, kind, node, cycle, datum))
-        return seq
-
-    def reserve(self) -> int:
-        """Take the next seq, queueing nothing, and return it."""
-        self._next_seq += 1
-        return self._next_seq - 1
-
-
-def run(
-    queue: EventQueue, handlers: Mapping[EventKind, Callable[[int, int, object], None]]
-) -> None:
-    """Dispatch events in (time, seq) order until the queue drains.
-
-    Pops each entry, sets ``queue.now_ns`` and ``queue.seq`` to its time
-    and seq, then calls ``handlers[kind](node, cycle, datum)``.
-    """
-    heap = queue._heap
-    pop = heapq.heappop
-    while heap:
-        queue.now_ns, queue.seq, kind, node, cycle, datum = pop(heap)
-        handlers[kind](node, cycle, datum)
 
 
 def channel_delay_ns(length_km: float, signal_speed_m_per_s: float) -> int:

@@ -9,10 +9,6 @@ class UnsatisfiableError(ConfigurationError):
     """No parameter value can meet the requested target."""
 
 
-class SchedulingError(ValueError):
-    """An event was scheduled in the simulated past."""
-
-
 class ProtocolError(RuntimeError):
     """The simulated protocol went out of step."""
 

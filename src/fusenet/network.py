@@ -47,21 +47,16 @@ Hop i's train starts arriving as the herald reaches its right node, at
 ``cycle * period + herald_offsets_ns[i + 1]``, and fusilier k k slot times
 later; a slot's pair was made then.
 
-So the event timeline (``_ChainSimulation``) adds nothing to a run's
-result but its trace, and only a traced run takes it; an untraced run
-loops over its blocks in order (``_CycleRecords.loop``) and builds no
-object per cycle but its records. Only the timeline slices each cycle's
-outcome out of its block (``_CycleOutcome``). Whether a run
-desynchronizes is decided once, from the schedule, ``proc_ns`` and each
-node's swap count in each cycle (``_CycleRecords._desync_error``), and
-only below ``_safe_period_ns``: at or above it no herald can overtake.
-Node i's return and swap end by ``2 * d_i + (n_i - 1) * tau + proc_ns``
-after its herald, and its incoming train by ``(n_{i-1} - 1) * tau`` (d_i
-and n_i hop i's delay and train). Neither is later than the bound, so
-neither is later than the node's next herald, one period on; at a tie the
-return or train, scheduled first, is taken first. A traced run below the
-bound takes the loop first, for its verdict, then replays on the
-timeline, whose handlers only schedule and trace.
+Every run, traced or not, loops over its blocks in order
+(``_CycleRecords.loop``) and builds no object per cycle but its records.
+Whether a run desynchronizes is decided once, from the schedule,
+``proc_ns`` and each node's swap count in each cycle
+(``_CycleRecords._desync_error``), and only below ``_safe_period_ns``: at
+or above it no herald can overtake. Node i's return and swap end by ``2 *
+d_i + (n_i - 1) * tau + proc_ns`` after its herald, and its incoming train
+by ``(n_{i-1} - 1) * tau`` (d_i and n_i hop i's delay and train). Neither
+is later than the bound, so neither is later than the node's next herald,
+one period on; at a tie the return or train is taken first.
 
 Keyed draws belong to ``engine.KeyedDraws``, which hands a block of
 cycles out as threshold tests, one bool array per domain; this module
@@ -71,32 +66,24 @@ purification's coins against 0.5. Every train of the block resolves in one
 array pass (``machines.train_pairs``), and a node's swaps and a hop's
 purification coins are its key's columns cut to the swaps or trios made.
 
-Each handler takes an event's fields, ``(node, cycle, datum)``, and reads
-its time and seq as ``queue.now_ns`` and ``queue.seq`` (see ``engine``); no
-event object exists. The datum is, by kind: none for ``CycleStart``,
-``HeraldArrive`` and ``ReturnArrive``; the train's fusiliers (those that
-filled a slot, slot by slot) for ``SignalArrive``, on the hop into the
-node; the swap count for ``SwapComplete``.
-
-Each hop's signal train is one queue entry holding n reserved seqs (see
-``engine``), dispatched once, at its last signal's arrival:
-``_handle_signal_arrive`` traces the whole train, then ends it with the
-return message. That equals one event per signal because no event between
-a train's first and last signal touches the receiving node:
-``validate_config`` rejects a chain whose return from the right-hand hop
-would come sooner, and a run whose next herald would come sooner
-desynchronizes before the timeline starts.
-
-The simulation keeps its own trace, each entry built once as its final
-JSON line, byte-equal to ``json.dumps`` of its fields ``{t_ns, seq, kind,
-node, detail}`` with sorted keys; each kind goes through the escaper once,
-into ``_KIND_JSON``. Each handler appends its event's line at the queue's
-(now_ns, seq); a train appends one line per signal, at its arrival and
-reserved seq, its outcome read from the train's fusiliers; the last node
-to finish a cycle appends one ``PairReady`` line per delivered pair, now,
-under a seq reserved from the queue with no event queued. ``execute``
-sorts the entries by (time, seq) once and strips each to its line in
-place.
+A traced run's lines are built from the schedule and each block's
+``_Block`` (``_CycleRecords._trace_block``), every one at a closed form of
+its cycle c, at c * period plus: ``CycleStart`` 0 (and the flush sweep's
+at cycles * period, ``cycle=C flush``); ``HeraldArrive`` at node i
+``herald_offsets_ns[i]``; signal k of hop i, at node i + 1,
+``herald_offsets_ns[i + 1] + k * tau``; node i's ``ReturnArrive`` one delay
+after its hop's last signal, and its ``SwapComplete``, when it swapped,
+``proc_ns`` later; and each delivered pair's ``PairReady``, at the right
+end, at the latest of the cycle's finishes (the right end's incoming
+train, and every other node's return or swap). The lines are sorted once,
+by ``(t_ns, cycle, rank, node, index)``, rank the kind's place in
+``_KINDS`` and index the signal's fusilier, the pair's slot or 0, and
+``seq`` is a line's position in that order. So a line comes after its
+cause: a herald before the next node's and before its train, a train's
+last signal before its return, a return before its swap, and node 0's
+return of cycle c before the start of c + 1, which it is not later than.
+Each line is byte-equal to ``json.dumps`` of its fields ``{t_ns, seq,
+kind, node, detail}`` with sorted keys (``_trace_line``).
 
 A block's pairs are arrays with axes (cycle, hop or node, slot) rather
 than one object per pair or per swap: each hop's kept fusiliers, error and
@@ -131,15 +118,12 @@ import numpy as np
 
 from .engine import (
     DOMAINS,
-    EventKind,
-    EventQueue,
     KEY_WORD_LIMIT,
     KeyedDraws,
     LINK_DOMAIN,
     PURIFY_DOMAIN,
     SWAP_DOMAIN,
     channel_delay_ns,
-    run,
 )
 from .errors import ConfigurationError, DesynchronizationError
 from .machines import swap_outcomes, train_pairs
@@ -263,21 +247,6 @@ class _Block(NamedTuple):
     errors: np.ndarray
 
 
-class _CycleOutcome(NamedTuple):
-    """What the timeline reads of one cycle, sliced from its block.
-
-    ``trains[i]`` is the fusiliers that filled a slot in hop i's train,
-    slot by slot, and ``successes[i]`` their count; ``swaps[i - 1]`` is
-    node i's swap count (0 < i < hops); ``errors`` is the delivered pairs'
-    error bits, slot by slot.
-    """
-
-    trains: list[list[int]]
-    successes: list[int]
-    swaps: list[int]
-    errors: list[int]
-
-
 def _trace_line(t_ns: int, seq: int, kind_json: str, node: int, detail: str) -> str:
     """One trace line: ``json.dumps`` of the fields with sorted keys, plus a
     newline. ``kind_json`` is the kind already through the escaper
@@ -289,18 +258,12 @@ def _trace_line(t_ns: int, seq: int, kind_json: str, node: int, detail: str) -> 
     )
 
 
-# The event kinds, each bound once: a member looked up on its Enum class
-# costs a slow attribute lookup per event.
-_CYCLE_START = EventKind.CYCLE_START
-_HERALD_ARRIVE = EventKind.HERALD_ARRIVE
-_SIGNAL_ARRIVE = EventKind.SIGNAL_ARRIVE
-_RETURN_ARRIVE = EventKind.RETURN_ARRIVE
-_SWAP_COMPLETE = EventKind.SWAP_COMPLETE
-
-# Every trace kind as json.dumps writes it: the event kinds and PairReady,
+# Every trace kind by its rank in the line order, as json.dumps writes it:
 # fixed ASCII words escaped once rather than per line.
-_KIND_JSON = {kind: _escape(kind.value) for kind in EventKind}
-_PAIR_READY_JSON = _escape("PairReady")
+_KINDS = (
+    "CycleStart", "HeraldArrive", "SignalArrive", "ReturnArrive", "SwapComplete", "PairReady"
+)
+_KIND_JSON = tuple(map(_escape, _KINDS))
 
 
 @dataclass
@@ -308,8 +271,9 @@ class RunResult:
     """Everything a finished run produced.
 
     ``trace`` is empty unless the run collected it: then it is the run's
-    JSON lines, newline included, in (t_ns, seq) order; ``json.loads`` one
-    to read its fields.
+    JSON lines, newline included, sorted by the order key ``(t_ns, cycle,
+    kind rank, node, index)`` (module docstring), with ``seq`` a line's
+    position in it; ``json.loads`` one to read its fields.
     """
 
     schedule: CycleSchedule
@@ -568,20 +532,22 @@ def _fold_shares(frames: list, left_nodes: int, width: int):
 
 
 class _CycleRecords:
-    """What a run returns, folded a block of cycles at a time, as arrays.
-
-    Both ways of running a chain build on it: its ``loop``, which every
-    untraced run takes and which decides desynchronization below the safe
-    period, and its subclass ``_ChainSimulation``, the event timeline of a
-    traced run. Both get the run's records from one pass per block,
-    ``_add_block_records``, in cycle order.
+    """One run of a configured chain: what it returns, folded a block of
+    cycles at a time, as arrays, in one pass per block
+    (``_add_block_records``) and in cycle order (``loop``). With
+    ``collect_trace`` each block's trace lines come from the same pass
+    (``_trace_block``).
     """
 
     def __init__(
-        self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
+        self,
+        config: NetworkConfig,
+        schedule: CycleSchedule,
+        split_index: Optional[int],
+        collect_trace: bool,
     ) -> None:
         self.schedule = schedule
-        # What _add_block_records and the handlers read, cached off the config.
+        # What _add_block_records and _trace_block read, cached off the config.
         self.cycles = config.cycles
         self.links = config.links
         self.tau = config.tau_slot_ns
@@ -615,6 +581,9 @@ class _CycleRecords:
         self.delivered: list[int] = []
         self.successes: list[list[int]] = [[] for _ in self.links]
         self.left_frame_folds: dict[tuple[int, int], PauliFrame] = {}
+        # (t_ns, cycle, rank, node, index, detail) entries; _trace_lines
+        # sorts them and makes each its line.
+        self.trace: Optional[list] = [] if collect_trace else None
 
     def _fold_block(self, cycles: range, tests: list) -> tuple[_Block, tuple, tuple]:
         """Everything a block of cycles makes, from its keyed draws alone,
@@ -727,22 +696,82 @@ class _CycleRecords:
         self.delivered += block.delivered
         for hop, column in zip(self.successes, block.counts.T.tolist()):
             hop += column
+        if self.trace is not None:
+            self._trace_block(cycles, block)
         return block
 
-    def _result(self, trace: list[str]) -> RunResult:
-        return RunResult(
-            schedule=self.schedule,
-            records=self.records,
-            per_cycle_delivered=self.delivered,
-            hop_success_counts=self.successes,
-            split_index=self.left_senders or None,
-            left_frame_folds=self.left_frame_folds,
-            trace=trace,
+    def _trace_block(self, cycles: range, block: _Block) -> None:
+        """Append the trace entries of a block of cycles, each at its closed
+        form (module docstring). A signal succeeded if it filled a slot, was
+        discarded if it came after the bank filled, and failed otherwise."""
+        schedule, tau, proc_ns, trace = self.schedule, self.tau, self.proc_ns, self.trace
+        period, offsets = schedule.cycle_period_ns, schedule.herald_offsets_ns
+        right = self.num_nodes - 1
+        # When hop i's return reaches node i, one delay after the hop's last
+        # signal, from the cycle's start.
+        returns = [
+            offsets[i + 1] + (link.n_fusiliers - 1) * tau + d
+            for i, (link, d) in enumerate(zip(self.links, schedule.link_delays_ns))
+        ]
+        errors = iter(block.errors.tolist())
+        rows = zip(
+            cycles, block.fusiliers.tolist(), block.counts.tolist(),
+            block.swaps.tolist(), block.delivered,
         )
+        for cycle, trains, counts, swaps, delivered in rows:
+            start_ns = cycle * period
+            trace += self._sweep(cycle, f"cycle={cycle}")
+            # The cycle's last finish is a return or a swap: the right end's
+            # incoming train ends no later than node right - 1's return.
+            finish_ns = start_ns
+            for hop, (link, filled, count) in enumerate(zip(self.links, trains, counts)):
+                signals = link.n_fusiliers
+                full = filled[count - 1] + 1 if count == link.m_fusilands else signals
+                outcomes = ["failure"] * full + ["discarded"] * (signals - full)
+                for slot, fusilier in enumerate(filled[:count]):
+                    outcomes[fusilier] = f"success slot={slot}"
+                first_ns = start_ns + offsets[hop + 1]
+                trace += [
+                    (first_ns + k * tau, cycle, 2, hop + 1, k, f"cycle={cycle} fusilier={k} {outcome}")
+                    for k, outcome in enumerate(outcomes)
+                ]
+                swapped = swaps[hop - 1] if hop else 0
+                done_ns = start_ns + returns[hop]
+                trace.append(
+                    (done_ns, cycle, 3, hop, 0, f"cycle={cycle} matches={count} swaps={swapped}")
+                )
+                if swapped:
+                    done_ns += proc_ns
+                    trace.append((done_ns, cycle, 4, hop, 0, f"cycle={cycle} count={swapped}"))
+                finish_ns = max(finish_ns, done_ns)
+            trace += [
+                (finish_ns, cycle, 5, right, slot, f"cycle={cycle} slot={slot} x={error}")
+                for slot, error in zip(range(delivered), errors)
+            ]
+
+    def _sweep(self, cycle: int, start_detail: str) -> list[tuple]:
+        """The entries of a cycle's herald sweep: its start, traced with
+        ``start_detail``, and its herald at every other node."""
+        start_ns, offsets = cycle * self.schedule.cycle_period_ns, self.schedule.herald_offsets_ns
+        return [(start_ns, cycle, 0, 0, 0, start_detail)] + [
+            (start_ns + offsets[node], cycle, 1, node, 0, f"cycle={cycle}")
+            for node in range(1, self.num_nodes)
+        ]
+
+    def _trace_lines(self) -> list[str]:
+        """The run's trace: the flush sweep's entries added, every entry
+        sorted by its key, which is unique, and made its line in place,
+        ``seq`` its position."""
+        trace = self.trace
+        trace += self._sweep(self.cycles, f"cycle={self.cycles} flush")
+        trace.sort()
+        for seq, (t_ns, _cycle, rank, node, _index, detail) in enumerate(trace):
+            trace[seq] = _trace_line(t_ns, seq, _KIND_JSON[rank], node, detail)
+        return trace
 
     def _desync_error(self, swaps: Iterable[list[int]]) -> Optional[str]:
-        """The error text of the first desynchronization a run meets on the event
-        timeline, or None if it meets none.
+        """The error text of the run's first desynchronization, or None if
+        it has none.
 
         ``swaps`` yields each cycle's swap counts in cycle order, node i's at
         ``[i - 1]`` (a row of ``_Block.swaps``); it is read only as far as
@@ -755,10 +784,13 @@ class _CycleRecords:
         cycle 0, and no later herald exists.
 
         Events are (kind, node, cycle), node 0's herald being the cycle's
-        start. The queue orders them by (time, the key of the entry that
-        scheduled it, rank among what that handler scheduled), cycle 0's start
-        first: a herald schedules the next node's herald, then the train it
-        leads; a train its return; node 0's return the next cycle's start.
+        start. At equal times, which comes first is this method's own
+        definition, the order of a queue in which each event is scheduled
+        by its cause: by (time, the key of the event that caused it, rank
+        among what that event caused), cycle 0's start first; a herald
+        causes the next node's herald, then the train it leads; a train its
+        return; node 0's return the next cycle's start. The tests check it
+        against such a queue, run with each node's bank checks.
         """
         schedule, tau, proc_ns = self.schedule, self.tau, self.proc_ns
         period, offsets = schedule.cycle_period_ns, schedule.herald_offsets_ns
@@ -815,12 +847,12 @@ class _CycleRecords:
         return f"herald for cycle {first[2]} overtook unfinished work at node {first[1]}"
 
     def loop(self, check: bool) -> RunResult:
-        """Build every block in order, with no event timeline and no trace.
+        """Build every block in order, and the trace if collected.
 
         With ``check`` (a period below the safe bound) first raise the
-        desynchronization the timeline would meet (``_desync_error``), if
-        any, as soon as no later cycle can hold an earlier one. At or above
-        the bound there is none (module docstring).
+        run's desynchronization (``_desync_error``), if any, as soon as no
+        later cycle can hold an earlier one. At or above the bound there is
+        none (module docstring).
         """
         blocks = (self._add_block_records(*block) for block in self.keyed.blocks())
         if check:
@@ -831,186 +863,15 @@ class _CycleRecords:
                 raise DesynchronizationError(error)
         for _ in blocks:
             pass
-        return self._result([])
-
-
-class _ChainSimulation(_CycleRecords):
-    """One event-driven run of a configured chain: the timeline that a
-    traced run needs for its trace. It checks nothing: a run that would
-    desynchronize is stopped by ``_desync_error`` before it starts. It
-    builds no record either: a block's records are added by the block pass
-    as the block's first cycle starts, and the timeline reads each cycle's
-    outcome (``_CycleOutcome``), sliced from the block, for its events."""
-
-    def __init__(
-        self, config: NetworkConfig, schedule: CycleSchedule, split_index: Optional[int]
-    ) -> None:
-        super().__init__(config, schedule, split_index)
-        self.delays = schedule.link_delays_ns
-        # (t_ns, seq, line) entries; execute strips each to its line.
-        self.trace: list = []
-        self.queue = EventQueue()
-        # outcomes[cycle] from the cycle's start until unfinished[cycle], its
-        # nodes yet to finish it, reaches 0.
-        self.outcomes: dict[int, _CycleOutcome] = {}
-        self.unfinished: dict[int, int] = {}
-
-    # -- event handlers -------------------------------------------------
-
-    def _handle_cycle_start(self, node_id: int, cycle: int, _datum: None) -> None:
-        generate = cycle < self.cycles
-        if generate:
-            self.outcomes[cycle] = next(self.started)
-            self.unfinished[cycle] = self.num_nodes
-        self._herald_at(0, cycle)
-        self._trace(_CYCLE_START, node_id, f"cycle={cycle}" + ("" if generate else " flush"))
-
-    def _handle_herald_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
-        self._herald_at(node_id, cycle)
-        self._trace(_HERALD_ARRIVE, node_id, f"cycle={cycle}")
-
-    def _handle_signal_arrive(self, node_id: int, cycle: int, fusiliers: list[int]) -> None:
-        # Dispatched at the train's last signal; fusilier k arrived at
-        # start_ns + k * tau.
-        link = self.links[node_id - 1]
-        start_ns = self.queue.now_ns - (link.n_fusiliers - 1) * self.tau
-        self._train_lines(node_id, cycle, link, start_ns, fusiliers)
-        return_ns = self.queue.now_ns + self.delays[node_id - 1]
-        self.queue.schedule(return_ns, _RETURN_ARRIVE, node_id - 1, cycle, None)
-        if node_id == self.num_nodes - 1:
-            # The right end gets no return; its cycle ends with the train.
-            self._node_finished(cycle)
-
-    def _train_lines(
-        self, node_id: int, cycle: int, link: LinkSpec, start_ns: int, fusiliers: list[int]
-    ) -> None:
-        # Signal k of the train arrived at start_ns + k * tau under seq
-        # queue.seq - count + 1 + k. It succeeded if it filled a slot, was
-        # discarded if it came after the bank filled, and failed otherwise.
-        # Past the kind, a line holds only ints and fixed words, so it needs
-        # no escaping.
-        count = link.n_fusiliers
-        full = fusiliers[-1] + 1 if len(fusiliers) == link.m_fusilands else count
-        outcomes = ["failure"] * full + ["discarded"] * (count - full)
-        for slot, fusilier in enumerate(fusiliers):
-            outcomes[fusilier] = f"success slot={slot}"
-        head = f'{{"detail": "cycle={cycle} fusilier='
-        mid = f'", "kind": {_KIND_JSON[_SIGNAL_ARRIVE]}, "node": {node_id}, "seq": '
-        self.trace += [
-            (t, seq, f'{head}{k} {outcome}{mid}{seq}, "t_ns": {t}}}\n')
-            for k, t, seq, outcome in zip(
-                itertools.count(),
-                itertools.count(start_ns, self.tau),
-                itertools.count(self.queue.seq - count + 1),
-                outcomes,
-            )
-        ]
-
-    def _handle_return_arrive(self, node_id: int, cycle: int, _datum: None) -> None:
-        queue = self.queue
-        outcome = self.outcomes[cycle]
-        swaps = outcome.swaps[node_id - 1] if node_id else 0
-        if swaps:
-            # The swap occupies the node for proc_ns.
-            queue.schedule(queue.now_ns + self.proc_ns, _SWAP_COMPLETE, node_id, cycle, swaps)
-        else:
-            self._node_finished(cycle)
-        if node_id == 0:
-            # Launched once the left end finished its cycle so that, at the
-            # exact period boundary, completion events precede the next
-            # CycleStart in the (time, seq) order.
-            start_ns = (cycle + 1) * self.schedule.cycle_period_ns
-            queue.schedule(start_ns, _CYCLE_START, 0, cycle + 1, None)
-        detail = f"cycle={cycle} matches={outcome.successes[node_id]} swaps={swaps}"
-        self._trace(_RETURN_ARRIVE, node_id, detail)
-
-    def _handle_swap_complete(self, node_id: int, cycle: int, swaps: int) -> None:
-        self._node_finished(cycle)
-        self._trace(_SWAP_COMPLETE, node_id, f"cycle={cycle} count={swaps}")
-
-    # -- helpers ---------------------------------------------------------
-
-    def _outcomes(self) -> Iterator[_CycleOutcome]:
-        """Every cycle's outcome, in cycle order, sliced from its block."""
-        hops = len(self.links)
-        for block in self.keyed.blocks():
-            fusiliers, counts, swaps, delivered, errors = self._add_block_records(*block)
-            # Each train's fusiliers, flat over the block's (cycle, hop).
-            flat = fusiliers[np.arange(fusiliers.shape[-1]) < counts[..., None]].tolist()
-            ends = np.cumsum(counts).tolist()
-            trains = [flat[start:end] for start, end in zip([0] + ends, ends)]
-            errors = iter(errors.tolist())
-            for k, (successes, swapped, count) in enumerate(
-                zip(counts.tolist(), swaps.tolist(), delivered)
-            ):
-                yield _CycleOutcome(
-                    trains[k * hops : (k + 1) * hops], successes, swapped,
-                    list(itertools.islice(errors, count)),
-                )
-
-    def _trace(self, kind: EventKind, node_id: int, detail: str) -> None:
-        t_ns, seq = self.queue.now_ns, self.queue.seq
-        self.trace.append((t_ns, seq, _trace_line(t_ns, seq, _KIND_JSON[kind], node_id, detail)))
-
-    def _herald_at(self, node_id: int, cycle: int) -> None:
-        if node_id + 1 == self.num_nodes:
-            # The right end fires no train.
-            return
-        queue = self.queue
-        # The herald is multiplexed ahead of the signal train: schedule it
-        # first so it wins the (time, seq) tie at the next node.
-        arrive_ns = queue.now_ns + self.delays[node_id]
-        queue.schedule(arrive_ns, _HERALD_ARRIVE, node_id + 1, cycle, None)
-        if cycle < self.cycles:
-            # One queue entry for the whole train, holding a seq per signal
-            # and due at its last; fusilier k fires k slot times after the
-            # herald. A frame-flush sweep fires none.
-            signals = self.links[node_id].n_fusiliers
-            fusiliers = self.outcomes[cycle].trains[node_id]
-            last_ns = arrive_ns + (signals - 1) * self.tau
-            queue.schedule(last_ns, _SIGNAL_ARRIVE, node_id + 1, cycle, fusiliers, signals)
-
-    def _node_finished(self, cycle: int) -> None:
-        # A node finishes each cycle once; the last drops the cycle's outcome
-        # and traces its pairs, keyed like an event scheduled now, but
-        # nothing is queued.
-        self.unfinished[cycle] -= 1
-        if self.unfinished[cycle]:
-            return
-        del self.unfinished[cycle]
-        errors = self.outcomes.pop(cycle).errors
-        now_ns, node_id = self.queue.now_ns, self.num_nodes - 1
-        for slot, error in enumerate(errors):
-            seq = self.queue.reserve()
-            detail = f"cycle={cycle} slot={slot} x={error}"
-            self.trace.append(
-                (now_ns, seq, _trace_line(now_ns, seq, _PAIR_READY_JSON, node_id, detail))
-            )
-
-    # -- top level ---------------------------------------------------------
-
-    def execute(self) -> RunResult:
-        # Every cycle's outcome, taken as the cycle starts. The generator
-        # refers back to the simulation, so it is dropped when the run ends,
-        # not left for the cyclic collector with the run's trace and records.
-        self.started = self._outcomes()
-        self.queue.schedule(0, _CYCLE_START, 0, 0, None)
-        handlers = {
-            _CYCLE_START: self._handle_cycle_start,
-            _HERALD_ARRIVE: self._handle_herald_arrive,
-            _SIGNAL_ARRIVE: self._handle_signal_arrive,
-            _RETURN_ARRIVE: self._handle_return_arrive,
-            _SWAP_COMPLETE: self._handle_swap_complete,
-        }
-        run(self.queue, handlers)
-        del self.started
-        # A train's signals are traced at keys before the train's dispatch.
-        # Seqs are unique, so the sort never compares two lines.
-        trace = self.trace
-        trace.sort()
-        for index, (_t_ns, _seq, line) in enumerate(trace):
-            trace[index] = line
-        return self._result(trace)
+        return RunResult(
+            schedule=self.schedule,
+            records=self.records,
+            per_cycle_delivered=self.delivered,
+            hop_success_counts=self.successes,
+            split_index=self.left_senders or None,
+            left_frame_folds=self.left_frame_folds,
+            trace=[] if self.trace is None else self._trace_lines(),
+        )
 
 
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:
@@ -1020,11 +881,9 @@ def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult
     per-hop success statistics that the summary layer consumes. Warns when
     a ``cycle_period_ns`` override is below the safe bound, and aborts with
     a DesynchronizationError (naming the violating node) if a herald then
-    overtakes unfinished work. An untraced run loops over its cycles
+    overtakes unfinished work. Every run loops over its cycles
     (``_CycleRecords.loop``), deciding desynchronization there below the
-    bound. A traced run replays on the event timeline, with the same
-    result plus its trace; below the bound it takes the loop first, for its
-    verdict, so the timeline only ever runs a chain that stays in step.
+    bound; a traced run returns the same result plus its trace.
     """
     schedule = validate_config(config)
     bound = _safe_period_ns(config, schedule.link_delays_ns)
@@ -1036,8 +895,4 @@ def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult
             stacklevel=2,
         )
     split = butterfly_split(config) if config.butterfly else None
-    if below or not collect_trace:
-        result = _CycleRecords(config, schedule, split).loop(below)
-        if not collect_trace:
-            return result
-    return _ChainSimulation(config, schedule, split).execute()
+    return _CycleRecords(config, schedule, split, collect_trace).loop(below)

@@ -1,4 +1,4 @@
-"""Event queue ordering, fiber delays, and RNG substream contracts."""
+"""Fiber delays and RNG substream contracts."""
 
 import math
 import os
@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from fusenet import engine as engine_module
 from fusenet.engine import (
-    EventKind,
     DOMAINS,
-    EventQueue,
     KEY_WORD_LIMIT,
     KeyedDraws,
     LINK_DOMAIN,
@@ -25,252 +23,13 @@ from fusenet.engine import (
     SWAP_DOMAIN,
     channel_delay_ns,
     pcg64_random,
-    run,
 )
-from fusenet.errors import ConfigurationError, SchedulingError
+from fusenet.errors import ConfigurationError
 from fusenet.network import validate_config
 
 from conftest import chain_config
 
 SPEED = 2.0e8
-
-
-def schedule_event(q, t, detail=None):
-    """Queue a CycleStart at ``t`` whose datum is ``detail``; return its seq."""
-    return q.schedule(t, EventKind.CYCLE_START, 0, 0, detail)
-
-
-def dispatch_all(q):
-    """Run ``q`` until it drains; return its events' (t, seq, detail) in
-    dispatch order."""
-    seen = []
-
-    def record(node, cycle, datum):
-        seen.append((q.now_ns, q.seq, datum))
-
-    run(q, {EventKind.CYCLE_START: record, EventKind.SIGNAL_ARRIVE: record})
-    return seen
-
-
-class TestEventQueue:
-    def test_equal_times_pop_in_scheduling_order(self):
-        q = EventQueue()
-        first = schedule_event(q, 100, "first")
-        second = schedule_event(q, 100, "second")
-        assert first < second
-        assert dispatch_all(q) == [(100, first, "first"), (100, second, "second")]
-
-    def test_time_orders_before_seq(self):
-        q = EventQueue()
-        late = schedule_event(q, 200)
-        early = schedule_event(q, 50)
-        assert dispatch_all(q) == [(50, early, None), (200, late, None)]
-
-    def test_scheduling_into_the_past_rejected(self):
-        q = EventQueue()
-        schedule_event(q, 100)
-        dispatch_all(q)
-        with pytest.raises(SchedulingError):
-            schedule_event(q, 99)
-
-    def test_clock_is_monotone(self):
-        q = EventQueue()
-        for t in (5, 3, 9, 3):
-            schedule_event(q, t)
-        seen = []
-        run(q, {EventKind.CYCLE_START: lambda node, cycle, datum: seen.append(q.now_ns)})
-        assert seen == [3, 3, 5, 9]
-
-    def test_entries_are_flat_and_handlers_take_their_fields(self):
-        q = EventQueue()
-        assert q.schedule(7, EventKind.SIGNAL_ARRIVE, 3, 4, "datum", 2) == 1
-        assert q._heap == [(7, 1, EventKind.SIGNAL_ARRIVE, 3, 4, "datum")]
-        calls = []
-
-        def handler(*fields):
-            calls.append((q.now_ns, q.seq, fields))
-
-        run(q, {EventKind.SIGNAL_ARRIVE: handler})
-        assert calls == [(7, 1, (3, 4, "datum"))]
-
-    def test_reserved_seqs_are_skipped_and_queue_nothing(self):
-        q = EventQueue()
-        first = schedule_event(q, 5)
-        assert q.reserve() == 1
-        assert [q.reserve() for _ in range(3)] == [2, 3, 4]
-        assert len(q._heap) == 1
-        assert schedule_event(q, 5) == 5
-        assert [seq for _t, seq, _detail in dispatch_all(q)] == [first, 5]
-
-
-class TestRun:
-    def test_empty_queue_empty_trace(self):
-        hits = []
-        assert run(EventQueue(), {EventKind.CYCLE_START: hits.append}) is None
-        assert hits == []
-
-    def test_single_event_single_dispatch(self):
-        q = EventQueue()
-        seq = schedule_event(q, 10, "only")
-        hits = []
-
-        def handler(*fields):
-            hits.append((q.seq, fields))
-
-        assert run(q, {EventKind.CYCLE_START: handler}) is None
-        assert hits == [(seq, (0, 0, "only"))]
-        assert q.now_ns == 10 and not q._heap
-
-
-def schedule_train(q, start, count, spacing, node=0):
-    """Queue a train of ``count`` members ``spacing`` apart from ``start``;
-    return its datum, which holds the members' arrivals and its seq."""
-    arrivals = [start + k * spacing for k in range(count)]
-    data = {"arrivals": arrivals}
-    data["seq"] = q.schedule(arrivals[-1], EventKind.SIGNAL_ARRIVE, node, 0, data, count)
-    return data
-
-
-def train_records(q, data):
-    """One (t, seq, kind, detail) record per train member, at its own key."""
-    arrivals = data["arrivals"]
-    first = q.seq - len(arrivals) + 1
-    kind = EventKind.SIGNAL_ARRIVE.value
-    return [(t, first + k, kind, f"member={k}") for k, t in enumerate(arrivals)]
-
-
-def tracing(q, trace, on_train=None):
-    """Handlers that append their records to ``trace``, as a simulation does."""
-
-    def single(node, cycle, datum):
-        trace.append((q.now_ns, q.seq, EventKind.CYCLE_START.value, datum))
-
-    def train(node, cycle, data):
-        if on_train is not None:
-            on_train(data)
-        trace.extend(train_records(q, data))
-
-    return {EventKind.CYCLE_START: single, EventKind.SIGNAL_ARRIVE: train}
-
-
-class TestTrain:
-    def test_reserves_one_seq_per_member(self):
-        q = EventQueue()
-        before = schedule_event(q, 0, "before")
-        train = schedule_train(q, 0, 3, 5)
-        after = schedule_event(q, 0, "after")
-        # seqs 1, 2, 3 are the train's; it is queued under the last one.
-        assert (before, train["seq"], after) == (0, 3, 4)
-        assert len(q._heap) == 3
-        assert dispatch_all(q) == [(0, before, "before"), (0, after, "after"), (10, 3, train)]
-        assert q.now_ns == 10
-
-    def test_ties_with_earlier_and_later_seqs(self):
-        q = EventQueue()
-        schedule_event(q, 10, "early")
-        schedule_train(q, 10, 3, 0)
-        schedule_event(q, 10, "late")
-        trace = []
-        run(q, tracing(q, trace))
-        assert sorted(trace) == [
-            (10, 0, "CycleStart", "early"),
-            (10, 1, "SignalArrive", "member=0"),
-            (10, 2, "SignalArrive", "member=1"),
-            (10, 3, "SignalArrive", "member=2"),
-            (10, 4, "CycleStart", "late"),
-        ]
-
-    def test_zero_spacing_dispatches_whole_train_inline(self):
-        q = EventQueue()
-        schedule_train(q, 7, 4, 0)
-        calls, trace = [], []
-        run(q, tracing(q, trace, calls.append))
-        assert len(calls) == 1
-        assert [(t, seq) for t, seq, _kind, _detail in sorted(trace)] == [
-            (7, 0), (7, 1), (7, 2), (7, 3)
-        ]
-
-    def test_member_records_interleave_with_other_events(self):
-        q = EventQueue()
-        schedule_event(q, 10, "tied, lower seq")
-        schedule_train(q, 0, 3, 10)
-        schedule_event(q, 15, "between members")
-        dispatched, trace = [], []
-        run(q, tracing(q, trace, lambda data: dispatched.append(q.now_ns)))
-        assert sorted(trace) == [
-            (0, 1, "SignalArrive", "member=0"),
-            (10, 0, "CycleStart", "tied, lower seq"),
-            (10, 2, "SignalArrive", "member=1"),
-            (15, 4, "CycleStart", "between members"),
-            (20, 3, "SignalArrive", "member=2"),
-        ]
-        assert dispatched == [20]  # once, at the last member
-
-    def test_train_starting_in_the_past_rejected(self):
-        q = EventQueue()
-        schedule_event(q, 100)
-        dispatch_all(q)
-        with pytest.raises(SchedulingError):
-            schedule_train(q, 97, 3, 1)
-
-
-# (start, count, spacing, spawn): spawn is None or (delay, count, spacing)
-# of a train (count 1: a single event) scheduled when the item's last
-# member dispatches.
-_spawns = st.one_of(
-    st.none(),
-    st.tuples(st.integers(0, 12), st.integers(1, 3), st.integers(0, 6)),
-)
-_items = st.lists(
-    st.tuples(st.integers(0, 30), st.integers(1, 5), st.integers(0, 6), _spawns),
-    max_size=8,
-)
-
-
-def _dispatch(items, as_trains):
-    """Sorted trace of ``items`` run as trains, or with every member its own event."""
-    q = EventQueue()
-    trace = []
-
-    def add(start, count, spacing, node, spawn):
-        if as_trains and count > 1:
-            train = schedule_train(q, start, count, spacing, node)
-            train["spawn"] = spawn
-            return
-        for k in range(count):
-            data = {"member": k, "last": k == count - 1, "spawn": spawn}
-            q.schedule(start + k * spacing, EventKind.SIGNAL_ARRIVE, node, 0, data)
-
-    def spawn(node, data):
-        child = data["spawn"]
-        if child is not None:
-            delay, count, spacing = child
-            add(q.now_ns + delay, count, spacing, 1000 * (node + 1), None)
-
-    def handle(node, cycle, data):
-        if "arrivals" in data:
-            trace.extend(train_records(q, data))
-            spawn(node, data)
-            return
-        if data["last"]:
-            spawn(node, data)
-        trace.append((q.now_ns, q.seq, EventKind.SIGNAL_ARRIVE.value, f"member={data['member']}"))
-
-    for node, (start, count, spacing, child) in enumerate(items):
-        add(start, count, spacing, node, child)
-    run(q, {EventKind.SIGNAL_ARRIVE: handle})
-    trace.sort()
-    return trace
-
-
-@settings(max_examples=200, deadline=None)
-@given(_items)
-def test_trains_dispatch_like_one_event_per_member(items):
-    trains = _dispatch(items, as_trains=True)
-    reference = _dispatch(items, as_trains=False)
-    assert trains == reference
-    keys = [(t, seq) for t, seq, _kind, _detail in trains]
-    assert len(set(keys)) == len(keys)
 
 
 class TestChannelDelay:

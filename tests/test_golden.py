@@ -94,56 +94,56 @@ EXPECTED = {
         "per_cycle_delivered": "2f33271b4d9a736eb56ef0365da9a7f3bab585a313dd52676358933dd92e90f4",
         "hop_success_counts": "e41404828b07954db1e67cd07c9a80fdede8bc90b434996f2c55c0be4a6f8746",
         "left_frame_folds": "0dc008c4946b1f4d828ce5998127b9aa87a5dc508cf4cd79c2ab6386e20b0734",
-        "trace": "9d0e46e1a0d2b1dd475b48cd2ad4188dabb9ce32a78e190989d94eafbd492bc3",
+        "trace": "c4d31d460f873c71c37d049982a31beb153c476923e4043d8047c9638b9a432c",
     },
     "overlapping_trains_tau0": {
         "records": "d3791b7d1c147416d3a8fb96f194f20f72487c79d96d71fa455b8c4a21b12593",
         "per_cycle_delivered": "98eaef7268d4033f18baf32ecc014dd1c62e5a0d641204317147b656e5bf7817",
         "hop_success_counts": "8fefea01b1dc4d6ff2af58567636b7756d4498a8b00783f87b27e2fb6d5fb589",
         "left_frame_folds": "961cc676f8d5c946e1a66f9964bf3e26024c752e83c35df7e87eb887d53e3a30",
-        "trace": "eaba6db17becdce69b6b6230de56a3797861cb384f20d4caa18d558c61637fa7",
+        "trace": "6d70b4caaa3946e692c5a0b4172e7de9caef7c7a343081f684a5a5ffb783be7f",
     },
     "p0_L0_link_form": {
         "records": "7501f6065120302e3eb780205d5c04ae31308a58eb2b4c3183c15bcb6aeaf8e0",
         "per_cycle_delivered": "597fbd5ee93e166b7461a87e39e6026dd61208ded0fa6cf1e09f7f1c275d5ddc",
         "hop_success_counts": "d59a3b265d3537a2221cd59a925a1f34c425fa692050140568ef4457805c8370",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "a8989f850b3472628e4f3e828fe9bef532d89b28a82741fc913c00984ef10632",
+        "trace": "2fa4ae449ac5f1b3f79a84e48e38e982898823e46a12fc326fde36ee81108252",
     },
     "purify3": {
         "records": "bc8ecd6f8e8041f07fb100a3a42ec559c22fdacdffb41a7b31b04285ee2d527a",
         "per_cycle_delivered": "d74b2a86663a623f8e741a6308d5c8c22d0d6e3a4f825d77a79e83a3a9dea205",
         "hop_success_counts": "e22b2b172e3d649000c75264d65a2efaeb7183f86f9f944062e157b76b905fdf",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "2c2394c63f0def9d4a504e954a8feaeb7b239faee0362892cd35ca2d054e6dc9",
+        "trace": "7e52e79c5b1a3d74bade95cf4ea853bfe6d14a51c23362d82b2b38d6f3e1bf04",
     },
     "purify3_butterfly_proc": {
         "records": "c69dcea88cf8b043ce0a2c73a097f105593f975653f5c353b07e5720f145e30d",
         "per_cycle_delivered": "4a231766f9599f26f8d123db6f85c27f33352e7e6ac801f3619996f7a3c4f56a",
         "hop_success_counts": "61d8f874a68adbc80dd9239d2a8caf4ccb58a4e966fb11187c5cc1d982f9425c",
         "left_frame_folds": "bf4759003abdfbe9f6ba137f845d1e389a7f4e89a59fae26b9094db921b478c8",
-        "trace": "7cd2e789021027122ad60cd61bfc210fceb2ce872498f9f2c3629ec5794b28a5",
+        "trace": "0937b806c61b5b8621c99552277eb46f54106bf3f0dee61eed3949f64adba2d7",
     },
     "raw": {
         "records": "c4135150b9c821516a28e7dcd04433e99e8a9f5e67a4a09849a67bff557b6682",
         "per_cycle_delivered": "192ca333904171119f3f62aa36a77e75f81f5d539cf03b7de4d0f47beb871e24",
         "hop_success_counts": "bf462685bfea328bd5f777c0391962ddf54ca728759bcfa17cc245f8e961d776",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "7e81ab83928a884079597f6ffeed94d21c29ed5cf9f498f81bfa1d2f65323dfb",
+        "trace": "f6f62672981a404f12525690867df1aa974d22515acb40bf20dfbf099132610d",
     },
     "raw_butterfly_tau_proc": {
         "records": "54db423fcd128ed78439e5a6ff39d72c14130b97e4dabca7a7fd8131b3d15044",
         "per_cycle_delivered": "9894bcb39c299cbf789f3621324af3169fcecf1b4c50ee2d58df4256e4e70e09",
         "hop_success_counts": "b49e1bd4ab5b0e9a94f36767bacf0c0f8f55c2679e877ff09c7c0c89b7ab1a36",
         "left_frame_folds": "fe8a4a765f7f7cae5a9c2f3019fd90e00080e54fd27a4202a49b89d36b849bfa",
-        "trace": "36b2110bf3ee726c790aa1890580f85a97689ebb764c4fa609c833e4208d3353",
+        "trace": "b43c8fd1bcf26393e85ec1e08399ecb589c5b02db0b7c237a786dede0e41a597",
     },
     "ten_hops_150_cycles": {
         "records": "84772a6970d08943ca7ddd3d6589278621dd9548a378e8777a8fe5f394712205",
         "per_cycle_delivered": "dc8ec5c36699c4157ad97e72a161574ace42cedf2ba4c1de3d6ba4064bf7271b",
         "hop_success_counts": "197ff8ea8625bf2bfd43297df55f2376d69c8e98d5c7cce0c7c456c801f16743",
         "left_frame_folds": "ef45bf5cefa391312765d46a5d831a70feb7aa83092695d8f5fba70b724d86e5",
-        "trace": "500561f36014c624699e5a1f2ecf501c53d65751afd93ba298113e48e8e24a70",
+        "trace": "4255a242bc99881109ca287d2eeca00aebc9a513d33aef73fd621a9a5e45a470",
     },
 }
 
@@ -306,7 +306,7 @@ WIDER_EXPECTED = {
         "per_cycle_delivered": "6f67cab35e7ffea0e034b62b2d32454b7a17a262916d862d07e341d94e5dbfe1",
         "hop_success_counts": "b91acf2e6e72eb9ea38daba87079f00a46735f4f9d53f013f6a47927f41796c7",
         "left_frame_folds": "9cd78d2fdf6a797fd0745c0032c839669c093c64bf9cc8225143fb83b2fa2bad",
-        "trace": "06f46eb4b4fed591d86e47b1d7f653ce4fb211d9008797312931484009c4207d",
+        "trace": "9d888f874b802616e06dd7202a77497cb999adb18495b3919bedc82c624df816",
         "summary_json": "88b17fe78598cf1be98552e159e1ede02bdc19a3adf7274221c870a297164392",
         "summary_csv": "1e4a207f9c53503f7121af4a291bb47e07d2dcaca0f8b406302726340f2d5697",
     },

@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import itertools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from fusenet import engine as engine_module
 from fusenet import network as network_module
 from fusenet.config import load_config, parse_config
-from fusenet.engine import EventKind, EventQueue, KeyedDraws, RngStream, channel_delay_ns
+from fusenet.engine import KeyedDraws, RngStream, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import rate_model, summarize
 from fusenet.network import (
@@ -31,7 +32,6 @@ from fusenet.network import (
     LinkSpec,
     NetworkConfig,
     Strategy,
-    _ChainSimulation,
     _CycleRecords,
     _key_draws,
     butterfly_split,
@@ -309,7 +309,7 @@ def _check_records_match_the_traced_signals(cfg):
     filled = {}  # (hop, cycle, hop slot) -> (fusilier, arrival)
     for rec in trace_records(result.trace):
         match = re.fullmatch(r"cycle=(\d+) fusilier=(\d+) success slot=(\d+)", rec.detail)
-        if rec.kind == EventKind.SIGNAL_ARRIVE.value and match:
+        if rec.kind == "SignalArrive" and match:
             cycle, fusilier, slot = map(int, match.groups())
             filled[rec.node - 1, cycle, slot] = (fusilier, rec.t_ns)
     width = 3 if strategy is Strategy.PURIFY3 else 1
@@ -589,84 +589,37 @@ class TestDesynchronization:
 
 
 def test_simulation_allocates_nothing_per_cycle_up_front():
-    # building a run, the cycle loop or the timeline, allocates nothing per
-    # cycle, so the largest legal cycle count fits in 1 MiB
+    # building a run, traced or not, allocates nothing per cycle, so the
+    # largest legal cycle count fits in 1 MiB
     path = Path(__file__).resolve().parents[1] / "configs" / "two_node_40km.json"
     config = load_config(str(path)).network
     config.cycles = 2**32 - 1
     schedule = validate_config(config)
-    for build in (_CycleRecords, _ChainSimulation):
+    for collect_trace in (False, True):
         tracemalloc.start()
         try:
-            build(config, schedule, None)
+            _CycleRecords(config, schedule, None, collect_trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
 
-@pytest.mark.parametrize("config", ["two_node_40km.json", "chain4_purify_butterfly.json"])
-def test_run_end_leaves_no_per_cycle_state(config):
-    # Every cycle's outcome is dropped when its last node finishes it.
-    path = Path(__file__).resolve().parents[1] / "configs" / config
-    network = load_config(str(path)).network
-    network.cycles = 3
-    split = butterfly_split(network) if network.butterfly else None
-    sim = _ChainSimulation(network, validate_config(network), split)
-    assert len(sim.execute().per_cycle_delivered) == 3
-    assert (sim.outcomes, sim.unfinished) == ({}, {})
-
-
-@pytest.mark.parametrize("traced", [False, True], ids=["loop", "timeline"])
-def test_a_finished_run_is_freed_at_once(traced):
+@pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+def test_a_finished_run_is_freed_at_once(collect_trace):
     # A finished run holds no reference cycle, so its records and trace go
     # as soon as the caller drops it, not at the cyclic collector's next
     # full pass.
     cfg = chain_config([10.0, 20.0], n=6, m=3, p=0.5, cycles=70, seed=4)
     gc.disable()
     try:
-        schedule = validate_config(cfg)
-        if traced:
-            run = _ChainSimulation(cfg, schedule, None)
-            run.execute()
-        else:
-            run = _CycleRecords(cfg, schedule, None)
-            run.loop(False)
+        run = _CycleRecords(cfg, validate_config(cfg), None, collect_trace)
+        assert bool(run.loop(False).trace) is collect_trace
         gone = weakref.ref(run)
         del run
         assert gone() is None
     finally:
         gc.enable()
-
-
-def test_only_traced_runs_take_the_timeline(monkeypatch):
-    # An untraced run never calls the event timeline, nor slices a cycle's
-    # outcome out of its block: at the bound, below it in step, or below it
-    # out of step.
-    class TimelineRan(Exception):
-        pass
-
-    def timeline(*args):
-        raise TimelineRan
-
-    monkeypatch.setattr(network_module, "run", timeline)
-    monkeypatch.setattr(network_module, "_CycleOutcome", timeline)
-    cfg = chain_config([10.0, 30.0], n=4, m=2, p=0.5, cycles=40, seed=123, tau_slot_ns=10)
-    assert len(run_network(cfg).per_cycle_delivered) == 40
-    with pytest.raises(TimelineRan):
-        run_network(cfg, collect_trace=True)
-    cfg.cycle_period_ns = _safe_bound(cfg)
-    assert len(run_network(cfg).per_cycle_delivered) == 40
-    # 1 ns below the bound hop 1's train still ends in time: the run stays
-    # in step, as the timeline would.
-    cfg.cycle_period_ns -= 1
-    with pytest.warns(UserWarning):
-        assert len(run_network(cfg).per_cycle_delivered) == 40
-    with pytest.warns(UserWarning), pytest.raises(TimelineRan):
-        run_network(cfg, collect_trace=True)
-    cfg.cycle_period_ns = 150_000
-    with pytest.warns(UserWarning), pytest.raises(DesynchronizationError):
-        run_network(cfg)
 
 
 @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
@@ -793,10 +746,8 @@ def test_short_chain_properties(cfg):
         with pytest.raises(ConfigurationError, match=rf"nodes\[{rejected}\]"):
             run_network(cfg)
         return
-    # Untraced at or above the safe bound, the run loops over its cycles
-    # with no event timeline; traced, or below the bound, it runs the
-    # timeline. Both ways give the same result, the trace aside, and below
-    # the bound the same desynchronization.
+    # Traced or not, the run gives the same result, the trace aside, and
+    # below the bound the same desynchronization.
     below = validate_config(cfg).cycle_period_ns < _safe_bound(cfg)
     runs = []
     for collect_trace in (False, True):
@@ -854,27 +805,47 @@ def test_short_chain_properties(cfg):
         assert slots == list(range(largest))
 
 
-def _timeline_desync(cfg):
-    """The error text of the first desynchronization the event timeline
-    meets on ``cfg``, or None, and its traced result if it meets none.
+def _reference_desync(cfg):
+    """The error text of the first desynchronization an event loop meets on
+    ``cfg``, or None, and the events it dispatched.
 
-    The test's oracle for ``_CycleRecords._desync_error``: each node's bank
-    checks, made on the timeline's dispatched ``(t_ns, seq, kind, node,
-    cycle)`` before the handler runs. A herald readies the fusilands (any
-    node but 0) and fires the fusillade (any node but the last), unless it
-    is a frame-flush sweep; it must carry the node's next cycle, and it
-    overtakes if either bank is still waiting or the node is still inside a
-    swap, ``proc_ns`` from the return that started it. A train needs readied
-    fusilands, a return a fired fusillade whose own train is in; node 0's
-    return must come by the next cycle's start.
+    The test's reference for ``_CycleRecords._desync_error``: a heap of
+    ``(t_ns, seq, kind, node, cycle)``, each event scheduled by its cause
+    under the next seq, with each node's bank checks made on an event
+    before it is handled. A cycle starts at node 0 at ``cycle * period``,
+    the first one at 0 and each later one scheduled by node 0's return of
+    the cycle before; a herald at node i schedules the next node's herald,
+    one delay on, then, unless it is a frame-flush sweep, the train it
+    fires, due at its last signal; a train its return, one delay on; a
+    return its swap, ``proc_ns`` on, if the node swapped. Which nodes
+    swapped comes from the keyed draws alone, so from the run at the
+    computed period.
+
+    A herald readies the fusilands (any node but 0) and fires the fusillade
+    (any node but the last), unless it is a frame-flush sweep; it must
+    carry the node's next cycle, and it overtakes if either bank is still
+    waiting or the node is still inside a swap, ``proc_ns`` from the return
+    that started it. A train needs readied fusilands, a return a fired
+    fusillade whose own train is in; node 0's return must come by the next
+    cycle's start.
     """
     schedule = validate_config(cfg)
-    period, last, cycles = schedule.cycle_period_ns, len(cfg.links), cfg.cycles
+    period, delays, tau = schedule.cycle_period_ns, schedule.link_delays_ns, cfg.tau_slot_ns
+    last, cycles = len(cfg.links), cfg.cycles
+    per_pair = 3 if cfg.strategy is Strategy.PURIFY3 else 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        counts = run_network(replace(cfg, cycle_period_ns=None)).hop_success_counts
+    kept = [[count // per_pair for count in hop] for hop in counts]
     fired, ready = [False] * (last + 1), [False] * (last + 1)
     current, busy_until = [-1] * (last + 1), [0] * (last + 1)
+    heap, dispatched, seqs = [], [], itertools.count()
+
+    def schedule_event(t_ns, kind, node, cycle):
+        heapq.heappush(heap, (t_ns, next(seqs), kind, node, cycle))
 
     def check(t_ns, kind, node, cycle):
-        if kind in (EventKind.CYCLE_START, EventKind.HERALD_ARRIVE):
+        if kind in ("CycleStart", "HeraldArrive"):
             if cycle != current[node] + 1:
                 raise DesynchronizationError(
                     f"node {node} expected cycle {current[node] + 1}, herald carries cycle {cycle}"
@@ -886,11 +857,11 @@ def _timeline_desync(cfg):
             current[node] = cycle
             if cycle < cycles:
                 ready[node], fired[node] = node > 0, node < last
-        elif kind is EventKind.SIGNAL_ARRIVE:
+        elif kind == "SignalArrive":
             if not ready[node]:
                 raise ProtocolError(f"node {node} got a train at idle fusilands")
             ready[node] = False
-        elif kind is EventKind.RETURN_ARRIVE:
+        elif kind == "ReturnArrive":
             if cycle != current[node] or not fired[node] or ready[node]:
                 raise ProtocolError(f"node {node} got an unexpected return for cycle {cycle}")
             fired[node] = False
@@ -900,24 +871,28 @@ def _timeline_desync(cfg):
                     f"but node 0 finished cycle {cycle} only at {t_ns} ns"
                 )
 
-    def watched(queue, handlers):
-        heap = queue._heap
+    schedule_event(0, "CycleStart", 0, 0)
+    try:
         while heap:
-            t_ns, seq, kind, node, cycle, datum = heapq.heappop(heap)
-            queue.now_ns, queue.seq = t_ns, seq
+            t_ns, _seq, kind, node, cycle = event = heapq.heappop(heap)
             check(t_ns, kind, node, cycle)
-            handlers[kind](node, cycle, datum)
-            if kind is EventKind.RETURN_ARRIVE and any(
-                entry[2:5] == (EventKind.SWAP_COMPLETE, node, cycle) for entry in heap
-            ):
-                busy_until[node] = t_ns + cfg.proc_ns
-
-    split = butterfly_split(cfg) if cfg.butterfly else None
-    with mock.patch.object(network_module, "run", watched):
-        try:
-            return None, _ChainSimulation(cfg, schedule, split).execute()
-        except DesynchronizationError as exc:
-            return str(exc), None
+            dispatched.append(event)
+            if kind in ("CycleStart", "HeraldArrive") and node < last:
+                schedule_event(t_ns + delays[node], "HeraldArrive", node + 1, cycle)
+                if cycle < cycles:
+                    end_ns = t_ns + delays[node] + (cfg.links[node].n_fusiliers - 1) * tau
+                    schedule_event(end_ns, "SignalArrive", node + 1, cycle)
+            elif kind == "SignalArrive":
+                schedule_event(t_ns + delays[node - 1], "ReturnArrive", node - 1, cycle)
+            elif kind == "ReturnArrive":
+                if node and min(kept[node - 1][cycle], kept[node][cycle]):
+                    busy_until[node] = t_ns + cfg.proc_ns
+                    schedule_event(busy_until[node], "SwapComplete", node, cycle)
+                if node == 0:
+                    schedule_event((cycle + 1) * period, "CycleStart", 0, cycle + 1)
+    except DesynchronizationError as exc:
+        return str(exc), dispatched
+    return None, dispatched
 
 
 @st.composite
@@ -986,62 +961,151 @@ def _tied_chain(lengths_km, trains, tau_slot_ns, cycle_period_ns):
 @example(_tied_chain([0.002, 0.002, 0.002, 0.01], [3] * 4, 0, 20))
 def test_desync_verdict_equals_the_timeline_bank_checks(cfg):
     # The verdict decided from the schedule and each cycle's swaps, traced
-    # or not, is the error the bank checks meet on the timeline, text
-    # included; a run they pass gives the watched timeline's result.
+    # or not, is the error the bank checks meet on the reference event
+    # loop, text included. A run they pass traces every event the loop
+    # dispatched but its signal trains, each at its time, node and cycle.
     if _return_before_train(cfg) is not None:
         return
-    expected, timeline = _timeline_desync(cfg)
+    expected, dispatched = _reference_desync(cfg)
+    runs = []
     for collect_trace in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                result = run_network(cfg, collect_trace=collect_trace)
+                runs.append(run_network(cfg, collect_trace=collect_trace))
             except DesynchronizationError as exc:
                 assert str(exc) == expected
                 continue
         assert expected is None
-        assert _without_trace(result) == _without_trace(timeline)
-        assert result.trace == (timeline.trace if collect_trace else [])
+    if expected is not None:
+        return
+    result, traced = runs
+    assert _without_trace(result) == _without_trace(traced)
+    lines = Counter(
+        (rec.t_ns, rec.kind, rec.node, int(re.match(r"cycle=(\d+)", rec.detail)[1]))
+        for rec in trace_records(traced.trace)
+        if rec.kind not in ("SignalArrive", "PairReady")
+    )
+    assert lines == Counter(
+        (t_ns, kind, node, cycle)
+        for t_ns, _seq, kind, node, cycle in dispatched
+        if kind != "SignalArrive"
+    )
+
 
 def _check_train_trace(cfg):
     """A traced run's lines are each the sorted-key ``json.dumps`` of what
-    they parse to, their keys strictly increase, and every signal train
-    traces each of its n signals once, at (its arrival, the train's first
-    seq + k)."""
-    trains = []
-    schedule = EventQueue.schedule
-
-    def recording(queue, time_ns, kind, node, cycle, datum, count=1):
-        seq = schedule(queue, time_ns, kind, node, cycle, datum, count)
-        if kind is EventKind.SIGNAL_ARRIVE:
-            trains.append((node, cycle, seq, count))
-        return seq
-
-    with mock.patch.object(EventQueue, "schedule", recording):
-        result = run_network(cfg, collect_trace=True)
+    they parse to, each line's ``seq`` is its index, and every signal train
+    traces each of its n signals once, signal k at the train's start plus
+    k slot times."""
+    result = run_network(cfg, collect_trace=True)
     for line in result.trace:
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
     records = trace_records(result.trace)
-    keys = [(rec.t_ns, rec.seq) for rec in records]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-
-    signals = {(rec.t_ns, rec.seq): rec for rec in records if rec.kind == "SignalArrive"}
+    assert [rec.seq for rec in records] == list(range(len(records)))
+    signals = Counter()
+    for rec in records:
+        if rec.kind == "SignalArrive":
+            cycle, fusilier = map(int, re.match(r"cycle=(\d+) fusilier=(\d+) ", rec.detail).groups())
+            signals[rec.node, cycle, fusilier, rec.t_ns] += 1
     sched = result.schedule
-    assert len(trains) == cfg.cycles * len(cfg.links)
-    for node, cycle, seq, count in trains:
-        link = node - 1
-        assert count == cfg.links[link].n_fusiliers
-        start_ns = (
-            cycle * sched.cycle_period_ns
-            + sched.herald_offsets_ns[link]
-            + sched.link_delays_ns[link]
+    assert signals == Counter(
+        (
+            hop + 1, cycle, k,
+            cycle * sched.cycle_period_ns + sched.herald_offsets_ns[hop + 1] + k * cfg.tau_slot_ns,
         )
-        first = seq - count + 1
-        for k in range(count):
-            rec = signals.pop((start_ns + k * cfg.tau_slot_ns, first + k))
-            assert rec.node == link + 1
-            assert rec.detail.startswith(f"cycle={cycle} fusilier={k} ")
-    assert not signals
+        for cycle in range(cfg.cycles)
+        for hop, link in enumerate(cfg.links)
+        for k in range(link.n_fusiliers)
+    )
+
+
+# The trace kinds by their rank in the line order.
+_KIND_RANKS = {
+    kind: rank for rank, kind in enumerate(
+        ("CycleStart", "HeraldArrive", "SignalArrive", "ReturnArrive", "SwapComplete", "PairReady")
+    )
+}
+
+
+@st.composite
+def _trace_chains(draw):
+    """A ``_short_chains`` config in which some hops may be 0 ns long
+    (1e-5 km rounds to 0 ns), run at the computed period, at a period
+    below the bound, or, when the bound is 0 ns, at a period of 1 to 10 ns."""
+    cfg = draw(_short_chains())
+    zero = draw(st.lists(st.booleans(), min_size=len(cfg.links), max_size=len(cfg.links)))
+    cfg.links = [
+        replace(link, model=replace(link.model, length_km=1e-5)) if flat else link
+        for link, flat in zip(cfg.links, zero)
+    ]
+    delays = [channel_delay_ns(link.model.length_km, cfg.signal_speed_m_per_s) for link in cfg.links]
+    bound = network_module._safe_period_ns(cfg, delays)
+    if bound == 0:
+        # Every event of a cycle falls at its start: any period is in step.
+        cfg.cycle_period_ns = draw(st.integers(1, 10))
+    elif _return_before_train(cfg) is None:
+        # Below the bound by up to a slot time plus proc_ns, where a
+        # run often stays in step, or by up to half of it.
+        near = max(bound - cfg.tau_slot_ns - cfg.proc_ns, 1)
+        cfg.cycle_period_ns = draw(st.one_of(
+            st.none(), st.integers(near, bound), st.integers(max(bound // 2, 1), bound)
+        ))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trace_chains())
+# Every hop 0 ns long and no train time: each cycle's events all fall at
+# its start, and its pairs are ready there too.
+@example(chain_config([1e-5, 1e-5], n=3, m=2, cycles=3, proc_ns=40))
+def test_trace_lines_follow_the_order_key(cfg):
+    # A traced run that stays in step numbers its lines by their place in
+    # the order (t_ns, cycle, kind rank, node, index), and every line comes
+    # after the one that caused it.
+    if _return_before_train(cfg) is not None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = run_network(cfg, collect_trace=True)
+        except DesynchronizationError:
+            return
+    records = trace_records(result.trace)
+    assert [rec.seq for rec in records] == list(range(len(records)))
+    at, keys = {}, []
+    for rec in records:
+        # The index is a signal's fusilier, a pair's slot, or 0.
+        cycle, fusilier, slot = re.match(r"cycle=(\d+)(?: fusilier=(\d+)| slot=(\d+))?", rec.detail).groups()
+        cycle, index = int(cycle), int(fusilier or slot or 0)
+        keys.append((rec.t_ns, cycle, _KIND_RANKS[rec.kind], rec.node, index))
+        at[rec.kind, rec.node, cycle, index] = rec.seq
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    last = len(cfg.links)
+    for cycle in range(cfg.cycles + 1):
+        # The cycle's herald at every node, its start at node 0's.
+        sweep = [at["CycleStart", 0, cycle, 0]] + [
+            at["HeraldArrive", node, cycle, 0] for node in range(1, last + 1)
+        ]
+        assert sweep == sorted(sweep)
+        if cycle == cfg.cycles:
+            break
+        assert at["ReturnArrive", 0, cycle, 0] < at["CycleStart", 0, cycle + 1, 0]
+        finishers = []
+        for hop, link in enumerate(cfg.links):
+            first = at["SignalArrive", hop + 1, cycle, 0]
+            assert sweep[hop] < first and sweep[hop + 1] < first
+            end = at["SignalArrive", hop + 1, cycle, link.n_fusiliers - 1]
+            returned = at["ReturnArrive", hop, cycle, 0]
+            assert end < returned
+            swapped = at.get(("SwapComplete", hop, cycle, 0))
+            assert swapped is None or returned < swapped
+            finishers.append(returned if swapped is None else swapped)
+        finishers.append(end)
+        # Every pair is ready after, and at the time of, its cycle's last finish.
+        ready = [at["PairReady", last, cycle, slot] for slot in range(result.per_cycle_delivered[cycle])]
+        assert all(max(finishers) < seq for seq in ready)
+        assert {records[seq].t_ns for seq in ready} <= {max(records[seq].t_ns for seq in finishers)}
 
 
 @pytest.mark.parametrize("tau_slot_ns, seed", [(9, 16), (0, 17)], ids=["tau9", "tau0"])
@@ -1083,8 +1147,7 @@ def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
     # Which keys the kernel draws, and how many cycles a block holds, must
     # not move a bit of output: records, counts, left folds and trace bytes
     # agree across the paths, and with the pinned digests. On every path the
-    # untraced run, a loop over cycles with no event timeline, returns the
-    # traced run's result, the trace aside.
+    # untraced run returns the traced run's result, the trace aside.
     network = MIXED_DRAWS_CHAIN if case == "mixed_draws" else CASES[case]
     digests = {}
     for path, (name, value) in DRAW_PATHS.items():
