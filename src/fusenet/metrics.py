@@ -1,8 +1,8 @@
 """Aggregate run output into headline quantities; analytic planning tables.
 
 The planner side inverts the link-failure binomial to size fusillades; the
-summary side reduces a finished run's end-to-end records to throughput,
-fidelity, and frame-latency numbers.
+summary side folds a finished run's end-to-end records, as columns, into
+throughput, fidelity, and frame-latency numbers.
 """
 
 from __future__ import annotations
@@ -11,17 +11,26 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .engine import NS_PER_SECOND
 from .network import (
-    EndToEndRecord,
     LinkSpec,
     NetworkConfig,
+    RecordView,
+    _PAIR_CODES,
     analytic_end_to_end_fidelity,
     validate_config,
 )
 from .pair_algebra import LinkModel, failure_prob_multi, min_fusiliers
 
 __all__ = ["SummaryStats", "PlanRow", "summarize", "plan_table", "rate_model"]
+
+# Whether a pair of each ``_PAIR_CODES`` code is in error once its frame is
+# applied and its correction undoes it: x_error XOR frame XOR correction.
+_CORRECTED_ERROR = np.array(
+    [error ^ frame.x_bit ^ correction.x_bit for error, frame, correction, _ in _PAIR_CODES], bool
+)
 
 
 @dataclass(frozen=True)
@@ -43,36 +52,28 @@ class SummaryStats:
         return asdict(self)
 
 
-def summarize(
-    records: Sequence[EndToEndRecord], config: NetworkConfig
-) -> SummaryStats:
-    """Reduce a run's end-to-end records to summary statistics.
+def summarize(records: RecordView, config: NetworkConfig) -> SummaryStats:
+    """Reduce a run's end-to-end records, ``RunResult.records``, to summary
+    statistics, folding the records' columns rather than building them.
 
     The empirical fidelity is one minus the error rate of the
     frame-corrected stream: each record's physically observable bit is
     ``x_error XOR frame``, and its ``correction`` (the herald share XOR the
-    left share, as delivered) undoes the frame if no record was lost. The
-    frame latency is the records' mean delivery delay in cycle periods. A
-    cycle counts as failed when it delivered fewer pairs than the
-    configured slot capacity.
+    left share, as delivered) undoes the frame if no record was lost; all
+    three follow from the pair's code. The frame latency is the records'
+    mean delivery delay in cycle periods, which is one: every record's frame
+    is available exactly one period after it is established. A cycle counts
+    as failed when it delivered fewer pairs than the configured slot
+    capacity.
     """
     schedule = validate_config(config)
     period_ns = schedule.cycle_period_ns
     pairs_total = len(records)
     pairs_per_second = pairs_total / config.cycles * (NS_PER_SECOND / period_ns)
 
-    delivered_per_cycle = [0] * config.cycles
-    corrected_errors = 0
-    latency_sum = 0.0
-    for record in records:
-        delivered_per_cycle[record.cycle_id] += 1
-        observable = record.pair.x_error ^ record.pair.frame.x_bit
-        corrected_errors += observable ^ record.correction.x_bit
-        latency_sum += (record.frame_available_at_ns - record.established_at_ns) / period_ns
-
-    failure_cycles = sum(
-        1 for count in delivered_per_cycle if count < schedule.links_per_cycle
-    )
+    corrected_errors = int(np.count_nonzero(_CORRECTED_ERROR.take(records.codes)))
+    full_cycles = int(np.count_nonzero(np.bincount(records.cycles) >= schedule.links_per_cycle))
+    failure_cycles = config.cycles - full_cycles
     if pairs_total:
         error_rate = corrected_errors / pairs_total
         fidelity = 1.0 - error_rate
@@ -88,7 +89,7 @@ def summarize(
         analytic_end_fidelity=analytic_end_to_end_fidelity(config),
         cycle_period_s=schedule.cycle_period_s,
         failure_cycles=failure_cycles,
-        frame_latency_cycles=(latency_sum / pairs_total) if pairs_total else None,
+        frame_latency_cycles=1.0 if pairs_total else None,
         cycles=config.cycles,
         links_per_cycle=schedule.links_per_cycle,
     )

@@ -41,14 +41,14 @@ largest purification or swap count among the left nodes.
 What a cycle makes (every hop's train and kept pairs, every purification,
 every node's swaps and frames, the pairs delivered) follows from the
 config, the cycle and its keyed draws alone. It is made a block of cycles
-at a time, as arrays (``_CycleRecords._fold_block``), and folded straight
-into what the run returns, in one pass per block (``_add_block_records``).
+at a time, as arrays (``_CycleRecords._fold_block``), and appended
+straight to what the run returns, once per block (``_add_block_records``).
 Hop i's train starts arriving as the herald reaches its right node, at
 ``cycle * period + herald_offsets_ns[i + 1]``, and fusilier k k slot times
 later; a slot's pair was made then.
 
 Every run, traced or not, loops over its blocks in order
-(``_CycleRecords.loop``) and builds no object per cycle but its records.
+(``_CycleRecords.loop``) and builds no object per cycle or per pair.
 Whether a run desynchronizes is decided once, from the schedule,
 ``proc_ns`` and each node's swap count in each cycle
 (``_CycleRecords._desync_error``), and only below ``_safe_period_ns``: at
@@ -94,21 +94,25 @@ a slot's creation time is the latest of its hops' (``max`` over hops) and
 a cycle's delivered count the least of their kept counts (``min``). A
 frame is held as its index 2x + z (``FRAMES[x][z]``), so XOR composes
 frames. The delivered pairs then leave as flat columns over the block's
-(cycle, slot), one mask each: the fusilier, the creation time, and a
-code of the error bit and the pair's frame, correction and herald share
-(``_PAIR_CODES``). Each ``PairRecord`` and ``EndToEndRecord`` is built
-once from them, in cycle order, with the pair's ``correction`` the herald
-share XOR the left share, so the summary scores what was delivered; the
-model fidelity, the same for every pair, is
-``analytic_end_to_end_fidelity``, computed once per run. Nothing is
-allocated per cycle before the run.
+(cycle, slot), one mask each: the cycle, the slot, the fusilier, the
+creation time, and a code of the error bit and the pair's frame,
+correction and herald share (``_PAIR_CODES``), with the pair's
+``correction`` the herald share XOR the left share, so the summary scores
+what was delivered. The run keeps these columns and nothing per pair
+besides: ``RunResult.records`` is a ``RecordView`` over them, which builds
+a pair's ``PairRecord`` and ``EndToEndRecord`` only when it is read, and
+``metrics.summarize`` folds the columns without building any. The model
+fidelity, the same for every pair, is ``analytic_end_to_end_fidelity``,
+computed once per run. Nothing is allocated per cycle before the run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -147,6 +151,7 @@ __all__ = [
     "CycleSchedule",
     "EndToEndRecord",
     "RunResult",
+    "RecordView",
     "MAX_TRAIN_DRAWS",
     "effective_slots",
     "validate_config",
@@ -206,7 +211,8 @@ class CycleSchedule:
 
 @dataclass
 class EndToEndRecord:
-    """One end-to-end pair delivered by a cycle, built once with its block.
+    """One end-to-end pair delivered by a cycle, built from the run's
+    columns each time it is read (``RecordView``).
 
     ``established_at_ns`` is the pipeline's deterministic availability
     instant at the right end node (the herald's arrival there for the
@@ -247,6 +253,76 @@ class _Block(NamedTuple):
     errors: np.ndarray
 
 
+# Records are built from the columns this many at a time as a view is
+# iterated, so iteration holds no list of every record.
+_CHUNK = 2**12
+
+
+class RecordView(Sequence):
+    """A run's end-to-end records, each built as it is read.
+
+    The run keeps a delivered pair as one row of flat columns, in cycle
+    and then slot order: ``cycles``, ``slots``, ``fusiliers`` (the left
+    end's), ``created_at_ns`` and ``codes``, the ``_PAIR_CODES`` code of
+    its error bit, frame, correction and herald share. Every other field of
+    its ``EndToEndRecord`` is a constant of the run or a closed form of its
+    cycle and slot (module docstring). Indexing, slicing and iteration build
+    the records afresh, a ``_CHUNK`` of them at a time when iterated, and
+    the view keeps none of them; it equals another view or a list whose
+    records are equal to its own, in order.
+    """
+
+    def __init__(self, columns: list[np.ndarray], constants: tuple) -> None:
+        self.cycles, self.slots, self.fusiliers, self.created_at_ns, self.codes = columns
+        # (period, right end's herald offset, right end, right-end slot
+        # stride, end fidelity, butterfly split or 0, left_return_ns, cycles)
+        self.constants = constants
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._build(key)
+        index = range(len(self))[key]
+        return self._build(slice(index, index + 1))[0]
+
+    def __iter__(self) -> Iterator[EndToEndRecord]:
+        for start in range(0, len(self), _CHUNK):
+            yield from self._build(slice(start, start + _CHUNK))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RecordView, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"RecordView({len(self)} records)"
+
+    def _build(self, key: slice) -> list[EndToEndRecord]:
+        """The records of the rows ``key`` selects, in order."""
+        period, offset, right, stride, fidelity, split, left_return_ns, last = self.constants
+        columns = (self.cycles, self.slots, self.fusiliers, self.created_at_ns, self.codes)
+        records = []
+        for cycle, slot, fusilier, made_ns, code in zip(*(c[key].tolist() for c in columns)):
+            at_ns = cycle * period + offset
+            # Node split-1's swap frames, which cover every delivered slot,
+            # are the last left-bound frames to reach node 0 (module docstring).
+            left_ns = available_ns = at_ns + period
+            if split != 1:
+                left_ns = None
+                if split and cycle + split - 1 < last:
+                    left_ns = (cycle + split - 1) * period + left_return_ns
+            error, frame, correction, herald = _PAIR_CODES[code]
+            pair = PairRecord(
+                Endpoint(0, fusilier), Endpoint(right, stride * slot), error, frame, made_ns, fidelity
+            )
+            records.append(EndToEndRecord(
+                cycle, slot, pair, at_ns, available_ns, correction, herald, left_ns
+            ))
+        return records
+
+
 def _trace_line(t_ns: int, seq: int, kind_json: str, node: int, detail: str) -> str:
     """One trace line: ``json.dumps`` of the fields with sorted keys, plus a
     newline. ``kind_json`` is the kind already through the escaper
@@ -270,6 +346,9 @@ _KIND_JSON = tuple(map(_escape, _KINDS))
 class RunResult:
     """Everything a finished run produced.
 
+    ``records`` is a read-only sequence of the run's ``EndToEndRecord``s in
+    cycle and slot order, a ``RecordView`` that builds each one as it is
+    read from the run's columns; ``metrics.summarize`` folds the columns.
     ``trace`` is empty unless the run collected it: then it is the run's
     JSON lines, newline included, sorted by the order key ``(t_ns, cycle,
     kind rank, node, index)`` (module docstring), with ``seq`` a line's
@@ -277,7 +356,7 @@ class RunResult:
     """
 
     schedule: CycleSchedule
-    records: list[EndToEndRecord]
+    records: RecordView
     per_cycle_delivered: list[int]
     hop_success_counts: list[list[int]]
     split_index: Optional[int] = None
@@ -498,18 +577,6 @@ def _frame_index(x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
     return x_bits.astype(np.uint8) << 1 | z_bits
 
 
-# Columns are converted to Python scalars this many items at a time, so a
-# wide block holds no list of all its pairs.
-_CHUNK = 2**12
-
-
-def _items(column: np.ndarray) -> Iterator:
-    """The items of a flat ``column`` as Python scalars, in order."""
-    return itertools.chain.from_iterable(
-        column[start : start + _CHUNK].tolist() for start in range(0, len(column), _CHUNK)
-    )
-
-
 def _fold_shares(frames: list, left_nodes: int, width: int):
     """Fold a block's frames into each cycle's herald and left shares.
 
@@ -532,11 +599,10 @@ def _fold_shares(frames: list, left_nodes: int, width: int):
 
 
 class _CycleRecords:
-    """One run of a configured chain: what it returns, folded a block of
-    cycles at a time, as arrays, in one pass per block
-    (``_add_block_records``) and in cycle order (``loop``). With
-    ``collect_trace`` each block's trace lines come from the same pass
-    (``_trace_block``).
+    """One run of a configured chain: what it returns, made a block of
+    cycles at a time, as arrays (``_add_block_records``), in cycle order
+    (``loop``). With ``collect_trace`` each block's trace lines come from
+    the same pass (``_trace_block``).
     """
 
     def __init__(
@@ -547,7 +613,7 @@ class _CycleRecords:
         collect_trace: bool,
     ) -> None:
         self.schedule = schedule
-        # What _add_block_records and _trace_block read, cached off the config.
+        # What the blocks, the trace and the records read, cached off the config.
         self.cycles = config.cycles
         self.links = config.links
         self.tau = config.tau_slot_ns
@@ -576,8 +642,9 @@ class _CycleRecords:
         last_ns = (self.cycles - 1) * schedule.cycle_period_ns + offsets[-1]
         fits = last_ns + int(self.signals.max()) * self.tau < 2**63
         self.train_ns = np.array(offsets[1:], np.int64 if fits else object)
-        # What the run returns, each block's part made as the block starts.
-        self.records: list[EndToEndRecord] = []
+        # What the run returns, each block's part made as the block starts:
+        # its delivered pairs as the parts of RecordView's five columns.
+        self.pairs: list[list[np.ndarray]] = [[] for _ in range(5)]
         self.delivered: list[int] = []
         self.successes: list[list[int]] = [[] for _ in self.links]
         self.left_frame_folds: dict[tuple[int, int], PauliFrame] = {}
@@ -598,7 +665,8 @@ class _CycleRecords:
 
         Returns ``(block, pairs, folds)``: the ``_Block``; the delivered
         pairs as flat columns over the block's (cycle, slot), each pair's
-        fusilier, creation time and ``_PAIR_CODES`` code; and the left
+        cycle, slot, fusilier, creation time and ``_PAIR_CODES`` code
+        (``RecordView``'s columns); and the left
         folds as flat columns, each fold's cycle, slot and frame index.
         """
         hops = len(self.links)
@@ -654,41 +722,26 @@ class _CycleRecords:
         codes = error_bits << 6
         for shift, index in ((4, _frame_index(pair_x, pair_z)), (2, herald ^ left), (0, herald)):
             codes |= index[pairs] << shift
+        pair_rows, pair_slots = np.nonzero(pairs)
         folds = np.arange(shares.shape[-1]) < left_counts[:, None]
         fold_rows, fold_slots = np.nonzero(folds)
         return (
             _Block(fusiliers, counts, swaps, delivered.tolist(), error_bits),
-            (firsts[pairs], (made.max(axis=1) + cycle_ns[:, None])[pairs], codes),
+            (
+                # A cycle fits 32 bits (validate_config), a slot 24 (MAX_TRAIN_DRAWS).
+                (pair_rows + cycles.start).astype(np.uint32), pair_slots.astype(np.int32),
+                firsts[pairs], (made.max(axis=1) + cycle_ns[:, None])[pairs], codes,
+            ),
             (fold_rows + cycles.start, fold_slots, shares[1][folds]),
         )
 
     def _add_block_records(self, cycles: range, tests: list) -> _Block:
-        """Append what the run returns of a block of cycles, in one pass
-        over its flat columns (``_fold_block``): its end-to-end records,
-        delivered and success counts and left folds. Returns the block."""
+        """Append what the run returns of a block of cycles (``_fold_block``):
+        its delivered pairs' columns, delivered and success counts and left
+        folds. Returns the block."""
         block, pairs, folds = self._fold_block(cycles, tests)
-        period, offset = self.schedule.cycle_period_ns, self.schedule.herald_offsets_ns[-1]
-        records, fidelity, stride = self.records, self.end_fidelity, self.right_stride
-        right, split = self.num_nodes - 1, self.left_senders
-        columns = zip(*map(_items, pairs))
-        for cycle, count in zip(cycles, block.delivered):
-            at_ns = cycle * period + offset
-            # Node split-1's swap frames, which cover every delivered slot,
-            # are the last left-bound frames to reach node 0 (module docstring).
-            left_ns = available_ns = at_ns + period
-            if split != 1:
-                left_ns = None
-                if split and cycle + split - 1 < self.cycles:
-                    left_ns = (cycle + split - 1) * period + self.left_return_ns
-            for slot, (fusilier, made_ns, code) in zip(range(count), columns):
-                error, frame, correction, herald = _PAIR_CODES[code]
-                pair = PairRecord(
-                    Endpoint(0, fusilier), Endpoint(right, stride * slot),
-                    error, frame, made_ns, fidelity,
-                )
-                records.append(EndToEndRecord(
-                    cycle, slot, pair, at_ns, available_ns, correction, herald, left_ns
-                ))
+        for parts, column in zip(self.pairs, pairs):
+            parts.append(column)
         fold_cycles, fold_slots, fold_frames = (column.tolist() for column in folds)
         self.left_frame_folds.update(
             zip(zip(fold_cycles, fold_slots), map(_FRAME_AT.__getitem__, fold_frames))
@@ -863,9 +916,22 @@ class _CycleRecords:
                 raise DesynchronizationError(error)
         for _ in blocks:
             pass
+        schedule = self.schedule
+        constants = (
+            schedule.cycle_period_ns, schedule.herald_offsets_ns[-1], self.num_nodes - 1,
+            self.right_stride, self.end_fidelity, self.left_senders, self.left_return_ns,
+            self.cycles,
+        )
+        # Each column's parts are dropped once it is joined, so no second
+        # copy of every column is held at once; a run of one block has
+        # nothing to join.
+        columns = []
+        for parts in self.pairs:
+            columns.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+            parts.clear()
         return RunResult(
-            schedule=self.schedule,
-            records=self.records,
+            schedule=schedule,
+            records=RecordView(columns, constants),
             per_cycle_delivered=self.delivered,
             hop_success_counts=self.successes,
             split_index=self.left_senders or None,
@@ -877,8 +943,9 @@ class _CycleRecords:
 def run_network(config: NetworkConfig, collect_trace: bool = False) -> RunResult:
     """Validate a configuration and execute its herald sweep cycles.
 
-    Returns every end-to-end pair record plus the per-cycle delivery and
-    per-hop success statistics that the summary layer consumes. Warns when
+    Returns the end-to-end pair records, as a ``RecordView`` over the
+    run's columns, plus the per-cycle delivery and per-hop success
+    statistics that the summary layer consumes. Warns when
     a ``cycle_period_ns`` override is below the safe bound, and aborts with
     a DesynchronizationError (naming the violating node) if a herald then
     overtakes unfinished work. Every run loops over its cycles

@@ -26,7 +26,7 @@ from fusenet import network as network_module
 from fusenet.config import load_config, parse_config
 from fusenet.engine import KeyedDraws, RngStream, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
-from fusenet.metrics import rate_model, summarize
+from fusenet.metrics import SummaryStats, rate_model, summarize
 from fusenet.network import (
     MAX_TRAIN_DRAWS,
     LinkSpec,
@@ -34,6 +34,7 @@ from fusenet.network import (
     Strategy,
     _CycleRecords,
     _key_draws,
+    analytic_end_to_end_fidelity,
     butterfly_split,
     run_network,
     validate_config,
@@ -550,6 +551,7 @@ class TestFramePropagation:
             herald = lambda result: [rec.herald_correction for rec in result.records]
             assert herald(lost) == herald(intact)
         before, after = summarize(intact.records, cfg), summarize(lost.records, cfg)
+        assert (before, after) == (_summary_oracle(intact.records, cfg), _summary_oracle(lost.records, cfg))
         stderr = math.hypot(before.empirical_end_fidelity_stderr, after.empirical_end_fidelity_stderr)
         assert abs(before.empirical_end_fidelity - after.empirical_end_fidelity) > 4 * stderr
 
@@ -805,6 +807,116 @@ def test_short_chain_properties(cfg):
         assert slots == list(range(largest))
 
 
+def _view_cases():
+    """A raw and a purify3 chain, each with and without the butterfly split."""
+    return [
+        chain_config(
+            [10.0, 25.0, 10.0], n=9, m=m, p=0.7, fidelity=0.9, cycles=12, seed=21,
+            strategy=strategy, butterfly=butterfly, tau_slot_ns=10,
+        )
+        for strategy, m in ((Strategy.RAW, 3), (Strategy.PURIFY3, 6))
+        for butterfly in (False, True)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_short_chains())
+@example(_view_cases()[0])
+@example(_view_cases()[1])
+@example(_view_cases()[2])
+@example(_view_cases()[3])
+def test_records_view_reads_like_a_list(cfg):
+    # RunResult.records builds each record as it is read; indexing,
+    # slicing, iteration and equality agree with the list it builds.
+    if _return_before_train(cfg) is not None:
+        return
+    result = run_network(cfg)
+    view, records = result.records, list(result.records)
+    assert len(view) == len(records) and bool(view) == bool(records)
+    assert list(view) == records
+    assert view == records and records == view
+    assert view != records + [None]
+    for key in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, 2), slice(None, None, -1)):
+        assert view[key] == records[key]
+    if records:
+        assert (view[0], view[-1], view[-len(view)]) == (records[0], records[-1], records[0])
+    with pytest.raises(IndexError):
+        view[len(view)]
+    # Iterated in pieces of two records, the records are the same.
+    with mock.patch.object(network_module, "_CHUNK", 2):
+        assert list(view) == records
+    traced = run_network(cfg, collect_trace=True)
+    assert traced.records == view
+    assert _without_trace(traced) == _without_trace(result)
+
+
+def test_simulate_path_builds_no_record(monkeypatch):
+    # run_network and summarize build no per-pair object, traced or not;
+    # reading the records builds one EndToEndRecord and one PairRecord each.
+    built = Counter()
+    for name in ("EndToEndRecord", "PairRecord"):
+        def counting(*args, _make=getattr(network_module, name), _name=name):
+            built[_name] += 1
+            return _make(*args)
+
+        monkeypatch.setattr(network_module, name, counting)
+    cfg = _view_cases()[3]
+    for collect_trace in (False, True):
+        result = run_network(cfg, collect_trace=collect_trace)
+        summarize(result.records, cfg)
+        assert not built
+    assert len(list(result.records)) == len(result.records) > 0
+    assert built == {"EndToEndRecord": len(result.records), "PairRecord": len(result.records)}
+
+
+def _summary_oracle(records, cfg):
+    """``summarize`` as a loop over built records: the reference for its
+    fold of the columns."""
+    schedule = validate_config(cfg)
+    period_ns = schedule.cycle_period_ns
+    records = list(records)
+    pairs_total = len(records)
+    delivered_per_cycle = [0] * cfg.cycles
+    corrected_errors = 0
+    latency_sum = 0.0
+    for record in records:
+        delivered_per_cycle[record.cycle_id] += 1
+        observable = record.pair.x_error ^ record.pair.frame.x_bit
+        corrected_errors += observable ^ record.correction.x_bit
+        latency_sum += (record.frame_available_at_ns - record.established_at_ns) / period_ns
+    fidelity = stderr = None
+    if pairs_total:
+        error_rate = corrected_errors / pairs_total
+        fidelity = 1.0 - error_rate
+        stderr = math.sqrt(error_rate * (1.0 - error_rate) / pairs_total)
+    return SummaryStats(
+        pairs_total=pairs_total,
+        pairs_per_second=pairs_total / cfg.cycles * (1e9 / period_ns),
+        empirical_end_fidelity=fidelity,
+        empirical_end_fidelity_stderr=stderr,
+        analytic_end_fidelity=analytic_end_to_end_fidelity(cfg),
+        cycle_period_s=schedule.cycle_period_s,
+        failure_cycles=sum(1 for count in delivered_per_cycle if count < schedule.links_per_cycle),
+        frame_latency_cycles=(latency_sum / pairs_total) if pairs_total else None,
+        cycles=cfg.cycles,
+        links_per_cycle=schedule.links_per_cycle,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_chains_with_periods())
+def test_summary_equals_a_loop_over_the_records(cfg):
+    # Below the bound too, every run that finishes summarizes as the loop does.
+    if _return_before_train(cfg) is not None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = run_network(cfg)
+        except DesynchronizationError:
+            return
+    assert summarize(result.records, cfg) == _summary_oracle(result.records, cfg)
+
 def _reference_desync(cfg):
     """The error text of the first desynchronization an event loop meets on
     ``cfg``, or None, and the events it dispatched.
@@ -959,6 +1071,17 @@ def _tied_chain(lengths_km, trains, tau_slot_ns, cycle_period_ns):
 # herald c at node 1. So the returns go first, and it is the long fourth
 # hop's node 3 that is overtaken.
 @example(_tied_chain([0.002, 0.002, 0.002, 0.01], [3] * 4, 0, 20))
+# Delays 5, 5, 2.5, 5, 7.5 and 5 us, no train time, period 2 d0 + d2 =
+# 12.5 us. Herald 1 overtakes node 4, whose return comes 2 d4 = 15 us after
+# herald 0. Herald 2 reaches node 1 at the same 30 us, inside node 1's
+# cycle-1 swap (proc_ns 5 us); seed 4 has node 1 swap in cycle 1 and
+# neither node 1 nor node 3 in cycle 0. The two heralds' causes tie, step
+# by step, up to herald 1 at node 1 and the train it leads into node 1
+# (via herald 2 at node 0 and node 0's return of cycle 1): the herald goes
+# before that train, so node 4's overtaking is the first.
+@example(chain_config(
+    [1.0, 1.0, 0.5, 1.0, 1.5, 1.0], p=0.5, cycles=3, seed=4, proc_ns=5000, cycle_period_ns=12500
+))
 def test_desync_verdict_equals_the_timeline_bank_checks(cfg):
     # The verdict decided from the schedule and each cycle's swaps, traced
     # or not, is the error the bank checks meet on the reference event
