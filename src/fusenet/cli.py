@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple, fields
+from dataclasses import astuple, fields
 from typing import Callable, Optional, Sequence, TextIO
 
 from .config import (
@@ -205,7 +205,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     if doc.output.format == "csv":
         text = _csv_text(_SUMMARY_FIELDS, [astuple(stats)])
     else:
-        text = _summary_document(doc, asdict(stats))
+        text = _summary_document(doc, stats.to_dict())
     outputs = [(doc.output.path, lambda fh: fh.write(text))]
     if doc.output.trace:
         outputs.append((doc.output.trace_path, lambda fh: _write_trace(fh, result.trace)))

@@ -8,7 +8,7 @@ throughput, fidelity, and frame-latency numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,9 @@ class SummaryStats:
     links_per_cycle: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name. Every field is a number or None, so nothing
+        is copied, as ``dataclasses.asdict`` would."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def summarize(records: RecordView, config: NetworkConfig) -> SummaryStats:
