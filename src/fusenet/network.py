@@ -411,8 +411,9 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
     no train or processing time) is rejected, as is a chain in which an
     intermediate node would get the return from its right hop before its
     incoming train has ended, a cycle count of 2**32 or more (a cycle is
-    one 32-bit word of its RNG key), and a hop whose n + m exceeds
-    ``MAX_TRAIN_DRAWS`` (its train draws that many values at once). An
+    one 32-bit counter word of its keyed draws), a seed of 2**64 or more
+    (the seed is the two 32-bit words of their key), and a hop whose n + m
+    exceeds ``MAX_TRAIN_DRAWS`` (its train draws that many values at once). An
     explicit ``cycle_period_ns`` override below the bound is accepted here;
     ``run_network`` warns about it, and the run will then abort with a
     desynchronization error when the herald overtakes a node.
@@ -436,10 +437,14 @@ def validate_config(config: NetworkConfig) -> CycleSchedule:
         raise ConfigurationError("cycles must be >= 1")
     if config.cycles >= KEY_WORD_LIMIT:
         raise ConfigurationError(
-            f"cycles must be < {KEY_WORD_LIMIT}: a cycle's RNG key holds it in one 32-bit word"
+            f"cycles must be < {KEY_WORD_LIMIT}: a cycle is one 32-bit counter word of its keyed draws"
         )
     if config.seed < 0:
         raise ConfigurationError("seed must be >= 0")
+    if config.seed >= KEY_WORD_LIMIT**2:
+        raise ConfigurationError(
+            f"seed must be < {KEY_WORD_LIMIT**2}: the keyed draws' key holds it in two 32-bit words"
+        )
     for idx, link in enumerate(config.links):
         if link.model.length_km <= 0:
             raise ConfigurationError(f"links[{idx}]: length_km must be > 0 in a chain")

@@ -1,4 +1,5 @@
-"""Shared test helpers: config builders, trace parsing, a deadline."""
+"""Shared test helpers: config builders, trace parsing, a deadline, and a
+scalar Philox4x32-10."""
 
 import json
 import signal
@@ -64,3 +65,34 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def philox4x32_reference(counter, key):
+    """Philox4x32-10 (Salmon et al., SC'11) of one counter, as Python ints,
+    written from the specification: ten rounds, each multiplying counter
+    words 0 and 2 by 0xD2511F53 and 0xCD9E8D57 and mixing the products'
+    halves with words 1 and 3 and the key, and the key bumped by the
+    Weyl increments 0x9E3779B9 and 0xBB67AE85 before every round but the
+    first. ``counter`` is four 32-bit words, ``key`` two."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for round_ in range(10):
+        if round_:
+            k0, k1 = (k0 + 0x9E3779B9) & _MASK32, (k1 + 0xBB67AE85) & _MASK32
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+    return c0, c1, c2, c3
+
+
+def keyed_words_reference(seed, domain, index, cycle, count):
+    """The first ``count`` draws of key (domain, index) in ``cycle`` as
+    32-bit words: draw j is word j % 4 of Philox4x32-10 at the counter
+    (j // 4, index, cycle, domain) under the seed's low and high words."""
+    key = (seed & _MASK32, seed >> 32)
+    words = []
+    for block in range(-(-count // 4)):
+        words += philox4x32_reference((block, index, cycle, domain), key)
+    return words[:count]

@@ -477,6 +477,25 @@ class TestRejectedInput:
         assert err.startswith("error: config:") and err.count("\n") == 1
         assert field in err
 
+    def test_key_word_limits(self, tmp_path, capsys):
+        # a cycle is one 32-bit word of a Philox counter and the seed the two
+        # 32-bit words of its key: one line each past the limit, and the
+        # largest seed runs
+        for path, value, line in [
+            (("network", "cycles"), 2**32, "error: config: cycles must be < 4294967296: "
+             "a cycle is one 32-bit counter word of its keyed draws\n"),
+            (("network", "seed"), 2**64, "error: config: seed must be < 18446744073709551616: "
+             "the keyed draws' key holds it in two 32-bit words\n"),
+        ]:
+            doc = copy.deepcopy(BASE_DOC)
+            _set(path, value)(doc)
+            assert run_cli(capsys, "simulate", write_doc(tmp_path, doc)) == (2, "", line)
+        doc = copy.deepcopy(BASE_DOC)
+        doc["network"]["seed"] = 2**64 - 1
+        doc["output"] = {"path": str(tmp_path / "largest_seed.json")}
+        code, _, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc))
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("field", ["n_fusiliers", "m_fusilands"])
     def test_huge_train_rejected_at_once(self, tmp_path, capsys, field):
         # a train draws n + m values at once, so a hop of 10**12 fusiliers or

@@ -1,4 +1,4 @@
-"""Fiber delays and RNG substream contracts."""
+"""Fiber delays, Philox4x32-10 and keyed-draw contracts."""
 
 import math
 import os
@@ -18,16 +18,14 @@ from fusenet.engine import (
     KEY_WORD_LIMIT,
     KeyedDraws,
     LINK_DOMAIN,
-    RngStream,
-    SEED_BLOCK,
     SWAP_DOMAIN,
     channel_delay_ns,
-    pcg64_random,
+    philox4x32,
 )
 from fusenet.errors import ConfigurationError
 from fusenet.network import validate_config
 
-from conftest import chain_config
+from conftest import chain_config, keyed_words_reference, philox4x32_reference
 
 SPEED = 2.0e8
 
@@ -52,189 +50,177 @@ class TestChannelDelay:
                 validate_config(cfg)
 
 
-def reference_generator(key):
-    """Per-key numpy seeding, the layout the seed kernel must reproduce."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+# Random123's known-answer vectors for Philox4x32-10: (counter, key, output).
+KNOWN_ANSWERS = {
+    "zeros": ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    "ones": (
+        (0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+    ),
+    "pi": (
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+}
+
+
+@pytest.mark.parametrize("vector", sorted(KNOWN_ANSWERS))
+def test_philox_known_answer_vectors(vector):
+    # The scalar reference is checked against the vectors, and the
+    # vectorized one against both.
+    counter, key, output = KNOWN_ANSWERS[vector]
+    assert philox4x32_reference(counter, key) == output
+    words = philox4x32(tuple(np.array([c], np.uint32) for c in counter), key)
+    assert all(word.dtype == np.uint32 for word in words)
+    assert tuple(int(word[0]) for word in words) == output
+
+
+_WORDS = st.integers(0, 2**32 - 1)
+
+
+def _words_at(keys, domain=LINK_DOMAIN, count=64):
+    """One cycle's tests of every key of ``keys`` (``(seed, cycles)``)
+    against 0.5: per key of the given domain, 64 coin bits a cycle."""
+    seed, cycles = keys
+    counts = [[count] * 2 for _ in range(DOMAINS)]
+    columns = [[(0, 1, [0.5, 0.5])] for _ in range(DOMAINS)]
+    ((_, tests),) = KeyedDraws(seed, counts, columns, cycles).blocks()
+    return tests[domain][:, :, 0]
 
 
 class TestRngStream:
+    """The keyed draws as streams: reproducible, distinct per key and seed,
+    and equal, computed in one vectorized pass, to the scalar reference."""
+
     def test_same_key_reproduces_draws(self):
-        stream = RngStream(12345)
-        rows = stream.seed_block(range(17, 18), 4)
-        again = RngStream(12345).seed_block(range(17, 18), 4)
-        assert rows.tobytes() == again.tobytes()
-        a = stream.substream(rows[0, LINK_DOMAIN, 3]).random(5)
-        b = stream.substream(again[0, LINK_DOMAIN, 3]).random(5)
-        assert list(a) == list(b)
+        counts = [[5, 70, 0, 3]] * DOMAINS
+        columns = [[(0, 1, [0.3, 0.6, 0.5, 1.0]), (1, 2, [0.5] * 4)]] * DOMAINS
+        first, again = (list(KeyedDraws(12345, counts, columns, 20).blocks()) for _ in range(2))
+        assert [cycles for cycles, _ in first] == [cycles for cycles, _ in again]
+        for (_, a), (_, b) in zip(first, again):
+            assert [t.tobytes() for t in a] == [t.tobytes() for t in b]
 
     def test_distinct_keys_differ(self):
-        stream = RngStream(12345)
-        rows = stream.seed_block(range(0, 2), 2)
-        base = list(stream.substream(rows[0, LINK_DOMAIN, 0]).random(4))
-        for cycle, domain, index in [(1, LINK_DOMAIN, 0), (0, LINK_DOMAIN, 1), (0, SWAP_DOMAIN, 0)]:
-            assert list(stream.substream(rows[cycle, domain, index]).random(4)) != base
+        coins = _words_at((12345, 2))
+        base = coins[0, 0].tolist()
+        assert coins[1, 0].tolist() != base
+        assert coins[0, 1].tolist() != base
+        assert _words_at((12345, 2), SWAP_DOMAIN)[0, 0].tolist() != base
 
     def test_distinct_seeds_differ(self):
-        a = RngStream(1).seed_block(range(1), 1)
-        b = RngStream(2).seed_block(range(1), 1)
-        assert list(RngStream(1).substream(a[0, 0, 0]).random(4)) != list(
-            RngStream(2).substream(b[0, 0, 0]).random(4)
-        )
+        for seed in (2, 2**32 + 1, 2**63):
+            assert _words_at((seed, 1)).tolist() != _words_at((1, 1)).tolist()
 
-    def test_batched_draws_equal_scalar_draws(self):
-        stream = RngStream(12345)
-        row = stream.seed_block(range(17, 18), 4)[0, LINK_DOMAIN, 3]
-        scalar = stream.substream(row)
-        batched = pcg64_random(row[None], 40)[0].tolist()
-        assert batched == [scalar.random() for _ in range(40)]
+    @given(
+        counter=st.tuples(_WORDS, _WORDS, _WORDS, _WORDS),
+        key=st.tuples(_WORDS, _WORDS),
+        shape=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_batched_draws_equal_scalar_draws(self, counter, key, shape):
+        # Every lane of an array pass equals the scalar reference at its own
+        # counter; a numpy overflow warning fails it. Lane k adds k to each
+        # counter word, wrapping, so the lanes' counters differ.
+        lanes = np.arange(math.prod(shape), dtype=np.uint64).reshape(shape)
+        arrays = tuple(((lanes + np.uint64(c)) & np.uint64(0xFFFFFFFF)).astype(np.uint32) for c in counter)
+        words = philox4x32(arrays, key)
+        for k, lane in enumerate(lanes.reshape(-1).tolist()):
+            expected = philox4x32_reference(tuple((c + lane) & 0xFFFFFFFF for c in counter), key)
+            assert tuple(int(word.reshape(-1)[k]) for word in words) == expected
 
     def test_rows_do_not_depend_on_block_bounds(self):
-        stream = RngStream(99)
-        whole = stream.seed_block(range(0, 150), 3)
-        assert whole.shape == (150, DOMAINS, 3, 4)
-        parts = [stream.seed_block(range(a, min(a + SEED_BLOCK, 150)), 3) for a in range(0, 150, SEED_BLOCK)]
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
-        assert stream.seed_block(range(0, 150), 5)[:, :, :3].tobytes() == whole.tobytes()
+        # A block's tests depend on neither the block's bounds nor how many
+        # keys the run has: each draw is Philox at its own counter.
+        counts = [[9, 2, 30]] * DOMAINS
+        columns = [[(0, 1, [0.4, 0.5, 0.6])]] * DOMAINS
+        per_cycle = 3 * 30 * DOMAINS
+        runs = {}
+        # Each bound, and the block lengths it gives over 150 cycles.
+        for block_values, lengths in ((1, {1}), (7 * per_cycle, {7, 3}), (2**40, {150})):
+            with mock.patch.object(engine_module, "BLOCK_MAX_VALUES", block_values):
+                blocks = list(KeyedDraws(99, counts, columns, 150).blocks())
+            assert {len(cycles) for cycles, _ in blocks} == lengths
+            assert [c for cycles, _ in blocks for c in cycles] == list(range(150))
+            runs[block_values] = [np.concatenate([t[d] for _, t in blocks]).tobytes() for d in range(DOMAINS)]
+        assert runs[7 * per_cycle] == runs[1] and runs[2**40] == runs[1]
+        wider = [[9, 2, 30, 4, 4]] * DOMAINS, [[(0, 1, [0.4, 0.5, 0.6, 0.1, 0.1])]] * DOMAINS
+        with mock.patch.object(engine_module, "BLOCK_MAX_VALUES", 2**40):
+            ((_, tests),) = KeyedDraws(99, *wider, 150).blocks()
+        assert [t[:, :3].tobytes() for t in tests] == runs[1]
 
     def test_keys_beyond_one_word_rejected(self):
-        stream = RngStream(0)
         last = KEY_WORD_LIMIT - 1
-        assert stream.seed_block(range(last, last + 1), 1).shape == (1, DOMAINS, 1, 4)
-        for cycles, width in [
-            (range(last, last + 2), 1),
-            (range(0, 1), KEY_WORD_LIMIT + 1),
-        ]:
-            with pytest.raises(ValueError, match="indices and cycles"):
-                stream.seed_block(cycles, width)
+        counts, columns = [[6]] * DOMAINS, [[(0, 1, [0.5])]] * DOMAINS
+        keyed = KeyedDraws(2**64 - 1, counts, columns, KEY_WORD_LIMIT)
+        # The last cycle's words are Philox at cycle word 2**32 - 1.
+        tests = keyed._tests(range(last, last + 1))
+        for domain in range(DOMAINS):
+            words = keyed_words_reference(2**64 - 1, domain, 0, last, 6)
+            assert tests[domain][0, 0, 0].tolist() == [w < 2**31 for w in words]
+        with pytest.raises(ValueError, match="indices and cycles"):
+            KeyedDraws(0, counts, columns, KEY_WORD_LIMIT + 1)
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            KeyedDraws(2**64, counts, columns, 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
-            RngStream(-1)
+            KeyedDraws(-1, [[1]] * DOMAINS, [[(0, 1, [0.5])]] * DOMAINS, 1)
 
 
-@given(
-    seed=st.one_of(
-        st.just(0),
-        st.integers(1, 2**32 - 1),
-        st.integers(2**32, 2**64 - 1),
-        st.integers(2**64, 2**96),
-    ),
-    first_cycle=st.integers(0, KEY_WORD_LIMIT - 1),
-    span=st.integers(1, 4),
-    width=st.integers(1, 5),
-    count=st.integers(1, 60),
-)
-@settings(max_examples=60, deadline=None)
-def test_seed_rows_equal_numpy_seed_sequence(seed, first_cycle, span, width, count):
-    # Every row of a block must seed exactly the generator numpy builds
-    # from the key's SeedSequence, across one- to four-word master seeds
-    # and cycles up to the last one-word value.
-    cycles = range(first_cycle, min(first_cycle + span, KEY_WORD_LIMIT))
-    stream = RngStream(seed)
-    rows = stream.seed_block(cycles, width)
-    assert rows.shape == (len(cycles), DOMAINS, width, 4)
-    for k, cycle in enumerate(cycles):
-        for domain in range(DOMAINS):
-            for index in range(width):
-                key = (seed, domain, index, cycle)
-                row = rows[k, domain, index]
-                expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
-                assert row.tolist() == expected.tolist(), key
-                drawn = stream.substream(row).random(count)
-                assert drawn.tolist() == reference_generator(key).random(count).tolist(), key
-
-
-@given(
-    seed=st.one_of(
-        st.just(0),
-        st.integers(1, 2**32 - 1),
-        st.integers(2**32, 2**64 - 1),
-        st.integers(2**64, 2**96),
-    ),
-    first_cycle=st.integers(0, KEY_WORD_LIMIT - 1),
-    span=st.integers(1, 3),
-    width=st.integers(1, 5),
-    count=st.one_of(st.sampled_from([1, 63, 64, 65, 200]), st.integers(1, 200)),
-)
-@settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_kernel_draws_equal_numpy_pcg64(seed, first_cycle, span, width, count):
-    # One kernel pass over a block's rows must give, row for row, the draws
-    # of numpy's generator for that key; a numpy overflow warning fails it.
-    cycles = range(first_cycle, min(first_cycle + span, KEY_WORD_LIMIT))
-    rows = RngStream(seed).seed_block(cycles, width)
-    drawn = pcg64_random(rows, count)
-    assert drawn.shape == (len(cycles), DOMAINS, width, count)
-    assert drawn.dtype == np.float64
-    # A simulation hands the kernel one domain's rows, a strided view.
-    assert pcg64_random(rows[:, SWAP_DOMAIN], count).tobytes() == drawn[:, SWAP_DOMAIN].tobytes()
-    for k, cycle in enumerate(cycles):
-        for domain in range(DOMAINS):
-            for index in range(width):
-                key = (seed, domain, index, cycle)
-                expected = reference_generator(key).random(count).tolist()
-                assert drawn[k, domain, index].tolist() == expected, key
-
-
-# Every key drawn natively; the default split at BATCH_MAX_DRAWS; every key
-# batched, 64 values or more; blocks of one cycle each.
+# BLOCK_MAX_VALUES: the run's own bound, and blocks of one cycle each.
 PACK_PATHS = {
-    "native": ("BATCH_MAX_DRAWS", 0),
-    "default": ("BATCH_MAX_DRAWS", engine_module.BATCH_MAX_DRAWS),
-    "batched": ("BATCH_MAX_DRAWS", 2**24),
-    "one_cycle_blocks": ("BLOCK_MAX_VALUES", 1),
+    "default": engine_module.BLOCK_MAX_VALUES,
+    "one_cycle_blocks": 1,
 }
 
-_THRESHOLDS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_THRESHOLDS = st.one_of(
+    st.just(0.0), st.just(1.0), st.just(2.0**-32), st.just(0.5 + 2.0**-40), st.floats(0.0, 1.0)
+)
 
 
 @st.composite
 def _keyed_draws(draw):
     """(seed, counts, columns, cycles) of a random run's keys: mixed counts
-    from 1 to 130 within a domain, random columns with a random threshold
+    from 1 to 40 within a domain, random columns with a random threshold
     per key."""
     width = draw(st.integers(1, 4))
-    sizes = st.one_of(st.sampled_from([1, 63, 64, 65, 128, 130]), st.integers(1, 130))
+    sizes = st.one_of(st.sampled_from([1, 3, 4, 5, 8, 40]), st.integers(1, 40))
     counts = [draw(st.lists(sizes, min_size=width, max_size=width)) for _ in range(DOMAINS)]
     column = st.tuples(
         st.integers(0, 9), st.integers(1, 7), st.lists(_THRESHOLDS, min_size=width, max_size=width)
     )
     columns = [draw(st.lists(column, min_size=1, max_size=4)) for _ in range(DOMAINS)]
-    return draw(st.integers(0, 2**64)), counts, columns, draw(st.integers(1, 3))
+    return draw(st.integers(0, 2**64 - 1)), counts, columns, draw(st.integers(1, 3))
 
 
 @pytest.mark.parametrize("path", sorted(PACK_PATHS))
 @given(keys=_keyed_draws())
-@example(keys=(5, [[130, 1], [64, 65], [63, 2]], [[(0, 1, [0.5, 1.0])], [(1, 2, [1.0, 1.0])], [(0, 3, [0.0, 0.7])]], 2))
+@example(keys=(5, [[30, 1], [4, 5], [3, 2]], [[(0, 1, [0.5, 1.0])], [(1, 2, [1.0, 1.0])], [(0, 3, [0.0, 0.7])]], 2))
 @settings(max_examples=40, deadline=None)
 def test_keyed_draws_pack_threshold_bits(path, keys):
-    # A block's tests of key i, column c, are u[start::step][j] < t over
-    # the key's own count of values u from numpy's generator, on every
-    # draw path, and no test at or past the key's count is set. The blocks
-    # cover the run's cycles once each, in order.
+    # A block's tests of key i, column c, are w[start::step][j] / 2**32 < t
+    # over the key's own count of words w of the Philox layout, on every
+    # block size, and no test at or past the key's count is set. The
+    # blocks cover the run's cycles once each, in order.
     seed, counts, columns, cycles = keys
-    with mock.patch.object(engine_module, *PACK_PATHS[path]):
+    with mock.patch.object(engine_module, "BLOCK_MAX_VALUES", PACK_PATHS[path]):
         keyed = KeyedDraws(seed, counts, columns, cycles)
         blocks = list(keyed.blocks())
-    if path == "native":
-        assert not any(keyed.batched)
-    elif path == "batched":
-        assert all(keyed.batched)
-    elif path == "one_cycle_blocks":
+    if path == "one_cycle_blocks":
         assert keyed.block == 1
     assert [cycle for block, _ in blocks for cycle in block] == list(range(cycles))
-    stream, width = RngStream(seed), len(counts[0])
+    width = len(counts[0])
     for block, tests in blocks:
         for k, cycle in enumerate(block):
-            rows = stream.seed_block(range(cycle, cycle + 1), width)[0]
             for domain in range(DOMAINS):
                 spans = [len(range(start, max(counts[domain]), step)) for start, step, _ in columns[domain]]
                 assert tests[domain].shape == (len(block), width, len(spans), max(spans))
                 assert tests[domain].dtype == bool
                 for index, count in enumerate(counts[domain]):
-                    values = stream.substream(rows[domain, index]).random(count).tolist()
+                    words = keyed_words_reference(seed, domain, index, cycle, count)
                     for column, (start, step, thresholds) in enumerate(columns[domain]):
-                        expected = [u < thresholds[index] for u in values[start::step]]
+                        expected = [w * 2.0**-32 < thresholds[index] for w in words[start::step]]
                         row = tests[domain][k, index, column].tolist()
                         assert row[: len(expected)] == expected, (cycle, domain, index, column)
                         assert not any(row[len(expected) :]), (cycle, domain, index, column)
@@ -263,7 +249,7 @@ def _numpy_random_loaded(statements, *args):
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
-    # numpy.random costs about 5.5 MB of RSS; only a native draw needs it.
+    # numpy.random costs about 5.5 MB of RSS, and nothing needs it.
     assert not _numpy_random_loaded("import fusenet.cli, fusenet.metrics")
 
 
@@ -274,19 +260,18 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     "config, long_trains",
     [("two_node_40km.json", False), ("chain4_purify_butterfly.json", False), ("two_node_40km.json", True)],
 )
-def test_only_long_trains_load_numpy_random(config, long_trains):
-    # A chain whose every key draws at most BATCH_MAX_DRAWS values a cycle
-    # draws them all with the kernel and never imports numpy.random; a train
-    # of BATCH_MAX_DRAWS + 1 values draws natively and does.
+def test_no_run_loads_numpy_random(config, long_trains):
+    # Every keyed draw is Philox in uint64 arrays, so no run imports
+    # numpy.random, not even one whose trains draw a paper hop's 644
+    # values a cycle.
     statements = (
         "import dataclasses\n"
         "from fusenet.config import load_config\n"
-        "from fusenet.engine import BATCH_MAX_DRAWS\n"
         "from fusenet.network import run_network\n"
         "network = load_config(sys.argv[1]).network\n"
         "if sys.argv[2] == 'True':\n"
-        "    network.links = [dataclasses.replace(link, n_fusiliers=BATCH_MAX_DRAWS,\n"
-        "                     m_fusilands=1) for link in network.links]\n"
+        "    network.links = [dataclasses.replace(link, n_fusiliers=544,\n"
+        "                     m_fusilands=100) for link in network.links]\n"
         "assert run_network(network).records"
     )
-    assert _numpy_random_loaded(statements, str(CONFIGS / config), str(long_trains)) is long_trains
+    assert not _numpy_random_loaded(statements, str(CONFIGS / config), str(long_trains))

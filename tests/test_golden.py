@@ -90,60 +90,60 @@ CASES = {
 
 EXPECTED = {
     "overlapping_trains": {
-        "records": "072997a06729be3bf0174d11b3401e6dc44951cb3a4f2156e5e898fd84c9ee0c",
-        "per_cycle_delivered": "2f33271b4d9a736eb56ef0365da9a7f3bab585a313dd52676358933dd92e90f4",
-        "hop_success_counts": "e41404828b07954db1e67cd07c9a80fdede8bc90b434996f2c55c0be4a6f8746",
-        "left_frame_folds": "0dc008c4946b1f4d828ce5998127b9aa87a5dc508cf4cd79c2ab6386e20b0734",
-        "trace": "c4d31d460f873c71c37d049982a31beb153c476923e4043d8047c9638b9a432c",
+        "records": "dc142c6b82fc6f8d7e28482c92f603fa96ed7996f08d09b62ae5d313bd2e7d42",
+        "per_cycle_delivered": "1d7e173aa92cb5546f538b552896e5fefabbf8beee1d6acaa9745c3cd2a68143",
+        "hop_success_counts": "c1cdb523075e1da99aceb4bdd9ddd1fff395116a7d7568229941ea88b4b0fe4d",
+        "left_frame_folds": "639e989ad5ad6b064a164da21e73fdcb862bcd572b984a09d3d27d0a91ca7d0e",
+        "trace": "f9b8e886d3f64e93e961f7f6588b9b094ab8cee76e56380f2807ce5294274ee9",
     },
     "overlapping_trains_tau0": {
-        "records": "d3791b7d1c147416d3a8fb96f194f20f72487c79d96d71fa455b8c4a21b12593",
-        "per_cycle_delivered": "98eaef7268d4033f18baf32ecc014dd1c62e5a0d641204317147b656e5bf7817",
-        "hop_success_counts": "8fefea01b1dc4d6ff2af58567636b7756d4498a8b00783f87b27e2fb6d5fb589",
-        "left_frame_folds": "961cc676f8d5c946e1a66f9964bf3e26024c752e83c35df7e87eb887d53e3a30",
-        "trace": "6d70b4caaa3946e692c5a0b4172e7de9caef7c7a343081f684a5a5ffb783be7f",
+        "records": "2ea0911afcf32c625ffbd6f75c273de9f5126ff5c6af6a2f884fca38194f9c85",
+        "per_cycle_delivered": "57050a220583e6eabead898ecd6739ef2fc58334c4c4261d39161e892e021def",
+        "hop_success_counts": "3a71621368840859ba1a237684ee6fc72a09b491131bfb929400f633ab57e674",
+        "left_frame_folds": "83a56dd241c7a9c386f4a6f4464045560ee9f123dead6dc68811f5cf2c336161",
+        "trace": "3fe392ff4a708380a53e4d26c4374830b7323ac161dc73af6d3f09ca1841d78f",
     },
     "p0_L0_link_form": {
-        "records": "7501f6065120302e3eb780205d5c04ae31308a58eb2b4c3183c15bcb6aeaf8e0",
-        "per_cycle_delivered": "597fbd5ee93e166b7461a87e39e6026dd61208ded0fa6cf1e09f7f1c275d5ddc",
-        "hop_success_counts": "d59a3b265d3537a2221cd59a925a1f34c425fa692050140568ef4457805c8370",
+        "records": "e15c7b97113aef8cb8b534cb2c9856f1525ad5e0316599a68c9348c7f21f42f8",
+        "per_cycle_delivered": "30a617689fb9f6d5194f1650edd58176aa8e28773bc7ced046de685a746b7f7c",
+        "hop_success_counts": "75add8c38e2b0944f3b318997d1a4429cfbfc85e37ac64640275c19570a52aca",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "2fa4ae449ac5f1b3f79a84e48e38e982898823e46a12fc326fde36ee81108252",
+        "trace": "a0961e71f198a9170c0f142be32288ae7c3f6c2e4e5862f361d1cf3db3d764dd",
     },
     "purify3": {
-        "records": "bc8ecd6f8e8041f07fb100a3a42ec559c22fdacdffb41a7b31b04285ee2d527a",
-        "per_cycle_delivered": "d74b2a86663a623f8e741a6308d5c8c22d0d6e3a4f825d77a79e83a3a9dea205",
-        "hop_success_counts": "e22b2b172e3d649000c75264d65a2efaeb7183f86f9f944062e157b76b905fdf",
+        "records": "75b129700bd7d08966aa8f7e3425882e1c52f9ff391d79853ef431a69f3258a0",
+        "per_cycle_delivered": "038538c2ac7379c9b0f45a5d0ea6537a6e029ed82ced3ffb3eeee3bd55f32af7",
+        "hop_success_counts": "c5b34686713c0d106664f0b92506f2eea52c05744b1ec93218a308951d529e5c",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "7e52e79c5b1a3d74bade95cf4ea853bfe6d14a51c23362d82b2b38d6f3e1bf04",
+        "trace": "d378cbe968ddd6f95a7fa239cd012b1f8bd75a8d69d256580230f02c02f8f94e",
     },
     "purify3_butterfly_proc": {
-        "records": "c69dcea88cf8b043ce0a2c73a097f105593f975653f5c353b07e5720f145e30d",
-        "per_cycle_delivered": "4a231766f9599f26f8d123db6f85c27f33352e7e6ac801f3619996f7a3c4f56a",
-        "hop_success_counts": "61d8f874a68adbc80dd9239d2a8caf4ccb58a4e966fb11187c5cc1d982f9425c",
-        "left_frame_folds": "bf4759003abdfbe9f6ba137f845d1e389a7f4e89a59fae26b9094db921b478c8",
-        "trace": "0937b806c61b5b8621c99552277eb46f54106bf3f0dee61eed3949f64adba2d7",
+        "records": "8a2c3e2a82fa0518ab898ea96c5d9c41d97447a656891cc1cd1ba5af539eb29d",
+        "per_cycle_delivered": "f7d4845536c83c2ce56cf4990c204bd2eeeaa3e86dc261df51cfcdd431431a35",
+        "hop_success_counts": "1ff0fb6694c1880c53a8858af31a3ef5676cf90295f0191fede773d1202debd2",
+        "left_frame_folds": "b47ce060034093a9f2b3cffc2e8f37e65f56dd3416a8f0a0f07b0854ad255c18",
+        "trace": "3d0b374b4423cb470355311b40195cf12e324dbb13a995d669ad1688398b0e2d",
     },
     "raw": {
-        "records": "c4135150b9c821516a28e7dcd04433e99e8a9f5e67a4a09849a67bff557b6682",
-        "per_cycle_delivered": "192ca333904171119f3f62aa36a77e75f81f5d539cf03b7de4d0f47beb871e24",
-        "hop_success_counts": "bf462685bfea328bd5f777c0391962ddf54ca728759bcfa17cc245f8e961d776",
+        "records": "4dd2f07bd83cc90d9559c193f5971d43863808b286dcf6f1e6aad068b2786342",
+        "per_cycle_delivered": "41fb99de707d69ea2a19aaff8109697bf8528d8aa1c89807b37a10262cbef27a",
+        "hop_success_counts": "f696b2e772b41af0917e03c84a9cb8b0189ff4b5a5a625435c8d7b0546a59416",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "f6f62672981a404f12525690867df1aa974d22515acb40bf20dfbf099132610d",
+        "trace": "246da1f8cf0fdfd0f09e3acc0f9a475a726d9d421e0589bc123344f35edcf3cf",
     },
     "raw_butterfly_tau_proc": {
-        "records": "54db423fcd128ed78439e5a6ff39d72c14130b97e4dabca7a7fd8131b3d15044",
-        "per_cycle_delivered": "9894bcb39c299cbf789f3621324af3169fcecf1b4c50ee2d58df4256e4e70e09",
-        "hop_success_counts": "b49e1bd4ab5b0e9a94f36767bacf0c0f8f55c2679e877ff09c7c0c89b7ab1a36",
-        "left_frame_folds": "fe8a4a765f7f7cae5a9c2f3019fd90e00080e54fd27a4202a49b89d36b849bfa",
-        "trace": "b43c8fd1bcf26393e85ec1e08399ecb589c5b02db0b7c237a786dede0e41a597",
+        "records": "8d2dcca7106560e7c25b891e27d34118374aa11bd33e87d20d9e665cc1a9ec2b",
+        "per_cycle_delivered": "332640810d4927eb59b9a9088ad9f8876fd7ee53c7128c1913098d5edb0fb48a",
+        "hop_success_counts": "d3e13042b48d7c374a0ee66a635055628d265f9bc6bce865a4f5d49a94426e8c",
+        "left_frame_folds": "3385fe8ebe9690484982ed799695f025347f7a0b2d5633f5edb89b42496b616a",
+        "trace": "6d026bb560d312b04a694fdebf3342712b6a1454c66a2806014261166aea3e6f",
     },
     "ten_hops_150_cycles": {
-        "records": "84772a6970d08943ca7ddd3d6589278621dd9548a378e8777a8fe5f394712205",
-        "per_cycle_delivered": "dc8ec5c36699c4157ad97e72a161574ace42cedf2ba4c1de3d6ba4064bf7271b",
-        "hop_success_counts": "197ff8ea8625bf2bfd43297df55f2376d69c8e98d5c7cce0c7c456c801f16743",
-        "left_frame_folds": "ef45bf5cefa391312765d46a5d831a70feb7aa83092695d8f5fba70b724d86e5",
-        "trace": "4255a242bc99881109ca287d2eeca00aebc9a513d33aef73fd621a9a5e45a470",
+        "records": "0cfc17ae17fc79c68e8484ffcf6a002607a705bc8a325d5ccf5fc8fc2a9d9a8c",
+        "per_cycle_delivered": "1f20f4f86b105ea8011231f233fcff432e0f5d07d25eaf64b9a82ece452f57fe",
+        "hop_success_counts": "586e6c091aa2d74c36888c3d516d938882dfe7fc65304058acb3585afced934f",
+        "left_frame_folds": "74308200574b032d1ebf9eb32fac4c2ea25bbcc767371e87e4c0ff4261bf8b54",
+        "trace": "2182b5408d72002fb48a61a9a6b87b51b61f521dad89b39d1c0aa5d2273f693a",
     },
 }
 
@@ -204,36 +204,36 @@ def test_seeded_output_digests(case, tmp_path, monkeypatch):
 
 SUMMARY_EXPECTED = {
     "overlapping_trains": {
-        "json": "ad768a70863082c9fd05bc696d9c9510701e6341157dfd4d9abec859a2adc33f",
-        "csv": "7cbd7c5fc0440d36ab09f5f5b456243f8055ec65e628f672c69ce3d83ea9f320",
+        "json": "0c64c12249d9b01d838c4544d0c5805ef01aa4b2c3d559d3d5dea2dc0830c11a",
+        "csv": "6e5e8c123c9dc26520c205e65b689844e5810d81cf1b45232801ccbf37895d6b",
     },
     "overlapping_trains_tau0": {
-        "json": "05b47fa4bc57f66b42e520ba93c86e4d71f926d96345f4472fe93ab281d2982b",
-        "csv": "934696c15dc3ab4ea5436b7cfbe1ba3477b340ab1cb5342a08b2ac2fdf9c22d3",
+        "json": "add2e669f691e9d3b7b36ab7ee13f0056cd775ccb3fc8663ea513b52e78da44c",
+        "csv": "0fa0cacf14849437d18aa3d534200d5e1cfa491f45de1545f9d300c63655ae07",
     },
     "p0_L0_link_form": {
-        "json": "6e5d29b0ca6d04ca7ce2aad79a5559687a4c9e41a4b3925ba29b301b4ff36ed6",
-        "csv": "43dc5ca71f4b8aee1053e67854fec7a2eb0bc490ad95d267877287e96c4c6013",
+        "json": "e762b626e30b64a7320ecea08e6d30c0782c168de3de7ca4e17915cbc8159b42",
+        "csv": "10592190c5fb5a1d186cb2258d4f8116ff0303ce7b4b2dfa4efbc8868aa454f3",
     },
     "purify3": {
-        "json": "fe8c0213ebedfe7eff90cbcba3d59d31eef1b0dc75fde6c8163a65edc744e939",
-        "csv": "2405a2759de5061b7f5d0bac9a78f92ff7630703619d526bb116406fa267328a",
+        "json": "9ee3cdb9c3ea16f252f2a376a458d8f1db1509e04ff22a456938a84fce56fcbe",
+        "csv": "ebae7d082a479675453476d9e75e74c7b8ca1041c4e7b741fdc4dca957022720",
     },
     "purify3_butterfly_proc": {
-        "json": "6fdc0f9436dcdb41b9879470a92a838beaaf793b764533b0fb366983108f6fc1",
-        "csv": "e9ee4977ae6eecc722bb8aa75d27c364b134debaf3390f6f205ecd8e8c9ea3f8",
+        "json": "b1b3836f49473da71b9367b9f624aa0f19f50ff867fe13d484ba4b4f78cbc5ae",
+        "csv": "62fc730f8b722aa7e9c17bc26328b20e2f493325b6910ac07f463f88eb0e60f0",
     },
     "raw": {
-        "json": "d325155b5172f200e3575bfacb4ab7b944f02f6f724f8f0d385108c8e0955bac",
-        "csv": "f63779f4b4416ef51430a29f3afa98857a64d82b8f0aa09e4e7c55dd8b278c40",
+        "json": "5da58b2857f613b61f925e58caf686f9d15a52aaee4bd8e22c30a3ecadd7bc29",
+        "csv": "118ed83153880e6b3dea5689706beb128fca3d4ff979227f842332c5eb8ab437",
     },
     "raw_butterfly_tau_proc": {
-        "json": "a96bcf53769e37b2f228ecdf42e74b1bad502aa31f2901bb88665d81cad4150c",
-        "csv": "b7f0c91246a6411f6422f0e779bda88b300ed8fb2517038bf2472d5cdd8e3e28",
+        "json": "4965b1a3449ef953f0bfb019f1452a89768a07ccd882ba94985decace0674e7c",
+        "csv": "24ae93a726e272682ce902b6c3910e741e8c096f44919fc0588c3cecf4f8a916",
     },
     "ten_hops_150_cycles": {
-        "json": "f3a6f1271f9b680b2078e3d19201c39fbd43c0b692ba2ee162076e3e3a75506a",
-        "csv": "5460eef561b587310fb4ffa50f071994dc8cac0bf9b7c0c0b8dcf696956fc3f5",
+        "json": "6fbcb853b988ad60b035171b432377ec0cb87b886670123ba5373c5653128cd0",
+        "csv": "b7f291c7cebed70fc9766c0668ca67cc371b25a596f7a20e039343709ca4d90a",
     },
 }
 
@@ -261,12 +261,12 @@ SWEEPS = {
 }
 
 SWEEP_EXPECTED = {
-    "F": "822acd6f6a4a6734e0957a0488fe1f6b400202b8e0fe99dc2ef1d70251315513",
-    "length_km": "a60fe277d96a4e5210fe4df37de7731d57fb0417e6a6a86cbd9850b088d5d8cb",
-    "m": "f67dd332428fed7ca8159ff2045dce32a4a72ef7623e9eccd03e26e360173e5b",
-    "n": "d10ae47b0d9ed23ed4c2f5c71360431d7a58e3db969540056866b169b3c99ed7",
-    "p": "6be83c1ee863a0fb6ace830e116dac8390c2473cde8ef6e74bdd50858c940be6",
-    "strategy": "cfecfa0ba1c17035dc58ee95d9cdb80616474fe3845ad7956c8f99c3502f3830",
+    "F": "1da3150e90c0f2db7320aa01757f2d1fd294b4d3c5a5cc3b5fe80c31f5530701",
+    "length_km": "da1d3efe64a773b552db7ddcf4f1b0c4e96587157f7155d676837e3f389906fc",
+    "m": "a41bd5eefa400b44758f712393ed846458dbe3385887e47a4d6418b2a968fa92",
+    "n": "d262c6f9a43899a7cd1d6afbf0a600e7fb6886a428077a2df0155243f51b8653",
+    "p": "509de6c2ffb0878bce92b2395e59c720a5cbf32c9c9e32bcc09c48cbba478b29",
+    "strategy": "3da94de66eb36c6cdf1c1dad47fe43763cfc1d6c58f01d91b2339f8e874b6229",
 }
 
 
@@ -302,22 +302,22 @@ WIDER_CASES = {
 
 WIDER_EXPECTED = {
     "purify3_butterfly_m12": {
-        "records": "c71f039717c7590bc1ccded0e8ef1016e58186192e94ad807ffafa977197131d",
-        "per_cycle_delivered": "6f67cab35e7ffea0e034b62b2d32454b7a17a262916d862d07e341d94e5dbfe1",
-        "hop_success_counts": "b91acf2e6e72eb9ea38daba87079f00a46735f4f9d53f013f6a47927f41796c7",
-        "left_frame_folds": "9cd78d2fdf6a797fd0745c0032c839669c093c64bf9cc8225143fb83b2fa2bad",
-        "trace": "9d888f874b802616e06dd7202a77497cb999adb18495b3919bedc82c624df816",
-        "summary_json": "88b17fe78598cf1be98552e159e1ede02bdc19a3adf7274221c870a297164392",
-        "summary_csv": "1e4a207f9c53503f7121af4a291bb47e07d2dcaca0f8b406302726340f2d5697",
+        "records": "aff46405919b796e05dcf70271e40e5cb8396e909959c042a80532d81f309cdc",
+        "per_cycle_delivered": "66a2d5f7325a33fff084c5e53622635d8351d68b0755ea578a149a70d8e2505e",
+        "hop_success_counts": "a2ada45189e6ba8e33a002bb654d14eab99665067b320c0c100e564c1f903182",
+        "left_frame_folds": "c71bb85b8863dde0e814e5a97a01957ce69db0ee08a736cea6f05c96f3052e71",
+        "trace": "96f1cd86f331748be3135da521871ca3a64ce156bec17c1d062a1769e0aef58b",
+        "summary_json": "5e1fca52ed9b100d2be6367abc3e08821b66fb828faea03cf2a648d92b7bc186",
+        "summary_csv": "4249bc9f4c3e552a3383331511893df24794bd5d9cf7a8798f007a85a258f249",
     },
     "purify3_single_hop": {
-        "records": "774f87598fe5ed224417fc9147b64f8093274c04d1c796742dc0c2f811f04840",
-        "per_cycle_delivered": "defd0f8137a06048871dc3412875a94d1eca0c3b452efa687a41f1592743c7a7",
-        "hop_success_counts": "e0026469c0b8f355c30fa55c7c2d6d7970329eeec3366231711d24c832eb963a",
+        "records": "55ce97f5015e67fb92fa11243eb476b9fb08b5154da29307173424b6947ef053",
+        "per_cycle_delivered": "6ad83dac2395c269e76750d20b30a2f5dfbe80c8daa0a7d72e208b8d2967eccc",
+        "hop_success_counts": "3f4419577424677637ff8201af03c7ee910f7be64651bdc68fd84b278139d124",
         "left_frame_folds": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "trace": "fbf2affc4635b87f0d42a56d95f63689bf11d04a4866d37ef31f6e2e3f6a016c",
-        "summary_json": "7b21c2ccfd5ec00c43b90a9f6f430b79d8eebf1d02d5b4fdb7c1ded4052de208",
-        "summary_csv": "9399a3fa15d7acb70c880d61499e76c6aea6aef14e9cc757dffad5e614af3116",
+        "trace": "283ec30de2f2e9dde2b2c37bba0979830cb62bfdd5703314a185cb894a043043",
+        "summary_json": "e980496a16f3f31969dd375e5c8d0b28275fdd301487cacad441139f10555942",
+        "summary_csv": "6ac096a97d755b6230123cfea9ea47057ec001fbb3c1d118d98525911608a239",
     },
 }
 
@@ -342,7 +342,7 @@ def test_wider_purify3_digests(case, tmp_path, monkeypatch):
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_1000km.json"
 
 PAPER_EXPECTED = {
-    "records": "9a3a5dc046d79331a6388f6590ee0f5417000b070eb12a0ac1fac9ca9cd3d3fe",
+    "records": "eec43461a3653959da4f3b3b43c380b189202321ab8e0fb40ca49099d99f9148",
     "per_cycle_delivered": "965b5c1560f33e9bb56477eb1abfe1f93245ea6fbf3a25eede50aacc273c4ec6",
     "hop_success_counts": "644889c301abea62479f0c45cdfc5d7a64cbc49d991ace4ba3cae651d3cca863",
     "summary_json": "12641a26227d8b327f092664e1ae58dd3a12d6017d9dd98ee322d474c3783395",

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from fusenet import engine as engine_module
 from fusenet import network as network_module
 from fusenet.config import load_config, parse_config
-from fusenet.engine import KeyedDraws, RngStream, channel_delay_ns
+from fusenet.engine import KeyedDraws, channel_delay_ns
 from fusenet.errors import ConfigurationError, DesynchronizationError, ProtocolError
 from fusenet.metrics import SummaryStats, rate_model, summarize
 from fusenet.network import (
@@ -48,7 +48,7 @@ from fusenet.pair_algebra import (
     purify3_analytic,
 )
 
-from conftest import chain_config, deadline, trace_records
+from conftest import chain_config, deadline, philox4x32_reference, trace_records
 from test_golden import CASES, EXPECTED, _digests, _link, _simulate
 
 
@@ -132,7 +132,7 @@ class TestValidateConfig:
         assert len(run_network(cfg).records) == 3 * cfg.cycles
 
     def test_cycle_count_beyond_one_key_word_rejected(self):
-        # a cycle's RNG key holds it in one 32-bit word
+        # a cycle is one 32-bit word of its keyed draws' Philox counter
         assert validate_config(chain_config([40.0], cycles=2**32 - 1))
         for cycles in (2**32, 2**40):
             with pytest.raises(ConfigurationError, match=r"cycles must be < 4294967296"):
@@ -1249,62 +1249,65 @@ def test_short_chain_trace_each_signal_at_its_key(cfg):
         _check_train_trace(cfg)
 
 
-# A chain whose trains draw 73 values a key, above BATCH_MAX_DRAWS, and whose
-# swaps draw at most 6, below it: one run takes both draw paths.
+# A chain whose trains draw 73 values a key and whose swaps draw at most 6:
+# counts that are not multiples of Philox's four words, in both domains.
 MIXED_DRAWS_CHAIN = {
     "links": [_link(km, 70, 3, p_success=0.3, raw_fidelity=0.9) for km in (10.0, 20.0, 15.0)],
     "seed": 21,
     "cycles": 40,
 }
 
-# Every key drawn natively; every key batched; blocks of one cycle each.
+def _scalar_philox(counter, key):
+    """``engine.philox4x32`` computed lane by lane by the scalar reference."""
+    lanes = np.broadcast_arrays(*(np.asarray(c, np.uint32) for c in counter))
+    words = [np.empty(lanes[0].shape, np.uint32) for _ in range(4)]
+    for at in np.ndindex(lanes[0].shape):
+        for word, value in zip(words, philox4x32_reference([int(c[at]) for c in lanes], key)):
+            word[at] = value
+    return tuple(words)
+
+
+# The run's own Philox and block bound; every word from the scalar
+# reference; blocks of one cycle each.
 DRAW_PATHS = {
-    "native": ("BATCH_MAX_DRAWS", 0),
-    "batched": ("BATCH_MAX_DRAWS", MAX_TRAIN_DRAWS),
-    "one_cycle_blocks": ("BLOCK_MAX_VALUES", 1),
+    "vectorized": {},
+    "scalar_reference": {"philox4x32": _scalar_philox},
+    "one_cycle_blocks": {"BLOCK_MAX_VALUES": 1},
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["mixed_draws"])
 def test_draw_paths_give_identical_output(case, tmp_path, monkeypatch):
-    # Which keys the kernel draws, and how many cycles a block holds, must
-    # not move a bit of output: records, counts, left folds and trace bytes
-    # agree across the paths, and with the pinned digests. On every path the
-    # untraced run returns the traced run's result, the trace aside.
+    # How the words are computed, array-wise or lane by lane from the
+    # specification, and how many cycles a block holds, must not move a bit
+    # of output: records, counts, left folds and trace bytes agree across
+    # the paths, and with the pinned digests. On every path the untraced
+    # run returns the traced run's result, the trace aside.
     network = MIXED_DRAWS_CHAIN if case == "mixed_draws" else CASES[case]
     digests = {}
-    for path, (name, value) in DRAW_PATHS.items():
-        native_keys, block_cycles = [], []
-        substream, kernel = RngStream.substream, engine_module.pcg64_random
+    for path, patches in DRAW_PATHS.items():
+        lengths, blocks = set(), KeyedDraws.blocks
 
-        def native(stream, row):
-            native_keys.append(row)
-            return substream(stream, row)
-
-        def batched(rows, count):
-            block_cycles.append(rows.shape[0])
-            return kernel(rows, count)
+        def recording(keyed):
+            for cycles, tests in blocks(keyed):
+                lengths.add(len(cycles))
+                yield cycles, tests
 
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, name, value)
-            patch.setattr(RngStream, "substream", native)
-            patch.setattr(engine_module, "pcg64_random", batched)
+            for name, value in patches.items():
+                patch.setattr(engine_module, name, value)
+            patch.setattr(KeyedDraws, "blocks", recording)
             (tmp_path / path).mkdir()
             result, trace_bytes = _simulate(tmp_path / path, patch, network)
             untraced = run_network(load_config(str(tmp_path / path / "config.json")).network)
         assert _without_trace(untraced) == _without_trace(result)
         digests[path] = _digests(result, trace_bytes)
-        if path == "native":
-            assert native_keys and not block_cycles
-        elif path == "batched":
-            assert block_cycles and not native_keys
-        else:
-            assert set(block_cycles) == {1}
-            assert bool(native_keys) is (case == "mixed_draws")
-    assert digests["batched"] == digests["native"]
-    assert digests["one_cycle_blocks"] == digests["native"]
+        if path == "one_cycle_blocks":
+            assert lengths == {1}
+    assert digests["scalar_reference"] == digests["vectorized"]
+    assert digests["one_cycle_blocks"] == digests["vectorized"]
     if case in EXPECTED:
-        assert digests["native"] == EXPECTED[case]
+        assert digests["vectorized"] == EXPECTED[case]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1337,19 +1340,20 @@ def test_frame_records_hold_no_bit_past_their_count(cfg):
             assert not index[past].any()
 
 
-def _check_draws_within_counts(cfg, path):
-    """Run ``cfg`` on one of ``DRAW_PATHS``: its blocks start every cycle
-    once, in order, and set no test past what ``_key_draws`` counts.
+def _check_draws_within_counts(cfg, one_cycle_blocks):
+    """Run ``cfg``, in blocks of one cycle or of the run's own bound: its
+    blocks start every cycle once, in order, and set no test past what
+    ``_key_draws`` counts.
 
     With every such test set, the run's result is unchanged, so none of
-    them is read. Every native key with a count is drawn once a cycle, as a
-    ``substream`` call.
+    them is read.
     """
     counts, columns = _key_draws(cfg)
-    blocks, substream = KeyedDraws.blocks, RngStream.substream
+    blocks = KeyedDraws.blocks
+    block_values = 1 if one_cycle_blocks else engine_module.BLOCK_MAX_VALUES
 
     def run(set_past):
-        started, native = [], []
+        started = []
 
         def recording(keyed):
             for cycles, tests in blocks(keyed):
@@ -1362,41 +1366,34 @@ def _check_draws_within_counts(cfg, path):
                             past[...] = set_past
                 yield cycles, tests
 
-        def native_substream(stream, row):
-            native.append(row)
-            return substream(stream, row)
-
         with mock.patch.object(KeyedDraws, "blocks", recording), mock.patch.object(
-            RngStream, "substream", native_substream
-        ), mock.patch.object(engine_module, *DRAW_PATHS[path]):
+            engine_module, "BLOCK_MAX_VALUES", block_values
+        ):
             result = run_network(cfg)
         assert started == list(range(cfg.cycles))
-        keys = sum(1 for domain in counts for count in domain if count)
-        assert len(native) == (keys * cfg.cycles if path == "native" else 0)
         return asdict(result)
 
     assert run(True) == run(False)
 
 
-@pytest.mark.parametrize("path", ["batched", "native"])
-@settings(max_examples=40, deadline=None)
-@given(_short_chains())
-def test_short_chain_draws_stay_within_key_counts(path, cfg):
+@settings(max_examples=80, deadline=None)
+@given(cfg=_short_chains(), one_cycle_blocks=st.booleans())
+def test_short_chain_draws_stay_within_key_counts(cfg, one_cycle_blocks):
     if _return_before_train(cfg) is None:
-        _check_draws_within_counts(cfg, path)
+        _check_draws_within_counts(cfg, one_cycle_blocks)
 
 
-@pytest.mark.parametrize("path", ["batched", "native"])
-def test_mixed_chain_draws_stay_within_key_counts(path):
+def test_mixed_chain_draws_stay_within_key_counts():
     links = MIXED_DRAWS_CHAIN["links"]
     doc = {"nodes": [f"n{i}" for i in range(len(links) + 1)], **MIXED_DRAWS_CHAIN}
     cfg = parse_config({"schema_version": "1", "network": doc, "output": {}}).network
-    _check_draws_within_counts(cfg, path)
+    for one_cycle_blocks in (False, True):
+        _check_draws_within_counts(cfg, one_cycle_blocks)
 
 
 # Raw, purify3 and purify3 with the butterfly, on hops of unequal banks,
-# over 130 cycles: blocks of 64 leave a partial block of 2, and blocks of 7
-# cut seed blocks of 63 into nine each and leave a partial block of 4.
+# over 130 cycles: blocks of 7 leave a partial block of 4, and blocks of 64
+# a partial block of 2.
 BLOCK_CHAINS = {
     "raw": {
         "links": [
@@ -1437,21 +1434,22 @@ BLOCK_CHAINS = {
 @pytest.mark.parametrize("case", sorted(BLOCK_CHAINS))
 def test_block_size_does_not_move_output(case, tmp_path, monkeypatch):
     # How many cycles a block of tests holds must not move a bit of output:
-    # blocks of 1, 7 and 64 cycles give the same result, traced and
+    # blocks of 1, 7, 64 and all 130 cycles give the same result, traced and
     # untraced, and the same trace bytes.
     network = BLOCK_CHAINS[case]
     links = network["links"]
     doc = {"nodes": [f"n{i}" for i in range(len(links) + 1)], **network}
     cfg = parse_config({"schema_version": "1", "network": doc, "output": {}}).network
     per_cycle = len(links) * sum(map(max, _key_draws(cfg)[0]))
-    # Each size's patch, and the block lengths it gives.
+    # Each size's BLOCK_MAX_VALUES, and the block lengths it gives.
     sizes = {
-        1: (("SEED_BLOCK", 1), {1}),
-        7: (("BLOCK_MAX_VALUES", 7 * per_cycle), {7, 4}),
-        64: (("BLOCK_MAX_VALUES", 2**40), {64, 2}),
+        1: (1, {1}),
+        7: (7 * per_cycle, {7, 4}),
+        64: (64 * per_cycle, {64, 2}),
+        130: (2**40, {130}),
     }
     runs = {}
-    for size, ((name, value), expected) in sizes.items():
+    for size, (value, expected) in sizes.items():
         lengths, blocks = set(), KeyedDraws.blocks
 
         def recording(keyed):
@@ -1460,7 +1458,7 @@ def test_block_size_does_not_move_output(case, tmp_path, monkeypatch):
                 yield cycles, tests
 
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, name, value)
+            patch.setattr(engine_module, "BLOCK_MAX_VALUES", value)
             patch.setattr(KeyedDraws, "blocks", recording)
             (tmp_path / str(size)).mkdir()
             traced, trace_bytes = _simulate(tmp_path / str(size), patch, network)
@@ -1470,6 +1468,7 @@ def test_block_size_does_not_move_output(case, tmp_path, monkeypatch):
         runs[size] = asdict(traced), trace_bytes
     assert runs[7] == runs[1]
     assert runs[64] == runs[1]
+    assert runs[130] == runs[1]
 
 
 def _fold_reference(blocks, split):
