@@ -78,11 +78,10 @@ def test_philox_known_answer_vectors(vector):
 _WORDS = st.integers(0, 2**32 - 1)
 
 
-def _words_at(keys, domain=LINK_DOMAIN, count=64):
-    """One cycle's tests of every key of ``keys`` (``(seed, cycles)``)
-    against 0.5: per key of the given domain, 64 coin bits a cycle."""
-    seed, cycles = keys
-    counts = [[count] * 2 for _ in range(DOMAINS)]
+def _coins(seed, cycles, domain=LINK_DOMAIN):
+    """The first 64 draws of keys 0 and 1 of ``domain`` in each of
+    ``cycles`` cycles, tested against 0.5: bool, (cycles, 2, 64)."""
+    counts = [[64] * 2 for _ in range(DOMAINS)]
     columns = [[(0, 1, [0.5, 0.5])] for _ in range(DOMAINS)]
     ((_, tests),) = KeyedDraws(seed, counts, columns, cycles).blocks()
     return tests[domain][:, :, 0]
@@ -101,15 +100,15 @@ class TestRngStream:
             assert [t.tobytes() for t in a] == [t.tobytes() for t in b]
 
     def test_distinct_keys_differ(self):
-        coins = _words_at((12345, 2))
+        coins = _coins(12345, 2)
         base = coins[0, 0].tolist()
         assert coins[1, 0].tolist() != base
         assert coins[0, 1].tolist() != base
-        assert _words_at((12345, 2), SWAP_DOMAIN)[0, 0].tolist() != base
+        assert _coins(12345, 2, SWAP_DOMAIN)[0, 0].tolist() != base
 
     def test_distinct_seeds_differ(self):
         for seed in (2, 2**32 + 1, 2**63):
-            assert _words_at((seed, 1)).tolist() != _words_at((1, 1)).tolist()
+            assert _coins(seed, 1).tolist() != _coins(1, 1).tolist()
 
     @given(
         counter=st.tuples(_WORDS, _WORDS, _WORDS, _WORDS),
